@@ -39,7 +39,6 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import closed
-from .closed import Formula, FormulaId
 from .hp import (
     GUARD_DIGITS,
     EvalResult,
@@ -59,6 +58,7 @@ from .quadrature import (
     QuadratureNonConvergence,
     j_cot,
     k_arctanh,
+    kernel_pair,
     logsine_check,
     t_kernel_quad,
 )
@@ -74,8 +74,8 @@ from .series import (
     odd_B_series,
     odd_O_series,
 )
-from .symbolic import build, canonical_text, eval_symbolic, json_terms
-from .verify import SUITES, _kernel_combination, run_suite
+from .symbolic import Formula, FormulaId, build, canonical_text, eval_symbolic, json_terms
+from .verify import SUITES, run_suite
 from .wseries import arctanh_nested_coeff, g_coeff, h_coeff
 
 __all__ = ["Request", "run", "main"]
@@ -154,12 +154,6 @@ def _scaled(r: EvalResult, factor: Fraction, prec: int, conjectural: bool = Fals
             v, b, prec, r.method, rigorous=r.rigorous,
             conjectural=conjectural or r.conjectural,
         )
-
-
-def _kernel_pair(p: int, q: int, sign_den: int, prec: int) -> EvalResult:
-    """(-1)^q/(2(q-1)!) * (L(p,q,-1,den) - L(p,q,+1,den)) as one result."""
-    v, b = _kernel_combination(p, q, sign_den, prec)
-    return wrap_result(v, b, prec, Method.QUADRATURE, rigorous=False)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def _routes(req: Request) -> dict:
                 routes["closed"] = lambda: closed.o_table(a, b, prec)
             routes["series"] = lambda: odd_O_series(a, b, cutoff, prec)
             if a >= 2 and b >= 2:
-                routes["quadrature"] = lambda: _kernel_pair(a, b, -1, prec)
+                routes["quadrature"] = lambda: kernel_pair(a, b, -1, prec)
         else:
             if a == b and a >= 2:
                 routes["closed"] = lambda: closed.b_diag(a, prec)
@@ -302,7 +296,7 @@ def _routes(req: Request) -> dict:
                 )
             routes["series"] = lambda: odd_B_series(a, b, cutoff, prec)
             if a >= 2 and b >= 2:
-                routes["quadrature"] = lambda: _kernel_pair(a, b, +1, prec)
+                routes["quadrature"] = lambda: kernel_pair(a, b, +1, prec)
 
     elif req.quantity == "eulersum":
         q, ps = p[0], p[1:]

@@ -15,15 +15,17 @@ from it by the W-operator argument:
   zeta(3,{2}^N) = 2 [sum_(j=1..N) (-1)^(j+1) (2j) pi^(2N+2-2j) eta(2j+1)/(2N+3-2j)!
                - (-1)^N (1 - (1 - 2^(-2N-2)) (2N+2)) zeta(2N+3)]
 
-Each of t_closed and z_closed also evaluates its integral-combination form
-((pi/2) I(2N+1) - I(2N+2))/(2N+1)!  resp.  2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi]
-and asserts the two routes agree within their rigorous bounds before
-returning; a disagreement would mean a transcription error in one of the
-formulas, and raises immediately rather than returning a wrong value.
+Each formula is written once, as an exact expression in symbolic.build();
+every function here validates its parameters and evaluates that expression
+through symbolic.combine(), the package's single bound-propagating
+evaluator.  The two nested-value theorems are also derived from the
+integral combinations ((pi/2) I(2N+1) - I(2N+2))/(2N+1)!  resp.
+2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi], and build() refuses to return
+unless both derivations are the same element of the constant ring over Q.
 
-Error bounds: all constants carry rigorous bounds from their series; sums
-and products propagate them first-order with a 1.01 safety factor and ulp
-slop; every result here is rigorous=True.
+The reflections o_reflect / b_reflect stay numeric combinators over a
+caller-supplied known side, through the same evaluator.  Every result is
+rigorous=True when its inputs are.
 
 Adjudicated coefficients (differences between equivalent published forms are
 resolved by exact arithmetic or by >>100x numerical separation; see the
@@ -39,27 +41,17 @@ verification suite, which reports each case explicitly):
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
-from fractions import Fraction
+from dataclasses import replace
 
-from mpmath import mp, mpf
-
-from .hp import (
-    GUARD_DIGITS,
-    LOCK,
-    EvalResult,
-    HPReal,
-    Method,
-    _coerce_prec,
-    beta_fn,
-    eta,
-    log2_const,
-    pi_const,
-    t_single,
-    wrap_result,
-    zeta_single,
+from .hp import EvalResult, Method, beta_fn, t_single
+from .symbolic import (
+    HOFFMAN_KINDS,
+    O_TABLE_PRIMARY,
+    Formula,
+    FormulaId,
+    build,
+    combine,
+    eval_symbolic,
 )
 
 __all__ = [
@@ -84,137 +76,9 @@ __all__ = [
 ]
 
 
-class Formula(Enum):
-    I_CLOSED = "I_closed"
-    T322 = "T322"
-    Z322 = "Z322"
-    E211 = "E211"
-    O_DIAG = "ODiag"
-    B_DIAG = "BDiag"
-    O_REFLECT = "OReflect"
-    B_REFLECT = "BReflect"
-    O_TABLE = "OTable"
-    B23 = "B23"
-    T2S1_CONJECTURE = "T2s1Conjecture"
-    HOFFMAN_T = "HoffmanT"
-    ZETA311 = "Zeta311"
-
-
-HOFFMAN_KINDS = ("t21", "t221", "t2221")
-
-# primary odd-Euler table entries: exact terms (coeff, pi power, zeta index);
-# zeta(2) in the (2,3) row is already rewritten as pi^2/6
-O_TABLE_PRIMARY: dict[tuple[int, int], tuple[tuple[Fraction, int, int], ...]] = {
-    (2, 3): (
-        (Fraction(31, 64), 0, 5),
-        (Fraction(3, 64), 2, 3),
-    ),
-    (3, 4): (
-        (Fraction(1, 128), 4, 3),
-        (Fraction(-5, 128), 2, 5),
-        (Fraction(127, 256), 0, 7),
-    ),
-    (4, 5): (
-        (Fraction(5, 3072), 4, 5),
-        (Fraction(105, 3072), 2, 7),
-        (Fraction(511, 1024), 0, 9),
-    ),
-    (5, 6): (
-        (Fraction(1, 1024), 6, 5),
-        (Fraction(-7, 4096), 4, 7),
-        (Fraction(-63, 2048), 2, 9),
-        (Fraction(2047, 4096), 0, 11),
-    ),
-    (6, 7): (
-        (Fraction(7, 122880), 6, 7),
-        (Fraction(7, 4096), 4, 9),
-        (Fraction(231, 8192), 2, 11),
-        (Fraction(8191, 16384), 0, 13),
-    ),
-}
-
-
-def _check_params(name: Formula, params: tuple[int, ...]) -> None:
-    n = params[0] if params else None
-    if name in (Formula.I_CLOSED, Formula.T322, Formula.E211, Formula.T2S1_CONJECTURE):
-        if len(params) != 1 or params[0] < 1:
-            raise ValueError(f"{name.value} takes one parameter N >= 1, got {params}")
-    elif name is Formula.Z322:
-        if len(params) != 1 or params[0] < 0:
-            raise ValueError(f"{name.value} takes one parameter N >= 0, got {params}")
-    elif name in (Formula.O_DIAG, Formula.B_DIAG):
-        if len(params) != 1 or params[0] < 2:
-            raise ValueError(f"{name.value} takes one parameter q >= 2, got {params}")
-    elif name in (Formula.O_REFLECT, Formula.O_TABLE):
-        ok = tuple(params) in O_TABLE_PRIMARY
-        if name is Formula.O_TABLE:
-            ok = ok or tuple(reversed(params)) in O_TABLE_PRIMARY
-        if len(params) != 2 or not ok:
-            raise ValueError(
-                f"{name.value}: supported (p, q) are the tabulated pairs "
-                f"{sorted(O_TABLE_PRIMARY)} (plus their reversals for the table), got {params}"
-            )
-    elif name is Formula.B_REFLECT:
-        if tuple(params) != (2, 3):
-            raise ValueError(
-                f"{name.value}: the only alternating pair with a closed form is (2, 3), got {params}"
-            )
-    elif name is Formula.HOFFMAN_T:
-        if len(params) != 1 or not 1 <= params[0] <= 3:
-            raise ValueError(
-                f"{name.value} takes one parameter in 1..3 (the number of leading 2s), got {params}"
-            )
-    elif name in (Formula.B23, Formula.ZETA311):
-        if params:
-            raise ValueError(f"{name.value} takes no parameters, got {params}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown formula {name!r}")
-
-
-@dataclass(frozen=True)
-class FormulaId:
-    """A closed-form family plus its integer parameters."""
-
-    name: Formula
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        _check_params(self.name, tuple(self.params))
-
-
-# ---------------------------------------------------------------------------
-# first-order bound propagation over (value, bound) pairs of raw mpf
-# ---------------------------------------------------------------------------
-
-
-def _vb(r: EvalResult) -> tuple[mpf, mpf]:
-    return r.value.magnitude, r.error_bound.magnitude
-
-
-def _vb_prod(factors, wd: int) -> tuple[mpf, mpf]:
-    """Product of (value, bound) pairs with first-order bound propagation."""
-    v = mpf(1)
-    rel = mpf(0)
-    for fv, fb in factors:
-        v *= fv
-        rel += fb / abs(fv) if fv else mpf("inf")
-    bound = abs(v) * rel * mpf("1.01") + abs(v) * mpf(10) ** (-(wd - 1))
-    return v, bound
-
-
-def _vb_sum(terms, wd: int) -> tuple[mpf, mpf]:
-    v = mpf(0)
-    b = mpf(0)
-    scale = mpf(0)
-    for tv, tb in terms:
-        v += tv
-        b += tb
-        scale = max(scale, abs(tv))
-    return v, b + (len(terms) + 1) * scale * mpf(10) ** (-(wd - 1))
-
-
-def _frac(f: Fraction) -> mpf:
-    return mpf(f.numerator) / f.denominator
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -222,132 +86,30 @@ def _frac(f: Fraction) -> mpf:
 # ---------------------------------------------------------------------------
 
 
-def _i_closed_raw(N: int, prec: int) -> tuple[mpf, mpf]:
-    """(value, bound) of I(N) inside an ambient workdps(prec + GUARD)."""
-    wd = prec + GUARD_DIGITS
-    pi_v, pi_b = _vb(pi_const(prec))
-    terms = []
-    if N % 2:
-        M = (N - 1) // 2
-        js = range(M + 1)
-    else:
-        M = N // 2
-        js = range(M)
-    for j in js:
-        e = log2_const(prec) if j == 0 else eta(2 * j + 1, prec)
-        ev, eb = _vb(e)
-        c = Fraction((-1) ** j * math.factorial(N), 2 ** N * math.factorial(N - 2 * j))
-        pv, pb = _vb_prod([(pi_v, pi_b)] * (N - 2 * j) + [(ev, eb)], wd)
-        terms.append((_frac(c) * pv, abs(_frac(c)) * pb))
-    if N % 2 == 0:
-        zv, zb = _vb(zeta_single(N + 1, prec))
-        c = Fraction(
-            (-1) ** M * math.factorial(N) * (2 ** (2 * M + 1) - 1),
-            2 ** N * 2 ** (2 * M),
-        )
-        terms.append((_frac(c) * zv, abs(_frac(c)) * zb))
-    return _vb_sum(terms, wd)
-
-
 def i_closed(N: int, prec: int = 50) -> EvalResult:
     """I(N) = integral_0^1 arcsin^N(z)/z dz via the eta/zeta closed form."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        v, b = _i_closed_raw(N, prec)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
-
-
-def _assert_routes_agree(name: str, a: tuple[mpf, mpf], b: tuple[mpf, mpf]) -> None:
-    if abs(a[0] - b[0]) > a[1] + b[1]:
-        raise RuntimeError(
-            f"{name}: summation and integral closed forms disagree by "
-            f"{mp.nstr(abs(a[0] - b[0]), 3)} (bounds {mp.nstr(a[1] + b[1], 3)})"
-        )
+    _require(isinstance(N, int) and N >= 1, f"N >= 1 required, got {N!r}")
+    return evaluate(FormulaId(Formula.I_CLOSED, (N,)), prec)
 
 
 def t_closed(N: int, prec: int = 50) -> EvalResult:
-    """t(3,{2}^N) by the eta/zeta summation form, cross-asserted against the
+    """t(3,{2}^N) by the eta/zeta summation form, proved equal over Q to the
     integral combination ((pi/2) I(2N+1) - I(2N+2))/(2N+1)!."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        pi_v, pi_b = _vb(pi_const(prec))
-        terms = []
-        for j in range(1, N + 1):
-            ev, eb = _vb(eta(2 * j + 1, prec))
-            c = Fraction((-1) ** (j + 1) * 2 * j, 2 ** (2 * N + 2) * math.factorial(2 * N + 2 - 2 * j))
-            pv, pb = _vb_prod([(pi_v, pi_b)] * (2 * N + 2 - 2 * j) + [(ev, eb)], wd)
-            terms.append((_frac(c) * pv, abs(_frac(c)) * pb))
-        zv, zb = _vb(zeta_single(2 * N + 3, prec))
-        c = Fraction((-1) ** N * 2 * (2 * N + 2)) * (1 - Fraction(1, 2 ** (2 * N + 3)))
-        c /= 2 ** (2 * N + 2)
-        terms.append((_frac(c) * zv, abs(_frac(c)) * zb))
-        summation = _vb_sum(terms, wd)
-
-        f = Fraction(1, math.factorial(2 * N + 1))
-        i_odd = _i_closed_raw(2 * N + 1, prec)
-        i_even = _i_closed_raw(2 * N + 2, prec)
-        half_pi_i = _vb_prod([(pi_v, pi_b), i_odd], wd)
-        integral = _vb_sum(
-            [
-                (_frac(f) / 2 * half_pi_i[0], _frac(f) / 2 * half_pi_i[1]),
-                (-_frac(f) * i_even[0], _frac(f) * i_even[1]),
-            ],
-            wd,
-        )
-        _assert_routes_agree(f"t(3,{{2}}^{N})", summation, integral)
-        return wrap_result(summation[0], summation[1], prec, Method.CLOSED_FORM, rigorous=True)
+    _require(isinstance(N, int) and N >= 1, f"N >= 1 required, got {N!r}")
+    return evaluate(FormulaId(Formula.T322, (N,)), prec)
 
 
 def z_closed(N: int, prec: int = 50) -> EvalResult:
-    """zeta(3,{2}^N) by the summation form, cross-asserted against
+    """zeta(3,{2}^N) by the summation form, proved equal over Q to
     2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi]; N = 0 gives zeta(3)."""
-    if not isinstance(N, int) or N < 0:
-        raise ValueError(f"N >= 0 required, got {N!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        pi_v, pi_b = _vb(pi_const(prec))
-        terms = []
-        for j in range(1, N + 1):
-            ev, eb = _vb(eta(2 * j + 1, prec))
-            c = Fraction(2 * (-1) ** (j + 1) * 2 * j, math.factorial(2 * N + 3 - 2 * j))
-            pv, pb = _vb_prod([(pi_v, pi_b)] * (2 * N + 2 - 2 * j) + [(ev, eb)], wd)
-            terms.append((_frac(c) * pv, abs(_frac(c)) * pb))
-        zv, zb = _vb(zeta_single(2 * N + 3, prec))
-        c = -2 * (-1) ** N * (1 - (1 - Fraction(1, 2 ** (2 * N + 2))) * (2 * N + 2))
-        terms.append((_frac(c) * zv, abs(_frac(c)) * zb))
-        summation = _vb_sum(terms, wd)
-
-        f = Fraction(2 ** (2 * N + 4), math.factorial(2 * N + 2))
-        i_even = _i_closed_raw(2 * N + 2, prec)
-        i_odd = _i_closed_raw(2 * N + 3, prec)
-        over_pi_v = i_odd[0] / pi_v
-        over_pi_b = (i_odd[1] + abs(over_pi_v) * pi_b) / pi_v * mpf("1.01")
-        integral = _vb_sum(
-            [
-                (_frac(f) / 2 * i_even[0], _frac(f) / 2 * i_even[1]),
-                (-_frac(f) * over_pi_v, _frac(f) * over_pi_b),
-            ],
-            wd,
-        )
-        _assert_routes_agree(f"zeta(3,{{2}}^{N})", summation, integral)
-        return wrap_result(summation[0], summation[1], prec, Method.CLOSED_FORM, rigorous=True)
+    _require(isinstance(N, int) and N >= 0, f"N >= 0 required, got {N!r}")
+    return evaluate(FormulaId(Formula.Z322, (N,)), prec)
 
 
 def mu_closed(N: int, prec: int = 50) -> EvalResult:
     """mu(2,{1}^(N-1)) = (2^(N+1) - 1) zeta(N+1) / 2^(2N)."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        zv, zb = _vb(zeta_single(N + 1, prec))
-        c = _frac(Fraction(2 ** (N + 1) - 1, 2 ** (2 * N)))
-        return wrap_result(c * zv, c * zb, prec, Method.CLOSED_FORM, rigorous=True)
+    _require(isinstance(N, int) and N >= 1, f"N >= 1 required, got {N!r}")
+    return evaluate(FormulaId(Formula.E211, (N,)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -357,46 +119,31 @@ def mu_closed(N: int, prec: int = 50) -> EvalResult:
 
 def o_diag(q: int, prec: int = 50) -> EvalResult:
     """O(q,q) = 1/2 [(1 - 2^(-2q)) zeta(2q) + ((1 - 2^(-q)) zeta(q))^2]."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"q >= 2 required (q = 1 diverges), got {q!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        z2q = _vb(zeta_single(2 * q, prec))
-        tq = _vb(t_single(q, prec))
-        sq = _vb_prod([tq, tq], wd)
-        c = _frac(1 - Fraction(1, 4 ** q))
-        v, b = _vb_sum([(c * z2q[0] / 2, c * z2q[1] / 2), (sq[0] / 2, sq[1] / 2)], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    _require(isinstance(q, int) and q >= 2, f"q >= 2 required (q = 1 diverges), got {q!r}")
+    return evaluate(FormulaId(Formula.O_DIAG, (q,)), prec)
 
 
 def b_diag(q: int, prec: int = 50) -> EvalResult:
     """B(q,q) = 1/2 [(1 - 2^(-2q)) zeta(2q) + beta(q)^2]."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"q >= 2 required (q = 1 diverges), got {q!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        z2q = _vb(zeta_single(2 * q, prec))
-        bq = _vb(beta_fn(q, prec))
-        sq = _vb_prod([bq, bq], wd)
-        c = _frac(1 - Fraction(1, 4 ** q))
-        v, b = _vb_sum([(c * z2q[0] / 2, c * z2q[1] / 2), (sq[0] / 2, sq[1] / 2)], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    _require(isinstance(q, int) and q >= 2, f"q >= 2 required (q = 1 diverges), got {q!r}")
+    return evaluate(FormulaId(Formula.B_DIAG, (q,)), prec)
+
+
+def _reflect(single, p: int, q: int, known: EvalResult, prec: int) -> EvalResult:
+    _require(
+        isinstance(p, int) and isinstance(q, int) and p >= 2 and q >= 2,
+        f"p, q >= 2 required, got {(p, q)!r}",
+    )
+    return combine(
+        [(1, [single(p, prec), single(q, prec)]), (1, [t_single(p + q, prec)]), (-1, [known])],
+        prec,
+        Method.CLOSED_FORM,
+    )
 
 
 def o_reflect(p: int, q: int, known: EvalResult, prec: int = 50) -> EvalResult:
     """O(q,p) = O(p) O(q) + O(p+q) - O(p,q), given O(p,q)."""
-    if not (isinstance(p, int) and isinstance(q, int) and p >= 2 and q >= 2):
-        raise ValueError(f"p, q >= 2 required, got {(p, q)!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        prod = _vb_prod([_vb(t_single(p, prec)), _vb(t_single(q, prec))], wd)
-        opq = _vb(t_single(p + q, prec))
-        kv, kb = _vb(known)
-        v, b = _vb_sum([prod, opq, (-kv, kb)], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=known.rigorous)
+    return _reflect(t_single, p, q, known, prec)
 
 
 def b_reflect(p: int, q: int, known: EvalResult, prec: int = 50) -> EvalResult:
@@ -407,63 +154,19 @@ def b_reflect(p: int, q: int, known: EvalResult, prec: int = 50) -> EvalResult:
     beta(p+q) fails numerically at the 1e-3 level; the verification suite
     carries that comparison.)
     """
-    if not (isinstance(p, int) and isinstance(q, int) and p >= 2 and q >= 2):
-        raise ValueError(f"p, q >= 2 required, got {(p, q)!r}")
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        prod = _vb_prod([_vb(beta_fn(p, prec)), _vb(beta_fn(q, prec))], wd)
-        opq = _vb(t_single(p + q, prec))
-        kv, kb = _vb(known)
-        v, b = _vb_sum([prod, opq, (-kv, kb)], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=known.rigorous)
-
-
-def _eval_zeta_terms(terms, prec: int) -> EvalResult:
-    """Evaluate exact (coeff, pi_power, zeta_index) term lists."""
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        pi_vb = _vb(pi_const(prec))
-        out = []
-        for c, a, m in terms:
-            factors = [pi_vb] * a
-            if m:
-                factors.append(_vb(zeta_single(m, prec)))
-            v, b = _vb_prod(factors, wd) if factors else (mpf(1), mpf(0))
-            cf = _frac(Fraction(c))
-            out.append((cf * v, abs(cf) * b))
-        v, b = _vb_sum(out, wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    return _reflect(beta_fn, p, q, known, prec)
 
 
 def o_table(p: int, q: int, prec: int = 50) -> EvalResult:
     """Tabulated O(p,q) closed forms: the five primary pairs, and their
-    reversals derived through o_reflect (the transcription-safe route)."""
-    _coerce_prec(prec)
-    if (p, q) in O_TABLE_PRIMARY:
-        return _eval_zeta_terms(O_TABLE_PRIMARY[(p, q)], prec)
-    if (q, p) in O_TABLE_PRIMARY:
-        return o_reflect(q, p, o_table(q, p, prec), prec)
-    raise ValueError(
-        f"(p, q) = {(p, q)!r} not in the closed-form table; "
-        f"supported: {sorted(O_TABLE_PRIMARY)} and reversals"
-    )
+    reversals derived through o_reflect (the transcription-safe route).
+    Other pairs raise ValueError from FormulaId."""
+    return evaluate(FormulaId(Formula.O_TABLE, (p, q)), prec)
 
 
 def b23_closed(prec: int = 50) -> EvalResult:
     """B(2,3) = 31/64 zeta(5) - 9 pi^2/256 zeta(3) + G pi^3/32 (G = Catalan)."""
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        pi_vb = _vb(pi_const(prec))
-        t1 = _vb(zeta_single(5, prec))
-        t1 = (_frac(Fraction(31, 64)) * t1[0], _frac(Fraction(31, 64)) * t1[1])
-        v2, b2 = _vb_prod([pi_vb, pi_vb, _vb(zeta_single(3, prec))], wd)
-        t2 = (-_frac(Fraction(9, 256)) * v2, _frac(Fraction(9, 256)) * b2)
-        v3, b3 = _vb_prod([pi_vb, pi_vb, pi_vb, _vb(beta_fn(2, prec))], wd)
-        t3 = (_frac(Fraction(1, 32)) * v3, _frac(Fraction(1, 32)) * b3)
-        v, b = _vb_sum([t1, t2, t3], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    return evaluate(FormulaId(Formula.B23), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -477,75 +180,20 @@ def t2s1_conjecture(N: int, prec: int = 50) -> EvalResult:
     For N = 1..3 the value agrees with proven t-value relations (see
     hoffman_t); beyond that the identity is checked numerically only.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
-    base = i_closed(2 * N, prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        f = _frac(Fraction(1, math.factorial(2 * N)))
-        return EvalResult(
-            value=HPReal(base.value.magnitude * f, prec),
-            error_bound=HPReal(base.error_bound.magnitude * f, prec),
-            method=Method.CLOSED_FORM,
-            rigorous=True,
-            conjectural=True,
-        )
-
-
-# Hoffman's proven t-value relations; keys are the number of leading 2s.
-# The t(2)t(3) coefficient in the depth-3 relation is 3/14 (see module
-# docstring: 1/14 fails the I(4)/4! cross-check by 8e-5, 3/14 matches it
-# to full precision).
-_HOFFMAN_TERMS: dict[int, tuple[tuple[Fraction, tuple[int, ...], int], ...]] = {
-    # (coefficient, t-value factors, power of log 2)
-    1: (
-        (Fraction(1, 1), (2,), 1),
-        (Fraction(-1, 2), (3,), 0),
-    ),
-    2: (
-        (Fraction(1, 8), (5,), 0),
-        (Fraction(-3, 14), (2, 3), 0),
-        (Fraction(1, 4), (4,), 1),
-    ),
-    3: (
-        (Fraction(-1, 32), (7,), 0),
-        (Fraction(-3, 56), (3, 4), 0),
-        (Fraction(15, 248), (2, 5), 0),
-        (Fraction(1, 48), (6,), 1),
-    ),
-}
+    _require(isinstance(N, int) and N >= 1, f"N >= 1 required, got {N!r}")
+    return evaluate(FormulaId(Formula.T2S1_CONJECTURE, (N,)), prec)
 
 
 def hoffman_t(kind: str, prec: int = 50) -> EvalResult:
     """The proven relations for t(2,1), t(2,2,1), t(2,2,2,1) in terms of
     single t-values and log 2."""
-    if kind not in HOFFMAN_KINDS:
-        raise ValueError(f"kind must be one of {HOFFMAN_KINDS}, got {kind!r}")
-    _coerce_prec(prec)
-    depth = HOFFMAN_KINDS.index(kind) + 1
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        terms = []
-        for c, t_args, log_pow in _HOFFMAN_TERMS[depth]:
-            factors = [_vb(t_single(m, prec)) for m in t_args]
-            factors.extend([_vb(log2_const(prec))] * log_pow)
-            v, b = _vb_prod(factors, wd)
-            cf = _frac(c)
-            terms.append((cf * v, abs(cf) * b))
-        v, b = _vb_sum(terms, wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    _require(kind in HOFFMAN_KINDS, f"kind must be one of {HOFFMAN_KINDS}, got {kind!r}")
+    return evaluate(FormulaId(Formula.HOFFMAN_T, (HOFFMAN_KINDS.index(kind) + 1,)), prec)
 
 
 def zeta311(prec: int = 50) -> EvalResult:
     """zeta(3,1,1) = 2 zeta(5) - zeta(2) zeta(3)."""
-    _coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        z5 = _vb(zeta_single(5, prec))
-        prod = _vb_prod([_vb(zeta_single(2, prec)), _vb(zeta_single(3, prec))], wd)
-        v, b = _vb_sum([(2 * z5[0], 2 * z5[1]), (-prod[0], prod[1])], wd)
-        return wrap_result(v, b, prec, Method.CLOSED_FORM, rigorous=True)
+    return evaluate(FormulaId(Formula.ZETA311), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +205,11 @@ def evaluate(fid: FormulaId, prec: int = 50) -> EvalResult:
     """Evaluate any FormulaId (reflections resolve their 'known' side from
     the primary table / the (2,3) alternating closed form)."""
     name, params = fid.name, tuple(fid.params)
-    if name is Formula.I_CLOSED:
-        return i_closed(params[0], prec)
-    if name is Formula.T322:
-        return t_closed(params[0], prec)
-    if name is Formula.Z322:
-        return z_closed(params[0], prec)
-    if name is Formula.E211:
-        return mu_closed(params[0], prec)
-    if name is Formula.O_DIAG:
-        return o_diag(params[0], prec)
-    if name is Formula.B_DIAG:
-        return b_diag(params[0], prec)
+    if name is Formula.O_TABLE and params not in O_TABLE_PRIMARY:
+        return evaluate(FormulaId(Formula.O_REFLECT, params[::-1]), prec)
     if name is Formula.O_REFLECT:
-        p, q = params
-        return o_reflect(p, q, o_table(p, q, prec), prec)
+        return o_reflect(*params, evaluate(FormulaId(Formula.O_TABLE, params), prec), prec)
     if name is Formula.B_REFLECT:
-        p, q = params
-        return b_reflect(p, q, b23_closed(prec), prec)
-    if name is Formula.O_TABLE:
-        return o_table(params[0], params[1], prec)
-    if name is Formula.B23:
-        return b23_closed(prec)
-    if name is Formula.T2S1_CONJECTURE:
-        return t2s1_conjecture(params[0], prec)
-    if name is Formula.HOFFMAN_T:
-        return hoffman_t(HOFFMAN_KINDS[params[0] - 1], prec)
-    if name is Formula.ZETA311:
-        return zeta311(prec)
-    raise ValueError(f"unknown formula {name!r}")  # pragma: no cover
+        return b_reflect(*params, b23_closed(prec), prec)
+    r = eval_symbolic(build(fid), prec, Method.CLOSED_FORM)
+    return replace(r, conjectural=name is Formula.T2S1_CONJECTURE)

@@ -64,6 +64,7 @@ __all__ = [
     "k_arctanh",
     "t_kernel_quad",
     "logpolylog_kernel",
+    "kernel_pair",
     "logsine_check",
 ]
 
@@ -464,6 +465,21 @@ def logpolylog_kernel(
     ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
     name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
     return integrate01(Integrand(ev, ends, name=name), prec)
+
+
+def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> EvalResult:
+    """(-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)], L = logpolylog_kernel.
+
+    With sign_den = -1 the pair reproduces O(p,q), with +1 the alternating
+    B(p,q).  Like every quadrature result the bound is an estimate.
+    """
+    lneg = logpolylog_kernel(p, q, -1, sign_den, prec)
+    lpos = logpolylog_kernel(p, q, +1, sign_den, prec)
+    with LOCK, mp.workdps(prec + GUARD_DIGITS):
+        scale = mpf((-1) ** q) / (2 * math.factorial(q - 1))
+        value = scale * (lneg.value.magnitude - lpos.value.magnitude)
+        bound = abs(scale) * (lneg.error_bound.magnitude + lpos.error_bound.magnitude)
+    return wrap_result(value, bound, prec, Method.QUADRATURE, rigorous=False)
 
 
 def logsine_check(n: int, prec: int = 50) -> QuadratureResult:

@@ -1,4 +1,4 @@
-"""Exact symbolic skeletons of the closed forms.
+"""Exact symbolic skeletons of the closed forms, and their one evaluator.
 
 Every closed form in this package lives in the graded ring generated by
 
@@ -15,30 +15,26 @@ sign pattern of the zeta(2N+3) coefficient, and the exact cancellation of
 log 2 when the arcsin-integral combinations assemble t(3,{2}^N) and
 zeta(3,{2}^N).
 
-build() produces the expression for any FormulaId by the same routes the
-numeric layer uses (the nested-value families go through the integral
-combinations, so the log-2 cancellation is asserted, not assumed);
-eval_symbolic() evaluates an expression back to a rigorous interval and is
-cross-checked against the closed-form layer in the tests.
+build() is the only definition of each closed form in the package; the
+numeric layer (closed.py) evaluates what it returns.  t(3,{2}^N) and
+zeta(3,{2}^N) are derived twice, from the eta/zeta summation form and from
+the arcsin-integral combination, and build() raises RuntimeError unless the
+two expressions are equal over Q -- a transcription slip in either formula
+cannot reach a printed digit.
+
+combine() is the one place where closed-form error bounds are propagated;
+eval_symbolic() feeds it the basis constants of an expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .closed import (
-    _HOFFMAN_TERMS,
-    _vb,
-    _vb_prod,
-    _vb_sum,
-    Formula,
-    FormulaId,
-    O_TABLE_PRIMARY,
-)
 from .hp import (
     GUARD_DIGITS,
     LOCK,
@@ -56,6 +52,10 @@ from .hp import (
 )
 
 __all__ = [
+    "Formula",
+    "FormulaId",
+    "O_TABLE_PRIMARY",
+    "HOFFMAN_KINDS",
     "BasisConstant",
     "SymbolicExpr",
     "PI",
@@ -66,12 +66,134 @@ __all__ = [
     "zeta_even_rational",
     "beta_odd_rational",
     "t_single_expr",
+    "pi_zeta_expr",
     "build",
+    "combine",
     "eval_symbolic",
     "weight_check",
     "canonical_text",
     "json_terms",
 ]
+
+
+class Formula(Enum):
+    I_CLOSED = "I_closed"
+    T322 = "T322"
+    Z322 = "Z322"
+    E211 = "E211"
+    O_DIAG = "ODiag"
+    B_DIAG = "BDiag"
+    O_REFLECT = "OReflect"
+    B_REFLECT = "BReflect"
+    O_TABLE = "OTable"
+    B23 = "B23"
+    T2S1_CONJECTURE = "T2s1Conjecture"
+    HOFFMAN_T = "HoffmanT"
+    ZETA311 = "Zeta311"
+
+
+HOFFMAN_KINDS = ("t21", "t221", "t2221")
+
+# primary odd-Euler table entries: exact terms (coeff, pi power, zeta index);
+# zeta(2) in the (2,3) row is already rewritten as pi^2/6
+O_TABLE_PRIMARY: dict[tuple[int, int], tuple[tuple[Fraction, int, int], ...]] = {
+    (2, 3): (
+        (Fraction(31, 64), 0, 5),
+        (Fraction(3, 64), 2, 3),
+    ),
+    (3, 4): (
+        (Fraction(1, 128), 4, 3),
+        (Fraction(-5, 128), 2, 5),
+        (Fraction(127, 256), 0, 7),
+    ),
+    (4, 5): (
+        (Fraction(5, 3072), 4, 5),
+        (Fraction(105, 3072), 2, 7),
+        (Fraction(511, 1024), 0, 9),
+    ),
+    (5, 6): (
+        (Fraction(1, 1024), 6, 5),
+        (Fraction(-7, 4096), 4, 7),
+        (Fraction(-63, 2048), 2, 9),
+        (Fraction(2047, 4096), 0, 11),
+    ),
+    (6, 7): (
+        (Fraction(7, 122880), 6, 7),
+        (Fraction(7, 4096), 4, 9),
+        (Fraction(231, 8192), 2, 11),
+        (Fraction(8191, 16384), 0, 13),
+    ),
+}
+
+# Hoffman's proven t-value relations; keys are the number of leading 2s.
+# The t(2)t(3) coefficient in the depth-3 relation is 3/14: 1/14 fails the
+# I(4)/4! cross-check by 8e-5, 3/14 matches it to full precision.
+_HOFFMAN_TERMS: dict[int, tuple[tuple[Fraction, tuple[int, ...], int], ...]] = {
+    # (coefficient, t-value factors, power of log 2)
+    1: (
+        (Fraction(1, 1), (2,), 1),
+        (Fraction(-1, 2), (3,), 0),
+    ),
+    2: (
+        (Fraction(1, 8), (5,), 0),
+        (Fraction(-3, 14), (2, 3), 0),
+        (Fraction(1, 4), (4,), 1),
+    ),
+    3: (
+        (Fraction(-1, 32), (7,), 0),
+        (Fraction(-3, 56), (3, 4), 0),
+        (Fraction(15, 248), (2, 5), 0),
+        (Fraction(1, 48), (6,), 1),
+    ),
+}
+
+
+def _check_params(name: Formula, params: tuple[int, ...]) -> None:
+    if name in (Formula.I_CLOSED, Formula.T322, Formula.E211, Formula.T2S1_CONJECTURE):
+        if len(params) != 1 or params[0] < 1:
+            raise ValueError(f"{name.value} takes one parameter N >= 1, got {params}")
+    elif name is Formula.Z322:
+        if len(params) != 1 or params[0] < 0:
+            raise ValueError(f"{name.value} takes one parameter N >= 0, got {params}")
+    elif name in (Formula.O_DIAG, Formula.B_DIAG):
+        if len(params) != 1 or params[0] < 2:
+            raise ValueError(f"{name.value} takes one parameter q >= 2, got {params}")
+    elif name in (Formula.O_REFLECT, Formula.O_TABLE):
+        ok = tuple(params) in O_TABLE_PRIMARY
+        if name is Formula.O_TABLE:
+            ok = ok or tuple(reversed(params)) in O_TABLE_PRIMARY
+        if len(params) != 2 or not ok:
+            raise ValueError(
+                f"{name.value}: supported (p, q) are the tabulated pairs "
+                f"{sorted(O_TABLE_PRIMARY)} (plus their reversals for the table), got {params}"
+            )
+    elif name is Formula.B_REFLECT:
+        if tuple(params) != (2, 3):
+            raise ValueError(
+                f"{name.value}: the only alternating pair with a closed form is (2, 3), got {params}"
+            )
+    elif name is Formula.HOFFMAN_T:
+        if len(params) != 1 or not 1 <= params[0] <= 3:
+            raise ValueError(
+                f"{name.value} takes one parameter in 1..3 (the number of leading 2s), got {params}"
+            )
+    elif name in (Formula.B23, Formula.ZETA311):
+        if params:
+            raise ValueError(f"{name.value} takes no parameters, got {params}")
+    else:  # pragma: no cover
+        raise ValueError(f"unknown formula {name!r}")
+
+
+@dataclass(frozen=True)
+class FormulaId:
+    """A closed-form family plus its integer parameters."""
+
+    name: Formula
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        _check_params(self.name, tuple(self.params))
+
 
 _KINDS = ("pi", "log2", "zeta_odd", "beta_even", "psi3_quarter")
 _KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
@@ -321,8 +443,6 @@ def t_single_expr(m: int) -> SymbolicExpr:
 
 
 def _build_i(N: int) -> SymbolicExpr:
-    if N < 1:
-        raise ValueError(f"N >= 1 required, got {N}")
     acc = SymbolicExpr.zero()
     if N % 2:
         M = (N - 1) // 2
@@ -339,41 +459,65 @@ def _build_i(N: int) -> SymbolicExpr:
     return acc
 
 
-def _build_t322(N: int) -> SymbolicExpr:
-    # ((pi/2) I(2N+1) - I(2N+2)) / (2N+1)!  -- the log-2 monomials must
-    # cancel exactly between the two integrals
+def _eta_sum(N: int, top: int) -> SymbolicExpr:
+    # sum_(j=1..N) (-1)^(j+1) (2j) pi^(2N+2-2j) eta(2j+1)/(top-2j)!
+    acc = SymbolicExpr.zero()
+    for j in range(1, N + 1):
+        c = Fraction((-1) ** (j + 1) * 2 * j, math.factorial(top - 2 * j))
+        acc = acc + (SymbolicExpr.atom(PI, 2 * N + 2 - 2 * j) * _eta_expr(2 * j + 1)).scale(c)
+    return acc
+
+
+def _t322_summation(N: int) -> SymbolicExpr:
+    # 2^(-(2N+2)) [_eta_sum(N, 2N+2) + (-1)^N 2 (2N+2) (1 - 2^(-2N-3)) zeta(2N+3)]
+    c = (-1) ** N * 2 * (2 * N + 2) * (1 - Fraction(1, 2 ** (2 * N + 3)))
+    bracket = _eta_sum(N, 2 * N + 2) + _zeta_expr(2 * N + 3).scale(c)
+    return bracket.scale(Fraction(1, 2 ** (2 * N + 2)))
+
+
+def _t322_integral(N: int) -> SymbolicExpr:
+    # ((pi/2) I(2N+1) - I(2N+2)) / (2N+1)!; the log-2 monomials cancel
     half_pi = SymbolicExpr.atom(PI, 1, Fraction(1, 2))
-    expr = (half_pi * _build_i(2 * N + 1) - _build_i(2 * N + 2)).scale(
+    return (half_pi * _build_i(2 * N + 1) - _build_i(2 * N + 2)).scale(
         Fraction(1, math.factorial(2 * N + 1))
     )
-    _assert_log2_free(expr, f"t(3,{{2}}^{N})")
-    return expr
 
 
-def _build_z322(N: int) -> SymbolicExpr:
-    # 2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi]
-    expr = (
+def _z322_summation(N: int) -> SymbolicExpr:
+    # 2 [_eta_sum(N, 2N+3) - (-1)^N (1 - (1 - 2^(-2N-2)) (2N+2)) zeta(2N+3)]
+    c = -((-1) ** N) * (1 - (1 - Fraction(1, 2 ** (2 * N + 2))) * (2 * N + 2))
+    return (_eta_sum(N, 2 * N + 3) + _zeta_expr(2 * N + 3).scale(c)).scale(2)
+
+
+def _z322_integral(N: int) -> SymbolicExpr:
+    # 2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi]; the log-2 monomials cancel
+    return (
         _build_i(2 * N + 2).scale(Fraction(1, 2)) - _build_i(2 * N + 3).divide_by_pi()
     ).scale(Fraction(2 ** (2 * N + 4), math.factorial(2 * N + 2)))
-    _assert_log2_free(expr, f"zeta(3,{{2}}^{N})")
-    return expr
 
 
-def _assert_log2_free(expr: SymbolicExpr, what: str) -> None:
-    for mono, c in expr.terms:
-        if any(cc.kind == "log2" for cc, _ in mono):
-            raise RuntimeError(f"{what}: log 2 failed to cancel (coefficient {c})")
+def _assert_same_form(what: str, summation: SymbolicExpr, integral: SymbolicExpr) -> SymbolicExpr:
+    """The transcription guard: two derivations of one constant must agree over Q."""
+    if summation != integral:
+        raise RuntimeError(
+            f"{what}: summation and integral closed forms differ by "
+            f"{canonical_text(summation - integral)}"
+        )
+    return summation
+
+
+def pi_zeta_expr(terms) -> SymbolicExpr:
+    """sum of c * pi^a * zeta(m) over (c, a, m) triples; m = 0 stands for 1."""
+    acc = SymbolicExpr.zero()
+    for c, a, m in terms:
+        term = SymbolicExpr.atom(PI, a, Fraction(c))
+        acc = acc + (term * _zeta_expr(m) if m else term)
+    return acc
 
 
 def _build_o_table(p: int, q: int) -> SymbolicExpr:
     if (p, q) in O_TABLE_PRIMARY:
-        acc = SymbolicExpr.zero()
-        for c, a, m in O_TABLE_PRIMARY[(p, q)]:
-            term = _zeta_expr(m) if m else SymbolicExpr.rational(1)
-            if a:
-                term = term * SymbolicExpr.atom(PI, a)
-            acc = acc + term.scale(c)
-        return acc
+        return pi_zeta_expr(O_TABLE_PRIMARY[(p, q)])
     if (q, p) in O_TABLE_PRIMARY:
         return _build_o_reflect(q, p)
     raise ValueError(f"(p, q) = {(p, q)!r} not in the closed-form table")
@@ -410,9 +554,11 @@ def build(fid: FormulaId) -> SymbolicExpr:
     if name is Formula.I_CLOSED:
         return _build_i(params[0])
     if name is Formula.T322:
-        return _build_t322(params[0])
+        N = params[0]
+        return _assert_same_form(f"t(3,{{2}}^{N})", _t322_summation(N), _t322_integral(N))
     if name is Formula.Z322:
-        return _build_z322(params[0])
+        N = params[0]
+        return _assert_same_form(f"zeta(3,{{2}}^{N})", _z322_summation(N), _z322_integral(N))
     if name is Formula.E211:
         N = params[0]
         return _zeta_expr(N + 1).scale(Fraction(2 ** (N + 1) - 1, 2 ** (2 * N)))
@@ -460,21 +606,54 @@ def _const_value(c: BasisConstant, prec: int) -> EvalResult:
     return psi3_quarter(prec)
 
 
-def eval_symbolic(expr: SymbolicExpr, prec: int = 50) -> EvalResult:
-    """Evaluate a basis expression with rigorous bound propagation."""
+def combine(terms, prec: int, method: Method) -> EvalResult:
+    """sum_i c_i prod_j x_ij for exact rationals c_i and EvalResult factors x_ij.
+
+    The one place where closed-form error bounds are propagated.  A running
+    product p (radius b) times a factor x (radius B) has radius
+    |p| B + |x| b + B b; a monomial of two or more factors adds |v| 10^-(wd-1)
+    for its multiplication roundings.  The sum adds the term radii plus
+    max|term| 10^-(wd-1) per addition.  The remaining roundings (the
+    coefficient and its product, two half-ulps of about 10^-(wd+1) each) sit
+    inside that addition slop, or, for a single one-factor term, inside the
+    factor's own radius, which for every hp constant exceeds its true error
+    by more than that.
+    The result is rigorous when every factor is.
+    """
     _coerce_prec(prec)
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
-        terms = []
-        for mono, coeff in expr.terms:
-            factors = []
-            for c, e in mono:
-                factors.extend([_vb(_const_value(c, prec))] * e)
-            v, b = _vb_prod(factors, wd) if factors else (mpf(1), mpf(0))
+        slop = mpf(10) ** (1 - wd)
+        total = bound = scale = mpf(0)
+        for coeff, factors in terms:
+            v, b = mpf(1), mpf(0)
+            for f in factors:
+                x, r = f.value.magnitude, f.error_bound.magnitude
+                b = abs(v) * r + abs(x) * b + r * b
+                v *= x
+            if len(factors) > 1:
+                b += abs(v) * slop
+            coeff = Fraction(coeff)
             cf = mpf(coeff.numerator) / coeff.denominator
-            terms.append((cf * v, abs(cf) * b))
-        v, b = _vb_sum(terms, wd) if terms else (mpf(0), mpf(0))
-        return wrap_result(v, b, prec, Method.SYMBOLIC, rigorous=True)
+            t = cf * v
+            total += t
+            bound += abs(cf) * b
+            scale = max(scale, abs(t))
+        bound += max(len(terms) - 1, 0) * scale * slop
+        rigorous = all(f.rigorous for _, factors in terms for f in factors)
+        return wrap_result(total, bound, prec, method, rigorous=rigorous)
+
+
+def eval_symbolic(expr: SymbolicExpr, prec: int = 50, method=Method.SYMBOLIC) -> EvalResult:
+    """Evaluate a basis expression over the hp constants through combine()."""
+    return combine(
+        [
+            (coeff, [_const_value(c, prec) for c, e in mono for _ in range(e)])
+            for mono, coeff in expr.terms
+        ],
+        prec,
+        method,
+    )
 
 
 def _coeff_text(c: Fraction) -> str:

@@ -29,7 +29,6 @@ callers can decide whether conjectural failures gate anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -57,7 +56,7 @@ from .hp import (
     t_single,
     zeta_single,
 )
-from .quadrature import I_quad, logpolylog_kernel, t_kernel_quad
+from .quadrature import I_quad, kernel_pair, t_kernel_quad
 from .series import (
     big_t_series,
     central_binomial_sum,
@@ -68,6 +67,7 @@ from .series import (
     odd_O_series,
     valean_alt_sum,
 )
+from .symbolic import eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
 
 __all__ = ["Check", "VerifyReport", "run_suite", "SUITES"]
@@ -225,33 +225,6 @@ def _combined(*results: EvalResult) -> mpf:
         return sum((r.error_bound.magnitude for r in results), mpf(0))
 
 
-def _pi_combo(terms, prec: int) -> mpf:
-    """sum of c * pi^a * zeta(m) (m=0 -> 1) at working precision."""
-    with mp.workdps(prec + GUARD_DIGITS):
-        pi = pi_const(prec).value.magnitude
-        total = mpf(0)
-        for c, a, m in terms:
-            c = Fraction(c)
-            t = mpf(c.numerator) / c.denominator * pi ** a
-            if m:
-                t *= zeta_single(m, prec).value.magnitude
-            total += t
-        return total
-
-
-def _kernel_combination(p: int, q: int, sign_den: int, prec: int):
-    """(-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)] with its bound."""
-    import math
-
-    lneg = logpolylog_kernel(p, q, -1, sign_den, prec)
-    lpos = logpolylog_kernel(p, q, +1, sign_den, prec)
-    with mp.workdps(prec + GUARD_DIGITS):
-        scale = mpf((-1) ** q) / (2 * math.factorial(q - 1))
-        value = scale * (lneg.value.magnitude - lpos.value.magnitude)
-        bound = abs(scale) * _combined(lneg, lpos)
-    return value, bound
-
-
 def _triple_nonstrict_sum(cutoff: int, prec: int):
     """sum_{m>n>=k>=1} 1/(m^3 n k) = sum_m m^-3 sum_{n<m} H_n/n, by scaled
     integers; returns (value, rigorous bound)."""
@@ -301,8 +274,10 @@ def _paper_checks(prec: int, cutoff: int) -> list:
 
     # adjudication: the trailing-zeta sign in t(3,{2}^3)
     t3 = t_closed(3, prec)
-    plus_variant = _pi_combo(
-        [("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("511/8192", 0, 9)],
+    plus_variant = eval_symbolic(
+        pi_zeta_expr(
+            [("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("511/8192", 0, 9)]
+        ),
         prec,
     )
     checks.append(
@@ -409,7 +384,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             "14-b33-formula",
             "B(3,3) diagonal formula equals 31 pi^6/30720",
             b33,
-            _pi_combo([("31/30720", 6, 0)], prec),
+            eval_symbolic(pi_zeta_expr([("31/30720", 6, 0)]), prec),
             "1e-30",
         )
     )
@@ -418,7 +393,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             "15-b33-printed",
             "rejected printed value 1937 pi^6/1935360 stays far away",
             b33,
-            _pi_combo([("1937/1935360", 6, 0)], prec),
+            eval_symbolic(pi_zeta_expr([("1937/1935360", 6, 0)]), prec),
             "1e-3",
             mode="separate",
         )
@@ -466,8 +441,8 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             _combined(s43b, table43),
         )
     )
-    variant728 = _pi_combo(
-        [("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)], prec
+    variant728 = eval_symbolic(
+        pi_zeta_expr([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)]), prec
     )
     checks.append(
         _row(
@@ -493,7 +468,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
         )
     )
     tv, tb = _triple_nonstrict_sum(min(cutoff, 10 ** 5), prec)
-    target = _pi_combo([("1/3", 2, 3), ("-7/2", 0, 5)], prec)  # 2 z2 z3 - 7/2 z5
+    target = eval_symbolic(pi_zeta_expr([("1/3", 2, 3), ("-7/2", 0, 5)]), prec)  # 2 z2 z3 - 7/2 z5
     checks.append(
         _row(
             "21-zeta311-triple",
@@ -530,24 +505,24 @@ def _paper_checks(prec: int, cutoff: int) -> list:
     )
 
     # log-polylog kernel orientation
-    kv, kb = _kernel_combination(2, 3, -1, prec)
+    ko = kernel_pair(2, 3, -1, prec)
     checks.append(
         _row(
             "24-kernel-O23",
             "odd-denominator log-polylog kernel pair reproduces O(2,3)",
-            kv,
+            ko,
             o_table(2, 3, prec),
-            kb + mpf("1e-40"),
+            _combined(ko) + mpf("1e-40"),
         )
     )
-    kvb, kbb = _kernel_combination(2, 3, +1, prec)
+    kb = kernel_pair(2, 3, +1, prec)
     checks.append(
         _row(
             "25-kernel-B23",
             "even-denominator log-polylog kernel pair reproduces B(2,3)",
-            kvb,
+            kb,
             b23_closed(prec),
-            kbb + mpf("1e-40"),
+            _combined(kb) + mpf("1e-40"),
         )
     )
 
@@ -593,7 +568,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             "28-cb-lehmer",
             "sum 1/(n^2 binom(2n,n)) = zeta(2)/3",
             cb,
-            _pi_combo([("1/18", 2, 0)], prec),
+            eval_symbolic(pi_zeta_expr([("1/18", 2, 0)]), prec),
             "1e-40",
         )
     )

@@ -41,6 +41,7 @@ from multizeta.quadrature import (
     I_quad,
     j_cot,
     k_arctanh,
+    kernel_pair,
     logpolylog_kernel,
     logsine_check,
     t_kernel_quad,
@@ -56,7 +57,7 @@ from multizeta.series import (
     valean_alt_sum,
 )
 from multizeta.symbolic import build, weight_check
-from multizeta.verify import _kernel_combination, _triple_nonstrict_sum
+from multizeta.verify import _triple_nonstrict_sum
 from multizeta.wseries import (
     TruncatedSeries,
     arcsin_power_series,
@@ -245,11 +246,13 @@ def test_criterion_05_b33_circulated_decimal():
 def test_criterion_06_kernel_representations():
     with mp.workdps(WD):
         for p, q in ((2, 3), (3, 4), (4, 5)):
-            ov, ob = _kernel_combination(p, q, -1, 50)
+            ko = kernel_pair(p, q, -1, 50)
+            ov, ob = ko.value.magnitude, ko.error_bound.magnitude
             os_ = odd_O_series(p, q, 10**5, 50)
             assert abs(ov - os_.value.magnitude) < ob + os_.error_bound.magnitude
 
-            bv, bb = _kernel_combination(p, q, +1, 50)
+            kb = kernel_pair(p, q, +1, 50)
+            bv, bb = kb.value.magnitude, kb.error_bound.magnitude
             bs = odd_B_series(p, q, 10**5, 50)
             assert abs(bv - bs.value.magnitude) < bb + bs.error_bound.magnitude
         for (j, sign_arg), terms in sorted(REMARK_INTEGRALS.items()):

@@ -31,6 +31,10 @@ from multizeta.closed import (
     z_closed,
     zeta311,
 )
+from multizeta.hp import GUARD_DIGITS, log2_const, pi_const
+from multizeta.symbolic import build
+
+from test_symbolic import ALL_FIDS
 
 REF_DPS = 80
 
@@ -160,9 +164,9 @@ def test_z_closed_exact_combinations():
 
 
 def test_dual_route_assertion_runs_clean():
-    # both constructors internally evaluate the integral-combination form and
-    # raise if it disagrees with the summation form; exercising N = 1..5 at
-    # two precisions covers the assertion path
+    # both constructors go through build(), which raises unless the
+    # summation and integral-combination forms are equal over Q; exercising
+    # N = 1..5 at two precisions covers that path and the bound size
     for N in range(1, 6):
         for prec in (30, 60):
             t = t_closed(N, prec)
@@ -428,3 +432,52 @@ def test_evaluate_dispatch_matches_direct():
 
 def test_hoffman_kind_order():
     assert HOFFMAN_KINDS == ("t21", "t221", "t2221")
+
+
+# ---------------------------------------------------------------------------
+# rigour of the propagated bounds
+# ---------------------------------------------------------------------------
+
+
+def _mp_constant(c):
+    if c.kind == "pi":
+        return mp.pi
+    if c.kind == "log2":
+        return mp.log(2)
+    if c.kind == "zeta_odd":
+        return mp.zeta(c.arg)
+    if c.kind == "beta_even":
+        return mp.dirichlet(c.arg, [0, 1, 0, -1])
+    return mp.psi(3, mpf(1) / 4)
+
+
+@pytest.mark.parametrize("prec", [30, 50])
+def test_closed_values_within_bound_of_mpmath(prec):
+    # the reference evaluates the same exact expression over mpmath's own
+    # constants, 20 digits beyond the working precision
+    for fid in ALL_FIDS:
+        r = evaluate(fid, prec)
+        with mp.workdps(prec + GUARD_DIGITS + 20):
+            ref = mpf(0)
+            for mono, c in build(fid).terms:
+                term = mpf(c.numerator) / c.denominator
+                for const, e in mono:
+                    term *= _mp_constant(const) ** e
+                ref += term
+            assert abs(r.value.magnitude - ref) <= r.error_bound.magnitude, (fid, prec)
+
+
+@pytest.mark.parametrize("digits", [16, 50, 200, 1000])
+def test_pi_log2_radius(digits):
+    wd = digits + GUARD_DIGITS
+    for r, exact in ((pi_const(digits), lambda: mp.pi), (log2_const(digits), lambda: mp.log(2))):
+        x = r.value.magnitude
+        with mp.workdps(wd):
+            # the radius is |x| 10^-wd (stored at double precision)
+            ratio = r.error_bound.magnitude / (abs(x) * mpf(10) ** (-wd))
+            assert abs(ratio - 1) < mpf(10) ** -14
+        with mp.workdps(wd + 20):
+            err = abs(x - exact())
+            assert err <= r.error_bound.magnitude
+            # correct rounding keeps a tenfold margin inside the radius
+            assert err <= abs(x) * mpf("0.1") * mpf(10) ** (-wd)

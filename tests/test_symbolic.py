@@ -15,6 +15,11 @@ from mpmath import mp, mpf
 from multizeta.closed import Formula, FormulaId, evaluate
 from multizeta.hp import psi3_quarter
 from multizeta.symbolic import (
+    _assert_same_form,
+    _t322_integral,
+    _t322_summation,
+    _z322_integral,
+    _z322_summation,
     LOG2,
     PI,
     PSI3Q,
@@ -26,6 +31,7 @@ from multizeta.symbolic import (
     canonical_text,
     eval_symbolic,
     json_terms,
+    pi_zeta_expr,
     t_single_expr,
     weight_check,
     zeta_even_rational,
@@ -266,6 +272,27 @@ def test_build_homogeneity():
     assert not weight_check(mixed, 1)
     assert not weight_check(mixed, 3)
     assert weight_check(SymbolicExpr.zero(), 12)
+
+
+def test_summation_and_integral_forms_equal_over_q():
+    # the two derivations that build() compares, exact element by element
+    for N in range(1, 9):
+        assert _t322_summation(N) == _t322_integral(N), N
+    for N in range(0, 9):
+        assert _z322_summation(N) == _z322_integral(N), N
+
+
+T3_TERMS = [("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("-511/8192", 0, 9)]
+
+
+def test_transcription_guard_rejects_plus_variant():
+    # the circulated '+511/8192 zeta(9)' slip in t(3,2,2,2) is caught exactly
+    plus = pi_zeta_expr(T3_TERMS[:3] + [("511/8192", 0, 9)])
+    with pytest.raises(RuntimeError, match="differ by"):
+        _assert_same_form("t(3,{2}^3)", plus, _t322_integral(3))
+    minus = pi_zeta_expr(T3_TERMS)
+    assert _assert_same_form("t(3,{2}^3)", minus, _t322_integral(3)) == minus
+    assert build(FormulaId(Formula.T322, (3,))) == minus
 
 
 def test_trailing_zeta_sign_alternates():

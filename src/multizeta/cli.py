@@ -43,8 +43,8 @@ from .hp import (
     GUARD_DIGITS,
     EvalResult,
     Method,
-    _coerce_prec,
     beta_fn,
+    coerce_prec,
     eta,
     log2_const,
     pi_const,
@@ -120,7 +120,7 @@ class Request:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.output not in ("text", "json"):
             raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
-        _coerce_prec(self.prec)
+        coerce_prec(self.prec)
         if not isinstance(self.cutoff, int) or self.cutoff < 10:
             raise ValueError(f"cutoff must be an integer >= 10, got {self.cutoff!r}")
 

@@ -11,9 +11,10 @@ results are deterministic bit-for-bit regardless of caller state or threading.
 
 Base constants provided:
 
-* ``zeta_single(s)``   Riemann zeta at integer s >= 2, Euler-Maclaurin with a
-  rigorous remainder bound (the first omitted correction term majorises the
-  tail for this alternating-coefficient expansion).
+* ``zeta_single(s)``   Riemann zeta at integer s >= 2, Euler-Maclaurin with the
+  cut point at the working digits and as many Bernoulli corrections as the
+  tolerance needs; the first omitted correction bounds the tail, so the
+  bound is rigorous and the cost grows polynomially in the digits.
 * ``eta(m)``           Dirichlet eta, eta(1) = log 2, else (1 - 2^(1-m)) zeta(m).
 * ``beta_fn(m)``       Dirichlet beta via Cohen-Villegas-Zagier acceleration of
   the alternating series (terms (2k+1)^(-m) are totally monotone, so the
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from mpmath import mp, mpf
+from mpmath import bernfrac, mp, mpf
 
 __all__ = [
     "MIN_PRECISION",
@@ -80,7 +81,7 @@ class Method(Enum):
         return self.value
 
 
-def _coerce_prec(prec: int) -> int:
+def coerce_prec(prec: int) -> int:
     if not isinstance(prec, int) or prec < MIN_PRECISION:
         raise ValueError(f"precision must be an int >= {MIN_PRECISION}, got {prec!r}")
     return prec
@@ -102,25 +103,25 @@ class HPReal:
     working_precision: int
 
     def __post_init__(self) -> None:
-        _coerce_prec(self.working_precision)
+        coerce_prec(self.working_precision)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n: int, prec: int) -> "HPReal":
-        _coerce_prec(prec)
+        coerce_prec(prec)
         with LOCK, mp.workdps(prec + GUARD_DIGITS):
             return HPReal(mpf(n), prec)
 
     @staticmethod
     def from_fraction(q: Fraction, prec: int) -> "HPReal":
-        _coerce_prec(prec)
+        coerce_prec(prec)
         with LOCK, mp.workdps(prec + GUARD_DIGITS):
             return HPReal(mpf(q.numerator) / q.denominator, prec)
 
     @staticmethod
     def from_str(s: str, prec: int) -> "HPReal":
-        _coerce_prec(prec)
+        coerce_prec(prec)
         with LOCK, mp.workdps(prec + GUARD_DIGITS):
             return HPReal(mpf(s), prec)
 
@@ -260,18 +261,15 @@ _EULER: list[int] = [1]  # E_0, E_2, E_4, ... (even-index Euler numbers)
 def bernoulli_fraction(n: int) -> Fraction:
     """Exact Bernoulli number B_n (convention B_1 = -1/2).
 
-    Grown on demand via the defining recurrence
-    B_m = -1/(m+1) * sum_{k<m} C(m+1, k) B_k.
+    Grown on demand from mpmath's ``bernfrac``, which recovers the exact
+    fraction from a numerical B_n and the von Staudt-Clausen denominator;
+    filling the table to B_800 takes a fraction of a second.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     with LOCK:
         while len(_BERNOULLI) <= n:
-            m = len(_BERNOULLI)
-            s = Fraction(0)
-            for k in range(m):
-                s += math.comb(m + 1, k) * _BERNOULLI[k]
-            _BERNOULLI.append(-s / (m + 1))
+            _BERNOULLI.append(Fraction(*bernfrac(len(_BERNOULLI))))
         return _BERNOULLI[n]
 
 
@@ -301,54 +299,55 @@ def euler_number(n: int) -> int:
 # Euler-Maclaurin core
 # ---------------------------------------------------------------------------
 
-_EM_ORDER = 8  # number of Bernoulli correction terms kept
 
-
-def _hurwitz_em(s: int, a: Fraction, wd: int) -> tuple[mpf, mpf, int]:
+def _hurwitz_em(s: int, a: Fraction, wd: int) -> tuple[mpf, mpf]:
     """sum_{n>=0} (n + a)^(-s) for integer s >= 2, 0 < a <= 1.
 
-    Euler-Maclaurin about the cut point M:
+    Euler-Maclaurin about the cut point M = wd:
 
-        sum_{n<M} (n+a)^(-s) + (M+a)^(1-s)/(s-1) + (M+a)^(-s)/2
-        + sum_{k=1}^{K} B_{2k}/(2k)! * prod_{j=0}^{2k-2}(s+j) * (M+a)^(-s-2k+1)
+        sum_{n<M} (n+a)^(-s) + (M+a)^(1-s)/(s-1) + (M+a)^(-s)/2 + sum_{k=1}^{K} T_k,
+        T_k = B_{2k}/(2k)! * prod_{j=0}^{2k-2}(s+j) * (M+a)^(-s-2k+1).
 
-    For this expansion the error is bounded by the magnitude of the first
-    omitted correction term (k = K+1), so the returned remainder
-
-        |B_{2K+2}|/(2K+2)! * prod_{j=0}^{2K}(s+j) * (M+a)^(-s-2K-1)
-
-    is rigorous.  M is chosen adaptively so this bound lands below
-    10^(-(wd+5)); for s = 2 at 60 working digits that is M ~ 1000, dropping
-    quickly as s grows.  Returns (value, remainder_bound, M); the caller is
-    expected to be inside (or to accept values computed at) workdps(wd).
+    Every even derivative of (x+a)^(-s) is positive for real s > 1, so the
+    error after K corrections is at most |T_{K+1}|, the first omitted term.
+    Corrections are added for k = 1, 2, ... until |T_k| < 10^(-(wd+5)); that
+    T_k is the truncation bound.  |T_k| shrinks by about
+    ((2k+s)/(2 pi (M+a)))^2 per step while 2k + s < 2 pi (M+a) and grows
+    after, so its minimum is about exp(-2 pi M), far below the tolerance;
+    K comes out at most about 0.4 wd.  Should the terms turn before reaching
+    the tolerance, RuntimeError is raised instead of a false bound.  Rounding
+    is charged as one unit of 10^(-wd) relative to the total for each of the
+    M + K additions, plus 50 for the power and coefficient roundings.
+    Returns (value, error_bound), computed inside workdps(wd).
     """
-    K = _EM_ORDER
-    coef = abs(bernoulli_fraction(2 * K + 2)) / math.factorial(2 * K + 2)
-    prod = 1
-    for j in range(2 * K + 1):
-        prod *= s + j
-    coef = coef * prod
     with LOCK, mp.workdps(wd):
         av = mpf(a.numerator) / a.denominator
         tol = mpf(10) ** (-(wd + 5))
-        cf = mpf(coef.numerator) / coef.denominator
-        M = max(int(mp.ceil((cf / tol) ** (mpf(1) / (s + 2 * K + 1)))) + 1, 2 * K)
+        M = wd
         total = mpf(0)
         for n in range(M - 1, -1, -1):  # ascending term size: better rounding
             total += (n + av) ** (-s)
         Ma = M + av
         total += Ma ** (1 - s) / (s - 1) + Ma ** (-s) / 2
-        pw = Ma ** (-s - 1)
-        prodk = mpf(s)
-        for k in range(1, K + 1):
-            b = bernoulli_fraction(2 * k) / math.factorial(2 * k)
-            total += (mpf(b.numerator) / b.denominator) * prodk * pw
-            prodk *= (s + 2 * k - 1) * (s + 2 * k)
-            pw = pw / Ma / Ma
-        rem = cf * Ma ** (-s - 2 * K - 1)
-        # Rounding slop: ~M additions each contributing <= 1 ulp relative.
-        rem += abs(total) * (M + 50) * mpf(10) ** (-wd)
-        return total, rem, M
+        inv_sq = 1 / (Ma * Ma)
+        turn = 2 * math.pi * (M + a)  # terms decrease while 2k + s < turn
+        coef = s * Ma ** (-s - 1) / 2  # prod_{j<2k-1}(s+j) (M+a)^(-s-2k+1) / (2k)!
+        k = 1
+        while True:
+            b = bernoulli_fraction(2 * k)
+            term = mpf(b.numerator) / b.denominator * coef
+            if abs(term) < tol:
+                break
+            if 2 * k + s >= turn:
+                raise RuntimeError(
+                    f"Euler-Maclaurin terms for s={s}, a={a} stopped decreasing"
+                    f" at k={k} above 10^-{wd + 5}"
+                )
+            total += term
+            coef *= inv_sq * (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2))
+            k += 1
+        rem = abs(term) + abs(total) * (M + k + 50) * mpf(10) ** (-wd)
+        return total, rem
 
 
 def _cvz_alternating(term, n: int) -> mpf:
@@ -378,26 +377,23 @@ def _cvz_alternating(term, n: int) -> mpf:
 @lru_cache(maxsize=None)
 def zeta_single(s: int, prec: int = 50) -> EvalResult:
     """Riemann zeta(s) for integer s >= 2 with a rigorous error bound."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_single requires integer s >= 2, got {s!r}")
     wd = prec + GUARD_DIGITS
-    val, rem, _ = _hurwitz_em(s, Fraction(1), wd)
+    val, rem = _hurwitz_em(s, Fraction(1), wd)
     return wrap_result(val, rem, prec, Method.SERIES, rigorous=True)
 
 
 @lru_cache(maxsize=None)
 def eta(m: int, prec: int = 50) -> EvalResult:
     """Dirichlet eta(m) = sum (-1)^(n-1) n^(-m); eta(1) = log 2."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"eta requires integer m >= 1, got {m!r}")
-    wd = prec + GUARD_DIGITS
     if m == 1:
-        with LOCK, mp.workdps(wd):
-            val = mp.log(2)
-            bound = abs(val) * mpf(10) ** (-(wd - 2))
-        return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+        return log2_const(prec)
+    wd = prec + GUARD_DIGITS
     z = zeta_single(m, prec)
     with LOCK, mp.workdps(wd):
         factor = 1 - mpf(2) ** (1 - m)  # exact in binary
@@ -414,7 +410,7 @@ def beta_fn(m: int, prec: int = 50) -> EvalResult:
     the moment sequence of x^... on [0,1] -- a completely monotone function
     of k), so the (3+sqrt8)^(-n) bound is rigorous.
     """
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"beta_fn requires integer m >= 1, got {m!r}")
     wd = prec + GUARD_DIGITS
@@ -428,7 +424,7 @@ def beta_fn(m: int, prec: int = 50) -> EvalResult:
 @lru_cache(maxsize=None)
 def t_single(i: int, prec: int = 50) -> EvalResult:
     """Odd-denominator zeta value t(i) = sum (2n-1)^(-i) = (1 - 2^(-i)) zeta(i)."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not isinstance(i, int) or i < 2:
         raise ValueError(f"t_single requires integer i >= 2, got {i!r}")
     z = zeta_single(i, prec)
@@ -443,9 +439,9 @@ def t_single(i: int, prec: int = 50) -> EvalResult:
 @lru_cache(maxsize=None)
 def psi3_quarter(prec: int = 50) -> EvalResult:
     """Third polygamma at one quarter: psi'''(1/4) = 6 sum_{n>=0} (n+1/4)^(-4)."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
-    val, rem, _ = _hurwitz_em(4, Fraction(1, 4), wd)
+    val, rem = _hurwitz_em(4, Fraction(1, 4), wd)
     with LOCK, mp.workdps(wd):
         return wrap_result(6 * val, 6 * rem, prec, Method.SERIES, rigorous=True)
 
@@ -459,7 +455,7 @@ def pi_const(prec: int = 50) -> EvalResult:
     for pi and log 2, wd from 26 to 1010); the radius |pi| 10^-wd holds with
     a tenfold margin.
     """
-    _coerce_prec(prec)
+    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         val = +mp.pi
@@ -470,7 +466,7 @@ def pi_const(prec: int = 50) -> EvalResult:
 @lru_cache(maxsize=None)
 def log2_const(prec: int = 50) -> EvalResult:
     """log 2 at the requested precision, radius |log 2| 10^-wd (see pi_const)."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         val = mp.log(2)

@@ -23,9 +23,9 @@ those rewrites:
 The polylogarithm is evaluated by three branches: the defining series for
 |x| <= 1/2, the expansion about x = 1 in powers of L = log x for x in
 (1/2, 1], and the square identity Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x) for
-x in (-1, -1/2).  In the log branch the coefficients zeta(p-j) at negative
-even integers vanish, so the stop rule requires two consecutive sub-tolerance
-terms; the remaining tail is geometric with ratio (L/2pi)^2 < 0.013.
+x in (-1, -1/2).  The log branch sums its expansion by Horner's rule over
+coefficients cached per (p, working digits), to a degree chosen from a
+proved tail bound (see _polylog_log_branch).
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from typing import Callable
 
 from mpmath import mp, mpf
@@ -43,8 +45,8 @@ from .hp import (
     EvalResult,
     HPReal,
     Method,
-    _coerce_prec,
     bernoulli_fraction,
+    coerce_prec,
     eta,
     wrap_result,
     zeta_single,
@@ -170,7 +172,7 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     difference.  Hitting the level cap raises QuadratureNonConvergence with
     the best estimate attached.
     """
-    _coerce_prec(prec)
+    coerce_prec(prec)
     integrand = f if isinstance(f, Integrand) else Integrand(f)
     ev = integrand.evaluator
     wd = prec + GUARD_DIGITS
@@ -269,6 +271,74 @@ def _zeta_at_int(s: int, wd: int) -> mpf:
     return -(mpf(b.numerator) / b.denominator) / (2 * m)
 
 
+def _log_degree(p: int, log_r: float, wd: int) -> int:
+    """Least degree J >= p whose tail bound (see _polylog_log_branch) for
+    r = exp(log_r) is below 10^(-(wd+2)), found in floating-point logarithms
+    with a margin of a factor e.  J grows with r."""
+    log_tol = -(wd + 2) * math.log(10) - 1
+    J = p
+    log_tail = (
+        math.log(math.pi ** 2 / 3) + (p - 1) * math.log(2 * math.pi)
+        - math.lgamma(p + 2) + (p + 1) * log_r - math.log1p(-math.exp(log_r))
+    )
+    while log_tail > log_tol:
+        log_tail += log_r + math.log((J + 2 - p) / (J + 2))
+        J += 1
+    return J
+
+
+# log r for |L| = 0.7: above every r = |log x|/(2 pi) of the domain x > 1/2
+# (|log x| < log 2), with room for the rounding of log r
+_LOG_R_MAX = math.log(0.7 / (2 * math.pi))
+
+
+@lru_cache(maxsize=None)
+def _log_coeffs(p: int, wd: int) -> tuple:
+    """c_j = zeta(p-j)/j! at wd digits, c_{p-1} = H_{p-1}/(p-1)!, for every
+    degree the log branch can need."""
+    with LOCK, mp.workdps(wd):
+        cs = []
+        for j in range(_log_degree(p, _LOG_R_MAX, wd) + 1):
+            if j == p - 1:
+                c = sum(mpf(1) / i for i in range(1, p))
+            else:
+                c = _zeta_at_int(p - j, wd)
+            cs.append(c / math.factorial(j))
+        return tuple(cs)
+
+
+def _polylog_log_branch(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
+    """Li_p(x) for 1/2 < x < 1 from its expansion in L = log x:
+
+        Li_p(x) = sum_{j != p-1} zeta(p-j) L^j/j! + L^(p-1)/(p-1)! (H_{p-1} - log(-L)).
+
+    Tail: for j > p the functional equation gives |zeta(p-j)| <= 2 zeta(2)
+    (j-p)!/(2 pi)^(j-p+1), so with r = |L|/(2 pi) < 0.7/(2 pi) < 0.112 the
+    terms past degree J >= p sum to at most
+
+        C (J+1-p)!/(J+1)! r^(J+1)/(1-r),   C = 2 zeta(2) (2 pi)^(p-1),
+
+    and J is the least degree putting this below 10^(-(wd+2)).  Rounding: the
+    sum of |c_j L^j| (the log term included) is below 5, since zeta(p-j) <=
+    zeta(2), H_{p-1}/(p-1)! <= 1 and |L|^(p-1) |log|L|| <= 1/e; the Horner
+    evaluation and the coefficients cost at most 2J + 10 units of 10^(-wd)
+    of that sum.
+    """
+    L = _log_stable(x, xc)  # negative, |L| < log 2
+    log_neg_l = mp.log(-L)
+    log_r = float(log_neg_l) - math.log(2 * math.pi)
+    if not log_r <= _LOG_R_MAX:
+        raise RuntimeError(f"Li_{p} log branch needs x > 1/2, got log x = {mp.nstr(L, 5)}")
+    J = _log_degree(p, log_r, wd)
+    cs = _log_coeffs(p, wd)
+    s = cs[J]
+    for j in range(J - 1, -1, -1):
+        s = s * L + cs[j]
+        if j == p - 1:
+            s -= log_neg_l / math.factorial(p - 1)
+    return s, mpf(10) ** (-(wd + 2)) + 5 * (2 * J + 10) * mpf(10) ** (-wd)
+
+
 def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
     """(value, rigorous error bound) for Li_p(x), -1 <= x <= 1, inside wd."""
     if x == 0:
@@ -280,11 +350,11 @@ def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
     if x == -1:
         e = eta(p, wd)
         return -e.value.magnitude, e.error_bound.magnitude + ulp
-    tol = mpf(10) ** (-wd - 2)
     if abs(x) <= mpf(1) / 2:
+        tol = mpf(10) ** (-wd - 2)
         s = mpf(0)
         xk = mpf(1)
-        for k in range(1, 100000):
+        for k in count(1):
             xk *= x
             t = xk / mpf(k) ** p
             s += t
@@ -293,25 +363,7 @@ def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
         # geometric tail: |t_{k+1}| <= |t_k| * |x|, summed <= |t|*|x|/(1-|x|)
         return s, abs(t) * abs(x) / (1 - abs(x)) + ulp * abs(s)
     if x > 0:
-        L = _log_stable(x, xc)  # negative, |L| < log 2
-        s = mpf(0)
-        Lj = mpf(1)
-        H = mpf(0)
-        for j in range(1, p):
-            H += mpf(1) / j
-        prev = mpf(1)
-        for j in range(0, 400):
-            if j == p - 1:
-                term = Lj / mp.factorial(j) * (H - mp.log(-L))
-            else:
-                term = _zeta_at_int(p - j, wd) * Lj / mp.factorial(j)
-            s += term
-            Lj *= L
-            if j >= p and max(abs(term), prev) < tol:
-                break
-            prev = abs(term)
-        # after two sub-tol terms the tail is geometric, ratio (L/2pi)^2 < 0.013
-        return s, 4 * tol + ulp * abs(s)
+        return _polylog_log_branch(p, x, xc, wd)
     # x in (-1, -1/2): Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x)
     xc2 = xc * (2 - xc)  # 1 - x^2 without cancellation
     v1, b1 = _polylog_raw(p, x * x, xc2, wd)
@@ -321,7 +373,7 @@ def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
 
 def polylog(p: int, x, prec: int = 50) -> EvalResult:
     """Li_p(x) for integer p >= 2 and -1 <= x <= 1, rigorous bound."""
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"polylog requires integer p >= 2, got {p!r}")
     wd = prec + GUARD_DIGITS
@@ -358,7 +410,7 @@ def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
 
     def ev(x, xc):
         return _asin_stable(x, xc) ** N / x
@@ -377,7 +429,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n >= 1 required, got {n!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
 
     def ev(x, xc):
         z = x / 2
@@ -396,7 +448,7 @@ def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     """K(N) = integral_0^1 atanh^N(z)/z dz (log^N blowup at z = 1)."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
 
     def ev(x, xc):
         return _atanh_stable(x, xc) ** N / x
@@ -414,7 +466,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     M = 2 * N + 1
 
     def ev(x, xc):
@@ -450,7 +502,7 @@ def logpolylog_kernel(
         raise ValueError(f"q >= 2 required, got {q!r}")
     if sign_arg not in (1, -1) or sign_den not in (1, -1):
         raise ValueError("sign_arg and sign_den must be +1 or -1")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
 
     def ev(x, xc):
@@ -490,7 +542,7 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n >= 1 required, got {n!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
 
     def ev(x, xc):
         z = mp.pi / 2 * x

@@ -38,7 +38,7 @@ from .hp import (
     LOCK,
     EvalResult,
     Method,
-    _coerce_prec,
+    coerce_prec,
     t_single,
     wrap_result,
 )
@@ -225,7 +225,7 @@ def _strict_series(idx, cutoff: int, prec: int, odd: bool) -> EvalResult:
         raise ValueError(
             f"index {index.entries} diverges: outermost exponent must be >= 2"
         )
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
@@ -275,7 +275,7 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
         raise ValueError(
             f"index {index.entries} diverges: outermost exponent must be >= 2"
         )
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
@@ -337,7 +337,7 @@ def euler_H_series(
         raise ValueError("ps must be a nonempty sequence of integers >= 1")
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"outer exponent q >= 2 required, got {q!r} (sum diverges)")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
@@ -387,7 +387,7 @@ def odd_O_series(
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q >= 2 required, got {q!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
@@ -433,7 +433,7 @@ def odd_B_series(
         raise ValueError(f"p must be an integer >= 1, got {p!r}")
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q >= 2 required, got {q!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
@@ -481,7 +481,7 @@ def central_binomial_sum(kind: str, cutoff: int = 400, prec: int = 50) -> EvalRe
         raise ValueError(f"kind must be one of {CB_KINDS}, got {kind!r}")
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     e = {"inverse_square": 2, "alt_inverse_cube": 3, "inverse_fourth": 4}[kind]
     alt = kind == "alt_inverse_cube"
     wd = prec + GUARD_DIGITS
@@ -518,7 +518,7 @@ def valean_alt_sum(kind: str, cutoff: int = 10 ** 5, prec: int = 50) -> EvalResu
         raise ValueError(f"kind must be one of {VALEAN_KINDS}, got {kind!r}")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     e = 4 if kind == "H2n_over_n4" else 3
     sq = kind == "H2n2_over_n3"
     wd = prec + GUARD_DIGITS

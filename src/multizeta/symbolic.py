@@ -40,9 +40,9 @@ from .hp import (
     LOCK,
     EvalResult,
     Method,
-    _coerce_prec,
     bernoulli_fraction,
     beta_fn,
+    coerce_prec,
     euler_number,
     log2_const,
     pi_const,
@@ -620,7 +620,7 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
     by more than that.
     The result is rigorous when every factor is.
     """
-    _coerce_prec(prec)
+    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         slop = mpf(10) ** (1 - wd)

@@ -48,8 +48,8 @@ from .hp import (
     GUARD_DIGITS,
     LOCK,
     EvalResult,
-    _coerce_prec,
     beta_fn,
+    coerce_prec,
     log2_const,
     pi_const,
     psi3_quarter,
@@ -637,7 +637,7 @@ def run_suite(suite: str = "all", prec: int = 50, cutoff: int = 10 ** 6) -> Veri
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     if not isinstance(cutoff, int) or cutoff < 100:
         raise ValueError(f"cutoff must be an integer >= 100, got {cutoff!r}")
-    _coerce_prec(prec)
+    coerce_prec(prec)
     checks = []
     if suite in ("paper", "all"):
         checks.extend(_paper_checks(prec, cutoff))

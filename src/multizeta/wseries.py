@@ -48,7 +48,7 @@ from .hp import (
     EvalResult,
     HPReal,
     Method,
-    _coerce_prec,
+    coerce_prec,
     wrap_result,
 )
 from .quadrature import (
@@ -163,7 +163,7 @@ class TruncatedSeries:
         return self.coefficients_at(DEFAULT_PRECISION)
 
     def coefficients_at(self, prec: int) -> tuple[HPReal, ...]:
-        _coerce_prec(prec)
+        coerce_prec(prec)
         return tuple(c.to_hp(prec) for c in self.coeffs)
 
     @classmethod
@@ -189,7 +189,7 @@ class TruncatedSeries:
 
     def eval_at(self, z, prec: int = DEFAULT_PRECISION) -> EvalResult:
         """Horner evaluation with the truncation remainder estimate."""
-        _coerce_prec(prec)
+        coerce_prec(prec)
         wd = prec + GUARD_DIGITS
         with LOCK, mp.workdps(wd):
             if isinstance(z, HPReal):
@@ -410,7 +410,7 @@ def wallis_identity_check(
     the operator identity itself (integration by parts against arccos).
     Requires f(0) = 0 so that f(z)/z is a power series.
     """
-    _coerce_prec(prec)
+    coerce_prec(prec)
     if not f.coeffs[0].is_zero():
         raise ValueError("identity requires f(0) = 0")
     lhs = w_apply(f.integrate_over_z()).eval_at(alpha, prec)

@@ -8,6 +8,7 @@ request / 3 quadrature non-convergence).
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
@@ -117,6 +118,31 @@ def test_json_symbolic_attachment(capsys):
     terms = payload["symbolic"]["terms"]
     assert terms[0]["coefficient"] == "1/2"
     assert {"constant": "pi", "arg": 0, "power": 2} in terms[0]["factors"]
+
+
+def test_symbolic_at_1000_digits_within_bound(capsys):
+    code, out, _ = run_cli(
+        capsys, "tvalue", "3", "2", "2", "--method", "symbolic", "--prec", "1000", "--json",
+        "--symbolic",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["precision_digits"] == 1000
+    constants = {"pi": lambda arg: +mp.pi, "zeta_odd": mp.zeta}
+    with mp.workdps(1030):
+        ref = mpf(0)
+        for term in payload["symbolic"]["terms"]:
+            c = Fraction(term["coefficient"])
+            t = mpf(c.numerator) / c.denominator
+            for f in term["factors"]:
+                t *= constants[f["constant"]](f["arg"]) ** f["power"]
+            ref += t
+        value = mpf(payload["value"])
+        bound = mpf(payload["error_bound"])
+        # the printed value is rounded to 1000 significant digits
+        last_digit = mpf(10) ** (int(mp.floor(mp.log10(abs(value)))) - 999)
+        assert bound < mpf(10) ** -1000
+        assert abs(value - ref) <= bound + last_digit / 2
 
 
 def test_conjectural_flag_in_json(capsys):

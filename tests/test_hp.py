@@ -7,6 +7,7 @@ constructed *inside* elevated-precision contexts -- an expression like
 would corrupt the comparison.
 """
 
+import math
 import threading
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.hp import (
+    GUARD_DIGITS,
     HPReal,
     Method,
     bernoulli_fraction,
@@ -50,6 +52,16 @@ def test_bernoulli_values():
     assert bernoulli_fraction(12) == Fraction(-691, 2730)
     assert bernoulli_fraction(3) == 0
     assert bernoulli_fraction(17) == 0
+
+
+def test_bernoulli_matches_defining_recurrence():
+    # oracle: B_m = -1/(m+1) sum_{k<m} C(m+1, k) B_k, exact over Q
+    bs = [Fraction(1)]
+    for m in range(1, 61):
+        bs.append(-sum(math.comb(m + 1, k) * bs[k] for k in range(m)) / (m + 1))
+    assert [bernoulli_fraction(n) for n in range(61)] == bs
+    assert bernoulli_fraction(1) == Fraction(-1, 2)
+    assert all(bernoulli_fraction(n) == 0 for n in range(3, 400, 2))
 
 
 def test_euler_numbers():
@@ -100,6 +112,16 @@ def test_beta_matches_oracle(m):
     assert r.error_bound.magnitude < mpf(10) ** (-50)
 
 
+def test_eta_one_is_log2_const():
+    for prec in (20, 50, 300):
+        r = eta(1, prec)
+        assert r.value.magnitude == log2_const(prec).value.magnitude
+        with mp.workdps(prec + 30):
+            radius = mp.log(2) * mpf(10) ** (-(prec + GUARD_DIGITS))
+            # wrap_result stores the radius at double precision
+            assert abs(r.error_bound.magnitude / radius - 1) < 1e-12
+
+
 @pytest.mark.parametrize("i", [2, 3, 5, 9])
 def test_t_single_matches_oracle(i):
     r = t_single(i, 50)
@@ -123,6 +145,34 @@ def test_psi3_reflection():
         lhs = r.value.magnitude + other
         rhs = 16 * mp.pi ** 4
         assert abs(lhs - rhs) < mpf(10) ** (-58)
+
+
+# Independent mpmath references at 50, 300 and 1000 digits: every value must
+# sit within its own bound of the reference, and that bound below 10^-prec.
+HIGH_PRECISION_CASES = [
+    *(
+        (f"zeta({s})", lambda p, s=s: zeta_single(s, p), lambda s=s: mp.zeta(s))
+        for s in (2, 3, 7, 23)
+    ),
+    ("eta(3)", lambda p: eta(3, p), lambda: (1 - mpf(2) ** -2) * mp.zeta(3)),
+    ("t(5)", lambda p: t_single(5, p), lambda: (1 - mpf(2) ** -5) * mp.zeta(5)),
+    *(
+        (f"beta({m})", lambda p, m=m: beta_fn(m, p), lambda m=m: mp.dirichlet(m, [0, 1, 0, -1]))
+        for m in (2, 4)
+    ),
+    ("psi3(1/4)", lambda p: psi3_quarter(p), lambda: mp.psi(3, mpf(1) / 4)),
+]
+
+
+@pytest.mark.parametrize("prec", [50, 300, 1000])
+@pytest.mark.parametrize(
+    "name,compute,reference", HIGH_PRECISION_CASES, ids=[c[0] for c in HIGH_PRECISION_CASES]
+)
+def test_constants_at_high_precision_within_bound(name, compute, reference, prec):
+    r = compute(prec)
+    err = ref_err(r, reference, prec + 20)
+    assert err <= r.error_bound.magnitude, name
+    assert r.error_bound.magnitude < mpf(10) ** (-prec), name
 
 
 def test_pi_log2_consts():

@@ -9,10 +9,9 @@ import multizeta
 
 PACKAGE = Path(multizeta.__file__).parent
 
-# Known exceptions, left for later cleanup: the precision check shared by
-# every layer, and the cancellation-free arccos that wseries borrows from
-# the quadrature integrands.
-ALLOWED = {("hp", "_coerce_prec"), ("quadrature", "_acos_stable")}
+# Known exception, left for later cleanup: the cancellation-free arccos that
+# wseries borrows from the quadrature integrands.
+ALLOWED = {("quadrature", "_acos_stable")}
 
 
 def private_imports() -> list:

@@ -170,6 +170,34 @@ def test_polylog_branch_seam():
             assert abs(lo.value.magnitude - oracle) < mpf(10) ** -45
 
 
+def _li_reference(p, x):
+    """mp.polylog at the current precision; Li_2(9/10) goes through Euler's
+    reflection Li_2(x) + Li_2(1-x) = pi^2/6 - log x log(1-x), because
+    mpmath's own evaluation there takes seconds at 1000 digits."""
+    if (p, x) == (2, Fraction(9, 10)):
+        y = mpf(1) / 10
+        return mp.pi ** 2 / 6 - mp.log(1 - y) * mp.log(y) - mp.polylog(2, y)
+    return mp.polylog(p, mpf(x.numerator) / x.denominator)
+
+
+@pytest.mark.parametrize(
+    "p,x,prec",
+    [
+        (p, x, prec)
+        for p, x in ((2, Fraction(9, 10)), (3, Fraction(3, 4)), (3, Fraction(-3, 4)))
+        for prec in (50, 300, 1000)
+    ]
+    # the log-branch term count must follow the working digits, not a fixed cap
+    + [(3, Fraction(3, 4), 600)],
+)
+def test_polylog_at_high_precision_within_bound(p, x, prec):
+    r = polylog(p, x, prec)
+    with workdps(prec + 20):
+        err = abs(r.value.magnitude - _li_reference(p, x))
+    assert err <= r.error_bound.magnitude
+    assert r.error_bound.magnitude < mpf(10) ** (-prec)
+
+
 def test_polylog_validation():
     with pytest.raises(ValueError):
         polylog(1, 0.5)

@@ -65,14 +65,9 @@ from .quadrature import (
 from .series import (
     CB_KINDS,
     DEFAULT_CUTOFF,
-    big_t_series,
     central_binomial_sum,
     euler_H_series,
-    mtv_series,
-    mu_series,
-    mzv_series,
-    odd_B_series,
-    odd_O_series,
+    nested_value,
 )
 from .symbolic import Formula, FormulaId, build, canonical_text, eval_symbolic, json_terms
 from .verify import SUITES, run_suite
@@ -92,6 +87,7 @@ _QUANTITIES = (
     "integral",
     "cbsum",
 )
+_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum")  # the families nested_value evaluates
 _CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
 _INTEGRAL_KINDS = ("I", "J", "K", "logsine")
 
@@ -222,6 +218,9 @@ def _routes(req: Request) -> dict:
         }[name]
         return routes
 
+    if req.quantity in _NESTED:
+        routes["series"] = lambda: nested_value(req.quantity, p, prec)
+
     if req.quantity == "zeta":
         if len(p) == 1:
             routes["closed"] = lambda: zeta_single(p[0], prec)
@@ -232,7 +231,6 @@ def _routes(req: Request) -> dict:
         elif _head_tail_run(p, 2, 1):
             # telescoping:  zeta(2, {1}^(k-1)) = zeta(k+1)
             routes["closed"] = lambda: zeta_single(len(p) + 1, prec)
-        routes["series"] = lambda: mzv_series(p, cutoff, prec)
 
     elif req.quantity == "tvalue":
         if len(p) == 1:
@@ -256,7 +254,6 @@ def _routes(req: Request) -> dict:
                     prec,
                     conjectural=True,
                 )
-        routes["series"] = lambda: mtv_series(p, cutoff, prec)
 
     elif req.quantity == "mu":
         if p == (2,) or _head_tail_run(p, 2, 1):
@@ -265,7 +262,6 @@ def _routes(req: Request) -> dict:
             routes["quadrature"] = lambda: _scaled(
                 k_arctanh(N, prec), Fraction(1, math.factorial(N)), prec
             )
-        routes["series"] = lambda: mu_series(p, cutoff, prec)
 
     elif req.quantity == "bigT":
         if len(p) == 1:
@@ -273,7 +269,6 @@ def _routes(req: Request) -> dict:
         elif _head_tail_run(p, 2, 1):
             # T(2, {1}^(k-1)) = T(k+1) = 2 t(k+1)
             routes["closed"] = lambda: _scaled(t_single(len(p) + 1, prec), Fraction(2), prec)
-        routes["series"] = lambda: big_t_series(p, cutoff, prec)
 
     elif req.quantity == "oddsum":
         fam, a, b = p
@@ -282,7 +277,6 @@ def _routes(req: Request) -> dict:
                 routes["closed"] = lambda: closed.o_diag(a, prec)
             elif (a, b) in closed.O_TABLE_PRIMARY or (b, a) in closed.O_TABLE_PRIMARY:
                 routes["closed"] = lambda: closed.o_table(a, b, prec)
-            routes["series"] = lambda: odd_O_series(a, b, cutoff, prec)
             if a >= 2 and b >= 2:
                 routes["quadrature"] = lambda: kernel_pair(a, b, -1, prec)
         else:
@@ -294,7 +288,6 @@ def _routes(req: Request) -> dict:
                 routes["closed"] = lambda: closed.b_reflect(
                     2, 3, closed.b23_closed(prec), prec
                 )
-            routes["series"] = lambda: odd_B_series(a, b, cutoff, prec)
             if a >= 2 and b >= 2:
                 routes["quadrature"] = lambda: kernel_pair(a, b, +1, prec)
 
@@ -448,7 +441,11 @@ def _render_text(payload: dict) -> str:
 def _common_flags(sp):
     sp.add_argument("--prec", type=int, default=50, help="decimal digits (default 50)")
     sp.add_argument(
-        "--cutoff", type=int, default=DEFAULT_CUTOFF, help="series cutoff (default 10^6)"
+        "--cutoff",
+        type=int,
+        default=DEFAULT_CUTOFF,
+        help="truncation of the eulersum and cbsum series (default 10^6); the nested"
+        " families (zeta, tvalue, mu, bigT, oddsum) reach the full precision without one",
     )
     sp.add_argument(
         "--method", choices=_METHODS, default="all", help="evaluation route (default all)"
@@ -515,7 +512,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the cross-verification suites")
     sp.add_argument("--suite", choices=SUITES, default="all")
     sp.add_argument("--prec", type=int, default=50)
-    sp.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)
+    sp.add_argument(
+        "--cutoff",
+        type=int,
+        default=DEFAULT_CUTOFF,
+        help="truncation of the brute-force rows 21, 26 and 27 (default 10^6)",
+    )
     sp.add_argument("--json", action="store_true", help="print the report as JSON")
     sp.add_argument("--report", metavar="PATH", help="also write the JSON report to PATH")
     sp.add_argument(

@@ -39,6 +39,7 @@ from functools import lru_cache
 from typing import Union
 
 from mpmath import bernfrac, mp, mpf
+from mpmath.libmp import mpf_abs
 
 __all__ = [
     "MIN_PRECISION",
@@ -240,10 +241,14 @@ def wrap_result(
     rigorous: bool,
     conjectural: bool = False,
 ) -> EvalResult:
-    """Package raw mpf value/bound into an EvalResult at ``prec`` digits."""
+    """Package raw mpf value/bound into an EvalResult at ``prec`` digits.
+
+    The bound's magnitude is taken exactly: ``abs`` would round it to the
+    ambient precision, to nearest, and could store less than the true bound.
+    """
     return EvalResult(
         value=HPReal(value, prec),
-        error_bound=HPReal(abs(bound), prec),
+        error_bound=HPReal(mp.make_mpf(mpf_abs(bound._mpf_)), prec),
         method=method,
         rigorous=rigorous,
         conjectural=conjectural,

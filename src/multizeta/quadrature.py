@@ -12,7 +12,7 @@ Every integrand evaluator receives *both* x and xc = 1-x as exact node data.
 The DE transform computes xc directly from e^(2u) without cancellation, so an
 evaluator needing log(x), arccos(x) or atanh(x) near x = 1 can get full
 working precision from xc where forming 1-x would lose everything.  The
-helpers _log_stable / _acos_stable / _asin_stable / _atanh_stable implement
+helpers _log_stable / acos_stable / _asin_stable / _atanh_stable implement
 those rewrites:
 
     log(1-xc)    = -sum xc^k/k            (xc below 2^-10)
@@ -235,14 +235,14 @@ def _log_stable(x: mpf, xc: mpf) -> mpf:
     return mp.log(x)
 
 
-def _acos_stable(x: mpf, xc: mpf) -> mpf:
+def acos_stable(x: mpf, xc: mpf) -> mpf:
     """arccos(x) = 2 asin(sqrt(xc/2)): exact identity, stable at both ends."""
     return 2 * mp.asin(mp.sqrt(xc / 2))
 
 
 def _asin_stable(x: mpf, xc: mpf) -> mpf:
     if x > mpf(9) / 10:
-        return mp.pi / 2 - _acos_stable(x, xc)
+        return mp.pi / 2 - acos_stable(x, xc)
     return mp.asin(x)
 
 
@@ -470,7 +470,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     M = 2 * N + 1
 
     def ev(x, xc):
-        return _asin_stable(x, xc) ** M * _acos_stable(x, xc) / x
+        return _asin_stable(x, xc) ** M * acos_stable(x, xc) / x
 
     raw = integrate01(
         Integrand(ev, (REGULAR, ALGEBRAIC), name=f"t-kernel({N})"), prec

@@ -57,16 +57,7 @@ from .hp import (
     zeta_single,
 )
 from .quadrature import I_quad, kernel_pair, t_kernel_quad
-from .series import (
-    big_t_series,
-    central_binomial_sum,
-    mtv_series,
-    mu_series,
-    mzv_series,
-    odd_B_series,
-    odd_O_series,
-    valean_alt_sum,
-)
+from .series import central_binomial_sum, nested_value, valean_alt_sum
 from .symbolic import eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
 
@@ -332,8 +323,8 @@ def _paper_checks(prec: int, cutoff: int) -> list:
         )
     )
 
-    s34 = odd_O_series(3, 4, cutoff, prec)
-    s43 = odd_O_series(4, 3, cutoff, prec)
+    s34 = nested_value("oddsum", ("O", 3, 4), prec)
+    s43 = nested_value("oddsum", ("O", 4, 3), prec)
     with mp.workdps(prec + GUARD_DIGITS):
         lhs = s34.value.magnitude + s43.value.magnitude
         rhs = (
@@ -350,8 +341,8 @@ def _paper_checks(prec: int, cutoff: int) -> list:
         )
     )
 
-    b23s = odd_B_series(2, 3, cutoff, prec)
-    b32s = odd_B_series(3, 2, cutoff, prec)
+    b23s = nested_value("oddsum", ("B", 2, 3), prec)
+    b32s = nested_value("oddsum", ("B", 3, 2), prec)
     with mp.workdps(prec + GUARD_DIGITS):
         lhs = b23s.value.magnitude + b32s.value.magnitude
         beta_part = beta_fn(2, prec).value.magnitude * beta_fn(3, prec).value.magnitude
@@ -418,7 +409,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             mode="separate",
         )
     )
-    s221 = mtv_series((2, 2, 1), cutoff, prec)
+    s221 = nested_value("tvalue", (2, 2, 1), prec)
     checks.append(
         _row(
             "17-t221-series",
@@ -430,15 +421,14 @@ def _paper_checks(prec: int, cutoff: int) -> list:
     )
 
     # adjudication: the O(4,3) table head coefficient
-    s43b = odd_O_series(4, 3, cutoff, prec)
     table43 = o_table(4, 3, prec)
     checks.append(
         _row(
             "18-o43-table",
             "O(4,3) series vs table entry with pi^4/768 zeta(3)",
-            s43b,
+            s43,
             table43,
-            _combined(s43b, table43),
+            _combined(s43, table43),
         )
     )
     variant728 = eval_symbolic(
@@ -448,16 +438,16 @@ def _paper_checks(prec: int, cutoff: int) -> list:
         _row(
             "19-o43-variant",
             "rejected pi^4/728 zeta(3) variant misses by >100x the combined bounds",
-            s43b,
+            s43,
             variant728,
-            100 * _combined(s43b, table43),
+            100 * _combined(s43, table43),
             mode="separate",
         )
     )
 
     # zeta(3,1,1) and its non-strict triple-sum decomposition
     z311c = zeta311(prec)
-    z311s = mzv_series((3, 1, 1), cutoff, prec)
+    z311s = nested_value("zeta", (3, 1, 1), prec)
     checks.append(
         _row(
             "20-zeta311-series",
@@ -480,7 +470,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
     )
 
     # telescoping families
-    m211 = mzv_series((2, 1, 1), cutoff, prec)
+    m211 = nested_value("zeta", (2, 1, 1), prec)
     z4 = zeta_single(4, prec)
     checks.append(
         _row(
@@ -491,7 +481,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             _combined(m211, z4),
         )
     )
-    bt211 = big_t_series((2, 1, 1), cutoff, prec)
+    bt211 = nested_value("bigT", (2, 1, 1), prec)
     with mp.workdps(prec + GUARD_DIGITS):
         t4_doubled = 2 * t_single(4, prec).value.magnitude
     checks.append(
@@ -574,7 +564,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
     )
 
     # mu family and the half-integral operator identity
-    ms = mu_series((2, 1), cutoff, prec)
+    ms = nested_value("mu", (2, 1), prec)
     mc = mu_closed(2, prec)
     checks.append(
         _row(
@@ -599,7 +589,7 @@ def _paper_checks(prec: int, cutoff: int) -> list:
     return checks
 
 
-def _conjecture_checks(prec: int, cutoff: int) -> list:
+def _conjecture_checks(prec: int) -> list:
     checks = []
     for N, kind in ((1, "t21"), (2, "t221"), (3, "t2221")):
         conj = t2s1_conjecture(N, prec)
@@ -617,11 +607,11 @@ def _conjecture_checks(prec: int, cutoff: int) -> list:
     for N, cid in ((4, "c04-t2s1-4"), (5, "c05-t2s1-5")):
         conj = t2s1_conjecture(N, prec)
         idx = (2,) * N + (1,)
-        series = mtv_series(idx, cutoff, prec)
+        series = nested_value("tvalue", idx, prec)
         checks.append(
             _row(
                 cid,
-                f"conjectured t({{2}}^{N},1) vs the nested odd series (cutoff-limited)",
+                f"conjectured t({{2}}^{N},1) vs the nested odd series",
                 conj,
                 series,
                 _combined(conj, series),
@@ -642,6 +632,6 @@ def run_suite(suite: str = "all", prec: int = 50, cutoff: int = 10 ** 6) -> Veri
     if suite in ("paper", "all"):
         checks.extend(_paper_checks(prec, cutoff))
     if suite in ("conjectures", "all"):
-        checks.extend(_conjecture_checks(prec, cutoff))
+        checks.extend(_conjecture_checks(prec))
     checks.sort(key=lambda c: c.check_id)
     return VerifyReport(suite=suite, precision=prec, cutoff=cutoff, checks=tuple(checks))

@@ -56,7 +56,7 @@ from .quadrature import (
     REGULAR,
     Integrand,
     QuadratureResult,
-    _acos_stable,
+    acos_stable,
     integrate01,
 )
 
@@ -433,7 +433,7 @@ def wallis_identity_check(
         acc = mpf(0)
         for c in reversed(shifted):
             acc = acc * y + c
-        return av * acc * _acos_stable(x, xc)
+        return av * acc * acos_stable(x, xc)
 
     rhs = integrate01(Integrand(ev, (REGULAR, ALGEBRAIC), name="arccos kernel"), prec)
     return lhs, rhs

@@ -28,6 +28,7 @@ from multizeta.hp import (
     pi_const,
     psi3_quarter,
     t_single,
+    wrap_result,
     zeta_single,
 )
 
@@ -299,3 +300,15 @@ def test_eval_result_agreement_protocol():
     a = zeta_single(3, 40)
     b = zeta_single(3, 50)
     assert a.agrees_with(b)
+
+
+def test_wrap_result_keeps_the_bound_bit_for_bit():
+    with mp.workdps(210):
+        value = mp.pi
+        bound = mp.pi * mpf(10) ** -200
+        negated = -bound
+    assert mp.dps == 15
+    for b in (bound, negated):
+        r = wrap_result(value, b, 200, Method.SERIES, rigorous=True)
+        assert r.error_bound.magnitude == bound
+        assert r.error_bound.magnitude._mpf_ == bound._mpf_

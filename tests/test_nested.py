@@ -1,0 +1,257 @@
+"""The iterated-integral engine behind the nested series route.
+
+References are independent of the engine: mpmath constants (mp.zeta, pi,
+log 2) through identities such as zeta(2,1,1) = zeta(4) and
+B(3,3) = 31 pi^6/30720, the closed-form tables, an mpmath quadrature of
+the one-dimensional form of I(w0 sigma rho), the brute-force partial sums
+kept in ``series`` as oracles, and exact rational arithmetic for the
+letter-by-letter integration.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from multizeta.cli import main
+from multizeta.closed import b23_closed, o_table, t_closed, z_closed
+from multizeta.series import (
+    _REFLECT,
+    _ROUND_UNITS,
+    _family_words,
+    _integrate,
+    big_t_series,
+    mtv_series,
+    mu_series,
+    mzv_series,
+    nested_value,
+    odd_B_series,
+    odd_O_series,
+)
+
+LETTERS = ("w0", "w1", "rho", "tau", "sigma", "rho~", "tau~", "sigma~")
+
+
+def _t(i):
+    return (1 - mpf(2) ** -i) * mp.zeta(i)
+
+
+def _b12():
+    # B(1,2) = t(3) - I(w0 sigma rho); integrating the outer w0 by parts
+    # leaves -int_0^1 log(t) t atanh(t)/(1+t^2) dt
+    inner = -mp.quad(lambda t: mp.log(t) * t * mp.atanh(t) / (1 + t * t), [0, 1])
+    return _t(3) - inner
+
+
+# (quantity, params, reference evaluated at the ambient mpmath precision)
+MPMATH_REFS = [
+    ("zeta", (5,), lambda: mp.zeta(5)),
+    ("zeta", (2, 1, 1), lambda: mp.zeta(4)),
+    ("tvalue", (2,), lambda: mp.pi ** 2 / 8),
+    ("tvalue", (2, 1), lambda: -_t(3) / 2 + _t(2) * mp.log(2)),
+    ("mu", (2, 1), lambda: mpf(7) / 16 * mp.zeta(3)),
+    ("mu", (2, 1, 1, 1), lambda: mpf(31) / 256 * mp.zeta(5)),
+    ("bigT", (2, 1, 1), lambda: 2 * _t(4)),
+    ("oddsum", ("O", 2, 2), lambda: (_t(2) ** 2 + _t(4)) / 2),
+    ("oddsum", ("O", 1, 2), lambda: _t(3) / 2 + _t(2) * mp.log(2)),
+    ("oddsum", ("B", 3, 3), lambda: 31 * mp.pi ** 6 / 30720),
+]
+# (quantity, params, closed route returning an EvalResult at the given digits)
+CLOSED_REFS = [
+    ("zeta", (3, 2, 2), lambda d: z_closed(2, d)),
+    ("tvalue", (3, 2, 2), lambda d: t_closed(2, d)),
+    ("oddsum", ("O", 4, 3), lambda d: o_table(4, 3, d)),
+    ("oddsum", ("B", 2, 3), lambda d: b23_closed(d)),
+]
+
+
+def _check(quantity, params, prec, ref, ref_bound=0):
+    r = nested_value(quantity, params, prec)
+    with mp.workdps(prec + 30):
+        err = abs(r.value.magnitude - ref)
+        assert err <= r.error_bound.magnitude + ref_bound, (quantity, params, prec)
+        assert r.error_bound.magnitude < mpf(10) ** -prec
+    assert r.rigorous
+
+
+@pytest.mark.parametrize("prec", [50, 300, 1000])
+def test_every_family_within_bound_of_mpmath(prec):
+    for quantity, params, ref in MPMATH_REFS:
+        with mp.workdps(prec + 20):
+            value = ref()
+        _check(quantity, params, prec, value)
+
+
+@pytest.mark.parametrize("prec", [50, 300])
+def test_b_with_p1_against_quadrature(prec):
+    with mp.workdps(prec + 20):
+        value = _b12()
+    _check("oddsum", ("B", 1, 2), prec, value)
+
+
+@pytest.mark.parametrize("prec", [50, 300, 1000])
+def test_every_family_within_bound_of_closed_tables(prec):
+    for quantity, params, closed in CLOSED_REFS:
+        ref = closed(prec + 20)
+        _check(quantity, params, prec, ref.value.magnitude, ref.error_bound.magnitude)
+
+
+BRUTE = [
+    ("zeta", (3, 2, 2), lambda c: mzv_series((3, 2, 2), c, 30)),
+    ("zeta", (2, 1, 1), lambda c: mzv_series((2, 1, 1), c, 30)),
+    ("tvalue", (2, 2, 1), lambda c: mtv_series((2, 2, 1), c, 30)),
+    ("mu", (3, 1, 2), lambda c: mu_series((3, 1, 2), c, 30)),
+    ("bigT", (2, 1, 1), lambda c: big_t_series((2, 1, 1), c, 30)),
+    ("oddsum", ("O", 1, 3), lambda c: odd_O_series(1, 3, c, 30)),
+    ("oddsum", ("O", 4, 3), lambda c: odd_O_series(4, 3, c, 30)),
+    ("oddsum", ("B", 1, 2), lambda c: odd_B_series(1, 2, c, 30)),
+    ("oddsum", ("B", 3, 2), lambda c: odd_B_series(3, 2, c, 30)),
+]
+
+
+@pytest.mark.parametrize("quantity,params,brute", BRUTE)
+def test_partial_sums_within_their_tails(quantity, params, brute):
+    """|engine - partial sum at C| <= tail(C) + rounding + the engine's bound."""
+    r = nested_value(quantity, params, 30)
+    for cutoff in (50, 2000):
+        assert r.agrees_with(brute(cutoff)), (quantity, params, cutoff)
+
+
+_INDEX = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(
+    lambda entries: (max(entries[0], 2), *entries[1:])
+).filter(lambda entries: sum(entries) <= 10)
+
+
+@given(
+    quantity=st.sampled_from(("zeta", "tvalue", "mu", "bigT")),
+    entries=_INDEX,
+    prec=st.integers(min_value=16, max_value=150),
+)
+@settings(max_examples=40, deadline=None)
+def test_precision_doubling(quantity, entries, prec):
+    a = nested_value(quantity, entries, prec)
+    b = nested_value(quantity, entries, 2 * prec)
+    with mp.workdps(2 * prec + 20):
+        diff = abs(a.value.magnitude - b.value.magnitude)
+        assert diff <= a.error_bound.magnitude + b.error_bound.magnitude
+
+
+@given(
+    fam=st.sampled_from(("O", "B")),
+    p=st.integers(min_value=1, max_value=5),
+    q=st.integers(min_value=2, max_value=5),
+    prec=st.integers(min_value=16, max_value=150),
+)
+@settings(max_examples=20, deadline=None)
+def test_odd_sum_precision_doubling(fam, p, q, prec):
+    a = nested_value("oddsum", (fam, p, q), prec)
+    b = nested_value("oddsum", (fam, p, q), 2 * prec)
+    with mp.workdps(2 * prec + 20):
+        diff = abs(a.value.magnitude - b.value.magnitude)
+        assert diff <= a.error_bound.magnitude + b.error_bound.magnitude
+
+
+# ---------------------------------------------------------------------------
+# the letters and the coefficient sup-norm
+# ---------------------------------------------------------------------------
+
+
+def _laurent(letter, n):
+    """Exact r_-1, r_0..r_n of the letter's form, from its definition."""
+    if letter == "w0":
+        return [Fraction(1)] + [Fraction(0)] * (n + 1)
+    if letter in ("rho~", "tau~"):  # 1/(u(2-u)) = sum_(m>=-1) u^m / 2^(m+2)
+        sign = 1 if letter == "rho~" else -1  # (1-u)/(u(2-u)) = that - 1/(2-u)
+        return [Fraction(1, 2)] + [Fraction(sign, 2 ** (m + 2)) for m in range(n + 1)]
+    if letter == "sigma~":  # Re (1+i)^-(m+1) = Re (1-i)^(m+1) / 2^(m+1)
+        coeffs, re, im = [], 1, -1  # (1-i)^(m+1) in Gaussian integers
+        for m in range(n + 1):
+            coeffs.append(Fraction(re, 2 ** (m + 1)))
+            re, im = re + im, im - re
+        return [Fraction(0)] + coeffs
+    regular = {
+        "w1": lambda m: 1,
+        "rho": lambda m: 1 - m % 2,
+        "tau": lambda m: m % 2,
+        "sigma": lambda m: (-1) ** (m // 2) if m % 2 else 0,
+    }[letter]
+    return [Fraction(0)] + [Fraction(regular(m)) for m in range(n + 1)]
+
+
+def _exact_integrate(letter, c):
+    r = _laurent(letter, len(c))
+    g = [Fraction(0)] * len(c)
+    for n in range(len(c) - 1):
+        acc = r[0] * c[n + 1] + sum(r[m + 1] * c[n - m] for m in range(n + 1))
+        g[n + 1] = acc / (n + 1)
+    return g
+
+
+@pytest.mark.parametrize("letter", LETTERS)
+def test_letter_laurent_condition(letter):
+    """|r_-1| + sum_(m<=n) |r_m| <= n + 1: one integration keeps |c_n| <= 1."""
+    r = _laurent(letter, 200)
+    running = abs(r[0])
+    for n in range(201):
+        running += abs(r[n + 1])
+        assert running <= n + 1, (letter, n)
+
+
+@pytest.mark.parametrize("letter", LETTERS)
+def test_integrate_matches_exact_map(letter):
+    """The scaled-integer recurrences equal the exact convolution up to the
+    charged rounding, on random coefficients (c_0 = 0) of both signs."""
+    rng = random.Random(7)
+    scale = 1 << 80
+    for _ in range(5):
+        c = [0] + [rng.randint(-scale, scale) for _ in range(60)]
+        got = _integrate(letter, c)
+        want = _exact_integrate(letter, c)
+        assert max(abs(g - w) for g, w in zip(got, want)) < _ROUND_UNITS, letter
+
+
+@pytest.mark.parametrize(
+    "quantity,params",
+    [
+        ("zeta", (3, 2, 2)), ("zeta", (2, 1, 1, 1)), ("tvalue", (2, 2, 2, 1)),
+        ("tvalue", (4, 1, 3)), ("mu", (2, 1, 1)), ("mu", (5, 3)),
+        ("oddsum", ("O", 1, 4)), ("oddsum", ("B", 1, 2)), ("oddsum", ("B", 4, 3)),
+    ],
+)
+def test_piece_coefficients_stay_at_most_one(quantity, params):
+    """Every partial word, in both directions, keeps |c_n| <= 1 (plus the
+    rounding of the integrations so far)."""
+    bits = 100
+    for _, word in _family_words(quantity, params):
+        for letters in ([_REFLECT[f] for f in word], list(reversed(word))):
+            c = [1 << bits] + [0] * 150
+            for k, letter in enumerate(letters, 1):
+                c = _integrate(letter, c)
+                assert max(abs(x) for x in c) <= (1 << bits) + _ROUND_UNITS * k
+
+
+def test_validation():
+    for quantity, params in [
+        ("zeta", (1, 2)), ("tvalue", (1,)), ("mu", ()), ("zeta", (2, 0)),
+        ("oddsum", ("O", 0, 3)), ("oddsum", ("B", 2, 1)), ("oddsum", ("X", 2, 3)),
+        ("eulersum", (2, 1)),
+    ]:
+        with pytest.raises(ValueError):
+            nested_value(quantity, params, 30)
+    with pytest.raises(ValueError):
+        nested_value("zeta", (3, 2), 5)
+
+
+def test_cli_all_routes_at_200_digits(capsys):
+    code = main(["zeta", "3", "2", "2", "--method", "all", "--prec", "200", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["agreement"] is True
+    series = next(e for e in payload["routes"] if e["method"] == "series")
+    assert series["rigorous"] is True
+    with mp.workdps(30):
+        assert mpf(series["error_bound"]) < mpf("1e-200")

@@ -33,10 +33,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import closed
 from .hp import (
@@ -45,12 +45,14 @@ from .hp import (
     Method,
     beta_fn,
     coerce_prec,
+    combine,
     eta,
     log2_const,
     pi_const,
+    pi_power,
     psi3_quarter,
+    scaled,
     t_single,
-    wrap_result,
     zeta_single,
 )
 from .quadrature import (
@@ -140,18 +142,6 @@ def _twos_then_one(params) -> int:
     return 0
 
 
-def _scaled(r: EvalResult, factor: Fraction, prec: int, conjectural: bool = False) -> EvalResult:
-    """r times an exact rational, bound scaled alongside (plus an ulp of slop)."""
-    with mp.workdps(prec + GUARD_DIGITS):
-        f = mpf(factor.numerator) / factor.denominator
-        v = r.value.magnitude * f
-        b = r.error_bound.magnitude * abs(f) + abs(v) * mpf(10) ** (-prec - 5)
-        return wrap_result(
-            v, b, prec, r.method, rigorous=r.rigorous,
-            conjectural=conjectural or r.conjectural,
-        )
-
-
 # ---------------------------------------------------------------------------
 # route tables
 # ---------------------------------------------------------------------------
@@ -218,16 +208,20 @@ def _routes(req: Request) -> dict:
         }[name]
         return routes
 
+    fid = _fid_for(req)
+    if fid is not None:  # single-entry zeta keeps zeta_single below
+        conj = fid.name is Formula.T2S1_CONJECTURE
+        routes["closed"] = lambda: closed.evaluate(fid, prec)
+        routes["symbolic"] = lambda: replace(
+            eval_symbolic(build(fid), prec), conjectural=conj
+        )
+
     if req.quantity in _NESTED:
         routes["series"] = lambda: nested_value(req.quantity, p, prec)
 
     if req.quantity == "zeta":
         if len(p) == 1:
             routes["closed"] = lambda: zeta_single(p[0], prec)
-        elif (n := _head_tail_run(p, 3, 2)):
-            routes["closed"] = lambda: closed.z_closed(n, prec)
-        elif p == (3, 1, 1):
-            routes["closed"] = lambda: closed.zeta311(prec)
         elif _head_tail_run(p, 2, 1):
             # telescoping:  zeta(2, {1}^(k-1)) = zeta(k+1)
             routes["closed"] = lambda: zeta_single(len(p) + 1, prec)
@@ -236,60 +230,32 @@ def _routes(req: Request) -> dict:
         if len(p) == 1:
             routes["closed"] = lambda: t_single(p[0], prec)
         elif (n := _head_tail_run(p, 3, 2)):
-            routes["closed"] = lambda: closed.t_closed(n, prec)
             routes["quadrature"] = lambda: t_kernel_quad(n, prec)
         elif (m := _twos_then_one(p)):
-            if m <= 3:
-                routes["closed"] = lambda: closed.hoffman_t(
-                    closed.HOFFMAN_KINDS[m - 1], prec
-                )
-                routes["quadrature"] = lambda: _scaled(
-                    I_quad(2 * m, prec), Fraction(1, math.factorial(2 * m)), prec
-                )
-            else:
-                routes["closed"] = lambda: closed.t2s1_conjecture(m, prec)
-                routes["quadrature"] = lambda: _scaled(
-                    I_quad(2 * m, prec),
-                    Fraction(1, math.factorial(2 * m)),
-                    prec,
-                    conjectural=True,
-                )
+            # t({2}^m, 1) = I(2m)/(2m)!, proven for m <= 3
+            routes["quadrature"] = lambda: replace(
+                scaled(I_quad(2 * m, prec), Fraction(1, math.factorial(2 * m))),
+                conjectural=m > 3,
+            )
 
     elif req.quantity == "mu":
         if p == (2,) or _head_tail_run(p, 2, 1):
             N = len(p)
-            routes["closed"] = lambda: closed.mu_closed(N, prec)
-            routes["quadrature"] = lambda: _scaled(
-                k_arctanh(N, prec), Fraction(1, math.factorial(N)), prec
+            routes["quadrature"] = lambda: scaled(
+                k_arctanh(N, prec), Fraction(1, math.factorial(N))
             )
 
     elif req.quantity == "bigT":
         if len(p) == 1:
-            routes["closed"] = lambda: _scaled(t_single(p[0], prec), Fraction(2), prec)
+            routes["closed"] = lambda: scaled(t_single(p[0], prec), 2)
         elif _head_tail_run(p, 2, 1):
             # T(2, {1}^(k-1)) = T(k+1) = 2 t(k+1)
-            routes["closed"] = lambda: _scaled(t_single(len(p) + 1, prec), Fraction(2), prec)
+            routes["closed"] = lambda: scaled(t_single(len(p) + 1, prec), 2)
 
     elif req.quantity == "oddsum":
         fam, a, b = p
-        if fam == "O":
-            if a == b and a >= 2:
-                routes["closed"] = lambda: closed.o_diag(a, prec)
-            elif (a, b) in closed.O_TABLE_PRIMARY or (b, a) in closed.O_TABLE_PRIMARY:
-                routes["closed"] = lambda: closed.o_table(a, b, prec)
-            if a >= 2 and b >= 2:
-                routes["quadrature"] = lambda: kernel_pair(a, b, -1, prec)
-        else:
-            if a == b and a >= 2:
-                routes["closed"] = lambda: closed.b_diag(a, prec)
-            elif (a, b) == (2, 3):
-                routes["closed"] = lambda: closed.b23_closed(prec)
-            elif (a, b) == (3, 2):
-                routes["closed"] = lambda: closed.b_reflect(
-                    2, 3, closed.b23_closed(prec), prec
-                )
-            if a >= 2 and b >= 2:
-                routes["quadrature"] = lambda: kernel_pair(a, b, +1, prec)
+        if a >= 2 and b >= 2:
+            routes["quadrature"] = lambda: kernel_pair(a, b, -1 if fam == "O" else +1, prec)
 
     elif req.quantity == "eulersum":
         q, ps = p[0], p[1:]
@@ -298,29 +264,18 @@ def _routes(req: Request) -> dict:
     elif req.quantity == "integral":
         kind, n = p
         if kind == "I":
-            routes["closed"] = lambda: closed.i_closed(n, prec)
             routes["quadrature"] = lambda: I_quad(n, prec)
         elif kind == "J":
             # J(n) = I(n)/pi^(n+1)
-            def _j_closed():
-                base = closed.i_closed(n, prec)
-                with mp.workdps(prec + GUARD_DIGITS):
-                    f = pi_const(prec).value.magnitude ** (-(n + 1))
-                    return wrap_result(
-                        base.value.magnitude * f,
-                        base.error_bound.magnitude * f * 2,
-                        prec,
-                        Method.CLOSED_FORM,
-                        rigorous=True,
-                    )
-
-            routes["closed"] = _j_closed
+            routes["closed"] = lambda: combine(
+                [(1, [closed.i_closed(n, prec), pi_power(-(n + 1), prec)])],
+                prec,
+                Method.CLOSED_FORM,
+            )
             routes["quadrature"] = lambda: j_cot(n, prec)
         elif kind == "K":
             # K(N) = N! (2^(N+1)-1) zeta(N+1) / 2^(2N) = N! mu(2, {1}^(N-1))
-            routes["closed"] = lambda: _scaled(
-                closed.mu_closed(n, prec), Fraction(math.factorial(n)), prec
-            )
+            routes["closed"] = lambda: scaled(closed.mu_closed(n, prec), math.factorial(n))
             routes["quadrature"] = lambda: k_arctanh(n, prec)
         else:  # logsine: -n int_0^(pi/2) z^(n-1) log sin z dz, equals I(n)
             routes["closed"] = lambda: closed.i_closed(n, prec)
@@ -329,12 +284,6 @@ def _routes(req: Request) -> dict:
     elif req.quantity == "cbsum":
         routes["series"] = lambda: central_binomial_sum(p[0], cutoff, prec)
 
-    fid = _fid_for(req)
-    if fid is not None:
-        conj = fid.name is Formula.T2S1_CONJECTURE
-        routes["symbolic"] = lambda: _scaled(
-            eval_symbolic(build(fid), prec), Fraction(1), prec, conjectural=conj
-        )
     return routes
 
 

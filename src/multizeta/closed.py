@@ -17,14 +17,14 @@ from it by the W-operator argument:
 
 Each formula is written once, as an exact expression in symbolic.build();
 every function here validates its parameters and evaluates that expression
-through symbolic.combine(), the package's single bound-propagating
-evaluator.  The two nested-value theorems are also derived from the
-integral combinations ((pi/2) I(2N+1) - I(2N+2))/(2N+1)!  resp.
+through hp.combine(), the package's one bound-propagation rule.  The two
+nested-value theorems are also derived from the integral combinations
+((pi/2) I(2N+1) - I(2N+2))/(2N+1)!  resp.
 2^(2N+4)/(2N+2)! [I(2N+2)/2 - I(2N+3)/pi], and build() refuses to return
 unless both derivations are the same element of the constant ring over Q.
 
 The reflections o_reflect / b_reflect stay numeric combinators over a
-caller-supplied known side, through the same evaluator.  Every result is
+caller-supplied known side, combined by the same rule.  Every result is
 rigorous=True when its inputs are.
 
 Adjudicated coefficients (differences between equivalent published forms are
@@ -43,14 +43,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .hp import EvalResult, Method, beta_fn, t_single
+from .hp import EvalResult, Method, beta_fn, combine, t_single
 from .symbolic import (
     HOFFMAN_KINDS,
     O_TABLE_PRIMARY,
     Formula,
     FormulaId,
     build,
-    combine,
     eval_symbolic,
 )
 

@@ -1,13 +1,21 @@
-"""Arbitrary-precision scalars and the base constants everything else consumes.
+"""Arbitrary-precision scalars, the one bound-propagation rule, and the base
+constants everything else consumes.
 
-The rest of the package computes with raw ``mpmath.mpf`` values inside explicit
-``workdps`` contexts and only wraps results into :class:`HPReal` /
-:class:`EvalResult` at module boundaries.  That convention exists because
+Inside a module the package computes with raw ``mpmath.mpf`` values in
+explicit ``workdps`` contexts and wraps each result into :class:`HPReal` /
+:class:`EvalResult` with :func:`wrap_result`.  That convention exists because
 mpmath's precision is process-global state: an ``mpf`` produced under one
 precision and *combined* with another at ambient precision silently rounds to
 whatever ``mp.dps`` happens to be.  Every public entry point here pins its own
 working precision (requested digits plus a guard) under a re-entrant lock, so
 results are deterministic bit-for-bit regardless of caller state or threading.
+
+Results are combined with one another only through :func:`combine` (a rational
+combination of products of results) and its one-term form :func:`scaled`:
+they are the only code that derives an error bound from other bounds.  Both
+stay out of ``__all__``, like :func:`coerce_prec`: the benchmark's tracer
+wraps every function listed there and hashes its arguments, and theirs are
+lists and results.
 
 Base constants provided:
 
@@ -20,6 +28,7 @@ Base constants provided:
   the alternating series (terms (2k+1)^(-m) are totally monotone, so the
   classical (3+sqrt 8)^(-n) error bound is rigorous).
 * ``t_single(i)``      odd-denominator zeta value (1 - 2^(-i)) zeta(i).
+* ``pi_power(k)``      pi^k for any integer k, as one factor for combine.
 * ``psi3_quarter()``   third derivative of digamma at 1/4, computed as
   6 * sum_{n>=0} (n + 1/4)^(-4) by the same Euler-Maclaurin core.
 
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -54,6 +63,7 @@ __all__ = [
     "t_single",
     "psi3_quarter",
     "pi_const",
+    "pi_power",
     "log2_const",
 ]
 
@@ -255,6 +265,66 @@ def wrap_result(
     )
 
 
+def combine(terms, prec: int, method: Method) -> EvalResult:
+    """sum_i c_i prod_j x_ij for exact rationals c_i and EvalResult factors x_ij.
+
+    The one rule by which an error bound is derived from other bounds.  A
+    running product p (radius b) times a factor x (radius B) has radius
+    |p| B + |x| b + B b; a monomial of two or more factors adds |v| 10^-(wd-1)
+    for its multiplication roundings.  The sum adds the term radii plus
+    max|term| 10^-(wd-1) per addition.  Two roundings are not charged: the
+    coefficient and its product with the monomial, half an ulp (at most
+    10^-(wd+1) relative) each.  With two or more terms they sit inside the
+    addition slop, and with two or more factors inside the multiplication
+    slop.  A lone one-factor term relies on the factor's radius exceeding its
+    true error by at least that much, which holds for every kind of factor
+    the package passes:
+      * hp constants: pi_const and log2_const have a tenfold margin, the
+        Euler-Maclaurin and CVZ sums charge a unit of 10^-wd per addition,
+        and pi_power charges |k| units for at most |k|/10 + 1/5 of them;
+      * combine's own results carry the slops above, and each lone scaling
+        spends at most a fifth of a unit of them;
+      * integrate01 floors its bound at |total| 10^-(wd-1);
+      * nested_value converts its value exactly and its radius is far below
+        a unit, so it enters combine only beside other terms or with a
+        coefficient of +-1 or a power of two, whose product is exact.
+    The result is rigorous when every factor is.
+    """
+    coerce_prec(prec)
+    wd = prec + GUARD_DIGITS
+    with LOCK, mp.workdps(wd):
+        slop = mpf(10) ** (1 - wd)
+        total = bound = scale = mpf(0)
+        for coeff, factors in terms:
+            v, b = mpf(1), mpf(0)
+            for f in factors:
+                x, r = f.value.magnitude, f.error_bound.magnitude
+                b = abs(v) * r + abs(x) * b + r * b
+                v *= x
+            if len(factors) > 1:
+                b += abs(v) * slop
+            coeff = Fraction(coeff)
+            cf = mpf(coeff.numerator) / coeff.denominator
+            t = cf * v
+            total += t
+            bound += abs(cf) * b
+            scale = max(scale, abs(t))
+        bound += max(len(terms) - 1, 0) * scale * slop
+        rigorous = all(f.rigorous for _, factors in terms for f in factors)
+        return wrap_result(total, bound, prec, method, rigorous=rigorous)
+
+
+def scaled(r: EvalResult, c, *factors: EvalResult) -> EvalResult:
+    """c times r (times any further factors) by combine, at r's precision.
+
+    The result is r with a new value and bound, so its method, its
+    conjectural flag and the fields of a subclass (a quadrature result's
+    levels_used) carry over; it is rigorous when r and every factor are.
+    """
+    out = combine([(c, [r, *factors])], r.value.working_precision, r.method)
+    return replace(r, value=out.value, error_bound=out.error_bound, rigorous=out.rigorous)
+
+
 # ---------------------------------------------------------------------------
 # Exact integer/rational number tables
 # ---------------------------------------------------------------------------
@@ -398,13 +468,7 @@ def eta(m: int, prec: int = 50) -> EvalResult:
         raise ValueError(f"eta requires integer m >= 1, got {m!r}")
     if m == 1:
         return log2_const(prec)
-    wd = prec + GUARD_DIGITS
-    z = zeta_single(m, prec)
-    with LOCK, mp.workdps(wd):
-        factor = 1 - mpf(2) ** (1 - m)  # exact in binary
-        val = factor * z.value.magnitude
-        bound = factor * z.error_bound.magnitude + abs(val) * mpf(10) ** (-(wd - 1))
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return scaled(zeta_single(m, prec), 1 - Fraction(1, 2 ** (m - 1)))
 
 
 @lru_cache(maxsize=None)
@@ -432,13 +496,7 @@ def t_single(i: int, prec: int = 50) -> EvalResult:
     coerce_prec(prec)
     if not isinstance(i, int) or i < 2:
         raise ValueError(f"t_single requires integer i >= 2, got {i!r}")
-    z = zeta_single(i, prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        factor = 1 - mpf(2) ** (-i)  # exact in binary
-        val = factor * z.value.magnitude
-        bound = factor * z.error_bound.magnitude + abs(val) * mpf(10) ** (-(wd - 1))
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return scaled(zeta_single(i, prec), 1 - Fraction(1, 2 ** i))
 
 
 @lru_cache(maxsize=None)
@@ -465,6 +523,22 @@ def pi_const(prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(wd):
         val = +mp.pi
         bound = abs(val) * mpf(10) ** (-wd)
+    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+
+
+@lru_cache(maxsize=None)
+def pi_power(k: int, prec: int = 50) -> EvalResult:
+    """pi^k for any integer k, as one factor for combine.
+
+    The radius is |k| times pi_const's relative radius, the first-order
+    error of a k-th power.  pi_const's tenfold margin covers the rest: the
+    true relative error is at most |k|/10 units of 10^-wd from pi, plus the
+    second-order terms and a fifth of a unit for the rounding of the power.
+    """
+    p = pi_const(prec)
+    with LOCK, mp.workdps(prec + GUARD_DIGITS):
+        val = p.value.magnitude ** k
+        bound = abs(k) * abs(val) * (p.error_bound.magnitude / p.value.magnitude)
     return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
 
 

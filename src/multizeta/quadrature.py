@@ -47,7 +47,10 @@ from .hp import (
     Method,
     bernoulli_fraction,
     coerce_prec,
+    combine,
     eta,
+    pi_const,
+    scaled,
     wrap_result,
     zeta_single,
 )
@@ -169,8 +172,10 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     ``f`` may be an Integrand or a bare ``evaluator(x, xc)`` callable.
     Levels double until two successive trapezoid refinements agree to
     10^(-prec-3) relative; the reported error_bound is ten times that last
-    difference.  Hitting the level cap raises QuadratureNonConvergence with
-    the best estimate attached.
+    difference, but never below |total| 10^-(wd-1), the unit hp.combine
+    charges per rounding: two levels can agree bit for bit, and a zero bound
+    would claim the integral exactly.  Hitting the level cap raises
+    QuadratureNonConvergence with the best estimate attached.
     """
     coerce_prec(prec)
     integrand = f if isinstance(f, Integrand) else Integrand(f)
@@ -178,9 +183,20 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         tol = mpf(10) ** (-prec - 3)
+        unit = mpf(10) ** (1 - wd)
         total = mpf(0)
         prev = None
         diff = mpf(1)
+
+        def result(levels: int) -> QuadratureResult:
+            return QuadratureResult(
+                value=HPReal(total, prec),
+                error_bound=HPReal(max(diff * 10, abs(total) * unit), prec),
+                method=Method.QUADRATURE,
+                rigorous=False,
+                levels_used=levels,
+            )
+
         for level in range(LEVEL_CAP + 1):
             h = mpf(2) ** (-level)
             part = mpf(0)
@@ -190,21 +206,9 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
             if prev is not None:
                 diff = abs(total - prev)
                 if diff <= tol * max(1, abs(total)):
-                    return QuadratureResult(
-                        value=HPReal(total, prec),
-                        error_bound=HPReal(diff * 10, prec),
-                        method=Method.QUADRATURE,
-                        rigorous=False,
-                        levels_used=level + 1,
-                    )
+                    return result(level + 1)
             prev = total
-        best = QuadratureResult(
-            value=HPReal(total, prec),
-            error_bound=HPReal(diff * 10, prec),
-            method=Method.QUADRATURE,
-            rigorous=False,
-            levels_used=LEVEL_CAP + 1,
-        )
+        best = result(LEVEL_CAP + 1)
     raise QuadratureNonConvergence(
         f"tanh-sinh did not stabilise within {LEVEL_CAP} levels"
         f" (last successive difference {mp.nstr(diff, 3)})",
@@ -395,17 +399,6 @@ def polylog(p: int, x, prec: int = 50) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def _scaled(result: QuadratureResult, factor: mpf, prec: int) -> QuadratureResult:
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        return QuadratureResult(
-            value=HPReal(result.value.magnitude * factor, prec),
-            error_bound=HPReal(abs(result.error_bound.magnitude * factor), prec),
-            method=Method.QUADRATURE,
-            rigorous=False,
-            levels_used=result.levels_used,
-        )
-
-
 def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
     if not isinstance(N, int) or N < 1:
@@ -475,9 +468,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     raw = integrate01(
         Integrand(ev, (REGULAR, ALGEBRAIC), name=f"t-kernel({N})"), prec
     )
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        factor = 1 / mpf(math.factorial(M))
-        return _scaled(raw, factor, prec)
+    return scaled(raw, Fraction(1, math.factorial(M)))
 
 
 def logpolylog_kernel(
@@ -527,11 +518,8 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> EvalResult:
     """
     lneg = logpolylog_kernel(p, q, -1, sign_den, prec)
     lpos = logpolylog_kernel(p, q, +1, sign_den, prec)
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        scale = mpf((-1) ** q) / (2 * math.factorial(q - 1))
-        value = scale * (lneg.value.magnitude - lpos.value.magnitude)
-        bound = abs(scale) * (lneg.error_bound.magnitude + lpos.error_bound.magnitude)
-    return wrap_result(value, bound, prec, Method.QUADRATURE, rigorous=False)
+    pair = combine([(1, [lneg]), (-1, [lpos])], prec, Method.QUADRATURE)
+    return scaled(pair, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
 
 
 def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
@@ -555,6 +543,4 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     raw = integrate01(
         Integrand(ev, (LOGARITHMIC, REGULAR), name=f"logsine({n})"), prec
     )
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        factor = -n * mp.pi / 2
-        return _scaled(raw, factor, prec)
+    return scaled(raw, Fraction(-n, 2), pi_const(prec))

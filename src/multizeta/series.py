@@ -52,6 +52,7 @@ from .hp import (
     EvalResult,
     Method,
     coerce_prec,
+    scaled,
     t_single,
     wrap_result,
 )
@@ -496,16 +497,7 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
 def big_t_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
     """2^depth times mu_series: the normalised variant of the parity sum."""
     index = _as_index(idx)
-    base = mu_series(index, cutoff, prec)
-    factor = 2 ** index.depth
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        return wrap_result(
-            base.value.magnitude * factor,
-            base.error_bound.magnitude * factor,
-            prec,
-            Method.SERIES,
-            base.rigorous,
-        )
+    return scaled(mu_series(index, cutoff, prec), 2 ** index.depth)
 
 
 # ---------------------------------------------------------------------------

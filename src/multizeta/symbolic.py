@@ -22,8 +22,8 @@ the arcsin-integral combination, and build() raises RuntimeError unless the
 two expressions are equal over Q -- a transcription slip in either formula
 cannot reach a printed digit.
 
-combine() is the one place where closed-form error bounds are propagated;
-eval_symbolic() feeds it the basis constants of an expression.
+eval_symbolic() evaluates an expression by feeding the basis constants of
+its monomials to hp.combine(), the package's one bound-propagation rule.
 """
 
 from __future__ import annotations
@@ -33,21 +33,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from .hp import (
-    GUARD_DIGITS,
-    LOCK,
     EvalResult,
     Method,
     bernoulli_fraction,
     beta_fn,
-    coerce_prec,
+    combine,
     euler_number,
     log2_const,
     pi_const,
     psi3_quarter,
-    wrap_result,
     zeta_single,
 )
 
@@ -68,7 +63,6 @@ __all__ = [
     "t_single_expr",
     "pi_zeta_expr",
     "build",
-    "combine",
     "eval_symbolic",
     "weight_check",
     "canonical_text",
@@ -604,44 +598,6 @@ def _const_value(c: BasisConstant, prec: int) -> EvalResult:
     if c.kind == "beta_even":
         return beta_fn(c.arg, prec)
     return psi3_quarter(prec)
-
-
-def combine(terms, prec: int, method: Method) -> EvalResult:
-    """sum_i c_i prod_j x_ij for exact rationals c_i and EvalResult factors x_ij.
-
-    The one place where closed-form error bounds are propagated.  A running
-    product p (radius b) times a factor x (radius B) has radius
-    |p| B + |x| b + B b; a monomial of two or more factors adds |v| 10^-(wd-1)
-    for its multiplication roundings.  The sum adds the term radii plus
-    max|term| 10^-(wd-1) per addition.  The remaining roundings (the
-    coefficient and its product, two half-ulps of about 10^-(wd+1) each) sit
-    inside that addition slop, or, for a single one-factor term, inside the
-    factor's own radius, which for every hp constant exceeds its true error
-    by more than that.
-    The result is rigorous when every factor is.
-    """
-    coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        slop = mpf(10) ** (1 - wd)
-        total = bound = scale = mpf(0)
-        for coeff, factors in terms:
-            v, b = mpf(1), mpf(0)
-            for f in factors:
-                x, r = f.value.magnitude, f.error_bound.magnitude
-                b = abs(v) * r + abs(x) * b + r * b
-                v *= x
-            if len(factors) > 1:
-                b += abs(v) * slop
-            coeff = Fraction(coeff)
-            cf = mpf(coeff.numerator) / coeff.denominator
-            t = cf * v
-            total += t
-            bound += abs(cf) * b
-            scale = max(scale, abs(t))
-        bound += max(len(terms) - 1, 0) * scale * slop
-        rigorous = all(f.rigorous for _, factors in terms for f in factors)
-        return wrap_result(total, bound, prec, method, rigorous=rigorous)
 
 
 def eval_symbolic(expr: SymbolicExpr, prec: int = 50, method=Method.SYMBOLIC) -> EvalResult:

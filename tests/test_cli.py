@@ -270,6 +270,100 @@ def test_route_disagreement_exits_1(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# bounds: symbolic and closed routes, and the scaled routes against mpmath
+# ---------------------------------------------------------------------------
+
+# every shape the route table keys on a FormulaId
+FID_SHAPES = (
+    [("zeta", (3,) + (2,) * n) for n in range(4)]
+    + [("zeta", (3, 1, 1))]
+    + [("tvalue", (3,) + (2,) * n) for n in range(1, 4)]
+    + [("tvalue", (2,) * n + (1,)) for n in range(1, 6)]
+    + [("mu", (2,) + (1,) * n) for n in range(4)]
+    + [("oddsum", (fam, q, q)) for fam in "OB" for q in range(2, 6)]
+    + [("oddsum", ("O", p, p + 1)) for p in range(2, 7)]
+    + [("oddsum", ("O", p + 1, p)) for p in range(2, 7)]
+    + [("oddsum", ("B", 2, 3)), ("oddsum", ("B", 3, 2))]
+    + [("integral", ("I", n)) for n in range(1, 7)]
+)
+# the closed route takes these from the primary entry through the numeric
+# reflection (bit for bit, see test_closed); the symbolic route expands the
+# same reflection over the basis, with fewer roundings to charge
+REFLECTED = {("oddsum", ("O", p + 1, p)) for p in range(2, 7)} | {("oddsum", ("B", 3, 2))}
+
+
+@pytest.mark.parametrize("prec", [30, 50])
+def test_symbolic_bound_equals_closed(prec):
+    for quantity, params in FID_SHAPES:
+        req = Request(quantity, params, prec=prec)
+        assert cli._fid_for(req) is not None, (quantity, params)
+        routes = cli._routes(req)
+        closed, symbolic = routes["closed"](), routes["symbolic"]()
+        if (quantity, params) in REFLECTED:
+            assert symbolic.error_bound.magnitude < closed.error_bound.magnitude
+        else:
+            assert symbolic.value.magnitude == closed.value.magnitude, (quantity, params)
+            assert symbolic.error_bound.magnitude == closed.error_bound.magnitude, (quantity, params)
+
+
+def _t(m):
+    return (1 - mpf(2) ** -m) * mp.zeta(m)
+
+
+def _i_quad(n):
+    # I(n) = int_0^(pi/2) t^n cot t dt, the z = sin t form of the arcsine integral
+    return mp.quad(lambda t: t ** n * mp.cot(t), [0, mp.pi / 2])
+
+
+def _j_series(n):
+    # z^n cot(pi z) = z^(n-1)/pi (1 - 2 sum_k zeta(2k) z^(2k)), integrated to 1/2
+    total, k = mpf(1) / (n * 2 ** n), 1
+    while True:
+        term = 2 * mp.zeta(2 * k) / ((n + 2 * k) * mpf(2) ** (n + 2 * k))
+        total -= term
+        if term < mpf(10) ** -(mp.dps + 5):
+            return total / mp.pi
+        k += 1
+
+
+# (quantity, params, route, reference, digits): every route that scales a
+# result by a rational or by a power of pi
+SCALED_ROUTES = (
+    [("bigT", (3,), "closed", lambda: 2 * _t(3), d) for d in (50, 200)]
+    + [("bigT", (2, 1, 1), "closed", lambda: 2 * _t(4), d) for d in (50, 200)]
+    + [
+        ("integral", ("J", n), "closed", lambda n=n: _j_series(n), d)
+        for n in range(1, 7)
+        for d in (50, 200)
+    ]
+    + [
+        ("integral", ("K", n), "closed",
+         lambda n=n: mp.factorial(n) * (2 ** (n + 1) - 1) * mp.zeta(n + 1) / 4 ** n, d)
+        for n in range(1, 7)
+        for d in (50, 200)
+    ]
+    + [
+        ("mu", (2, 1, 1), "quadrature", lambda: 15 * mp.zeta(4) / 64, 50),
+        ("tvalue", (2, 2, 1), "quadrature",
+         lambda: _t(5) / 8 - 3 * _t(2) * _t(3) / 14 + _t(4) * mp.log(2) / 4, 50),
+        ("tvalue", (2, 2, 2, 2, 1), "quadrature", lambda: _i_quad(8) / mp.factorial(8), 50),
+        ("tvalue", (2, 2, 2, 2, 1), "symbolic", lambda: _i_quad(8) / mp.factorial(8), 50),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "quantity, params, route, reference, digits",
+    SCALED_ROUTES,
+    ids=[f"{q}{p}-{r}-{d}" for q, p, r, _, d in SCALED_ROUTES],
+)
+def test_scaled_routes_hold_the_reference(quantity, params, route, reference, digits):
+    r = cli._routes(Request(quantity, params, prec=digits))[route]()
+    with mp.workdps(digits + 30):
+        assert abs(r.value.magnitude - reference()) <= r.error_bound.magnitude
+
+
+# ---------------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------------
 

@@ -24,9 +24,12 @@ from multizeta.hp import (
     beta_fn,
     eta,
     euler_number,
+    combine,
     log2_const,
     pi_const,
+    pi_power,
     psi3_quarter,
+    scaled,
     t_single,
     wrap_result,
     zeta_single,
@@ -119,7 +122,7 @@ def test_eta_one_is_log2_const():
         assert r.value.magnitude == log2_const(prec).value.magnitude
         with mp.workdps(prec + 30):
             radius = mp.log(2) * mpf(10) ** (-(prec + GUARD_DIGITS))
-            # wrap_result stores the radius at double precision
+            # log2_const computes the radius |log 2| 10^-wd at the working precision
             assert abs(r.error_bound.magnitude / radius - 1) < 1e-12
 
 
@@ -312,3 +315,51 @@ def test_wrap_result_keeps_the_bound_bit_for_bit():
         r = wrap_result(value, b, 200, Method.SERIES, rigorous=True)
         assert r.error_bound.magnitude == bound
         assert r.error_bound.magnitude._mpf_ == bound._mpf_
+
+
+# ---------------------------------------------------------------------------
+# combine, scaled and pi_power: the one bound-propagation rule
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+@pytest.mark.parametrize("k", [-7, -2, 1, 4])
+def test_pi_power_within_bound(k, prec):
+    r = pi_power(k, prec)
+    assert ref_err(r, lambda: mp.pi ** k, prec + 40) <= r.error_bound.magnitude
+    assert r.rigorous
+
+
+def test_eta_and_t_single_scale_zeta_without_extra_slop():
+    # the radius of (1 - 2^-i) zeta(i) is that factor times zeta's radius
+    for prec in (20, 50):
+        z = zeta_single(5, prec)
+        for r, c in ((eta(5, prec), Fraction(15, 16)), (t_single(5, prec), Fraction(31, 32))):
+            with mp.workdps(prec + GUARD_DIGITS):
+                f = mpf(c.numerator) / c.denominator  # exact in binary
+                assert r.value.magnitude == f * z.value.magnitude
+                assert r.error_bound.magnitude == f * z.error_bound.magnitude
+
+
+def test_scaled_keeps_method_and_flags():
+    base = wrap_result(mpf(3), mpf("1e-40"), 30, Method.SERIES, rigorous=False, conjectural=True)
+    r = scaled(base, Fraction(-1, 4))
+    assert r.value.magnitude == mpf(-3) / 4
+    assert r.error_bound.magnitude == mpf("1e-40") / 4
+    assert (r.method, r.rigorous, r.conjectural) == (Method.SERIES, False, True)
+
+
+def test_combine_charges_products_and_sums():
+    # (pi^2 - 2 pi) at 30 digits: the radius covers both factors' radii plus
+    # one multiplication and one addition unit of 10^-(wd-1)
+    prec = 30
+    wd = prec + GUARD_DIGITS
+    pi = pi_const(prec)
+    r = combine([(1, [pi, pi]), (-2, [pi])], prec, Method.CLOSED_FORM)
+    with mp.workdps(wd + 20):
+        p, b = pi.value.magnitude, pi.error_bound.magnitude
+        unit = mpf(10) ** (1 - wd)
+        expected = 2 * p * b + b * b + p * p * unit + 2 * b + p * p * unit
+        assert abs(r.error_bound.magnitude / expected - 1) < mpf(10) ** -(wd - 2)
+        assert abs(r.value.magnitude - (mp.pi ** 2 - 2 * mp.pi)) <= r.error_bound.magnitude
+    assert r.rigorous and r.method is Method.CLOSED_FORM

@@ -1,5 +1,7 @@
 """Module layout: no module of the package imports a private name from a
-sibling module, so every cross-module dependency goes through a public API.
+sibling module, so every cross-module dependency goes through a public API;
+and outside ``hp`` no code derives an error bound from other bounds, so
+``hp.combine`` stays the one rule that propagates them.
 """
 
 import ast
@@ -14,6 +16,15 @@ ALLOWED: set = set()
 # The series route checks the closed, symbolic and quadrature routes, so it
 # must not be built from them.
 SERIES_FORBIDDEN = {"closed", "symbolic", "quadrature", "wseries"}
+
+# The only functions outside hp that read a result's ``.error_bound``: they
+# print it, compare it, or take the bound of a base constant as it stands.
+BOUND_READERS = {
+    ("cli", "_result_payload"),  # the JSON payload's error_bound string
+    ("cli", "run"),  # the pairwise agreement check of --method all
+    ("verify", "_combined"),  # a row's tolerance, the sum of its bounds
+    ("quadrature", "_polylog_raw"),  # Li_p(+-1) = zeta(p), -eta(p)
+}
 
 
 def sibling_imports(path: Path):
@@ -44,6 +55,29 @@ def private_imports() -> list:
     return found
 
 
+def bound_readers(path: Path) -> set:
+    """(module, top-level function or class) pairs that read ``.error_bound``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "error_bound"
+                and isinstance(child.ctx, ast.Load)
+            ):
+                found.add((path.stem, owner))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
 def test_no_private_imports_across_modules():
     assert private_imports() == []
 
@@ -52,6 +86,19 @@ def test_series_route_is_independent():
     imported = {module for module, _ in sibling_imports(PACKAGE / "series.py")}
     assert "hp" in imported  # guard against a vacuous pass
     assert imported & SERIES_FORBIDDEN == set()
+
+
+def test_only_hp_derives_error_bounds():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "hp":
+            readers |= bound_readers(path)
+    assert readers == BOUND_READERS
+
+
+def test_bound_scan_sees_reads():
+    # guard against a vacuous pass: hp reads bounds in combine
+    assert ("hp", "combine") in bound_readers(PACKAGE / "hp.py")
 
 
 def test_scan_sees_the_package():

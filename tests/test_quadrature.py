@@ -7,12 +7,13 @@ cross-check of the quadrature path, not a reflexive comparison.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workdps
 
-from multizeta.hp import GUARD_DIGITS, Method, eta, zeta_single
+from multizeta.hp import GUARD_DIGITS, Method, eta, scaled, zeta_single
 from multizeta.quadrature import (
     ALGEBRAIC,
     LOGARITHMIC,
@@ -24,6 +25,7 @@ from multizeta.quadrature import (
     integrate01,
     j_cot,
     k_arctanh,
+    kernel_pair,
     logpolylog_kernel,
     logsine_check,
     polylog,
@@ -428,3 +430,43 @@ def test_integral_argument_validation():
             fn(0)
         with pytest.raises(ValueError):
             fn(-3)
+
+
+# ---------------------------------------------------------------------------
+# the bound floor and scaling through hp.combine
+# ---------------------------------------------------------------------------
+
+
+# every one of these returned error_bound 0.0 before the floor: its last two
+# trapezoid levels agreed bit for bit
+ZERO_DIFF_CASES = [
+    (I_quad, (1,), 30),
+    (I_quad, (4,), 50),
+    (I_quad, (6,), 30),
+    (j_cot, (1,), 30),
+    (j_cot, (3,), 50),
+    (k_arctanh, (3,), 50),
+    (logsine_check, (4,), 30),
+    (logsine_check, (5,), 50),
+    (kernel_pair, (3, 3, -1), 30),
+]
+
+
+@pytest.mark.parametrize("fn, args, prec", ZERO_DIFF_CASES)
+def test_no_quadrature_route_reports_a_zero_bound(fn, args, prec):
+    r = fn(*args, prec)
+    with workdps(prec + GUARD_DIGITS):
+        floor = abs(r.value.magnitude) * mpf(10) ** (1 - (prec + GUARD_DIGITS))
+        # scaling by a rational can round the floor down by an ulp or so
+        assert r.error_bound.magnitude >= floor * (1 - mpf(10) ** -20)
+
+
+def test_scaled_quadrature_keeps_its_fields():
+    raw = replace(I_quad(2, 30), conjectural=True)
+    r = scaled(raw, Fraction(1, 2))
+    assert isinstance(r, QuadratureResult)
+    assert r.levels_used == raw.levels_used > 0
+    assert (r.method, r.rigorous, r.conjectural) == (Method.QUADRATURE, False, True)
+    with workdps(60):
+        assert r.value.magnitude == raw.value.magnitude / 2
+        assert r.error_bound.magnitude == raw.error_bound.magnitude / 2

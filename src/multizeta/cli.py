@@ -35,6 +35,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -405,7 +406,10 @@ def _common_flags(sp):
     )
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, each call filling a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="multizeta",
         description=(

@@ -15,7 +15,7 @@ working precision from xc where forming 1-x would lose everything.  The
 helpers _log_stable / acos_stable / _asin_stable / _atanh_stable implement
 those rewrites:
 
-    log(1-xc)    = -sum xc^k/k            (xc below 2^-10)
+    log(1-xc)    = log1p(-xc)             (xc below 2^-10)
     arccos(x)    = 2 asin(sqrt(xc/2))     (exact identity, used everywhere)
     atanh(x)     = (log(2-xc) - log(xc))/2
     log(sin((pi/2)(1-xc))) = log(cos((pi/2) xc))
@@ -23,9 +23,27 @@ those rewrites:
 The polylogarithm is evaluated by three branches: the defining series for
 |x| <= 1/2, the expansion about x = 1 in powers of L = log x for x in
 (1/2, 1], and the square identity Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x) for
-x in (-1, -1/2).  The log branch sums its expansion by Horner's rule over
-coefficients cached per (p, working digits), to a degree chosen from a
-proved tail bound (see _polylog_log_branch).
+x in (-1, -1/2).  The first two run in integers scaled by 2^B, B the working
+bits plus _GUARD_BITS, the technique of ``series.nested_value``: the node x
+and the log L enter as their exact binary mantissas, every product is floored
+once, and only the result is rounded back to an mpf.  The defining series
+sums S = sum x^(k-1)/k^p over a per-p cache of the integers k^p and returns
+x S, so the value keeps its relative accuracy at the tiny nodes near 0; the
+log branch runs Horner's rule over integer coefficients cached per
+(p, working digits), to a degree chosen from a proved tail bound.  Both
+bounds are proved in _polylog_raw.
+
+The O/B kernels need only the difference Li_p(-x) - Li_p(x), so kernel_pair
+integrates it as one integrand: for x <= 1/2 it is -2 sum_(k odd) x^k/k^p,
+one series over half the terms; above 1/2 it is 2^(1-p) Li_p(x^2) - 2 Li_p(x),
+with log x^2 = 2 log x taken from the one log the node needs anyway.
+
+Every public kernel (I_quad, j_cot, k_arctanh, t_kernel_quad,
+logpolylog_kernel, kernel_pair, logsine_check) is memoised per process in a
+bounded lru cache keyed by its exact arguments, prec included.  A result is a
+frozen dataclass computed at the working precision prec + GUARD_DIGITS under
+LOCK, whatever the caller's mpmath state, so a repeated request returns the
+identical object.  QuadratureNonConvergence is raised, never stored.
 """
 
 from __future__ import annotations
@@ -34,10 +52,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import Callable
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .hp import (
     GUARD_DIGITS,
@@ -47,7 +65,6 @@ from .hp import (
     Method,
     bernoulli_fraction,
     coerce_prec,
-    combine,
     eta,
     pi_const,
     scaled,
@@ -78,6 +95,10 @@ LOGARITHMIC = "logarithmic"
 ALGEBRAIC = "algebraic"
 
 LEVEL_CAP = 12  # finest trapezoid level (step 2^-12)
+
+# results kept per public kernel; a quad-session stream has about twenty
+# distinct requests per kernel
+_MEMO_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -224,18 +245,13 @@ _SMALL = mpf(2) ** (-10)
 
 
 def _log_stable(x: mpf, xc: mpf) -> mpf:
-    """log(x) where x = 1 - xc with xc exact; series when xc is tiny."""
+    """log(x) where x = 1 - xc with xc exact; log1p(-xc) when xc is tiny.
+
+    Either way the result is within an ulp or so of the log of the exact
+    node, relative: mpmath's log1p adds 1 - xc at twice the precision.
+    """
     if xc < _SMALL:
-        s = mpf(0)
-        p = mpf(1)
-        tol = mpf(10) ** (-mp.dps - 4)
-        for k in range(1, 10000):
-            p *= xc
-            t = p / k
-            s -= t
-            if t < tol:
-                break
-        return s
+        return mp.log1p(-xc)
     return mp.log(x)
 
 
@@ -258,25 +274,73 @@ def _atanh_stable(x: mpf, xc: mpf) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# polylogarithm
+# polylogarithm in scaled integers
 # ---------------------------------------------------------------------------
 
+# bits of the scaled integers beyond mpmath's working bits: the floors of a
+# series of n terms then cost about n/2^_GUARD_BITS units of 2^-prec, and the
+# bound states them apart from the final rounding
+_GUARD_BITS = 4
 
-def _zeta_at_int(s: int, wd: int) -> mpf:
-    """zeta at any integer s != 1 as an mpf at working precision wd."""
-    if s >= 2:
-        return zeta_single(s, wd).value.magnitude
+
+def _scale_bits(wd: int) -> int:
+    """B: the working bits at wd digits plus the guard."""
+    return dps_to_prec(wd) + _GUARD_BITS
+
+
+def _mantissa(v: mpf) -> tuple[int, int]:
+    """(m, s) with v = m 2^-s exactly; s >= 1 whenever 0 < |v| < 1."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), -exp
+
+
+_POWERS: dict[int, list] = {}
+
+
+def _powers(p: int, n: int) -> list:
+    """[0, 1, 2^p, ..., n^p] or longer: the integers k^p, grown per p."""
+    kp = _POWERS.setdefault(p, [0])
+    if len(kp) <= n:
+        kp.extend(k ** p for k in range(len(kp), n + 1))
+    return kp
+
+
+def _series_scaled(p: int, m: int, s: int, step: int, bits: int) -> tuple[int, int, int]:
+    """(S, n, T): S = sum_(i<n) y^i/(1 + step i)^p for y = m 2^-s, |y| <= 1/2,
+    as an integer scaled by 2^bits; T is its last term.
+
+    The power y^i is a scaled integer floored once per step, so its error e_i
+    obeys |e_i| <= |y| |e_(i-1)| + 1 < 2 units; each term is floored once
+    more, so term i is within 1 + 2/(1 + step i)^p units (term 0 is exact),
+    and S is within n - 1 + 2 (zeta(p) - 1) < n + 1 units of the exact
+    partial sum.  Summing stops at the first term below 2^_GUARD_BITS units:
+    at most bits + 2 terms, since the power reaches 0 or -1 by then.
+    """
+    kp = _powers(p, step * (bits + 2) + 1)
+    stop = 1 << _GUARD_BITS
+    power = 1 << bits
+    total = 0
+    k = 1
+    while True:
+        term = power // kp[k]
+        total += term
+        if -stop < term < stop:
+            return total, (k - 1) // step + 1, term
+        power = (power * m) >> s
+        k += step
+
+
+def _zeta_rational(s: int) -> Fraction:
+    """zeta(s) for integer s <= 0: -1/2, the trivial zeros, -B_(1-s)/(1-s)."""
     if s == 0:
-        return mpf(-1) / 2
-    if s % 2 == 0:  # negative even: trivial zeros
-        return mpf(0)
-    m = (1 - s) // 2
-    b = bernoulli_fraction(2 * m)
-    return -(mpf(b.numerator) / b.denominator) / (2 * m)
+        return Fraction(-1, 2)
+    if s % 2 == 0:
+        return Fraction(0)
+    return -bernoulli_fraction(1 - s) / (1 - s)
 
 
 def _log_degree(p: int, log_r: float, wd: int) -> int:
-    """Least degree J >= p whose tail bound (see _polylog_log_branch) for
+    """Least degree J >= p whose tail bound (see _polylog_raw) for
     r = exp(log_r) is below 10^(-(wd+2)), found in floating-point logarithms
     with a margin of a factor e.  J grows with r."""
     log_tol = -(wd + 2) * math.log(10) - 1
@@ -298,23 +362,76 @@ _LOG_R_MAX = math.log(0.7 / (2 * math.pi))
 
 @lru_cache(maxsize=None)
 def _log_coeffs(p: int, wd: int) -> tuple:
-    """c_j = zeta(p-j)/j! at wd digits, c_{p-1} = H_{p-1}/(p-1)!, for every
-    degree the log branch can need."""
-    with LOCK, mp.workdps(wd):
-        cs = []
-        for j in range(_log_degree(p, _LOG_R_MAX, wd) + 1):
-            if j == p - 1:
-                c = sum(mpf(1) / i for i in range(1, p))
-            else:
-                c = _zeta_at_int(p - j, wd)
-            cs.append(c / math.factorial(j))
-        return tuple(cs)
+    """c_j 2^B rounded to integers, c_j = zeta(p-j)/j! and c_(p-1) =
+    H_(p-1)/(p-1)!, for every degree the log branch can need; B = _scale_bits(wd).
+
+    Each is within one unit: the rational ones are rounded exactly, and
+    zeta_single(s, wd), computed at wd + 10 digits, is good to 10^-(wd+5)
+    (its bound; 10^-(wd+6.8) at wd = 1010), below 2^-(B+9), before the
+    division at B + 20 bits and the rounding.
+    """
+    bits = _scale_bits(wd)
+    cs = []
+    for j in range(_log_degree(p, _LOG_R_MAX, wd) + 1):
+        if p - j >= 2:
+            z = zeta_single(p - j, wd).value.magnitude
+            with LOCK, mp.workprec(bits + 20):
+                c = int(mp.nint(mp.ldexp(z, bits) / math.factorial(j)))
+        else:
+            exact = (
+                sum(Fraction(1, i) for i in range(1, p)) if j == p - 1 else _zeta_rational(p - j)
+            )
+            c = round(exact / math.factorial(j) * 2 ** bits)
+        cs.append(c)
+    return tuple(cs)
 
 
-def _polylog_log_branch(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
-    """Li_p(x) for 1/2 < x < 1 from its expansion in L = log x:
+def _log_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
+    """(S, J): Li_p(e^L) 2^B as an integer, and the degree, for -0.7 < L < 0.
 
-        Li_p(x) = sum_{j != p-1} zeta(p-j) L^j/j! + L^(p-1)/(p-1)! (H_{p-1} - log(-L)).
+    Horner's rule over the expansion in L (see _polylog_raw), each product
+    by L exact on L's mantissa and then floored.  Runs inside workdps(wd).
+    """
+    log_neg_l = mp.log(-L)
+    log_r = float(log_neg_l) - math.log(2 * math.pi)
+    if not log_r <= _LOG_R_MAX:
+        raise RuntimeError(f"Li_{p} log branch needs x > 1/2, got log x = {mp.nstr(L, 5)}")
+    J = _log_degree(p, log_r, wd)
+    bits = _scale_bits(wd)
+    cs = _log_coeffs(p, wd)
+    m, s = _mantissa(L)
+    d = int(mp.ldexp(log_neg_l, bits)) // math.factorial(p - 1)
+    acc = cs[J]
+    for j in range(J - 1, -1, -1):
+        acc = ((acc * m) >> s) + cs[j]
+        if j == p - 1:
+            acc -= d
+    return acc, J
+
+
+def _polylog_raw(
+    p: int, x: mpf, xc: mpf, wd: int, log_abs: mpf | None = None
+) -> tuple[mpf, mpf]:
+    """(value, rigorous error bound) for Li_p(x), -1 <= x <= 1, inside wd.
+
+    xc is 1 - |x|, exact, and log_abs is log|x| when the caller has it.
+    Below, u = 2^-B is the unit of the scaled integers and eps = 2^-prec
+    = 2^_GUARD_BITS u the relative rounding of one mpf operation at wd.
+
+    |x| <= 1/2: Li_p(x) = x S with S = sum_(k>=1) x^(k-1)/k^p summed by
+    _series_scaled on x's exact mantissa.  After n terms the last of which is
+    T units (so |x^(n-1)/n^p| <= (|T| + 2) u), the tail is at most
+    |x^(n-1)/n^p| |x|/(1-|x|), as k^p grows, and the floors cost under n + 1
+    units.  Rounding the exact integer x 2^B S once costs eps |value|:
+
+        bound = |x| u ((|T| + 2) |x|/(1 - |x|) + n + 1) + eps |value|.
+
+    The proved count is below n + 0.3, and the spare 0.7 |x| u covers the
+    roundings of the bound itself.
+
+    1/2 < x < 1: the expansion about x = 1 in L = log x,
+
+        Li_p(x) = sum_(j != p-1) zeta(p-j) L^j/j! + L^(p-1)/(p-1)! (H_(p-1) - log(-L)).
 
     Tail: for j > p the functional equation gives |zeta(p-j)| <= 2 zeta(2)
     (j-p)!/(2 pi)^(j-p+1), so with r = |L|/(2 pi) < 0.7/(2 pi) < 0.112 the
@@ -322,29 +439,23 @@ def _polylog_log_branch(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
 
         C (J+1-p)!/(J+1)! r^(J+1)/(1-r),   C = 2 zeta(2) (2 pi)^(p-1),
 
-    and J is the least degree putting this below 10^(-(wd+2)).  Rounding: the
-    sum of |c_j L^j| (the log term included) is below 5, since zeta(p-j) <=
-    zeta(2), H_{p-1}/(p-1)! <= 1 and |L|^(p-1) |log|L|| <= 1/e; the Horner
-    evaluation and the coefficients cost at most 2J + 10 units of 10^(-wd)
-    of that sum.
+    and J is the least degree putting this below 10^(-(wd+2)).  Fixed-point
+    rounding: the J floors of _log_horner, the J + 1 coefficients (one unit
+    each, see _log_coeffs) and the log term (two units: truncated, then
+    floored by (p-1)!) are each multiplied by a power of |L| < 1 afterwards,
+    so they cost at most 2J + 3 units; 2J + 4 is charged.  The mpf inputs
+    cost at most 8 eps: L within 4 eps relative shifts the value by
+    |L Li_(p-1)(x)| <= zeta(2) log 2 < 1.15 times that; mpmath's log(-L)
+    within 3 eps relative (it is good to about one), multiplied by
+    |L|^(p-1) |log(-L)|/(p-1)! <= 1/e; and the final rounding eps |Li_p(x)|
+    <= 1.65 eps.  So
+
+        bound = 10^(-(wd+2)) + (2J + 4) u + 8 eps.
+
+    -1 < x < -1/2: Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x), with x^2 formed
+    exactly and log x^2 = 2 log|x|; the bounds add, plus 10^-(wd-1) for the
+    subtraction.  x = 1 and x = -1 take zeta(p) and -eta(p) with their bounds.
     """
-    L = _log_stable(x, xc)  # negative, |L| < log 2
-    log_neg_l = mp.log(-L)
-    log_r = float(log_neg_l) - math.log(2 * math.pi)
-    if not log_r <= _LOG_R_MAX:
-        raise RuntimeError(f"Li_{p} log branch needs x > 1/2, got log x = {mp.nstr(L, 5)}")
-    J = _log_degree(p, log_r, wd)
-    cs = _log_coeffs(p, wd)
-    s = cs[J]
-    for j in range(J - 1, -1, -1):
-        s = s * L + cs[j]
-        if j == p - 1:
-            s -= log_neg_l / math.factorial(p - 1)
-    return s, mpf(10) ** (-(wd + 2)) + 5 * (2 * J + 10) * mpf(10) ** (-wd)
-
-
-def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
-    """(value, rigorous error bound) for Li_p(x), -1 <= x <= 1, inside wd."""
     if x == 0:
         return mpf(0), mpf(0)
     ulp = mpf(10) ** (-(wd - 1))
@@ -354,25 +465,23 @@ def _polylog_raw(p: int, x: mpf, xc: mpf, wd: int) -> tuple[mpf, mpf]:
     if x == -1:
         e = eta(p, wd)
         return -e.value.magnitude, e.error_bound.magnitude + ulp
+    bits = _scale_bits(wd)
     if abs(x) <= mpf(1) / 2:
-        tol = mpf(10) ** (-wd - 2)
-        s = mpf(0)
-        xk = mpf(1)
-        for k in count(1):
-            xk *= x
-            t = xk / mpf(k) ** p
-            s += t
-            if abs(t) <= tol * (1 - abs(x)):
-                break
-        # geometric tail: |t_{k+1}| <= |t_k| * |x|, summed <= |t|*|x|/(1-|x|)
-        return s, abs(t) * abs(x) / (1 - abs(x)) + ulp * abs(s)
+        m, s = _mantissa(x)
+        total, n, last = _series_scaled(p, m, s, 1, bits)
+        val = mp.ldexp(m * total, -(s + bits))
+        ax = abs(x)
+        units = (abs(last) + 2) * ax / (1 - ax) + n + 1
+        return val, ax * mp.ldexp(units, -bits) + mp.ldexp(abs(val), _GUARD_BITS - bits)
+    L = _log_stable(abs(x), xc) if log_abs is None else log_abs
     if x > 0:
-        return _polylog_log_branch(p, x, xc, wd)
-    # x in (-1, -1/2): Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x)
-    xc2 = xc * (2 - xc)  # 1 - x^2 without cancellation
-    v1, b1 = _polylog_raw(p, x * x, xc2, wd)
-    v2, b2 = _polylog_raw(p, -x, xc, wd)
-    return mpf(2) ** (1 - p) * v1 - v2, mpf(2) ** (1 - p) * b1 + b2 + ulp
+        acc, J = _log_horner(p, L, wd)
+        bound = mpf(10) ** (-(wd + 2)) + mp.ldexp(2 * J + 4, -bits)
+        return mp.ldexp(acc, -bits), bound + mp.ldexp(8, _GUARD_BITS - bits)
+    x2 = mp.fmul(x, x, exact=True)
+    v1, b1 = _polylog_raw(p, x2, xc * (2 - xc), wd, 2 * L)
+    v2, b2 = _polylog_raw(p, -x, xc, wd, L)
+    return mp.ldexp(v1, 1 - p) - v2, mp.ldexp(b1, 1 - p) + b2 + ulp
 
 
 def polylog(p: int, x, prec: int = 50) -> EvalResult:
@@ -390,7 +499,7 @@ def polylog(p: int, x, prec: int = 50) -> EvalResult:
             xv = mpf(x)
         if abs(xv) > 1:
             raise ValueError(f"polylog argument must satisfy |x| <= 1, got {x!r}")
-        val, bound = _polylog_raw(p, xv, 1 - xv, wd)
+        val, bound = _polylog_raw(p, xv, 1 - abs(xv), wd)
     return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
 
 
@@ -399,6 +508,7 @@ def polylog(p: int, x, prec: int = 50) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
     if not isinstance(N, int) or N < 1:
@@ -413,6 +523,7 @@ def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     )
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     """J(n) = integral_0^(1/2) z^n cot(pi z) dz.
 
@@ -437,6 +548,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     )
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     """K(N) = integral_0^1 atanh^N(z)/z dz (log^N blowup at z = 1)."""
     if not isinstance(N, int) or N < 1:
@@ -451,11 +563,13 @@ def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     )
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """(1/(2N+1)!) integral_0^1 arcsin^(2N+1)(z) arccos(z)/z dz.
 
     The arccos factor vanishes like sqrt(2(1-z)) at z = 1 (algebraic class);
-    it is evaluated through the half-angle identity at every node.
+    it is evaluated through the half-angle identity at every node, once, and
+    above 9/10 the arcsin is pi/2 minus it, as in _asin_stable.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
@@ -463,7 +577,9 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     M = 2 * N + 1
 
     def ev(x, xc):
-        return _asin_stable(x, xc) ** M * acos_stable(x, xc) / x
+        acos = acos_stable(x, xc)
+        asin = mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x)
+        return asin ** M * acos / x
 
     raw = integrate01(
         Integrand(ev, (REGULAR, ALGEBRAIC), name=f"t-kernel({N})"), prec
@@ -471,6 +587,27 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     return scaled(raw, Fraction(1, math.factorial(M)))
 
 
+def _check_kernel_args(p, q, sign_den) -> None:
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"p >= 2 required, got {p!r}")
+    if not isinstance(q, int) or q < 2:
+        if sign_den == -1:
+            raise ValueError(
+                f"q >= 2 required, got {q!r}: the 1/(1-x^2) endpoint is non-integrable"
+            )
+        raise ValueError(f"q >= 2 required, got {q!r}")
+    if sign_den not in (1, -1):
+        raise ValueError("sign_den must be +1 or -1")
+
+
+def _denominator(x: mpf, xc: mpf, sign_den: int) -> mpf:
+    """x (1 + sign_den x^2); for -1 as x xc (2 - xc), without cancellation."""
+    if sign_den == -1:
+        return x * xc * (2 - xc)
+    return x * (1 + x * x)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def logpolylog_kernel(
     p: int, q: int, sign_arg: int, sign_den: int, prec: int = 50
 ) -> QuadratureResult:
@@ -483,45 +620,60 @@ def logpolylog_kernel(
     becomes non-integrable, and the uniform q >= 2 precondition keeps the
     operation's domain a rectangle.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p >= 2 required, got {p!r}")
-    if not isinstance(q, int) or q < 2:
-        if sign_den == -1:
-            raise ValueError(
-                f"q >= 2 required, got {q!r}: the 1/(1-x^2) endpoint is non-integrable"
-            )
-        raise ValueError(f"q >= 2 required, got {q!r}")
-    if sign_arg not in (1, -1) or sign_den not in (1, -1):
+    _check_kernel_args(p, q, sign_den)
+    if sign_arg not in (1, -1):
         raise ValueError("sign_arg and sign_den must be +1 or -1")
     coerce_prec(prec)
     wd = prec + GUARD_DIGITS
 
     def ev(x, xc):
         lg = _log_stable(x, xc)
-        li = _polylog_raw(p, sign_arg * x, xc, wd)[0]
-        if sign_den == -1:
-            den = x * xc * (2 - xc)  # x (1-x) (1+x), no cancellation
-        else:
-            den = x * (1 + x * x)
-        return lg ** (q - 1) * li / den
+        li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
+        return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
 
     ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
     name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
     return integrate01(Integrand(ev, ends, name=name), prec)
 
 
-def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> EvalResult:
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResult:
     """(-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)], L = logpolylog_kernel.
 
     With sign_den = -1 the pair reproduces O(p,q), with +1 the alternating
-    B(p,q).  Like every quadrature result the bound is an estimate.
+    B(p,q).  The two kernels are integrated as one, over the bracket
+    Li_p(-x) - Li_p(x): -2 x sum_(j>=0) x^(2j)/(2j+1)^p for x <= 1/2, and
+    2^(1-p) Li_p(x^2) - 2 Li_p(x) above.  Like every quadrature result the
+    bound is an estimate.
     """
-    lneg = logpolylog_kernel(p, q, -1, sign_den, prec)
-    lpos = logpolylog_kernel(p, q, +1, sign_den, prec)
-    pair = combine([(1, [lneg]), (-1, [lpos])], prec, Method.QUADRATURE)
-    return scaled(pair, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
+    _check_kernel_args(p, q, sign_den)
+    coerce_prec(prec)
+    wd = prec + GUARD_DIGITS
+    bits = _scale_bits(wd)
+
+    def ev(x, xc):
+        lg = _log_stable(x, xc)
+        m, s = _mantissa(x)
+        if x <= 0.5:
+            odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
+            bracket = -mp.ldexp(m * odd, 1 - s - bits)
+        else:
+            if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
+                total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
+                sq = m * m * total >> (2 * s)
+            else:
+                sq = _log_horner(p, 2 * lg, wd)[0]
+            bracket = mp.ldexp((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0], -bits)
+        return lg ** (q - 1) * bracket / _denominator(x, xc, sign_den)
+
+    den = "-" if sign_den == -1 else "+"
+    name = f"log^{q-1} [Li_{p}(-x) - Li_{p}(x)]/(x(1{den}x^2))"
+    ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
+    raw = integrate01(Integrand(ev, ends, name=name), prec)
+    return scaled(raw, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
 
 
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     """-n integral_0^(pi/2) z^(n-1) log(sin z) dz (equals I(n); cross-check).
 

@@ -246,6 +246,26 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_reused_parser_carries_no_value_over(capsys, monkeypatch):
+    # the parser is built once per process; each call must still parse afresh
+    seen = []
+
+    def record(req):
+        seen.append(req)
+        return {"agreement": True}
+
+    monkeypatch.setattr(cli, "run", record)
+    first = ["zeta", "3", "2", "--prec", "30", "--method", "closed", "--cutoff", "500"]
+    assert main([*first, "--symbolic", "--json"]) == 0
+    assert main(["zeta", "3", "2", "--json"]) == 0
+    capsys.readouterr()
+    assert seen == [
+        Request("zeta", (3, 2), "closed", 30, 500, "json", True),
+        Request("zeta", (3, 2), output="json"),
+    ]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_nonconvergence_exits_3(capsys, monkeypatch):
     def blow_up(N, prec=50):
         raise QuadratureNonConvergence("level cap hit", None)

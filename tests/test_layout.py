@@ -88,6 +88,13 @@ def test_series_route_is_independent():
     assert imported & SERIES_FORBIDDEN == set()
 
 
+def test_quadrature_route_is_independent():
+    # the quadrature route checks the closed and series routes: it is built
+    # on the hp constants alone
+    imported = {module for module, _ in sibling_imports(PACKAGE / "quadrature.py")}
+    assert imported == {"hp"}
+
+
 def test_only_hp_derives_error_bounds():
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):

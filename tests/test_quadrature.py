@@ -11,8 +11,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workdps
 
+from multizeta import quadrature
 from multizeta.hp import GUARD_DIGITS, Method, eta, scaled, zeta_single
 from multizeta.quadrature import (
     ALGEBRAIC,
@@ -30,8 +32,11 @@ from multizeta.quadrature import (
     logsine_check,
     polylog,
     t_kernel_quad,
+    _asin_stable,
     _log_stable,
+    acos_stable,
 )
+from multizeta.series import nested_value
 
 REF_DPS = 80
 
@@ -198,6 +203,59 @@ def test_polylog_at_high_precision_within_bound(p, x, prec):
         err = abs(r.value.magnitude - _li_reference(p, x))
     assert err <= r.error_bound.magnitude
     assert r.error_bound.magnitude < mpf(10) ** (-prec)
+
+
+# bound honesty of the scaled-integer branches: every argument is a binary
+# fraction of at most 53 bits, so polylog and the reference see the same point
+
+PS = st.integers(2, 10)
+PRECS = st.integers(16, 300)
+
+
+def _assert_within_bound(p, x, prec):
+    r = polylog(p, x, prec)
+    with workdps(prec + 30):
+        err = abs(r.value.magnitude - mp.polylog(p, mpf(x.numerator) / x.denominator))
+    assert err <= r.error_bound.magnitude, (p, x, prec, mp.nstr(err, 5))
+
+
+@given(p=PS, x=st.floats(-0.5, 0.5), prec=PRECS)
+# near |x| = 1/2 at high precision the floors of the integer series are most
+# of the error: a bound without its rounding count fails here
+@example(p=2, x=0.49999999999, prec=300)
+@example(p=3, x=-0.4999999, prec=200)
+@settings(max_examples=40, deadline=None)
+def test_polylog_series_within_bound(p, x, prec):
+    _assert_within_bound(p, Fraction(x), prec)
+
+
+@given(
+    p=PS,
+    m=st.integers(1, 2 ** 53),
+    e=st.integers(333, 1200),  # |x| < 10^-100
+    sign=st.sampled_from((1, -1)),
+    prec=PRECS,
+)
+@settings(max_examples=30, deadline=None)
+def test_polylog_tiny_arguments_within_bound(p, m, e, sign, prec):
+    x = Fraction(sign * m, 2 ** e)
+    _assert_within_bound(p, x, prec)
+    # Li_p(x) = x (1 + x/2^p + ...): the value keeps its relative accuracy
+    r = polylog(p, x, prec)
+    with workdps(prec + 30):
+        assert r.error_bound.magnitude <= abs(mpf(x.numerator) / x.denominator) * mpf(10) ** -prec
+
+
+@given(p=PS, x=st.floats(0.5, 1, exclude_min=True, exclude_max=True), prec=PRECS)
+@settings(max_examples=20, deadline=None)
+def test_polylog_log_branch_within_bound(p, x, prec):
+    _assert_within_bound(p, Fraction(x), prec)
+
+
+@given(p=PS, x=st.floats(-1, -0.5, exclude_min=True, exclude_max=True), prec=PRECS)
+@settings(max_examples=20, deadline=None)
+def test_polylog_square_identity_within_bound(p, x, prec):
+    _assert_within_bound(p, Fraction(x), prec)
 
 
 def test_polylog_validation():
@@ -395,6 +453,95 @@ def test_kernel_pair_reproduces_odd_sum():
             lneg = logpolylog_kernel(p, q, -1, den, 50).value.magnitude
             lpos = logpolylog_kernel(p, q, 1, den, 50).value.magnitude
             assert abs(scale * (lneg - lpos) - target) < mpf(10) ** -44
+
+
+@pytest.mark.parametrize("prec", (30, 50, 100))
+@pytest.mark.parametrize("fam, sign_den", (("O", -1), ("B", 1)))
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(2, 5) for q in range(2, 5)])
+def test_kernel_pair_matches_nested_series(p, q, fam, sign_den, prec):
+    # one integral over Li_p(-x) - Li_p(x) against the iterated-integral route
+    k = kernel_pair(p, q, sign_den, prec)
+    s = nested_value("oddsum", (fam, p, q), prec)
+    assert k.agrees_with(s)
+    assert k.value.working_precision == prec
+
+
+def test_t_kernel_reuses_its_arccos_bit_for_bit():
+    # t_kernel_quad evaluates arccos once per node; the value is the same to
+    # the last bit as with arcsin and arccos evaluated apart
+    for N in (1, 2):
+        M = 2 * N + 1
+        raw = integrate01(
+            Integrand(
+                lambda x, xc, M=M: _asin_stable(x, xc) ** M * acos_stable(x, xc) / x,
+                (REGULAR, ALGEBRAIC),
+            ),
+            30,
+        )
+        two_calls = scaled(raw, Fraction(1, math.factorial(M)))
+        one_call = t_kernel_quad(N, 30)
+        assert one_call.value.magnitude == two_calls.value.magnitude
+        assert one_call.error_bound.magnitude == two_calls.error_bound.magnitude
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of the public kernels
+# ---------------------------------------------------------------------------
+
+MEMOISED = [
+    (I_quad, (3,)),
+    (j_cot, (2,)),
+    (k_arctanh, (2,)),
+    (t_kernel_quad, (1,)),
+    (logsine_check, (2,)),
+    (logpolylog_kernel, (2, 2, 1, -1)),
+    (kernel_pair, (2, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MEMOISED)
+def test_memoised_call_equals_a_fresh_one(fn, args):
+    first = fn(*args, 20)
+    assert fn(*args, 20) is first  # a repeat returns the stored result
+    fn.cache_clear()
+    fresh = fn(*args, 20)
+    assert fresh is not first
+    assert fresh == first
+    assert fresh.value.magnitude == first.value.magnitude
+
+
+def test_memo_keys_on_precision():
+    kernel_pair.cache_clear()
+    a = kernel_pair(2, 3, -1, 30)
+    b = kernel_pair(2, 3, -1, 31)
+    assert kernel_pair.cache_info().currsize == 2
+    assert (a.value.working_precision, b.value.working_precision) == (30, 31)
+    assert a.value.magnitude != b.value.magnitude
+
+
+def test_memo_keys_on_argument_type():
+    # 2.0 == 2 must not reach a stored result and skip the validation
+    kernel_pair(2, 3, -1, 30)
+    with pytest.raises(ValueError):
+        kernel_pair(2.0, 3, -1, 30)
+
+
+def test_non_convergence_is_never_memoised(monkeypatch):
+    calls = []
+    real = quadrature.integrate01
+
+    def counted(f, prec=50):
+        calls.append(prec)
+        return real(f, prec)
+
+    monkeypatch.setattr(quadrature, "integrate01", counted)
+    monkeypatch.setattr(quadrature, "LEVEL_CAP", 0)  # one level: never two to compare
+    I_quad.cache_clear()
+    for _ in range(3):
+        with pytest.raises(QuadratureNonConvergence):
+            I_quad(2, 20)
+    assert calls == [20, 20, 20]
+    assert I_quad.cache_info().currsize == 0
 
 
 def test_custom_kernel_with_1_plus_x_denominator():

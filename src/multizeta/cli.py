@@ -469,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cutoff",
         type=int,
         default=DEFAULT_CUTOFF,
-        help="truncation of the brute-force rows 21, 26 and 27 (default 10^6)",
+        help="truncation of the brute-force rows 26 and 27 (default 10^6)",
     )
     sp.add_argument("--json", action="store_true", help="print the report as JSON")
     sp.add_argument("--report", metavar="PATH", help="also write the JSON report to PATH")

@@ -19,22 +19,25 @@ lists and results.
 
 Base constants provided:
 
-* ``zeta_single(s)``   Riemann zeta at integer s >= 2, Euler-Maclaurin with the
-  cut point at the working digits and as many Bernoulli corrections as the
-  tolerance needs; the first omitted correction bounds the tail, so the
-  bound is rigorous and the cost grows polynomially in the digits.
+* ``zeta_single(s)``   Riemann zeta at integer s >= 2, as eta(s)/(1 - 2^(1-s)).
 * ``eta(m)``           Dirichlet eta, eta(1) = log 2, else (1 - 2^(1-m)) zeta(m).
-* ``beta_fn(m)``       Dirichlet beta via Cohen-Villegas-Zagier acceleration of
-  the alternating series (terms (2k+1)^(-m) are totally monotone, so the
-  classical (3+sqrt 8)^(-n) error bound is rigorous).
+* ``beta_fn(m)``       Dirichlet beta, sum_{k>=0} (-1)^k (2k+1)^(-m).
 * ``t_single(i)``      odd-denominator zeta value (1 - 2^(-i)) zeta(i).
 * ``pi_power(k)``      pi^k for any integer k, as one factor for combine.
-* ``psi3_quarter()``   third derivative of digamma at 1/4, computed as
-  6 * sum_{n>=0} (n + 1/4)^(-4) by the same Euler-Maclaurin core.
+* ``psi3_quarter()``   third derivative of digamma at 1/4, by the exact
+  identity psi'''(1/4) = 8 pi^4 + 768 beta(4).
 
-Bernoulli and Euler numbers are kept as exact ``Fraction`` / ``int`` tables and
-grown on demand; they feed both the Euler-Maclaurin corrections here and the
-exact rational rewrites in the symbolic layer.
+eta and beta are alternating sums of totally monotone terms, so one kernel
+serves both: the convergence acceleration of Cohen, Rodriguez Villegas and
+Zagier (as Borwein uses it for zeta), run in exact integers scaled by 2^B as
+the series and quadrature layers do, with its proved (3+sqrt 8)^-n tail.
+Its bound charges the tail, the floors of the scaled integers and one unit
+for rounding the value to the working digits; the cost grows polynomially in
+the digits.
+
+Bernoulli and Euler numbers are kept as exact ``Fraction`` / ``int`` tables
+and grown on demand for the exact rational rewrites of the symbolic and
+quadrature layers; no constant here uses them.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from functools import lru_cache
 from typing import Union
 
 from mpmath import bernfrac, mp, mpf
-from mpmath.libmp import mpf_abs
+from mpmath.libmp import dps_to_prec, mpf_abs
 
 __all__ = [
     "MIN_PRECISION",
@@ -280,8 +283,9 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
     true error by at least that much, which holds for every kind of factor
     the package passes:
       * hp constants: pi_const and log2_const have a tenfold margin, the
-        Euler-Maclaurin and CVZ sums charge a unit of 10^-wd per addition,
-        and pi_power charges |k| units for at most |k|/10 + 1/5 of them;
+        CVZ kernel charges a whole unit |v| 10^-wd for a rounding of at most
+        a seventh of one, and pi_power charges |k| units for at most
+        |k|/10 + 1/5 of them;
       * combine's own results carry the slops above, and each lone scaling
         spends at most a fifth of a unit of them;
       * integrate01 floors its bound at |total| 10^-(wd-1);
@@ -337,8 +341,11 @@ def bernoulli_fraction(n: int) -> Fraction:
     """Exact Bernoulli number B_n (convention B_1 = -1/2).
 
     Grown on demand from mpmath's ``bernfrac``, which recovers the exact
-    fraction from a numerical B_n and the von Staudt-Clausen denominator;
-    filling the table to B_800 takes a fraction of a second.
+    fraction from a numerical B_n and the von Staudt-Clausen denominator.
+    No hp constant uses it: the symbolic layer asks for zeta at even
+    arguments (indices up to the weight), and quadrature for zeta at
+    non-positive integers in the polylogarithm's expansion about 1 (indices
+    up to about the working digits, only in the quadrature routes).
     """
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
@@ -371,77 +378,66 @@ def euler_number(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin core
+# Cohen-Villegas-Zagier kernel in scaled integers
 # ---------------------------------------------------------------------------
 
+_LOG_RATE = math.log(3 + math.sqrt(8))
 
-def _hurwitz_em(s: int, a: Fraction, wd: int) -> tuple[mpf, mpf]:
-    """sum_{n>=0} (n + a)^(-s) for integer s >= 2, 0 < a <= 1.
 
-    Euler-Maclaurin about the cut point M = wd:
+@lru_cache(maxsize=4)
+def _cvz_weights(n: int) -> tuple[int, tuple[int, ...]]:
+    """(d_n, (c_0, ..., c_(n-1))): the integer weights of Cohen, Rodriguez
+    Villegas and Zagier (Experiment. Math. 9, 2000, Algorithm 1), n >= 1.
 
-        sum_{n<M} (n+a)^(-s) + (M+a)^(1-s)/(s-1) + (M+a)^(-s)/2 + sum_{k=1}^{K} T_k,
-        T_k = B_{2k}/(2k)! * prod_{j=0}^{2k-2}(s+j) * (M+a)^(-s-2k+1).
-
-    Every even derivative of (x+a)^(-s) is positive for real s > 1, so the
-    error after K corrections is at most |T_{K+1}|, the first omitted term.
-    Corrections are added for k = 1, 2, ... until |T_k| < 10^(-(wd+5)); that
-    T_k is the truncation bound.  |T_k| shrinks by about
-    ((2k+s)/(2 pi (M+a)))^2 per step while 2k + s < 2 pi (M+a) and grows
-    after, so its minimum is about exp(-2 pi M), far below the tolerance;
-    K comes out at most about 0.4 wd.  Should the terms turn before reaching
-    the tolerance, RuntimeError is raised instead of a false bound.  Rounding
-    is charged as one unit of 10^(-wd) relative to the total for each of the
-    M + K additions, plus 50 for the power and coefficient roundings.
-    Returns (value, error_bound), computed inside workdps(wd).
+    d_0 = 1, d_1 = 3, d_k = 6 d_(k-1) - d_(k-2), so d_n = ((3+sqrt 8)^n +
+    (3-sqrt 8)^n)/2; b_0 = -1, b_(k+1) = 2 b_k (k+n)(k-n)/((2k+1)(k+1)), an
+    exact division since -b_k is the x^k coefficient of the Chebyshev
+    polynomial T_n(1-2x); c_k = b_k - c_(k-1) from c_(-1) = -d_n.  Kept per
+    n, which every constant at one precision shares.
     """
-    with LOCK, mp.workdps(wd):
-        av = mpf(a.numerator) / a.denominator
-        tol = mpf(10) ** (-(wd + 5))
-        M = wd
-        total = mpf(0)
-        for n in range(M - 1, -1, -1):  # ascending term size: better rounding
-            total += (n + av) ** (-s)
-        Ma = M + av
-        total += Ma ** (1 - s) / (s - 1) + Ma ** (-s) / 2
-        inv_sq = 1 / (Ma * Ma)
-        turn = 2 * math.pi * (M + a)  # terms decrease while 2k + s < turn
-        coef = s * Ma ** (-s - 1) / 2  # prod_{j<2k-1}(s+j) (M+a)^(-s-2k+1) / (2k)!
-        k = 1
-        while True:
-            b = bernoulli_fraction(2 * k)
-            term = mpf(b.numerator) / b.denominator * coef
-            if abs(term) < tol:
-                break
-            if 2 * k + s >= turn:
-                raise RuntimeError(
-                    f"Euler-Maclaurin terms for s={s}, a={a} stopped decreasing"
-                    f" at k={k} above 10^-{wd + 5}"
-                )
-            total += term
-            coef *= inv_sq * (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2))
-            k += 1
-        rem = abs(term) + abs(total) * (M + k + 50) * mpf(10) ** (-wd)
-        return total, rem
-
-
-def _cvz_alternating(term, n: int) -> mpf:
-    """Cohen-Villegas-Zagier acceleration of sum_{k>=0} (-1)^k term(k).
-
-    Algorithm 1 with Chebyshev coefficients d = ((3+sqrt8)^n + (3+sqrt8)^-n)/2;
-    for totally monotone term sequences the error is < d^-1 ~ (3+sqrt8)^-n.
-    Caller must be inside the target workdps context.
-    """
-    d = (3 + mp.sqrt(8)) ** n
-    d = (d + 1 / d) / 2
-    b = mpf(-1)
-    c = -d
-    s = mpf(0)
+    d_prev, d = 1, 3
+    for _ in range(n - 1):
+        d_prev, d = d, 6 * d - d_prev
+    b, c, cs = -1, -d, []
     for k in range(n):
         c = b - c
-        s += c * term(k)
-        b = (k + n) * (k - n) * b / ((k + mpf(1) / 2) * (k + 1))
-    return s / d
+        cs.append(c)
+        b = 2 * b * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return d, tuple(cs)
+
+
+def _cvz(den, ratio: Fraction, prec: int) -> EvalResult:
+    """ratio sum_(k>=0) (-1)^k/den(k), 0 < ratio <= 2, for integers den(k)
+    with den(0) = 1 and 1/den(k) = int_0^1 x^k dmu, mu >= 0; rigorous.
+
+    With the weights of _cvz_weights, the value is V u, u = 2^-B,
+
+        V = floor(ratio sum_(k<n) floor(c_k 2^B/den(k)) / d_n),
+
+    B the working bits at wd = prec + GUARD_DIGITS digits plus the bits of n
+    plus 4.  Its three error sources are each charged:
+      * tail: the sum S <= 1 (mu has mass 1/den(0) = 1) is within S/d_n
+        <= 2 (3+sqrt 8)^-n of the CVZ value; 4 ratio (3+sqrt 8)^-n is charged;
+      * floors: the n inner ones cost under n ratio/d_n < n units u, as
+        d_n >= 3 > ratio, the outer one under one unit; n + 2 are charged;
+      * rounding V u to the working bits costs at most 2^-wbits <=
+        10^-wd/7 relative; one unit |v| 10^-wd is charged, so the radius
+        keeps the spare that combine's lone-scaling rule spends.
+    n puts the tail near 10^-(wd+5) and the bits of n keep the floors near
+    2^-wbits/16; the slack in the tail and floor charges covers the
+    roundings of the bound itself.
+    """
+    wd = prec + GUARD_DIGITS
+    n = int(math.ceil((wd + 4) * math.log(10) / _LOG_RATE)) + 2
+    bits = dps_to_prec(wd) + n.bit_length() + 4
+    d, cs = _cvz_weights(n)
+    total = sum((c << bits) // den(k) for k, c in enumerate(cs))
+    v = total * ratio.numerator // (d * ratio.denominator)
+    with LOCK, mp.workdps(wd):
+        val = mp.ldexp(mpf(v), -bits)
+        tail = 4 * mpf(ratio.numerator) / ratio.denominator * (3 + mp.sqrt(8)) ** (-n)
+        bound = tail + mp.ldexp(n + 2, -bits) + abs(val) * mpf(10) ** (-wd)
+    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +447,12 @@ def _cvz_alternating(term, n: int) -> mpf:
 
 @lru_cache(maxsize=None)
 def zeta_single(s: int, prec: int = 50) -> EvalResult:
-    """Riemann zeta(s) for integer s >= 2 with a rigorous error bound."""
+    """Riemann zeta(s) for integer s >= 2, rigorous: the CVZ kernel's
+    eta(s) times 1/(1 - 2^(1-s)), a ratio of at most 2."""
     coerce_prec(prec)
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"zeta_single requires integer s >= 2, got {s!r}")
-    wd = prec + GUARD_DIGITS
-    val, rem = _hurwitz_em(s, Fraction(1), wd)
-    return wrap_result(val, rem, prec, Method.SERIES, rigorous=True)
+    return _cvz(lambda k: (k + 1) ** s, Fraction(2 ** (s - 1), 2 ** (s - 1) - 1), prec)
 
 
 @lru_cache(maxsize=None)
@@ -473,21 +468,13 @@ def eta(m: int, prec: int = 50) -> EvalResult:
 
 @lru_cache(maxsize=None)
 def beta_fn(m: int, prec: int = 50) -> EvalResult:
-    """Dirichlet beta(m) = sum_{k>=0} (-1)^k (2k+1)^(-m), m >= 1.
-
-    Evaluated by CVZ acceleration; (2k+1)^(-m) is totally monotone (it is
-    the moment sequence of x^... on [0,1] -- a completely monotone function
-    of k), so the (3+sqrt8)^(-n) bound is rigorous.
-    """
+    """Dirichlet beta(m) = sum_{k>=0} (-1)^k (2k+1)^(-m), m >= 1, by the CVZ
+    kernel: (2k+1)^(-m) = int_0^1 y^k dmu(y) with mu >= 0 (put y = x^2 in
+    int_0^1 x^(2k) (-log x)^(m-1)/(m-1)! dx)."""
     coerce_prec(prec)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"beta_fn requires integer m >= 1, got {m!r}")
-    wd = prec + GUARD_DIGITS
-    n = int(math.ceil((wd + 4) * math.log(10) / math.log(3 + math.sqrt(8)))) + 2
-    with LOCK, mp.workdps(wd):
-        val = _cvz_alternating(lambda k: mpf(1) / (2 * k + 1) ** m, n)
-        bound = 4 * (3 + mp.sqrt(8)) ** (-n) + abs(val) * (n + 20) * mpf(10) ** (-wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return _cvz(lambda k: (2 * k + 1) ** m, Fraction(1), prec)
 
 
 @lru_cache(maxsize=None)
@@ -501,12 +488,14 @@ def t_single(i: int, prec: int = 50) -> EvalResult:
 
 @lru_cache(maxsize=None)
 def psi3_quarter(prec: int = 50) -> EvalResult:
-    """Third polygamma at one quarter: psi'''(1/4) = 6 sum_{n>=0} (n+1/4)^(-4)."""
+    """Third polygamma at one quarter, psi'''(1/4) = 8 pi^4 + 768 beta(4).
+
+    psi'''(1/4) = 6 sum_(n>=0) (n+1/4)^-4 = 1536 sum_(n>=0) (4n+1)^-4, and
+    that sum is half of beta(4) plus the sum over odd integers, (15/16)
+    zeta(4) = pi^4/96.
+    """
     coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    val, rem = _hurwitz_em(4, Fraction(1, 4), wd)
-    with LOCK, mp.workdps(wd):
-        return wrap_result(6 * val, 6 * rem, prec, Method.SERIES, rigorous=True)
+    return combine([(8, [pi_power(4, prec)]), (768, [beta_fn(4, prec)])], prec, Method.SERIES)
 
 
 @lru_cache(maxsize=None)

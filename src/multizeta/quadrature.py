@@ -367,7 +367,7 @@ def _log_coeffs(p: int, wd: int) -> tuple:
 
     Each is within one unit: the rational ones are rounded exactly, and
     zeta_single(s, wd), computed at wd + 10 digits, is good to 10^-(wd+5)
-    (its bound; 10^-(wd+6.8) at wd = 1010), below 2^-(B+9), before the
+    (its bound is below 10^-(wd+9.7)), below 2^-(B+9), before the
     division at B + 20 bits and the rounding.
     """
     bits = _scale_bits(wd)

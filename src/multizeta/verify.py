@@ -45,8 +45,6 @@ from .closed import (
     zeta311,
 )
 from .hp import (
-    GUARD_DIGITS,
-    LOCK,
     EvalResult,
     Method,
     beta_fn,
@@ -217,28 +215,6 @@ def _row(
 def _combined(*results: EvalResult) -> mpf:
     with mp.workdps(60):
         return sum((r.error_bound.magnitude for r in results), mpf(0))
-
-
-def _triple_nonstrict_sum(cutoff: int, prec: int):
-    """sum_{m>n>=k>=1} 1/(m^3 n k) = sum_m m^-3 sum_{n<m} H_n/n, by scaled
-    integers; returns (value, rigorous bound)."""
-    wd = prec + GUARD_DIGITS
-    scale = 10 ** (prec + 12)
-    h = 0  # H_n scaled
-    a = 0  # sum_{n<=current} H_n/n scaled
-    acc = 0
-    for m in range(2, cutoff + 1):
-        n = m - 1
-        h += scale // n
-        a += h // n
-        acc += a // m ** 3
-    with LOCK, mp.workdps(wd):
-        val = mpf(acc) / scale
-        # integral majorant: sum_{m>C} (1+ln m)^2/m^3 <= ((1+L)^2 + (1+L) + 1/2)/(2C^2)
-        L = mp.log(cutoff)
-        tail = ((1 + L) ** 2 + (1 + L) + mpf(1) / 2) / (2 * mpf(cutoff) ** 2)
-        slop = mpf(3 * cutoff + 10) / scale
-        return val, tail + slop
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +425,15 @@ def _paper_checks(prec: int, cutoff: int) -> list:
             _combined(z311c, z311s),
         )
     )
-    tv, tb = _triple_nonstrict_sum(min(cutoff, 10 ** 5), prec)
+    triple = combine([(1, [z311s]), (1, [nested_value("zeta", (3, 2), prec)])], prec, Method.SERIES)
     target = eval_symbolic(pi_zeta_expr([("1/3", 2, 3), ("-7/2", 0, 5)]), prec)  # 2 z2 z3 - 7/2 z5
     checks.append(
         _row(
             "21-zeta311-triple",
             "sum_{m>n>=k} 1/(m^3 n k) = zeta(3,1,1) + zeta(3,2) = 2 zeta(2) zeta(3) - 7/2 zeta(5)",
-            tv,
+            triple,
             target,
-            tb + mpf("1e-45"),
+            _combined(triple, target),
         )
     )
 

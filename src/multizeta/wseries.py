@@ -41,6 +41,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .hp import (
     GUARD_DIGITS,
@@ -409,6 +410,13 @@ def wallis_identity_check(
     The two routes share only the coefficients, so their agreement exercises
     the operator identity itself (integration by parts against arccos).
     Requires f(0) = 0 so that f(z)/z is a power series.
+
+    The right side's polynomial, of M coefficients, runs Horner's rule in
+    integers scaled by 2^B, B the working bits wbits plus the bits of M plus
+    4: each coefficient is rounded to within one unit 2^-B once per call,
+    and each product by y = alpha x is exact on y's mantissa, then floored.
+    A step's error is multiplied by |y| < 1 in every later one, so the
+    polynomial is within 2M - 1 units, under 2^-wbits/8.
     """
     coerce_prec(prec)
     if not f.coeffs[0].is_zero():
@@ -426,14 +434,21 @@ def wallis_identity_check(
         if not 0 < av <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         # f(alpha x)/x = alpha * sum_(n>=1) c_n (alpha x)^(n-1): no division
-        shifted = [c.to_mpf() for c in f.coeffs[1:]]
+        shifted = f.coeffs[1:] or (SeriesCoeff(),)
+        bits = dps_to_prec(wd) + len(shifted).bit_length() + 4
+        # bits of the largest coefficient's magnitude: mpf's roundings of each
+        # then cost under a hundredth of a unit before nint
+        size = max(int(abs(c.rational) + 4 * abs(c.pi_part)) for c in shifted).bit_length()
+        with mp.workprec(bits + size + 10):
+            ints = [int(mp.nint(mp.ldexp(c.to_mpf(), bits))) for c in reversed(shifted)]
 
     def ev(x, xc):
-        y = av * x
-        acc = mpf(0)
-        for c in reversed(shifted):
-            acc = acc * y + c
-        return av * acc * acos_stable(x, xc)
+        sign, man, exp, _ = (av * x)._mpf_
+        m = -man if sign else man
+        acc = ints[0]
+        for c in ints[1:]:
+            acc = ((acc * m) >> -exp) + c
+        return av * mp.ldexp(acc, -bits) * acos_stable(x, xc)
 
     rhs = integrate01(Integrand(ev, (REGULAR, ALGEBRAIC), name="arccos kernel"), prec)
     return lhs, rhs

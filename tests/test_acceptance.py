@@ -57,7 +57,7 @@ from multizeta.series import (
     valean_alt_sum,
 )
 from multizeta.symbolic import build, weight_check
-from multizeta.verify import _triple_nonstrict_sum
+from oracles import _triple_nonstrict_sum
 from multizeta.wseries import (
     TruncatedSeries,
     arcsin_power_series,

@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 
 from multizeta.hp import (
     GUARD_DIGITS,
+    _cvz_weights,
     HPReal,
     Method,
     bernoulli_fraction,
@@ -151,8 +152,9 @@ def test_psi3_reflection():
         assert abs(lhs - rhs) < mpf(10) ** (-58)
 
 
-# Independent mpmath references at 50, 300 and 1000 digits: every value must
-# sit within its own bound of the reference, and that bound below 10^-prec.
+# Independent mpmath references at 50, 300 and 1000 digits, and zeta(3) and
+# beta(2) at 2000 as well: every value must sit within its own bound of the
+# reference, and that bound below 10^-prec.
 HIGH_PRECISION_CASES = [
     *(
         (f"zeta({s})", lambda p, s=s: zeta_single(s, p), lambda s=s: mp.zeta(s))
@@ -168,9 +170,17 @@ HIGH_PRECISION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("prec", [50, 300, 1000])
+HIGH_PRECISION_RUNS = [
+    (*case, prec)
+    for case in HIGH_PRECISION_CASES
+    for prec in (50, 300, 1000, *((2000,) if case[0] in ("zeta(3)", "beta(2)") else ()))
+]
+
+
 @pytest.mark.parametrize(
-    "name,compute,reference", HIGH_PRECISION_CASES, ids=[c[0] for c in HIGH_PRECISION_CASES]
+    "name,compute,reference,prec",
+    HIGH_PRECISION_RUNS,
+    ids=[f"{run[0]}-{run[3]}" for run in HIGH_PRECISION_RUNS],
 )
 def test_constants_at_high_precision_within_bound(name, compute, reference, prec):
     r = compute(prec)
@@ -363,3 +373,106 @@ def test_combine_charges_products_and_sums():
         assert abs(r.error_bound.magnitude / expected - 1) < mpf(10) ** -(wd - 2)
         assert abs(r.value.magnitude - (mp.pi ** 2 - 2 * mp.pi)) <= r.error_bound.magnitude
     assert r.rigorous and r.method is Method.CLOSED_FORM
+
+
+# ---------------------------------------------------------------------------
+# the CVZ kernel: exact weights, honest bounds, the spare combine spends
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1000, 3000])
+def test_cvz_weights_are_exact(n):
+    d, cs = _cvz_weights(n)
+    # d_n is A in (3 + sqrt 8)^n = A + B sqrt 8, in exact integers
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = 3 * a + 8 * b, a + 3 * b
+    assert d == a
+    # b_k = c_k + c_(k-1) is minus the x^k coefficient of T_n(1 - 2x), and
+    # the recurrence's division by (2k+1)(k+1) leaves no remainder
+    prev = -d
+    for k, c in enumerate(cs):
+        bk = c + prev
+        coeff = 4 ** k * n * math.comb(n + k, 2 * k)
+        assert coeff % (n + k) == 0
+        assert bk == (-1) ** (k + 1) * (coeff // (n + k))
+        assert (2 * bk * (k + n) * (k - n)) % ((2 * k + 1) * (k + 1)) == 0
+        prev = c
+
+
+KERNEL_CONSTANTS = {
+    "zeta": (zeta_single, lambda s: mp.zeta(s)),
+    "eta": (eta, lambda s: (1 - mpf(2) ** (1 - s)) * mp.zeta(s)),
+    "t": (t_single, lambda s: (1 - mpf(2) ** -s) * mp.zeta(s)),
+    "beta": (beta_fn, lambda s: mp.dirichlet(s, [0, 1, 0, -1])),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(KERNEL_CONSTANTS)),
+    s=st.integers(min_value=2, max_value=40),
+    prec=st.integers(min_value=16, max_value=400),
+)
+@settings(max_examples=80, deadline=None)
+def test_kernel_constants_bound_honest(name, s, prec):
+    compute, reference = KERNEL_CONSTANTS[name]
+    r = compute(s, prec)
+    err = ref_err(r, lambda: reference(s), prec + 40)
+    assert err <= r.error_bound.magnitude < mpf(10) ** -prec
+    assert r.rigorous
+
+
+@pytest.mark.parametrize("prec", [16, 50, 300, 1000, 2000])
+def test_psi3_quarter_against_polygamma(prec):
+    # the identity 8 pi^4 + 768 beta(4) against mpmath's polygamma
+    r = psi3_quarter(prec)
+    err = ref_err(r, lambda: mp.psi(3, mpf(1) / 4), prec + 20)
+    assert err <= r.error_bound.magnitude < mpf(10) ** -prec
+    assert r.rigorous
+
+
+# every hp constant, as (compute at prec, mpmath reference)
+HP_CONSTANTS = {
+    "pi": (pi_const, lambda: +mp.pi),
+    "log2": (log2_const, lambda: mp.log(2)),
+    "pi^-3": (lambda p: pi_power(-3, p), lambda: mp.pi ** -3),
+    "pi^1": (lambda p: pi_power(1, p), lambda: +mp.pi),
+    "pi^4": (lambda p: pi_power(4, p), lambda: mp.pi ** 4),
+    "psi3(1/4)": (psi3_quarter, lambda: mp.psi(3, mpf(1) / 4)),
+    "eta(1)": (lambda p: eta(1, p), lambda: mp.log(2)),
+    "beta(1)": (lambda p: beta_fn(1, p), lambda: mp.pi / 4),
+    **{
+        f"{name}({s})": (lambda p, f=compute, s=s: f(s, p), lambda r=reference, s=s: r(s))
+        for name, (compute, reference) in KERNEL_CONSTANTS.items()
+        for s in (2, 3, 11)
+    },
+}
+
+
+@pytest.mark.parametrize("prec", [16, 50, 300])
+@pytest.mark.parametrize("name", sorted(HP_CONSTANTS))
+def test_radius_keeps_the_spare_combine_spends(name, prec):
+    """combine charges no rounding for a lone one-factor term: the
+    coefficient and its product with the factor, half an ulp (at most
+    10^-(wd+1) relative) each.  Every constant's radius must exceed its true
+    error by those two, a fifth of a unit |v| 10^-wd."""
+    compute, reference = HP_CONSTANTS[name]
+    r = compute(prec)
+    with mp.workdps(prec + 40):
+        v = r.value.magnitude
+        spare = r.error_bound.magnitude - abs(v - reference())
+        assert spare >= abs(v) * mpf(10) ** -(prec + GUARD_DIGITS) / 5
+
+
+@given(
+    name=st.sampled_from(sorted(HP_CONSTANTS)),
+    c=st.fractions(min_value=-50, max_value=50, max_denominator=50),
+    prec=st.integers(min_value=16, max_value=300),
+)
+@settings(max_examples=80, deadline=None)
+def test_scaled_constant_within_bound(name, c, prec):
+    compute, reference = HP_CONSTANTS[name]
+    r = scaled(compute(prec), c)
+    with mp.workdps(prec + 40):
+        want = mpf(c.numerator) / c.denominator * reference()
+        assert abs(r.value.magnitude - want) <= r.error_bound.magnitude

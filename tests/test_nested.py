@@ -33,6 +33,8 @@ from multizeta.series import (
     odd_O_series,
 )
 
+from oracles import _triple_nonstrict_sum
+
 LETTERS = ("w0", "w1", "rho", "tau", "sigma", "rho~", "tau~", "sigma~")
 
 
@@ -119,6 +121,16 @@ def test_partial_sums_within_their_tails(quantity, params, brute):
     r = nested_value(quantity, params, 30)
     for cutoff in (50, 2000):
         assert r.agrees_with(brute(cutoff)), (quantity, params, cutoff)
+
+
+def test_triple_sum_oracle_within_its_tail():
+    """The non-strict triple sum at cutoff 2000 against zeta(3,1,1) + zeta(3,2)
+    from the engine, within the oracle's own bound."""
+    val, bound = _triple_nonstrict_sum(2000, 40)
+    words = [nested_value("zeta", p, 40) for p in ((3, 1, 1), (3, 2))]
+    with mp.workdps(60):
+        engine = sum(w.value.magnitude for w in words)
+        assert abs(val - engine) <= bound + sum(w.error_bound.magnitude for w in words)
 
 
 _INDEX = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4).map(

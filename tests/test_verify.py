@@ -12,7 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
-from multizeta.verify import _triple_nonstrict_sum
+from oracles import _triple_nonstrict_sum
 
 CUTOFF = 3000
 

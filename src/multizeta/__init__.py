@@ -3,9 +3,10 @@
 The package computes families of nested sums over integer or odd-integer
 denominators -- multiple zeta values, their odd-denominator and
 parity-constrained relatives, and odd-indexed Euler sums -- by three
-independent routes (closed forms in a zeta/beta/pi basis, truncated nested
-series with explicit tail bounds, and double-exponential quadrature of
-log/arcsine/polylogarithm kernels) and checks the routes against each other.
+independent routes (closed forms in a zeta/beta/pi basis, nested series
+evaluated as iterated integrals with a proved bound, and double-exponential
+quadrature of log/arcsine/polylogarithm kernels) and checks the routes
+against each other.
 """
 
 from .hp import (

@@ -65,13 +65,7 @@ from .quadrature import (
     logsine_check,
     t_kernel_quad,
 )
-from .series import (
-    CB_KINDS,
-    DEFAULT_CUTOFF,
-    central_binomial_sum,
-    euler_H_series,
-    nested_value,
-)
+from .series import CB_KINDS, central_binomial_sum, nested_value
 from .symbolic import Formula, FormulaId, build, canonical_text, eval_symbolic, json_terms
 from .verify import SUITES, run_suite
 from .wseries import arctanh_nested_coeff, g_coeff, h_coeff
@@ -90,7 +84,11 @@ _QUANTITIES = (
     "integral",
     "cbsum",
 )
-_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum")  # the families nested_value evaluates
+# the families nested_value evaluates
+_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum")
+# --cutoff is accepted and validated for compatibility (verify echoes it in its
+# report); no route reads it
+DEFAULT_CUTOFF = 10 ** 6
 _CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
 _INTEGRAL_KINDS = ("I", "J", "K", "logsine")
 
@@ -193,7 +191,7 @@ def _fid_for(req: Request):
 
 def _routes(req: Request) -> dict:
     """Available evaluation routes for the request, name -> thunk."""
-    p, prec, cutoff = req.params, req.prec, req.cutoff
+    p, prec = req.params, req.prec
     routes: dict = {}
 
     if req.quantity == "constants":
@@ -258,10 +256,6 @@ def _routes(req: Request) -> dict:
         if a >= 2 and b >= 2:
             routes["quadrature"] = lambda: kernel_pair(a, b, -1 if fam == "O" else +1, prec)
 
-    elif req.quantity == "eulersum":
-        q, ps = p[0], p[1:]
-        routes["series"] = lambda: euler_H_series(ps, q, cutoff, prec)
-
     elif req.quantity == "integral":
         kind, n = p
         if kind == "I":
@@ -283,7 +277,7 @@ def _routes(req: Request) -> dict:
             routes["quadrature"] = lambda: logsine_check(n, prec)
 
     elif req.quantity == "cbsum":
-        routes["series"] = lambda: central_binomial_sum(p[0], cutoff, prec)
+        routes["series"] = lambda: central_binomial_sum(p[0], prec)
 
     return routes
 
@@ -394,8 +388,8 @@ def _common_flags(sp):
         "--cutoff",
         type=int,
         default=DEFAULT_CUTOFF,
-        help="truncation of the eulersum and cbsum series (default 10^6); the nested"
-        " families (zeta, tvalue, mu, bigT, oddsum) reach the full precision without one",
+        help="accepted for compatibility; no effect (every series route reaches the"
+        " full precision without a cutoff)",
     )
     sp.add_argument(
         "--method", choices=_METHODS, default="all", help="evaluation route (default all)"
@@ -469,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cutoff",
         type=int,
         default=DEFAULT_CUTOFF,
-        help="truncation of the brute-force rows 26 and 27 (default 10^6)",
+        help="accepted for compatibility; no effect",
     )
     sp.add_argument("--json", action="store_true", help="print the report as JSON")
     sp.add_argument("--report", metavar="PATH", help="also write the JSON report to PATH")

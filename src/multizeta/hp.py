@@ -20,7 +20,7 @@ lists and results.
 Base constants provided:
 
 * ``zeta_single(s)``   Riemann zeta at integer s >= 2, as eta(s)/(1 - 2^(1-s)).
-* ``eta(m)``           Dirichlet eta, eta(1) = log 2, else (1 - 2^(1-m)) zeta(m).
+* ``eta(m)``           Dirichlet eta, sum (-1)^(n-1) n^(-m); eta(1) = log 2.
 * ``beta_fn(m)``       Dirichlet beta, sum_{k>=0} (-1)^k (2k+1)^(-m).
 * ``t_single(i)``      odd-denominator zeta value (1 - 2^(-i)) zeta(i).
 * ``pi_power(k)``      pi^k for any integer k, as one factor for combine.
@@ -457,13 +457,14 @@ def zeta_single(s: int, prec: int = 50) -> EvalResult:
 
 @lru_cache(maxsize=None)
 def eta(m: int, prec: int = 50) -> EvalResult:
-    """Dirichlet eta(m) = sum (-1)^(n-1) n^(-m); eta(1) = log 2."""
+    """Dirichlet eta(m) = sum (-1)^(n-1) n^(-m); eta(1) = log 2, and for
+    m >= 2 the CVZ kernel directly."""
     coerce_prec(prec)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"eta requires integer m >= 1, got {m!r}")
     if m == 1:
         return log2_const(prec)
-    return scaled(zeta_single(m, prec), 1 - Fraction(1, 2 ** (m - 1)))
+    return _cvz(lambda k: (k + 1) ** m, Fraction(1), prec)
 
 
 @lru_cache(maxsize=None)

@@ -469,7 +469,7 @@ def _polylog_raw(
     if abs(x) <= mpf(1) / 2:
         m, s = _mantissa(x)
         total, n, last = _series_scaled(p, m, s, 1, bits)
-        val = mp.ldexp(m * total, -(s + bits))
+        val = mp.ldexp(mpf(m * total), -(s + bits))  # rounded to the working bits
         ax = abs(x)
         units = (abs(last) + 2) * ax / (1 - ax) + n + 1
         return val, ax * mp.ldexp(units, -bits) + mp.ldexp(abs(val), _GUARD_BITS - bits)
@@ -477,7 +477,7 @@ def _polylog_raw(
     if x > 0:
         acc, J = _log_horner(p, L, wd)
         bound = mpf(10) ** (-(wd + 2)) + mp.ldexp(2 * J + 4, -bits)
-        return mp.ldexp(acc, -bits), bound + mp.ldexp(8, _GUARD_BITS - bits)
+        return mp.ldexp(mpf(acc), -bits), bound + mp.ldexp(8, _GUARD_BITS - bits)
     x2 = mp.fmul(x, x, exact=True)
     v1, b1 = _polylog_raw(p, x2, xc * (2 - xc), wd, 2 * L)
     v2, b2 = _polylog_raw(p, -x, xc, wd, L)
@@ -656,14 +656,14 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResu
         m, s = _mantissa(x)
         if x <= 0.5:
             odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
-            bracket = -mp.ldexp(m * odd, 1 - s - bits)
+            bracket = -mp.ldexp(mpf(m * odd), 1 - s - bits)
         else:
             if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
                 total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
                 sq = m * m * total >> (2 * s)
             else:
                 sq = _log_horner(p, 2 * lg, wd)[0]
-            bracket = mp.ldexp((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0], -bits)
+            bracket = mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
         return lg ** (q - 1) * bracket / _denominator(x, xc, sign_den)
 
     den = "-" if sign_den == -1 else "+"

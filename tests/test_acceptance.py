@@ -36,7 +36,16 @@ from multizeta.closed import (
     z_closed,
     zeta311,
 )
-from multizeta.hp import HPReal, beta_fn, t_single, zeta_single
+from multizeta.hp import (
+    HPReal,
+    Method,
+    beta_fn,
+    combine,
+    pi_const,
+    psi3_quarter,
+    t_single,
+    zeta_single,
+)
 from multizeta.quadrature import (
     I_quad,
     j_cot,
@@ -46,16 +55,7 @@ from multizeta.quadrature import (
     logsine_check,
     t_kernel_quad,
 )
-from multizeta.series import (
-    big_t_series,
-    central_binomial_sum,
-    mtv_series,
-    mu_series,
-    mzv_series,
-    odd_B_series,
-    odd_O_series,
-    valean_alt_sum,
-)
+from multizeta.series import central_binomial_sum, nested_value
 from multizeta.symbolic import build, weight_check
 from oracles import _triple_nonstrict_sum
 from multizeta.wseries import (
@@ -68,7 +68,6 @@ from multizeta.wseries import (
 )
 
 from test_quadrature import REMARK_INTEGRALS
-from test_series import _valean_targets
 
 WD = 80  # working dps for all difference arithmetic below
 
@@ -130,11 +129,11 @@ def test_criterion_02_triple_route_agreement():
             tc = t_closed(N, 50)
             tq = t_kernel_quad(N, 50)
             assert gap(tc, tq) < mpf(10) ** -30
-            ts = mtv_series((3,) + (2,) * N, 10**6, 50)
+            ts = nested_value("tvalue", (3,) + (2,) * N, 50)
             assert gap(tc, ts) < bounds(tc, ts)
 
             zc = z_closed(N, 50)
-            zs = mzv_series((3,) + (2,) * N, 10**6, 50)
+            zs = nested_value("zeta", (3,) + (2,) * N, 50)
             assert gap(zc, zs) < bounds(zc, zs)
             # integral route: 2^(2N+4)/(2N+2)! [ I(2N+2)/2 - I(2N+3)/pi ]
             i2 = I_quad(2 * N + 2, 50).value.magnitude
@@ -181,7 +180,7 @@ def test_criterion_04_mu_family():
     with mp.workdps(WD):
         for N in range(1, 5):
             mc = mu_closed(N, 50)
-            ms = mu_series((2,) + (1,) * (N - 1), 10**5, 50)
+            ms = nested_value("mu", (2,) + (1,) * (N - 1), 50)
             assert gap(mc, ms) < bounds(mc, ms)
         for N in range(1, 6):
             kq = k_arctanh(N, 50)
@@ -201,14 +200,14 @@ def test_criterion_04_mu_family():
 
 
 def test_criterion_05_reflection_laws():
-    cutoff, prec = 20000, 40
+    prec = 40
     with mp.workdps(WD):
         o = {}
         b = {}
         for p in range(2, 7):
             for q in range(2, 7):
-                o[p, q] = odd_O_series(p, q, cutoff, prec)
-                b[p, q] = odd_B_series(p, q, cutoff, prec)
+                o[p, q] = nested_value("oddsum", ("O", p, q), prec)
+                b[p, q] = nested_value("oddsum", ("B", p, q), prec)
         for p in range(2, 7):
             for q in range(2, 7):
                 lhs = o[p, q].value.magnitude + o[q, p].value.magnitude
@@ -248,12 +247,12 @@ def test_criterion_06_kernel_representations():
         for p, q in ((2, 3), (3, 4), (4, 5)):
             ko = kernel_pair(p, q, -1, 50)
             ov, ob = ko.value.magnitude, ko.error_bound.magnitude
-            os_ = odd_O_series(p, q, 10**5, 50)
+            os_ = nested_value("oddsum", ("O", p, q), 50)
             assert abs(ov - os_.value.magnitude) < ob + os_.error_bound.magnitude
 
             kb = kernel_pair(p, q, +1, 50)
             bv, bb = kb.value.magnitude, kb.error_bound.magnitude
-            bs = odd_B_series(p, q, 10**5, 50)
+            bs = nested_value("oddsum", ("B", p, q), 50)
             assert abs(bv - bs.value.magnitude) < bb + bs.error_bound.magnitude
         for (j, sign_arg), terms in sorted(REMARK_INTEGRALS.items()):
             r = logpolylog_kernel(j, j + 1, sign_arg, -1, 50)
@@ -270,12 +269,19 @@ def test_criterion_06_kernel_representations():
 def test_criterion_07_b23_and_alternating_harmonic_sums():
     with mp.workdps(WD):
         bc = b23_closed(50)
-        bs = odd_B_series(2, 3, 10**5, 50)
+        bs = nested_value("oddsum", ("B", 2, 3), 50)
         assert gap(bc, bs) < bounds(bc, bs)
-        targets = _valean_targets()
-        for kind in ("H2n_over_n4", "H2n2_over_n3"):
-            r = valean_alt_sum(kind, 10**5)
-            assert abs(r.value.magnitude - targets[kind]) < mpf(10) ** -10
+        # forms in pi^2 zeta(3), zeta(5), pi^5 and pi psi_3(1/4)
+        pi = pi_const(50)
+        monomials = ([pi, pi, zeta_single(3, 50)], [zeta_single(5, 50)], [pi] * 5,
+                     [pi, psi3_quarter(50)])
+        for kind, coeffs in (
+            ("H2n_over_n4", ("-1/3", "-437/64", "-1/24", "1/192")),
+            ("H2n2_over_n3", ("61/192", "1973/128", "1/16", "-1/128")),
+        ):
+            form = combine(list(zip(coeffs, monomials)), 50, Method.CLOSED_FORM)
+            r = nested_value("valean", kind, 50)
+            assert gap(r, form) < bounds(r, form)
     announce(7, "alternating B(2,3) closed form and the psi'''(1/4) alternating sums")
 
 
@@ -287,10 +293,10 @@ def test_criterion_07_b23_and_alternating_harmonic_sums():
 def test_criterion_08_ones_tails_and_triple_sum():
     with mp.workdps(WD):
         for n in range(2, 6):
-            zs = mzv_series((2,) + (1,) * (n - 1), 10**5, 40)
+            zs = nested_value("zeta", (2,) + (1,) * (n - 1), 40)
             zc = zeta_single(n + 1, 40)
             assert gap(zs, zc) < bounds(zs, zc)
-            ts = big_t_series((2,) + (1,) * (n - 1), 10**5, 40)
+            ts = nested_value("bigT", (2,) + (1,) * (n - 1), 40)
             tv = t_single(n + 1, 40)
             assert abs(
                 ts.value.magnitude - 2 * tv.value.magnitude
@@ -300,7 +306,7 @@ def test_criterion_08_ones_tails_and_triple_sum():
         target = 2 * mp.zeta(5) - mp.zeta(2) * mp.zeta(3)
         assert abs(z311.value.magnitude - target) < mpf(10) ** -40
 
-        z311s = mzv_series((3, 1, 1), 10**5, 50)
+        z311s = nested_value("zeta", (3, 1, 1), 50)
         assert gap(z311, z311s) < bounds(z311, z311s)
 
         tv3, tb3 = _triple_nonstrict_sum(10**5, 50)
@@ -321,12 +327,12 @@ def test_criterion_09_ones_tail_conjecture():
             known = hoffman_t(HOFFMAN_KINDS[N - 1], 60)
             assert gap(conj, known) < mpf(10) ** -40
             assert conj.conjectural
-        # beyond the proven depths: raw nested series at cutoffs where the
-        # outer tail (~ t({2}^(N-1),1)/(4 cutoff)) sits below 1e-10
-        s4 = mtv_series((2, 2, 2, 2, 1), 8 * 10**6, 30)
-        assert gap(t2s1_conjecture(4, 50), s4) < mpf(10) ** -10
-        s5 = mtv_series((2, 2, 2, 2, 2, 1), 10**6, 30)
-        assert gap(t2s1_conjecture(5, 50), s5) < mpf(10) ** -10
+        # beyond the proven depths: the nested series route, within the
+        # combined bounds
+        for N in (4, 5):
+            conj = t2s1_conjecture(N, 50)
+            series = nested_value("tvalue", (2,) * N + (1,), 50)
+            assert gap(conj, series) < bounds(conj, series)
     announce(9, "t({2}^N,1) = I(2N)/(2N)! at proven depths and numerically to depth 6")
 
 
@@ -337,7 +343,7 @@ def test_criterion_09_ones_tail_conjecture():
 
 def test_criterion_10_o43_discrimination():
     with mp.workdps(WD):
-        s = odd_O_series(4, 3, 10**6, 50)
+        s = nested_value("oddsum", ("O", 4, 3), 50)
         table = o_table(4, 3, 50)
         combined = bounds(s, table)
         good = ref([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
@@ -423,6 +429,6 @@ def test_criterion_11_structural_properties():
 
     # (d) the Lehmer central-binomial sum, fast and to full precision
     with mp.workdps(WD):
-        r = central_binomial_sum("inverse_square", 400, 50)
+        r = central_binomial_sum("inverse_square", 50)
         assert abs(r.value.magnitude - mp.pi**2 / 18) < mpf(10) ** -40
     announce(11, "operator identity, exact tables, weight grading, Lehmer sum")

@@ -1,21 +1,22 @@
 """End-to-end tests for the command-line interface.
 
 main() is invoked in-process with explicit argv so exit codes and stdout can
-be asserted without subprocesses.  Series cutoffs are kept small: the routes
-themselves are tested elsewhere; here we test wiring, output shape, and the
-exit-code contract (0 ok / 1 disagreement or failed verification / 2 invalid
+be asserted without subprocesses.  --cutoff is accepted and has no effect:
+the routes themselves are tested elsewhere; here we test wiring, output
+shape, and the exit-code contract (0 ok / 1 disagreement or failed verification / 2 invalid
 request / 3 quadrature non-convergence).
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from multizeta import cli
+from multizeta import cli, verify
 from multizeta.cli import Request, main, run
-from multizeta.hp import Method, wrap_result
+from multizeta.hp import Method, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
 
 SCHEMA_KEYS = [
@@ -215,7 +216,49 @@ def test_eulersum(capsys):
     with mp.workdps(30):
         target = mp.pi**4 / 72  # sum H_n/n^3
         value = mpf(out.splitlines()[1].split()[1])
-        assert abs(value - target) < mpf("5e-8")  # tail ~ log(C)/(2 C^2) at C = 3e4
+        assert abs(value - target) < mpf("1e-24")  # printed to 25 digits
+
+
+def test_eulersum_ignores_a_huge_cutoff(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "eulersum", "4", "1", "--cutoff", "100000000", "--prec", "50",
+        "--method", "series", "--json",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rigorous"] is True
+    with mp.workdps(60):
+        assert mpf(payload["error_bound"]) < mpf("1e-50")
+
+
+SERIES_SHAPES = [
+    ("zeta", "3", "2", "2"),
+    ("tvalue", "2", "2", "1"),
+    ("mu", "2", "1", "1"),
+    ("bigT", "2", "1"),
+    ("oddsum", "O", "1", "3"),
+    ("oddsum", "B", "3", "2"),
+    ("eulersum", "4", "1"),
+    ("eulersum", "2", "1", "1", "2"),
+    ("cbsum", "inverse_square"),
+    ("cbsum", "alt_inverse_cube"),
+    ("cbsum", "inverse_fourth"),
+]
+
+
+@pytest.mark.parametrize("digits", [30, 50, 200])
+def test_every_series_route_is_rigorous_to_the_digits_asked(capsys, digits):
+    for shape in SERIES_SHAPES:
+        code, out, _ = run_cli(
+            capsys, *shape, "--method", "series", "--prec", str(digits), "--json"
+        )
+        assert code == 0, shape
+        payload = json.loads(out)
+        assert payload["rigorous"] is True, shape
+        with mp.workdps(30):
+            assert mpf(payload["error_bound"]) < mpf(10) ** -digits, shape
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +453,16 @@ def test_verify_conjectures_suite(capsys, tmp_path):
     assert all(c["conjectural"] for c in payload["checks"])
 
 
-def test_verify_blocking_failure_exits_1(capsys):
-    # at cutoff 2000 the H_{2n}^2/n^3 truncation lands just outside the fixed
-    # 1e-10 tolerance; the suite must say so and gate the exit status
+def test_verify_blocking_failure_exits_1(capsys, monkeypatch):
+    # a wrong input to row 27 (twice the H_{2n}^(2)/n^3 sum) must fail the
+    # row, and the suite must say so and gate the exit status
+    nested_value = verify.nested_value
+
+    def doubled_valean(quantity, params, prec):
+        r = nested_value(quantity, params, prec)
+        return scaled(r, 2) if params == "H2n2_over_n3" else r
+
+    monkeypatch.setattr(verify, "nested_value", doubled_valean)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "paper", "--prec", "30", "--cutoff", "2000"
     )

@@ -340,15 +340,31 @@ def test_pi_power_within_bound(k, prec):
     assert r.rigorous
 
 
-def test_eta_and_t_single_scale_zeta_without_extra_slop():
+def test_t_single_scales_zeta_without_extra_slop():
     # the radius of (1 - 2^-i) zeta(i) is that factor times zeta's radius
     for prec in (20, 50):
         z = zeta_single(5, prec)
-        for r, c in ((eta(5, prec), Fraction(15, 16)), (t_single(5, prec), Fraction(31, 32))):
-            with mp.workdps(prec + GUARD_DIGITS):
-                f = mpf(c.numerator) / c.denominator  # exact in binary
-                assert r.value.magnitude == f * z.value.magnitude
-                assert r.error_bound.magnitude == f * z.error_bound.magnitude
+        r = t_single(5, prec)
+        with mp.workdps(prec + GUARD_DIGITS):
+            f = mpf(31) / 32  # exact in binary
+            assert r.value.magnitude == f * z.value.magnitude
+            assert r.error_bound.magnitude == f * z.error_bound.magnitude
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("prec", [20, 50, 300])
+def test_eta_from_the_kernel_is_no_looser_than_scaled_zeta(m, prec):
+    # eta(m) comes from the CVZ kernel directly, not as (1 - 2^(1-m)) zeta(m).
+    # Both radii charge the same tail and the same |eta| 10^-wd rounding
+    # unit; the kernel's floor charge, under 10^-wd/8, is taken at full
+    # weight here, where the scaled radius took it times 1 - 2^(1-m).
+    r = eta(m, prec)
+    via_zeta = scaled(zeta_single(m, prec), 1 - Fraction(1, 2 ** (m - 1)))
+    with mp.workdps(prec + 30):
+        err = abs(r.value.magnitude - mp.altzeta(m))
+        floors = mpf(2) ** (1 - m) * mpf(10) ** -(prec + GUARD_DIGITS) / 8
+        assert err <= r.error_bound.magnitude
+        assert r.error_bound.magnitude <= via_zeta.error_bound.magnitude + floors
 
 
 def test_scaled_keeps_method_and_flags():

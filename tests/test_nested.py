@@ -1,11 +1,11 @@
 """The iterated-integral engine behind the nested series route.
 
 References are independent of the engine: mpmath constants (mp.zeta, pi,
-log 2) through identities such as zeta(2,1,1) = zeta(4) and
-B(3,3) = 31 pi^6/30720, the closed-form tables, an mpmath quadrature of
-the one-dimensional form of I(w0 sigma rho), the brute-force partial sums
-kept in ``series`` as oracles, and exact rational arithmetic for the
-letter-by-letter integration.
+log 2, psi) through identities such as zeta(2,1,1) = zeta(4),
+B(3,3) = 31 pi^6/30720 and Euler's formula for sum H_n/n^q, the closed-form
+tables, an mpmath quadrature of the one-dimensional form of I(w0 sigma rho),
+the brute-force partial sums of ``tests/oracles.py``, and exact rational
+arithmetic for the letter-by-letter integration.
 """
 
 import json
@@ -20,22 +20,29 @@ from mpmath import mp, mpf
 from multizeta.cli import main
 from multizeta.closed import b23_closed, o_table, t_closed, z_closed
 from multizeta.series import (
+    VALEAN_KINDS,
     _REFLECT,
     _ROUND_UNITS,
     _family_words,
     _integrate,
+    nested_value,
+)
+
+from oracles import (
+    _triple_nonstrict_sum,
     big_t_series,
+    euler_H_series,
     mtv_series,
     mu_series,
     mzv_series,
-    nested_value,
     odd_B_series,
     odd_O_series,
+    valean_alt_sum,
 )
 
-from oracles import _triple_nonstrict_sum
-
-LETTERS = ("w0", "w1", "rho", "tau", "sigma", "rho~", "tau~", "sigma~")
+LETTERS = (
+    "w0", "w1", "rho", "tau", "sigma", "kappa", "rho~", "tau~", "sigma~", "kappa~",
+)
 
 
 def _t(i):
@@ -47,6 +54,13 @@ def _b12():
     # leaves -int_0^1 log(t) t atanh(t)/(1+t^2) dt
     inner = -mp.quad(lambda t: mp.log(t) * t * mp.atanh(t) / (1 + t * t), [0, 1])
     return _t(3) - inner
+
+
+def _valean(a, b, c, d):
+    """a pi^2 zeta(3) + b zeta(5) + c pi^5 + d pi psi_3(1/4), with the third
+    polygamma psi_3(1/4) = 6 zeta(4, 1/4) (Hurwitz)."""
+    pi = mp.pi
+    return a * pi ** 2 * mp.zeta(3) + b * mp.zeta(5) + c * pi ** 5 + d * pi * 6 * mp.zeta(4, 0.25)
 
 
 # (quantity, params, reference evaluated at the ambient mpmath precision)
@@ -61,6 +75,10 @@ MPMATH_REFS = [
     ("oddsum", ("O", 2, 2), lambda: (_t(2) ** 2 + _t(4)) / 2),
     ("oddsum", ("O", 1, 2), lambda: _t(3) / 2 + _t(2) * mp.log(2)),
     ("oddsum", ("B", 3, 3), lambda: 31 * mp.pi ** 6 / 30720),
+    ("eulersum", (2, 1, 1), lambda: mpf(17) / 4 * mp.zeta(4)),
+    ("eulersum", (3, 2), lambda: 3 * mp.zeta(2) * mp.zeta(3) - mpf(9) / 2 * mp.zeta(5)),
+    ("valean", "H2n_over_n4", lambda: _valean(-1 / mpf(3), -437 / mpf(64), -1 / mpf(24), 1 / mpf(192))),
+    ("valean", "H2n2_over_n3", lambda: _valean(61 / mpf(192), 1973 / mpf(128), 1 / mpf(16), -1 / mpf(128))),
 ]
 # (quantity, params, closed route returning an EvalResult at the given digits)
 CLOSED_REFS = [
@@ -95,6 +113,16 @@ def test_b_with_p1_against_quadrature(prec):
     _check("oddsum", ("B", 1, 2), prec, value)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_euler_sum_of_h_n_matches_eulers_formula(q):
+    """sum H_n/n^q = (q+2)/2 zeta(q+1) - 1/2 sum_(k=1..q-2) zeta(k+1) zeta(q-k)."""
+    prec = 1000
+    with mp.workdps(prec + 20):
+        z = mp.zeta
+        value = mpf(q + 2) / 2 * z(q + 1) - sum(z(k + 1) * z(q - k) for k in range(1, q - 1)) / 2
+    _check("eulersum", (q, 1), prec, value)
+
+
 @pytest.mark.parametrize("prec", [50, 300, 1000])
 def test_every_family_within_bound_of_closed_tables(prec):
     for quantity, params, closed in CLOSED_REFS:
@@ -112,6 +140,11 @@ BRUTE = [
     ("oddsum", ("O", 4, 3), lambda c: odd_O_series(4, 3, c, 30)),
     ("oddsum", ("B", 1, 2), lambda c: odd_B_series(1, 2, c, 30)),
     ("oddsum", ("B", 3, 2), lambda c: odd_B_series(3, 2, c, 30)),
+    ("eulersum", (4, 1), lambda c: euler_H_series((1,), 4, c, 30)),
+    ("eulersum", (3, 1, 2), lambda c: euler_H_series((1, 2), 3, c, 30)),
+    ("eulersum", (2, 2, 2, 3), lambda c: euler_H_series((2, 2, 3), 2, c, 30)),
+    ("valean", "H2n_over_n4", lambda c: valean_alt_sum("H2n_over_n4", c, 30)),
+    ("valean", "H2n2_over_n3", lambda c: valean_alt_sum("H2n2_over_n3", c, 30)),
 ]
 
 
@@ -138,15 +171,23 @@ _INDEX = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4)
 ).filter(lambda entries: sum(entries) <= 10)
 
 
-@given(
-    quantity=st.sampled_from(("zeta", "tvalue", "mu", "bigT")),
-    entries=_INDEX,
-    prec=st.integers(min_value=16, max_value=150),
+_EULER = st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4).map(
+    lambda entries: (max(entries[0], 2), *entries[1:])
+).filter(lambda entries: sum(entries) <= 10)
+
+_NESTED = st.one_of(
+    st.tuples(st.sampled_from(("zeta", "tvalue", "mu", "bigT")), _INDEX),
+    st.tuples(st.just("eulersum"), _EULER),
+    st.tuples(st.just("valean"), st.sampled_from(tuple(VALEAN_KINDS))),
 )
-@settings(max_examples=40, deadline=None)
-def test_precision_doubling(quantity, entries, prec):
-    a = nested_value(quantity, entries, prec)
-    b = nested_value(quantity, entries, 2 * prec)
+
+
+@given(nested=_NESTED, prec=st.integers(min_value=16, max_value=150))
+@settings(max_examples=50, deadline=None)
+def test_precision_doubling(nested, prec):
+    quantity, params = nested
+    a = nested_value(quantity, params, prec)
+    b = nested_value(quantity, params, 2 * prec)
     with mp.workdps(2 * prec + 20):
         diff = abs(a.value.magnitude - b.value.magnitude)
         assert diff <= a.error_bound.magnitude + b.error_bound.magnitude
@@ -179,10 +220,12 @@ def _laurent(letter, n):
     if letter in ("rho~", "tau~"):  # 1/(u(2-u)) = sum_(m>=-1) u^m / 2^(m+2)
         sign = 1 if letter == "rho~" else -1  # (1-u)/(u(2-u)) = that - 1/(2-u)
         return [Fraction(1, 2)] + [Fraction(sign, 2 ** (m + 2)) for m in range(n + 1)]
-    if letter == "sigma~":  # Re (1+i)^-(m+1) = Re (1-i)^(m+1) / 2^(m+1)
+    if letter in ("sigma~", "kappa~"):
+        # sigma~ = Re 1/(1+i-u), kappa~ = -Im 1/(1+i-u), and
+        # (1+i)^-(m+1) = (1-i)^(m+1) / 2^(m+1)
         coeffs, re, im = [], 1, -1  # (1-i)^(m+1) in Gaussian integers
         for m in range(n + 1):
-            coeffs.append(Fraction(re, 2 ** (m + 1)))
+            coeffs.append(Fraction(re if letter == "sigma~" else -im, 2 ** (m + 1)))
             re, im = re + im, im - re
         return [Fraction(0)] + coeffs
     regular = {
@@ -190,6 +233,7 @@ def _laurent(letter, n):
         "rho": lambda m: 1 - m % 2,
         "tau": lambda m: m % 2,
         "sigma": lambda m: (-1) ** (m // 2) if m % 2 else 0,
+        "kappa": lambda m: 0 if m % 2 else (-1) ** (m // 2),
     }[letter]
     return [Fraction(0)] + [Fraction(regular(m)) for m in range(n + 1)]
 
@@ -232,6 +276,7 @@ def test_integrate_matches_exact_map(letter):
         ("zeta", (3, 2, 2)), ("zeta", (2, 1, 1, 1)), ("tvalue", (2, 2, 2, 1)),
         ("tvalue", (4, 1, 3)), ("mu", (2, 1, 1)), ("mu", (5, 3)),
         ("oddsum", ("O", 1, 4)), ("oddsum", ("B", 1, 2)), ("oddsum", ("B", 4, 3)),
+        ("eulersum", (2, 1, 1, 2)), ("valean", "H2n_over_n4"), ("valean", "H2n2_over_n3"),
     ],
 )
 def test_piece_coefficients_stay_at_most_one(quantity, params):
@@ -250,7 +295,8 @@ def test_validation():
     for quantity, params in [
         ("zeta", (1, 2)), ("tvalue", (1,)), ("mu", ()), ("zeta", (2, 0)),
         ("oddsum", ("O", 0, 3)), ("oddsum", ("B", 2, 1)), ("oddsum", ("X", 2, 3)),
-        ("eulersum", (2, 1)),
+        ("eulersum", (1, 2)), ("eulersum", (3,)), ("eulersum", (3, 0)), ("eulersum", ()),
+        ("valean", "H2n_over_n5"), ("cbsum", ("inverse_square",)),
     ]:
         with pytest.raises(ValueError):
             nested_value(quantity, params, 30)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workdps
+from mpmath.libmp import dps_to_prec
 
 from multizeta import quadrature
 from multizeta.hp import GUARD_DIGITS, Method, eta, scaled, zeta_single
@@ -256,6 +257,21 @@ def test_polylog_log_branch_within_bound(p, x, prec):
 @settings(max_examples=20, deadline=None)
 def test_polylog_square_identity_within_bound(p, x, prec):
     _assert_within_bound(p, Fraction(x), prec)
+
+
+@pytest.mark.parametrize(
+    "p,x", [(3, Fraction(1, 3)), (2, Fraction(-1, 5)), (4, Fraction(3, 4)), (3, Fraction(-3, 4))]
+)
+@pytest.mark.parametrize("prec", [20, 50, 300])
+def test_polylog_value_is_rounded_to_the_working_bits(p, x, prec):
+    # the scaled integer is rounded once to the working precision, the
+    # rounding the bound charges, instead of keeping its full width
+    r = polylog(p, x, prec)
+    mantissa = r.value.magnitude._mpf_[1]
+    assert mantissa.bit_length() <= dps_to_prec(prec + GUARD_DIGITS)
+    with workdps(prec + 30):
+        err = abs(r.value.magnitude - mp.polylog(p, mpf(x.numerator) / x.denominator))
+    assert err <= r.error_bound.magnitude
 
 
 def test_polylog_validation():

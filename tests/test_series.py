@@ -1,10 +1,12 @@
-"""Series oracles: exact small cases, printed-value prefixes, tail-bound honesty.
+"""The brute-force oracles of ``tests/oracles.py`` and the series module's
+central-binomial sum: exact small cases, printed-value prefixes, tail-bound
+honesty.
 
 Independent references come from three places: exact Fraction arithmetic for
 small truncations, hp-layer single constants (whose own tests tie them to
 mpmath), and a handful of decimal strings that were verified against
 higher-cutoff runs.  Cutoffs here are kept modest so the unit suite stays
-fast; the full default-cutoff runs happen in the acceptance suite.
+fast.
 """
 
 from fractions import Fraction
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.hp import beta_fn, psi3_quarter, t_single, zeta_single
-from multizeta.series import (
+from multizeta.series import MultiIndex, central_binomial_sum
+
+from oracles import (
     HarmonicState,
-    MultiIndex,
     big_t_series,
-    central_binomial_sum,
     euler_H_series,
     harmonic,
     mtv_series,
@@ -384,22 +386,27 @@ def test_central_binomial_closed_values():
             "inverse_fourth": mpf(17) / 36 * zeta_single(4, 60).value.magnitude,
         }
     for kind, target in targets.items():
-        r = central_binomial_sum(kind, 200, prec=50)
+        r = central_binomial_sum(kind, prec=50)
         with mp.workdps(80):
             assert abs(r.value.magnitude - target) < mpf(10) ** (-49), kind
         assert r.rigorous
         assert r.error_bound.magnitude < mpf(10) ** (-49)
 
 
-def test_central_binomial_small_cutoff_geometric_bound():
-    r = central_binomial_sum("inverse_square", 10)
-    full = central_binomial_sum("inverse_square", 300)
-    assert diff(r, full) <= r.error_bound.magnitude
+@pytest.mark.parametrize("prec", [20, 50, 200])
+def test_central_binomial_bound_holds_across_precisions(prec):
+    # the sum stops where its terms underflow; a run at twice the digits
+    # sits within the two bounds
+    for kind in ("inverse_square", "alt_inverse_cube", "inverse_fourth"):
+        r = central_binomial_sum(kind, prec)
+        fine = central_binomial_sum(kind, 2 * prec)
+        assert diff(r, fine) <= combined(r, fine), (kind, prec)
+        assert r.error_bound.magnitude < mpf(10) ** -prec
 
 
 def test_central_binomial_bad_kind():
     with pytest.raises(ValueError):
-        central_binomial_sum("nope", 100)
+        central_binomial_sum("nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Verification-suite plumbing: ordering, determinism, row semantics.
 
 The heavyweight numerical content of each row is tested where it lives
-(closed/series/quadrature test files); here the suites run at small cutoffs
-to exercise the registry itself.
+(closed/series/quadrature test files); here the suites run at modest
+precision to exercise the registry itself.  The cutoff is accepted, checked
+and echoed, and has no effect.
 """
 
 import json
@@ -62,6 +63,13 @@ def test_json_determinism():
     a = run_suite("paper", prec=30, cutoff=1000)
     b = run_suite("paper", prec=30, cutoff=1000)
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+
+def test_cutoff_is_echoed_and_has_no_effect():
+    low = run_suite("paper", prec=30, cutoff=100)
+    high = run_suite("paper", prec=30, cutoff=10 ** 9)
+    assert (low.cutoff, high.cutoff) == (100, 10 ** 9)
+    assert low.checks == high.checks
 
 
 def test_report_summary_counts(full_report):

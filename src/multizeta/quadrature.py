@@ -44,18 +44,34 @@ bounded lru cache keyed by its exact arguments, prec included.  A result is a
 frozen dataclass computed at the working precision prec + GUARD_DIGITS under
 LOCK, whatever the caller's mpmath state, so a repeated request returns the
 identical object.  QuadratureNonConvergence is raised, never stored.
+
+Below the memo, the kernels share their transcendental factors.  Beside each
+cached node table (level, wd) sit columns: the values of one node function
+at every node of the table, filled on first use and read by every later
+integral at that working precision.  The node functions are _asin_stable,
+acos_stable, _atanh_stable, _log_stable, the cot and log-sine factors of
+j_cot and logsine_check, and kernel_pair's bracket (one column per p); the
+kernels only form powers, products and denominators around them.  Same
+nodes, same function, same precision: the same bits as evaluating at every
+node.  Evaluators keep the (x, xc) contract: integrate01 records the node it
+is evaluating, and a column accessor serves the stored value only when
+called with that node's own x and xc objects at its precision, computing
+directly otherwise.  The tables of the _NODE_PRECISIONS most recently used
+working precisions are kept, columns evicted with their nodes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, finf, fnan, fninf, fzero
 
 from .hp import (
     GUARD_DIGITS,
@@ -141,7 +157,28 @@ class QuadratureNonConvergence(RuntimeError):
 # nodes
 # ---------------------------------------------------------------------------
 
-_NODE_CACHE: dict[tuple[int, int], list] = {}
+# working precisions whose node tables (and their columns) are kept, the
+# least recently used evicted first: the same count as hp._cvz_weights
+_NODE_PRECISIONS = 4
+
+
+class _NodeTable:
+    """The (x, xc, w) triples of one (level, wd) and the columns beside them.
+
+    A column holds one node function's value at every node, in node order,
+    as signed mantissas and an array('q') of binary exponents: far smaller
+    than a list of mpf objects, and rebuilt exactly by mp.make_mpf.
+    """
+
+    __slots__ = ("nodes", "prec", "columns")
+
+    def __init__(self, nodes: list, prec: int):
+        self.nodes = nodes
+        self.prec = prec
+        self.columns: dict = {}
+
+
+_NODE_CACHE: OrderedDict[int, dict[int, _NodeTable]] = OrderedDict()
 
 
 def _de_cutoff(wd: int) -> mpf:
@@ -177,14 +214,79 @@ def _nodes(level: int, wd: int) -> list:
         return out
 
 
-def _cached_nodes(level: int, wd: int) -> list:
-    key = (level, wd)
+def _cached_nodes(level: int, wd: int) -> _NodeTable:
+    """The node table of (level, wd), built on first use; marks wd as the
+    most recently used precision, evicting the oldest beyond _NODE_PRECISIONS."""
     with LOCK:
-        got = _NODE_CACHE.get(key)
-        if got is None:
-            got = _nodes(level, wd)
-            _NODE_CACHE[key] = got
-        return got
+        tables = _NODE_CACHE.get(wd)
+        if tables is None:
+            tables = _NODE_CACHE[wd] = {}
+            while len(_NODE_CACHE) > _NODE_PRECISIONS:
+                _NODE_CACHE.popitem(last=False)
+        else:
+            _NODE_CACHE.move_to_end(wd)
+        table = tables.get(level)
+        if table is None:
+            table = tables[level] = _NodeTable(_nodes(level, wd), dps_to_prec(wd))
+        return table
+
+
+# (table, position, x, xc) of the node integrate01 is evaluating, else None;
+# written only under LOCK, and reset when the integration ends, however
+_AT: tuple | None = None
+
+# the exponent field of mpmath's zero, nan, +inf and -inf, whose mantissa is 0
+_SPECIAL = {v[2]: v for v in (fzero, fnan, finf, fninf)}
+
+
+class _Column:
+    """``(x, xc) -> fn(x, xc)`` read from the column of the node being evaluated.
+
+    Inside integrate01, called with that node's own x and xc objects at its
+    working precision, the value comes from the node table's column for fn,
+    filled at every node of the table on first use.  Any other call (outside
+    integrate01, another x, another precision) computes fn directly and
+    stores nothing.  Columns are aligned to node position, never keyed by
+    x's value: at the deepest nodes x rounds to 1 while xc still differs.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[mpf, mpf], mpf]):
+        self.fn = fn
+
+    def __call__(self, x: mpf, xc: mpf) -> mpf:
+        at = _AT
+        if at is None or at[2] is not x or at[3] is not xc or at[0].prec != mp.prec:
+            return self.fn(x, xc)
+        table, i = at[0], at[1]
+        column = table.columns.get(self)
+        if column is None:
+            column = self._fill(table)
+        m, e = column[0][i], column[1][i]
+        if m > 0:
+            return mp.make_mpf((0, m, e, m.bit_length()))
+        if m < 0:
+            return mp.make_mpf((1, -m, e, (-m).bit_length()))
+        return mp.make_mpf(_SPECIAL[e])
+
+    def _fill(self, table: _NodeTable) -> tuple:
+        """fn at every node of table, stored only once complete.  Each node
+        is recorded while fn runs there, so fn may read other columns."""
+        global _AT
+        outer = _AT
+        mans, exps = [], array("q")
+        try:
+            for i, (x, xc, _) in enumerate(table.nodes):
+                _AT = (table, i, x, xc)
+                sign, man, exp, _ = self.fn(x, xc)._mpf_
+                mans.append(-man if sign else man)
+                exps.append(exp)
+        finally:
+            _AT = outer
+        # a tuple of ints, unlike a list, drops out of the cyclic collector
+        column = table.columns[self] = (tuple(mans), exps)
+        return column
 
 
 def integrate01(f, prec: int = 50) -> QuadratureResult:
@@ -198,6 +300,7 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     would claim the integral exactly.  Hitting the level cap raises
     QuadratureNonConvergence with the best estimate attached.
     """
+    global _AT
     coerce_prec(prec)
     integrand = f if isinstance(f, Integrand) else Integrand(f)
     ev = integrand.evaluator
@@ -218,17 +321,23 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
                 levels_used=levels,
             )
 
-        for level in range(LEVEL_CAP + 1):
-            h = mpf(2) ** (-level)
-            part = mpf(0)
-            for x, xc, w in _cached_nodes(level, wd):
-                part += w * ev(x, xc)
-            total = (total / 2 if level > 0 else mpf(0)) + h * part
-            if prev is not None:
-                diff = abs(total - prev)
-                if diff <= tol * max(1, abs(total)):
-                    return result(level + 1)
-            prev = total
+        outer = _AT
+        try:
+            for level in range(LEVEL_CAP + 1):
+                h = mpf(2) ** (-level)
+                part = mpf(0)
+                table = _cached_nodes(level, wd)
+                for i, (x, xc, w) in enumerate(table.nodes):
+                    _AT = (table, i, x, xc)
+                    part += w * ev(x, xc)
+                total = (total / 2 if level > 0 else mpf(0)) + h * part
+                if prev is not None:
+                    diff = abs(total - prev)
+                    if diff <= tol * max(1, abs(total)):
+                        return result(level + 1)
+                prev = total
+        finally:
+            _AT = outer
         best = result(LEVEL_CAP + 1)
     raise QuadratureNonConvergence(
         f"tanh-sinh did not stabilise within {LEVEL_CAP} levels"
@@ -271,6 +380,28 @@ def _atanh_stable(x: mpf, xc: mpf) -> mpf:
     if xc < _SMALL:
         return (mp.log(2 - xc) - mp.log(xc)) / 2
     return mp.atanh(x)
+
+
+def _cot_half_pi(x: mpf, xc: mpf) -> mpf:
+    """cot((pi/2) x), as tan((pi/2) xc) where x is near 1 (cot passes 0)."""
+    if xc < mpf(1) / 2:
+        return mp.tan(mp.pi / 2 * xc)
+    return mp.cot(mp.pi * (x / 2))
+
+
+def _log_sin_half_pi(x: mpf, xc: mpf) -> mpf:
+    """log(sin((pi/2) x)), as log(cos((pi/2) xc)) where x is near 1."""
+    if xc < mpf(1) / 2:
+        return mp.log(mp.cos(mp.pi / 2 * xc))
+    return mp.log(mp.sin(mp.pi / 2 * x))
+
+
+_log_column = _Column(_log_stable)
+acos_column = _Column(acos_stable)
+_asin_column = _Column(_asin_stable)
+_atanh_column = _Column(_atanh_stable)
+_cot_column = _Column(_cot_half_pi)
+_log_sin_column = _Column(_log_sin_half_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +647,7 @@ def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     coerce_prec(prec)
 
     def ev(x, xc):
-        return _asin_stable(x, xc) ** N / x
+        return _asin_column(x, xc) ** N / x
 
     return integrate01(
         Integrand(ev, (REGULAR, REGULAR), name=f"I({N})"), prec
@@ -536,12 +667,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     coerce_prec(prec)
 
     def ev(x, xc):
-        z = x / 2
-        if xc < mpf(1) / 2:
-            c = mp.tan(mp.pi / 2 * xc)
-        else:
-            c = mp.cot(mp.pi * z)
-        return z ** n * c / 2
+        return (x / 2) ** n * _cot_column(x, xc) / 2
 
     return integrate01(
         Integrand(ev, (REGULAR, REGULAR), name=f"J({n})"), prec
@@ -556,7 +682,7 @@ def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     coerce_prec(prec)
 
     def ev(x, xc):
-        return _atanh_stable(x, xc) ** N / x
+        return _atanh_column(x, xc) ** N / x
 
     return integrate01(
         Integrand(ev, (REGULAR, LOGARITHMIC), name=f"K({N})"), prec
@@ -568,8 +694,9 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """(1/(2N+1)!) integral_0^1 arcsin^(2N+1)(z) arccos(z)/z dz.
 
     The arccos factor vanishes like sqrt(2(1-z)) at z = 1 (algebraic class);
-    it is evaluated through the half-angle identity at every node, once, and
-    above 9/10 the arcsin is pi/2 minus it, as in _asin_stable.
+    it is evaluated through the half-angle identity, and above 9/10 the
+    arcsin is pi/2 minus it, as in _asin_stable.  Both come from the node
+    columns I_quad and the Wallis check share.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
@@ -577,9 +704,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     M = 2 * N + 1
 
     def ev(x, xc):
-        acos = acos_stable(x, xc)
-        asin = mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x)
-        return asin ** M * acos / x
+        return _asin_column(x, xc) ** M * acos_column(x, xc) / x
 
     raw = integrate01(
         Integrand(ev, (REGULAR, ALGEBRAIC), name=f"t-kernel({N})"), prec
@@ -627,13 +752,38 @@ def logpolylog_kernel(
     wd = prec + GUARD_DIGITS
 
     def ev(x, xc):
-        lg = _log_stable(x, xc)
+        lg = _log_column(x, xc)
         li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
         return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
 
     ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
     name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
     return integrate01(Integrand(ev, ends, name=name), prec)
+
+
+def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
+    """Li_p(-x) - Li_p(x) at the working digits wd = mp.dps, as kernel_pair
+    integrates it: -2 x sum_(j>=0) x^(2j)/(2j+1)^p for x <= 1/2, and
+    2^(1-p) Li_p(x^2) - 2 Li_p(x) above, in integers scaled by 2^B."""
+    wd = mp.dps
+    bits = _scale_bits(wd)
+    m, s = _mantissa(x)
+    if x <= 0.5:
+        odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
+        return -mp.ldexp(mpf(m * odd), 1 - s - bits)
+    lg = _log_column(x, xc)
+    if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
+        total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
+        sq = m * m * total >> (2 * s)
+    else:
+        sq = _log_horner(p, 2 * lg, wd)[0]
+    return mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
+
+
+@cache
+def _bracket_column(p: int) -> _Column:
+    """The node column of _bracket for this p, one per p."""
+    return _Column(partial(_bracket, p))
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -648,23 +798,10 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResu
     """
     _check_kernel_args(p, q, sign_den)
     coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    bits = _scale_bits(wd)
+    bracket = _bracket_column(p)
 
     def ev(x, xc):
-        lg = _log_stable(x, xc)
-        m, s = _mantissa(x)
-        if x <= 0.5:
-            odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
-            bracket = -mp.ldexp(mpf(m * odd), 1 - s - bits)
-        else:
-            if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
-                total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
-                sq = m * m * total >> (2 * s)
-            else:
-                sq = _log_horner(p, 2 * lg, wd)[0]
-            bracket = mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
-        return lg ** (q - 1) * bracket / _denominator(x, xc, sign_den)
+        return _log_column(x, xc) ** (q - 1) * bracket(x, xc) / _denominator(x, xc, sign_den)
 
     den = "-" if sign_den == -1 else "+"
     name = f"log^{q-1} [Li_{p}(-x) - Li_{p}(x)]/(x(1{den}x^2))"
@@ -685,12 +822,7 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     coerce_prec(prec)
 
     def ev(x, xc):
-        z = mp.pi / 2 * x
-        if xc < mpf(1) / 2:
-            ls = mp.log(mp.cos(mp.pi / 2 * xc))
-        else:
-            ls = mp.log(mp.sin(z))
-        return z ** (n - 1) * ls
+        return (mp.pi / 2 * x) ** (n - 1) * _log_sin_column(x, xc)
 
     raw = integrate01(
         Integrand(ev, (LOGARITHMIC, REGULAR), name=f"logsine({n})"), prec

@@ -57,7 +57,7 @@ from .quadrature import (
     REGULAR,
     Integrand,
     QuadratureResult,
-    acos_stable,
+    acos_column,
     integrate01,
 )
 
@@ -408,7 +408,8 @@ def wallis_identity_check(
     Left: termwise integration, W, then series evaluation at alpha.  Right:
     DE quadrature of the arccos kernel against the same truncated series.
     The two routes share only the coefficients, so their agreement exercises
-    the operator identity itself (integration by parts against arccos).
+    the operator identity itself (integration by parts against arccos).  The
+    arccos values come from the quadrature node column t_kernel_quad reads.
     Requires f(0) = 0 so that f(z)/z is a power series.
 
     The right side's polynomial, of M coefficients, runs Horner's rule in
@@ -448,7 +449,7 @@ def wallis_identity_check(
         acc = ints[0]
         for c in ints[1:]:
             acc = ((acc * m) >> -exp) + c
-        return av * mp.ldexp(acc, -bits) * acos_stable(x, xc)
+        return av * mp.ldexp(acc, -bits) * acos_column(x, xc)
 
     rhs = integrate01(Integrand(ev, (REGULAR, ALGEBRAIC), name="arccos kernel"), prec)
     return lhs, rhs

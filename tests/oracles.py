@@ -9,6 +9,11 @@ ulps -- added to every reported error bound -- and results are
 deterministic bit-for-bit.  ``HarmonicState`` and ``harmonic`` are exact
 rational references for the loops themselves.
 
+``DIRECT_KERNELS`` holds the quadrature kernels with every node function
+computed at every node, as the integrands read before the node columns of
+``multizeta.quadrature``: the column-backed kernels must equal them bit for
+bit.
+
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
 full inner prefix sums:
@@ -28,6 +33,7 @@ valid verbatim for odd denominators (2n-1 >= n) and for parity-constrained
 sums (their chains are a subset of the unconstrained ones).
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -39,9 +45,23 @@ from multizeta.hp import (
     EvalResult,
     Method,
     coerce_prec,
+    pi_const,
     scaled,
     t_single,
     wrap_result,
+)
+from multizeta.quadrature import (
+    _asin_stable,
+    _atanh_stable,
+    _denominator,
+    _log_horner,
+    _log_stable,
+    _mantissa,
+    _polylog_raw,
+    _scale_bits,
+    _series_scaled,
+    acos_stable,
+    integrate01,
 )
 from multizeta.series import VALEAN_KINDS, _as_index
 
@@ -453,3 +473,98 @@ def _triple_nonstrict_sum(cutoff: int, prec: int):
         tail = ((1 + L) ** 2 + (1 + L) + mpf(1) / 2) / (2 * mpf(cutoff) ** 2)
         slop = mpf(3 * cutoff + 10) / scale
         return val, tail + slop
+
+
+# ---------------------------------------------------------------------------
+# Quadrature kernels evaluated node by node, without node columns
+# ---------------------------------------------------------------------------
+
+
+def _i_direct(N: int, prec: int):
+    return integrate01(lambda x, xc: _asin_stable(x, xc) ** N / x, prec)
+
+
+def _j_direct(n: int, prec: int):
+    def ev(x, xc):
+        z = x / 2
+        if xc < mpf(1) / 2:
+            c = mp.tan(mp.pi / 2 * xc)
+        else:
+            c = mp.cot(mp.pi * z)
+        return z ** n * c / 2
+
+    return integrate01(ev, prec)
+
+
+def _k_direct(N: int, prec: int):
+    return integrate01(lambda x, xc: _atanh_stable(x, xc) ** N / x, prec)
+
+
+def _t_direct(N: int, prec: int):
+    M = 2 * N + 1
+
+    def ev(x, xc):
+        acos = acos_stable(x, xc)
+        asin = mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x)
+        return asin ** M * acos / x
+
+    return scaled(integrate01(ev, prec), Fraction(1, math.factorial(M)))
+
+
+def _logpolylog_direct(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
+    wd = prec + GUARD_DIGITS
+
+    def ev(x, xc):
+        lg = _log_stable(x, xc)
+        li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
+        return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
+
+    return integrate01(ev, prec)
+
+
+def _pair_direct(p: int, q: int, sign_den: int, prec: int):
+    wd = prec + GUARD_DIGITS
+    bits = _scale_bits(wd)
+
+    def ev(x, xc):
+        lg = _log_stable(x, xc)
+        m, s = _mantissa(x)
+        if x <= 0.5:
+            odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
+            bracket = -mp.ldexp(mpf(m * odd), 1 - s - bits)
+        else:
+            if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
+                total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
+                sq = m * m * total >> (2 * s)
+            else:
+                sq = _log_horner(p, 2 * lg, wd)[0]
+            bracket = mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
+        return lg ** (q - 1) * bracket / _denominator(x, xc, sign_den)
+
+    raw = integrate01(ev, prec)
+    return scaled(raw, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
+
+
+def _logsine_direct(n: int, prec: int):
+    def ev(x, xc):
+        z = mp.pi / 2 * x
+        if xc < mpf(1) / 2:
+            ls = mp.log(mp.cos(mp.pi / 2 * xc))
+        else:
+            ls = mp.log(mp.sin(z))
+        return z ** (n - 1) * ls
+
+    return scaled(integrate01(ev, prec), Fraction(-n, 2), pi_const(prec))
+
+
+# public kernel name -> the same kernel evaluated node by node; called with
+# the kernel's own arguments, prec last
+DIRECT_KERNELS = {
+    "I_quad": _i_direct,
+    "j_cot": _j_direct,
+    "k_arctanh": _k_direct,
+    "t_kernel_quad": _t_direct,
+    "logpolylog_kernel": _logpolylog_direct,
+    "kernel_pair": _pair_direct,
+    "logsine_check": _logsine_direct,
+}

@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from mpmath import mp
 
@@ -323,19 +324,7 @@ def run(req: Request) -> dict:
         order = [m for m in ("closed", "series", "quadrature", "symbolic") if m in routes]
         results = [(m, routes[m]()) for m in order]
         entries = [_result_payload(req, m, r) for m, r in results]
-        agree = True
-        with mp.workdps(req.prec + GUARD_DIGITS):
-            for i in range(len(results)):
-                for j in range(i + 1, len(results)):
-                    diff = abs(
-                        results[i][1].value.magnitude - results[j][1].value.magnitude
-                    )
-                    tol = (
-                        results[i][1].error_bound.magnitude
-                        + results[j][1].error_bound.magnitude
-                    )
-                    if diff > tol:
-                        agree = False
+        agree = all(a.agrees_with(b) for (_, a), (_, b) in combinations(results, 2))
         payload = {
             "quantity": req.quantity,
             "params": list(req.params),

@@ -1,21 +1,26 @@
-"""Arbitrary-precision scalars, the one bound-propagation rule, and the base
-constants everything else consumes.
+"""Arbitrary-precision results, the one bound-propagation rule, the one
+agreement rule, and the base constants everything else consumes.
 
 Inside a module the package computes with raw ``mpmath.mpf`` values in
-explicit ``workdps`` contexts and wraps each result into :class:`HPReal` /
-:class:`EvalResult` with :func:`wrap_result`.  That convention exists because
-mpmath's precision is process-global state: an ``mpf`` produced under one
-precision and *combined* with another at ambient precision silently rounds to
-whatever ``mp.dps`` happens to be.  Every public entry point here pins its own
-working precision (requested digits plus a guard) under a re-entrant lock, so
-results are deterministic bit-for-bit regardless of caller state or threading.
+explicit ``workdps`` contexts and wraps each result into an
+:class:`EvalResult` with :func:`wrap_result`: a value and a radius, each an
+:class:`HPReal` record of an mpf and its decimal precision.  That convention
+exists because mpmath's precision is process-global state: an ``mpf``
+produced under one precision and *combined* with another at ambient
+precision silently rounds to whatever ``mp.dps`` happens to be.  Every
+public entry point here pins its own working precision (requested digits
+plus a guard) under a re-entrant lock, so results are deterministic
+bit-for-bit regardless of caller state or threading.
 
 Results are combined with one another only through :func:`combine` (a rational
 combination of products of results) and its one-term form :func:`scaled`:
-they are the only code that derives an error bound from other bounds.  Both
-stay out of ``__all__``, like :func:`coerce_prec`: the benchmark's tracer
-wraps every function listed there and hashes its arguments, and theirs are
-lists and results.
+they are the only code that derives an error bound from other bounds, and
+they charge the roundings of the values they form.  Two results agree when
+:meth:`EvalResult.agrees_with` says so: |v1 - v2| <= e1 + e2 with both sides
+exact (:func:`gap`, :func:`bound_sum`), so no working precision enters the
+verdict.  These helpers stay out of ``__all__``, like :func:`coerce_prec`:
+the benchmark's tracer wraps every function listed there and hashes its
+arguments, and theirs are lists, results and mpf values.
 
 Base constants provided:
 
@@ -48,7 +53,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from mpmath import bernfrac, mp, mpf
 from mpmath.libmp import dps_to_prec, mpf_abs
@@ -80,8 +84,6 @@ GUARD_DIGITS = 10
 # package happen under this lock so concurrent callers cannot interleave.
 LOCK = threading.RLock()
 
-Number = Union[int, Fraction, "HPReal"]
-
 
 class Method(Enum):
     """How a numerical result was obtained (used for cross-route checks)."""
@@ -103,14 +105,14 @@ def coerce_prec(prec: int) -> int:
 
 @dataclass(frozen=True)
 class HPReal:
-    """A real number carried at an explicit decimal working precision.
+    """A value and the decimal precision it was computed for: a record with
+    no arithmetic of its own.
 
     ``magnitude`` is the underlying mpf (computed with GUARD_DIGITS extra
     digits); ``working_precision`` is the number of decimal digits the value
-    is good for.  Arithmetic between two HPReals is performed at the smaller
-    of the two precisions (plus guard) and tagged with that precision, so a
-    chain of operations can never silently claim more accuracy than its
-    weakest input.
+    is good for.  Results are combined through :func:`combine`, which
+    propagates their bounds, and compared through
+    :meth:`EvalResult.agrees_with`.
     """
 
     magnitude: mpf
@@ -119,92 +121,11 @@ class HPReal:
     def __post_init__(self) -> None:
         coerce_prec(self.working_precision)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_int(n: int, prec: int) -> "HPReal":
-        coerce_prec(prec)
-        with LOCK, mp.workdps(prec + GUARD_DIGITS):
-            return HPReal(mpf(n), prec)
-
     @staticmethod
     def from_fraction(q: Fraction, prec: int) -> "HPReal":
         coerce_prec(prec)
         with LOCK, mp.workdps(prec + GUARD_DIGITS):
             return HPReal(mpf(q.numerator) / q.denominator, prec)
-
-    @staticmethod
-    def from_str(s: str, prec: int) -> "HPReal":
-        coerce_prec(prec)
-        with LOCK, mp.workdps(prec + GUARD_DIGITS):
-            return HPReal(mpf(s), prec)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _other_mpf(self, other: Number, wd: int) -> mpf:
-        if isinstance(other, HPReal):
-            return other.magnitude
-        if isinstance(other, int):
-            return mpf(other)
-        if isinstance(other, Fraction):
-            return mpf(other.numerator) / other.denominator
-        raise TypeError(f"cannot combine HPReal with {type(other).__name__}")
-
-    def _binop(self, other: Number, op) -> "HPReal":
-        prec = self.working_precision
-        if isinstance(other, HPReal):
-            prec = min(prec, other.working_precision)
-        with LOCK, mp.workdps(prec + GUARD_DIGITS):
-            return HPReal(op(self.magnitude, self._other_mpf(other, prec)), prec)
-
-    def __add__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other: Number) -> "HPReal":
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, n: int) -> "HPReal":
-        return self._binop(n, lambda a, b: a ** b)
-
-    def __neg__(self) -> "HPReal":
-        return HPReal(-self.magnitude, self.working_precision)
-
-    def __abs__(self) -> "HPReal":
-        return HPReal(abs(self.magnitude), self.working_precision)
-
-    # comparisons are exact on the underlying binary values
-    def __lt__(self, other: Number) -> bool:
-        return self.magnitude < self._other_mpf(other, self.working_precision)
-
-    def __le__(self, other: Number) -> bool:
-        return self.magnitude <= self._other_mpf(other, self.working_precision)
-
-    def __gt__(self, other: Number) -> bool:
-        return self.magnitude > self._other_mpf(other, self.working_precision)
-
-    def __ge__(self, other: Number) -> bool:
-        return self.magnitude >= self._other_mpf(other, self.working_precision)
-
-    def __float__(self) -> float:
-        return float(self.magnitude)
-
-    # -- formatting --------------------------------------------------------
 
     def to_decimal(self, digits: int | None = None, fixed: bool = False) -> str:
         """Decimal string with ``digits`` significant digits (default: full
@@ -229,7 +150,8 @@ class EvalResult:
     ``rigorous`` marks whether ``error_bound`` is a proved majorant of the
     true error (truncation plus rounding) or a heuristic estimate.  Two
     results for the same quantity with rigorous bounds must satisfy
-    |v1 - v2| <= e1 + e2; the verification layer checks exactly that.
+    |v1 - v2| <= e1 + e2, which :meth:`agrees_with` decides; the CLI's
+    ``--method all`` and the verification suites check agreement with it.
     ``conjectural`` marks values whose *formula* is conjectural even though
     the numerical evaluation of that formula is reliable.
     """
@@ -241,9 +163,19 @@ class EvalResult:
     conjectural: bool = False
 
     def agrees_with(self, other: "EvalResult") -> bool:
-        """Whether the two values agree within the sum of their bounds."""
-        diff = abs(self.value - other.value)
-        return diff <= self.error_bound + other.error_bound
+        """|v1 - v2| <= e1 + e2, both sides computed exactly: the answer
+        depends on no working precision and not on mp.dps."""
+        return gap(self.value.magnitude, other.value.magnitude) <= bound_sum(self, other)
+
+
+def gap(x: mpf, y: mpf) -> mpf:
+    """|x - y| without rounding."""
+    return mp.fsub(y, x, exact=True) if x < y else mp.fsub(x, y, exact=True)
+
+
+def bound_sum(a: EvalResult, b: EvalResult) -> mpf:
+    """e1 + e2 without rounding: the widest gap two results may agree across."""
+    return mp.fadd(a.error_bound.magnitude, b.error_bound.magnitude, exact=True)
 
 
 def wrap_result(
@@ -275,24 +207,22 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
     running product p (radius b) times a factor x (radius B) has radius
     |p| B + |x| b + B b; a monomial of two or more factors adds |v| 10^-(wd-1)
     for its multiplication roundings.  The sum adds the term radii plus
-    max|term| 10^-(wd-1) per addition.  Two roundings are not charged: the
-    coefficient and its product with the monomial, half an ulp (at most
-    10^-(wd+1) relative) each.  With two or more terms they sit inside the
-    addition slop, and with two or more factors inside the multiplication
-    slop.  A lone one-factor term relies on the factor's radius exceeding its
-    true error by at least that much, which holds for every kind of factor
-    the package passes:
-      * hp constants: pi_const and log2_const have a tenfold margin, the
-        CVZ kernel charges a whole unit |v| 10^-wd for a rounding of at most
-        a seventh of one, and pi_power charges |k| units for at most
-        |k|/10 + 1/5 of them;
-      * combine's own results carry the slops above, and each lone scaling
-        spends at most a fifth of a unit of them;
-      * integrate01 floors its bound at |total| 10^-(wd-1);
-      * nested_value converts its value exactly and its radius is far below
-        a unit, so it enters combine only beside other terms or with a
-        coefficient of +-1 or a power of two, whose product is exact.
-    The result is rigorous when every factor is.
+    max|term| 10^-(wd-1) per addition.
+
+    Each term also rounds its coefficient c to c' and its value t = c' v.
+    Rounding to nearest on wbits bits moves a result by at most u = 2^-wbits
+    of the rounded result, so |t - c v| <= u |t| + u |c' v| <= (2 + u) u |t|.
+    With two or more factors this sits inside the multiplication slop, and
+    with two or more terms inside the addition slop: 10^-(wd-1) is over 70 u,
+    as u <= 2^(1/2) 10^-(wd+1); that margin also pays the k-th partial
+    sum's own rounding, at most u k max|term|, up to 130 terms, and the
+    products' roundings, (m - 1) u |v| for m factors, up to 60 factors.  A
+    lone one-factor term has neither slop, and is
+    charged 2u |t|; the remaining u^2 |t|, with the u |c' - c| b of using c'
+    for c in the radius, is a relative u of that radius, the order at which
+    any radius computed here is itself rounded.  A coefficient 0 or +-2^k
+    scales exactly and is charged nothing.  The result is rigorous when
+    every factor is.
     """
     coerce_prec(prec)
     wd = prec + GUARD_DIGITS
@@ -312,10 +242,18 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
             t = cf * v
             total += t
             bound += abs(cf) * b
+            if len(terms) == len(factors) == 1 and not _scales_exactly(coeff):
+                bound += mp.ldexp(abs(t), 1 - mp.prec)
             scale = max(scale, abs(t))
         bound += max(len(terms) - 1, 0) * scale * slop
         rigorous = all(f.rigorous for _, factors in terms for f in factors)
         return wrap_result(total, bound, prec, method, rigorous=rigorous)
+
+
+def _scales_exactly(c: Fraction) -> bool:
+    """Whether c is 0 or +-2^k, so that c' = c and c' v = c v exactly."""
+    n, d = abs(c.numerator), c.denominator
+    return n & (n - 1) == 0 and d & (d - 1) == 0
 
 
 def scaled(r: EvalResult, c, *factors: EvalResult) -> EvalResult:
@@ -421,8 +359,7 @@ def _cvz(den, ratio: Fraction, prec: int) -> EvalResult:
       * floors: the n inner ones cost under n ratio/d_n < n units u, as
         d_n >= 3 > ratio, the outer one under one unit; n + 2 are charged;
       * rounding V u to the working bits costs at most 2^-wbits <=
-        10^-wd/7 relative; one unit |v| 10^-wd is charged, so the radius
-        keeps the spare that combine's lone-scaling rule spends.
+        10^-wd/7 relative; one unit |v| 10^-wd is charged.
     n puts the tail near 10^-(wd+5) and the bits of n keep the floors near
     2^-wbits/16; the slack in the tail and floor charges covers the
     roundings of the bound itself.

@@ -21,8 +21,6 @@ SERIES_FORBIDDEN = {"closed", "symbolic", "quadrature", "wseries"}
 # print it, compare it, or take the bound of a base constant as it stands.
 BOUND_READERS = {
     ("cli", "_result_payload"),  # the JSON payload's error_bound string
-    ("cli", "run"),  # the pairwise agreement check of --method all
-    ("verify", "_combined"),  # a row's tolerance, the sum of its bounds
     ("quadrature", "_polylog_raw"),  # Li_p(+-1) = zeta(p), -eta(p)
 }
 

@@ -30,6 +30,13 @@ def test_all_rows_pass(full_report):
     assert full_report.all_passed(strict_conjectures=True)
 
 
+@pytest.mark.parametrize("prec", [16, 20, 25])
+def test_all_rows_pass_at_low_precision(prec):
+    # a match row's tolerance is its two sides' bounds, so the suite holds at
+    # the lowest precisions too, where a fixed 1e-30 or 1e-40 could not
+    assert run_suite("all", prec).all_passed()
+
+
 def test_ordering_is_by_check_id(full_report):
     ids = [c.check_id for c in full_report.checks]
     assert ids == sorted(ids)

@@ -16,9 +16,11 @@ Subcommands map one-to-one onto the evaluation families:
 
 Every evaluating subcommand takes --method {closed,series,quadrature,
 symbolic,all}: 'all' runs every route available for the requested shape and
-checks pairwise agreement within the combined error bounds.  Routes that do
-not apply to a shape are simply absent (e.g. there is no closed form for an
-arbitrary zeta index), and asking for one explicitly is an invalid request.
+checks pairwise agreement within the combined error bounds.  The routes come
+from multizeta.routes, the table the verification suite also reads.  Routes
+that do not apply to a shape are simply absent (e.g. there is no closed form
+for an arbitrary zeta index), and asking for one explicitly is an invalid
+request.
 --json emits a deterministic machine payload (identical invocations produce
 byte-identical output); --symbolic attaches the exact basis expression where
 one exists.
@@ -31,43 +33,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from mpmath import mp
 
-from . import closed
-from .hp import (
-    GUARD_DIGITS,
-    EvalResult,
-    Method,
-    beta_fn,
-    coerce_prec,
-    combine,
-    eta,
-    log2_const,
-    pi_const,
-    pi_power,
-    psi3_quarter,
-    scaled,
-    t_single,
-    zeta_single,
-)
-from .quadrature import (
-    I_quad,
-    QuadratureNonConvergence,
-    j_cot,
-    k_arctanh,
-    kernel_pair,
-    logsine_check,
-    t_kernel_quad,
-)
-from .series import CB_KINDS, central_binomial_sum, nested_value
-from .symbolic import Formula, FormulaId, build, canonical_text, eval_symbolic, json_terms
+from .hp import GUARD_DIGITS, EvalResult, coerce_prec
+from .quadrature import QuadratureNonConvergence
+from .routes import fid_for, routes
+from .series import CB_KINDS
+from .symbolic import build, canonical_text, json_terms
 from .verify import SUITES, run_suite
 from .wseries import arctanh_nested_coeff, g_coeff, h_coeff
 
@@ -85,8 +62,6 @@ _QUANTITIES = (
     "integral",
     "cbsum",
 )
-# the families nested_value evaluates
-_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum")
 # --cutoff is accepted and validated for compatibility (verify echoes it in its
 # report); no route reads it
 DEFAULT_CUTOFF = 10 ** 6
@@ -124,166 +99,6 @@ class Request:
 
 
 # ---------------------------------------------------------------------------
-# shape recognizers
-# ---------------------------------------------------------------------------
-
-
-def _head_tail_run(params, head, tail) -> int:
-    """Length of the tail run when params == (head, tail, ..., tail), else 0."""
-    if len(params) >= 2 and params[0] == head and all(p == tail for p in params[1:]):
-        return len(params) - 1
-    return 0
-
-
-def _twos_then_one(params) -> int:
-    """N when params == ({2}^N, 1), else 0."""
-    if len(params) >= 2 and params[-1] == 1 and all(p == 2 for p in params[:-1]):
-        return len(params) - 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# route tables
-# ---------------------------------------------------------------------------
-
-
-def _fid_for(req: Request):
-    """FormulaId for the requested shape, when a symbolic build exists."""
-    p = req.params
-    if req.quantity == "zeta":
-        if p == (3,):
-            return FormulaId(Formula.Z322, (0,))
-        if (n := _head_tail_run(p, 3, 2)):
-            return FormulaId(Formula.Z322, (n,))
-        if p == (3, 1, 1):
-            return FormulaId(Formula.ZETA311)
-    elif req.quantity == "tvalue":
-        if (n := _head_tail_run(p, 3, 2)):
-            return FormulaId(Formula.T322, (n,))
-        if (n := _twos_then_one(p)):
-            if n <= 3:
-                return FormulaId(Formula.HOFFMAN_T, (n,))
-            return FormulaId(Formula.T2S1_CONJECTURE, (n,))
-    elif req.quantity == "mu":
-        if p == (2,):
-            return FormulaId(Formula.E211, (1,))
-        if (n := _head_tail_run(p, 2, 1)):
-            return FormulaId(Formula.E211, (n + 1,))
-    elif req.quantity == "oddsum":
-        fam, a, b = p
-        if fam == "O":
-            if a == b and a >= 2:
-                return FormulaId(Formula.O_DIAG, (a,))
-            if (a, b) in closed.O_TABLE_PRIMARY or (b, a) in closed.O_TABLE_PRIMARY:
-                return FormulaId(Formula.O_TABLE, (a, b))
-        else:
-            if a == b and a >= 2:
-                return FormulaId(Formula.B_DIAG, (a,))
-            if (a, b) == (2, 3):
-                return FormulaId(Formula.B23)
-            if (a, b) == (3, 2):
-                return FormulaId(Formula.B_REFLECT, (2, 3))
-    elif req.quantity == "integral":
-        kind, n = p
-        if kind == "I" and isinstance(n, int) and n >= 1:
-            return FormulaId(Formula.I_CLOSED, (n,))
-    return None
-
-
-def _routes(req: Request) -> dict:
-    """Available evaluation routes for the request, name -> thunk."""
-    p, prec = req.params, req.prec
-    routes: dict = {}
-
-    if req.quantity == "constants":
-        name, arg = p
-        routes["closed"] = {
-            "pi": lambda: pi_const(prec),
-            "log2": lambda: log2_const(prec),
-            "psi3_quarter": lambda: psi3_quarter(prec),
-            "zeta": lambda: zeta_single(arg, prec),
-            "eta": lambda: eta(arg, prec),
-            "beta": lambda: beta_fn(arg, prec),
-            "t": lambda: t_single(arg, prec),
-        }[name]
-        return routes
-
-    fid = _fid_for(req)
-    if fid is not None:  # single-entry zeta keeps zeta_single below
-        conj = fid.name is Formula.T2S1_CONJECTURE
-        routes["closed"] = lambda: closed.evaluate(fid, prec)
-        routes["symbolic"] = lambda: replace(
-            eval_symbolic(build(fid), prec), conjectural=conj
-        )
-
-    if req.quantity in _NESTED:
-        routes["series"] = lambda: nested_value(req.quantity, p, prec)
-
-    if req.quantity == "zeta":
-        if len(p) == 1:
-            routes["closed"] = lambda: zeta_single(p[0], prec)
-        elif _head_tail_run(p, 2, 1):
-            # telescoping:  zeta(2, {1}^(k-1)) = zeta(k+1)
-            routes["closed"] = lambda: zeta_single(len(p) + 1, prec)
-
-    elif req.quantity == "tvalue":
-        if len(p) == 1:
-            routes["closed"] = lambda: t_single(p[0], prec)
-        elif (n := _head_tail_run(p, 3, 2)):
-            routes["quadrature"] = lambda: t_kernel_quad(n, prec)
-        elif (m := _twos_then_one(p)):
-            # t({2}^m, 1) = I(2m)/(2m)!, proven for m <= 3
-            routes["quadrature"] = lambda: replace(
-                scaled(I_quad(2 * m, prec), Fraction(1, math.factorial(2 * m))),
-                conjectural=m > 3,
-            )
-
-    elif req.quantity == "mu":
-        if p == (2,) or _head_tail_run(p, 2, 1):
-            N = len(p)
-            routes["quadrature"] = lambda: scaled(
-                k_arctanh(N, prec), Fraction(1, math.factorial(N))
-            )
-
-    elif req.quantity == "bigT":
-        if len(p) == 1:
-            routes["closed"] = lambda: scaled(t_single(p[0], prec), 2)
-        elif _head_tail_run(p, 2, 1):
-            # T(2, {1}^(k-1)) = T(k+1) = 2 t(k+1)
-            routes["closed"] = lambda: scaled(t_single(len(p) + 1, prec), 2)
-
-    elif req.quantity == "oddsum":
-        fam, a, b = p
-        if a >= 2 and b >= 2:
-            routes["quadrature"] = lambda: kernel_pair(a, b, -1 if fam == "O" else +1, prec)
-
-    elif req.quantity == "integral":
-        kind, n = p
-        if kind == "I":
-            routes["quadrature"] = lambda: I_quad(n, prec)
-        elif kind == "J":
-            # J(n) = I(n)/pi^(n+1)
-            routes["closed"] = lambda: combine(
-                [(1, [closed.i_closed(n, prec), pi_power(-(n + 1), prec)])],
-                prec,
-                Method.CLOSED_FORM,
-            )
-            routes["quadrature"] = lambda: j_cot(n, prec)
-        elif kind == "K":
-            # K(N) = N! (2^(N+1)-1) zeta(N+1) / 2^(2N) = N! mu(2, {1}^(N-1))
-            routes["closed"] = lambda: scaled(closed.mu_closed(n, prec), math.factorial(n))
-            routes["quadrature"] = lambda: k_arctanh(n, prec)
-        else:  # logsine: -n int_0^(pi/2) z^(n-1) log sin z dz, equals I(n)
-            routes["closed"] = lambda: closed.i_closed(n, prec)
-            routes["quadrature"] = lambda: logsine_check(n, prec)
-
-    elif req.quantity == "cbsum":
-        routes["series"] = lambda: central_binomial_sum(p[0], prec)
-
-    return routes
-
-
-# ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
 
@@ -309,20 +124,20 @@ def run(req: Request) -> dict:
     Raises ValueError for shapes with no applicable route; lets
     QuadratureNonConvergence propagate for the caller's exit mapping.
     """
-    routes = _routes(req)
-    if not routes:
+    found = routes(req.quantity, req.params, req.prec)
+    if not found:
         raise ValueError(f"no evaluation route for {req.quantity} {req.params}")
 
     if req.method != "all":
-        if req.method not in routes:
+        if req.method not in found:
             raise ValueError(
                 f"method {req.method!r} not available for {req.quantity} "
-                f"{req.params}; available: {sorted(routes)}"
+                f"{req.params}; available: {sorted(found)}"
             )
-        payload = _result_payload(req, req.method, routes[req.method]())
+        payload = _result_payload(req, req.method, found[req.method]())
     else:
-        order = [m for m in ("closed", "series", "quadrature", "symbolic") if m in routes]
-        results = [(m, routes[m]()) for m in order]
+        order = [m for m in ("closed", "series", "quadrature", "symbolic") if m in found]
+        results = [(m, found[m]()) for m in order]
         entries = [_result_payload(req, m, r) for m, r in results]
         agree = all(a.agrees_with(b) for (_, a), (_, b) in combinations(results, 2))
         payload = {
@@ -335,7 +150,7 @@ def run(req: Request) -> dict:
         }
 
     if req.symbolic:
-        fid = _fid_for(req)
+        fid = fid_for(req.quantity, req.params)
         if fid is not None:
             expr = build(fid)
             payload["symbolic"] = {"text": canonical_text(expr), "terms": json_terms(expr)}

@@ -2,16 +2,37 @@
 checked here by at least two independent routes, and every place where a
 published form needed adjudication gets an explicit, machine-readable row.
 
+A row is data: (id, description, left, right[, tolerance[, mode]]).  A side
+is one of
+  * a route reference (quantity, params, method), resolved through
+    ``routes.routes``, the table the CLI serves, so a row certifies the
+    route the CLI runs for that request;
+  * a FormulaId, evaluated by ``closed.evaluate`` (the conjecture rows at
+    N <= 3, whose formula no CLI shape reaches);
+  * an exact basis expression (``pi_zeta_expr``), for the rejected variants;
+  * a combination ((coefficient, (side, ...)), ...), evaluated by
+    ``hp.combine``.
+Each distinct side is evaluated once per run, and a lone route side is used
+as the route returns it.  The printed-decimal rows (01-05) and the Wallis
+row (30) are short code beside the table.
+
 Two row modes:
   match     pass  <=>  |left - right| <= tolerance   (the default)
   separate  pass  <=>  |left - right| >= tolerance
 
-A match row between two computed results has the sum of their error bounds
-as its tolerance and passes when ``EvalResult.agrees_with`` does, so its
-verdict depends on no working precision and holds at every precision the
-results are computed at.  Only the printed-decimal rows (01-05) match
-against a fixed tolerance, one unit in the printed decimal's last place.
-Differences are exact; every number is reported to 20 significant digits.
+The tolerance is one of
+  * none: the row has the sum of its sides' error bounds as its tolerance
+    and passes when ``EvalResult.agrees_with`` does, so its verdict depends
+    on no working precision and holds at every precision the results are
+    computed at;
+  * a decimal string, the fixed distance a rejected variant must keep;
+  * (k, a, b): k times the summed bounds of sides a and b, which need not be
+    the row's own (row 19 holds its variant 100 bounds of O(4,3)'s series
+    and closed routes away).
+The printed-decimal rows match against one unit in the printed decimal's
+last place.  Row 30's two sides evaluate the same truncated polynomial, so
+its left side is charged only its roundings.  Differences are exact; every
+number is reported to 20 significant digits.
 
 Separation rows pin the *rejected* variants of formulas that circulate with
 transcription slips.  A verification that only confirmed the good variant
@@ -35,40 +56,14 @@ callers can decide whether conjectural failures gate anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from mpmath import mp, mpf
 
-from .closed import (
-    b23_closed,
-    b_diag,
-    hoffman_t,
-    i_closed,
-    mu_closed,
-    o_table,
-    t2s1_conjecture,
-    t_closed,
-    z_closed,
-    zeta311,
-)
-from .hp import (
-    EvalResult,
-    Method,
-    beta_fn,
-    bound_sum,
-    coerce_prec,
-    combine,
-    gap,
-    log2_const,
-    pi_const,
-    psi3_quarter,
-    scaled,
-    t_single,
-    zeta_single,
-)
-from .quadrature import I_quad, kernel_pair, t_kernel_quad
-from .series import central_binomial_sum, nested_value
-from .symbolic import eval_symbolic, pi_zeta_expr
+from . import closed
+from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
+from .routes import routes
+from .symbolic import Formula, FormulaId, SymbolicExpr, eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
 
 __all__ = ["Check", "VerifyReport", "run_suite", "SUITES"]
@@ -99,17 +94,7 @@ class Check:
     mode: str = "match"
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "description": self.description,
-            "left": self.left,
-            "right": self.right,
-            "difference": self.difference,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "conjectural": self.conjectural,
-            "mode": self.mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -193,37 +178,20 @@ def _as_mpf(x) -> mpf:
         return mpf(x)
 
 
-def _row(
-    check_id: str,
-    description: str,
-    left,
-    right,
-    tolerance=None,
-    conjectural: bool = False,
-    mode: str = "match",
-) -> Check:
+def _row(check_id: str, description: str, left, right, tolerance=None,
+         conjectural: bool = False, mode: str = "match") -> Check:
     """One row.  Without a tolerance the two results must agree within their
     bounds (EvalResult.agrees_with), and the row reports the bounds' sum as
     its tolerance; with one, the exact difference is held against it."""
-    lv = _as_mpf(left)
-    rv = _as_mpf(right)
+    lv, rv = _as_mpf(left), _as_mpf(right)
     diff = gap(lv, rv)
     if tolerance is None:
         tol, passed = bound_sum(left, right), left.agrees_with(right)
     else:
         tol = _as_mpf(tolerance)
         passed = bool(diff <= tol) if mode == "match" else bool(diff >= tol)
-    return Check(
-        check_id=check_id,
-        description=description,
-        left=_fmt(lv),
-        right=_fmt(rv),
-        difference=_fmt(diff),
-        tolerance=_fmt(tol),
-        passed=passed,
-        conjectural=conjectural,
-        mode=mode,
-    )
+    return Check(check_id, description, _fmt(lv), _fmt(rv), _fmt(diff), _fmt(tol), passed,
+                 conjectural, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -231,345 +199,172 @@ def _row(
 # ---------------------------------------------------------------------------
 
 
+def _ref(quantity: str, *params, method: str = "closed") -> tuple:
+    return (quantity, params, method)
+
+
+def _const(name: str, arg: int = 0) -> tuple:
+    return _ref("constants", name, arg)
+
+
+def _series(quantity: str, *params) -> tuple:
+    return _ref(quantity, *params, method="series")
+
+
+_PI = _const("pi")
+_T = {i: _const("t", i) for i in (2, 3, 4, 5, 7)}
+_O23 = _ref("oddsum", "O", 2, 3)
+_O43 = _ref("oddsum", "O", 4, 3)
+_O43_SERIES = _series("oddsum", "O", 4, 3)
+_B33 = _ref("oddsum", "B", 3, 3)
+_T221 = _ref("tvalue", 2, 2, 1)
+_B_REFLECTION = ((1, (_series("oddsum", "B", 2, 3),)), (1, (_series("oddsum", "B", 3, 2),)))
+_BETA23 = (_const("beta", 2), _const("beta", 3))
+_ZETA311_SERIES = _series("zeta", 3, 1, 1)
+# the monomials of the psi3(1/4) forms: pi^2 zeta(3), zeta(5), pi^5, pi psi3(1/4)
+_PSI_MONOMIALS = ((_PI, _PI, _const("zeta", 3)), (_const("zeta", 5),), (_PI,) * 5,
+                  (_PI, _const("psi3_quarter")))
+
+
 _PRINTED = (
-    # (id, description, constructor, printed decimal)
-    ("01-printed-z1", "zeta(3,2) closed form vs printed decimal", lambda p: z_closed(1, p), "0.22881039"),
-    ("02-printed-z2", "zeta(3,2,2) closed form vs printed decimal", lambda p: z_closed(2, p), "0.02912562"),
-    ("03-printed-z3", "zeta(3,2,2,2) closed form vs printed decimal", lambda p: z_closed(3, p), "0.00252145"),
-    ("04-printed-t2", "t(3,2,2) closed form vs printed decimal", lambda p: t_closed(2, p), "0.002109185"),
-    ("05-printed-t3", "t(3,2,2,2) closed form vs printed decimal", lambda p: t_closed(3, p), "0.00005499616"),
+    # (id, description, route, printed decimal)
+    ("01-printed-z1", "zeta(3,2) closed form vs printed decimal", _ref("zeta", 3, 2), "0.22881039"),
+    ("02-printed-z2", "zeta(3,2,2) closed form vs printed decimal", _ref("zeta", 3, 2, 2), "0.02912562"),
+    ("03-printed-z3", "zeta(3,2,2,2) closed form vs printed decimal", _ref("zeta", 3, 2, 2, 2), "0.00252145"),
+    ("04-printed-t2", "t(3,2,2) closed form vs printed decimal", _ref("tvalue", 3, 2, 2), "0.002109185"),
+    ("05-printed-t3", "t(3,2,2,2) closed form vs printed decimal", _ref("tvalue", 3, 2, 2, 2), "0.00005499616"),
+)
+
+# (id, description, left, right[, tolerance[, mode]])
+_PAPER_ROWS = (
+    # adjudication: the trailing-zeta sign in t(3,{2}^3)
+    ("06-t3-tail-sign", "rejected '+511/8192 zeta(9)' variant of t(3,2,2,2) stays far away",
+     _ref("tvalue", 3, 2, 2, 2),
+     pi_zeta_expr([("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("511/8192", 0, 9)]),
+     "0.1", "separate"),
+    # closed forms vs direct quadrature
+    ("07-kernel-t1", "t(3,{2}^1) closed form vs arcsin-kernel quadrature",
+     _ref("tvalue", 3, 2), _ref("tvalue", 3, 2, method="quadrature")),
+    ("08-kernel-t2", "t(3,{2}^2) closed form vs arcsin-kernel quadrature",
+     _ref("tvalue", 3, 2, 2), _ref("tvalue", 3, 2, 2, method="quadrature")),
+    ("09-arcsin-integral-5", "I(5) closed form vs direct quadrature",
+     _ref("integral", "I", 5), _ref("integral", "I", 5, method="quadrature")),
+    # reflection (duality) identities
+    ("10-duality1-23", "O(2,3) + O(3,2) = O(2) O(3) + O(5) at the closed-form level",
+     ((1, (_O23,)), (1, (_ref("oddsum", "O", 3, 2),))),
+     ((1, (_T[2], _T[3])), (1, (_T[5],)))),
+    ("11-duality1-series-34", "O(3,4) + O(4,3) = O(3) O(4) + O(7) at the series level",
+     ((1, (_series("oddsum", "O", 3, 4),)), (1, (_O43_SERIES,))),
+     ((1, (_T[3], _T[4])), (1, (_T[7],)))),
+    ("12-duality2-sym-23", "B(2,3) + B(3,2) = beta(2) beta(3) + O(5) (symmetric cross term)",
+     _B_REFLECTION, ((1, _BETA23), (1, (_T[5],)))),
+    ("13-duality2-single-variant", "rejected single-value cross term beta(5) stays far from the series",
+     _B_REFLECTION, ((1, _BETA23), (1, (_const("beta", 5),))), "1e-4", "separate"),
+    # adjudication: the B(3,3) diagonal
+    ("14-b33-formula", "B(3,3) diagonal formula equals 31 pi^6/30720",
+     _B33, pi_zeta_expr([("31/30720", 6, 0)])),
+    ("15-b33-printed", "rejected printed value 1937 pi^6/1935360 stays far away",
+     _B33, pi_zeta_expr([("1937/1935360", 6, 0)]), "1e-3", "separate"),
+    # adjudication: the t(2,2,1) coefficient
+    ("16-t221-coeff", "rejected 1/14 coefficient variant of t(2,2,1) stays far away",
+     _T221, (("1/8", (_T[5],)), ("-1/14", (_T[2], _T[3])), ("1/4", (_T[4], _const("log2")))),
+     "1e-5", "separate"),
+    ("17-t221-series", "t(2,2,1) relation vs the nested odd series",
+     _T221, _series("tvalue", 2, 2, 1)),
+    # adjudication: the O(4,3) table head coefficient
+    ("18-o43-table", "O(4,3) series vs table entry with pi^4/768 zeta(3)", _O43_SERIES, _O43),
+    ("19-o43-variant", "rejected pi^4/728 zeta(3) variant misses by >100x the combined bounds",
+     _O43_SERIES, pi_zeta_expr([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)]),
+     (100, _O43_SERIES, _O43), "separate"),
+    # zeta(3,1,1) and its non-strict triple-sum decomposition
+    ("20-zeta311-series", "zeta(3,1,1) = 2 zeta(5) - zeta(2) zeta(3) vs nested series",
+     _ref("zeta", 3, 1, 1), _ZETA311_SERIES),
+    ("21-zeta311-triple",
+     "sum_{m>n>=k} 1/(m^3 n k) = zeta(3,1,1) + zeta(3,2) = 2 zeta(2) zeta(3) - 7/2 zeta(5)",
+     ((1, (_ZETA311_SERIES,)), (1, (_series("zeta", 3, 2),))),
+     pi_zeta_expr([("1/3", 2, 3), ("-7/2", 0, 5)])),  # 2 z2 z3 - 7/2 z5
+    # telescoping families
+    ("22-mzv-ones-3", "zeta(2,1,1) = zeta(4)", _series("zeta", 2, 1, 1), _const("zeta", 4)),
+    ("23-bigT-ones-3", "T(2,1,1) = T(4) = 2 (1 - 2^-4) zeta(4)",
+     _series("bigT", 2, 1, 1), _ref("bigT", 4)),
+    # log-polylog kernel orientation
+    ("24-kernel-O23", "odd-denominator log-polylog kernel pair reproduces O(2,3)",
+     _ref("oddsum", "O", 2, 3, method="quadrature"), _O23),
+    ("25-kernel-B23", "even-denominator log-polylog kernel pair reproduces B(2,3)",
+     _ref("oddsum", "B", 2, 3, method="quadrature"), _ref("oddsum", "B", 2, 3)),
+    # alternating even-index harmonic sums vs psi3(1/4) forms
+    ("26-valean-H2n", "sum (-1)^(n-1) H_{2n}/n^4 vs its psi3(1/4) closed form",
+     ("valean", "H2n_over_n4", "series"),
+     tuple(zip(("-1/3", "-437/64", "-1/24", "1/192"), _PSI_MONOMIALS))),
+    ("27-valean-H2n2", "sum (-1)^(n-1) H_{2n}^(2)/n^3 vs its psi3(1/4) closed form",
+     ("valean", "H2n2_over_n3", "series"),
+     tuple(zip(("61/192", "1973/128", "1/16", "-1/128"), _PSI_MONOMIALS))),
+    # central-binomial sum (geometric tail, so full precision is cheap)
+    ("28-cb-lehmer", "sum 1/(n^2 binom(2n,n)) = zeta(2)/3",
+     _series("cbsum", "inverse_square"), pi_zeta_expr([("1/18", 2, 0)])),
+    ("29-mu-series-2", "mu(2,1) nested parity series vs (2^3-1) zeta(3)/2^4",
+     _series("mu", 2, 1), _ref("mu", 2, 1)),
+)
+
+# the conjecture t({2}^N,1) = I(2N)/(2N)!; below N = 4 no CLI shape reaches
+# its formula, so those rows name it
+_CONJECTURE_ROWS = (
+    *(
+        (f"c0{N}-t2s1-{N}",
+         f"conjectured t({{2}}^{N},1) = I({2 * N})/({2 * N})! vs the proven relation",
+         FormulaId(Formula.T2S1_CONJECTURE, (N,)), _ref("tvalue", *(2,) * N, 1))
+        for N in (1, 2, 3)
+    ),
+    *(
+        (f"c0{N}-t2s1-{N}", f"conjectured t({{2}}^{N},1) vs the nested odd series",
+         _ref("tvalue", *(2,) * N, 1), _series("tvalue", *(2,) * N, 1))
+        for N in (4, 5)
+    ),
 )
 
 
-def _paper_checks(prec: int) -> list:
-    checks = []
+def _evaluate(side, prec: int, seen: dict) -> EvalResult:
+    """The result a row side stands for; ``seen`` keeps each one evaluated."""
+    if side not in seen:
+        if isinstance(side, FormulaId):
+            seen[side] = closed.evaluate(side, prec)
+        elif isinstance(side, SymbolicExpr):
+            seen[side] = eval_symbolic(side, prec)
+        elif isinstance(side[0], str):  # (quantity, params, method)
+            quantity, params, method = side
+            seen[side] = routes(quantity, params, prec)[method]()
+        else:  # ((coefficient, (side, ...)), ...)
+            terms = [(c, [_evaluate(f, prec, seen) for f in fs]) for c, fs in side]
+            seen[side] = combine(terms, prec, terms[0][1][0].method)  # a label no row shows
+    return seen[side]
 
-    for cid, desc, fn, printed in _PRINTED:
+
+def _checks(rows, prec: int, seen: dict, conjectural: bool = False) -> list:
+    checks = []
+    for cid, description, left, right, *rest in rows:
+        tolerance, mode = rest + [None, "match"][len(rest):]
+        if isinstance(tolerance, tuple):  # (k, side a, side b): k (e_a + e_b)
+            k, a, b = tolerance
+            sides = _evaluate(a, prec, seen), _evaluate(b, prec, seen)
+            tolerance = mp.fmul(k, bound_sum(*sides), exact=True)
+        left, right = _evaluate(left, prec, seen), _evaluate(right, prec, seen)
+        checks.append(_row(cid, description, left, right, tolerance, conjectural, mode))
+    return checks
+
+
+def _paper_checks(prec: int, seen: dict) -> list:
+    checks = []
+    for cid, desc, route, printed in _PRINTED:
         digits = len(printed.split(".")[1])
         with mp.workdps(40):
             tol = mpf(10) ** -digits
             printed_v = mpf(printed)
-        checks.append(_row(cid, desc, fn(prec), printed_v, tol))
-
-    # adjudication: the trailing-zeta sign in t(3,{2}^3)
-    t3 = t_closed(3, prec)
-    plus_variant = eval_symbolic(
-        pi_zeta_expr(
-            [("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("511/8192", 0, 9)]
-        ),
-        prec,
-    )
-    checks.append(
-        _row(
-            "06-t3-tail-sign",
-            "rejected '+511/8192 zeta(9)' variant of t(3,2,2,2) stays far away",
-            t3,
-            plus_variant,
-            "0.1",
-            mode="separate",
-        )
-    )
-
-    # closed forms vs direct quadrature
-    for cid, N in (("07-kernel-t1", 1), ("08-kernel-t2", 2)):
-        tk = t_kernel_quad(N, prec)
-        checks.append(
-            _row(
-                cid,
-                f"t(3,{{2}}^{N}) closed form vs arcsin-kernel quadrature",
-                t_closed(N, prec),
-                tk,
-            )
-        )
-    checks.append(
-        _row(
-            "09-arcsin-integral-5",
-            "I(5) closed form vs direct quadrature",
-            i_closed(5, prec),
-            I_quad(5, prec),
-        )
-    )
-
-    # reflection (duality) identities
-    t = {i: t_single(i, prec) for i in (2, 3, 4, 5, 7)}
-    o23 = o_table(2, 3, prec)
-    lhs = combine([(1, [o23]), (1, [o_table(3, 2, prec)])], prec, Method.CLOSED_FORM)
-    rhs = combine([(1, [t[2], t[3]]), (1, [t[5]])], prec, Method.CLOSED_FORM)
-    checks.append(
-        _row(
-            "10-duality1-23",
-            "O(2,3) + O(3,2) = O(2) O(3) + O(5) at the closed-form level",
-            lhs,
-            rhs,
-        )
-    )
-
-    s34 = nested_value("oddsum", ("O", 3, 4), prec)
-    s43 = nested_value("oddsum", ("O", 4, 3), prec)
-    lhs = combine([(1, [s34]), (1, [s43])], prec, Method.SERIES)
-    rhs = combine([(1, [t[3], t[4]]), (1, [t[7]])], prec, Method.CLOSED_FORM)
-    checks.append(
-        _row(
-            "11-duality1-series-34",
-            "O(3,4) + O(4,3) = O(3) O(4) + O(7) at the series level",
-            lhs,
-            rhs,
-        )
-    )
-
-    b23s = nested_value("oddsum", ("B", 2, 3), prec)
-    b32s = nested_value("oddsum", ("B", 3, 2), prec)
-    lhs = combine([(1, [b23s]), (1, [b32s])], prec, Method.SERIES)
-    beta_part = [beta_fn(2, prec), beta_fn(3, prec)]
-    rhs_sym = combine([(1, beta_part), (1, [t[5]])], prec, Method.CLOSED_FORM)
-    rhs_single = combine([(1, beta_part), (1, [beta_fn(5, prec)])], prec, Method.CLOSED_FORM)
-    checks.append(
-        _row(
-            "12-duality2-sym-23",
-            "B(2,3) + B(3,2) = beta(2) beta(3) + O(5) (symmetric cross term)",
-            lhs,
-            rhs_sym,
-        )
-    )
-    checks.append(
-        _row(
-            "13-duality2-single-variant",
-            "rejected single-value cross term beta(5) stays far from the series",
-            lhs,
-            rhs_single,
-            "1e-4",
-            mode="separate",
-        )
-    )
-
-    # adjudication: the B(3,3) diagonal
-    b33 = b_diag(3, prec)
-    checks.append(
-        _row(
-            "14-b33-formula",
-            "B(3,3) diagonal formula equals 31 pi^6/30720",
-            b33,
-            eval_symbolic(pi_zeta_expr([("31/30720", 6, 0)]), prec),
-        )
-    )
-    checks.append(
-        _row(
-            "15-b33-printed",
-            "rejected printed value 1937 pi^6/1935360 stays far away",
-            b33,
-            eval_symbolic(pi_zeta_expr([("1937/1935360", 6, 0)]), prec),
-            "1e-3",
-            mode="separate",
-        )
-    )
-
-    # adjudication: the t(2,2,1) coefficient
-    h221 = hoffman_t("t221", prec)
-    variant_1_14 = combine(
-        [("1/8", [t[5]]), ("-1/14", [t[2], t[3]]), ("1/4", [t[4], log2_const(prec)])],
-        prec,
-        Method.CLOSED_FORM,
-    )
-    checks.append(
-        _row(
-            "16-t221-coeff",
-            "rejected 1/14 coefficient variant of t(2,2,1) stays far away",
-            h221,
-            variant_1_14,
-            "1e-5",
-            mode="separate",
-        )
-    )
-    s221 = nested_value("tvalue", (2, 2, 1), prec)
-    checks.append(
-        _row(
-            "17-t221-series",
-            "t(2,2,1) relation vs the nested odd series",
-            h221,
-            s221,
-        )
-    )
-
-    # adjudication: the O(4,3) table head coefficient
-    table43 = o_table(4, 3, prec)
-    checks.append(
-        _row(
-            "18-o43-table",
-            "O(4,3) series vs table entry with pi^4/768 zeta(3)",
-            s43,
-            table43,
-        )
-    )
-    variant728 = eval_symbolic(
-        pi_zeta_expr([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)]), prec
-    )
-    checks.append(
-        _row(
-            "19-o43-variant",
-            "rejected pi^4/728 zeta(3) variant misses by >100x the combined bounds",
-            s43,
-            variant728,
-            mp.fmul(100, bound_sum(s43, table43), exact=True),
-            mode="separate",
-        )
-    )
-
-    # zeta(3,1,1) and its non-strict triple-sum decomposition
-    z311c = zeta311(prec)
-    z311s = nested_value("zeta", (3, 1, 1), prec)
-    checks.append(
-        _row(
-            "20-zeta311-series",
-            "zeta(3,1,1) = 2 zeta(5) - zeta(2) zeta(3) vs nested series",
-            z311c,
-            z311s,
-        )
-    )
-    triple = combine([(1, [z311s]), (1, [nested_value("zeta", (3, 2), prec)])], prec, Method.SERIES)
-    target = eval_symbolic(pi_zeta_expr([("1/3", 2, 3), ("-7/2", 0, 5)]), prec)  # 2 z2 z3 - 7/2 z5
-    checks.append(
-        _row(
-            "21-zeta311-triple",
-            "sum_{m>n>=k} 1/(m^3 n k) = zeta(3,1,1) + zeta(3,2) = 2 zeta(2) zeta(3) - 7/2 zeta(5)",
-            triple,
-            target,
-        )
-    )
-
-    # telescoping families
-    m211 = nested_value("zeta", (2, 1, 1), prec)
-    z4 = zeta_single(4, prec)
-    checks.append(
-        _row(
-            "22-mzv-ones-3",
-            "zeta(2,1,1) = zeta(4)",
-            m211,
-            z4,
-        )
-    )
-    bt211 = nested_value("bigT", (2, 1, 1), prec)
-    t4_doubled = scaled(t[4], 2)
-    checks.append(
-        _row(
-            "23-bigT-ones-3",
-            "T(2,1,1) = T(4) = 2 (1 - 2^-4) zeta(4)",
-            bt211,
-            t4_doubled,
-        )
-    )
-
-    # log-polylog kernel orientation
-    ko = kernel_pair(2, 3, -1, prec)
-    checks.append(
-        _row(
-            "24-kernel-O23",
-            "odd-denominator log-polylog kernel pair reproduces O(2,3)",
-            ko,
-            o23,
-        )
-    )
-    kb = kernel_pair(2, 3, +1, prec)
-    b23 = b23_closed(prec)
-    checks.append(
-        _row(
-            "25-kernel-B23",
-            "even-denominator log-polylog kernel pair reproduces B(2,3)",
-            kb,
-            b23,
-        )
-    )
-
-    # alternating even-index harmonic sums vs psi3(1/4) forms
-    v1 = nested_value("valean", "H2n_over_n4", prec)
-    v2 = nested_value("valean", "H2n2_over_n3", prec)
-    pi = pi_const(prec)
-    monomials = ([pi, pi, zeta_single(3, prec)], [zeta_single(5, prec)], [pi] * 5,
-                 [pi, psi3_quarter(prec)])
-
-    def psi_form(*coeffs):  # of pi^2 zeta(3), zeta(5), pi^5 and pi psi3(1/4)
-        return combine(list(zip(coeffs, monomials)), prec, Method.CLOSED_FORM)
-
-    ref1 = psi_form("-1/3", "-437/64", "-1/24", "1/192")
-    ref2 = psi_form("61/192", "1973/128", "1/16", "-1/128")
-    checks.append(
-        _row(
-            "26-valean-H2n",
-            "sum (-1)^(n-1) H_{2n}/n^4 vs its psi3(1/4) closed form",
-            v1,
-            ref1,
-        )
-    )
-    checks.append(
-        _row(
-            "27-valean-H2n2",
-            "sum (-1)^(n-1) H_{2n}^(2)/n^3 vs its psi3(1/4) closed form",
-            v2,
-            ref2,
-        )
-    )
-
-    # central-binomial sum (geometric tail, so full precision is cheap)
-    cb = central_binomial_sum("inverse_square", prec)
-    checks.append(
-        _row(
-            "28-cb-lehmer",
-            "sum 1/(n^2 binom(2n,n)) = zeta(2)/3",
-            cb,
-            eval_symbolic(pi_zeta_expr([("1/18", 2, 0)]), prec),
-        )
-    )
-
-    # mu family and the half-integral operator identity
-    ms = nested_value("mu", (2, 1), prec)
-    mc = mu_closed(2, prec)
-    checks.append(
-        _row(
-            "29-mu-series-2",
-            "mu(2,1) nested parity series vs (2^3-1) zeta(3)/2^4",
-            ms,
-            mc,
-        )
-    )
+        checks.append(_row(cid, desc, _evaluate(route, prec, seen), printed_v, tol))
+    checks.extend(_checks(_PAPER_ROWS, prec, seen))
     lhs_w, rhs_w = wallis_identity_check(arcsin_power_series(2, 80), 1, prec)
     checks.append(
-        _row(
-            "30-wallis-arcsin",
-            "W-operator identity for arcsin^2/2! at alpha = 1",
-            lhs_w,
-            rhs_w,
-        )
+        _row("30-wallis-arcsin", "W-operator identity for arcsin^2/2! at alpha = 1", lhs_w, rhs_w)
     )
-
-    return checks
-
-
-def _conjecture_checks(prec: int) -> list:
-    checks = []
-    for N, kind in ((1, "t21"), (2, "t221"), (3, "t2221")):
-        conj = t2s1_conjecture(N, prec)
-        proven = hoffman_t(kind, prec)
-        checks.append(
-            _row(
-                f"c0{N}-t2s1-{N}",
-                f"conjectured t({{2}}^{N},1) = I({2 * N})/({2 * N})! vs the proven relation",
-                conj,
-                proven,
-                conjectural=True,
-            )
-        )
-    for N, cid in ((4, "c04-t2s1-4"), (5, "c05-t2s1-5")):
-        conj = t2s1_conjecture(N, prec)
-        idx = (2,) * N + (1,)
-        series = nested_value("tvalue", idx, prec)
-        checks.append(
-            _row(
-                cid,
-                f"conjectured t({{2}}^{N},1) vs the nested odd series",
-                conj,
-                series,
-                conjectural=True,
-            )
-        )
     return checks
 
 
@@ -585,10 +380,10 @@ def run_suite(suite: str = "all", prec: int = 50, cutoff: int = 10 ** 6) -> Veri
     if not isinstance(cutoff, int) or cutoff < 100:
         raise ValueError(f"cutoff must be an integer >= 100, got {cutoff!r}")
     coerce_prec(prec)
-    checks = []
+    checks, seen = [], {}
     if suite in ("paper", "all"):
-        checks.extend(_paper_checks(prec))
+        checks.extend(_paper_checks(prec, seen))
     if suite in ("conjectures", "all"):
-        checks.extend(_conjecture_checks(prec))
+        checks.extend(_checks(_CONJECTURE_ROWS, prec, seen, conjectural=True))
     checks.sort(key=lambda c: c.check_id)
     return VerifyReport(suite=suite, precision=prec, cutoff=cutoff, checks=tuple(checks))

@@ -412,6 +412,10 @@ def wallis_identity_check(
     arccos values come from the quadrature node column t_kernel_quad reads.
     Requires f(0) = 0 so that f(z)/z is a power series.
 
+    Both sides evaluate the same polynomial, so the left side is charged its
+    Horner roundings only, (M + 2) 10^-(wd-1) sum |c_n| |alpha|^n for the
+    polynomial's degree M, and not eval_at's estimate of the series tail.
+
     The right side's polynomial, of M coefficients, runs Horner's rule in
     integers scaled by 2^B, B the working bits wbits plus the bits of M plus
     4: each coefficient is rounded to within one unit 2^-B once per call,
@@ -422,8 +426,7 @@ def wallis_identity_check(
     coerce_prec(prec)
     if not f.coeffs[0].is_zero():
         raise ValueError("identity requires f(0) = 0")
-    lhs = w_apply(f.integrate_over_z()).eval_at(alpha, prec)
-
+    poly = w_apply(f.integrate_over_z())
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         if isinstance(alpha, HPReal):
@@ -434,6 +437,12 @@ def wallis_identity_check(
             av = mpf(alpha)
         if not 0 < av <= 1:
             raise ValueError("alpha must lie in (0, 1]")
+        majorant = mpf(0)
+        for c in reversed(poly.coeffs):
+            majorant = majorant * av + abs(c.to_mpf())
+        rounding = majorant * (poly.truncation_order + 2) * mpf(10) ** (1 - wd)
+        value = poly.eval_at(alpha, prec).value.magnitude
+        lhs = wrap_result(value, rounding, prec, Method.SERIES, rigorous=False)
         # f(alpha x)/x = alpha * sum_(n>=1) c_n (alpha x)^(n-1): no division
         shifted = f.coeffs[1:] or (SeriesCoeff(),)
         bits = dps_to_prec(wd) + len(shifted).bit_length() + 4

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from multizeta import cli, verify
+from multizeta import cli, quadrature, routes, series
 from multizeta.cli import Request, main, run
 from multizeta.hp import Method, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
@@ -313,7 +313,7 @@ def test_nonconvergence_exits_3(capsys, monkeypatch):
     def blow_up(N, prec=50):
         raise QuadratureNonConvergence("level cap hit", None)
 
-    monkeypatch.setattr(cli, "t_kernel_quad", blow_up)
+    monkeypatch.setattr(quadrature, "t_kernel_quad", blow_up)
     code, _, err = run_cli(capsys, "tvalue", "3", "2", "--method", "quadrature")
     assert code == 3
     assert "quadrature failed to converge" in err
@@ -324,7 +324,7 @@ def test_route_disagreement_exits_1(capsys, monkeypatch):
         with mp.workdps(prec + 10):
             return wrap_result(mpf(1), mpf("1e-40"), prec, Method.QUADRATURE, rigorous=False)
 
-    monkeypatch.setattr(cli, "t_kernel_quad", wrong_value)
+    monkeypatch.setattr(quadrature, "t_kernel_quad", wrong_value)
     code, out, _ = run_cli(
         capsys, "tvalue", "3", "2", "--method", "all", "--cutoff", "2000", "--prec", "25"
     )
@@ -358,10 +358,9 @@ REFLECTED = {("oddsum", ("O", p + 1, p)) for p in range(2, 7)} | {("oddsum", ("B
 @pytest.mark.parametrize("prec", [30, 50])
 def test_symbolic_bound_equals_closed(prec):
     for quantity, params in FID_SHAPES:
-        req = Request(quantity, params, prec=prec)
-        assert cli._fid_for(req) is not None, (quantity, params)
-        routes = cli._routes(req)
-        closed, symbolic = routes["closed"](), routes["symbolic"]()
+        assert routes.fid_for(quantity, params) is not None, (quantity, params)
+        found = routes.routes(quantity, params, prec)
+        closed, symbolic = found["closed"](), found["symbolic"]()
         if (quantity, params) in REFLECTED:
             assert symbolic.error_bound.magnitude < closed.error_bound.magnitude
         else:
@@ -421,7 +420,7 @@ SCALED_ROUTES = (
     ids=[f"{q}{p}-{r}-{d}" for q, p, r, _, d in SCALED_ROUTES],
 )
 def test_scaled_routes_hold_the_reference(quantity, params, route, reference, digits):
-    r = cli._routes(Request(quantity, params, prec=digits))[route]()
+    r = routes.routes(quantity, params, digits)[route]()
     with mp.workdps(digits + 30):
         assert abs(r.value.magnitude - reference()) <= r.error_bound.magnitude
 
@@ -456,13 +455,13 @@ def test_verify_conjectures_suite(capsys, tmp_path):
 def test_verify_blocking_failure_exits_1(capsys, monkeypatch):
     # a wrong input to row 27 (twice the H_{2n}^(2)/n^3 sum) must fail the
     # row, and the suite must say so and gate the exit status
-    nested_value = verify.nested_value
+    nested_value = series.nested_value
 
     def doubled_valean(quantity, params, prec):
         r = nested_value(quantity, params, prec)
         return scaled(r, 2) if params == "H2n2_over_n3" else r
 
-    monkeypatch.setattr(verify, "nested_value", doubled_valean)
+    monkeypatch.setattr(series, "nested_value", doubled_valean)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "paper", "--prec", "30", "--cutoff", "2000"
     )

@@ -5,6 +5,8 @@ and outside ``hp`` no code derives an error bound from other bounds, so
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import multizeta
@@ -16,6 +18,14 @@ ALLOWED: set = set()
 # The series route checks the closed, symbolic and quadrature routes, so it
 # must not be built from them.
 SERIES_FORBIDDEN = {"closed", "symbolic", "quadrature", "wseries"}
+
+# The layers whose functions the route registry reaches through the module
+# (``hp.scaled(...)``), never by a name imported from it: the benchmark's
+# tracer wraps a layer's functions by rebinding them in the layer modules
+# only, so a call through a name imported into ``routes`` would escape it
+# (a traced verify pass would report no series calls and bill their time to
+# verify), and so would a test's monkeypatch of the defining module.
+LAYERS_CALLED_THROUGH_MODULE = {"hp", "series", "quadrature", "symbolic", "closed"}
 
 # The only functions outside hp that read a result's ``.error_bound``: they
 # print it, compare it, or take the bound of a base constant as it stands.
@@ -91,6 +101,35 @@ def test_quadrature_route_is_independent():
     # on the hp constants alone
     imported = {module for module, _ in sibling_imports(PACKAGE / "quadrature.py")}
     assert imported == {"hp"}
+
+
+def functions_imported_by_name(stem: str, layers: set) -> tuple[list, int]:
+    """(functions of ``layers`` that ``stem`` imports by name, names checked)."""
+    found, checked = [], 0
+    for module, names in sibling_imports(PACKAGE / f"{stem}.py"):
+        if module not in layers:
+            continue
+        layer = importlib.import_module(f"multizeta.{module}")
+        for name in names:
+            checked += 1
+            obj = getattr(layer, name)
+            if callable(obj) and not inspect.isclass(obj):
+                found.append(f"{stem} imports {module}.{name}")
+    return found, checked
+
+
+def test_routes_call_layers_through_their_modules():
+    found, checked = functions_imported_by_name("routes", LAYERS_CALLED_THROUGH_MODULE)
+    assert checked > 0  # guard against a vacuous pass: Formula, FormulaId
+    assert found == []
+
+
+def test_only_routes_wire_shapes_to_evaluators():
+    # the CLI and verify reach every evaluator of these layers through
+    # routes: they import classes and constants from them, no function
+    for stem in ("cli", "verify"):
+        found, _ = functions_imported_by_name(stem, {"closed", "quadrature", "series"})
+        assert found == []
 
 
 def test_only_hp_derives_error_bounds():

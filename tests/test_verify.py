@@ -7,11 +7,15 @@ and echoed, and has no effect.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+from multizeta import routes, series, verify
+from multizeta.cli import Request, run
+from multizeta.hp import HPReal
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
 from oracles import _triple_nonstrict_sum
 
@@ -148,3 +152,104 @@ def test_triple_sum_bound_honest():
 
 def test_suites_constant():
     assert SUITES == ("paper", "conjectures", "all")
+
+
+# ---------------------------------------------------------------------------
+# the rows are data over the CLI's route registry
+# ---------------------------------------------------------------------------
+
+ROW_TABLES = (verify._PAPER_ROWS, verify._CONJECTURE_ROWS)
+
+
+def _route_refs(side):
+    """The (quantity, params, method) references a side names."""
+    if isinstance(side, tuple) and isinstance(side[0], str):
+        yield side
+    elif isinstance(side, tuple):  # a combination of (coefficient, factors)
+        for _, factors in side:
+            for factor in factors:
+                yield from _route_refs(factor)
+
+
+def all_route_refs() -> set:
+    found = {route for _, _, route, _ in verify._PRINTED}
+    for rows in ROW_TABLES:
+        for _, _, left, right, *rest in rows:
+            sides = [left, right]
+            if rest and isinstance(rest[0], tuple):  # (k, side a, side b)
+                sides += rest[0][1:]
+            for side in sides:
+                found.update(_route_refs(side))
+    return found
+
+
+def test_row_ids_are_unique():
+    ids = [cid for cid, *_ in verify._PRINTED]
+    ids += [cid for rows in ROW_TABLES for cid, *_ in rows] + ["30-wallis-arcsin"]
+    assert len(ids) == len(set(ids)) == 35
+
+
+def test_every_route_reference_resolves():
+    refs = all_route_refs()
+    assert len(refs) > 30  # guard against a vacuous walk
+    for quantity, params, method in refs:
+        assert method in routes.routes(quantity, params, 30), (quantity, params, method)
+
+
+def test_the_cli_serves_every_route_verify_certifies():
+    served = 0
+    for quantity, params, method in sorted(all_route_refs(), key=repr):
+        try:
+            req = Request(quantity, params, method=method, prec=30)
+        except ValueError:
+            assert quantity == "valean"  # a series route verify alone reaches
+            continue
+        payload = run(req)
+        assert (payload["quantity"], payload["method"]) == (quantity, method)
+        served += 1
+    assert served > 30
+
+
+def test_a_side_shared_by_rows_is_evaluated_once(monkeypatch):
+    # rows 11, 18 and 19 all use O(4,3)'s series route
+    calls = []
+    nested_value = series.nested_value
+
+    def counted(quantity, params, prec=50):
+        calls.append((quantity, params))
+        return nested_value(quantity, params, prec)
+
+    monkeypatch.setattr(series, "nested_value", counted)
+    run_suite("paper", 30)
+    assert calls.count(("oddsum", ("O", 4, 3))) == 1
+    assert len(calls) == len(set(calls)) > 10
+
+
+# ---------------------------------------------------------------------------
+# row 30: both sides evaluate one polynomial, so it checks its digits
+# ---------------------------------------------------------------------------
+
+
+def wallis_row(report):
+    (row,) = [c for c in report.checks if c.check_id == "30-wallis-arcsin"]
+    return row
+
+
+def test_wallis_row_tolerance_is_rounding_only():
+    row = wallis_row(run_suite("paper", 50))
+    assert row.passed
+    assert mpf(row.tolerance) <= mpf("1e-55")
+
+
+def test_wallis_row_fails_a_perturbed_left_side(monkeypatch):
+    check = verify.wallis_identity_check
+
+    def perturbed(f, alpha, prec):
+        lhs, rhs = check(f, alpha, prec)
+        with mp.workdps(prec + 10):
+            shifted = HPReal(lhs.value.magnitude + mpf("1e-40"), prec)
+        return replace(lhs, value=shifted), rhs
+
+    monkeypatch.setattr(verify, "wallis_identity_check", perturbed)
+    row = wallis_row(run_suite("paper", 50))
+    assert not row.passed

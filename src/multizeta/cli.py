@@ -45,7 +45,7 @@ from .quadrature import QuadratureNonConvergence
 from .routes import fid_for, routes
 from .series import CB_KINDS
 from .symbolic import build, canonical_text, json_terms
-from .verify import SUITES, run_suite
+from .verify import SUITES, check_cutoff, run_suite
 from .wseries import arctanh_nested_coeff, g_coeff, h_coeff
 
 __all__ = ["Request", "run", "main"]
@@ -94,8 +94,7 @@ class Request:
         if self.output not in ("text", "json"):
             raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
         coerce_prec(self.prec)
-        if not isinstance(self.cutoff, int) or self.cutoff < 10:
-            raise ValueError(f"cutoff must be an integer >= 10, got {self.cutoff!r}")
+        check_cutoff(self.cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def fid_for(quantity: str, params):
         if fam == "O":
             if a == b and a >= 2:
                 return FormulaId(Formula.O_DIAG, (a,))
-            if (a, b) in closed.O_TABLE_PRIMARY or (b, a) in closed.O_TABLE_PRIMARY:
+            if (a, b) in symbolic.O_TABLE_PRIMARY or (b, a) in symbolic.O_TABLE_PRIMARY:
                 return FormulaId(Formula.O_TABLE, (a, b))
         else:
             if a == b and a >= 2:
@@ -107,11 +107,8 @@ def routes(quantity: str, params, prec: int) -> dict:
 
     fid = fid_for(quantity, p)
     if fid is not None:  # single-entry zeta keeps zeta_single below
-        conj = fid.name is Formula.T2S1_CONJECTURE
-        found["closed"] = lambda: closed.evaluate(fid, prec)
-        found["symbolic"] = lambda: replace(
-            symbolic.eval_symbolic(symbolic.build(fid), prec), conjectural=conj
-        )
+        # one exact expression behind both: they agree by construction
+        found["closed"] = found["symbolic"] = lambda: closed.evaluate(fid, prec)
 
     if quantity in _NESTED:
         found["series"] = lambda: series.nested_value(quantity, p, prec)
@@ -161,14 +158,20 @@ def routes(quantity: str, params, prec: int) -> dict:
             found["quadrature"] = lambda: quadrature.I_quad(n, prec)
         elif kind == "J":
             # J(n) = I(n)/pi^(n+1)
-            found["closed"] = lambda: hp.scaled(closed.i_closed(n, prec), 1, hp.pi_power(-n - 1, prec))
+            found["closed"] = lambda: hp.scaled(
+                closed.evaluate(FormulaId(Formula.I_CLOSED, (n,)), prec),
+                1,
+                hp.pi_power(-n - 1, prec),
+            )
             found["quadrature"] = lambda: quadrature.j_cot(n, prec)
         elif kind == "K":
             # K(N) = N! (2^(N+1)-1) zeta(N+1) / 2^(2N) = N! mu(2, {1}^(N-1))
-            found["closed"] = lambda: hp.scaled(closed.mu_closed(n, prec), math.factorial(n))
+            found["closed"] = lambda: hp.scaled(
+                closed.evaluate(FormulaId(Formula.E211, (n,)), prec), math.factorial(n)
+            )
             found["quadrature"] = lambda: quadrature.k_arctanh(n, prec)
         else:  # logsine: -n int_0^(pi/2) z^(n-1) log sin z dz, equals I(n)
-            found["closed"] = lambda: closed.i_closed(n, prec)
+            found["closed"] = lambda: closed.evaluate(FormulaId(Formula.I_CLOSED, (n,)), prec)
             found["quadrature"] = lambda: quadrature.logsine_check(n, prec)
 
     elif quantity == "cbsum":

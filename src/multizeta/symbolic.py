@@ -15,8 +15,8 @@ sign pattern of the zeta(2N+3) coefficient, and the exact cancellation of
 log 2 when the arcsin-integral combinations assemble t(3,{2}^N) and
 zeta(3,{2}^N).
 
-build() is the only definition of each closed form in the package; the
-numeric layer (closed.py) evaluates what it returns.  t(3,{2}^N) and
+build() is the only definition of each closed form in the package;
+closed.evaluate() evaluates what it returns.  t(3,{2}^N) and
 zeta(3,{2}^N) are derived twice, from the eta/zeta summation form and from
 the arcsin-integral combination, and build() raises RuntimeError unless the
 two expressions are equal over Q -- a transcription slip in either formula
@@ -50,7 +50,6 @@ __all__ = [
     "Formula",
     "FormulaId",
     "O_TABLE_PRIMARY",
-    "HOFFMAN_KINDS",
     "BasisConstant",
     "SymbolicExpr",
     "PI",
@@ -77,7 +76,6 @@ class Formula(Enum):
     E211 = "E211"
     O_DIAG = "ODiag"
     B_DIAG = "BDiag"
-    O_REFLECT = "OReflect"
     B_REFLECT = "BReflect"
     O_TABLE = "OTable"
     B23 = "B23"
@@ -85,8 +83,6 @@ class Formula(Enum):
     HOFFMAN_T = "HoffmanT"
     ZETA311 = "Zeta311"
 
-
-HOFFMAN_KINDS = ("t21", "t221", "t2221")
 
 # primary odd-Euler table entries: exact terms (coeff, pi power, zeta index);
 # zeta(2) in the (2,3) row is already rewritten as pi^2/6
@@ -152,14 +148,11 @@ def _check_params(name: Formula, params: tuple[int, ...]) -> None:
     elif name in (Formula.O_DIAG, Formula.B_DIAG):
         if len(params) != 1 or params[0] < 2:
             raise ValueError(f"{name.value} takes one parameter q >= 2, got {params}")
-    elif name in (Formula.O_REFLECT, Formula.O_TABLE):
-        ok = tuple(params) in O_TABLE_PRIMARY
-        if name is Formula.O_TABLE:
-            ok = ok or tuple(reversed(params)) in O_TABLE_PRIMARY
-        if len(params) != 2 or not ok:
+    elif name is Formula.O_TABLE:
+        if tuple(params) not in O_TABLE_PRIMARY and tuple(params[::-1]) not in O_TABLE_PRIMARY:
             raise ValueError(
                 f"{name.value}: supported (p, q) are the tabulated pairs "
-                f"{sorted(O_TABLE_PRIMARY)} (plus their reversals for the table), got {params}"
+                f"{sorted(O_TABLE_PRIMARY)} and their reversals, got {params}"
             )
     elif name is Formula.B_REFLECT:
         if tuple(params) != (2, 3):
@@ -512,14 +505,9 @@ def pi_zeta_expr(terms) -> SymbolicExpr:
 def _build_o_table(p: int, q: int) -> SymbolicExpr:
     if (p, q) in O_TABLE_PRIMARY:
         return pi_zeta_expr(O_TABLE_PRIMARY[(p, q)])
-    if (q, p) in O_TABLE_PRIMARY:
-        return _build_o_reflect(q, p)
-    raise ValueError(f"(p, q) = {(p, q)!r} not in the closed-form table")
-
-
-def _build_o_reflect(p: int, q: int) -> SymbolicExpr:
-    # O(q,p) = O(p) O(q) + O(p+q) - O(p,q)
-    return t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q) - _build_o_table(p, q)
+    # a reversed entry, by the reflection O(p,q) = O(p) O(q) + O(p+q) - O(q,p)
+    reflected = pi_zeta_expr(O_TABLE_PRIMARY[(q, p)])
+    return t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q) - reflected
 
 
 def _build_b23() -> SymbolicExpr:
@@ -564,8 +552,6 @@ def build(fid: FormulaId) -> SymbolicExpr:
         q = params[0]
         b = _beta_expr(q)
         return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + b * b).scale(Fraction(1, 2))
-    if name is Formula.O_REFLECT:
-        return _build_o_reflect(*params)
     if name is Formula.B_REFLECT:
         # B(3,2) = beta(2) beta(3) + O(5) - B(2,3); the Catalan monomials cancel
         return _beta_expr(2) * _beta_expr(3) + t_single_expr(5) - _build_b23()

@@ -73,6 +73,13 @@ SUITES = ("paper", "conjectures", "all")
 _FMT_DIGITS = 20
 
 
+def check_cutoff(cutoff) -> None:
+    """The one check of ``--cutoff``, which the CLI and ``run_suite`` accept
+    for compatibility and no route reads: an integer >= 10."""
+    if not isinstance(cutoff, int) or cutoff < 10:
+        raise ValueError(f"cutoff must be an integer >= 10, got {cutoff!r}")
+
+
 def _fmt(x: mpf) -> str:
     with mp.workdps(_FMT_DIGITS + 10):
         return mp.nstr(mpf(x), _FMT_DIGITS)
@@ -377,8 +384,7 @@ def run_suite(suite: str = "all", prec: int = 50, cutoff: int = 10 ** 6) -> Veri
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
-    if not isinstance(cutoff, int) or cutoff < 100:
-        raise ValueError(f"cutoff must be an integer >= 100, got {cutoff!r}")
+    check_cutoff(cutoff)
     coerce_prec(prec)
     checks, seen = [], {}
     if suite in ("paper", "all"):

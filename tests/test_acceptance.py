@@ -19,23 +19,7 @@ from itertools import combinations
 import pytest
 from mpmath import mp, mpf
 
-from multizeta.closed import (
-    HOFFMAN_KINDS,
-    O_TABLE_PRIMARY,
-    Formula,
-    FormulaId,
-    b23_closed,
-    b_diag,
-    hoffman_t,
-    i_closed,
-    mu_closed,
-    o_diag,
-    o_table,
-    t2s1_conjecture,
-    t_closed,
-    z_closed,
-    zeta311,
-)
+from multizeta.closed import evaluate
 from multizeta.hp import (
     HPReal,
     Method,
@@ -56,7 +40,7 @@ from multizeta.quadrature import (
     t_kernel_quad,
 )
 from multizeta.series import central_binomial_sum, nested_value
-from multizeta.symbolic import build, weight_check
+from multizeta.symbolic import O_TABLE_PRIMARY, Formula, FormulaId, build, weight_check
 from oracles import _triple_nonstrict_sum
 from multizeta.wseries import (
     TruncatedSeries,
@@ -107,11 +91,11 @@ def bounds(*results) -> mpf:
 
 def test_criterion_01_printed_decimals():
     cases = [
-        (z_closed(1, 30), "0.22881039"),
-        (z_closed(2, 30), "0.02912562"),
-        (z_closed(3, 30), "0.00252145"),
-        (t_closed(2, 30), "0.002109185"),
-        (t_closed(3, 30), "0.00005499616"),
+        (evaluate(FormulaId(Formula.Z322, (1,)), 30), "0.22881039"),
+        (evaluate(FormulaId(Formula.Z322, (2,)), 30), "0.02912562"),
+        (evaluate(FormulaId(Formula.Z322, (3,)), 30), "0.00252145"),
+        (evaluate(FormulaId(Formula.T322, (2,)), 30), "0.002109185"),
+        (evaluate(FormulaId(Formula.T322, (3,)), 30), "0.00005499616"),
     ]
     for result, prefix in cases:
         assert result.value.to_decimal(25, fixed=True).startswith(prefix)
@@ -126,13 +110,13 @@ def test_criterion_01_printed_decimals():
 def test_criterion_02_triple_route_agreement():
     with mp.workdps(WD):
         for N in range(1, 5):
-            tc = t_closed(N, 50)
+            tc = evaluate(FormulaId(Formula.T322, (N,)), 50)
             tq = t_kernel_quad(N, 50)
             assert gap(tc, tq) < mpf(10) ** -30
             ts = nested_value("tvalue", (3,) + (2,) * N, 50)
             assert gap(tc, ts) < bounds(tc, ts)
 
-            zc = z_closed(N, 50)
+            zc = evaluate(FormulaId(Formula.Z322, (N,)), 50)
             zs = nested_value("zeta", (3,) + (2,) * N, 50)
             assert gap(zc, zs) < bounds(zc, zs)
             # integral route: 2^(2N+4)/(2N+2)! [ I(2N+2)/2 - I(2N+3)/pi ]
@@ -155,19 +139,19 @@ def test_criterion_02_triple_route_agreement():
 def test_criterion_03_integral_family():
     with mp.workdps(WD):
         for N in range(1, 9):
-            ic = i_closed(N, 50)
+            ic = evaluate(FormulaId(Formula.I_CLOSED, (N,)), 50)
             iq = I_quad(N, 50)
             assert gap(ic, iq) < mpf(10) ** -30
         for n in range(1, 5):
             # pi^(n+1) J(n) = I(n)
             jq = j_cot(n, 50)
-            ic = i_closed(n, 50)
+            ic = evaluate(FormulaId(Formula.I_CLOSED, (n,)), 50)
             scaled = jq.value.magnitude * mp.pi ** (n + 1)
             tol = jq.error_bound.magnitude * mp.pi ** (n + 1) + ic.error_bound.magnitude
             assert abs(scaled - ic.value.magnitude) < tol + mpf(10) ** -40
         for n in (1, 2, 4):
             ls = logsine_check(n, 50)
-            assert gap(i_closed(n, 50), ls) < mpf(10) ** -25
+            assert gap(evaluate(FormulaId(Formula.I_CLOSED, (n,)), 50), ls) < mpf(10) ** -25
     announce(3, "I(N) closed form vs quadrature, cotangent and log-sine variants")
 
 
@@ -179,7 +163,7 @@ def test_criterion_03_integral_family():
 def test_criterion_04_mu_family():
     with mp.workdps(WD):
         for N in range(1, 5):
-            mc = mu_closed(N, 50)
+            mc = evaluate(FormulaId(Formula.E211, (N,)), 50)
             ms = nested_value("mu", (2,) + (1,) * (N - 1), 50)
             assert gap(mc, ms) < bounds(mc, ms)
         for N in range(1, 6):
@@ -220,8 +204,10 @@ def test_criterion_05_reflection_laws():
                 rhs = bp.value.magnitude * bq.value.magnitude + ts.value.magnitude
                 assert abs(lhs - rhs) < bounds(b[p, q], b[q, p], bp, bq, ts) + mpf(10) ** -40
 
-        assert gap(o_diag(2, 50), ref([(Fraction(5, 384), 4, 0)])) < mpf(10) ** -30
-        assert gap(b_diag(3, 50), ref([(Fraction(31, 30720), 6, 0)])) < mpf(10) ** -30
+        diag = evaluate(FormulaId(Formula.O_DIAG, (2,)), 50)
+        assert gap(diag, ref([(Fraction(5, 384), 4, 0)])) < mpf(10) ** -30
+        diag = evaluate(FormulaId(Formula.B_DIAG, (3,)), 50)
+        assert gap(diag, ref([(Fraction(31, 30720), 6, 0)])) < mpf(10) ** -30
     announce(5, "O and B reflection laws on the full 2..6 grid plus diagonals")
 
 
@@ -234,7 +220,8 @@ def test_criterion_05_reflection_laws():
 )
 def test_criterion_05_b33_circulated_decimal():
     with mp.workdps(WD):
-        assert gap(b_diag(3, 50), ref([(Fraction(1937, 1935360), 6, 0)])) < mpf(10) ** -30
+        diag = evaluate(FormulaId(Formula.B_DIAG, (3,)), 50)
+        assert gap(diag, ref([(Fraction(1937, 1935360), 6, 0)])) < mpf(10) ** -30
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +255,7 @@ def test_criterion_06_kernel_representations():
 
 def test_criterion_07_b23_and_alternating_harmonic_sums():
     with mp.workdps(WD):
-        bc = b23_closed(50)
+        bc = evaluate(FormulaId(Formula.B23), 50)
         bs = nested_value("oddsum", ("B", 2, 3), 50)
         assert gap(bc, bs) < bounds(bc, bs)
         # forms in pi^2 zeta(3), zeta(5), pi^5 and pi psi_3(1/4)
@@ -302,7 +289,7 @@ def test_criterion_08_ones_tails_and_triple_sum():
                 ts.value.magnitude - 2 * tv.value.magnitude
             ) < bounds(ts) + 2 * tv.error_bound.magnitude
 
-        z311 = zeta311(50)
+        z311 = evaluate(FormulaId(Formula.ZETA311), 50)
         target = 2 * mp.zeta(5) - mp.zeta(2) * mp.zeta(3)
         assert abs(z311.value.magnitude - target) < mpf(10) ** -40
 
@@ -323,14 +310,14 @@ def test_criterion_08_ones_tails_and_triple_sum():
 def test_criterion_09_ones_tail_conjecture():
     with mp.workdps(WD):
         for N in range(1, 4):
-            conj = t2s1_conjecture(N, 60)
-            known = hoffman_t(HOFFMAN_KINDS[N - 1], 60)
+            conj = evaluate(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 60)
+            known = evaluate(FormulaId(Formula.HOFFMAN_T, (N,)), 60)
             assert gap(conj, known) < mpf(10) ** -40
             assert conj.conjectural
         # beyond the proven depths: the nested series route, within the
         # combined bounds
         for N in (4, 5):
-            conj = t2s1_conjecture(N, 50)
+            conj = evaluate(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 50)
             series = nested_value("tvalue", (2,) * N + (1,), 50)
             assert gap(conj, series) < bounds(conj, series)
     announce(9, "t({2}^N,1) = I(2N)/(2N)! at proven depths and numerically to depth 6")
@@ -344,7 +331,7 @@ def test_criterion_09_ones_tail_conjecture():
 def test_criterion_10_o43_discrimination():
     with mp.workdps(WD):
         s = nested_value("oddsum", ("O", 4, 3), 50)
-        table = o_table(4, 3, 50)
+        table = evaluate(FormulaId(Formula.O_TABLE, (4, 3)), 50)
         combined = bounds(s, table)
         good = ref([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
         bad = ref([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])

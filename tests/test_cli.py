@@ -18,6 +18,7 @@ from multizeta import cli, quadrature, routes, series
 from multizeta.cli import Request, main, run
 from multizeta.hp import Method, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
+from multizeta.symbolic import O_TABLE_PRIMARY
 
 SCHEMA_KEYS = [
     "quantity",
@@ -349,23 +350,46 @@ FID_SHAPES = (
     + [("oddsum", ("B", 2, 3)), ("oddsum", ("B", 3, 2))]
     + [("integral", ("I", n)) for n in range(1, 7)]
 )
-# the closed route takes these from the primary entry through the numeric
-# reflection (bit for bit, see test_closed); the symbolic route expands the
-# same reflection over the basis, with fewer roundings to charge
-REFLECTED = {("oddsum", ("O", p + 1, p)) for p in range(2, 7)} | {("oddsum", ("B", 3, 2))}
 
 
 @pytest.mark.parametrize("prec", [30, 50])
 def test_symbolic_bound_equals_closed(prec):
+    # both routes evaluate the one exact expression of the shape
     for quantity, params in FID_SHAPES:
         assert routes.fid_for(quantity, params) is not None, (quantity, params)
         found = routes.routes(quantity, params, prec)
         closed, symbolic = found["closed"](), found["symbolic"]()
-        if (quantity, params) in REFLECTED:
-            assert symbolic.error_bound.magnitude < closed.error_bound.magnitude
-        else:
-            assert symbolic.value.magnitude == closed.value.magnitude, (quantity, params)
-            assert symbolic.error_bound.magnitude == closed.error_bound.magnitude, (quantity, params)
+        assert symbolic.value.magnitude == closed.value.magnitude, (quantity, params)
+        assert symbolic.error_bound.magnitude == closed.error_bound.magnitude, (quantity, params)
+
+
+def _o_row(p, q):
+    # a primary O(p,q) table row over mpmath's constants
+    return sum(mpf(c.numerator) / c.denominator * mp.pi ** a * mp.zeta(m)
+               for c, a, m in O_TABLE_PRIMARY[(p, q)])
+
+
+def _reflected_reference(fam, p, q):
+    # O(p,q) = O(p) O(q) + O(p+q) - O(q,p);  B(3,2) = beta(2) beta(3) + O(5) - B(2,3)
+    if fam == "O":
+        return _t(p) * _t(q) + _t(p + q) - _o_row(q, p)
+    b23 = mpf(31) / 64 * mp.zeta(5) - 9 * mp.pi ** 2 / 256 * mp.zeta(3) + mp.catalan * mp.pi ** 3 / 32
+    return mp.catalan * mp.pi ** 3 / 32 + _t(5) - b23
+
+
+# the table entries built through the reflection
+REFLECTED = [("O", p + 1, p) for p in range(2, 7)] + [("B", 3, 2)]
+
+
+@pytest.mark.parametrize("prec", [30, 50, 200])
+@pytest.mark.parametrize("shape", REFLECTED, ids=lambda s: "".join(map(str, s)))
+def test_reflected_closed_bound_is_honest(shape, prec):
+    found = routes.routes("oddsum", shape, prec)
+    closed = found["closed"]()
+    assert closed.agrees_with(found["series"]())
+    with mp.workdps(prec + 20):
+        reference = _reflected_reference(*shape)
+        assert abs(closed.value.magnitude - reference) <= closed.error_bound.magnitude
 
 
 def _t(m):
@@ -478,6 +502,21 @@ def test_verify_json_output(capsys):
     payload = json.loads(out)
     assert payload["precision_digits"] == 30
     assert payload["summary"]["total"] == 5
+
+
+def test_cutoff_has_one_lower_limit(capsys):
+    # the CLI's requests and verify share one check: 10 and up
+    code, _, _ = run_cli(capsys, "zeta", "3", "2", "--cutoff", "50", "--method", "closed")
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "paper", "--json", "--prec", "20", "--cutoff", "50"
+    )
+    assert code == 0
+    assert json.loads(out)["cutoff"] == 50
+    for argv in (("zeta", "3", "2"), ("verify", "--suite", "conjectures")):
+        code, _, err = run_cli(capsys, *argv, "--cutoff", "9")
+        assert code == 2
+        assert "cutoff must be an integer >= 10" in err
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ def test_only_routes_wire_shapes_to_evaluators():
         assert found == []
 
 
+def test_closed_has_no_numeric_path():
+    # closed.evaluate evaluates symbolic.build's expression; only build may
+    # define a closed form, so closed imports no combine, scaled or constant
+    imported = list(sibling_imports(PACKAGE / "closed.py"))
+    assert {module for module, _ in imported} == {"hp", "symbolic"}
+    assert all(names for _, names in imported)  # no module import: hp.combine
+    found, checked = functions_imported_by_name("closed", {"hp"})
+    assert checked > 0  # guard against a vacuous pass: EvalResult, Method
+    assert found == []
+
+
 def test_only_hp_derives_error_bounds():
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):

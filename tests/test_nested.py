@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.cli import main
-from multizeta.closed import b23_closed, o_table, t_closed, z_closed
+from multizeta.closed import evaluate
 from multizeta.series import (
     VALEAN_KINDS,
     _REFLECT,
@@ -27,6 +27,7 @@ from multizeta.series import (
     _integrate,
     nested_value,
 )
+from multizeta.symbolic import Formula, FormulaId
 
 from oracles import (
     _triple_nonstrict_sum,
@@ -82,10 +83,10 @@ MPMATH_REFS = [
 ]
 # (quantity, params, closed route returning an EvalResult at the given digits)
 CLOSED_REFS = [
-    ("zeta", (3, 2, 2), lambda d: z_closed(2, d)),
-    ("tvalue", (3, 2, 2), lambda d: t_closed(2, d)),
-    ("oddsum", ("O", 4, 3), lambda d: o_table(4, 3, d)),
-    ("oddsum", ("B", 2, 3), lambda d: b23_closed(d)),
+    ("zeta", (3, 2, 2), lambda d: evaluate(FormulaId(Formula.Z322, (2,)), d)),
+    ("tvalue", (3, 2, 2), lambda d: evaluate(FormulaId(Formula.T322, (2,)), d)),
+    ("oddsum", ("O", 4, 3), lambda d: evaluate(FormulaId(Formula.O_TABLE, (4, 3)), d)),
+    ("oddsum", ("B", 2, 3), lambda d: evaluate(FormulaId(Formula.B23), d)),
 ]
 
 

@@ -106,7 +106,7 @@ def test_validation():
     with pytest.raises(ValueError):
         run_suite("everything")
     with pytest.raises(ValueError):
-        run_suite("paper", cutoff=10)
+        run_suite("paper", cutoff=9)
     with pytest.raises(ValueError):
         run_suite("paper", prec=1)
 

@@ -12,7 +12,6 @@ against each other.
 from .hp import (
     EvalResult,
     HPReal,
-    Method,
     MIN_PRECISION,
     beta_fn,
     bernoulli_fraction,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalResult",
     "HPReal",
-    "Method",
     "MIN_PRECISION",
     "beta_fn",
     "bernoulli_fraction",

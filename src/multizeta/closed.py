@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .hp import EvalResult, Method
+from .hp import EvalResult
 from .symbolic import Formula, FormulaId, build, eval_symbolic
 
 __all__ = ["evaluate"]
@@ -45,5 +45,5 @@ __all__ = ["evaluate"]
 def evaluate(fid: FormulaId, prec: int = 50) -> EvalResult:
     """The closed form ``fid`` at ``prec`` digits; flagged conjectural for
     the t({2}^N, 1) = I(2N)/(2N)! conjecture."""
-    r = eval_symbolic(build(fid), prec, Method.CLOSED_FORM)
+    r = eval_symbolic(build(fid), prec)
     return replace(r, conjectural=fid.name is Formula.T2S1_CONJECTURE)

@@ -18,9 +18,11 @@ they are the only code that derives an error bound from other bounds, and
 they charge the roundings of the values they form.  Two results agree when
 :meth:`EvalResult.agrees_with` says so: |v1 - v2| <= e1 + e2 with both sides
 exact (:func:`gap`, :func:`bound_sum`), so no working precision enters the
-verdict.  These helpers stay out of ``__all__``, like :func:`coerce_prec`:
-the benchmark's tracer wraps every function listed there and hashes its
-arguments, and theirs are lists, results and mpf values.
+verdict.  :func:`digits_short` says how far a result's bound falls short of
+the digits asked for.  These helpers stay out of ``__all__``, like
+:func:`coerce_prec`: the benchmark's tracer wraps every function listed
+there and hashes its arguments, and theirs are lists, results and mpf
+values.
 
 Base constants provided:
 
@@ -50,7 +52,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,7 +60,6 @@ from mpmath.libmp import dps_to_prec, mpf_abs
 
 __all__ = [
     "MIN_PRECISION",
-    "Method",
     "HPReal",
     "EvalResult",
     "bernoulli_fraction",
@@ -83,18 +83,6 @@ GUARD_DIGITS = 10
 # mpmath precision state is process-global; all precision changes in this
 # package happen under this lock so concurrent callers cannot interleave.
 LOCK = threading.RLock()
-
-
-class Method(Enum):
-    """How a numerical result was obtained (used for cross-route checks)."""
-
-    CLOSED_FORM = "ClosedForm"
-    SERIES = "Series"
-    QUADRATURE = "Quadrature"
-    SYMBOLIC = "Symbolic"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 def coerce_prec(prec: int) -> int:
@@ -145,7 +133,7 @@ class HPReal:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A computed value together with an error bound and its provenance.
+    """A computed value together with an error bound.
 
     ``rigorous`` marks whether ``error_bound`` is a proved majorant of the
     true error (truncation plus rounding) or a heuristic estimate.  Two
@@ -158,7 +146,6 @@ class EvalResult:
 
     value: HPReal
     error_bound: HPReal
-    method: Method
     rigorous: bool
     conjectural: bool = False
 
@@ -182,7 +169,6 @@ def wrap_result(
     value: mpf,
     bound: mpf,
     prec: int,
-    method: Method,
     rigorous: bool,
     conjectural: bool = False,
 ) -> EvalResult:
@@ -194,13 +180,12 @@ def wrap_result(
     return EvalResult(
         value=HPReal(value, prec),
         error_bound=HPReal(mp.make_mpf(mpf_abs(bound._mpf_)), prec),
-        method=method,
         rigorous=rigorous,
         conjectural=conjectural,
     )
 
 
-def combine(terms, prec: int, method: Method) -> EvalResult:
+def combine(terms, prec: int) -> EvalResult:
     """sum_i c_i prod_j x_ij for exact rationals c_i and EvalResult factors x_ij.
 
     The one rule by which an error bound is derived from other bounds.  A
@@ -217,12 +202,12 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
     as u <= 2^(1/2) 10^-(wd+1); that margin also pays the k-th partial
     sum's own rounding, at most u k max|term|, up to 130 terms, and the
     products' roundings, (m - 1) u |v| for m factors, up to 60 factors.  A
-    lone one-factor term has neither slop, and is
-    charged 2u |t|; the remaining u^2 |t|, with the u |c' - c| b of using c'
-    for c in the radius, is a relative u of that radius, the order at which
-    any radius computed here is itself rounded.  A coefficient 0 or +-2^k
-    scales exactly and is charged nothing.  The result is rigorous when
-    every factor is.
+    lone term of one factor or none has neither slop, and is charged 2u |t|;
+    the remaining u^2 |t|, with the u |c' - c| b of using c' for c in the
+    radius, is a relative u of that radius, the order at which any radius
+    computed here is itself rounded.  A coefficient 0 or +-2^k scales
+    exactly and is charged nothing.  The result is rigorous when every
+    factor is.
     """
     coerce_prec(prec)
     wd = prec + GUARD_DIGITS
@@ -242,12 +227,12 @@ def combine(terms, prec: int, method: Method) -> EvalResult:
             t = cf * v
             total += t
             bound += abs(cf) * b
-            if len(terms) == len(factors) == 1 and not _scales_exactly(coeff):
+            if len(terms) == 1 and len(factors) <= 1 and not _scales_exactly(coeff):
                 bound += mp.ldexp(abs(t), 1 - mp.prec)
             scale = max(scale, abs(t))
         bound += max(len(terms) - 1, 0) * scale * slop
         rigorous = all(f.rigorous for _, factors in terms for f in factors)
-        return wrap_result(total, bound, prec, method, rigorous=rigorous)
+        return wrap_result(total, bound, prec, rigorous=rigorous)
 
 
 def _scales_exactly(c: Fraction) -> bool:
@@ -259,12 +244,25 @@ def _scales_exactly(c: Fraction) -> bool:
 def scaled(r: EvalResult, c, *factors: EvalResult) -> EvalResult:
     """c times r (times any further factors) by combine, at r's precision.
 
-    The result is r with a new value and bound, so its method, its
-    conjectural flag and the fields of a subclass (a quadrature result's
-    levels_used) carry over; it is rigorous when r and every factor are.
+    The result is r with a new value and bound, so its conjectural flag and
+    the fields of a subclass (a quadrature result's levels_used) carry over;
+    it is rigorous when r and every factor are.
     """
-    out = combine([(c, [r, *factors])], r.value.working_precision, r.method)
+    out = combine([(c, [r, *factors])], r.value.working_precision)
     return replace(r, value=out.value, error_bound=out.error_bound, rigorous=out.rigorous)
+
+
+def digits_short(r: EvalResult, prec: int) -> int:
+    """How many decimal digits r falls short of prec: the least k >= 0 with
+    bound <= 10^(k-prec) |value|.  0 also when the bound reaches |value|:
+    no digit holds, and more working digits need not make one.  Whether r
+    is short is decided exactly; only the count is taken at 15 digits."""
+    v = mp.make_mpf(mpf_abs(r.value.magnitude._mpf_))
+    b = r.error_bound.magnitude
+    if b >= v or mp.fmul(b, 10 ** prec, exact=True) <= v:
+        return 0
+    with LOCK, mp.workdps(15):
+        return max(1, int(mp.ceil(prec - mp.log10(v / b))))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +372,7 @@ def _cvz(den, ratio: Fraction, prec: int) -> EvalResult:
         val = mp.ldexp(mpf(v), -bits)
         tail = 4 * mpf(ratio.numerator) / ratio.denominator * (3 + mp.sqrt(8)) ** (-n)
         bound = tail + mp.ldexp(n + 2, -bits) + abs(val) * mpf(10) ** (-wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +431,7 @@ def psi3_quarter(prec: int = 50) -> EvalResult:
     zeta(4) = pi^4/96.
     """
     coerce_prec(prec)
-    return combine([(8, [pi_power(4, prec)]), (768, [beta_fn(4, prec)])], prec, Method.SERIES)
+    return combine([(8, [pi_power(4, prec)]), (768, [beta_fn(4, prec)])], prec)
 
 
 @lru_cache(maxsize=None)
@@ -450,7 +448,7 @@ def pi_const(prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(wd):
         val = +mp.pi
         bound = abs(val) * mpf(10) ** (-wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 @lru_cache(maxsize=None)
@@ -466,7 +464,7 @@ def pi_power(k: int, prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(prec + GUARD_DIGITS):
         val = p.value.magnitude ** k
         bound = abs(k) * abs(val) * (p.error_bound.magnitude / p.value.magnitude)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 @lru_cache(maxsize=None)
@@ -477,4 +475,4 @@ def log2_const(prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(wd):
         val = mp.log(2)
         bound = abs(val) * mpf(10) ** (-wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)

@@ -78,7 +78,6 @@ from .hp import (
     LOCK,
     EvalResult,
     HPReal,
-    Method,
     bernoulli_fraction,
     coerce_prec,
     eta,
@@ -89,9 +88,6 @@ from .hp import (
 )
 
 __all__ = [
-    "REGULAR",
-    "LOGARITHMIC",
-    "ALGEBRAIC",
     "Integrand",
     "QuadratureResult",
     "QuadratureNonConvergence",
@@ -106,10 +102,6 @@ __all__ = [
     "logsine_check",
 ]
 
-REGULAR = "regular"
-LOGARITHMIC = "logarithmic"
-ALGEBRAIC = "algebraic"
-
 LEVEL_CAP = 12  # finest trapezoid level (step 2^-12)
 
 # results kept per public kernel; a quad-session stream has about twenty
@@ -123,14 +115,11 @@ class Integrand:
 
     ``evaluator(x, xc)`` receives the node and its exact complement 1-x as
     mpf values under the working precision of the integration and returns the
-    integrand value.  ``endpoint_behavior`` declares the singularity class at
-    0 and at 1 (REGULAR / LOGARITHMIC / ALGEBRAIC) -- documentation that the
-    DE scheme is entitled to, and the hook for grouping convergence tests.
-    Endpoint values themselves are never requested: all DE nodes are interior.
+    integrand value; ``name`` labels it.  Endpoint values themselves are
+    never requested: all DE nodes are interior.
     """
 
     evaluator: Callable[[mpf, mpf], mpf]
-    endpoint_behavior: tuple[str, str] = (REGULAR, REGULAR)
     name: str = ""
 
 
@@ -316,7 +305,6 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
             return QuadratureResult(
                 value=HPReal(total, prec),
                 error_bound=HPReal(max(diff * 10, abs(total) * unit), prec),
-                method=Method.QUADRATURE,
                 rigorous=False,
                 levels_used=levels,
             )
@@ -631,7 +619,7 @@ def polylog(p: int, x, prec: int = 50) -> EvalResult:
         if abs(xv) > 1:
             raise ValueError(f"polylog argument must satisfy |x| <= 1, got {x!r}")
         val, bound = _polylog_raw(p, xv, 1 - abs(xv), wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +637,7 @@ def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     def ev(x, xc):
         return _asin_column(x, xc) ** N / x
 
-    return integrate01(
-        Integrand(ev, (REGULAR, REGULAR), name=f"I({N})"), prec
-    )
+    return integrate01(Integrand(ev, name=f"I({N})"), prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -669,9 +655,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     def ev(x, xc):
         return (x / 2) ** n * _cot_column(x, xc) / 2
 
-    return integrate01(
-        Integrand(ev, (REGULAR, REGULAR), name=f"J({n})"), prec
-    )
+    return integrate01(Integrand(ev, name=f"J({n})"), prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -684,19 +668,17 @@ def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     def ev(x, xc):
         return _atanh_column(x, xc) ** N / x
 
-    return integrate01(
-        Integrand(ev, (REGULAR, LOGARITHMIC), name=f"K({N})"), prec
-    )
+    return integrate01(Integrand(ev, name=f"K({N})"), prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """(1/(2N+1)!) integral_0^1 arcsin^(2N+1)(z) arccos(z)/z dz.
 
-    The arccos factor vanishes like sqrt(2(1-z)) at z = 1 (algebraic class);
-    it is evaluated through the half-angle identity, and above 9/10 the
-    arcsin is pi/2 minus it, as in _asin_stable.  Both come from the node
-    columns I_quad and the Wallis check share.
+    The arccos factor vanishes like sqrt(2(1-z)) at z = 1, an algebraic
+    endpoint; it is evaluated through the half-angle identity, and above
+    9/10 the arcsin is pi/2 minus it, as in _asin_stable.  Both come from
+    the node columns I_quad and the Wallis check share.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
@@ -706,9 +688,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     def ev(x, xc):
         return _asin_column(x, xc) ** M * acos_column(x, xc) / x
 
-    raw = integrate01(
-        Integrand(ev, (REGULAR, ALGEBRAIC), name=f"t-kernel({N})"), prec
-    )
+    raw = integrate01(Integrand(ev, name=f"t-kernel({N})"), prec)
     return scaled(raw, Fraction(1, math.factorial(M)))
 
 
@@ -756,9 +736,8 @@ def logpolylog_kernel(
         li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
         return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
 
-    ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
     name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
-    return integrate01(Integrand(ev, ends, name=name), prec)
+    return integrate01(Integrand(ev, name=name), prec)
 
 
 def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
@@ -805,8 +784,7 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResu
 
     den = "-" if sign_den == -1 else "+"
     name = f"log^{q-1} [Li_{p}(-x) - Li_{p}(x)]/(x(1{den}x^2))"
-    ends = (LOGARITHMIC, LOGARITHMIC if sign_den == -1 else REGULAR)
-    raw = integrate01(Integrand(ev, ends, name=name), prec)
+    raw = integrate01(Integrand(ev, name=name), prec)
     return scaled(raw, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
 
 
@@ -824,7 +802,5 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     def ev(x, xc):
         return (mp.pi / 2 * x) ** (n - 1) * _log_sin_column(x, xc)
 
-    raw = integrate01(
-        Integrand(ev, (LOGARITHMIC, REGULAR), name=f"logsine({n})"), prec
-    )
+    raw = integrate01(Integrand(ev, name=f"logsine({n})"), prec)
     return scaled(raw, Fraction(-n, 2), pi_const(prec))

@@ -39,7 +39,6 @@ from .hp import (
     GUARD_DIGITS,
     LOCK,
     EvalResult,
-    Method,
     coerce_prec,
     wrap_result,
 )
@@ -344,7 +343,7 @@ def nested_value(quantity: str, params, prec: int = 50) -> EvalResult:
     with LOCK, mp.workprec(max(total.bit_length(), units.bit_length(), 1)):
         val = mp.ldexp(mpf(total), -bits)  # exact at this precision
         bound = mp.ldexp(mpf(units), -bits)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -383,4 +382,4 @@ def central_binomial_sum(kind: str, prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(prec + GUARD_DIGITS):
         val = mpf(acc) / scale
         bound = mpf(100 + 2 * n) / scale
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)

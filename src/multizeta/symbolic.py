@@ -23,7 +23,9 @@ two expressions are equal over Q -- a transcription slip in either formula
 cannot reach a printed digit.
 
 eval_symbolic() evaluates an expression by feeding the basis constants of
-its monomials to hp.combine(), the package's one bound-propagation rule.
+its monomials to hp.combine(), the package's one bound-propagation rule,
+and evaluates it once more with more digits when cancellation leaves it
+short of the digits asked for.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from fractions import Fraction
 
 from .hp import (
     EvalResult,
-    Method,
     bernoulli_fraction,
     beta_fn,
     combine,
+    digits_short,
     euler_number,
     log2_const,
     pi_const,
@@ -586,16 +588,26 @@ def _const_value(c: BasisConstant, prec: int) -> EvalResult:
     return psi3_quarter(prec)
 
 
-def eval_symbolic(expr: SymbolicExpr, prec: int = 50, method=Method.SYMBOLIC) -> EvalResult:
-    """Evaluate a basis expression over the hp constants through combine()."""
+def _combine_at(expr: SymbolicExpr, prec: int) -> EvalResult:
     return combine(
         [
             (coeff, [_const_value(c, prec) for c, e in mono for _ in range(e)])
             for mono, coeff in expr.terms
         ],
         prec,
-        method,
     )
+
+
+def eval_symbolic(expr: SymbolicExpr, prec: int = 50) -> EvalResult:
+    """Evaluate a basis expression over the hp constants through combine().
+
+    Cancellation between terms costs log10(max|term| / |value|) digits,
+    whatever the working precision, so a result short of prec digits is
+    evaluated once more with that many digits added, and one to spare.
+    """
+    r = _combine_at(expr, prec)
+    short = digits_short(r, prec)
+    return _combine_at(expr, prec + short + 1) if short else r
 
 
 def _coeff_text(c: Fraction) -> str:

@@ -342,7 +342,7 @@ def _evaluate(side, prec: int, seen: dict) -> EvalResult:
             seen[side] = routes(quantity, params, prec)[method]()
         else:  # ((coefficient, (side, ...)), ...)
             terms = [(c, [_evaluate(f, prec, seen) for f in fs]) for c, fs in side]
-            seen[side] = combine(terms, prec, terms[0][1][0].method)  # a label no row shows
+            seen[side] = combine(terms, prec)
     return seen[side]
 
 

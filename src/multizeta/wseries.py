@@ -28,57 +28,36 @@ Coefficient families (all exact rationals, memoized):
            A_0 = 1; the arctanh expansion
            arctanh^N(z)/N! = sum_(m = N mod 2) A_(N-1)(m)/m z^m.
 
-Truncated evaluation reports the remainder estimate |c_M| r^(M+1)/(1-r),
-valid whenever the coefficients beyond the truncation are dominated by the
-last kept one -- true for every family above, whose normalized coefficients
-decay like powers of 1/k.
+wallis_identity_check evaluates both sides of the W-operator identity for a
+truncated series, by Horner's rule and by DE quadrature (verify row 30).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .hp import (
-    GUARD_DIGITS,
-    LOCK,
-    EvalResult,
-    HPReal,
-    Method,
-    coerce_prec,
-    wrap_result,
-)
-from .quadrature import (
-    ALGEBRAIC,
-    REGULAR,
-    Integrand,
-    QuadratureResult,
-    acos_column,
-    integrate01,
-)
+from .hp import GUARD_DIGITS, LOCK, EvalResult, HPReal, coerce_prec, wrap_result
+from .quadrature import Integrand, QuadratureResult, acos_column, integrate01
 
 __all__ = [
     "SeriesCoeff",
     "TruncatedSeries",
-    "CoeffTable",
     "g_coeff",
     "h_coeff",
     "arctanh_nested_coeff",
-    "coeff_table",
     "double_factorial",
     "wallis_fraction",
     "arcsin_power_series",
-    "arctanh_power_series",
     "w_apply",
     "wallis_identity_check",
 ]
 
 DEFAULT_ORDER = 80
-DEFAULT_PRECISION = 50
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +88,6 @@ class SeriesCoeff:
             v += mpf(self.pi_part.numerator) / self.pi_part.denominator * mp.pi
         return v
 
-    def to_hp(self, prec: int) -> HPReal:
-        with LOCK, mp.workdps(prec + GUARD_DIGITS):
-            return HPReal(self.to_mpf(), prec)
-
 
 def double_factorial(n: int) -> int:
     """n!! with (-1)!! = 0!! = 1."""
@@ -142,30 +117,14 @@ def wallis_fraction(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Polynomial c_0 + c_1 z + ... + c_M z^M standing in for a power series.
-
-    Coefficients are exact SeriesCoeff pairs; the ``coefficients`` view
-    materializes them as HPReal at DEFAULT_PRECISION (use coefficients_at for
-    another precision).  Evaluation inside the open unit disk reports the
-    remainder estimate |c_M| r^(M+1)/(1-r); at r = 1 (slow convergence, used
-    only by identity checks whose other route is quadrature) the estimate is
-    |c_M| (M+1), matching the integral tail of the k^(-s), s >= 2 decay of
-    every family constructed here.
-    """
+    """Polynomial c_0 + c_1 z + ... + c_M z^M standing in for a power series;
+    its coefficients are exact SeriesCoeff pairs."""
 
     coeffs: tuple[SeriesCoeff, ...]
 
     @property
     def truncation_order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[HPReal, ...]:
-        return self.coefficients_at(DEFAULT_PRECISION)
-
-    def coefficients_at(self, prec: int) -> tuple[HPReal, ...]:
-        coerce_prec(prec)
-        return tuple(c.to_hp(prec) for c in self.coeffs)
 
     @classmethod
     def from_rationals(cls, values: Sequence[Fraction | int]) -> "TruncatedSeries":
@@ -188,57 +147,13 @@ class TruncatedSeries:
         out.extend(c.scale(Fraction(1, n)) for n, c in enumerate(self.coeffs) if n > 0)
         return TruncatedSeries(tuple(out))
 
-    def eval_at(self, z, prec: int = DEFAULT_PRECISION) -> EvalResult:
-        """Horner evaluation with the truncation remainder estimate."""
-        coerce_prec(prec)
-        wd = prec + GUARD_DIGITS
-        with LOCK, mp.workdps(wd):
-            if isinstance(z, HPReal):
-                zv = z.magnitude
-            elif isinstance(z, Fraction):
-                zv = mpf(z.numerator) / z.denominator
-            else:
-                zv = mpf(z)
-            r = abs(zv)
-            if r > 1:
-                raise ValueError("evaluation outside the closed unit disk")
-            cs = [c.to_mpf() for c in self.coeffs]
-            acc = mpf(0)
-            for c in reversed(cs):
-                acc = acc * zv + c
-            M = self.truncation_order
-            # |c_M| can be an interleaving zero (odd/even series): fall back
-            # to the previous coefficient for the tail scale
-            tail_scale = max(abs(cs[-1]), abs(cs[-2]) if M >= 1 else mpf(0))
-            if r == 1:
-                rem = tail_scale * (M + 1)
-            else:
-                rem = tail_scale * r ** (M + 1) / (1 - r)
-            rem += abs(acc) * (M + 2) * mpf(10) ** (-(wd - 1))
-            return wrap_result(acc, rem, prec, Method.SERIES, rigorous=False)
-
 
 # ---------------------------------------------------------------------------
 # coefficient families
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("G", "H", "arctanh_nested")
-
 # (family, N) -> list of Fractions indexed by k; grown on demand under LOCK
 _TABLES: dict[tuple[str, int], list[Fraction]] = {}
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """A materialized row of one coefficient family (exact rationals).
-
-    values[k] is G_N(k), H_N(k), or A_N(k); entries below the chain length
-    are zero (empty sums), all later entries strictly positive.
-    """
-
-    family: str
-    N: int
-    values: dict[int, Fraction] = field(compare=False)
 
 
 def _row(family: str, N: int, upto: int) -> list[Fraction]:
@@ -312,19 +227,8 @@ def arctanh_nested_coeff(N: int, m: int) -> Fraction:
     return _row("arctanh_nested", N, m)[m]
 
 
-def coeff_table(family: str, N: int, upto: int) -> CoeffTable:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-    if family == "H" and N < 1:
-        raise ValueError("H family starts at N = 1")
-    if N < 0 or upto < 0:
-        raise ValueError("N, upto >= 0 required")
-    row = _row(family, N, upto)
-    return CoeffTable(family, N, {k: row[k] for k in range(upto + 1)})
-
-
 # ---------------------------------------------------------------------------
-# the series constructors
+# the arcsin series
 # ---------------------------------------------------------------------------
 
 
@@ -356,23 +260,6 @@ def arcsin_power_series(N: int, M: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(tuple(cs))
 
 
-def arctanh_power_series(N: int, M: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Series of arctanh^N(z)/N! through z^M: only exponents m = N (mod 2)
-    appear, with coefficient A_(N-1)(m)/m."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-    if M < N:
-        raise ValueError("truncation order below the leading exponent")
-    cs = [SeriesCoeff() for _ in range(M + 1)]
-    for m in range(1, M + 1):
-        if m % 2 != N % 2:
-            continue
-        a = arctanh_nested_coeff(N - 1, m)
-        if a:
-            cs[m] = SeriesCoeff(a / m)
-    return TruncatedSeries(tuple(cs))
-
-
 # ---------------------------------------------------------------------------
 # the W operator
 # ---------------------------------------------------------------------------
@@ -401,7 +288,7 @@ def w_apply(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def wallis_identity_check(
-    f: TruncatedSeries, alpha, prec: int = DEFAULT_PRECISION
+    f: TruncatedSeries, alpha, prec: int = 50
 ) -> tuple[EvalResult, QuadratureResult]:
     """Both sides of  W(integral_0^alpha f(z)/z dz) = integral_0^1 f(alpha x) arccos(x)/x dx.
 
@@ -414,7 +301,8 @@ def wallis_identity_check(
 
     Both sides evaluate the same polynomial, so the left side is charged its
     Horner roundings only, (M + 2) 10^-(wd-1) sum |c_n| |alpha|^n for the
-    polynomial's degree M, and not eval_at's estimate of the series tail.
+    polynomial's degree M, and not an estimate of the series tail; one
+    Horner loop gives the value and that majorant.
 
     The right side's polynomial, of M coefficients, runs Horner's rule in
     integers scaled by 2^B, B the working bits wbits plus the bits of M plus
@@ -437,12 +325,13 @@ def wallis_identity_check(
             av = mpf(alpha)
         if not 0 < av <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        majorant = mpf(0)
+        value = majorant = mpf(0)
         for c in reversed(poly.coeffs):
-            majorant = majorant * av + abs(c.to_mpf())
+            cv = c.to_mpf()
+            value = value * av + cv
+            majorant = majorant * av + abs(cv)
         rounding = majorant * (poly.truncation_order + 2) * mpf(10) ** (1 - wd)
-        value = poly.eval_at(alpha, prec).value.magnitude
-        lhs = wrap_result(value, rounding, prec, Method.SERIES, rigorous=False)
+        lhs = wrap_result(value, rounding, prec, rigorous=False)
         # f(alpha x)/x = alpha * sum_(n>=1) c_n (alpha x)^(n-1): no division
         shifted = f.coeffs[1:] or (SeriesCoeff(),)
         bits = dps_to_prec(wd) + len(shifted).bit_length() + 4
@@ -460,5 +349,5 @@ def wallis_identity_check(
             acc = ((acc * m) >> -exp) + c
         return av * mp.ldexp(acc, -bits) * acos_column(x, xc)
 
-    rhs = integrate01(Integrand(ev, (REGULAR, ALGEBRAIC), name="arccos kernel"), prec)
+    rhs = integrate01(Integrand(ev, name="arccos kernel"), prec)
     return lhs, rhs

@@ -43,7 +43,6 @@ from multizeta.hp import (
     GUARD_DIGITS,
     LOCK,
     EvalResult,
-    Method,
     coerce_prec,
     pi_const,
     scaled,
@@ -193,7 +192,7 @@ def _strict_series(idx, cutoff: int, prec: int, odd: bool) -> EvalResult:
     with LOCK, mp.workdps(wd):
         val = mpf(acc) / scale
         bound = tail + _slop((index.depth + 1) * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous)
+    return wrap_result(val, bound, prec, rigorous)
 
 
 def mzv_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
@@ -254,7 +253,7 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
     with LOCK, mp.workdps(wd):
         val = mpf(g[k]) / scale
         bound = tail + _slop((k + 1) * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous)
+    return wrap_result(val, bound, prec, rigorous)
 
 
 def big_t_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
@@ -309,7 +308,7 @@ def euler_H_series(
         if ones:
             tail *= 2 * (1 + mp.log(cutoff)) ** ones
         bound = tail + _slop((len(ps) + 2) * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=(ones == 0))
+    return wrap_result(val, bound, prec, rigorous=(ones == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def odd_O_series(
             v = mpf(2 * cutoff - 1)
             tail = ((1 + mp.log(v)) * v ** (1 - q) / (q - 1) + v ** (1 - q) / (q - 1) ** 2) / 2
         bound = tail + _slop(2 * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 def odd_B_series(
@@ -404,7 +403,7 @@ def odd_B_series(
             2 * (p + q - 1)
         )
         bound = tail + _slop(2 * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=True)
+    return wrap_result(val, bound, prec, rigorous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def valean_alt_sum(kind: str, cutoff: int = 10 ** 5, prec: int = 50) -> EvalResu
     with LOCK, mp.workdps(wd):
         val = mpf(acc) / scale
         bound = 10 * mpf(term) / scale + _slop(3 * cutoff, prec, wd)
-    return wrap_result(val, bound, prec, Method.SERIES, rigorous=False)
+    return wrap_result(val, bound, prec, rigorous=False)
 
 # ---------------------------------------------------------------------------
 # The non-strict triple sum

@@ -22,7 +22,6 @@ from mpmath import mp, mpf
 from multizeta.closed import evaluate
 from multizeta.hp import (
     HPReal,
-    Method,
     beta_fn,
     combine,
     pi_const,
@@ -266,7 +265,7 @@ def test_criterion_07_b23_and_alternating_harmonic_sums():
             ("H2n_over_n4", ("-1/3", "-437/64", "-1/24", "1/192")),
             ("H2n2_over_n3", ("61/192", "1973/128", "1/16", "-1/128")),
         ):
-            form = combine(list(zip(coeffs, monomials)), 50, Method.CLOSED_FORM)
+            form = combine(list(zip(coeffs, monomials)), 50)
             r = nested_value("valean", kind, 50)
             assert gap(r, form) < bounds(r, form)
     announce(7, "alternating B(2,3) closed form and the psi'''(1/4) alternating sums")

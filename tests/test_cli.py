@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from multizeta import cli, quadrature, routes, series
 from multizeta.cli import Request, main, run
-from multizeta.hp import Method, scaled, wrap_result
+from multizeta.hp import scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
 from multizeta.symbolic import O_TABLE_PRIMARY
 
@@ -323,7 +323,7 @@ def test_nonconvergence_exits_3(capsys, monkeypatch):
 def test_route_disagreement_exits_1(capsys, monkeypatch):
     def wrong_value(N, prec=50):
         with mp.workdps(prec + 10):
-            return wrap_result(mpf(1), mpf("1e-40"), prec, Method.QUADRATURE, rigorous=False)
+            return wrap_result(mpf(1), mpf("1e-40"), prec, rigorous=False)
 
     monkeypatch.setattr(quadrature, "t_kernel_quad", wrong_value)
     code, out, _ = run_cli(

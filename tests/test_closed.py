@@ -11,8 +11,10 @@ import pytest
 from mpmath import mp, mpf
 
 from multizeta.closed import evaluate
-from multizeta.hp import GUARD_DIGITS, Method, log2_const, pi_const
+from multizeta.hp import GUARD_DIGITS, log2_const, pi_const
+from multizeta.quadrature import I_quad
 from multizeta.routes import fid_for
+from multizeta.series import nested_value
 from multizeta.symbolic import (
     O_TABLE_PRIMARY,
     Formula,
@@ -93,6 +95,48 @@ def test_i_closed_within_own_bound():
             oracle = mp.quad(lambda z: mp.asin(z) ** N / z, [0, 1])
             assert abs(r.value.magnitude - oracle) < mpf(10) ** -40
             assert r.error_bound.magnitude < mpf(10) ** -45
+
+
+# the closed forms of t(3,{2}^N), zeta(3,{2}^N) and I(N) whose alternating
+# sums cancel most: up to 28 digits for zeta(3,{2}^20), 24 for I(40)
+LONG_FORMS = (
+    [(Formula.T322, N) for N in range(1, 21)]
+    + [(Formula.Z322, N) for N in range(21)]
+    + [(Formula.I_CLOSED, N) for N in range(1, 41)]
+)
+
+
+@pytest.mark.parametrize("prec", [30, 50])
+def test_closed_forms_hold_the_requested_digits(prec):
+    for name, N in LONG_FORMS:
+        r = ev(name, N, prec=prec)
+        with mp.workdps(prec + 20):
+            assert r.error_bound.magnitude <= abs(r.value.magnitude) * mpf(10) ** -prec, (name, N)
+
+
+@pytest.mark.parametrize("prec", [30, 50])
+def test_long_closed_forms_agree_with_the_series_route(prec):
+    for name, quantity in ((Formula.T322, "tvalue"), (Formula.Z322, "zeta")):
+        for N in range(1, 21):
+            series = nested_value(quantity, (3,) + (2,) * N, prec)
+            assert ev(name, N, prec=prec).agrees_with(series), (name, N)
+
+
+@pytest.mark.parametrize("prec", [30, 50])
+def test_i_closed_agrees_with_itself_at_twice_the_digits(prec):
+    for N in range(1, 41):
+        assert ev(Formula.I_CLOSED, N, prec=prec).agrees_with(
+            ev(Formula.I_CLOSED, N, prec=2 * prec)
+        ), N
+
+
+def test_closed_form_with_no_digit_keeps_its_wide_bound():
+    # I(200) at 16 digits cancels past every working digit: more digits are
+    # not spent on it, and its bound stays wider than its value, and honest
+    r = ev(Formula.I_CLOSED, 200, prec=16)
+    assert r.value.working_precision == 16
+    assert r.error_bound.magnitude >= abs(r.value.magnitude)
+    assert r.agrees_with(I_quad(200, 16))
 
 
 def test_i_closed_validation():
@@ -392,11 +436,10 @@ def test_formula_id_validation():
 
 
 def test_evaluate_dispatch_matches_direct():
-    # evaluate labels the exact expression's value a closed form and flags
-    # the t({2}^N,1) conjecture alone (same value and bound: test_symbolic)
+    # evaluate flags the t({2}^N,1) conjecture alone (same value and bound:
+    # test_symbolic)
     for fid in ALL_FIDS:
         got = evaluate(fid)
-        assert got.method is Method.CLOSED_FORM
         assert got.rigorous
         assert got.conjectural == (fid.name is Formula.T2S1_CONJECTURE), fid
 

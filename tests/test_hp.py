@@ -22,12 +22,12 @@ from multizeta.hp import (
     _scales_exactly,
     EvalResult,
     HPReal,
-    Method,
     bernoulli_fraction,
     beta_fn,
     eta,
     euler_number,
     combine,
+    digits_short,
     log2_const,
     pi_const,
     pi_power,
@@ -284,7 +284,17 @@ def test_eval_result_agreement_protocol():
 
 
 def _record(value, bound, prec=20):
-    return EvalResult(HPReal(value, prec), HPReal(bound, prec), Method.SERIES, rigorous=True)
+    return EvalResult(HPReal(value, prec), HPReal(bound, prec), rigorous=True)
+
+
+def test_digits_short_counts_the_missing_digits():
+    # 0 when the bound holds 30 digits, and 0 when it holds none
+    with mp.workdps(40):
+        cases = [(mpf(10) ** -31, 0), (2 * mpf(10) ** -26, 5), (mpf(10) ** -12 / 3, 18),
+                 (mpf(0.5), 30), (mpf(1), 0), (mpf(7), 0)]
+    for bound, short in cases:
+        assert digits_short(_record(mpf(-1), bound, 30), 30) == short, bound
+    assert digits_short(_record(mpf(0), mpf(0)), 20) == 0
 
 
 @pytest.mark.parametrize("dps", [15, 500])
@@ -308,7 +318,7 @@ def test_wrap_result_keeps_the_bound_bit_for_bit():
         negated = -bound
     assert mp.dps == 15
     for b in (bound, negated):
-        r = wrap_result(value, b, 200, Method.SERIES, rigorous=True)
+        r = wrap_result(value, b, 200, rigorous=True)
         assert r.error_bound.magnitude == bound
         assert r.error_bound.magnitude._mpf_ == bound._mpf_
 
@@ -362,12 +372,12 @@ def test_eta_from_the_kernel_is_no_looser_than_scaled_zeta(m, prec):
         assert r.error_bound.magnitude <= via_zeta.error_bound.magnitude + floors
 
 
-def test_scaled_keeps_method_and_flags():
-    base = wrap_result(mpf(3), mpf("1e-40"), 30, Method.SERIES, rigorous=False, conjectural=True)
+def test_scaled_keeps_flags():
+    base = wrap_result(mpf(3), mpf("1e-40"), 30, rigorous=False, conjectural=True)
     r = scaled(base, Fraction(-1, 4))
     assert r.value.magnitude == mpf(-3) / 4
     assert r.error_bound.magnitude == mpf("1e-40") / 4
-    assert (r.method, r.rigorous, r.conjectural) == (Method.SERIES, False, True)
+    assert (r.rigorous, r.conjectural) == (False, True)
 
 
 def test_combine_charges_products_and_sums():
@@ -376,14 +386,14 @@ def test_combine_charges_products_and_sums():
     prec = 30
     wd = prec + GUARD_DIGITS
     pi = pi_const(prec)
-    r = combine([(1, [pi, pi]), (-2, [pi])], prec, Method.CLOSED_FORM)
+    r = combine([(1, [pi, pi]), (-2, [pi])], prec)
     with mp.workdps(wd + 20):
         p, b = pi.value.magnitude, pi.error_bound.magnitude
         unit = mpf(10) ** (1 - wd)
         expected = 2 * p * b + b * b + p * p * unit + 2 * b + p * p * unit
         assert abs(r.error_bound.magnitude / expected - 1) < mpf(10) ** -(wd - 2)
         assert abs(r.value.magnitude - (mp.pi ** 2 - 2 * mp.pi)) <= r.error_bound.magnitude
-    assert r.rigorous and r.method is Method.CLOSED_FORM
+    assert r.rigorous
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +506,7 @@ def _tight(q: Fraction, prec: int):
         bits = 2 * mp.prec
     err = abs(mp.fsub(mp.fmul(v, q.denominator, exact=True), q.numerator, exact=True))
     return wrap_result(v, mp.fdiv(err, q.denominator, prec=bits, rounding="u"), prec,
-                       Method.SERIES, rigorous=True)
+                       rigorous=True)
 
 
 COMBINE_CONSTANTS = ("pi", "log2", "pi^-3", "pi^4", "psi3(1/4)", "beta(1)",
@@ -511,11 +521,12 @@ COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(
 
 
 @given(
-    terms=st.lists(st.tuples(COEFFS, st.lists(FACTORS, min_size=1, max_size=3)),
+    terms=st.lists(st.tuples(COEFFS, st.lists(FACTORS, min_size=0, max_size=3)),
                    min_size=1, max_size=3),
     prec=st.integers(min_value=16, max_value=300),
 )
 @example(terms=[(Fraction(1, 3), [Fraction(1, 7)])], prec=50)
+@example(terms=[(Fraction(1, 3), [])], prec=20)
 @settings(max_examples=60, deadline=None)
 def test_combine_within_bound(terms, prec):
     """combine's radius holds for non-dyadic coefficients over hp constants
@@ -534,7 +545,7 @@ def test_combine_within_bound(terms, prec):
                 refs.append(reference)
         built.append((coeff, fs))
         exact.append((coeff, refs))
-    r = combine(built, prec, Method.CLOSED_FORM)
+    r = combine(built, prec)
     with mp.workdps(2 * (prec + GUARD_DIGITS) + 20):
         want = mpf(0)
         for coeff, refs in exact:

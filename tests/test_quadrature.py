@@ -16,11 +16,8 @@ from mpmath import mp, mpf, workdps
 from mpmath.libmp import dps_to_prec
 
 from multizeta import quadrature
-from multizeta.hp import GUARD_DIGITS, Method, eta, scaled, zeta_single
+from multizeta.hp import GUARD_DIGITS, eta, scaled, zeta_single
 from multizeta.quadrature import (
-    ALGEBRAIC,
-    LOGARITHMIC,
-    REGULAR,
     Integrand,
     QuadratureNonConvergence,
     QuadratureResult,
@@ -74,22 +71,19 @@ def test_constant_integrand():
     with workdps(70):
         assert abs(r.value.magnitude - 1) < mpf(10) ** -55
     assert isinstance(r, QuadratureResult)
-    assert r.method is Method.QUADRATURE
     assert not r.rigorous
 
 
 def test_log_endpoint_integrand():
     # integral of -log(x) over (0,1) is 1
-    r = integrate01(Integrand(lambda x, xc: -mp.log(x), (LOGARITHMIC, REGULAR)), 50)
+    r = integrate01(Integrand(lambda x, xc: -mp.log(x)), 50)
     with workdps(70):
         assert abs(r.value.magnitude - 1) < mpf(10) ** -50
 
 
 def test_algebraic_endpoint_integrand():
     # integral of (1-x^2)^(-1/2) is pi/2; inverse sqrt blowup at x = 1
-    r = integrate01(
-        Integrand(lambda x, xc: 1 / mp.sqrt(xc * (2 - xc)), (REGULAR, ALGEBRAIC)), 50
-    )
+    r = integrate01(Integrand(lambda x, xc: 1 / mp.sqrt(xc * (2 - xc))), 50)
     with workdps(70):
         assert abs(r.value.magnitude - mp.pi / 2) < mpf(10) ** -50
 
@@ -488,10 +482,7 @@ def test_t_kernel_reuses_its_arccos_bit_for_bit():
     for N in (1, 2):
         M = 2 * N + 1
         raw = integrate01(
-            Integrand(
-                lambda x, xc, M=M: _asin_stable(x, xc) ** M * acos_stable(x, xc) / x,
-                (REGULAR, ALGEBRAIC),
-            ),
+            Integrand(lambda x, xc, M=M: _asin_stable(x, xc) ** M * acos_stable(x, xc) / x),
             30,
         )
         two_calls = scaled(raw, Fraction(1, math.factorial(M)))
@@ -568,7 +559,7 @@ def test_custom_kernel_with_1_plus_x_denominator():
         li = mp.polylog(2, x) if x < 1 else mp.zeta(2)
         return lg ** 2 * li / (x * (1 + x))
 
-    r = integrate01(Integrand(ev, (LOGARITHMIC, REGULAR)), 40)
+    r = integrate01(Integrand(ev), 40)
     with workdps(REF_DPS):
         target = mpf(83) / 8 * mp.zeta(5) - mpf(9) / 2 * mp.zeta(2) * mp.zeta(3)
         assert abs(r.value.magnitude - target) < mpf(10) ** -35
@@ -629,7 +620,7 @@ def test_scaled_quadrature_keeps_its_fields():
     r = scaled(raw, Fraction(1, 2))
     assert isinstance(r, QuadratureResult)
     assert r.levels_used == raw.levels_used > 0
-    assert (r.method, r.rigorous, r.conjectural) == (Method.QUADRATURE, False, True)
+    assert (r.rigorous, r.conjectural) == (False, True)
     with workdps(60):
         assert r.value.magnitude == raw.value.magnitude / 2
         assert r.error_bound.magnitude == raw.error_bound.magnitude / 2

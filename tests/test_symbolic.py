@@ -359,6 +359,14 @@ def test_eval_zero_and_rational():
         assert abs(r.value.magnitude - mpf(22) / 7) < mpf(10) ** -35
 
 
+def test_lone_rational_is_charged_its_rounding():
+    # 1/3 has no binary expansion: the bound must cover its rounding
+    r = eval_symbolic(SymbolicExpr.rational(Fraction(1, 3)), 20)
+    assert r.rigorous
+    with mp.workdps(60):
+        assert abs(r.value.magnitude - mpf(1) / 3) <= r.error_bound.magnitude
+
+
 def test_canonical_text_corners():
     assert canonical_text(SymbolicExpr.zero()) == "0"
     assert canonical_text(SymbolicExpr.rational(Fraction(-3, 4))) == "-3/4"

@@ -1,11 +1,13 @@
 """Tests for coefficient families, truncated series, and the W operator.
 
 The coefficient families are checked against brute-force chain enumeration
-(exact rationals), the series against direct mpmath function evaluation, and
-the W-operator identities exactly in the Q + Q*pi coefficient ring.
+(exact rationals), the series they generate, summed exactly over Q, against
+direct mpmath function evaluation, and the W-operator identities exactly in
+the Q + Q*pi coefficient ring.
 """
 
 import itertools
+import math
 import threading
 from fractions import Fraction
 
@@ -16,13 +18,10 @@ from mpmath import mp, mpf, workdps
 
 from multizeta.hp import HPReal
 from multizeta.wseries import (
-    CoeffTable,
     SeriesCoeff,
     TruncatedSeries,
     arcsin_power_series,
     arctanh_nested_coeff,
-    arctanh_power_series,
-    coeff_table,
     double_factorial,
     g_coeff,
     h_coeff,
@@ -65,6 +64,8 @@ def test_g_examples():
     assert all(g_coeff(0, k) == 1 for k in range(10))
     assert g_coeff(1, 2) == Fraction(10, 9)
     assert g_coeff(2, 2) == Fraction(1, 9)
+    with pytest.raises(ValueError):
+        g_coeff(-1, 2)
 
 
 def test_g_bruteforce():
@@ -86,6 +87,8 @@ def test_h_examples():
     assert all(h_coeff(1, k) == Fraction(1, 4) for k in range(1, 10))
     assert h_coeff(2, 2) == Fraction(1, 16)
     assert h_coeff(2, 3) == Fraction(5, 64)
+    with pytest.raises(ValueError):
+        h_coeff(1, 0)
 
 
 def test_h_recurrence_exact():
@@ -114,21 +117,6 @@ def test_family_signs():
             assert h_coeff(N, k) == 0
         for k in range(N, N + 20):
             assert h_coeff(N, k) > 0
-
-
-def test_coeff_table_accessor():
-    t = coeff_table("G", 2, 15)
-    assert isinstance(t, CoeffTable)
-    assert t.values[2] == Fraction(1, 9)
-    assert all(isinstance(v, Fraction) for v in t.values.values())
-    with pytest.raises(ValueError):
-        coeff_table("X", 1, 5)
-    with pytest.raises(ValueError):
-        coeff_table("H", 0, 5)
-    with pytest.raises(ValueError):
-        g_coeff(-1, 2)
-    with pytest.raises(ValueError):
-        h_coeff(1, 0)
 
 
 def test_table_growth_is_thread_safe():
@@ -175,8 +163,24 @@ def test_wallis_fraction_values():
 
 
 # ---------------------------------------------------------------------------
-# series construction and evaluation
+# the series the families generate
 # ---------------------------------------------------------------------------
+
+
+def arctanh_coeffs(N, M):
+    """{m: coefficient of z^m in arctanh^N(z)/N!} through z^M: A_(N-1)(m)/m
+    for m = N (mod 2), zero below z^N."""
+    return {m: arctanh_nested_coeff(N - 1, m) / m for m in range(N, M + 1, 2)}
+
+
+def arcsin_coeffs(N, M):
+    return {n: c.rational for n, c in enumerate(arcsin_power_series(N, M).coeffs)}
+
+
+def exact_sum(coeffs, z):
+    """The polynomial summed exactly over Q, as an mpf at the ambient precision."""
+    total = sum((c * z ** n for n, c in coeffs.items()), Fraction(0))
+    return mpf(total.numerator) / total.denominator
 
 
 def test_arcsin_series_classical():
@@ -187,64 +191,36 @@ def test_arcsin_series_classical():
 
 
 def test_leading_terms_are_z_N_over_N_factorial():
-    import math
-
     for N in range(1, 7):
         s = arcsin_power_series(N, 12)
         assert s.coeffs[N].rational == Fraction(1, math.factorial(N))
         assert all(c.is_zero() for c in s.coeffs[:N])
-        t = arctanh_power_series(N, 12)
-        assert t.coeffs[N].rational == Fraction(1, math.factorial(N))
+        assert arctanh_coeffs(N, 12)[N] == Fraction(1, math.factorial(N))
+        assert all(arctanh_nested_coeff(N - 1, m) == 0 for m in range(1, N))
 
 
 def test_arctanh_series_classical():
-    s = arctanh_power_series(1, 9)
-    assert [c.rational for c in s.coeffs] == [
-        0, 1, 0, Fraction(1, 3), 0, Fraction(1, 5), 0, Fraction(1, 7), 0, Fraction(1, 9),
-    ]
-    assert arctanh_power_series(3, 5).coeffs[3].rational == Fraction(1, 6)
+    assert arctanh_coeffs(1, 9) == {m: Fraction(1, m) for m in (1, 3, 5, 7, 9)}
+    assert arctanh_coeffs(3, 5)[3] == Fraction(1, 6)
 
 
 @pytest.mark.parametrize("N", range(1, 7))
 def test_series_vs_function(N):
-    fa = arcsin_power_series(N, 80)
-    ft = arctanh_power_series(N, 80)
-    for zf in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)):
-        for series, fn in ((fa, mp.asin), (ft, mp.atanh)):
-            r = series.eval_at(zf, 50)
-            with workdps(75):
-                zv = mpf(zf.numerator) / zf.denominator
-                err = abs(r.value.magnitude - fn(zv) ** N / mp.factorial(N))
-            assert err <= r.error_bound.magnitude, (N, zf, float(err))
+    # the degree-80 polynomials, summed exactly, at points where the
+    # series' tail is below 10^-40
+    for coeffs, fn in ((arcsin_coeffs(N, 80), mp.asin), (arctanh_coeffs(N, 80), mp.atanh)):
+        for z in (Fraction(1, 10), Fraction(3, 10)):
+            with workdps(60):
+                zv = mpf(z.numerator) / z.denominator
+                err = abs(exact_sum(coeffs, z) - fn(zv) ** N / mp.factorial(N))
+                assert err < mpf(10) ** -40, (N, z, fn, float(err))
 
 
 def test_arcsin_cube_at_half():
     # arcsin(1/2) = pi/6, so the N=3 series at 1/2 approaches (pi/6)^3/6
-    r = arcsin_power_series(3, 80).eval_at(Fraction(1, 2), 50)
-    with workdps(75):
-        target = (mp.pi / 6) ** 3 / 6
-        assert abs(r.value.magnitude - target) <= r.error_bound.magnitude
-        assert abs(r.value.magnitude - target) < mpf(10) ** -24
-
-
-def test_coefficients_view_is_hp():
-    s = arcsin_power_series(2, 6)
-    cs = s.coefficients
-    assert len(cs) == 7
-    assert all(isinstance(c, HPReal) for c in cs)
-    assert float(cs[2].magnitude) == 0.5
-    c30 = s.coefficients_at(30)
-    assert c30[2].working_precision == 30
-
-
-def test_eval_validation():
-    s = arcsin_power_series(1, 20)
-    with pytest.raises(ValueError):
-        s.eval_at(Fraction(3, 2), 50)
-    # r = 1 gets the flat-tail estimate, still finite and honest
-    r = s.eval_at(1, 30)
     with workdps(60):
-        assert abs(r.value.magnitude - mp.pi / 2) <= r.error_bound.magnitude
+        err = abs(exact_sum(arcsin_coeffs(3, 80), Fraction(1, 2)) - (mp.pi / 6) ** 3 / 6)
+        assert err < mpf(10) ** -24
 
 
 def test_integrate_over_z():
@@ -260,8 +236,6 @@ def test_series_construction_validation():
         arcsin_power_series(0, 10)
     with pytest.raises(ValueError):
         arcsin_power_series(5, 3)
-    with pytest.raises(ValueError):
-        arctanh_power_series(-1, 10)
 
 
 # ---------------------------------------------------------------------------

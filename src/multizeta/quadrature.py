@@ -8,56 +8,43 @@ Each trapezoid level halves the step and reuses all previous nodes (only odd
 multiples are new); two successive levels agreeing to 10^(-prec-3) ends the
 refinement.
 
-Every integrand evaluator receives *both* x and xc = 1-x as exact node data.
-The DE transform computes xc directly from e^(2u) without cancellation, so an
-evaluator needing log(x), arccos(x) or atanh(x) near x = 1 can get full
-working precision from xc where forming 1-x would lose everything.  The
-helpers _log_stable / acos_stable / _asin_stable / _atanh_stable implement
-those rewrites:
+Every integrand evaluator receives *both* x and xc = 1-x as exact node data:
+the DE transform computes xc from e^(2u) without cancellation, so the stable
+node functions below get full precision near x = 1 from xc, where forming
+1-x would lose it all.
 
-    log(1-xc)    = log1p(-xc)             (xc below 2^-10)
-    arccos(x)    = 2 asin(sqrt(xc/2))     (exact identity, used everywhere)
-    atanh(x)     = (log(2-xc) - log(xc))/2
-    log(sin((pi/2)(1-xc))) = log(cos((pi/2) xc))
+The polylogarithm runs in integers scaled by 2^B, B the working bits plus
+_GUARD_BITS, the technique of ``series.nested_value``: x times the defining
+series for |x| <= 1/2 (relative accuracy at the tiny nodes), the expansion
+about x = 1 in powers of log x above, and the square identity below -1/2,
+each with the bound proved in _polylog_raw.
 
-The polylogarithm is evaluated by three branches: the defining series for
-|x| <= 1/2, the expansion about x = 1 in powers of L = log x for x in
-(1/2, 1], and the square identity Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x) for
-x in (-1, -1/2).  The first two run in integers scaled by 2^B, B the working
-bits plus _GUARD_BITS, the technique of ``series.nested_value``: the node x
-and the log L enter as their exact binary mantissas, every product is floored
-once, and only the result is rounded back to an mpf.  The defining series
-sums S = sum x^(k-1)/k^p over a per-p cache of the integers k^p and returns
-x S, so the value keeps its relative accuracy at the tiny nodes near 0; the
-log branch runs Horner's rule over integer coefficients cached per
-(p, working digits), to a degree chosen from a proved tail bound.  Both
-bounds are proved in _polylog_raw.
-
-The O/B kernels need only the difference Li_p(-x) - Li_p(x), so kernel_pair
-integrates it as one integrand: for x <= 1/2 it is -2 sum_(k odd) x^k/k^p,
-one series over half the terms; above 1/2 it is 2^(1-p) Li_p(x^2) - 2 Li_p(x),
-with log x^2 = 2 log x taken from the one log the node needs anyway.
-
-Every public kernel (I_quad, j_cot, k_arctanh, t_kernel_quad,
-logpolylog_kernel, kernel_pair, logsine_check) is memoised per process in a
-bounded lru cache keyed by its exact arguments, prec included.  A result is a
-frozen dataclass computed at the working precision prec + GUARD_DIGITS under
-LOCK, whatever the caller's mpmath state, so a repeated request returns the
-identical object.  QuadratureNonConvergence is raised, never stored.
+Every public kernel is memoised per process in a bounded lru cache keyed by
+its exact arguments, prec included.  A result is computed at prec +
+GUARD_DIGITS under LOCK, whatever the caller's mpmath state, so a repeated
+request returns the identical frozen object; QuadratureNonConvergence is
+raised, never stored.
 
 Below the memo, the kernels share their transcendental factors.  Beside each
 cached node table (level, wd) sit columns: the values of one node function
 at every node of the table, filled on first use and read by every later
-integral at that working precision.  The node functions are _asin_stable,
-acos_stable, _atanh_stable, _log_stable, the cot and log-sine factors of
-j_cot and logsine_check, and kernel_pair's bracket (one column per p); the
-kernels only form powers, products and denominators around them.  Same
-nodes, same function, same precision: the same bits as evaluating at every
-node.  Evaluators keep the (x, xc) contract: integrate01 records the node it
-is evaluating, and a column accessor serves the stored value only when
-called with that node's own x and xc objects at its precision, computing
-directly otherwise.  The tables of the _NODE_PRECISIONS most recently used
-working precisions are kept, columns evicted with their nodes.
+integral at that working precision.  The node functions are the stable ones
+above and kernel_pair's bracket (one column per p).  Same nodes, same
+function, same precision: the same bits as evaluating at every node.
+Evaluators keep the (x, xc) contract: integrate01 records the node it is
+evaluating, and a column accessor serves the stored value only when called
+with that node's own x and xc objects at its precision, computing directly
+otherwise.  Tables are kept up to _NODE_BYTES estimated bytes, the least
+recently used working precision evicted first.
+
+Each level is summed in integers.  A kernel forms its node value as one
+integer product of exact mantissas (column values, x, xc, a constant) over
+its integer denominator, floored once to B bits (scaled_quotient), and
+returns it as an exact pair (m, e), m 2^e; an opaque evaluator's mpf is
+taken as its exact pair.  integrate01 adds w times each value into one
+integer accumulator per level, floored once per node to a unit 2^-B below
+the largest term (_level_sum proves the rounding), and rounds only the level
+sum back to an mpf.
 """
 
 from __future__ import annotations
@@ -71,7 +58,7 @@ from functools import cache, lru_cache, partial
 from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, finf, fnan, fninf, fzero
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .hp import (
     GUARD_DIGITS,
@@ -115,11 +102,12 @@ class Integrand:
 
     ``evaluator(x, xc)`` receives the node and its exact complement 1-x as
     mpf values under the working precision of the integration and returns the
-    integrand value; ``name`` labels it.  Endpoint values themselves are
-    never requested: all DE nodes are interior.
+    integrand value: a finite mpf (or int or float), or an exact pair (m, e)
+    of ints meaning m 2^e; ``name`` labels it.  Endpoint values themselves
+    are never requested: all DE nodes are interior.
     """
 
-    evaluator: Callable[[mpf, mpf], mpf]
+    evaluator: Callable[[mpf, mpf], mpf | tuple[int, int]]
     name: str = ""
 
 
@@ -146,9 +134,10 @@ class QuadratureNonConvergence(RuntimeError):
 # nodes
 # ---------------------------------------------------------------------------
 
-# working precisions whose node tables (and their columns) are kept, the
-# least recently used evicted first: the same count as hp._cvz_weights
-_NODE_PRECISIONS = 4
+# estimated bytes of node tables and columns kept, within 15% of tracemalloc's
+# count at 30-800 digits (a quad-session stream holds 1.3 MB, verify --suite
+# all at 50 digits 0.4 MB, an I/K sweep step at 800 digits 27 MB)
+_NODE_BYTES = 32 << 20
 
 
 class _NodeTable:
@@ -170,6 +159,19 @@ class _NodeTable:
 _NODE_CACHE: OrderedDict[int, dict[int, _NodeTable]] = OrderedDict()
 
 
+def _held_bytes() -> int:
+    """Estimated bytes of the tables held: per node 380 plus half its three
+    mantissas (a mirror shares them), per column entry 90 plus its mantissa."""
+    return sum(len(t.nodes) * (380 + 3 * t.prec // 16 + len(t.columns) * (90 + t.prec // 8))
+               for tables in _NODE_CACHE.values() for t in tables.values())
+
+
+def _evict() -> None:
+    """Drop the least recently used precisions while over _NODE_BYTES."""
+    while len(_NODE_CACHE) > 1 and _held_bytes() > _NODE_BYTES:
+        _NODE_CACHE.popitem(last=False)
+
+
 def _de_cutoff(wd: int) -> mpf:
     """Largest |t|: far enough that trapezoid truncation sits below 10^-2(wd+8)."""
     return mp.asinh(2 * mp.log(10) * (wd + 8) / mp.pi)
@@ -179,24 +181,26 @@ def _nodes(level: int, wd: int) -> list:
     """New (x, xc, w) triples at this level (odd multiples of h; level 0 all).
 
     Mirror nodes at -t are emitted as (xc, x, w): the transform swaps the
-    roles of x and 1-x under t -> -t.
+    roles of x and 1-x under t -> -t.  w is an exact pair (m, e), m 2^e.  As
+    2 cosh^2 u = (1 + e^(2u))^2/(2 e^(2u)), the weight (pi/2) cosh t/(2 cosh^2 u)
+    is pi cosh t x xc, cosh t = sqrt(1 + s^2): two transcendentals, s = sinh t
+    and e^(2u) = exp(pi s).  It is within 8 eps of that at the stored x and xc,
+    eps = 2^-p: sinh (an ulp, 2 eps), pi, s^2, 1 + s^2, the root and three
+    products round once each, the first three reaching the root halved.
     """
     with LOCK, mp.workdps(wd):
         T = _de_cutoff(wd)
         h = mpf(2) ** (-level)
-        js = (
-            range(0, int(mp.floor(T / h)) + 1)
-            if level == 0
-            else range(1, int(mp.floor(T / h)) + 1, 2)
-        )
+        n = int(mp.floor(T / h))
+        js = range(0, n + 1) if level == 0 else range(1, n + 1, 2)
+        pi = +mp.pi
         out = []
         for j in js:
-            t = j * h
-            u = mp.pi / 2 * mp.sinh(t)
-            e2u = mp.exp(2 * u)
+            s = mp.sinh(j * h)
+            e2u = mp.exp(pi * s)
             xc = 1 / (1 + e2u)
             x = e2u / (1 + e2u)
-            w = mp.pi / 2 * mp.cosh(t) / (2 * mp.cosh(u) ** 2)
+            w = _pair(pi * mp.sqrt(1 + s * s) * x * xc)
             out.append((x, xc, w))
             if j > 0:
                 out.append((xc, x, w))
@@ -205,27 +209,20 @@ def _nodes(level: int, wd: int) -> list:
 
 def _cached_nodes(level: int, wd: int) -> _NodeTable:
     """The node table of (level, wd), built on first use; marks wd as the
-    most recently used precision, evicting the oldest beyond _NODE_PRECISIONS."""
+    most recently used precision, evicting the oldest beyond _NODE_BYTES."""
     with LOCK:
-        tables = _NODE_CACHE.get(wd)
-        if tables is None:
-            tables = _NODE_CACHE[wd] = {}
-            while len(_NODE_CACHE) > _NODE_PRECISIONS:
-                _NODE_CACHE.popitem(last=False)
-        else:
-            _NODE_CACHE.move_to_end(wd)
+        tables = _NODE_CACHE.setdefault(wd, {})
+        _NODE_CACHE.move_to_end(wd)
         table = tables.get(level)
         if table is None:
             table = tables[level] = _NodeTable(_nodes(level, wd), dps_to_prec(wd))
+            _evict()
         return table
 
 
 # (table, position, x, xc) of the node integrate01 is evaluating, else None;
 # written only under LOCK, and reset when the integration ends, however
 _AT: tuple | None = None
-
-# the exponent field of mpmath's zero, nan, +inf and -inf, whose mantissa is 0
-_SPECIAL = {v[2]: v for v in (fzero, fnan, finf, fninf)}
 
 
 class _Column:
@@ -237,6 +234,7 @@ class _Column:
     integrate01, another x, another precision) computes fn directly and
     stores nothing.  Columns are aligned to node position, never keyed by
     x's value: at the deepest nodes x rounds to 1 while xc still differs.
+    A stored zero, inf or nan (mantissa 0) is computed again, to the same bits.
     """
 
     __slots__ = ("fn",)
@@ -244,20 +242,23 @@ class _Column:
     def __init__(self, fn: Callable[[mpf, mpf], mpf]):
         self.fn = fn
 
-    def __call__(self, x: mpf, xc: mpf) -> mpf:
+    def _stored(self, x: mpf, xc: mpf) -> tuple[int, int]:
+        """The stored (mantissa, exponent), or (0, 0) where there is none."""
         at = _AT
         if at is None or at[2] is not x or at[3] is not xc or at[0].prec != mp.prec:
-            return self.fn(x, xc)
+            return 0, 0
         table, i = at[0], at[1]
-        column = table.columns.get(self)
-        if column is None:
-            column = self._fill(table)
-        m, e = column[0][i], column[1][i]
-        if m > 0:
-            return mp.make_mpf((0, m, e, m.bit_length()))
-        if m < 0:
-            return mp.make_mpf((1, -m, e, (-m).bit_length()))
-        return mp.make_mpf(_SPECIAL[e])
+        column = table.columns.get(self) or self._fill(table)
+        return column[0][i], column[1][i]
+
+    def __call__(self, x: mpf, xc: mpf) -> mpf:
+        m, e = self._stored(x, xc)
+        return mp.make_mpf(from_man_exp(m, e)) if m else self.fn(x, xc)
+
+    def pair(self, x: mpf, xc: mpf) -> tuple[int, int]:
+        """fn(x, xc) as its exact pair (m, e), m 2^e; it must be finite."""
+        m, e = self._stored(x, xc)
+        return (m, e) if m else _pair(self.fn(x, xc))
 
     def _fill(self, table: _NodeTable) -> tuple:
         """fn at every node of table, stored only once complete.  Each node
@@ -275,7 +276,61 @@ class _Column:
             _AT = outer
         # a tuple of ints, unlike a list, drops out of the cyclic collector
         column = table.columns[self] = (tuple(mans), exps)
+        _evict()
         return column
+
+
+def _pair(v) -> tuple[int, int]:
+    """(m, e) with v = m 2^e exactly, for a finite mpf (or int or float)."""
+    sign, man, exp, _ = (v if isinstance(v, mpf) else mpf(v))._mpf_
+    if not man and exp:
+        raise ValueError(f"quadrature needs finite values, got {v}")
+    return (-man if sign else man), exp
+
+
+def scaled_quotient(num: int, exp: int, den: int = 1) -> tuple[int, int]:
+    """(q, f), q 2^f = num 2^exp/den floored to B = mp.prec + _GUARD_BITS bits.
+
+    The rule every kernel forms its node value by.  With k = B + len(den) -
+    len(num), len the bit length, q = floor(num 2^k/den), the shift and the
+    division flooring once together: floor(floor(a/b)/c) = floor(a/(bc)).  For
+    num != 0, |num| 2^k/den lies in (2^(B-1), 2^(B+1)), so q 2^f is within
+    one unit 2^f < 2^(1-B) |v| of the exact value v.
+    """
+    k = mp.prec + _GUARD_BITS + den.bit_length() - num.bit_length()
+    return (num << k if k >= 0 else num >> -k) // den, exp - k
+
+
+def _level_sum(table: _NodeTable, ev) -> tuple[int, int]:
+    """(acc, E): the sum of w ev(x, xc) over the table as acc 2^E, each node
+    recorded in _AT while ev runs there; B = mp.prec + _GUARD_BITS.
+
+    Each value is an exact pair (an mpf converted exactly), times the weight's
+    mantissa exactly.  The unit 2^E is 2^(top - B) for the largest term t so
+    far, 2^(top-1) <= |t| < 2^top; a rise floors acc to the new unit, and
+    each term is added floored to the current one.  Units only rise, so the n
+    term floors and r < n rises each cost under one final unit:
+
+        |acc 2^E - sum w v| < (n + r) 2^E <= n 2^(2-B) max |w v|.
+    """
+    global _AT
+    outer, bits = _AT, mp.prec + _GUARD_BITS
+    acc, E = 0, None
+    try:
+        for i, (x, xc, (mw, ew)) in enumerate(table.nodes):
+            _AT = (table, i, x, xc)
+            v = ev(x, xc)
+            m, e = v if type(v) is tuple else _pair(v)
+            if m:
+                m *= mw
+                e += ew
+                top = m.bit_length() + e - bits
+                if E is None or top > E:
+                    acc, E = (acc >> (top - E) if acc else 0), top
+                acc += m << (e - E) if e >= E else m >> (E - e)
+    finally:
+        _AT = outer
+    return acc, E or 0
 
 
 def integrate01(f, prec: int = 50) -> QuadratureResult:
@@ -288,8 +343,11 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     charges per rounding: two levels can agree bit for bit, and a zero bound
     would claim the integral exactly.  Hitting the level cap raises
     QuadratureNonConvergence with the best estimate attached.
+
+    Each level is summed by _level_sum, within n 2^(2-B) max |w v| of the
+    exact sum of its n node values, B = _scale_bits(wd); only that sum times
+    h = 2^-level is rounded to the working bits, once.
     """
-    global _AT
     coerce_prec(prec)
     integrand = f if isinstance(f, Integrand) else Integrand(f)
     ev = integrand.evaluator
@@ -309,23 +367,14 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
                 levels_used=levels,
             )
 
-        outer = _AT
-        try:
-            for level in range(LEVEL_CAP + 1):
-                h = mpf(2) ** (-level)
-                part = mpf(0)
-                table = _cached_nodes(level, wd)
-                for i, (x, xc, w) in enumerate(table.nodes):
-                    _AT = (table, i, x, xc)
-                    part += w * ev(x, xc)
-                total = (total / 2 if level > 0 else mpf(0)) + h * part
-                if prev is not None:
-                    diff = abs(total - prev)
-                    if diff <= tol * max(1, abs(total)):
-                        return result(level + 1)
-                prev = total
-        finally:
-            _AT = outer
+        for level in range(LEVEL_CAP + 1):
+            acc, E = _level_sum(_cached_nodes(level, wd), ev)
+            total = total / 2 + mp.make_mpf(from_man_exp(acc, E - level, mp.prec, round_nearest))
+            if prev is not None:
+                diff = abs(total - prev)
+                if diff <= tol * max(1, abs(total)):
+                    return result(level + 1)
+            prev = total
         best = result(LEVEL_CAP + 1)
     raise QuadratureNonConvergence(
         f"tanh-sinh did not stabilise within {LEVEL_CAP} levels"
@@ -405,12 +454,6 @@ _GUARD_BITS = 4
 def _scale_bits(wd: int) -> int:
     """B: the working bits at wd digits plus the guard."""
     return dps_to_prec(wd) + _GUARD_BITS
-
-
-def _mantissa(v: mpf) -> tuple[int, int]:
-    """(m, s) with v = m 2^-s exactly; s >= 1 whenever 0 < |v| < 1."""
-    sign, man, exp, _ = v._mpf_
-    return (-man if sign else man), -exp
 
 
 _POWERS: dict[int, list] = {}
@@ -518,11 +561,11 @@ def _log_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
     J = _log_degree(p, log_r, wd)
     bits = _scale_bits(wd)
     cs = _log_coeffs(p, wd)
-    m, s = _mantissa(L)
+    m, e = _pair(L)
     d = int(mp.ldexp(log_neg_l, bits)) // math.factorial(p - 1)
     acc = cs[J]
     for j in range(J - 1, -1, -1):
-        acc = ((acc * m) >> s) + cs[j]
+        acc = ((acc * m) >> -e) + cs[j]
         if j == p - 1:
             acc -= d
     return acc, J
@@ -586,9 +629,9 @@ def _polylog_raw(
         return -e.value.magnitude, e.error_bound.magnitude + ulp
     bits = _scale_bits(wd)
     if abs(x) <= mpf(1) / 2:
-        m, s = _mantissa(x)
-        total, n, last = _series_scaled(p, m, s, 1, bits)
-        val = mp.ldexp(mpf(m * total), -(s + bits))  # rounded to the working bits
+        m, e = _pair(x)
+        total, n, last = _series_scaled(p, m, -e, 1, bits)
+        val = mp.ldexp(mpf(m * total), e - bits)  # rounded to the working bits
         ax = abs(x)
         units = (abs(last) + 2) * ax / (1 - ax) + n + 1
         return val, ax * mp.ldexp(units, -bits) + mp.ldexp(abs(val), _GUARD_BITS - bits)
@@ -632,10 +675,11 @@ def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    coerce_prec(prec)
 
     def ev(x, xc):
-        return _asin_column(x, xc) ** N / x
+        m, e = _asin_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient(m ** N, N * e - ex, mx)
 
     return integrate01(Integrand(ev, name=f"I({N})"), prec)
 
@@ -650,10 +694,11 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n >= 1 required, got {n!r}")
-    coerce_prec(prec)
 
-    def ev(x, xc):
-        return (x / 2) ** n * _cot_column(x, xc) / 2
+    def ev(x, xc):  # (x/2)^n cot / 2
+        m, e = _cot_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient(mx ** n * m, n * (ex - 1) + e - 1)
 
     return integrate01(Integrand(ev, name=f"J({n})"), prec)
 
@@ -663,10 +708,11 @@ def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     """K(N) = integral_0^1 atanh^N(z)/z dz (log^N blowup at z = 1)."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    coerce_prec(prec)
 
     def ev(x, xc):
-        return _atanh_column(x, xc) ** N / x
+        m, e = _atanh_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient(m ** N, N * e - ex, mx)
 
     return integrate01(Integrand(ev, name=f"K({N})"), prec)
 
@@ -682,11 +728,13 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
-    coerce_prec(prec)
     M = 2 * N + 1
 
     def ev(x, xc):
-        return _asin_column(x, xc) ** M * acos_column(x, xc) / x
+        m, e = _asin_column.pair(x, xc)
+        mc, ec = acos_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient(m ** M * mc, M * e + ec - ex, mx)
 
     raw = integrate01(Integrand(ev, name=f"t-kernel({N})"), prec)
     return scaled(raw, Fraction(1, math.factorial(M)))
@@ -696,20 +744,20 @@ def _check_kernel_args(p, q, sign_den) -> None:
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p >= 2 required, got {p!r}")
     if not isinstance(q, int) or q < 2:
-        if sign_den == -1:
-            raise ValueError(
-                f"q >= 2 required, got {q!r}: the 1/(1-x^2) endpoint is non-integrable"
-            )
-        raise ValueError(f"q >= 2 required, got {q!r}")
+        why = ": the 1/(1-x^2) endpoint is non-integrable" if sign_den == -1 else ""
+        raise ValueError(f"q >= 2 required, got {q!r}{why}")
     if sign_den not in (1, -1):
         raise ValueError("sign_den must be +1 or -1")
 
 
-def _denominator(x: mpf, xc: mpf, sign_den: int) -> mpf:
-    """x (1 + sign_den x^2); for -1 as x xc (2 - xc), without cancellation."""
+def _denominator(x: mpf, xc: mpf, sign_den: int) -> tuple[int, int]:
+    """x (1 + sign_den x^2) as an exact pair (D, e), D > 0; for -1 as
+    x xc (2 - xc), without cancellation.  x, xc <= 1 have exponents <= 0."""
+    _, mx, ex, _ = x._mpf_
     if sign_den == -1:
-        return x * xc * (2 - xc)
-    return x * (1 + x * x)
+        _, mc, ec, _ = xc._mpf_
+        return mx * mc * ((2 << -ec) - mc), ex + 2 * ec
+    return mx * ((1 << -2 * ex) + mx * mx), 3 * ex
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -728,13 +776,14 @@ def logpolylog_kernel(
     _check_kernel_args(p, q, sign_den)
     if sign_arg not in (1, -1):
         raise ValueError("sign_arg and sign_den must be +1 or -1")
-    coerce_prec(prec)
     wd = prec + GUARD_DIGITS
 
     def ev(x, xc):
         lg = _log_column(x, xc)
-        li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
-        return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
+        ml, el = _pair(lg)
+        mli, eli = _pair(_polylog_raw(p, sign_arg * x, xc, wd, lg)[0])
+        d, ed = _denominator(x, xc, sign_den)
+        return scaled_quotient(ml ** (q - 1) * mli, (q - 1) * el + eli - ed, d)
 
     name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
     return integrate01(Integrand(ev, name=name), prec)
@@ -746,14 +795,14 @@ def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
     2^(1-p) Li_p(x^2) - 2 Li_p(x) above, in integers scaled by 2^B."""
     wd = mp.dps
     bits = _scale_bits(wd)
-    m, s = _mantissa(x)
+    m, e = _pair(x)
     if x <= 0.5:
-        odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
-        return -mp.ldexp(mpf(m * odd), 1 - s - bits)
+        odd = _series_scaled(p, m * m, -2 * e, 2, bits)[0]
+        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
     lg = _log_column(x, xc)
-    if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
-        total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
-        sq = m * m * total >> (2 * s)
+    if m * m << 1 <= 1 << (-2 * e):  # x^2 <= 1/2
+        total = _series_scaled(p, m * m, -2 * e, 1, bits)[0]
+        sq = m * m * total >> (-2 * e)
     else:
         sq = _log_horner(p, 2 * lg, wd)[0]
     return mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
@@ -771,16 +820,17 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResu
 
     With sign_den = -1 the pair reproduces O(p,q), with +1 the alternating
     B(p,q).  The two kernels are integrated as one, over the bracket
-    Li_p(-x) - Li_p(x): -2 x sum_(j>=0) x^(2j)/(2j+1)^p for x <= 1/2, and
-    2^(1-p) Li_p(x^2) - 2 Li_p(x) above.  Like every quadrature result the
+    Li_p(-x) - Li_p(x) (see _bracket).  Like every quadrature result the
     bound is an estimate.
     """
     _check_kernel_args(p, q, sign_den)
-    coerce_prec(prec)
     bracket = _bracket_column(p)
 
     def ev(x, xc):
-        return _log_column(x, xc) ** (q - 1) * bracket(x, xc) / _denominator(x, xc, sign_den)
+        ml, el = _log_column.pair(x, xc)
+        mb, eb = bracket.pair(x, xc)
+        d, ed = _denominator(x, xc, sign_den)
+        return scaled_quotient(ml ** (q - 1) * mb, (q - 1) * el + eb - ed, d)
 
     den = "-" if sign_den == -1 else "+"
     name = f"log^{q-1} [Li_{p}(-x) - Li_{p}(x)]/(x(1{den}x^2))"
@@ -798,9 +848,13 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n >= 1 required, got {n!r}")
     coerce_prec(prec)
+    with LOCK, mp.workdps(prec + GUARD_DIGITS):
+        mp_, ep = _pair(mp.pi)
 
-    def ev(x, xc):
-        return (mp.pi / 2 * x) ** (n - 1) * _log_sin_column(x, xc)
+    def ev(x, xc):  # ((pi/2) x)^(n-1) log sin
+        m, e = _log_sin_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient((mp_ * mx) ** (n - 1) * m, (n - 1) * (ep - 1 + ex) + e)
 
     raw = integrate01(Integrand(ev, name=f"logsine({n})"), prec)
     return scaled(raw, Fraction(-n, 2), pi_const(prec))

@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from .hp import GUARD_DIGITS, LOCK, EvalResult, HPReal, coerce_prec, wrap_result
-from .quadrature import Integrand, QuadratureResult, acos_column, integrate01
+from .quadrature import Integrand, QuadratureResult, acos_column, integrate01, scaled_quotient
 
 __all__ = [
     "SeriesCoeff",
@@ -309,7 +309,8 @@ def wallis_identity_check(
     4: each coefficient is rounded to within one unit 2^-B once per call,
     and each product by y = alpha x is exact on y's mantissa, then floored.
     A step's error is multiplied by |y| < 1 in every later one, so the
-    polynomial is within 2M - 1 units, under 2^-wbits/8.
+    polynomial is within 2M - 1 units, under 2^-wbits/8; its exact product
+    with alpha and arccos is floored once by quadrature.scaled_quotient.
     """
     coerce_prec(prec)
     if not f.coeffs[0].is_zero():
@@ -341,13 +342,16 @@ def wallis_identity_check(
         with mp.workprec(bits + size + 10):
             ints = [int(mp.nint(mp.ldexp(c.to_mpf(), bits))) for c in reversed(shifted)]
 
+    _, ma, ea, _ = av._mpf_
+
     def ev(x, xc):
         sign, man, exp, _ = (av * x)._mpf_
         m = -man if sign else man
         acc = ints[0]
         for c in ints[1:]:
             acc = ((acc * m) >> -exp) + c
-        return av * mp.ldexp(acc, -bits) * acos_column(x, xc)
+        mc, ec = acos_column.pair(x, xc)
+        return scaled_quotient(ma * acc * mc, ea - bits + ec)
 
     rhs = integrate01(Integrand(ev, name="arccos kernel"), prec)
     return lhs, rhs

@@ -10,9 +10,11 @@ deterministic bit-for-bit.  ``HarmonicState`` and ``harmonic`` are exact
 rational references for the loops themselves.
 
 ``DIRECT_KERNELS`` holds the quadrature kernels with every node function
-computed at every node, as the integrands read before the node columns of
-``multizeta.quadrature``: the column-backed kernels must equal them bit for
-bit.
+computed at every node, without the node columns of ``multizeta.quadrature``,
+each node value combined by the engine's rule ``scaled_quotient``: the
+column-backed kernels must equal them bit for bit.  ``MPF_KERNELS`` forms the
+same node values in mpf arithmetic, as the kernels did before the integer
+accumulator; the kernels must lie within |total| 10^(1-wd) of them.
 
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
@@ -55,12 +57,13 @@ from multizeta.quadrature import (
     _denominator,
     _log_horner,
     _log_stable,
-    _mantissa,
+    _pair,
     _polylog_raw,
     _scale_bits,
     _series_scaled,
     acos_stable,
     integrate01,
+    scaled_quotient,
 )
 from multizeta.series import VALEAN_KINDS, _as_index
 
@@ -479,24 +482,68 @@ def _triple_nonstrict_sum(cutoff: int, prec: int):
 # ---------------------------------------------------------------------------
 
 
+def _cot(x, xc):
+    if xc < mpf(1) / 2:
+        return mp.tan(mp.pi / 2 * xc)
+    return mp.cot(mp.pi * (x / 2))
+
+
+def _log_sin(x, xc):
+    if xc < mpf(1) / 2:
+        return mp.log(mp.cos(mp.pi / 2 * xc))
+    return mp.log(mp.sin(mp.pi / 2 * x))
+
+
+def _bracket(p, x, xc):
+    """Li_p(-x) - Li_p(x) at the working digits, as kernel_pair integrates it."""
+    wd = mp.dps
+    bits = _scale_bits(wd)
+    lg = _log_stable(x, xc)
+    m, e = _pair(x)
+    if x <= 0.5:
+        odd = _series_scaled(p, m * m, -2 * e, 2, bits)[0]
+        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
+    if m * m << 1 <= 1 << (-2 * e):  # x^2 <= 1/2
+        total = _series_scaled(p, m * m, -2 * e, 1, bits)[0]
+        sq = m * m * total >> (-2 * e)
+    else:
+        sq = _log_horner(p, 2 * lg, wd)[0]
+    return mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
+
+
+def _mpf_denominator(x, xc, sign_den):
+    return x * xc * (2 - xc) if sign_den == -1 else x * (1 + x * x)
+
+
+# Each kernel's node value formed by quadrature.scaled_quotient, the engine's
+# rule, from its factor functions computed at the node.
+
+
 def _i_direct(N: int, prec: int):
-    return integrate01(lambda x, xc: _asin_stable(x, xc) ** N / x, prec)
+    def ev(x, xc):
+        m, e = _pair(_asin_stable(x, xc))
+        mx, ex = _pair(x)
+        return scaled_quotient(m ** N, N * e - ex, mx)
+
+    return integrate01(ev, prec)
 
 
 def _j_direct(n: int, prec: int):
     def ev(x, xc):
-        z = x / 2
-        if xc < mpf(1) / 2:
-            c = mp.tan(mp.pi / 2 * xc)
-        else:
-            c = mp.cot(mp.pi * z)
-        return z ** n * c / 2
+        m, e = _pair(_cot(x, xc))
+        mx, ex = _pair(x)
+        return scaled_quotient(mx ** n * m, n * (ex - 1) + e - 1)
 
     return integrate01(ev, prec)
 
 
 def _k_direct(N: int, prec: int):
-    return integrate01(lambda x, xc: _atanh_stable(x, xc) ** N / x, prec)
+    def ev(x, xc):
+        m, e = _pair(_atanh_stable(x, xc))
+        mx, ex = _pair(x)
+        return scaled_quotient(m ** N, N * e - ex, mx)
+
+    return integrate01(ev, prec)
 
 
 def _t_direct(N: int, prec: int):
@@ -504,8 +551,10 @@ def _t_direct(N: int, prec: int):
 
     def ev(x, xc):
         acos = acos_stable(x, xc)
-        asin = mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x)
-        return asin ** M * acos / x
+        m, e = _pair(mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x))
+        mc, ec = _pair(acos)
+        mx, ex = _pair(x)
+        return scaled_quotient(m ** M * mc, M * e + ec - ex, mx)
 
     return scaled(integrate01(ev, prec), Fraction(1, math.factorial(M)))
 
@@ -515,30 +564,20 @@ def _logpolylog_direct(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
 
     def ev(x, xc):
         lg = _log_stable(x, xc)
-        li = _polylog_raw(p, sign_arg * x, xc, wd, lg)[0]
-        return lg ** (q - 1) * li / _denominator(x, xc, sign_den)
+        ml, el = _pair(lg)
+        mli, eli = _pair(_polylog_raw(p, sign_arg * x, xc, wd, lg)[0])
+        d, ed = _denominator(x, xc, sign_den)
+        return scaled_quotient(ml ** (q - 1) * mli, (q - 1) * el + eli - ed, d)
 
     return integrate01(ev, prec)
 
 
 def _pair_direct(p: int, q: int, sign_den: int, prec: int):
-    wd = prec + GUARD_DIGITS
-    bits = _scale_bits(wd)
-
     def ev(x, xc):
-        lg = _log_stable(x, xc)
-        m, s = _mantissa(x)
-        if x <= 0.5:
-            odd = _series_scaled(p, m * m, 2 * s, 2, bits)[0]
-            bracket = -mp.ldexp(mpf(m * odd), 1 - s - bits)
-        else:
-            if m * m << 1 <= 1 << (2 * s):  # x^2 <= 1/2
-                total = _series_scaled(p, m * m, 2 * s, 1, bits)[0]
-                sq = m * m * total >> (2 * s)
-            else:
-                sq = _log_horner(p, 2 * lg, wd)[0]
-            bracket = mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
-        return lg ** (q - 1) * bracket / _denominator(x, xc, sign_den)
+        ml, el = _pair(_log_stable(x, xc))
+        mb, eb = _pair(_bracket(p, x, xc))
+        d, ed = _denominator(x, xc, sign_den)
+        return scaled_quotient(ml ** (q - 1) * mb, (q - 1) * el + eb - ed, d)
 
     raw = integrate01(ev, prec)
     return scaled(raw, Fraction((-1) ** q, 2 * math.factorial(q - 1)))
@@ -546,12 +585,10 @@ def _pair_direct(p: int, q: int, sign_den: int, prec: int):
 
 def _logsine_direct(n: int, prec: int):
     def ev(x, xc):
-        z = mp.pi / 2 * x
-        if xc < mpf(1) / 2:
-            ls = mp.log(mp.cos(mp.pi / 2 * xc))
-        else:
-            ls = mp.log(mp.sin(z))
-        return z ** (n - 1) * ls
+        m, e = _pair(_log_sin(x, xc))
+        mp_, ep = _pair(mp.pi)
+        mx, ex = _pair(x)
+        return scaled_quotient((mp_ * mx) ** (n - 1) * m, (n - 1) * (ep - 1 + ex) + e)
 
     return scaled(integrate01(ev, prec), Fraction(-n, 2), pi_const(prec))
 
@@ -566,4 +603,42 @@ DIRECT_KERNELS = {
     "logpolylog_kernel": _logpolylog_direct,
     "kernel_pair": _pair_direct,
     "logsine_check": _logsine_direct,
+}
+
+
+# The same kernels with every node value formed in mpf arithmetic, as before
+# the integer accumulator: an independent check of the engine's rounding.
+
+
+def _logpolylog_mpf(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
+    def ev(x, xc):
+        lg = _log_stable(x, xc)
+        li = _polylog_raw(p, sign_arg * x, xc, mp.dps, lg)[0]
+        return lg ** (q - 1) * li / _mpf_denominator(x, xc, sign_den)
+
+    return integrate01(ev, prec)
+
+
+def _pair_mpf(p: int, q: int, sign_den: int, prec: int):
+    def ev(x, xc):
+        return _log_stable(x, xc) ** (q - 1) * _bracket(p, x, xc) / _mpf_denominator(x, xc, sign_den)
+
+    return scaled(integrate01(ev, prec), Fraction((-1) ** q, 2 * math.factorial(q - 1)))
+
+
+MPF_KERNELS = {
+    "I_quad": lambda N, prec: integrate01(lambda x, xc: _asin_stable(x, xc) ** N / x, prec),
+    "j_cot": lambda n, prec: integrate01(lambda x, xc: (x / 2) ** n * _cot(x, xc) / 2, prec),
+    "k_arctanh": lambda N, prec: integrate01(lambda x, xc: _atanh_stable(x, xc) ** N / x, prec),
+    "t_kernel_quad": lambda N, prec: scaled(
+        integrate01(lambda x, xc: _asin_stable(x, xc) ** (2 * N + 1) * acos_stable(x, xc) / x, prec),
+        Fraction(1, math.factorial(2 * N + 1)),
+    ),
+    "logpolylog_kernel": _logpolylog_mpf,
+    "kernel_pair": _pair_mpf,
+    "logsine_check": lambda n, prec: scaled(
+        integrate01(lambda x, xc: (mp.pi / 2 * x) ** (n - 1) * _log_sin(x, xc), prec),
+        Fraction(-n, 2),
+        pi_const(prec),
+    ),
 }

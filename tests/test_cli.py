@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from multizeta import cli, quadrature, routes, series
+from multizeta import cli, closed, quadrature, routes, series
 from multizeta.cli import Request, main, run
 from multizeta.hp import scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
@@ -108,6 +108,25 @@ def test_json_all_routes(capsys):
     for entry in payload["routes"]:
         assert list(entry.keys()) == SCHEMA_KEYS
     assert payload["agreement"] is True
+
+
+def test_method_all_evaluates_the_shared_closed_form_once(capsys, monkeypatch):
+    calls = []
+    evaluate = closed.evaluate
+
+    def counted(fid, prec):
+        calls.append(fid)
+        return evaluate(fid, prec)
+
+    monkeypatch.setattr(closed, "evaluate", counted)
+    code, out, _ = run_cli(capsys, "integral", "I", "3", "--json", "--prec", "20")
+    assert code == 0
+    assert len(calls) == 1
+    routes_out = json.loads(out)["routes"]
+    assert [e["method"] for e in routes_out] == ["closed", "quadrature", "symbolic"]
+    assert {k: v for k, v in routes_out[0].items() if k != "method"} == {
+        k: v for k, v in routes_out[2].items() if k != "method"
+    }
 
 
 def test_json_symbolic_attachment(capsys):

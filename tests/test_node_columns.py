@@ -1,14 +1,20 @@
 """Node columns of the quadrature: each node function runs once per node and
 working precision, and every kernel equals its node-by-node evaluation
 (``oracles.DIRECT_KERNELS``) bit for bit, whatever was evaluated before it.
+The integer level sums hold the rounding ``quadrature._level_sum`` and
+``scaled_quotient`` state, and the tables held stay within their byte budget.
 """
 
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 
 import pytest
-from mpmath import mp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from multizeta import quadrature, wseries
 from multizeta.hp import GUARD_DIGITS
@@ -18,10 +24,12 @@ from multizeta.quadrature import (
     acos_column,
     acos_stable,
     integrate01,
+    scaled_quotient,
 )
+from multizeta.verify import run_suite
 from multizeta.wseries import arcsin_power_series, wallis_identity_check
 
-from oracles import DIRECT_KERNELS
+from oracles import DIRECT_KERNELS, MPF_KERNELS
 
 KERNELS = (
     quadrature.I_quad,
@@ -60,11 +68,24 @@ def evaluate(name, args, prec):
     return getattr(quadrature, name)(*args, prec)
 
 
+class Uncolumned:
+    """A node function read without a column: computed at every call."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, x, xc):
+        return self.fn(x, xc)
+
+    def pair(self, x, xc):
+        return quadrature._pair(self.fn(x, xc))
+
+
 @cache
 def direct(name, args, prec):
     if name == "wallis":
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wseries, "acos_column", acos_stable)
+            patch.setattr(wseries, "acos_column", Uncolumned(acos_stable))
             return wallis_rhs(prec)
     return DIRECT_KERNELS[name](*args, prec)
 
@@ -252,21 +273,192 @@ def test_a_column_rebuilds_zeros_and_infinities_exactly():
 
 
 # ---------------------------------------------------------------------------
-# eviction by working precision
+# eviction by estimated bytes
 # ---------------------------------------------------------------------------
 
 
-def test_tables_are_kept_for_the_four_latest_precisions():
-    first = quadrature.I_quad(2, 20)
-    for prec in (21, 22, 23, 24, 25):
+def sweep(precs):
+    """The precision sweep that grew memory under a count of precisions."""
+    for prec in precs:
+        quadrature.I_quad(2, prec)
+        quadrature.I_quad(3, prec)
         quadrature.k_arctanh(2, prec)
-    assert list(quadrature._NODE_CACHE) == [p + GUARD_DIGITS for p in (22, 23, 24, 25)]
-    quadrature.I_quad(2, 22)  # a use keeps a precision
-    quadrature.I_quad(2, 26)
-    assert list(quadrature._NODE_CACHE) == [p + GUARD_DIGITS for p in (24, 25, 22, 26)]
+        yield prec
+
+
+def test_a_precision_sweep_stays_within_the_byte_budget(monkeypatch):
+    # the sweep over 100, ..., 800 digits takes about 36 s; its first four
+    # steps under a budget a third as large evict the same way
+    monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._NODE_BYTES // 3)
+    for prec in sweep(range(100, 500, 100)):
+        assert quadrature._held_bytes() <= quadrature._NODE_BYTES
+        assert next(reversed(quadrature._NODE_CACHE)) == prec + GUARD_DIGITS
+    assert len(quadrature._NODE_CACHE) < 4  # evicted
+
+
+def test_the_least_recently_used_precision_goes_first(monkeypatch):
+    first = quadrature.I_quad(2, 22)  # 22 to 25 digits take the same six levels
+    monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._held_bytes() * 5 // 2)
+    quadrature.I_quad(2, 23)
     quadrature.I_quad.cache_clear()
-    assert_same(quadrature.I_quad(2, 20), first)
-    assert len(quadrature._NODE_CACHE) == 4
+    quadrature.I_quad(2, 22)  # a use keeps a precision
+    quadrature.I_quad(2, 24)
+    assert list(quadrature._NODE_CACHE) == [p + GUARD_DIGITS for p in (22, 24)]
+    quadrature.I_quad(2, 25)
+    assert list(quadrature._NODE_CACHE) == [p + GUARD_DIGITS for p in (24, 25)]
+    quadrature.I_quad.cache_clear()
+    assert_same(quadrature.I_quad(2, 22), first)  # rebuilt tables, same result
+
+
+def test_the_benchmark_working_sets_are_never_evicted(monkeypatch):
+    dropped = []
+    evict = quadrature._evict
+
+    def counted():
+        before = set(quadrature._NODE_CACHE)
+        evict()
+        dropped.extend(before - set(quadrature._NODE_CACHE))
+
+    monkeypatch.setattr(quadrature, "_evict", counted)
+    for prec in (30, 50):  # every quad-session shape
+        for n in range(1, 9):  # tvalue({2}^m, 1) reads I(2m) up to I(8)
+            quadrature.I_quad(n, prec)
+        for n in range(1, 7):
+            quadrature.j_cot(n, prec)
+            quadrature.logsine_check(n, prec)
+        for n in range(1, 6):
+            quadrature.k_arctanh(n, prec)
+        for n in range(1, 4):
+            quadrature.t_kernel_quad(n, prec)
+        for p in (2, 3):
+            for q in (2, 3):
+                for sign_den in (1, -1):
+                    quadrature.kernel_pair(p, q, sign_den, prec)
+    run_suite("all", 50)
+    assert dropped == []
+    assert quadrature._held_bytes() * 4 < quadrature._NODE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the integer engine
+# ---------------------------------------------------------------------------
+
+MPF_CASES = [
+    ("I_quad", (3,)),
+    ("j_cot", (2,)),
+    ("k_arctanh", (3,)),
+    ("t_kernel_quad", (1,)),
+    ("logpolylog_kernel", (2, 2, 1, -1)),
+    ("kernel_pair", (2, 3, -1)),
+    ("logsine_check", (4,)),
+]
+
+
+@pytest.mark.parametrize("prec", (30, 50))
+@pytest.mark.parametrize("name, args", MPF_CASES, ids=[name for name, _ in MPF_CASES])
+def test_kernels_lie_within_a_unit_of_their_mpf_node_values(name, args, prec):
+    got = evaluate(name, args, prec)
+    want = MPF_KERNELS[name](*args, prec)
+    assert got.levels_used == want.levels_used
+    wd = prec + GUARD_DIGITS
+    with mp.workdps(wd):
+        total = got.value.magnitude
+        assert abs(total - want.value.magnitude) <= abs(total) * mpf(10) ** (1 - wd)
+
+
+class Captured(Exception):
+    pass
+
+
+def integrand_of(name, args, prec, monkeypatch):
+    """The Integrand a kernel hands integrate01, without integrating it."""
+
+    def capture(f, prec):
+        raise Captured(f)
+
+    monkeypatch.setattr(quadrature, "integrate01", capture)
+    monkeypatch.setattr(wseries, "integrate01", capture)
+    try:
+        if name == "wallis":
+            wallis_rhs(prec)
+        else:
+            getattr(quadrature, name).__wrapped__(*args, prec)  # past the memo
+    except Captured as got:
+        return got.args[0]
+    finally:
+        monkeypatch.undo()
+    raise AssertionError("the kernel did not integrate")
+
+
+def as_pair(v):
+    return v if type(v) is tuple else quadrature._pair(v)
+
+
+KERNEL_ARGS = st.one_of(
+    st.tuples(st.just("I_quad"), st.tuples(st.integers(1, 6))),
+    st.tuples(st.just("j_cot"), st.tuples(st.integers(1, 6))),
+    st.tuples(st.just("k_arctanh"), st.tuples(st.integers(1, 5))),
+    st.tuples(st.just("t_kernel_quad"), st.tuples(st.integers(1, 3))),
+    st.tuples(
+        st.just("logpolylog_kernel"),
+        st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from((1, -1)),
+                  st.sampled_from((1, -1))),
+    ),
+    st.tuples(
+        st.just("kernel_pair"),
+        st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from((1, -1))),
+    ),
+    st.tuples(st.just("logsine_check"), st.tuples(st.integers(1, 6))),
+    st.tuples(st.just("wallis"), st.just(())),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kernel=KERNEL_ARGS, prec=st.integers(16, 80), level=st.integers(0, 2))
+def test_a_level_sum_is_within_its_stated_units(monkeypatch, kernel, prec, level):
+    ev = integrand_of(*kernel, prec, monkeypatch).evaluator
+    wd = prec + GUARD_DIGITS
+    bits = quadrature._scale_bits(wd)
+    table = quadrature._cached_nodes(level, wd)
+    with mp.workdps(wd):
+        acc, E = quadrature._level_sum(table, ev)
+        values = [ev(x, xc) for x, xc, _ in table.nodes]  # computed, not read
+    with mp.workdps(2 * wd):
+        terms = [
+            mp.ldexp(mpf(mw * m), ew + e)
+            for (_, _, (mw, ew)), (m, e) in zip(table.nodes, map(as_pair, values))
+        ]
+        exact = mp.fsum(terms)
+        stated = len(terms) * mp.ldexp(max(abs(t) for t in terms), 2 - bits)
+        assert abs(mp.ldexp(mpf(acc), E) - exact) <= stated
+
+
+@pytest.mark.parametrize("wd", (26, 60, 210))
+def test_node_weights_are_within_eight_eps(wd):
+    # w is within 8 2^-p relative of pi cosh t x xc at the stored x and xc
+    eps = mpf(2) ** -dps_to_prec(wd)
+    for level in range(4):
+        nodes = quadrature._nodes(level, wd)
+        # t = j h with j = 0, 1, 1, 2, 2, ... at level 0 and 1, 1, 3, 3, ... above
+        step = 1 if level == 0 else 2
+        js = [0] * (level == 0) + [j for j in range(1, 2 * len(nodes), step) for _ in "xy"]
+        for j, (x, xc, (mw, ew)) in zip(js, nodes):
+            with mp.workdps(2 * wd):
+                want = mp.pi * mp.cosh(mpf(j) / 2 ** level) * x * xc
+                assert abs(mp.ldexp(mw, ew) - want) <= 8 * eps * want
+
+
+@given(num=st.integers(-(1 << 600), 1 << 600).filter(bool), den=st.integers(1, 1 << 400),
+       exp=st.integers(-2000, 2000), prec=st.integers(4, 400))
+def test_a_scaled_quotient_is_floored_once(num, den, exp, prec):
+    with mp.workprec(prec):
+        q, f = scaled_quotient(num, exp, den)
+    bits = prec + quadrature._GUARD_BITS
+    exact = Fraction(num, den) * Fraction(2) ** exp
+    unit = Fraction(2) ** f
+    assert 0 <= exact - q * unit < unit
+    assert unit < abs(exact) * Fraction(2) ** (1 - bits)
 
 
 # ---------------------------------------------------------------------------

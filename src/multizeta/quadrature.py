@@ -29,8 +29,14 @@ Below the memo, the kernels share their transcendental factors.  Beside each
 cached node table (level, wd) sit columns: the values of one node function
 at every node of the table, filled on first use and read by every later
 integral at that working precision.  The node functions are the stable ones
-above and kernel_pair's bracket (one column per p).  Same nodes, same
-function, same precision: the same bits as evaluating at every node.
+above and kernel_pair's bracket Li_p(-x) - Li_p(x) (one column per p), above
+x = 1/2 one Horner sum of Legendre's chi in log x.  A fill computes each
+transcendental once per node pair, the node (x, xc) and its mirror (xc, x):
+one tan gives cot((pi/2) x) at both, one cos_sin the log-sine at both, and
+one arcsine per node both the arcsin and the arccos column.  Each node
+function stays a pure function of (x, xc) with the bits its fill stores:
+same nodes, same function, same precision, the same bits as evaluating at
+every node.
 Evaluators keep the (x, xc) contract: integrate01 records the node it is
 evaluating, and a column accessor serves the stored value only when called
 with that node's own x and xc objects at its precision, computing directly
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,50 +241,81 @@ class _Column:
     integrate01, another x, another precision) computes fn directly and
     stores nothing.  Columns are aligned to node position, never keyed by
     x's value: at the deepest nodes x rounds to 1 while xc still differs.
-    A stored zero, inf or nan (mantissa 0) is computed again, to the same bits.
+    A stored zero is served as zero; a stored inf or nan (mantissa 0,
+    exponent not 0) is computed again, to the same bits.
+
+    A column given ``both`` is filled together with the other columns of
+    its ``group`` (itself alone unless set), a node pair at a time:
+    both(x, xc, _constants()) returns the group's values at (x, xc) and at
+    its mirror (xc, x), each transcendental computed once, and fn(x, xc) is
+    the column's entry of the first, to the same bits.
     """
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "both", "group")
 
-    def __init__(self, fn: Callable[[mpf, mpf], mpf]):
+    def __init__(self, fn: Callable[[mpf, mpf], mpf], both: Callable | None = None):
         self.fn = fn
+        self.both = both
+        self.group = (self,)
 
-    def _stored(self, x: mpf, xc: mpf) -> tuple[int, int]:
-        """The stored (mantissa, exponent), or (0, 0) where there is none."""
+    def _stored(self, x: mpf, xc: mpf) -> tuple[int, int] | None:
+        """The stored (mantissa, exponent), or None where there is none."""
         at = _AT
         if at is None or at[2] is not x or at[3] is not xc or at[0].prec != mp.prec:
-            return 0, 0
+            return None
         table, i = at[0], at[1]
         column = table.columns.get(self) or self._fill(table)
-        return column[0][i], column[1][i]
+        m, e = column[0][i], column[1][i]
+        return (m, e) if m or not e else None
 
     def __call__(self, x: mpf, xc: mpf) -> mpf:
-        m, e = self._stored(x, xc)
-        return mp.make_mpf(from_man_exp(m, e)) if m else self.fn(x, xc)
+        stored = self._stored(x, xc)
+        return self.fn(x, xc) if stored is None else mp.make_mpf(from_man_exp(*stored))
 
     def pair(self, x: mpf, xc: mpf) -> tuple[int, int]:
         """fn(x, xc) as its exact pair (m, e), m 2^e; it must be finite."""
-        m, e = self._stored(x, xc)
-        return (m, e) if m else _pair(self.fn(x, xc))
+        stored = self._stored(x, xc)
+        return _pair(self.fn(x, xc)) if stored is None else stored
 
     def _fill(self, table: _NodeTable) -> tuple:
-        """fn at every node of table, stored only once complete.  Each node
-        is recorded while fn runs there, so fn may read other columns."""
+        """The group's columns over table, stored only once complete.  Each
+        node is recorded while fn runs there, so fn may read other columns.
+        both runs once per node pair: _nodes lists each node just before its
+        mirror, after level 0's lone x = xc = 1/2."""
         global _AT
-        outer = _AT
-        mans, exps = [], array("q")
-        try:
-            for i, (x, xc, _) in enumerate(table.nodes):
-                _AT = (table, i, x, xc)
-                sign, man, exp, _ = self.fn(x, xc)._mpf_
+        outer, nodes = _AT, table.nodes
+        cols = [([], array("q")) for _ in self.group]
+
+        def store(values):
+            for (mans, exps), v in zip(cols, values):
+                sign, man, exp, _ = v._mpf_
                 mans.append(-man if sign else man)
                 exps.append(exp)
+
+        try:
+            if self.both is None:
+                for i, (x, xc, _) in enumerate(nodes):
+                    _AT = (table, i, x, xc)
+                    store((self.fn(x, xc),))
+            else:
+                k, lone = _constants(), len(nodes) % 2
+                if lone:
+                    store(self.both(*nodes[0][:2], k)[0])
+                for x, xc, _ in nodes[lone::2]:
+                    for values in self.both(x, xc, k):
+                        store(values)
         finally:
             _AT = outer
-        # a tuple of ints, unlike a list, drops out of the cyclic collector
-        column = table.columns[self] = (tuple(mans), exps)
+        for column, (mans, exps) in zip(self.group, cols):
+            # a tuple of ints, unlike a list, drops out of the cyclic collector
+            table.columns[column] = (tuple(mans), exps)
         _evict()
-        return column
+        return table.columns[self]
+
+
+def _constants() -> tuple[mpf, mpf]:
+    """pi/2 and 9/10 at the working precision."""
+    return mp.pi / 2, mpf(9) / 10
 
 
 def _pair(v) -> tuple[int, int]:
@@ -388,6 +426,7 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 _SMALL = mpf(2) ** (-10)
+_HALF = mpf(1) / 2  # compared exactly at any precision
 
 
 def _log_stable(x: mpf, xc: mpf) -> mpf:
@@ -401,15 +440,23 @@ def _log_stable(x: mpf, xc: mpf) -> mpf:
     return mp.log(x)
 
 
-def acos_stable(x: mpf, xc: mpf) -> mpf:
-    """arccos(x) = 2 asin(sqrt(xc/2)): exact identity, stable at both ends."""
-    return 2 * mp.asin(mp.sqrt(xc / 2))
+def _arcsines(x: mpf, xc: mpf, k: tuple) -> tuple[mpf, mpf]:
+    """(arcsin x, arccos x) from one arcsine: a = asin x and pi/2 - a for
+    x <= 9/10; above, arccos x = c = 2 asin(sqrt(xc/2)), an exact identity
+    stable at x = 1, and arcsin x = pi/2 - c."""
+    if x > k[1]:
+        c = 2 * mp.asin(mp.sqrt(xc / 2))
+        return k[0] - c, c
+    a = mp.asin(x)
+    return a, k[0] - a
 
 
 def _asin_stable(x: mpf, xc: mpf) -> mpf:
-    if x > mpf(9) / 10:
-        return mp.pi / 2 - acos_stable(x, xc)
-    return mp.asin(x)
+    return _arcsines(x, xc, _constants())[0]
+
+
+def acos_stable(x: mpf, xc: mpf) -> mpf:
+    return _arcsines(x, xc, _constants())[1]
 
 
 def _atanh_stable(x: mpf, xc: mpf) -> mpf:
@@ -419,26 +466,27 @@ def _atanh_stable(x: mpf, xc: mpf) -> mpf:
     return mp.atanh(x)
 
 
-def _cot_half_pi(x: mpf, xc: mpf) -> mpf:
-    """cot((pi/2) x), as tan((pi/2) xc) where x is near 1 (cot passes 0)."""
-    if xc < mpf(1) / 2:
-        return mp.tan(mp.pi / 2 * xc)
-    return mp.cot(mp.pi * (x / 2))
+def _cots(x: mpf, xc: mpf, k: tuple) -> tuple:
+    """cot((pi/2) x) at (x, xc) and at (xc, x), from one tan: tan((pi/2) xc)
+    where xc < 1/2 (cot passes 0 at x = 1), else 1/tan((pi/2) x)."""
+    t = mp.tan(k[0] * min(x, xc))
+    return ((t,), (1 / t,)) if xc < _HALF else ((1 / t,), (t,))
 
 
-def _log_sin_half_pi(x: mpf, xc: mpf) -> mpf:
-    """log(sin((pi/2) x)), as log(cos((pi/2) xc)) where x is near 1."""
-    if xc < mpf(1) / 2:
-        return mp.log(mp.cos(mp.pi / 2 * xc))
-    return mp.log(mp.sin(mp.pi / 2 * x))
+def _log_sines(x: mpf, xc: mpf, k: tuple) -> tuple:
+    """log(sin((pi/2) x)) at (x, xc) and at (xc, x), from one cos_sin of
+    (pi/2) min(x, xc): log(cos((pi/2) xc)) where xc < 1/2, else log(sin)."""
+    c, s = mp.cos_sin(k[0] * min(x, xc))
+    return ((mp.log(c),), (mp.log(s),)) if xc < _HALF else ((mp.log(s),), (mp.log(c),))
 
 
 _log_column = _Column(_log_stable)
-acos_column = _Column(acos_stable)
-_asin_column = _Column(_asin_stable)
+_asin_column = _Column(_asin_stable, lambda x, xc, k: (_arcsines(x, xc, k), _arcsines(xc, x, k)))
+acos_column = _Column(acos_stable, _asin_column.both)
+_asin_column.group = acos_column.group = (_asin_column, acos_column)
 _atanh_column = _Column(_atanh_stable)
-_cot_column = _Column(_cot_half_pi)
-_log_sin_column = _Column(_log_sin_half_pi)
+_cot_column = _Column(lambda x, xc: _cots(x, xc, _constants())[0][0], _cots)
+_log_sin_column = _Column(lambda x, xc: _log_sines(x, xc, _constants())[0][0], _log_sines)
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +770,9 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     """(1/(2N+1)!) integral_0^1 arcsin^(2N+1)(z) arccos(z)/z dz.
 
     The arccos factor vanishes like sqrt(2(1-z)) at z = 1, an algebraic
-    endpoint; it is evaluated through the half-angle identity, and above
-    9/10 the arcsin is pi/2 minus it, as in _asin_stable.  Both come from
-    the node columns I_quad and the Wallis check share.
+    endpoint; above 9/10 it is evaluated through the half-angle identity
+    and the arcsin is pi/2 minus it, below the reverse (_arcsines).  Both
+    come from the node columns I_quad and the Wallis check share.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
@@ -789,23 +837,74 @@ def logpolylog_kernel(
     return integrate01(Integrand(ev, name=name), prec)
 
 
+@lru_cache(maxsize=None)
+def _chi_coeffs(p: int, wd: int) -> tuple[tuple, list]:
+    """(c, a): c_j 2^B as integers, each within one unit as in _log_coeffs,
+    for the expansion of _bracket up to the degree |L| = 0.7 needs; a_k the
+    largest log|L| at which degree p - 1 + 2k meets its tail bound, the
+    terms' ratio taken as 0.05 and with a margin of a factor e."""
+    bits = _scale_bits(wd)
+    log_tol = -(wd + 2) * math.log(10) - 1 - math.log(1.06 * math.pi / 6)
+    a: list[float] = []
+    while not a or a[-1] < math.log(0.7):
+        n = 2 * len(a) + 1
+        a.append((log_tol + n * math.log(math.pi) + math.lgamma(p + n + 1) - math.lgamma(n + 1)) / (p + n))
+    # zeta(p-j) for j = 0, 1, ..., with H_(p-1) + log 2 at j = p - 1
+    zetas = [zeta_single(p - j, wd).value.magnitude for j in range(p - 1)]
+    exact = [sum(Fraction(1, i) for i in range(1, p))] + [_zeta_rational(-n) for n in range(2 * len(a) - 2)]
+    with LOCK, mp.workprec(bits + 20):
+        zetas += [mpf(f.numerator) / f.denominator for f in exact]
+        zetas[p - 1] += mp.log(2)
+        return tuple(int(mp.nint(mp.ldexp(z * (1 - mp.ldexp(1, j - p)), bits) / math.factorial(j)))
+                     for j, z in enumerate(zetas)), a
+
+
+def _chi_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
+    """(S, J): chi_p(e^L) 2^B as an integer, and the degree, for -0.7 < L < 0:
+    Horner's rule over the expansion of _bracket in steps of L^2 down to
+    p - 1, then of L, each product exact on L's mantissa and then floored."""
+    log_neg_l = mp.log(-L)
+    cs, a = _chi_coeffs(p, wd)
+    J = p - 1 + 2 * bisect_left(a, float(log_neg_l))
+    m, e = _pair(L)
+    acc, m2 = cs[J], m * m
+    for j in range(J - 2, p - 2, -2):
+        acc = (acc * m2 >> -2 * e) + cs[j]
+    acc -= int(mp.ldexp(log_neg_l, _scale_bits(wd) - 1)) // math.factorial(p - 1)
+    for j in range(p - 2, -1, -1):
+        acc = (acc * m >> -e) + cs[j]
+    return acc, J
+
+
 def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
     """Li_p(-x) - Li_p(x) at the working digits wd = mp.dps, as kernel_pair
-    integrates it: -2 x sum_(j>=0) x^(2j)/(2j+1)^p for x <= 1/2, and
-    2^(1-p) Li_p(x^2) - 2 Li_p(x) above, in integers scaled by 2^B."""
+    integrates it, in integers scaled by 2^B: -2 x sum_(j>=0) x^(2j)/(2j+1)^p
+    for x <= 1/2; above, -2 chi_p(x), Legendre's chi, in L = log x (the log
+    column), from _polylog_raw's expansion of Li_p(x) - 2^-p Li_p(x^2):
+
+        chi_p(e^L) = sum_(j != p-1) (1 - 2^(j-p)) zeta(p-j) L^j/j!
+                     + L^(p-1)/(2 (p-1)!) (H_(p-1) + log 2 - log(-L)).
+
+    Terms j = p + n vanish for even n >= 0; for odd n, |zeta(-n)| <= 2 zeta(2)
+    n!/(2 pi)^(n+1) bounds them by t_n = zeta(2)/pi |L|^p (|L|/pi)^n n!/(p+n)!,
+    and t_(n+2) < rho t_n, rho = (|L|/pi)^2 < 0.05 as |L| < log 2.  Past
+    degree J = p - 1 + 2k the tail is below t_(2k+1)/(1 - rho), and
+    _chi_horner takes the least k putting it below tau = 10^-(wd+2).  Its J
+    floors, J + 1 coefficients and log term (2 units u = 2^-B) are multiplied
+    afterwards by powers of |L| < 1: under 2J + 3 units.  With eps = 2^-prec,
+    L within 4 eps relative moves chi_p by 4 eps |L chi_(p-1)(e^L)| <= 4 eps
+    log 2 pi^2/8 (chi_1 = atanh: less), log(-L) within 2 eps relative by
+    eps |L log(-L)| <= eps/e, and rounding -2 chi_p costs eps pi^2/4.  So
+
+        |_bracket - (Li_p(-x) - Li_p(x))| <= 2 tau + (4J + 6) u + 11 eps.
+    """
     wd = mp.dps
     bits = _scale_bits(wd)
-    m, e = _pair(x)
-    if x <= 0.5:
+    if x <= _HALF:
+        m, e = _pair(x)
         odd = _series_scaled(p, m * m, -2 * e, 2, bits)[0]
         return -mp.ldexp(mpf(m * odd), 1 + e - bits)
-    lg = _log_column(x, xc)
-    if m * m << 1 <= 1 << (-2 * e):  # x^2 <= 1/2
-        total = _series_scaled(p, m * m, -2 * e, 1, bits)[0]
-        sq = m * m * total >> (-2 * e)
-    else:
-        sq = _log_horner(p, 2 * lg, wd)[0]
-    return mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
+    return mp.ldexp(mpf(-_chi_horner(p, _log_column(x, xc), wd)[0]), 1 - bits)
 
 
 @cache

@@ -105,14 +105,29 @@ def node_keys(prec):
 
 
 def count_calls(monkeypatch, column):
+    """Counter over the nodes where the column's values were computed.  A
+    fill by ``both`` runs once per node pair and counts for the node and,
+    but at level 0's lone node x = xc, for its mirror (xc, x)."""
     calls = Counter()
-    fn = column.fn
+    if column.both is None:
+        fn = column.fn
 
-    def counted(x, xc):
+        def counted(x, xc):
+            calls[id(x), id(xc)] += 1
+            return fn(x, xc)
+
+        monkeypatch.setattr(column, "fn", counted)
+        return calls
+    both = column.both
+
+    def counted_pair(x, xc, k):
         calls[id(x), id(xc)] += 1
-        return fn(x, xc)
+        if x != xc:
+            calls[id(xc), id(x)] += 1
+        return both(x, xc, k)
 
-    monkeypatch.setattr(column, "fn", counted)
+    for member in column.group:
+        monkeypatch.setattr(member, "both", counted_pair)
     return calls
 
 
@@ -148,6 +163,55 @@ def test_direct_oracles_cover_every_kernel():
     assert set(DIRECT_KERNELS) == {fn.__name__ for fn in KERNELS}
     covered = {name for pair in SHARED for name, _ in pair}
     assert covered == set(DIRECT_KERNELS) | {"wallis"}
+
+
+# ---------------------------------------------------------------------------
+# each fill stores its node function, at every node
+# ---------------------------------------------------------------------------
+
+COLUMNS = {
+    "log": quadrature._log_column,
+    "arcsin": quadrature._asin_column,
+    "arccos": acos_column,
+    "atanh": quadrature._atanh_column,
+    "cot": quadrature._cot_column,
+    "log-sine": quadrature._log_sin_column,
+    **{f"bracket-{p}": quadrature._bracket_column(p) for p in range(2, 6)},
+}
+
+
+def edge_table(wd):
+    """A table of the branch edges: the lone x = xc = 1/2, then node pairs
+    at x = 9/10 (as the fill rounds it) and an ulp either side of it and of
+    1/2, each pair listed as _nodes lists them, a node then its mirror, and
+    each also with the mirror first."""
+    with mp.workdps(wd):
+        ulp = mpf(2) ** -mp.prec
+        half, nine = mpf(1) / 2, mpf(9) / 10
+        nodes = [(half, +half, (1, 0))]
+        for x in (nine - ulp, nine, nine + ulp, half + ulp, half + 2 * ulp):
+            xc = 1 - x
+            nodes += [(x, xc, (1, 0)), (xc, x, (1, 0)), (xc, x, (1, 0)), (x, xc, (1, 0))]
+        return quadrature._NodeTable(nodes, mp.prec)
+
+
+@pytest.mark.parametrize("prec", (16, 30, 50, 200))
+@pytest.mark.parametrize("name", COLUMNS)
+def test_a_fill_stores_its_node_function_at_every_node(name, prec):
+    # a fill through any column of a shared group fills the whole group:
+    # arcsin first stores arccos too, and arccos first arcsin
+    column = COLUMNS[name]
+    wd = prec + GUARD_DIGITS
+    tables = [quadrature._cached_nodes(level, wd) for level in range(4)] + [edge_table(wd)]
+    with mp.workdps(wd):
+        for table in tables:
+            assert column not in table.columns
+            column._fill(table)
+            for member in column.group:
+                mans, exps = table.columns[member]
+                assert len(mans) == len(exps) == len(table.nodes)
+                for (x, xc, _), m, e in zip(table.nodes, mans, exps):
+                    assert (m, e) == quadrature._pair(member.fn(x, xc))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +262,7 @@ def columns_held():
 
 
 def test_a_read_outside_integrate01_computes_directly():
-    quadrature.I_quad(2, 30)
+    quadrature.k_arctanh(2, 30)  # its table, without the arcsin/arccos columns
     wd = 30 + GUARD_DIGITS
     table = quadrature._NODE_CACHE[wd][0]
     held = dict(table.columns)

@@ -6,7 +6,6 @@ log 2, zeta and beta values.  Targets are built from mpmath's own constants
 cross-check of the quadrature path, not a reflexive comparison.
 """
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,9 +29,7 @@ from multizeta.quadrature import (
     logsine_check,
     polylog,
     t_kernel_quad,
-    _asin_stable,
     _log_stable,
-    acos_stable,
 )
 from multizeta.series import nested_value
 
@@ -476,19 +473,31 @@ def test_kernel_pair_matches_nested_series(p, q, fam, sign_den, prec):
     assert k.value.working_precision == prec
 
 
-def test_t_kernel_reuses_its_arccos_bit_for_bit():
-    # t_kernel_quad evaluates arccos once per node; the value is the same to
-    # the last bit as with arcsin and arccos evaluated apart
-    for N in (1, 2):
-        M = 2 * N + 1
-        raw = integrate01(
-            Integrand(lambda x, xc, M=M: _asin_stable(x, xc) ** M * acos_stable(x, xc) / x),
-            30,
-        )
-        two_calls = scaled(raw, Fraction(1, math.factorial(M)))
-        one_call = t_kernel_quad(N, 30)
-        assert one_call.value.magnitude == two_calls.value.magnitude
-        assert one_call.error_bound.magnitude == two_calls.error_bound.magnitude
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(2, 8), prec=st.integers(16, 300),
+       where=st.one_of(st.just("above 1/2"), st.just("xc = 2^-200"), st.floats(0.5, 1)))
+@example(p=2, prec=16, where="xc = 2^-200")
+@example(p=8, prec=300, where="above 1/2")
+def test_the_chi_bracket_is_within_its_bound(p, prec, where):
+    # _bracket's docstring: |_bracket - (Li_p(-x) - Li_p(x))| <= 2 10^-(wd+2)
+    # + (4J + 6) 2^-B + 11 eps for 1/2 < x < 1, at the node x = 1 - xc
+    wd = prec + GUARD_DIGITS
+    with workdps(wd):
+        ulp = mpf(2) ** -mp.prec
+        if where == "xc = 2^-200":
+            xc = mpf(2) ** -200
+            x = 1 - xc  # rounds to 1 below 200 bits, as at the deepest DE nodes
+        else:
+            x = 0.5 + ulp if where == "above 1/2" else min(max(mpf(where), 0.5 + ulp), 1 - ulp)
+            xc = 1 - x
+        got = quadrature._bracket(p, x, xc)
+        J = quadrature._chi_horner(p, _log_stable(x, xc), wd)[1]
+        bound = (2 * mpf(10) ** -(wd + 2) + mp.ldexp(4 * J + 6, -quadrature._scale_bits(wd))
+                 + mp.ldexp(11, -mp.prec))
+    with workdps(wd + 40):
+        node = 1 - xc
+        exact = mp.polylog(p, -node) - mp.polylog(p, node)
+        assert abs(got - exact) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,25 @@ class Request:
         if self.output not in ("text", "json"):
             raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
         coerce_prec(self.prec)
+        _check_printable(self.prec)
         check_cutoff(self.cutoff)
+
+
+def _check_printable(prec: int) -> None:
+    """Refuse, before any computing, a precision whose value could not print.
+
+    mpmath prints a number carried at wd = prec + GUARD_DIGITS digits
+    through one integer of up to wd + 1 digits, and Python converts at most
+    sys.get_int_max_str_digits() digits of an int to str (0: no limit).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    ceiling = limit - GUARD_DIGITS - 1
+    if limit and prec > ceiling:
+        raise ValueError(
+            f"precision {prec} is above {ceiling} digits, the most that prints"
+            f" under Python's limit of {limit} digits per int-to-str conversion"
+            " (sys.set_int_max_str_digits)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +348,7 @@ def _run_series_coeff(args) -> int:
 
 
 def _run_verify(args) -> int:
+    _check_printable(args.prec)
     report = run_suite(args.suite, prec=args.prec, cutoff=args.cutoff)
     payload = report.to_dict()
     if args.report:

@@ -35,6 +35,7 @@ reports each case explicitly.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 from .hp import EvalResult
 from .symbolic import Formula, FormulaId, build, eval_symbolic
@@ -42,8 +43,15 @@ from .symbolic import Formula, FormulaId, build, eval_symbolic
 __all__ = ["evaluate"]
 
 
+# results kept: verify --suite all evaluates 22 distinct closed forms, and a
+# 119-request quad-session stream 42
+@lru_cache(maxsize=256, typed=True)
 def evaluate(fid: FormulaId, prec: int = 50) -> EvalResult:
     """The closed form ``fid`` at ``prec`` digits; flagged conjectural for
-    the t({2}^N, 1) = I(2N)/(2N)! conjecture."""
+    the t({2}^N, 1) = I(2N)/(2N)! conjecture.
+
+    Memoised per (fid, prec) like the quadrature kernels: the value does not
+    depend on the caller's mpmath state, so a repeat returns the identical
+    frozen result."""
     r = eval_symbolic(build(fid), prec)
     return replace(r, conjectural=fid.name is Formula.T2S1_CONJECTURE)

@@ -5,8 +5,9 @@ endpoint singularities off to doubly-exponentially small weights, so one
 scheme handles every integrand family used here: log and power-of-log blowups
 at 0, algebraic 1/sqrt(1-x) behaviour at 1, and cancelled simple poles at 1.
 Each trapezoid level halves the step and reuses all previous nodes (only odd
-multiples are new); two successive levels agreeing to 10^(-prec-3) ends the
-refinement.
+multiples are new).  Tanh-sinh about doubles its correct digits per level,
+so the refinement ends at the first level whose error that model puts below
+the working unit (integrate01), without a further level to confirm it.
 
 Every integrand evaluator receives *both* x and xc = 1-x as exact node data:
 the DE transform computes xc from e^(2u) without cancellation, so the stable
@@ -122,8 +123,9 @@ class Integrand:
 class QuadratureResult(EvalResult):
     """EvalResult plus the number of trapezoid levels actually used.
 
-    rigorous is always False here: the successive-level error model is
-    excellent in practice (typically 10+ digits of margin) but heuristic.
+    rigorous is always False here: the digit-doubling model that ends the
+    levels is excellent in practice (typically 10+ digits of margin) but
+    heuristic.
     """
 
     levels_used: int = 0
@@ -141,9 +143,9 @@ class QuadratureNonConvergence(RuntimeError):
 # nodes
 # ---------------------------------------------------------------------------
 
-# estimated bytes of node tables and columns kept, within 15% of tracemalloc's
-# count at 30-800 digits (a quad-session stream holds 1.3 MB, verify --suite
-# all at 50 digits 0.4 MB, an I/K sweep step at 800 digits 27 MB)
+# estimated bytes of node tables and columns kept, 5-40% above tracemalloc's
+# count at 800-30 digits (a quad-session stream holds 0.75 MB, verify --suite
+# all at 50 digits 0.49 MB, an I/K sweep step at 800 digits 16 MB)
 _NODE_BYTES = 32 << 20
 
 
@@ -375,12 +377,19 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
     """Tanh-sinh quadrature of ``f`` over (0,1).
 
     ``f`` may be an Integrand or a bare ``evaluator(x, xc)`` callable.
-    Levels double until two successive trapezoid refinements agree to
-    10^(-prec-3) relative; the reported error_bound is ten times that last
-    difference, but never below |total| 10^-(wd-1), the unit hp.combine
-    charges per rounding: two levels can agree bit for bit, and a zero bound
-    would claim the integral exactly.  Hitting the level cap raises
-    QuadratureNonConvergence with the best estimate attached.
+    Levels double until, at T_k, the total after level k, two successive
+    totals agree to 10^(-prec-3) relative (the bound is ten times their
+    difference), or, from k = 2, the digit-doubling model of Bailey,
+    Jeyabalan & Li (Experiment. Math. 14, 2005; mpmath's quad estimate)
+    clears the working unit.  With D1 = log10(|T_k - T_(k-1)|/|T_k|) and D2
+    the same for T_(k-2), it asks D2 < 0, D1 <= 1.5 D2 (the gaps show the
+    doubling) and D1 min(D1/D2, 2) <= -wd, and bounds the error by ten times
+    |T_k| 10^(D1 min(D1/D2, 2)).  Its last gap must be below 10^(-wd/2), and
+    on algebraic convergence the gaps never reach the ratio 1.5: there the
+    agreement test decides.  A bound is never below |total| 10^-(wd-1), the
+    unit hp.combine charges per rounding: two levels can agree bit for bit,
+    and a zero bound would claim the integral exactly.  Hitting the level
+    cap raises QuadratureNonConvergence with the best estimate attached.
 
     Each level is summed by _level_sum, within n 2^(2-B) max |w v| of the
     exact sum of its n node values, B = _scale_bits(wd); only that sum times
@@ -394,7 +403,7 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
         tol = mpf(10) ** (-prec - 3)
         unit = mpf(10) ** (1 - wd)
         total = mpf(0)
-        prev = None
+        totals: list[mpf] = []
         diff = mpf(1)
 
         def result(levels: int) -> QuadratureResult:
@@ -408,11 +417,17 @@ def integrate01(f, prec: int = 50) -> QuadratureResult:
         for level in range(LEVEL_CAP + 1):
             acc, E = _level_sum(_cached_nodes(level, wd), ev)
             total = total / 2 + mp.make_mpf(from_man_exp(acc, E - level, mp.prec, round_nearest))
-            if prev is not None:
-                diff = abs(total - prev)
+            if totals:
+                diff = abs(total - totals[-1])
                 if diff <= tol * max(1, abs(total)):
                     return result(level + 1)
-            prev = total
+            if len(totals) > 1 and total and total != totals[-2]:
+                d1 = float(mp.log10(diff / abs(total)))
+                d2 = float(mp.log10(abs(total - totals[-2]) / abs(total)))
+                if d2 < 0 and d1 <= 1.5 * d2 and (est := d1 * min(d1 / d2, 2)) <= -wd:
+                    diff = abs(total) * mpf(10) ** est
+                    return result(level + 1)
+            totals.append(total)
         best = result(LEVEL_CAP + 1)
     raise QuadratureNonConvergence(
         f"tanh-sinh did not stabilise within {LEVEL_CAP} levels"

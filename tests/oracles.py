@@ -12,9 +12,12 @@ rational references for the loops themselves.
 ``DIRECT_KERNELS`` holds the quadrature kernels with every node function
 computed at every node, without the node columns of ``multizeta.quadrature``,
 each node value combined by the engine's rule ``scaled_quotient``: the
-column-backed kernels must equal them bit for bit.  ``MPF_KERNELS`` forms the
-same node values in mpf arithmetic, as the kernels did before the integer
-accumulator; the kernels must lie within |total| 10^(1-wd) of them.
+column-backed kernels must equal them bit for bit.  The node functions are
+the columns' own, so the equality holds by construction and checks the
+columns' storage, sharing and reads.  ``MPF_KERNELS`` forms the node values
+in mpf arithmetic from independent formulas, as the kernels did before the
+integer accumulator and the shared fills; the kernels must lie within
+|total| 10^(1-wd) of them.
 
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
@@ -54,6 +57,9 @@ from multizeta.hp import (
 from multizeta.quadrature import (
     _asin_stable,
     _atanh_stable,
+    _bracket_column,
+    _cot_column,
+    _log_sin_column,
     _denominator,
     _log_horner,
     _log_stable,
@@ -482,6 +488,11 @@ def _triple_nonstrict_sum(cutoff: int, prec: int):
 # ---------------------------------------------------------------------------
 
 
+# independent formulas for MPF_KERNELS: tan or cot, cos or sin, and the
+# bracket as two polylogarithms, where the columns share one transcendental
+# per node pair and sum Legendre's chi
+
+
 def _cot(x, xc):
     if xc < mpf(1) / 2:
         return mp.tan(mp.pi / 2 * xc)
@@ -530,7 +541,7 @@ def _i_direct(N: int, prec: int):
 
 def _j_direct(n: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_cot(x, xc))
+        m, e = _pair(_cot_column.fn(x, xc))
         mx, ex = _pair(x)
         return scaled_quotient(mx ** n * m, n * (ex - 1) + e - 1)
 
@@ -575,7 +586,9 @@ def _logpolylog_direct(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
 def _pair_direct(p: int, q: int, sign_den: int, prec: int):
     def ev(x, xc):
         ml, el = _pair(_log_stable(x, xc))
-        mb, eb = _pair(_bracket(p, x, xc))
+        # a copy of x: the bracket's log factor then is computed, not read
+        # from the log column of the node being evaluated
+        mb, eb = _pair(_bracket_column(p).fn(mp.make_mpf(x._mpf_), xc))
         d, ed = _denominator(x, xc, sign_den)
         return scaled_quotient(ml ** (q - 1) * mb, (q - 1) * el + eb - ed, d)
 
@@ -585,7 +598,7 @@ def _pair_direct(p: int, q: int, sign_den: int, prec: int):
 
 def _logsine_direct(n: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_log_sin(x, xc))
+        m, e = _pair(_log_sin_column.fn(x, xc))
         mp_, ep = _pair(mp.pi)
         mx, ex = _pair(x)
         return scaled_quotient((mp_ * mx) ** (n - 1) * m, (n - 1) * (ep - 1 + ex) + e)

@@ -8,6 +8,7 @@ request / 3 quadrature non-convergence).
 """
 
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from mpmath import mp, mpf
 
 from multizeta import cli, closed, quadrature, routes, series
 from multizeta.cli import Request, main, run
-from multizeta.hp import scaled, wrap_result
+from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
 from multizeta.symbolic import O_TABLE_PRIMARY
 
@@ -192,6 +193,51 @@ def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants", "psi3_quarter", "--prec", "25")
     assert code == 0
     assert "1538.7821440091883960" in out
+
+
+# mpmath prints a value carried at prec + GUARD_DIGITS digits through an int
+# of one digit more, which Python converts to str only up to its limit
+def printable_ceiling():
+    return sys.get_int_max_str_digits() - GUARD_DIGITS - 1
+
+
+@pytest.mark.parametrize("argv", [("constants", "psi3_quarter"), ("verify", "--suite", "all")])
+def test_a_precision_too_wide_to_print_is_refused_before_computing(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--prec", "20000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"above {printable_ceiling()} digits" in err
+    assert "int-to-str" in err
+
+
+def test_the_largest_accepted_precision_prints(capsys):
+    top = printable_ceiling()
+    code, out, err = run_cli(
+        capsys, "constants", "pi", "--prec", str(top), "--method", "closed", "--json"
+    )
+    assert code == 0, err
+    value = json.loads(out)["value"]
+    assert value.startswith("3.14159265358979")
+    assert len(value) == top + 1  # every digit and the point
+    code, _, err = run_cli(capsys, "constants", "pi", "--prec", str(top + 1))
+    assert code == 2
+    assert "int-to-str" in err
+
+
+def test_the_ceiling_follows_the_interpreters_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        assert run_cli(capsys, "constants", "pi", "--prec", str(1000 - GUARD_DIGITS - 1))[0] == 0
+        assert run_cli(capsys, "constants", "pi", "--prec", str(1000 - GUARD_DIGITS))[0] == 2
+        sys.set_int_max_str_digits(0)  # no limit, no ceiling
+        code, out, _ = run_cli(capsys, "constants", "pi", "--prec", str(limit + 100))
+        assert code == 0
+        assert "3.14159265358979" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_constants_argument_validation(capsys):

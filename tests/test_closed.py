@@ -498,3 +498,25 @@ def test_pi_log2_radius(digits):
             assert err <= r.error_bound.magnitude
             # correct rounding keeps a tenfold margin inside the radius
             assert err <= abs(x) * mpf("0.1") * mpf(10) ** (-wd)
+
+
+# ---------------------------------------------------------------------------
+# the memo
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fid", [FormulaId(Formula.I_CLOSED, (5,)), fid_for("tvalue", (3, 2, 2))])
+def test_a_closed_form_is_memoised_whatever_the_callers_digits(fid):
+    results = []
+    for dps in (8, 30, 300):
+        evaluate.cache_clear()
+        with mp.workdps(dps):
+            results.append(evaluate(fid, 40))
+    first = results[0]
+    for r in results[1:]:
+        assert r == first
+        assert r.value.magnitude == first.value.magnitude
+        assert r.error_bound.magnitude == first.error_bound.magnitude
+    with mp.workdps(12):
+        assert evaluate(fid, 40) is results[-1]  # a repeat is a memo hit
+    assert evaluate(fid, 41) is not results[-1]

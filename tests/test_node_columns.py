@@ -351,9 +351,9 @@ def sweep(precs):
 
 
 def test_a_precision_sweep_stays_within_the_byte_budget(monkeypatch):
-    # the sweep over 100, ..., 800 digits takes about 36 s; its first four
-    # steps under a budget a third as large evict the same way
-    monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._NODE_BYTES // 3)
+    # the sweep over 100, ..., 800 digits is slow; its first four steps hold
+    # an estimated 9.2 MB, so a budget a sixth as large (5.3 MB) evicts
+    monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._NODE_BYTES // 6)
     for prec in sweep(range(100, 500, 100)):
         assert quadrature._held_bytes() <= quadrature._NODE_BYTES
         assert next(reversed(quadrature._NODE_CACHE)) == prec + GUARD_DIGITS
@@ -361,7 +361,7 @@ def test_a_precision_sweep_stays_within_the_byte_budget(monkeypatch):
 
 
 def test_the_least_recently_used_precision_goes_first(monkeypatch):
-    first = quadrature.I_quad(2, 22)  # 22 to 25 digits take the same six levels
+    first = quadrature.I_quad(2, 22)  # 22 to 25 digits take the same five levels
     monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._held_bytes() * 5 // 2)
     quadrature.I_quad(2, 23)
     quadrature.I_quad.cache_clear()

@@ -121,8 +121,10 @@ def _check_printable(prec: int) -> None:
 
 
 def _result_payload(req: Request, method: str, r: EvalResult) -> dict:
-    with mp.workdps(req.prec + GUARD_DIGITS):
-        err = mp.nstr(r.error_bound.magnitude, 5)
+    # five digits of the bound, from its 64-bit rounding: a re-evaluated
+    # closed form carries a mantissa far wider than the int-to-str limit
+    with mp.workprec(64):
+        err = mp.nstr(+r.error_bound.magnitude, 5)
     return {
         "quantity": req.quantity,
         "params": list(req.params),

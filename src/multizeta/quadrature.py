@@ -14,12 +14,6 @@ the DE transform computes xc from e^(2u) without cancellation, so the stable
 node functions below get full precision near x = 1 from xc, where forming
 1-x would lose it all.
 
-The polylogarithm runs in integers scaled by 2^B, B the working bits plus
-_GUARD_BITS, the technique of ``series.nested_value``: x times the defining
-series for |x| <= 1/2 (relative accuracy at the tiny nodes), the expansion
-about x = 1 in powers of log x above, and the square identity below -1/2,
-each with the bound proved in _polylog_raw.
-
 Every public kernel is memoised per process in a bounded lru cache keyed by
 its exact arguments, prec included.  A result is computed at prec +
 GUARD_DIGITS under LOCK, whatever the caller's mpmath state, so a repeated
@@ -75,10 +69,8 @@ from .hp import (
     HPReal,
     bernoulli_fraction,
     coerce_prec,
-    eta,
     pi_const,
     scaled,
-    wrap_result,
     zeta_single,
 )
 
@@ -87,12 +79,10 @@ __all__ = [
     "QuadratureResult",
     "QuadratureNonConvergence",
     "integrate01",
-    "polylog",
     "I_quad",
     "j_cot",
     "k_arctanh",
     "t_kernel_quad",
-    "logpolylog_kernel",
     "kernel_pair",
     "logsine_check",
 ]
@@ -505,7 +495,7 @@ _log_sin_column = _Column(lambda x, xc: _log_sines(x, xc, _constants())[0][0], _
 
 
 # ---------------------------------------------------------------------------
-# polylogarithm in scaled integers
+# the bracket Li_p(-x) - Li_p(x) in scaled integers
 # ---------------------------------------------------------------------------
 
 # bits of the scaled integers beyond mpmath's working bits: the floors of a
@@ -530,18 +520,18 @@ def _powers(p: int, n: int) -> list:
     return kp
 
 
-def _series_scaled(p: int, m: int, s: int, step: int, bits: int) -> tuple[int, int, int]:
-    """(S, n, T): S = sum_(i<n) y^i/(1 + step i)^p for y = m 2^-s, |y| <= 1/2,
+def _series_scaled(p: int, m: int, s: int, bits: int) -> tuple[int, int, int]:
+    """(S, n, T): S = sum_(i<n) y^i/(2i + 1)^p for y = m 2^-s, |y| <= 1/2,
     as an integer scaled by 2^bits; T is its last term.
 
     The power y^i is a scaled integer floored once per step, so its error e_i
     obeys |e_i| <= |y| |e_(i-1)| + 1 < 2 units; each term is floored once
-    more, so term i is within 1 + 2/(1 + step i)^p units (term 0 is exact),
+    more, so term i is within 1 + 2/(2i + 1)^p units (term 0 is exact),
     and S is within n - 1 + 2 (zeta(p) - 1) < n + 1 units of the exact
     partial sum.  Summing stops at the first term below 2^_GUARD_BITS units:
     at most bits + 2 terms, since the power reaches 0 or -1 by then.
     """
-    kp = _powers(p, step * (bits + 2) + 1)
+    kp = _powers(p, 2 * bits + 5)
     stop = 1 << _GUARD_BITS
     power = 1 << bits
     total = 0
@@ -550,9 +540,9 @@ def _series_scaled(p: int, m: int, s: int, step: int, bits: int) -> tuple[int, i
         term = power // kp[k]
         total += term
         if -stop < term < stop:
-            return total, (k - 1) // step + 1, term
+            return total, k // 2 + 1, term
         power = (power * m) >> s
-        k += step
+        k += 2
 
 
 def _zeta_rational(s: int) -> Fraction:
@@ -564,168 +554,96 @@ def _zeta_rational(s: int) -> Fraction:
     return -bernoulli_fraction(1 - s) / (1 - s)
 
 
-def _log_degree(p: int, log_r: float, wd: int) -> int:
-    """Least degree J >= p whose tail bound (see _polylog_raw) for
-    r = exp(log_r) is below 10^(-(wd+2)), found in floating-point logarithms
-    with a margin of a factor e.  J grows with r."""
-    log_tol = -(wd + 2) * math.log(10) - 1
-    J = p
-    log_tail = (
-        math.log(math.pi ** 2 / 3) + (p - 1) * math.log(2 * math.pi)
-        - math.lgamma(p + 2) + (p + 1) * log_r - math.log1p(-math.exp(log_r))
-    )
-    while log_tail > log_tol:
-        log_tail += log_r + math.log((J + 2 - p) / (J + 2))
-        J += 1
-    return J
-
-
-# log r for |L| = 0.7: above every r = |log x|/(2 pi) of the domain x > 1/2
-# (|log x| < log 2), with room for the rounding of log r
-_LOG_R_MAX = math.log(0.7 / (2 * math.pi))
-
-
 @lru_cache(maxsize=None)
-def _log_coeffs(p: int, wd: int) -> tuple:
-    """c_j 2^B rounded to integers, c_j = zeta(p-j)/j! and c_(p-1) =
-    H_(p-1)/(p-1)!, for every degree the log branch can need; B = _scale_bits(wd).
-
-    Each is within one unit: the rational ones are rounded exactly, and
-    zeta_single(s, wd), computed at wd + 10 digits, is good to 10^-(wd+5)
-    (its bound is below 10^-(wd+9.7)), below 2^-(B+9), before the
-    division at B + 20 bits and the rounding.
+def _chi_coeffs(p: int, wd: int) -> tuple[tuple, list]:
+    """(c, a): c_j 2^B as integers for the expansion of _bracket up to the
+    degree |L| = 0.7 needs; a_k the largest log|L| at which degree p - 1 + 2k
+    meets its tail bound, the terms' ratio taken as 0.05 and with a margin
+    of a factor e.  Each c_j is within one unit: zeta_single(s, wd), at wd +
+    10 digits, is good to 10^-(wd+5) (its bound is below 10^-(wd+9.7)),
+    below 2^-(B+9); the rest is formed at B + 20 bits, every |c_j| < 2; and
+    rounding to an integer costs half a unit.
     """
     bits = _scale_bits(wd)
-    cs = []
-    for j in range(_log_degree(p, _LOG_R_MAX, wd) + 1):
-        if p - j >= 2:
-            z = zeta_single(p - j, wd).value.magnitude
-            with LOCK, mp.workprec(bits + 20):
-                c = int(mp.nint(mp.ldexp(z, bits) / math.factorial(j)))
-        else:
-            exact = (
-                sum(Fraction(1, i) for i in range(1, p)) if j == p - 1 else _zeta_rational(p - j)
-            )
-            c = round(exact / math.factorial(j) * 2 ** bits)
-        cs.append(c)
-    return tuple(cs)
+    log_tol = -(wd + 2) * math.log(10) - 1 - math.log(1.06 * math.pi / 6)
+    a: list[float] = []
+    while not a or a[-1] < math.log(0.7):
+        n = 2 * len(a) + 1
+        a.append((log_tol + n * math.log(math.pi) + math.lgamma(p + n + 1) - math.lgamma(n + 1)) / (p + n))
+    # zeta(p-j) for j = 0, 1, ..., with H_(p-1) + log 2 at j = p - 1
+    zetas = [zeta_single(p - j, wd).value.magnitude for j in range(p - 1)]
+    exact = [sum(Fraction(1, i) for i in range(1, p))] + [_zeta_rational(-n) for n in range(2 * len(a) - 2)]
+    with LOCK, mp.workprec(bits + 20):
+        zetas += [mpf(f.numerator) / f.denominator for f in exact]
+        zetas[p - 1] += mp.log(2)
+        return tuple(int(mp.nint(mp.ldexp(z * (1 - mp.ldexp(1, j - p)), bits) / math.factorial(j)))
+                     for j, z in enumerate(zetas)), a
 
 
-def _log_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
-    """(S, J): Li_p(e^L) 2^B as an integer, and the degree, for -0.7 < L < 0.
-
-    Horner's rule over the expansion in L (see _polylog_raw), each product
-    by L exact on L's mantissa and then floored.  Runs inside workdps(wd).
-    """
+def _chi_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
+    """(S, J): chi_p(e^L) 2^B as an integer, and the degree, for -0.7 < L < 0:
+    Horner's rule over the expansion of _bracket in steps of L^2 down to
+    p - 1, then of L, each product exact on L's mantissa and then floored."""
     log_neg_l = mp.log(-L)
-    log_r = float(log_neg_l) - math.log(2 * math.pi)
-    if not log_r <= _LOG_R_MAX:
-        raise RuntimeError(f"Li_{p} log branch needs x > 1/2, got log x = {mp.nstr(L, 5)}")
-    J = _log_degree(p, log_r, wd)
-    bits = _scale_bits(wd)
-    cs = _log_coeffs(p, wd)
+    cs, a = _chi_coeffs(p, wd)
+    J = p - 1 + 2 * bisect_left(a, float(log_neg_l))
     m, e = _pair(L)
-    d = int(mp.ldexp(log_neg_l, bits)) // math.factorial(p - 1)
-    acc = cs[J]
-    for j in range(J - 1, -1, -1):
-        acc = ((acc * m) >> -e) + cs[j]
-        if j == p - 1:
-            acc -= d
+    acc, m2 = cs[J], m * m
+    for j in range(J - 2, p - 2, -2):
+        acc = (acc * m2 >> -2 * e) + cs[j]
+    acc -= int(mp.ldexp(log_neg_l, _scale_bits(wd) - 1)) // math.factorial(p - 1)
+    for j in range(p - 2, -1, -1):
+        acc = (acc * m >> -e) + cs[j]
     return acc, J
 
 
-def _polylog_raw(
-    p: int, x: mpf, xc: mpf, wd: int, log_abs: mpf | None = None
-) -> tuple[mpf, mpf]:
-    """(value, rigorous error bound) for Li_p(x), -1 <= x <= 1, inside wd.
+def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
+    """Li_p(-x) - Li_p(x) at the working digits wd = mp.dps, as kernel_pair
+    integrates it, in integers scaled by 2^B; u = 2^-B, eps = 2^-prec.
 
-    xc is 1 - |x|, exact, and log_abs is log|x| when the caller has it.
-    Below, u = 2^-B is the unit of the scaled integers and eps = 2^-prec
-    = 2^_GUARD_BITS u the relative rounding of one mpf operation at wd.
+    x <= 1/2: -2 x S, S = sum_(j>=0) y^j/(2j+1)^p, y = x^2 <= 1/4, by
+    _series_scaled on x's exact mantissa squared.  Its n floors cost under
+    n + 1 units; its last term is under 16 units, the exact one under 18,
+    and each later term is at most y times the one before: a tail under
+    18 y/(1 - y) <= 6 units.  Rounding 2 x S 2^B once costs eps |value|, so
+    the bound, relative down to the tiniest x, is
 
-    |x| <= 1/2: Li_p(x) = x S with S = sum_(k>=1) x^(k-1)/k^p summed by
-    _series_scaled on x's exact mantissa.  After n terms the last of which is
-    T units (so |x^(n-1)/n^p| <= (|T| + 2) u), the tail is at most
-    |x^(n-1)/n^p| |x|/(1-|x|), as k^p grows, and the floors cost under n + 1
-    units.  Rounding the exact integer x 2^B S once costs eps |value|:
+        |_bracket - (Li_p(-x) - Li_p(x))| <= 2 x (n + 7) u + eps |value|.
 
-        bound = |x| u ((|T| + 2) |x|/(1 - |x|) + n + 1) + eps |value|.
+    1/2 < x < 1: -2 chi_p(x), Legendre's chi, in L = log x (the log
+    column).  For |L| < 2 pi, Li_p(e^L) = sum_(j != p-1) zeta(p-j) L^j/j!
+    + L^(p-1)/(p-1)! (H_(p-1) - log(-L)), and chi_p(x) = Li_p(x) - 2^-p
+    Li_p(x^2) (as Li_p(x) + Li_p(-x) = 2^(1-p) Li_p(x^2)); with log x^2 = 2L
 
-    The proved count is below n + 0.3, and the spare 0.7 |x| u covers the
-    roundings of the bound itself.
+        chi_p(e^L) = sum_(j != p-1) (1 - 2^(j-p)) zeta(p-j) L^j/j!
+                     + L^(p-1)/(2 (p-1)!) (H_(p-1) + log 2 - log(-L)).
 
-    1/2 < x < 1: the expansion about x = 1 in L = log x,
+    Terms j = p + n vanish for even n >= 0; for odd n, |zeta(-n)| <= 2 zeta(2)
+    n!/(2 pi)^(n+1) bounds them by t_n = zeta(2)/pi |L|^p (|L|/pi)^n n!/(p+n)!,
+    and t_(n+2) < rho t_n, rho = (|L|/pi)^2 < 0.05 as |L| < log 2.  Past
+    degree J = p - 1 + 2k the tail is below t_(2k+1)/(1 - rho), and
+    _chi_horner takes the least k putting it below tau = 10^-(wd+2).  Its J
+    floors, J + 1 coefficients and log term (2 units) are multiplied
+    afterwards by powers of |L| < 1: under 2J + 3 units.  L within 4 eps
+    relative moves chi_p by 4 eps |L chi_(p-1)(e^L)| <= 4 eps log 2 pi^2/8
+    (chi_1 = atanh: less), log(-L) within 2 eps relative by eps |L log(-L)|
+    <= eps/e, and rounding -2 chi_p costs eps pi^2/4.  So
 
-        Li_p(x) = sum_(j != p-1) zeta(p-j) L^j/j! + L^(p-1)/(p-1)! (H_(p-1) - log(-L)).
-
-    Tail: for j > p the functional equation gives |zeta(p-j)| <= 2 zeta(2)
-    (j-p)!/(2 pi)^(j-p+1), so with r = |L|/(2 pi) < 0.7/(2 pi) < 0.112 the
-    terms past degree J >= p sum to at most
-
-        C (J+1-p)!/(J+1)! r^(J+1)/(1-r),   C = 2 zeta(2) (2 pi)^(p-1),
-
-    and J is the least degree putting this below 10^(-(wd+2)).  Fixed-point
-    rounding: the J floors of _log_horner, the J + 1 coefficients (one unit
-    each, see _log_coeffs) and the log term (two units: truncated, then
-    floored by (p-1)!) are each multiplied by a power of |L| < 1 afterwards,
-    so they cost at most 2J + 3 units; 2J + 4 is charged.  The mpf inputs
-    cost at most 8 eps: L within 4 eps relative shifts the value by
-    |L Li_(p-1)(x)| <= zeta(2) log 2 < 1.15 times that; mpmath's log(-L)
-    within 3 eps relative (it is good to about one), multiplied by
-    |L|^(p-1) |log(-L)|/(p-1)! <= 1/e; and the final rounding eps |Li_p(x)|
-    <= 1.65 eps.  So
-
-        bound = 10^(-(wd+2)) + (2J + 4) u + 8 eps.
-
-    -1 < x < -1/2: Li_p(x) = 2^(1-p) Li_p(x^2) - Li_p(-x), with x^2 formed
-    exactly and log x^2 = 2 log|x|; the bounds add, plus 10^-(wd-1) for the
-    subtraction.  x = 1 and x = -1 take zeta(p) and -eta(p) with their bounds.
+        |_bracket - (Li_p(-x) - Li_p(x))| <= 2 tau + (4J + 6) u + 11 eps.
     """
-    if x == 0:
-        return mpf(0), mpf(0)
-    ulp = mpf(10) ** (-(wd - 1))
-    if x == 1:
-        z = zeta_single(p, wd)
-        return z.value.magnitude, z.error_bound.magnitude + ulp
-    if x == -1:
-        e = eta(p, wd)
-        return -e.value.magnitude, e.error_bound.magnitude + ulp
+    wd = mp.dps
     bits = _scale_bits(wd)
-    if abs(x) <= mpf(1) / 2:
+    if x <= _HALF:
         m, e = _pair(x)
-        total, n, last = _series_scaled(p, m, -e, 1, bits)
-        val = mp.ldexp(mpf(m * total), e - bits)  # rounded to the working bits
-        ax = abs(x)
-        units = (abs(last) + 2) * ax / (1 - ax) + n + 1
-        return val, ax * mp.ldexp(units, -bits) + mp.ldexp(abs(val), _GUARD_BITS - bits)
-    L = _log_stable(abs(x), xc) if log_abs is None else log_abs
-    if x > 0:
-        acc, J = _log_horner(p, L, wd)
-        bound = mpf(10) ** (-(wd + 2)) + mp.ldexp(2 * J + 4, -bits)
-        return mp.ldexp(mpf(acc), -bits), bound + mp.ldexp(8, _GUARD_BITS - bits)
-    x2 = mp.fmul(x, x, exact=True)
-    v1, b1 = _polylog_raw(p, x2, xc * (2 - xc), wd, 2 * L)
-    v2, b2 = _polylog_raw(p, -x, xc, wd, L)
-    return mp.ldexp(v1, 1 - p) - v2, mp.ldexp(b1, 1 - p) + b2 + ulp
+        odd = _series_scaled(p, m * m, -2 * e, bits)[0]
+        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
+    return mp.ldexp(mpf(-_chi_horner(p, _log_column(x, xc), wd)[0]), 1 - bits)
 
 
-def polylog(p: int, x, prec: int = 50) -> EvalResult:
-    """Li_p(x) for integer p >= 2 and -1 <= x <= 1, rigorous bound."""
-    coerce_prec(prec)
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"polylog requires integer p >= 2, got {p!r}")
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        if isinstance(x, HPReal):
-            xv = x.magnitude
-        elif isinstance(x, Fraction):
-            xv = mpf(x.numerator) / x.denominator
-        else:
-            xv = mpf(x)
-        if abs(xv) > 1:
-            raise ValueError(f"polylog argument must satisfy |x| <= 1, got {x!r}")
-        val, bound = _polylog_raw(p, xv, 1 - abs(xv), wd)
-    return wrap_result(val, bound, prec, rigorous=True)
+@cache
+def _bracket_column(p: int) -> _Column:
+    """The node column of _bracket for this p, one per p."""
+    return _Column(partial(_bracket, p))
 
 
 # ---------------------------------------------------------------------------
@@ -824,116 +742,13 @@ def _denominator(x: mpf, xc: mpf, sign_den: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def logpolylog_kernel(
-    p: int, q: int, sign_arg: int, sign_den: int, prec: int = 50
-) -> QuadratureResult:
-    """integral_0^1 log^(q-1)(x) Li_p(sign_arg*x) / (x (1 + sign_den*x^2)) dx.
-
-    With sign_den = -1 the denominator factor 1 - x^2 = xc (2 - xc) has a
-    simple zero at x = 1 which the log^(q-1) zero (q >= 2) cancels; both
-    factors are computed from xc directly so the ratio is fully accurate at
-    the deepest DE nodes.  q < 2 is refused: with sign_den = -1 the endpoint
-    becomes non-integrable, and the uniform q >= 2 precondition keeps the
-    operation's domain a rectangle.
-    """
-    _check_kernel_args(p, q, sign_den)
-    if sign_arg not in (1, -1):
-        raise ValueError("sign_arg and sign_den must be +1 or -1")
-    wd = prec + GUARD_DIGITS
-
-    def ev(x, xc):
-        lg = _log_column(x, xc)
-        ml, el = _pair(lg)
-        mli, eli = _pair(_polylog_raw(p, sign_arg * x, xc, wd, lg)[0])
-        d, ed = _denominator(x, xc, sign_den)
-        return scaled_quotient(ml ** (q - 1) * mli, (q - 1) * el + eli - ed, d)
-
-    name = f"log^{q-1} Li_{p}({'+' if sign_arg > 0 else '-'}x)/(x(1{'+' if sign_den > 0 else '-'}x^2))"
-    return integrate01(Integrand(ev, name=name), prec)
-
-
-@lru_cache(maxsize=None)
-def _chi_coeffs(p: int, wd: int) -> tuple[tuple, list]:
-    """(c, a): c_j 2^B as integers, each within one unit as in _log_coeffs,
-    for the expansion of _bracket up to the degree |L| = 0.7 needs; a_k the
-    largest log|L| at which degree p - 1 + 2k meets its tail bound, the
-    terms' ratio taken as 0.05 and with a margin of a factor e."""
-    bits = _scale_bits(wd)
-    log_tol = -(wd + 2) * math.log(10) - 1 - math.log(1.06 * math.pi / 6)
-    a: list[float] = []
-    while not a or a[-1] < math.log(0.7):
-        n = 2 * len(a) + 1
-        a.append((log_tol + n * math.log(math.pi) + math.lgamma(p + n + 1) - math.lgamma(n + 1)) / (p + n))
-    # zeta(p-j) for j = 0, 1, ..., with H_(p-1) + log 2 at j = p - 1
-    zetas = [zeta_single(p - j, wd).value.magnitude for j in range(p - 1)]
-    exact = [sum(Fraction(1, i) for i in range(1, p))] + [_zeta_rational(-n) for n in range(2 * len(a) - 2)]
-    with LOCK, mp.workprec(bits + 20):
-        zetas += [mpf(f.numerator) / f.denominator for f in exact]
-        zetas[p - 1] += mp.log(2)
-        return tuple(int(mp.nint(mp.ldexp(z * (1 - mp.ldexp(1, j - p)), bits) / math.factorial(j)))
-                     for j, z in enumerate(zetas)), a
-
-
-def _chi_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
-    """(S, J): chi_p(e^L) 2^B as an integer, and the degree, for -0.7 < L < 0:
-    Horner's rule over the expansion of _bracket in steps of L^2 down to
-    p - 1, then of L, each product exact on L's mantissa and then floored."""
-    log_neg_l = mp.log(-L)
-    cs, a = _chi_coeffs(p, wd)
-    J = p - 1 + 2 * bisect_left(a, float(log_neg_l))
-    m, e = _pair(L)
-    acc, m2 = cs[J], m * m
-    for j in range(J - 2, p - 2, -2):
-        acc = (acc * m2 >> -2 * e) + cs[j]
-    acc -= int(mp.ldexp(log_neg_l, _scale_bits(wd) - 1)) // math.factorial(p - 1)
-    for j in range(p - 2, -1, -1):
-        acc = (acc * m >> -e) + cs[j]
-    return acc, J
-
-
-def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
-    """Li_p(-x) - Li_p(x) at the working digits wd = mp.dps, as kernel_pair
-    integrates it, in integers scaled by 2^B: -2 x sum_(j>=0) x^(2j)/(2j+1)^p
-    for x <= 1/2; above, -2 chi_p(x), Legendre's chi, in L = log x (the log
-    column), from _polylog_raw's expansion of Li_p(x) - 2^-p Li_p(x^2):
-
-        chi_p(e^L) = sum_(j != p-1) (1 - 2^(j-p)) zeta(p-j) L^j/j!
-                     + L^(p-1)/(2 (p-1)!) (H_(p-1) + log 2 - log(-L)).
-
-    Terms j = p + n vanish for even n >= 0; for odd n, |zeta(-n)| <= 2 zeta(2)
-    n!/(2 pi)^(n+1) bounds them by t_n = zeta(2)/pi |L|^p (|L|/pi)^n n!/(p+n)!,
-    and t_(n+2) < rho t_n, rho = (|L|/pi)^2 < 0.05 as |L| < log 2.  Past
-    degree J = p - 1 + 2k the tail is below t_(2k+1)/(1 - rho), and
-    _chi_horner takes the least k putting it below tau = 10^-(wd+2).  Its J
-    floors, J + 1 coefficients and log term (2 units u = 2^-B) are multiplied
-    afterwards by powers of |L| < 1: under 2J + 3 units.  With eps = 2^-prec,
-    L within 4 eps relative moves chi_p by 4 eps |L chi_(p-1)(e^L)| <= 4 eps
-    log 2 pi^2/8 (chi_1 = atanh: less), log(-L) within 2 eps relative by
-    eps |L log(-L)| <= eps/e, and rounding -2 chi_p costs eps pi^2/4.  So
-
-        |_bracket - (Li_p(-x) - Li_p(x))| <= 2 tau + (4J + 6) u + 11 eps.
-    """
-    wd = mp.dps
-    bits = _scale_bits(wd)
-    if x <= _HALF:
-        m, e = _pair(x)
-        odd = _series_scaled(p, m * m, -2 * e, 2, bits)[0]
-        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
-    return mp.ldexp(mpf(-_chi_horner(p, _log_column(x, xc), wd)[0]), 1 - bits)
-
-
-@cache
-def _bracket_column(p: int) -> _Column:
-    """The node column of _bracket for this p, one per p."""
-    return _Column(partial(_bracket, p))
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResult:
-    """(-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)], L = logpolylog_kernel.
+    """(-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)], den = sign_den, where
+
+        L(p,q,s,den) = integral_0^1 log^(q-1)(x) Li_p(s x)/(x (1 + den x^2)) dx.
 
     With sign_den = -1 the pair reproduces O(p,q), with +1 the alternating
-    B(p,q).  The two kernels are integrated as one, over the bracket
+    B(p,q).  The two integrals are taken as one, over the bracket
     Li_p(-x) - Li_p(x) (see _bracket).  Like every quadrature result the
     bound is an estimate.
     """

@@ -330,7 +330,12 @@ def nested_value(quantity: str, params, prec: int = 50) -> EvalResult:
     work is 2W integrations of N terms per word.
     """
     coerce_prec(prec)
-    words = _family_words(quantity, params)
+    return _words_value(_family_words(quantity, params), prec)
+
+
+def _words_value(words: list, prec: int) -> EvalResult:
+    """sum c I(word) over [(integer c, word)], each word as _word_integral
+    takes it, with nested_value's proved bound."""
     width = max(len(word) for _, word in words)
     n_terms = (prec + GUARD_DIGITS + 5) * 3322 // 1000 + 11  # 3.322 > log2(10)
     bits = n_terms + (5 * width + 2).bit_length()

@@ -19,6 +19,10 @@ in mpf arithmetic from independent formulas, as the kernels did before the
 integer accumulator and the shared fills; the kernels must lie within
 |total| 10^(1-wd) of them.
 
+``kernel_words`` writes the log-polylog integrals behind ``kernel_pair`` as
+words of the iterated-integral engine of ``multizeta.series``, whose proved
+bound then checks their closed forms.
+
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
 full inner prefix sums:
@@ -61,12 +65,8 @@ from multizeta.quadrature import (
     _cot_column,
     _log_sin_column,
     _denominator,
-    _log_horner,
     _log_stable,
     _pair,
-    _polylog_raw,
-    _scale_bits,
-    _series_scaled,
     acos_stable,
     integrate01,
     scaled_quotient,
@@ -506,20 +506,13 @@ def _log_sin(x, xc):
 
 
 def _bracket(p, x, xc):
-    """Li_p(-x) - Li_p(x) at the working digits, as kernel_pair integrates it."""
+    """Li_p(-x) - Li_p(x) at the working digits, by mp.polylog 20 digits
+    above them, at the node 1 - xc where xc < 1/2 (x may round to 1 there)."""
     wd = mp.dps
-    bits = _scale_bits(wd)
-    lg = _log_stable(x, xc)
-    m, e = _pair(x)
-    if x <= 0.5:
-        odd = _series_scaled(p, m * m, -2 * e, 2, bits)[0]
-        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
-    if m * m << 1 <= 1 << (-2 * e):  # x^2 <= 1/2
-        total = _series_scaled(p, m * m, -2 * e, 1, bits)[0]
-        sq = m * m * total >> (-2 * e)
-    else:
-        sq = _log_horner(p, 2 * lg, wd)[0]
-    return mp.ldexp(mpf((sq >> (p - 1)) - 2 * _log_horner(p, lg, wd)[0]), -bits)
+    with mp.workdps(wd + 20):
+        node = 1 - xc if xc < 0.5 else x
+        exact = mp.polylog(p, -node) - mp.polylog(p, node)
+    return +exact
 
 
 def _mpf_denominator(x, xc, sign_den):
@@ -570,19 +563,6 @@ def _t_direct(N: int, prec: int):
     return scaled(integrate01(ev, prec), Fraction(1, math.factorial(M)))
 
 
-def _logpolylog_direct(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
-    wd = prec + GUARD_DIGITS
-
-    def ev(x, xc):
-        lg = _log_stable(x, xc)
-        ml, el = _pair(lg)
-        mli, eli = _pair(_polylog_raw(p, sign_arg * x, xc, wd, lg)[0])
-        d, ed = _denominator(x, xc, sign_den)
-        return scaled_quotient(ml ** (q - 1) * mli, (q - 1) * el + eli - ed, d)
-
-    return integrate01(ev, prec)
-
-
 def _pair_direct(p: int, q: int, sign_den: int, prec: int):
     def ev(x, xc):
         ml, el = _pair(_log_stable(x, xc))
@@ -613,7 +593,6 @@ DIRECT_KERNELS = {
     "j_cot": _j_direct,
     "k_arctanh": _k_direct,
     "t_kernel_quad": _t_direct,
-    "logpolylog_kernel": _logpolylog_direct,
     "kernel_pair": _pair_direct,
     "logsine_check": _logsine_direct,
 }
@@ -621,15 +600,6 @@ DIRECT_KERNELS = {
 
 # The same kernels with every node value formed in mpf arithmetic, as before
 # the integer accumulator: an independent check of the engine's rounding.
-
-
-def _logpolylog_mpf(p: int, q: int, sign_arg: int, sign_den: int, prec: int):
-    def ev(x, xc):
-        lg = _log_stable(x, xc)
-        li = _polylog_raw(p, sign_arg * x, xc, mp.dps, lg)[0]
-        return lg ** (q - 1) * li / _mpf_denominator(x, xc, sign_den)
-
-    return integrate01(ev, prec)
 
 
 def _pair_mpf(p: int, q: int, sign_den: int, prec: int):
@@ -647,7 +617,6 @@ MPF_KERNELS = {
         integrate01(lambda x, xc: _asin_stable(x, xc) ** (2 * N + 1) * acos_stable(x, xc) / x, prec),
         Fraction(1, math.factorial(2 * N + 1)),
     ),
-    "logpolylog_kernel": _logpolylog_mpf,
     "kernel_pair": _pair_mpf,
     "logsine_check": lambda n, prec: scaled(
         integrate01(lambda x, xc: (mp.pi / 2 * x) ** (n - 1) * _log_sin(x, xc), prec),
@@ -655,3 +624,30 @@ MPF_KERNELS = {
         pi_const(prec),
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# The log-polylog integrals as iterated-integral words
+# ---------------------------------------------------------------------------
+
+
+def kernel_words(p: int, q: int, s: int, den: int) -> list:
+    """L(p,q,s,den) = integral_0^1 log^(q-1)(x) Li_p(s x)/(x (1 + den x^2)) dx
+    as [(integer coefficient, word)] for ``series._words_value``, q >= 2.
+
+    With 1/(x (1 - x^2)) = w0 + tau, 1/(x (1 + x^2)) = w0 - sigma,
+    log^(q-1) x = (-1)^(q-1) (q-1)! I(x; w0^(q-1); 1), Li_p(x) =
+    I(0; w0^(p-1) w1; x) and Li_p(-x) = -I(0; w0^(p-1) (2 rho - w1); x):
+
+        L(p,q,s,den) = s (-1)^(q-1) (q-1)! I(w0^(q-1) m w0^(p-1) l_s),
+
+    m = w0 + tau for den = -1 and w0 - sigma for +1, l_+ = w1, l_- = 2 rho - w1.
+    """
+    middle = ((1, "w0"), (1, "tau") if den == -1 else (-1, "sigma"))
+    last = ((1, "w1"),) if s == 1 else ((2, "rho"), (-1, "w1"))
+    c = s * (-1) ** (q - 1) * math.factorial(q - 1)
+    return [
+        (c * a * b, ("w0",) * (q - 1) + (m,) + ("w0",) * (p - 1) + (l,))
+        for a, m in middle
+        for b, l in last
+    ]

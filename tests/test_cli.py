@@ -226,6 +226,21 @@ def test_the_largest_accepted_precision_prints(capsys):
     assert "int-to-str" in err
 
 
+def test_a_bound_wider_than_the_print_limit_prints():
+    # integral I 40 --method closed --prec 4289 re-evaluates its closed form
+    # after cancellation, and its bound near 10^-4300 carried a 14,363-bit
+    # mantissa, too wide for int-to-str at five digits
+    top = printable_ceiling()
+    with mp.workprec(14363):
+        bound = mpf(1) / 3 * mpf(10) ** -(top + 11)
+    with mp.workdps(top + GUARD_DIGITS):
+        r = wrap_result(mpf(1) / 7, bound, top, rigorous=True)
+    req = Request("integral", ("I", 40), method="closed", prec=top, output="json")
+    payload = cli._result_payload(req, "closed", r)
+    assert payload["error_bound"] == f"3.3333e-{top + 12}"
+    assert payload["value"].startswith("0.142857142857")
+
+
 def test_the_ceiling_follows_the_interpreters_limit(capsys):
     limit = sys.get_int_max_str_digits()
     try:

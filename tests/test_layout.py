@@ -11,6 +11,7 @@ import inspect
 from pathlib import Path
 
 import multizeta
+from multizeta import quadrature
 
 PACKAGE = Path(multizeta.__file__).parent
 
@@ -32,7 +33,6 @@ LAYERS_CALLED_THROUGH_MODULE = {"hp", "series", "quadrature", "symbolic", "close
 # print it, compare it, or take the bound of a base constant as it stands.
 BOUND_READERS = {
     ("cli", "_result_payload"),  # the JSON payload's error_bound string
-    ("quadrature", "_polylog_raw"),  # Li_p(+-1) = zeta(p), -eta(p)
 }
 
 
@@ -154,6 +154,31 @@ def functions_imported_by_name(stem: str, layers: set) -> tuple[list, int]:
             if callable(obj) and not inspect.isclass(obj):
                 found.append(f"{stem} imports {module}.{name}")
     return found, checked
+
+
+def quadrature_readers() -> dict:
+    """name -> the other modules that read it from quadrature, by import or
+    as an attribute ``quadrature.name``."""
+    readers: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "quadrature":
+            continue
+        names = [name for module, names in sibling_imports(path) if module == "quadrature"
+                 for name in names]
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "quadrature"]
+        for name in names:
+            readers.setdefault(name, set()).add(path.stem)
+    return readers
+
+
+def test_every_quadrature_export_has_a_reader():
+    # a public kernel that no route, check or CLI path reaches is dead code
+    # to be deleted, not kept for the tests alone
+    readers = quadrature_readers()
+    assert readers.get("kernel_pair") == {"routes"}  # guard against a vacuous pass
+    assert [name for name in quadrature.__all__ if name not in readers] == []
 
 
 def test_routes_call_layers_through_their_modules():

@@ -12,10 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workdps
-from mpmath.libmp import dps_to_prec
 
 from multizeta import quadrature
-from multizeta.hp import GUARD_DIGITS, eta, scaled, zeta_single
+from multizeta.hp import GUARD_DIGITS, scaled
 from multizeta.quadrature import (
     Integrand,
     QuadratureNonConvergence,
@@ -25,13 +24,13 @@ from multizeta.quadrature import (
     j_cot,
     k_arctanh,
     kernel_pair,
-    logpolylog_kernel,
     logsine_check,
-    polylog,
     t_kernel_quad,
     _log_stable,
 )
-from multizeta.series import nested_value
+from multizeta.series import _words_value, nested_value
+
+from oracles import kernel_words
 
 REF_DPS = 80
 
@@ -51,11 +50,6 @@ def combo(terms):
             t *= mp.zeta(m)
         acc += t
     return acc
-
-
-def quad_err(result, target_terms):
-    with workdps(REF_DPS):
-        return abs(result.value.magnitude - combo(target_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -112,168 +106,6 @@ def test_determinism():
     b = I_quad(4, 50)
     assert mp.mpf(a.value.magnitude) == mp.mpf(b.value.magnitude)
     assert a.levels_used == b.levels_used
-
-
-# ---------------------------------------------------------------------------
-# polylog
-# ---------------------------------------------------------------------------
-
-
-def test_polylog_dilog_half():
-    # Li_2(1/2) = pi^2/12 - log(2)^2/2
-    r = polylog(2, Fraction(1, 2), 50)
-    with workdps(REF_DPS):
-        target = mp.pi ** 2 / 12 - mp.log(2) ** 2 / 2
-        assert abs(r.value.magnitude - target) < mpf(10) ** -30
-        assert abs(r.value.magnitude - target) <= r.error_bound.magnitude
-
-
-def test_polylog_endpoints():
-    for p in (2, 3, 4, 7):
-        plus = polylog(p, 1, 50)
-        minus = polylog(p, -1, 50)
-        z = zeta_single(p, 60)
-        e = eta(p, 60)
-        assert plus.agrees_with(z)
-        with workdps(REF_DPS):
-            assert abs(minus.value.magnitude + e.value.magnitude) < mpf(10) ** -55
-    assert float(polylog(3, 0, 50).value.magnitude) == 0.0
-
-
-def test_polylog_against_mpmath_grid():
-    xs = ["-1", "-0.95", "-0.6", "-0.5", "-0.3", "0.3", "0.49", "0.51", "0.7", "0.95", "1"]
-    for p in (2, 3, 5):
-        for xs_ in xs:
-            r = polylog(p, xs_, 40)
-            with workdps(70):
-                oracle = mp.polylog(p, mpf(xs_))
-                err = abs(r.value.magnitude - oracle)
-            assert err < mpf(10) ** -40, (p, xs_, mp.nstr(err, 3))
-            assert err <= r.error_bound.magnitude + mpf(10) ** -60, (p, xs_)
-
-
-def test_polylog_branch_seam():
-    # the series / log-expansion handoff at x = 1/2 must be seamless; exact
-    # rational arguments so the reference sees the same point
-    eps = Fraction(1, 10 ** 12)
-    for p in (2, 4):
-        x_lo = Fraction(1, 2) - eps
-        x_hi = Fraction(1, 2) + eps
-        lo = polylog(p, x_lo, 50)
-        hi = polylog(p, x_hi, 50)
-        with workdps(REF_DPS):
-            gap = abs(hi.value.magnitude - lo.value.magnitude)
-            # Li_p is smooth there: the two branches differ by ~ Li'_p(1/2)*2eps
-            assert gap < 4 * mpf(10) ** -12
-            oracle = mp.polylog(p, mpf(x_lo.numerator) / x_lo.denominator)
-            assert abs(lo.value.magnitude - oracle) < mpf(10) ** -45
-
-
-def _li_reference(p, x):
-    """mp.polylog at the current precision; Li_2(9/10) goes through Euler's
-    reflection Li_2(x) + Li_2(1-x) = pi^2/6 - log x log(1-x), because
-    mpmath's own evaluation there takes seconds at 1000 digits."""
-    if (p, x) == (2, Fraction(9, 10)):
-        y = mpf(1) / 10
-        return mp.pi ** 2 / 6 - mp.log(1 - y) * mp.log(y) - mp.polylog(2, y)
-    return mp.polylog(p, mpf(x.numerator) / x.denominator)
-
-
-@pytest.mark.parametrize(
-    "p,x,prec",
-    [
-        (p, x, prec)
-        for p, x in ((2, Fraction(9, 10)), (3, Fraction(3, 4)), (3, Fraction(-3, 4)))
-        for prec in (50, 300, 1000)
-    ]
-    # the log-branch term count must follow the working digits, not a fixed cap
-    + [(3, Fraction(3, 4), 600)],
-)
-def test_polylog_at_high_precision_within_bound(p, x, prec):
-    r = polylog(p, x, prec)
-    with workdps(prec + 20):
-        err = abs(r.value.magnitude - _li_reference(p, x))
-    assert err <= r.error_bound.magnitude
-    assert r.error_bound.magnitude < mpf(10) ** (-prec)
-
-
-# bound honesty of the scaled-integer branches: every argument is a binary
-# fraction of at most 53 bits, so polylog and the reference see the same point
-
-PS = st.integers(2, 10)
-PRECS = st.integers(16, 300)
-
-
-def _assert_within_bound(p, x, prec):
-    r = polylog(p, x, prec)
-    with workdps(prec + 30):
-        err = abs(r.value.magnitude - mp.polylog(p, mpf(x.numerator) / x.denominator))
-    assert err <= r.error_bound.magnitude, (p, x, prec, mp.nstr(err, 5))
-
-
-@given(p=PS, x=st.floats(-0.5, 0.5), prec=PRECS)
-# near |x| = 1/2 at high precision the floors of the integer series are most
-# of the error: a bound without its rounding count fails here
-@example(p=2, x=0.49999999999, prec=300)
-@example(p=3, x=-0.4999999, prec=200)
-@settings(max_examples=40, deadline=None)
-def test_polylog_series_within_bound(p, x, prec):
-    _assert_within_bound(p, Fraction(x), prec)
-
-
-@given(
-    p=PS,
-    m=st.integers(1, 2 ** 53),
-    e=st.integers(333, 1200),  # |x| < 10^-100
-    sign=st.sampled_from((1, -1)),
-    prec=PRECS,
-)
-@settings(max_examples=30, deadline=None)
-def test_polylog_tiny_arguments_within_bound(p, m, e, sign, prec):
-    x = Fraction(sign * m, 2 ** e)
-    _assert_within_bound(p, x, prec)
-    # Li_p(x) = x (1 + x/2^p + ...): the value keeps its relative accuracy
-    r = polylog(p, x, prec)
-    with workdps(prec + 30):
-        assert r.error_bound.magnitude <= abs(mpf(x.numerator) / x.denominator) * mpf(10) ** -prec
-
-
-@given(p=PS, x=st.floats(0.5, 1, exclude_min=True, exclude_max=True), prec=PRECS)
-@settings(max_examples=20, deadline=None)
-def test_polylog_log_branch_within_bound(p, x, prec):
-    _assert_within_bound(p, Fraction(x), prec)
-
-
-@given(p=PS, x=st.floats(-1, -0.5, exclude_min=True, exclude_max=True), prec=PRECS)
-@settings(max_examples=20, deadline=None)
-def test_polylog_square_identity_within_bound(p, x, prec):
-    _assert_within_bound(p, Fraction(x), prec)
-
-
-@pytest.mark.parametrize(
-    "p,x", [(3, Fraction(1, 3)), (2, Fraction(-1, 5)), (4, Fraction(3, 4)), (3, Fraction(-3, 4))]
-)
-@pytest.mark.parametrize("prec", [20, 50, 300])
-def test_polylog_value_is_rounded_to_the_working_bits(p, x, prec):
-    # the scaled integer is rounded once to the working precision, the
-    # rounding the bound charges, instead of keeping its full width
-    r = polylog(p, x, prec)
-    mantissa = r.value.magnitude._mpf_[1]
-    assert mantissa.bit_length() <= dps_to_prec(prec + GUARD_DIGITS)
-    with workdps(prec + 30):
-        err = abs(r.value.magnitude - mp.polylog(p, mpf(x.numerator) / x.denominator))
-    assert err <= r.error_bound.magnitude
-
-
-def test_polylog_validation():
-    with pytest.raises(ValueError):
-        polylog(1, 0.5)
-    with pytest.raises(ValueError):
-        polylog(2, 1.5)
-    with pytest.raises(ValueError):
-        polylog(2, -2)
-    with pytest.raises(ValueError):
-        polylog(2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -392,32 +224,36 @@ def test_t_kernel_reference_values(N):
 
 
 # ---------------------------------------------------------------------------
-# log-polylog kernels
+# log-polylog integrals, as words of the iterated-integral engine
 # ---------------------------------------------------------------------------
+
+WORD_PRECS = (16, 50, 200)
+
+
+def assert_words_within_bound(p, q, s, den, terms):
+    """L(p,q,s,den) from its words lies within their proved bound of the
+    closed form ``combo(terms)`` at every precision of WORD_PRECS."""
+    for prec in WORD_PRECS:
+        r = _words_value(kernel_words(p, q, s, den), prec)
+        assert r.rigorous
+        with workdps(prec + 40):
+            err = abs(r.value.magnitude - combo(terms))
+            assert err <= r.error_bound.magnitude, (p, q, s, den, prec, mp.nstr(err, 3))
+            assert r.error_bound.magnitude < mpf(10) ** -prec
 
 
 def test_kernel_2_3_odd_denominator_pair():
-    plus = logpolylog_kernel(2, 3, 1, -1, 50)
-    minus = logpolylog_kernel(2, 3, -1, -1, 50)
     # integral log^2(x) Li_2(x)/(x(1-x^2)) = 11/16 z5 + 3/4 z2 z3, and the
-    # Li_2(-x) twin = -5/4 z5 - 3/8 z2 z3
-    with workdps(REF_DPS):
-        target_plus = mpf(11) / 16 * mp.zeta(5) + mpf(3) / 4 * mp.zeta(2) * mp.zeta(3)
-        target_minus = -mpf(5) / 4 * mp.zeta(5) - mpf(3) / 8 * mp.zeta(2) * mp.zeta(3)
-        assert abs(plus.value.magnitude - target_plus) < mpf(10) ** -45
-        assert abs(minus.value.magnitude - target_minus) < mpf(10) ** -45
+    # Li_2(-x) twin = -5/4 z5 - 3/8 z2 z3; z2 = pi^2/6
+    assert_words_within_bound(2, 3, 1, -1, [("11/16", 0, 5), ("1/8", 2, 3)])
+    assert_words_within_bound(2, 3, -1, -1, [("-5/4", 0, 5), ("-1/16", 2, 3)])
 
 
 def test_kernel_2_3_even_denominator_value():
     # integral log^2(x) Li_2(x)/(x(1+x^2)) = G pi^3/16 - 3 pi^2 zeta(3)/32 + 331 zeta(5)/256
-    r = logpolylog_kernel(2, 3, 1, 1, 50)
-    with workdps(REF_DPS):
-        target = (
-            mp.catalan * mp.pi ** 3 / 16
-            - 3 * mp.pi ** 2 * mp.zeta(3) / 32
-            + mpf(331) / 256 * mp.zeta(5)
-        )
-        assert abs(r.value.magnitude - target) < mpf(10) ** -45
+    assert_words_within_bound(
+        2, 3, 1, 1, [("1/16", 3, -2), ("-3/32", 2, 3), ("331/256", 0, 5)]
+    )
 
 
 # the eight log^j Li_j(+-x)/(x(1-x^2)) integrals, j = 3..6: each reduces to a
@@ -437,29 +273,7 @@ REMARK_INTEGRALS = {
 @pytest.mark.parametrize("key", sorted(REMARK_INTEGRALS))
 def test_remark_integrals(key):
     j, sign_arg = key
-    r = logpolylog_kernel(j, j + 1, sign_arg, -1, 50)
-    assert quad_err(r, REMARK_INTEGRALS[key]) < mpf(10) ** -42
-
-
-def test_kernel_pair_reproduces_odd_sum():
-    # (-1)^q/(2 (q-1)!) [L(p,q,-,den) - L(p,q,+,den)] gives the odd double sum
-    # (den = -1) and its alternating twin (den = +1); checked at (p,q) = (2,3)
-    # against the closed forms of those sums
-    p, q = 2, 3
-    with workdps(REF_DPS):
-        scale = mpf((-1) ** q) / (2 * mp.factorial(q - 1))
-        for den, target in (
-            (-1, mpf(31) / 64 * mp.zeta(5) + mpf(9) / 32 * mp.zeta(3) * mp.zeta(2)),
-            (
-                1,
-                mpf(31) / 64 * mp.zeta(5)
-                - 9 * mp.pi ** 2 / 256 * mp.zeta(3)
-                + mp.catalan * mp.pi ** 3 / 32,
-            ),
-        ):
-            lneg = logpolylog_kernel(p, q, -1, den, 50).value.magnitude
-            lpos = logpolylog_kernel(p, q, 1, den, 50).value.magnitude
-            assert abs(scale * (lneg - lpos) - target) < mpf(10) ** -44
+    assert_words_within_bound(j, j + 1, sign_arg, -1, REMARK_INTEGRALS[key])
 
 
 @pytest.mark.parametrize("prec", (30, 50, 100))
@@ -473,31 +287,53 @@ def test_kernel_pair_matches_nested_series(p, q, fam, sign_den, prec):
     assert k.value.working_precision == prec
 
 
-@settings(max_examples=25, deadline=None)
+def bracket_node(where):
+    """(x, xc) at the working precision: a place, a float in (0, 1), or an
+    integer k for the tiny x = 2^-k/3."""
+    ulp = mpf(2) ** -mp.prec
+    if where == "xc = 2^-200":
+        xc = mpf(2) ** -200
+        return 1 - xc, xc  # x rounds to 1 below 200 bits, as at the deepest DE nodes
+    if isinstance(where, int):
+        x = mp.ldexp(mpf(1) / 3, -where)
+    else:
+        x = {"above 1/2": 0.5 + ulp, "below 1/2": 0.5 - ulp / 2, "1/2": mpf(0.5)}.get(where)
+        if x is None:
+            x = min(mpf(where), 1 - ulp)
+    return x, 1 - x
+
+
+@settings(max_examples=40, deadline=None)
 @given(p=st.integers(2, 8), prec=st.integers(16, 300),
-       where=st.one_of(st.just("above 1/2"), st.just("xc = 2^-200"), st.floats(0.5, 1)))
+       where=st.one_of(st.sampled_from(("above 1/2", "xc = 2^-200", "below 1/2", "1/2")),
+                       st.floats(0, 1, exclude_min=True), st.integers(1, 3000)))
 @example(p=2, prec=16, where="xc = 2^-200")
 @example(p=8, prec=300, where="above 1/2")
+@example(p=2, prec=300, where="below 1/2")
+@example(p=8, prec=16, where=3000)
 def test_the_chi_bracket_is_within_its_bound(p, prec, where):
-    # _bracket's docstring: |_bracket - (Li_p(-x) - Li_p(x))| <= 2 10^-(wd+2)
-    # + (4J + 6) 2^-B + 11 eps for 1/2 < x < 1, at the node x = 1 - xc
+    # _bracket's docstring: for 1/2 < x < 1, at the node x = 1 - xc,
+    # |_bracket - (Li_p(-x) - Li_p(x))| <= 2 10^-(wd+2) + (4J + 6) 2^-B + 11 eps,
+    # and for x <= 1/2 it is <= 2 x (n + 7) 2^-B + eps |value|
     wd = prec + GUARD_DIGITS
+    bits = quadrature._scale_bits(wd)
     with workdps(wd):
-        ulp = mpf(2) ** -mp.prec
-        if where == "xc = 2^-200":
-            xc = mpf(2) ** -200
-            x = 1 - xc  # rounds to 1 below 200 bits, as at the deepest DE nodes
-        else:
-            x = 0.5 + ulp if where == "above 1/2" else min(max(mpf(where), 0.5 + ulp), 1 - ulp)
-            xc = 1 - x
+        x, xc = bracket_node(where)
         got = quadrature._bracket(p, x, xc)
-        J = quadrature._chi_horner(p, _log_stable(x, xc), wd)[1]
-        bound = (2 * mpf(10) ** -(wd + 2) + mp.ldexp(4 * J + 6, -quadrature._scale_bits(wd))
-                 + mp.ldexp(11, -mp.prec))
+        if x > 0.5:
+            J = quadrature._chi_horner(p, _log_stable(x, xc), wd)[1]
+            bound = (2 * mpf(10) ** -(wd + 2) + mp.ldexp(4 * J + 6, -bits)
+                     + mp.ldexp(11, -mp.prec))
+        else:
+            m, e = quadrature._pair(x)
+            n = quadrature._series_scaled(p, m * m, -2 * e, bits)[1]
+            bound = 2 * x * mp.ldexp(n + 7, -bits) + mp.ldexp(abs(got), -mp.prec)
     with workdps(wd + 40):
-        node = 1 - xc
+        node = 1 - xc if x > 0.5 else x
         exact = mp.polylog(p, -node) - mp.polylog(p, node)
         assert abs(got - exact) <= bound
+        if x <= 0.5:  # relative to x, down to the tiniest nodes
+            assert bound <= abs(exact) * mpf(10) ** -prec
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +346,6 @@ MEMOISED = [
     (k_arctanh, (2,)),
     (t_kernel_quad, (1,)),
     (logsine_check, (2,)),
-    (logpolylog_kernel, (2, 2, 1, -1)),
     (kernel_pair, (2, 2, 1)),
 ]
 
@@ -574,17 +409,15 @@ def test_custom_kernel_with_1_plus_x_denominator():
         assert abs(r.value.magnitude - target) < mpf(10) ** -35
 
 
-def test_logpolylog_validation():
+def test_kernel_pair_validation():
     with pytest.raises(ValueError):
-        logpolylog_kernel(1, 3, 1, -1)
+        kernel_pair(1, 3, -1)
+    with pytest.raises(ValueError, match="non-integrable"):
+        kernel_pair(2, 1, -1)
     with pytest.raises(ValueError):
-        logpolylog_kernel(2, 1, 1, -1)  # non-integrable endpoint
+        kernel_pair(2, 1, 1)
     with pytest.raises(ValueError):
-        logpolylog_kernel(2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        logpolylog_kernel(2, 3, 0, -1)
-    with pytest.raises(ValueError):
-        logpolylog_kernel(2, 3, 1, 2)
+        kernel_pair(2, 3, 2)
 
 
 def test_integral_argument_validation():

@@ -150,7 +150,6 @@ FAMILIES = (
     + [("k_arctanh", (n,)) for n in range(1, 6)]
     + [("t_kernel_quad", (n,)) for n in range(1, 5)]
     + [("kernel_pair", (p, q, s)) for p in range(2, 5) for q in range(2, 5) for s in (1, -1)]
-    + [("logpolylog_kernel", args) for args in ((2, 2, 1, -1), (3, 2, -1, 1), (2, 3, -1, -1))]
 )
 
 

@@ -354,9 +354,12 @@ def _run_verify(args) -> int:
     report = run_suite(args.suite, prec=args.prec, cutoff=args.cutoff)
     payload = report.to_dict()
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write report {args.report}: {exc.strerror}") from exc
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

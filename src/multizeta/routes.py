@@ -154,6 +154,8 @@ def routes(quantity: str, params, prec: int) -> dict:
 
     elif quantity == "integral":
         kind, n = p
+        if n < 1:
+            raise ValueError(f"integral {kind} needs n >= 1, got {n}")
         if kind == "I":
             found["quadrature"] = lambda: quadrature.I_quad(n, prec)
         elif kind == "J":

@@ -3,7 +3,7 @@
 Every closed form in this package lives in the graded ring generated by
 
     pi (weight 1), log 2 (weight 1), zeta(odd m >= 3) (weight m),
-    beta(even m >= 2) (weight m), psi3(1/4) (weight 4, kept opaque)
+    beta(even m >= 2) (weight m)
 
 over the rationals.  Even zeta values are eliminated on sight through
 zeta(2k) = (-1)^(k+1) B_(2k) (2 pi)^(2k) / (2 (2k)!), eta values through
@@ -15,12 +15,12 @@ sign pattern of the zeta(2N+3) coefficient, and the exact cancellation of
 log 2 when the arcsin-integral combinations assemble t(3,{2}^N) and
 zeta(3,{2}^N).
 
-build() is the only definition of each closed form in the package;
-closed.evaluate() evaluates what it returns.  t(3,{2}^N) and
-zeta(3,{2}^N) are derived twice, from the eta/zeta summation form and from
-the arcsin-integral combination, and build() raises RuntimeError unless the
-two expressions are equal over Q -- a transcription slip in either formula
-cannot reach a printed digit.
+build() is the only definition of each closed form in the package, one row
+of _FORMS per Formula; closed.evaluate() evaluates what it returns.
+t(3,{2}^N) and zeta(3,{2}^N) are derived twice, from the eta/zeta summation
+form and from the arcsin-integral combination, and build() raises
+RuntimeError unless the two expressions are equal over Q -- a transcription
+slip in either formula cannot reach a printed digit.
 
 eval_symbolic() evaluates an expression by feeding the basis constants of
 its monomials to hp.combine(), the package's one bound-propagation rule,
@@ -44,7 +44,6 @@ from .hp import (
     euler_number,
     log2_const,
     pi_const,
-    psi3_quarter,
     zeta_single,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "LOG2",
     "zeta_odd",
     "beta_even",
-    "PSI3Q",
     "zeta_even_rational",
     "beta_odd_rational",
     "t_single_expr",
@@ -140,39 +138,6 @@ _HOFFMAN_TERMS: dict[int, tuple[tuple[Fraction, tuple[int, ...], int], ...]] = {
 }
 
 
-def _check_params(name: Formula, params: tuple[int, ...]) -> None:
-    if name in (Formula.I_CLOSED, Formula.T322, Formula.E211, Formula.T2S1_CONJECTURE):
-        if len(params) != 1 or params[0] < 1:
-            raise ValueError(f"{name.value} takes one parameter N >= 1, got {params}")
-    elif name is Formula.Z322:
-        if len(params) != 1 or params[0] < 0:
-            raise ValueError(f"{name.value} takes one parameter N >= 0, got {params}")
-    elif name in (Formula.O_DIAG, Formula.B_DIAG):
-        if len(params) != 1 or params[0] < 2:
-            raise ValueError(f"{name.value} takes one parameter q >= 2, got {params}")
-    elif name is Formula.O_TABLE:
-        if tuple(params) not in O_TABLE_PRIMARY and tuple(params[::-1]) not in O_TABLE_PRIMARY:
-            raise ValueError(
-                f"{name.value}: supported (p, q) are the tabulated pairs "
-                f"{sorted(O_TABLE_PRIMARY)} and their reversals, got {params}"
-            )
-    elif name is Formula.B_REFLECT:
-        if tuple(params) != (2, 3):
-            raise ValueError(
-                f"{name.value}: the only alternating pair with a closed form is (2, 3), got {params}"
-            )
-    elif name is Formula.HOFFMAN_T:
-        if len(params) != 1 or not 1 <= params[0] <= 3:
-            raise ValueError(
-                f"{name.value} takes one parameter in 1..3 (the number of leading 2s), got {params}"
-            )
-    elif name in (Formula.B23, Formula.ZETA311):
-        if params:
-            raise ValueError(f"{name.value} takes no parameters, got {params}")
-    else:  # pragma: no cover
-        raise ValueError(f"unknown formula {name!r}")
-
-
 @dataclass(frozen=True)
 class FormulaId:
     """A closed-form family plus its integer parameters."""
@@ -181,10 +146,20 @@ class FormulaId:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _check_params(self.name, tuple(self.params))
+        params_ok, rule, _ = _FORMS[self.name]
+        params = tuple(self.params)
+        if not params_ok(params):
+            raise ValueError(f"{self.name.value} takes {rule}, got {params}")
 
 
-_KINDS = ("pi", "log2", "zeta_odd", "beta_even", "psi3_quarter")
+# kind -> (text, weight or None for the argument, argument test, its rule);
+# the order of the rows is the canonical order of the factors
+_KINDS = {
+    "pi": ("pi", 1, lambda m: m == 0, "no argument"),
+    "log2": ("log2", 1, lambda m: m == 0, "no argument"),
+    "zeta_odd": ("zeta", None, lambda m: m >= 3 and m % 2 == 1, "odd arg >= 3"),
+    "beta_even": ("beta", None, lambda m: m >= 2 and m % 2 == 0, "even arg >= 2"),
+}
 _KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
 
 
@@ -198,42 +173,26 @@ class BasisConstant:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "zeta_odd":
-            if self.arg < 3 or self.arg % 2 == 0:
-                raise ValueError(f"zeta_odd needs odd arg >= 3, got {self.arg}")
-        elif self.kind == "beta_even":
-            if self.arg < 2 or self.arg % 2:
-                raise ValueError(f"beta_even needs even arg >= 2, got {self.arg}")
-        elif self.arg != 0:
-            raise ValueError(f"{self.kind} takes no argument, got {self.arg}")
+            raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
+        _, _, arg_ok, rule = _KINDS[self.kind]
+        if not arg_ok(self.arg):
+            raise ValueError(f"{self.kind} takes {rule}, got {self.arg}")
 
     @property
     def weight(self) -> int:
-        if self.kind in ("pi", "log2"):
-            return 1
-        if self.kind == "psi3_quarter":
-            return 4
-        return self.arg
+        weight = _KINDS[self.kind][1]
+        return self.arg if weight is None else weight
 
     def _sort_key(self):
         return (_KIND_ORDER[self.kind], self.arg)
 
     def _text(self) -> str:
-        if self.kind == "pi":
-            return "pi"
-        if self.kind == "log2":
-            return "log2"
-        if self.kind == "zeta_odd":
-            return f"zeta{self.arg}"
-        if self.kind == "beta_even":
-            return f"beta{self.arg}"
-        return "psi3q"
+        text = _KINDS[self.kind][0]
+        return f"{text}{self.arg}" if self.arg else text
 
 
 PI = BasisConstant("pi")
 LOG2 = BasisConstant("log2")
-PSI3Q = BasisConstant("psi3_quarter")
 
 
 def zeta_odd(m: int) -> BasisConstant:
@@ -312,8 +271,7 @@ class SymbolicExpr:
 
     @classmethod
     def rational(cls, c) -> "SymbolicExpr":
-        c = Fraction(c)
-        return cls._from_dict({(): c})
+        return cls._from_dict({(): Fraction(c)})
 
     @classmethod
     def atom(cls, const: BasisConstant, exp: int = 1, coeff=1) -> "SymbolicExpr":
@@ -332,8 +290,6 @@ class SymbolicExpr:
 
     def scale(self, c) -> "SymbolicExpr":
         c = Fraction(c)
-        if c == 0:
-            return SymbolicExpr.zero()
         return SymbolicExpr._from_dict({m: k * c for m, k in self.terms})
 
     def __mul__(self, other: "SymbolicExpr") -> "SymbolicExpr":
@@ -358,11 +314,7 @@ class SymbolicExpr:
 
     def coefficient_of(self, *pairs) -> Fraction:
         """Coefficient of the monomial prod const^exp (pairs of (const, exp))."""
-        target = _mono_sorted(pairs)
-        for m, c in self.terms:
-            if m == target:
-                return c
-        return Fraction(0)
+        return dict(self.terms).get(_mono_sorted(pairs), Fraction(0))
 
     def weights(self) -> set:
         return {_mono_weight(m) for m, _ in self.terms}
@@ -433,13 +385,8 @@ def t_single_expr(m: int) -> SymbolicExpr:
 
 def _build_i(N: int) -> SymbolicExpr:
     acc = SymbolicExpr.zero()
-    if N % 2:
-        M = (N - 1) // 2
-        js = range(M + 1)
-    else:
-        M = N // 2
-        js = range(M)
-    for j in js:
+    M = N // 2
+    for j in range((N + 1) // 2):
         c = Fraction((-1) ** j * math.factorial(N), 2 ** N * math.factorial(N - 2 * j))
         acc = acc + (SymbolicExpr.atom(PI, N - 2 * j) * _eta_expr(2 * j + 1)).scale(c)
     if N % 2 == 0:
@@ -485,6 +432,14 @@ def _z322_integral(N: int) -> SymbolicExpr:
     ).scale(Fraction(2 ** (2 * N + 4), math.factorial(2 * N + 2)))
 
 
+def _build_t322(N: int) -> SymbolicExpr:
+    return _assert_same_form(f"t(3,{{2}}^{N})", _t322_summation(N), _t322_integral(N))
+
+
+def _build_z322(N: int) -> SymbolicExpr:
+    return _assert_same_form(f"zeta(3,{{2}}^{N})", _z322_summation(N), _z322_integral(N))
+
+
 def _assert_same_form(what: str, summation: SymbolicExpr, integral: SymbolicExpr) -> SymbolicExpr:
     """The transcription guard: two derivations of one constant must agree over Q."""
     if summation != integral:
@@ -502,6 +457,11 @@ def pi_zeta_expr(terms) -> SymbolicExpr:
         term = SymbolicExpr.atom(PI, a, Fraction(c))
         acc = acc + (term * _zeta_expr(m) if m else term)
     return acc
+
+
+def _diagonal(q: int, single: SymbolicExpr) -> SymbolicExpr:
+    """((1 - 4^-q) zeta(2q) + single^2)/2: O(q,q) for t(q), B(q,q) for beta(q)."""
+    return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + single * single).scale(Fraction(1, 2))
 
 
 def _build_o_table(p: int, q: int) -> SymbolicExpr:
@@ -532,43 +492,49 @@ def _build_hoffman(depth: int) -> SymbolicExpr:
     return acc
 
 
+def _one(low: int, name: str = "N") -> tuple:
+    """The parameter test and its rule for one parameter, at least low."""
+    return (lambda params: len(params) == 1 and params[0] >= low), f"one parameter {name} >= {low}"
+
+
+# Formula -> (parameter test, its rule in words, builder of the parameters).
+# A row calls the hp constants and this module's public functions by name
+# when it runs, never through a stored reference, so that a wrapper rebound
+# in this module's namespace sees every call.
+_FORMS = {
+    Formula.I_CLOSED: (*_one(1), _build_i),
+    Formula.T322: (*_one(1), _build_t322),
+    Formula.Z322: (*_one(0), _build_z322),
+    Formula.E211: (*_one(1), lambda N: _zeta_expr(N + 1).scale(Fraction(2 ** (N + 1) - 1, 4 ** N))),
+    Formula.O_DIAG: (*_one(2, "q"), lambda q: _diagonal(q, t_single_expr(q))),
+    Formula.B_DIAG: (*_one(2, "q"), lambda q: _diagonal(q, _beta_expr(q))),
+    # B(3,2) = beta(2) beta(3) + O(5) - B(2,3); the Catalan monomials cancel
+    Formula.B_REFLECT: (
+        lambda params: params == (2, 3), "(2, 3), the only alternating pair with a closed form",
+        lambda p, q: _beta_expr(2) * _beta_expr(3) + t_single_expr(5) - _build_b23(),
+    ),
+    Formula.O_TABLE: (
+        lambda params: params in O_TABLE_PRIMARY or params[::-1] in O_TABLE_PRIMARY,
+        f"a tabulated pair {sorted(O_TABLE_PRIMARY)} or its reversal", _build_o_table,
+    ),
+    Formula.B23: (lambda params: not params, "no parameters", _build_b23),
+    Formula.T2S1_CONJECTURE: (
+        *_one(1), lambda N: _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))
+    ),
+    Formula.HOFFMAN_T: (
+        lambda params: len(params) == 1 and 1 <= params[0] <= 3,
+        "one parameter in 1..3 (the number of leading 2s)", _build_hoffman,
+    ),
+    Formula.ZETA311: (
+        lambda params: not params, "no parameters",
+        lambda: _zeta_expr(5).scale(2) - _zeta_expr(2) * _zeta_expr(3),
+    ),
+}
+
+
 def build(fid: FormulaId) -> SymbolicExpr:
     """Exact basis expression for any FormulaId."""
-    name, params = fid.name, tuple(fid.params)
-    if name is Formula.I_CLOSED:
-        return _build_i(params[0])
-    if name is Formula.T322:
-        N = params[0]
-        return _assert_same_form(f"t(3,{{2}}^{N})", _t322_summation(N), _t322_integral(N))
-    if name is Formula.Z322:
-        N = params[0]
-        return _assert_same_form(f"zeta(3,{{2}}^{N})", _z322_summation(N), _z322_integral(N))
-    if name is Formula.E211:
-        N = params[0]
-        return _zeta_expr(N + 1).scale(Fraction(2 ** (N + 1) - 1, 2 ** (2 * N)))
-    if name is Formula.O_DIAG:
-        q = params[0]
-        t = t_single_expr(q)
-        return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + t * t).scale(Fraction(1, 2))
-    if name is Formula.B_DIAG:
-        q = params[0]
-        b = _beta_expr(q)
-        return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + b * b).scale(Fraction(1, 2))
-    if name is Formula.B_REFLECT:
-        # B(3,2) = beta(2) beta(3) + O(5) - B(2,3); the Catalan monomials cancel
-        return _beta_expr(2) * _beta_expr(3) + t_single_expr(5) - _build_b23()
-    if name is Formula.O_TABLE:
-        return _build_o_table(*params)
-    if name is Formula.B23:
-        return _build_b23()
-    if name is Formula.T2S1_CONJECTURE:
-        N = params[0]
-        return _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))
-    if name is Formula.HOFFMAN_T:
-        return _build_hoffman(params[0])
-    if name is Formula.ZETA311:
-        return _zeta_expr(5).scale(2) - _zeta_expr(2) * _zeta_expr(3)
-    raise ValueError(f"unknown formula {name!r}")  # pragma: no cover
+    return _FORMS[fid.name][2](*fid.params)
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +543,9 @@ def build(fid: FormulaId) -> SymbolicExpr:
 
 
 def _const_value(c: BasisConstant, prec: int) -> EvalResult:
-    if c.kind == "pi":
-        return pi_const(prec)
-    if c.kind == "log2":
-        return log2_const(prec)
-    if c.kind == "zeta_odd":
-        return zeta_single(c.arg, prec)
-    if c.kind == "beta_even":
-        return beta_fn(c.arg, prec)
-    return psi3_quarter(prec)
+    if c.arg:
+        return zeta_single(c.arg, prec) if c.kind == "zeta_odd" else beta_fn(c.arg, prec)
+    return pi_const(prec) if c.kind == "pi" else log2_const(prec)
 
 
 def _combine_at(expr: SymbolicExpr, prec: int) -> EvalResult:
@@ -635,14 +595,10 @@ def canonical_text(expr: SymbolicExpr) -> str:
 
 def json_terms(expr: SymbolicExpr) -> list:
     """JSON-ready term list mirroring the canonical order."""
-    out = []
-    for mono, coeff in expr.terms:
-        out.append(
-            {
-                "coefficient": _coeff_text(coeff),
-                "factors": [
-                    {"constant": c.kind, "arg": c.arg, "power": e} for c, e in mono
-                ],
-            }
-        )
-    return out
+    return [
+        {
+            "coefficient": _coeff_text(coeff),
+            "factors": [{"constant": c.kind, "arg": c.arg, "power": e} for c, e in mono],
+        }
+        for mono, coeff in expr.terms
+    ]

@@ -156,53 +156,51 @@ class TruncatedSeries:
 _TABLES: dict[tuple[str, int], list[Fraction]] = {}
 
 
-def _row(family: str, N: int, upto: int) -> list[Fraction]:
-    """The family row as a list [f(0), ..., f(upto)], memoized and extended."""
-    key = (family, N)
+def _g_row(N: int, upto: int) -> list[Fraction]:
+    """[G_N(0), ..., G_N(upto)], memoized and extended."""
     with LOCK:
-        row = _TABLES.get(key)
-        if row is None:
-            row = []
-            _TABLES[key] = row
-        if len(row) > upto:
-            return row
-        if N == 0:
-            # G_0 = A_0 = 1 everywhere (H has no N = 0 row)
-            base = Fraction(1)
-            while len(row) <= upto:
-                if family == "arctanh_nested" and len(row) == 0:
-                    row.append(Fraction(0))  # chains index from 1
-                else:
-                    row.append(base)
-            return row
-        # H_1 is its own base case (1/4 everywhere); everything else recurses
-        prev = None if (family == "H" and N == 1) else _row(family, N - 1, upto)
-        k = len(row)
-        while k <= upto:
-            if k == 0:
-                row.append(Fraction(0))
-            elif family == "G":
+        row = _TABLES.setdefault(("G", N), [])
+        if len(row) <= upto and N == 0:  # G_0 = 1
+            row.extend([Fraction(1)] * (upto + 1 - len(row)))
+        elif len(row) <= upto:
+            prev = _g_row(N - 1, upto)
+            row.extend([Fraction(0)][len(row):])
+            for k in range(len(row), upto + 1):
                 # G_N(k) = G_N(k-1) + G_(N-1)(k-1)/(2(k-1)+1)^2
-                row.append(row[k - 1] + prev[k - 1] / (2 * (k - 1) + 1) ** 2)
-            elif family == "H":
-                # H_(N+1)(k) = sum_(n<k) H_N(n)/(2n)^2 plus the base row 1/4
-                if N == 1:
-                    row.append(Fraction(1, 4))
-                elif k == 1:
-                    row.append(Fraction(0))
-                else:
-                    row.append(row[k - 1] + prev[k - 1] / (2 * (k - 1)) ** 2)
-            else:
-                # A_N(m) = sum_(n<m, n = N mod 2) A_(N-1)(n)/n
-                if k == 1:
-                    row.append(Fraction(0))
-                else:
-                    acc = row[k - 1]
-                    n = k - 1
-                    if n % 2 == N % 2:
-                        acc = acc + prev[n] / n
-                    row.append(acc)
-            k += 1
+                row.append(row[k - 1] + prev[k - 1] / (2 * k - 1) ** 2)
+        return row
+
+
+def _h_row(N: int, upto: int) -> list[Fraction]:
+    """[H_N(0), ..., H_N(upto)], memoized and extended; H_N(0) = 0."""
+    with LOCK:
+        row = _TABLES.setdefault(("H", N), [])
+        if len(row) <= upto and N == 1:  # H_1 = 1/4
+            row.extend([Fraction(0)][len(row):])
+            row.extend([Fraction(1, 4)] * (upto + 1 - len(row)))
+        elif len(row) <= upto:
+            prev = _h_row(N - 1, upto)
+            row.extend([Fraction(0), Fraction(0)][len(row):])
+            for k in range(len(row), upto + 1):
+                # H_N(k) = H_N(k-1) + H_(N-1)(k-1)/(2(k-1))^2
+                row.append(row[k - 1] + prev[k - 1] / (2 * k - 2) ** 2)
+        return row
+
+
+def _a_row(N: int, upto: int) -> list[Fraction]:
+    """[A_N(0), ..., A_N(upto)], memoized and extended; chains index from 1,
+    so A_N(0) = 0."""
+    with LOCK:
+        row = _TABLES.setdefault(("arctanh_nested", N), [])
+        if len(row) <= upto and N == 0:  # A_0 = 1
+            row.extend([Fraction(0)][len(row):])
+            row.extend([Fraction(1)] * (upto + 1 - len(row)))
+        elif len(row) <= upto:
+            prev = _a_row(N - 1, upto)
+            row.extend([Fraction(0), Fraction(0)][len(row):])
+            for n in range(len(row) - 1, upto):
+                # A_N(n+1) = A_N(n) + A_(N-1)(n)/n for n = N mod 2
+                row.append(row[n] + prev[n] / n if n % 2 == N % 2 else row[n])
         return row
 
 
@@ -210,21 +208,21 @@ def g_coeff(N: int, k: int) -> Fraction:
     """G_N(k) = sum over k > n_1 > ... > n_N >= 0 of prod 1/(2 n_j + 1)^2."""
     if N < 0 or k < 0:
         raise ValueError("N, k >= 0 required")
-    return _row("G", N, k)[k]
+    return _g_row(N, k)[k]
 
 
 def h_coeff(N: int, k: int) -> Fraction:
     """H_N(k): H_1 = 1/4 and H_(N+1)(k) = sum_(n<k) H_N(n)/(2n)^2."""
     if N < 1 or k < 1:
         raise ValueError("N, k >= 1 required")
-    return _row("H", N, k)[k]
+    return _h_row(N, k)[k]
 
 
 def arctanh_nested_coeff(N: int, m: int) -> Fraction:
     """A_N(m): nested parity-constrained harmonic chains below m."""
     if N < 0 or m < 1:
         raise ValueError("N >= 0 and m >= 1 required")
-    return _row("arctanh_nested", N, m)[m]
+    return _a_row(N, m)[m]
 
 
 # ---------------------------------------------------------------------------

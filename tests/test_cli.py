@@ -361,6 +361,14 @@ def test_unavailable_method_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["I", "J", "K", "logsine"])
+@pytest.mark.parametrize("method", ["closed", "quadrature", "all"])
+def test_integral_below_one_exits_2(capsys, kind, method):
+    code, out, err = run_cli(capsys, "integral", kind, "0", "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"invalid request: integral {kind} needs n >= 1, got 0\n"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -554,6 +562,18 @@ def test_verify_conjectures_suite(capsys, tmp_path):
     assert payload["suite"] == "conjectures"
     assert payload["summary"]["failed"] == 0
     assert all(c["conjectural"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_report_exits_2(capsys, tmp_path, where):
+    # a path under a missing directory, or a directory: an invalid request,
+    # not a failed verification
+    path = tmp_path / where
+    code, _, err = run_cli(capsys, "verify", "--suite", "conjectures", "--prec", "16",
+                           "--report", str(path))
+    assert code == 2
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert err == f"invalid request: cannot write report {path}: {reason}\n"
 
 
 def test_verify_blocking_failure_exits_1(capsys, monkeypatch):

@@ -8,10 +8,12 @@ propagates them.
 import ast
 import importlib
 import inspect
+from itertools import product
 from pathlib import Path
 
 import multizeta
-from multizeta import quadrature
+from multizeta import quadrature, routes, symbolic, verify
+from multizeta.symbolic import Formula, FormulaId
 
 PACKAGE = Path(multizeta.__file__).parent
 
@@ -223,3 +225,55 @@ def test_scan_sees_the_package():
     # guard against a vacuous pass over an empty or wrong directory
     names = {p.stem for p in PACKAGE.glob("*.py")}
     assert {"closed", "symbolic", "verify", "cli", "hp"} <= names
+
+
+def built_kinds() -> set:
+    """Basis kinds of every Formula built over a small grid its rule accepts."""
+    kinds, built = set(), set()
+    grid = [(), *((a,) for a in range(8)), *((a, b) for a in range(8) for b in range(8))]
+    for name in Formula:
+        for params in grid:
+            try:
+                expr = symbolic.build(FormulaId(name, params))
+            except ValueError:
+                continue
+            built.add(name)
+            kinds |= {c.kind for mono, _ in expr.terms for c, _ in mono}
+    assert built == set(Formula)  # guard against a vacuous pass
+    return kinds
+
+
+def test_every_basis_kind_is_built():
+    # a generator no closed form produces is dead code, and one that is not
+    # independent of the others would let structural equality of two
+    # expressions differ from equality of their values
+    assert built_kinds() == set(symbolic._KINDS)
+
+
+def cli_shapes():
+    """Every request shape over small indices, as the CLI passes them to routes."""
+    for depth in range(1, 6):
+        for idx in product(range(1, 4), repeat=depth):
+            yield from ((q, idx) for q in ("zeta", "tvalue", "mu", "bigT"))
+    for fam, p, q in product("OB", range(1, 8), range(1, 8)):
+        yield "oddsum", (fam, p, q)
+    for kind, n in product(("I", "J", "K", "logsine"), range(8)):
+        yield "integral", (kind, n)
+
+
+def row_formulas(side) -> set:
+    """The Formulas a verify row side names, through its combinations."""
+    if isinstance(side, FormulaId):
+        return {side.name}
+    if isinstance(side, tuple) and side and isinstance(side[0], tuple):
+        return set().union(*(row_formulas(f) for _, fs in side for f in fs))
+    return set()
+
+
+def test_every_formula_is_reached():
+    # a Formula that no CLI shape and no verify row names is dead code
+    served = {fid.name for fid in (routes.fid_for(q, p) for q, p in cli_shapes()) if fid}
+    named = set().union(*(row_formulas(side) for row in verify._PAPER_ROWS
+                          + verify._CONJECTURE_ROWS for side in row[2:4]))
+    assert Formula.T2S1_CONJECTURE in named  # guard against a vacuous pass
+    assert served | named == set(Formula)

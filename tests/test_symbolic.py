@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.closed import evaluate
-from multizeta.hp import psi3_quarter
+from multizeta.hp import beta_fn
 from multizeta.symbolic import (
     Formula,
     FormulaId,
+    _FORMS,
     _assert_same_form,
     _t322_integral,
     _t322_summation,
@@ -24,7 +25,6 @@ from multizeta.symbolic import (
     _z322_summation,
     LOG2,
     PI,
-    PSI3Q,
     BasisConstant,
     SymbolicExpr,
     beta_even,
@@ -49,7 +49,6 @@ from multizeta.symbolic import (
 def test_basis_weights():
     assert PI.weight == 1
     assert LOG2.weight == 1
-    assert PSI3Q.weight == 4
     assert zeta_odd(7).weight == 7
     assert beta_even(4).weight == 4
 
@@ -65,6 +64,18 @@ def test_basis_validation():
         beta_even(3)
     with pytest.raises(ValueError):
         BasisConstant("pi", 2)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        BasisConstant("psi3_quarter")  # 8 pi^4 + 768 beta(4): not independent
+    with pytest.raises(ValueError, match="zeta_odd takes odd arg >= 3, got 4"):
+        zeta_odd(4)
+
+
+def test_one_table_row_per_formula():
+    assert set(_FORMS) == set(Formula)
+    with pytest.raises(ValueError, match=r"Z322 takes one parameter N >= 0, got \(-1,\)"):
+        FormulaId(Formula.Z322, [-1])
+    with pytest.raises(ValueError, match=r"OTable takes a tabulated pair .* got \(2, 2\)"):
+        FormulaId(Formula.O_TABLE, (2, 2))
 
 
 def test_even_zeta_rationals():
@@ -155,8 +166,8 @@ def test_ring_laws(a, b, c):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([PI, LOG2, zeta_odd(3), zeta_odd(5), beta_even(2), PSI3Q]),
-    st.sampled_from([PI, LOG2, zeta_odd(3), PSI3Q]),
+    st.sampled_from([PI, LOG2, zeta_odd(3), zeta_odd(5), beta_even(2), beta_even(4)]),
+    st.sampled_from([PI, LOG2, zeta_odd(3), beta_even(4)]),
     st.integers(1, 3),
     st.integers(1, 2),
 )
@@ -345,9 +356,9 @@ def test_eval_matches_closed_forms():
         assert s.rigorous
 
 
-def test_eval_psi3_quarter_atom():
-    r = eval_symbolic(SymbolicExpr.atom(PSI3Q, coeff=Fraction(1, 2)), 40)
-    direct = psi3_quarter(40)
+def test_eval_beta_even_atom():
+    r = eval_symbolic(SymbolicExpr.atom(beta_even(4), coeff=Fraction(1, 2)), 40)
+    direct = beta_fn(4, 40)
     with mp.workdps(60):
         assert abs(r.value.magnitude - direct.value.magnitude / 2) < mpf(10) ** -36
 

@@ -21,7 +21,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from . import closed, hp, quadrature, series, symbolic
+from . import closed, hp, quadrature, series
 from .symbolic import Formula, FormulaId
 
 __all__ = ["fid_for", "routes"]
@@ -71,8 +71,8 @@ def fid_for(quantity: str, params):
         if fam == "O":
             if a == b and a >= 2:
                 return FormulaId(Formula.O_DIAG, (a,))
-            if (a, b) in symbolic.O_TABLE_PRIMARY or (b, a) in symbolic.O_TABLE_PRIMARY:
-                return FormulaId(Formula.O_TABLE, (a, b))
+            if min(a, b) >= 2 and (a + b) % 2:
+                return FormulaId(Formula.O_ODD, (a, b))
         else:
             if a == b and a >= 2:
                 return FormulaId(Formula.B_DIAG, (a,))

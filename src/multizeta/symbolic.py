@@ -16,7 +16,9 @@ log 2 when the arcsin-integral combinations assemble t(3,{2}^N) and
 zeta(3,{2}^N).
 
 build() is the only definition of each closed form in the package, one row
-of _FORMS per Formula; closed.evaluate() evaluates what it returns.
+of _FORMS per Formula; closed.evaluate() evaluates what it returns.  No
+coefficient of an odd Euler sum O(p,q) is typed: every odd weight p + q is
+built from the parity theorem of _build_o_odd.
 t(3,{2}^N) and zeta(3,{2}^N) are derived twice, from the eta/zeta summation
 form and from the arcsin-integral combination, and build() raises
 RuntimeError unless the two expressions are equal over Q -- a transcription
@@ -50,7 +52,6 @@ from .hp import (
 __all__ = [
     "Formula",
     "FormulaId",
-    "O_TABLE_PRIMARY",
     "BasisConstant",
     "SymbolicExpr",
     "PI",
@@ -77,43 +78,12 @@ class Formula(Enum):
     O_DIAG = "ODiag"
     B_DIAG = "BDiag"
     B_REFLECT = "BReflect"
-    O_TABLE = "OTable"
+    O_ODD = "OOdd"
     B23 = "B23"
     T2S1_CONJECTURE = "T2s1Conjecture"
     HOFFMAN_T = "HoffmanT"
     ZETA311 = "Zeta311"
 
-
-# primary odd-Euler table entries: exact terms (coeff, pi power, zeta index);
-# zeta(2) in the (2,3) row is already rewritten as pi^2/6
-O_TABLE_PRIMARY: dict[tuple[int, int], tuple[tuple[Fraction, int, int], ...]] = {
-    (2, 3): (
-        (Fraction(31, 64), 0, 5),
-        (Fraction(3, 64), 2, 3),
-    ),
-    (3, 4): (
-        (Fraction(1, 128), 4, 3),
-        (Fraction(-5, 128), 2, 5),
-        (Fraction(127, 256), 0, 7),
-    ),
-    (4, 5): (
-        (Fraction(5, 3072), 4, 5),
-        (Fraction(105, 3072), 2, 7),
-        (Fraction(511, 1024), 0, 9),
-    ),
-    (5, 6): (
-        (Fraction(1, 1024), 6, 5),
-        (Fraction(-7, 4096), 4, 7),
-        (Fraction(-63, 2048), 2, 9),
-        (Fraction(2047, 4096), 0, 11),
-    ),
-    (6, 7): (
-        (Fraction(7, 122880), 6, 7),
-        (Fraction(7, 4096), 4, 9),
-        (Fraction(231, 8192), 2, 11),
-        (Fraction(8191, 16384), 0, 13),
-    ),
-}
 
 # Hoffman's proven t-value relations; keys are the number of leading 2s.
 # The t(2)t(3) coefficient in the depth-3 relation is 3/14: 1/14 fails the
@@ -146,10 +116,11 @@ class FormulaId:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # a list would validate but leave the id unhashable and unequal to its tuple form
+        object.__setattr__(self, "params", tuple(self.params))
         params_ok, rule, _ = _FORMS[self.name]
-        params = tuple(self.params)
-        if not params_ok(params):
-            raise ValueError(f"{self.name.value} takes {rule}, got {params}")
+        if not params_ok(self.params):
+            raise ValueError(f"{self.name.value} takes {rule}, got {self.params}")
 
 
 # kind -> (text, weight or None for the argument, argument test, its rule);
@@ -464,12 +435,34 @@ def _diagonal(q: int, single: SymbolicExpr) -> SymbolicExpr:
     return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + single * single).scale(Fraction(1, 2))
 
 
-def _build_o_table(p: int, q: int) -> SymbolicExpr:
-    if (p, q) in O_TABLE_PRIMARY:
-        return pi_zeta_expr(O_TABLE_PRIMARY[(p, q)])
-    # a reversed entry, by the reflection O(p,q) = O(p) O(q) + O(p+q) - O(q,p)
-    reflected = pi_zeta_expr(O_TABLE_PRIMARY[(q, p)])
-    return t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q) - reflected
+def _build_o_odd(p: int, q: int) -> SymbolicExpr:
+    """O(p,q) = sum_(n>=1) (2n-1)^(-q) sum_(k<=n) (2k-1)^(-p) for odd w = p + q:
+
+      O(p,q) = t(w)/2 + [p odd] t(p) t(q) + (-1)^p sum_(k=1..(w-3)/2)
+               [C(w-2k-1, p-1) + C(w-2k-1, q-1)] 2^(-(w-2k)) t(2k) zeta(w-2k).
+
+    The odd-denominator twin of Euler's parity theorem, by the residue
+    lemma of Flajolet and Salvy ("Euler sums and contour integral
+    representations", Experiment. Math. 7 (1998)): the residues of
+    s^(-q) xi(s), xi(s) = (pi/2) tan(pi s/2) sum_(j>=0) (s+2j)^(-p), sum
+    to zero.  (pi/2) tan(pi s/2) has residue -1 at every odd integer, so
+    those poles give O(p,q) - O(q,p) - (-1)^q t(p) t(q), that is
+    2 O(p,q) - t(w) - (1 - (-1)^p) t(p) t(q) by the reflection
+    O(p,q) + O(q,p) = t(p) t(q) + t(w).  At 0 and at -2, -4, ... the zero
+    of tan leaves Taylor coefficients, (pi/2) tan(pi u/2) =
+    sum_k 2 t(2k) u^(2k-1) against sum_(j>=1) (2j)^(-n) = 2^(-n) zeta(n):
+    0 gives the C(w-2k-1, p-1) terms, the negative even integers the
+    C(w-2k-1, q-1) terms, each times 2 (-1)^q.
+    """
+    w = p + q
+    acc = t_single_expr(w).scale(Fraction(1, 2))
+    if p % 2:
+        acc = acc + t_single_expr(p) * t_single_expr(q)
+    for k in range(1, (w - 1) // 2):
+        n = w - 2 * k
+        c = Fraction((-1) ** p * (math.comb(n - 1, p - 1) + math.comb(n - 1, q - 1)), 2 ** n)
+        acc = acc + (t_single_expr(2 * k) * _zeta_expr(n)).scale(c)
+    return acc
 
 
 def _build_b23() -> SymbolicExpr:
@@ -513,9 +506,9 @@ _FORMS = {
         lambda params: params == (2, 3), "(2, 3), the only alternating pair with a closed form",
         lambda p, q: _beta_expr(2) * _beta_expr(3) + t_single_expr(5) - _build_b23(),
     ),
-    Formula.O_TABLE: (
-        lambda params: params in O_TABLE_PRIMARY or params[::-1] in O_TABLE_PRIMARY,
-        f"a tabulated pair {sorted(O_TABLE_PRIMARY)} or its reversal", _build_o_table,
+    Formula.O_ODD: (
+        lambda params: len(params) == 2 and min(params) >= 2 and sum(params) % 2 == 1,
+        "two parameters p, q >= 2 with p + q odd", _build_o_odd,
     ),
     Formula.B23: (lambda params: not params, "no parameters", _build_b23),
     Formula.T2S1_CONJECTURE: (

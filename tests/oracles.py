@@ -19,6 +19,10 @@ in mpf arithmetic from independent formulas, as the kernels did before the
 integer accumulator and the shared fills; the kernels must lie within
 |total| 10^(1-wd) of them.
 
+``O_TABLE_COMBOS`` keeps the five hand-typed rows O(p, p+1), p = 2..6, that
+the odd Euler sums were once read from; the derived closed forms must equal
+them over Q.
+
 ``kernel_words`` writes the log-polylog integrals behind ``kernel_pair`` as
 words of the iterated-integral engine of ``multizeta.series``, whose proved
 bound then checks their closed forms.
@@ -323,6 +327,17 @@ def euler_H_series(
 # ---------------------------------------------------------------------------
 # Odd Euler sums
 # ---------------------------------------------------------------------------
+
+
+# O(p, p+1) as exact terms (coefficient, pi power, zeta index; 0 stands for 1),
+# zeta(2) in the (2,3) row already rewritten as pi^2/6
+O_TABLE_COMBOS = {
+    (2, 3): [("31/64", 0, 5), ("3/64", 2, 3)],
+    (3, 4): [("1/128", 4, 3), ("-5/128", 2, 5), ("127/256", 0, 7)],
+    (4, 5): [("5/3072", 4, 5), ("105/3072", 2, 7), ("511/1024", 0, 9)],
+    (5, 6): [("1/1024", 6, 5), ("-7/4096", 4, 7), ("-63/2048", 2, 9), ("2047/4096", 0, 11)],
+    (6, 7): [("7/122880", 6, 7), ("7/4096", 4, 9), ("231/8192", 2, 11), ("8191/16384", 0, 13)],
+}
 
 
 def odd_O_series(

@@ -40,7 +40,7 @@ from multizeta.quadrature import (
     t_kernel_quad,
 )
 from multizeta.series import _words_value, central_binomial_sum, nested_value
-from multizeta.symbolic import O_TABLE_PRIMARY, Formula, FormulaId, build, weight_check
+from multizeta.symbolic import Formula, FormulaId, build, weight_check
 from oracles import _triple_nonstrict_sum, kernel_words
 from multizeta.wseries import (
     TruncatedSeries,
@@ -332,7 +332,7 @@ def test_criterion_09_ones_tail_conjecture():
 def test_criterion_10_o43_discrimination():
     with mp.workdps(WD):
         s = nested_value("oddsum", ("O", 4, 3), 50)
-        table = evaluate(FormulaId(Formula.O_TABLE, (4, 3)), 50)
+        table = evaluate(FormulaId(Formula.O_ODD, (4, 3)), 50)
         combined = bounds(s, table)
         good = ref([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
         bad = ref([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
@@ -405,8 +405,7 @@ def test_criterion_11_structural_properties():
         + [(FormulaId(Formula.E211, (N,)), N + 1) for N in range(1, 7)]
         + [(FormulaId(Formula.O_DIAG, (q,)), 2 * q) for q in range(2, 6)]
         + [(FormulaId(Formula.B_DIAG, (q,)), 2 * q) for q in range(2, 6)]
-        + [(FormulaId(Formula.O_TABLE, pq), sum(pq)) for pq in sorted(O_TABLE_PRIMARY)]
-        + [(FormulaId(Formula.O_TABLE, (q, p)), p + q) for p, q in sorted(O_TABLE_PRIMARY)]
+        + [(FormulaId(Formula.O_ODD, (p, w - p)), w) for w in range(5, 16, 2) for p in range(2, w - 1)]
         + [(FormulaId(Formula.B23), 5), (FormulaId(Formula.B_REFLECT, (2, 3)), 5)]
         + [(FormulaId(Formula.HOFFMAN_T, (d,)), 2 * d + 1) for d in (1, 2, 3)]
         + [(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 2 * N + 1) for N in range(1, 6)]

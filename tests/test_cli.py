@@ -19,7 +19,8 @@ from multizeta import cli, closed, quadrature, routes, series
 from multizeta.cli import Request, main, run
 from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
-from multizeta.symbolic import O_TABLE_PRIMARY
+
+from oracles import O_TABLE_COMBOS
 
 SCHEMA_KEYS = [
     "quantity",
@@ -109,6 +110,21 @@ def test_json_all_routes(capsys):
     for entry in payload["routes"]:
         assert list(entry.keys()) == SCHEMA_KEYS
     assert payload["agreement"] is True
+
+
+def test_every_odd_weight_o_has_a_closed_route(capsys):
+    # O(2,5) was no typed row: the parity theorem gives it every route
+    code, out, _ = run_cli(
+        capsys, "oddsum", "O", "2", "5", "--method", "all", "--prec", "30", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [e["method"] for e in payload["routes"]] == ["closed", "series", "quadrature", "symbolic"]
+    assert payload["agreement"] is True
+    # an even weight has none
+    code, _, err = run_cli(capsys, "oddsum", "O", "2", "4", "--method", "closed")
+    assert code == 2
+    assert "not available" in err
 
 
 def test_method_all_evaluates_the_shared_closed_form_once(capsys, monkeypatch):
@@ -435,6 +451,7 @@ FID_SHAPES = (
     + [("oddsum", (fam, q, q)) for fam in "OB" for q in range(2, 6)]
     + [("oddsum", ("O", p, p + 1)) for p in range(2, 7)]
     + [("oddsum", ("O", p + 1, p)) for p in range(2, 7)]
+    + [("oddsum", ("O", 2, 5)), ("oddsum", ("O", 7, 2)), ("oddsum", ("O", 3, 8))]
     + [("oddsum", ("B", 2, 3)), ("oddsum", ("B", 3, 2))]
     + [("integral", ("I", n)) for n in range(1, 7)]
 )
@@ -452,9 +469,9 @@ def test_symbolic_bound_equals_closed(prec):
 
 
 def _o_row(p, q):
-    # a primary O(p,q) table row over mpmath's constants
-    return sum(mpf(c.numerator) / c.denominator * mp.pi ** a * mp.zeta(m)
-               for c, a, m in O_TABLE_PRIMARY[(p, q)])
+    # a once-typed O(p, p+1) row over mpmath's constants
+    return sum(mpf(Fraction(c).numerator) / Fraction(c).denominator * mp.pi ** a * mp.zeta(m)
+               for c, a, m in O_TABLE_COMBOS[(p, q)])
 
 
 def _reflected_reference(fam, p, q):
@@ -465,7 +482,7 @@ def _reflected_reference(fam, p, q):
     return mp.catalan * mp.pi ** 3 / 32 + _t(5) - b23
 
 
-# the table entries built through the reflection
+# the reversed entries of the once-typed rows, and B(3,2)
 REFLECTED = [("O", p + 1, p) for p in range(2, 7)] + [("B", 3, 2)]
 
 

@@ -16,13 +16,14 @@ from multizeta.quadrature import I_quad
 from multizeta.routes import fid_for
 from multizeta.series import nested_value
 from multizeta.symbolic import (
-    O_TABLE_PRIMARY,
     Formula,
     FormulaId,
     build,
+    pi_zeta_expr,
     t_single_expr,
 )
 
+from oracles import O_TABLE_COMBOS
 from test_symbolic import ALL_FIDS
 
 REF_DPS = 80
@@ -274,15 +275,7 @@ def test_diag_validation():
             ev(Formula.B_DIAG, bad)
 
 
-O_TABLE_COMBOS = {
-    (2, 3): [("31/64", 0, 5), ("3/64", 2, 3)],
-    (3, 4): [("1/128", 4, 3), ("-5/128", 2, 5), ("127/256", 0, 7)],
-    (4, 5): [("5/3072", 4, 5), ("105/3072", 2, 7), ("511/1024", 0, 9)],
-    (5, 6): [("1/1024", 6, 5), ("-7/4096", 4, 7), ("-63/2048", 2, 9), ("2047/4096", 0, 11)],
-    (6, 7): [("7/122880", 6, 7), ("7/4096", 4, 9), ("231/8192", 2, 11), ("8191/16384", 0, 13)],
-}
-
-# frozen decimals for the derived (reflected) entries
+# frozen decimals for the reversed entries
 O_REFLECTED_REFERENCE = {
     (3, 2): "1.2437510127590558524",
     (4, 3): "1.0524665977391639948",
@@ -291,42 +284,73 @@ O_REFLECTED_REFERENCE = {
     (7, 6): "1.0014477392916257999",
 }
 
+# every p, q >= 2 with p + q odd, by weight
+ODD_WEIGHT_PAIRS = {
+    w: [(p, w - p) for p in range(2, w - 1)] for w in range(5, 22, 2)
+}
+
 
 def test_o_table_primary_entries():
     for pq, terms in O_TABLE_COMBOS.items():
-        assert err(ev(Formula.O_TABLE, *pq), combo(terms)) < mpf(10) ** -42
+        assert err(ev(Formula.O_ODD, *pq), combo(terms)) < mpf(10) ** -42
+
+
+def test_o_odd_equals_the_typed_rows_over_q():
+    # the parity theorem reproduces each once-typed row and its reflection
+    for (p, q), terms in O_TABLE_COMBOS.items():
+        row = pi_zeta_expr(terms)
+        assert build(FormulaId(Formula.O_ODD, (p, q))) == row, (p, q)
+        reflected = t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q) - row
+        assert build(FormulaId(Formula.O_ODD, (q, p))) == reflected, (q, p)
 
 
 def test_o_table_reflected_entries():
     with mp.workdps(REF_DPS):
         for pq, ref in O_REFLECTED_REFERENCE.items():
-            assert err(ev(Formula.O_TABLE, *pq), mpf(ref)) < mpf(10) ** -19
+            assert err(ev(Formula.O_ODD, *pq), mpf(ref)) < mpf(10) ** -19
 
 
 def test_o_table_reflected_is_reflection():
-    # O(p,q) + O(q,p) = O(p) O(q) + O(p+q), exactly over Q, for every pair
-    for p, q in O_TABLE_PRIMARY:
-        lhs = build(FormulaId(Formula.O_TABLE, (p, q))) + build(FormulaId(Formula.O_TABLE, (q, p)))
-        assert lhs == t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q), (p, q)
+    # O(p,q) + O(q,p) = O(p) O(q) + O(p+q), exactly over Q, up to weight 21
+    for w, pairs in ODD_WEIGHT_PAIRS.items():
+        for p, q in pairs:
+            lhs = build(FormulaId(Formula.O_ODD, (p, q))) + build(FormulaId(Formula.O_ODD, (q, p)))
+            assert lhs == t_single_expr(p) * t_single_expr(q) + t_single_expr(w), (p, q)
 
 
 def test_o_table_reflection_consistency_43():
-    # O(3,4) + O(4,3) = O(3) O(4) + O(7): the derived (4,3) entry carries the
+    # O(3,4) + O(4,3) = O(3) O(4) + O(7): the (4,3) entry carries the
     # pi^4/768 zeta(3) head coefficient
     ref = combo([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
-    assert err(ev(Formula.O_TABLE, 4, 3), ref) < mpf(10) ** -42
+    assert err(ev(Formula.O_ODD, 4, 3), ref) < mpf(10) ** -42
+
+
+@pytest.mark.parametrize("digits, pairs", [
+    (60, [pq for w in range(5, 16, 2) for pq in ODD_WEIGHT_PAIRS[w]]),
+    (1000, [(2, 13), (7, 8), (8, 7), (13, 2)]),
+], ids=["60", "1000"])
+def test_o_odd_agrees_with_the_series(digits, pairs):
+    # every odd-weight pair up to weight 15 at 60 digits; four at 1000
+    for p, q in pairs:
+        assert fid_for("oddsum", ("O", p, q)) == FormulaId(Formula.O_ODD, (p, q))
+        closed_value = ev(Formula.O_ODD, p, q, prec=digits)
+        assert closed_value.agrees_with(nested_value("oddsum", ("O", p, q), digits)), (p, q)
 
 
 def test_o_table_domain():
-    for bad in ((2, 2), (3, 3), (2, 4), (7, 2), (3, 7)):
+    # every p, q >= 2 of odd weight has a closed form, (7, 2) included
+    assert fid_for("oddsum", ("O", 7, 2)) == FormulaId(Formula.O_ODD, (7, 2))
+    assert fid_for("oddsum", ("O", 2, 4)) is None
+    for bad in ((2, 2), (3, 3), (2, 4), (1, 4), (4, 1), (3, 7)):
         with pytest.raises(ValueError):
-            ev(Formula.O_TABLE, *bad)
+            ev(Formula.O_ODD, *bad)
 
 
 def test_reflect_validation():
-    # the reflected ids exist only for the tabulated pairs
-    for name, bad in ((Formula.O_TABLE, (1, 3)), (Formula.O_TABLE, (3, 1)),
-                      (Formula.O_TABLE, (4, 2)), (Formula.O_TABLE, (2, 3, 4)),
+    # O_ODD takes two parameters >= 2 of odd sum; B_REFLECT only (2, 3)
+    for name, bad in ((Formula.O_ODD, (1, 2)), (Formula.O_ODD, (2, 1)),
+                      (Formula.O_ODD, (4, 2)), (Formula.O_ODD, (2, 3, 4)),
+                      (Formula.O_ODD, (5,)), (Formula.O_ODD, ()),
                       (Formula.B_REFLECT, (2, 1)), (Formula.B_REFLECT, (3, 2)),
                       (Formula.B_REFLECT, ())):
         with pytest.raises(ValueError):
@@ -414,7 +438,8 @@ def test_zeta311_value():
 def test_formula_id_validation():
     FormulaId(Formula.I_CLOSED, (3,))
     FormulaId(Formula.Z322, (0,))
-    FormulaId(Formula.O_TABLE, (3, 2))
+    FormulaId(Formula.O_ODD, (3, 2))
+    FormulaId(Formula.O_ODD, (7, 2))
     FormulaId(Formula.HOFFMAN_T, (2,))
     FormulaId(Formula.B23)
     with pytest.raises(ValueError):
@@ -426,13 +451,21 @@ def test_formula_id_validation():
     with pytest.raises(ValueError):
         FormulaId(Formula.O_DIAG, (1,))
     with pytest.raises(ValueError):
-        FormulaId(Formula.O_TABLE, (2, 4))
+        FormulaId(Formula.O_ODD, (2, 4))
     with pytest.raises(ValueError):
         FormulaId(Formula.B_REFLECT, (3, 4))
     with pytest.raises(ValueError):
         FormulaId(Formula.HOFFMAN_T, (4,))
     with pytest.raises(ValueError):
         FormulaId(Formula.ZETA311, (1,))
+
+
+def test_formula_id_stores_params_as_a_tuple():
+    # a list validates like its tuple, so it must hash and compare like it
+    listed = FormulaId(Formula.I_CLOSED, [3])
+    assert listed.params == (3,)
+    assert listed == FormulaId(Formula.I_CLOSED, (3,))
+    assert evaluate(listed, 30) is evaluate(FormulaId(Formula.I_CLOSED, (3,)), 30)
 
 
 def test_evaluate_dispatch_matches_direct():

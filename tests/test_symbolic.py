@@ -74,8 +74,8 @@ def test_one_table_row_per_formula():
     assert set(_FORMS) == set(Formula)
     with pytest.raises(ValueError, match=r"Z322 takes one parameter N >= 0, got \(-1,\)"):
         FormulaId(Formula.Z322, [-1])
-    with pytest.raises(ValueError, match=r"OTable takes a tabulated pair .* got \(2, 2\)"):
-        FormulaId(Formula.O_TABLE, (2, 2))
+    with pytest.raises(ValueError, match=r"OOdd takes two parameters p, q >= 2 with p \+ q odd, got \(2, 2\)"):
+        FormulaId(Formula.O_ODD, (2, 2))
 
 
 def test_even_zeta_rationals():
@@ -230,7 +230,7 @@ def test_build_diagonals():
 
 
 def test_build_table_and_reflection():
-    e = build(FormulaId(Formula.O_TABLE, (4, 3)))
+    e = build(FormulaId(Formula.O_ODD, (4, 3)))
     assert e.coefficient_of((PI, 4), (zeta_odd(3), 1)) == Fraction(1, 768)
     assert e.coefficient_of((PI, 2), (zeta_odd(5), 1)) == Fraction(5, 128)
     assert e.coefficient_of((zeta_odd(7), 1)) == Fraction(127, 256)
@@ -264,8 +264,9 @@ def test_build_homogeneity():
         (FormulaId(Formula.E211, (5,)), 6),
         (FormulaId(Formula.O_DIAG, (4,)), 8),
         (FormulaId(Formula.B_DIAG, (2,)), 4),
-        (FormulaId(Formula.O_TABLE, (5, 6)), 11),
-        (FormulaId(Formula.O_TABLE, (3, 2)), 5),
+        (FormulaId(Formula.O_ODD, (5, 6)), 11),
+        (FormulaId(Formula.O_ODD, (3, 2)), 5),
+        (FormulaId(Formula.O_ODD, (2, 13)), 15),
         (FormulaId(Formula.B_REFLECT, (2, 3)), 5),
         (FormulaId(Formula.B23, ()), 5),
         (FormulaId(Formula.T2S1_CONJECTURE, (2,)), 5),
@@ -337,9 +338,9 @@ ALL_FIDS = [
     FormulaId(Formula.E211, (4,)),
     FormulaId(Formula.O_DIAG, (3,)),
     FormulaId(Formula.B_DIAG, (2,)),
-    FormulaId(Formula.O_TABLE, (2, 3)),
+    FormulaId(Formula.O_ODD, (2, 3)),
     FormulaId(Formula.B_REFLECT, (2, 3)),
-    FormulaId(Formula.O_TABLE, (5, 4)),
+    FormulaId(Formula.O_ODD, (5, 4)),
     FormulaId(Formula.B23, ()),
     FormulaId(Formula.T2S1_CONJECTURE, (3,)),
     FormulaId(Formula.HOFFMAN_T, (3,)),

@@ -15,8 +15,8 @@ from it by the W-operator argument:
   zeta(3,{2}^N) = 2 [sum_(j=1..N) (-1)^(j+1) (2j) pi^(2N+2-2j) eta(2j+1)/(2N+3-2j)!
                - (-1)^N (1 - (1 - 2^(-2N-2)) (2N+2)) zeta(2N+3)]
 
-Each formula, the odd Euler sums O(p,q) of every odd weight (derived from
-one parity theorem) and B(3,2) = beta(2) beta(3) + t(5) - B(2,3) included,
+Each formula, the odd Euler sums O(p,q) and B(p,q) on the diagonal and of
+every odd weight (derived from one parity theorem per family) included,
 is written once, as an exact expression in symbolic.build(); evaluate()
 evaluates that expression through hp.combine(), the package's one
 bound-propagation rule, and every result is rigorous=True.

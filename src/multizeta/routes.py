@@ -68,18 +68,8 @@ def fid_for(quantity: str, params):
             return FormulaId(Formula.E211, (n + 1,))
     elif quantity == "oddsum":
         fam, a, b = p
-        if fam == "O":
-            if a == b and a >= 2:
-                return FormulaId(Formula.O_DIAG, (a,))
-            if min(a, b) >= 2 and (a + b) % 2:
-                return FormulaId(Formula.O_ODD, (a, b))
-        else:
-            if a == b and a >= 2:
-                return FormulaId(Formula.B_DIAG, (a,))
-            if (a, b) == (2, 3):
-                return FormulaId(Formula.B23)
-            if (a, b) == (3, 2):
-                return FormulaId(Formula.B_REFLECT, (2, 3))
+        if min(a, b) >= 2 and (a == b or (a + b) % 2):
+            return FormulaId(Formula.O_SUM if fam == "O" else Formula.B_SUM, (a, b))
     elif quantity == "integral":
         kind, n = p
         if kind == "I" and isinstance(n, int) and n >= 1:

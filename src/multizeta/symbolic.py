@@ -17,8 +17,9 @@ zeta(3,{2}^N).
 
 build() is the only definition of each closed form in the package, one row
 of _FORMS per Formula; closed.evaluate() evaluates what it returns.  No
-coefficient of an odd Euler sum O(p,q) is typed: every odd weight p + q is
-built from the parity theorem of _build_o_odd.
+coefficient of an odd Euler sum O(p,q) or B(p,q) is typed: both families,
+the diagonal p = q and every odd weight p + q, are built by _build_odd from
+the reflection and one parity theorem.
 t(3,{2}^N) and zeta(3,{2}^N) are derived twice, from the eta/zeta summation
 form and from the arcsin-integral combination, and build() raises
 RuntimeError unless the two expressions are equal over Q -- a transcription
@@ -36,6 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .hp import (
     EvalResult,
@@ -75,11 +77,8 @@ class Formula(Enum):
     T322 = "T322"
     Z322 = "Z322"
     E211 = "E211"
-    O_DIAG = "ODiag"
-    B_DIAG = "BDiag"
-    B_REFLECT = "BReflect"
-    O_ODD = "OOdd"
-    B23 = "B23"
+    O_SUM = "OSum"
+    B_SUM = "BSum"
     T2S1_CONJECTURE = "T2s1Conjecture"
     HOFFMAN_T = "HoffmanT"
     ZETA311 = "Zeta311"
@@ -430,47 +429,46 @@ def pi_zeta_expr(terms) -> SymbolicExpr:
     return acc
 
 
-def _diagonal(q: int, single: SymbolicExpr) -> SymbolicExpr:
-    """((1 - 4^-q) zeta(2q) + single^2)/2: O(q,q) for t(q), B(q,q) for beta(q)."""
-    return (_zeta_expr(2 * q).scale(1 - Fraction(1, 4 ** q)) + single * single).scale(Fraction(1, 2))
+def _build_odd(alternating: bool, p: int, q: int) -> SymbolicExpr:
+    """The odd Euler sums, for p, q >= 2 with p = q or w = p + q odd:
 
+      O(p,q) = sum_(n>=1) (2n-1)^(-q) sum_(k<=n) (2k-1)^(-p),
+      B(p,q) = sum_(n>=1) (-1)^(n-1) (2n-1)^(-q) sum_(k<=n) (-1)^(k-1) (2k-1)^(-p).
 
-def _build_o_odd(p: int, q: int) -> SymbolicExpr:
-    """O(p,q) = sum_(n>=1) (2n-1)^(-q) sum_(k<=n) (2k-1)^(-p) for odd w = p + q:
+    With c = t, L = zeta, s = p for O and c = beta, L = eta, s = q for B,
 
-      O(p,q) = t(w)/2 + [p odd] t(p) t(q) + (-1)^p sum_(k=1..(w-3)/2)
-               [C(w-2k-1, p-1) + C(w-2k-1, q-1)] 2^(-(w-2k)) t(2k) zeta(w-2k).
+      X(q,q) = (t(2q) + c(q)^2)/2,
+      X(p,q) = t(w)/2 + [s odd] c(p) c(q) + (-1)^s sum_(k=1..(w-3)/2)
+               [C(w-2k-1, p-1) + C(w-2k-1, q-1)] 2^(-(w-2k)) t(2k) L(w-2k).
 
-    The odd-denominator twin of Euler's parity theorem, by the residue
-    lemma of Flajolet and Salvy ("Euler sums and contour integral
-    representations", Experiment. Math. 7 (1998)): the residues of
-    s^(-q) xi(s), xi(s) = (pi/2) tan(pi s/2) sum_(j>=0) (s+2j)^(-p), sum
-    to zero.  (pi/2) tan(pi s/2) has residue -1 at every odd integer, so
-    those poles give O(p,q) - O(q,p) - (-1)^q t(p) t(q), that is
-    2 O(p,q) - t(w) - (1 - (-1)^p) t(p) t(q) by the reflection
-    O(p,q) + O(q,p) = t(p) t(q) + t(w).  At 0 and at -2, -4, ... the zero
-    of tan leaves Taylor coefficients, (pi/2) tan(pi u/2) =
-    sum_k 2 t(2k) u^(2k-1) against sum_(j>=1) (2j)^(-n) = 2^(-n) zeta(n):
-    0 gives the C(w-2k-1, p-1) terms, the negative even integers the
-    C(w-2k-1, q-1) terms, each times 2 (-1)^q.
+    The diagonal is the reflection X(p,q) + X(q,p) = c(p) c(q) + t(w) at
+    p = q.  The odd weights are the odd-denominator twins of Euler's parity
+    theorem, by the residue lemma of Flajolet and Salvy ("Euler sums and
+    contour integral representations", Experiment. Math. 7 (1998)): the
+    residues of s^(-q) xi(s), xi(s) = (pi/2) tan(pi s/2) sum_(j>=0) e^j
+    (s+2j)^(-p) with e = 1 for O and -1 for B, sum to zero.
+    (pi/2) tan(pi s/2) has residue -1 at every odd integer: the positive
+    ones give -X(q,p), the negative ones X(p,q) - e (-1)^q c(p) c(q), and by
+    the reflection the two sum to 2 X(p,q) - t(w) - (1 + e (-1)^q) c(p) c(q).
+    At 0 and at -2, -4, ... the zero of tan leaves Taylor coefficients,
+    (pi/2) tan(pi u/2) = sum_k 2 t(2k) u^(2k-1), against
+    sum_(j>=1) e^j (2j)^(-n) = e 2^(-n) L(n): 0 gives the C(w-2k-1, p-1)
+    terms (its j = 0 term none, w being odd), the negative even integers
+    the C(w-2k-1, q-1) terms, each times 2 e (-1)^q.  For odd w, (1 + e (-1)^q)/2 = [s odd] and -e (-1)^q = (-1)^s.
     """
+    # looked up when called, so a wrapper rebound in this module sees them
+    single, tail, s = (_beta_expr, _eta_expr, q) if alternating else (t_single_expr, _zeta_expr, p)
+    if p == q:
+        return (t_single_expr(2 * q) + single(q) * single(q)).scale(Fraction(1, 2))
     w = p + q
     acc = t_single_expr(w).scale(Fraction(1, 2))
-    if p % 2:
-        acc = acc + t_single_expr(p) * t_single_expr(q)
+    if s % 2:
+        acc = acc + single(p) * single(q)
     for k in range(1, (w - 1) // 2):
         n = w - 2 * k
-        c = Fraction((-1) ** p * (math.comb(n - 1, p - 1) + math.comb(n - 1, q - 1)), 2 ** n)
-        acc = acc + (t_single_expr(2 * k) * _zeta_expr(n)).scale(c)
+        c = Fraction((-1) ** s * (math.comb(n - 1, p - 1) + math.comb(n - 1, q - 1)), 2 ** n)
+        acc = acc + (t_single_expr(2 * k) * tail(n)).scale(c)
     return acc
-
-
-def _build_b23() -> SymbolicExpr:
-    return (
-        SymbolicExpr.atom(zeta_odd(5), coeff=Fraction(31, 64))
-        + (SymbolicExpr.atom(PI, 2) * SymbolicExpr.atom(zeta_odd(3))).scale(Fraction(-9, 256))
-        + (SymbolicExpr.atom(PI, 3) * _beta_expr(2)).scale(Fraction(1, 32))
-    )
 
 
 def _build_hoffman(depth: int) -> SymbolicExpr:
@@ -490,6 +488,14 @@ def _one(low: int, name: str = "N") -> tuple:
     return (lambda params: len(params) == 1 and params[0] >= low), f"one parameter {name} >= {low}"
 
 
+# the parameter test and its rule for both odd-sum families
+_ODD_PAIR = (
+    lambda params: len(params) == 2 and min(params) >= 2
+    and (params[0] == params[1] or sum(params) % 2 == 1),
+    "two parameters p, q >= 2 with p = q or p + q odd",
+)
+
+
 # Formula -> (parameter test, its rule in words, builder of the parameters).
 # A row calls the hp constants and this module's public functions by name
 # when it runs, never through a stored reference, so that a wrapper rebound
@@ -499,18 +505,8 @@ _FORMS = {
     Formula.T322: (*_one(1), _build_t322),
     Formula.Z322: (*_one(0), _build_z322),
     Formula.E211: (*_one(1), lambda N: _zeta_expr(N + 1).scale(Fraction(2 ** (N + 1) - 1, 4 ** N))),
-    Formula.O_DIAG: (*_one(2, "q"), lambda q: _diagonal(q, t_single_expr(q))),
-    Formula.B_DIAG: (*_one(2, "q"), lambda q: _diagonal(q, _beta_expr(q))),
-    # B(3,2) = beta(2) beta(3) + O(5) - B(2,3); the Catalan monomials cancel
-    Formula.B_REFLECT: (
-        lambda params: params == (2, 3), "(2, 3), the only alternating pair with a closed form",
-        lambda p, q: _beta_expr(2) * _beta_expr(3) + t_single_expr(5) - _build_b23(),
-    ),
-    Formula.O_ODD: (
-        lambda params: len(params) == 2 and min(params) >= 2 and sum(params) % 2 == 1,
-        "two parameters p, q >= 2 with p + q odd", _build_o_odd,
-    ),
-    Formula.B23: (lambda params: not params, "no parameters", _build_b23),
+    Formula.O_SUM: (*_ODD_PAIR, partial(_build_odd, False)),
+    Formula.B_SUM: (*_ODD_PAIR, partial(_build_odd, True)),
     Formula.T2S1_CONJECTURE: (
         *_one(1), lambda N: _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))
     ),

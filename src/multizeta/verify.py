@@ -9,7 +9,8 @@ is one of
     route the CLI runs for that request;
   * a FormulaId, evaluated by ``closed.evaluate`` (the conjecture rows at
     N <= 3, whose formula no CLI shape reaches);
-  * an exact basis expression (``pi_zeta_expr``), for the rejected variants;
+  * an exact basis expression (``pi_zeta_expr``, or a built form plus one),
+    for the rejected variants;
   * a combination ((coefficient, (side, ...)), ...), evaluated by
     ``hp.combine``.
 Each distinct side is evaluated once per run, and a lone route side is used
@@ -63,7 +64,7 @@ from mpmath import mp, mpf
 from . import closed
 from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
 from .routes import routes
-from .symbolic import Formula, FormulaId, SymbolicExpr, eval_symbolic, pi_zeta_expr
+from .symbolic import Formula, FormulaId, SymbolicExpr, build, eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
 
 __all__ = ["Check", "VerifyReport", "run_suite", "SUITES"]
@@ -281,7 +282,8 @@ _PAPER_ROWS = (
     # adjudication: the O(4,3) table head coefficient
     ("18-o43-table", "O(4,3) series vs table entry with pi^4/768 zeta(3)", _O43_SERIES, _O43),
     ("19-o43-variant", "rejected pi^4/728 zeta(3) variant misses by >100x the combined bounds",
-     _O43_SERIES, pi_zeta_expr([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)]),
+     _O43_SERIES,  # the derived O(4,3) with its pi^4/768 head swapped for pi^4/728
+     build(FormulaId(Formula.O_SUM, (4, 3))) + pi_zeta_expr([("1/728", 4, 3), ("-1/768", 4, 3)]),
      (100, _O43_SERIES, _O43), "separate"),
     # zeta(3,1,1) and its non-strict triple-sum decomposition
     ("20-zeta311-series", "zeta(3,1,1) = 2 zeta(5) - zeta(2) zeta(3) vs nested series",

@@ -20,8 +20,8 @@ integer accumulator and the shared fills; the kernels must lie within
 |total| 10^(1-wd) of them.
 
 ``O_TABLE_COMBOS`` keeps the five hand-typed rows O(p, p+1), p = 2..6, that
-the odd Euler sums were once read from; the derived closed forms must equal
-them over Q.
+the odd Euler sums were once read from, and ``B23_TERMS`` the one typed
+alternating row B(2,3); the derived closed forms must equal them over Q.
 
 ``kernel_words`` writes the log-polylog integrals behind ``kernel_pair`` as
 words of the iterated-integral engine of ``multizeta.series``, whose proved
@@ -338,6 +338,9 @@ O_TABLE_COMBOS = {
     (5, 6): [("1/1024", 6, 5), ("-7/4096", 4, 7), ("-63/2048", 2, 9), ("2047/4096", 0, 11)],
     (6, 7): [("7/122880", 6, 7), ("7/4096", 4, 9), ("231/8192", 2, 11), ("8191/16384", 0, 13)],
 }
+
+# B(2,3) as the same kind of terms, -2 standing for beta(2) (Catalan's constant)
+B23_TERMS = [("31/64", 0, 5), ("-9/256", 2, 3), ("1/32", 3, -2)]
 
 
 def odd_O_series(

@@ -204,9 +204,9 @@ def test_criterion_05_reflection_laws():
                 rhs = bp.value.magnitude * bq.value.magnitude + ts.value.magnitude
                 assert abs(lhs - rhs) < bounds(b[p, q], b[q, p], bp, bq, ts) + mpf(10) ** -40
 
-        diag = evaluate(FormulaId(Formula.O_DIAG, (2,)), 50)
+        diag = evaluate(FormulaId(Formula.O_SUM, (2, 2)), 50)
         assert gap(diag, ref([(Fraction(5, 384), 4, 0)])) < mpf(10) ** -30
-        diag = evaluate(FormulaId(Formula.B_DIAG, (3,)), 50)
+        diag = evaluate(FormulaId(Formula.B_SUM, (3, 3)), 50)
         assert gap(diag, ref([(Fraction(31, 30720), 6, 0)])) < mpf(10) ** -30
     announce(5, "O and B reflection laws on the full 2..6 grid plus diagonals")
 
@@ -220,7 +220,7 @@ def test_criterion_05_reflection_laws():
 )
 def test_criterion_05_b33_circulated_decimal():
     with mp.workdps(WD):
-        diag = evaluate(FormulaId(Formula.B_DIAG, (3,)), 50)
+        diag = evaluate(FormulaId(Formula.B_SUM, (3, 3)), 50)
         assert gap(diag, ref([(Fraction(1937, 1935360), 6, 0)])) < mpf(10) ** -30
 
 
@@ -256,7 +256,7 @@ def test_criterion_06_kernel_representations():
 
 def test_criterion_07_b23_and_alternating_harmonic_sums():
     with mp.workdps(WD):
-        bc = evaluate(FormulaId(Formula.B23), 50)
+        bc = evaluate(FormulaId(Formula.B_SUM, (2, 3)), 50)
         bs = nested_value("oddsum", ("B", 2, 3), 50)
         assert gap(bc, bs) < bounds(bc, bs)
         # forms in pi^2 zeta(3), zeta(5), pi^5 and pi psi_3(1/4)
@@ -332,7 +332,7 @@ def test_criterion_09_ones_tail_conjecture():
 def test_criterion_10_o43_discrimination():
     with mp.workdps(WD):
         s = nested_value("oddsum", ("O", 4, 3), 50)
-        table = evaluate(FormulaId(Formula.O_ODD, (4, 3)), 50)
+        table = evaluate(FormulaId(Formula.O_SUM, (4, 3)), 50)
         combined = bounds(s, table)
         good = ref([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
         bad = ref([("1/728", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
@@ -398,15 +398,14 @@ def test_criterion_11_structural_properties():
                 assert h_coeff(N, k + 1) - h_coeff(N, k) == h_coeff(N - 1, k) / (2 * k) ** 2
 
     # (c) weight homogeneity of every symbolic build
+    odd_sums = (Formula.O_SUM, Formula.B_SUM)
     fids = (
         [(FormulaId(Formula.I_CLOSED, (N,)), N + 1) for N in range(1, 7)]
         + [(FormulaId(Formula.T322, (N,)), 2 * N + 3) for N in range(1, 5)]
         + [(FormulaId(Formula.Z322, (N,)), 2 * N + 3) for N in range(0, 5)]
         + [(FormulaId(Formula.E211, (N,)), N + 1) for N in range(1, 7)]
-        + [(FormulaId(Formula.O_DIAG, (q,)), 2 * q) for q in range(2, 6)]
-        + [(FormulaId(Formula.B_DIAG, (q,)), 2 * q) for q in range(2, 6)]
-        + [(FormulaId(Formula.O_ODD, (p, w - p)), w) for w in range(5, 16, 2) for p in range(2, w - 1)]
-        + [(FormulaId(Formula.B23), 5), (FormulaId(Formula.B_REFLECT, (2, 3)), 5)]
+        + [(FormulaId(fam, (q, q)), 2 * q) for fam in odd_sums for q in range(2, 6)]
+        + [(FormulaId(fam, (p, w - p)), w) for fam in odd_sums for w in range(5, 16, 2) for p in range(2, w - 1)]
         + [(FormulaId(Formula.HOFFMAN_T, (d,)), 2 * d + 1) for d in (1, 2, 3)]
         + [(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 2 * N + 1) for N in range(1, 6)]
         + [(FormulaId(Formula.ZETA311), 5)]

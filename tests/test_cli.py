@@ -20,7 +20,7 @@ from multizeta.cli import Request, main, run
 from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
 
-from oracles import O_TABLE_COMBOS
+from oracles import B23_TERMS, O_TABLE_COMBOS
 
 SCHEMA_KEYS = [
     "quantity",
@@ -112,17 +112,18 @@ def test_json_all_routes(capsys):
     assert payload["agreement"] is True
 
 
-def test_every_odd_weight_o_has_a_closed_route(capsys):
-    # O(2,5) was no typed row: the parity theorem gives it every route
+@pytest.mark.parametrize("fam", ["O", "B"])
+def test_every_odd_weight_o_has_a_closed_route(capsys, fam):
+    # (2,5) was no typed row in either family: the parity theorem gives it every route
     code, out, _ = run_cli(
-        capsys, "oddsum", "O", "2", "5", "--method", "all", "--prec", "30", "--json"
+        capsys, "oddsum", fam, "2", "5", "--method", "all", "--prec", "30", "--json"
     )
     assert code == 0
     payload = json.loads(out)
     assert [e["method"] for e in payload["routes"]] == ["closed", "series", "quadrature", "symbolic"]
     assert payload["agreement"] is True
     # an even weight has none
-    code, _, err = run_cli(capsys, "oddsum", "O", "2", "4", "--method", "closed")
+    code, _, err = run_cli(capsys, "oddsum", fam, "2", "4", "--method", "closed")
     assert code == 2
     assert "not available" in err
 
@@ -453,6 +454,7 @@ FID_SHAPES = (
     + [("oddsum", ("O", p + 1, p)) for p in range(2, 7)]
     + [("oddsum", ("O", 2, 5)), ("oddsum", ("O", 7, 2)), ("oddsum", ("O", 3, 8))]
     + [("oddsum", ("B", 2, 3)), ("oddsum", ("B", 3, 2))]
+    + [("oddsum", ("B", 2, 5)), ("oddsum", ("B", 5, 2)), ("oddsum", ("B", 3, 8))]
     + [("integral", ("I", n)) for n in range(1, 7)]
 )
 
@@ -468,18 +470,17 @@ def test_symbolic_bound_equals_closed(prec):
         assert symbolic.error_bound.magnitude == closed.error_bound.magnitude, (quantity, params)
 
 
-def _o_row(p, q):
-    # a once-typed O(p, p+1) row over mpmath's constants
-    return sum(mpf(Fraction(c).numerator) / Fraction(c).denominator * mp.pi ** a * mp.zeta(m)
-               for c, a, m in O_TABLE_COMBOS[(p, q)])
+def _typed_row(terms):
+    # a once-typed row over mpmath's constants; -2 stands for Catalan's constant
+    return sum(mpf(Fraction(c).numerator) / Fraction(c).denominator * mp.pi ** a
+               * (mp.catalan if m == -2 else mp.zeta(m)) for c, a, m in terms)
 
 
 def _reflected_reference(fam, p, q):
     # O(p,q) = O(p) O(q) + O(p+q) - O(q,p);  B(3,2) = beta(2) beta(3) + O(5) - B(2,3)
     if fam == "O":
-        return _t(p) * _t(q) + _t(p + q) - _o_row(q, p)
-    b23 = mpf(31) / 64 * mp.zeta(5) - 9 * mp.pi ** 2 / 256 * mp.zeta(3) + mp.catalan * mp.pi ** 3 / 32
-    return mp.catalan * mp.pi ** 3 / 32 + _t(5) - b23
+        return _t(p) * _t(q) + _t(p + q) - _typed_row(O_TABLE_COMBOS[(q, p)])
+    return mp.catalan * mp.pi ** 3 / 32 + _t(5) - _typed_row(B23_TERMS)
 
 
 # the reversed entries of the once-typed rows, and B(3,2)

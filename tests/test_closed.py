@@ -16,15 +16,17 @@ from multizeta.quadrature import I_quad
 from multizeta.routes import fid_for
 from multizeta.series import nested_value
 from multizeta.symbolic import (
+    PI,
     Formula,
     FormulaId,
+    SymbolicExpr,
     build,
     pi_zeta_expr,
     t_single_expr,
 )
 
-from oracles import O_TABLE_COMBOS
-from test_symbolic import ALL_FIDS
+from oracles import B23_TERMS, O_TABLE_COMBOS
+from test_symbolic import ALL_FIDS, beta_expr
 
 REF_DPS = 80
 
@@ -43,6 +45,17 @@ def combo(terms):
                 t *= mp.zeta(m)
             total += t
         return total
+
+
+def exact(terms):
+    """combo's terms, without log 2, as an exact basis expression."""
+    acc = SymbolicExpr.zero()
+    for c, a, m in terms:
+        if m == -2:
+            acc = acc + SymbolicExpr.atom(PI, a, Fraction(c)) * beta_expr(2)
+        else:
+            acc = acc + pi_zeta_expr([(c, a, m)])
+    return acc
 
 
 def ev(name, *params, prec=50):
@@ -243,12 +256,12 @@ def test_mu_closed_validation():
 
 
 # ---------------------------------------------------------------------------
-# odd Euler sums: diagonals, table, reflections
+# odd Euler sums: diagonals, parity theorems, reflections
 # ---------------------------------------------------------------------------
 
 
 def test_o_diag_weight_four():
-    assert err(ev(Formula.O_DIAG, 2), combo([("5/384", 4, 0)])) < mpf(10) ** -42
+    assert err(ev(Formula.O_SUM, 2, 2), combo([("5/384", 4, 0)])) < mpf(10) ** -42
 
 
 def test_o_diag_general():
@@ -256,23 +269,22 @@ def test_o_diag_general():
         for q in (2, 3, 4, 6):
             ref = ((1 - mpf(2) ** (-2 * q)) * mp.zeta(2 * q)
                    + ((1 - mpf(2) ** -q) * mp.zeta(q)) ** 2) / 2
-            assert err(ev(Formula.O_DIAG, q), ref) < mpf(10) ** -42
+            assert err(ev(Formula.O_SUM, q, q), ref) < mpf(10) ** -42
 
 
 def test_b_diag_closed_forms():
     # B(2,2) = 15/512 pi^4/... use the formula directly; B(3,3) = 31 pi^6/30720
     with mp.workdps(REF_DPS):
         ref22 = ((1 - mpf(2) ** -4) * mp.zeta(4) + mp.catalan ** 2) / 2
-        assert err(ev(Formula.B_DIAG, 2), ref22) < mpf(10) ** -42
-    assert err(ev(Formula.B_DIAG, 3), combo([("31/30720", 6, 0)])) < mpf(10) ** -42
+        assert err(ev(Formula.B_SUM, 2, 2), ref22) < mpf(10) ** -42
+    assert err(ev(Formula.B_SUM, 3, 3), combo([("31/30720", 6, 0)])) < mpf(10) ** -42
 
 
 def test_diag_validation():
     for bad in (1, 0, -2):
-        with pytest.raises(ValueError):
-            ev(Formula.O_DIAG, bad)
-        with pytest.raises(ValueError):
-            ev(Formula.B_DIAG, bad)
+        for fam in (Formula.O_SUM, Formula.B_SUM):
+            with pytest.raises(ValueError):
+                ev(fam, bad, bad)
 
 
 # frozen decimals for the reversed entries
@@ -292,84 +304,88 @@ ODD_WEIGHT_PAIRS = {
 
 def test_o_table_primary_entries():
     for pq, terms in O_TABLE_COMBOS.items():
-        assert err(ev(Formula.O_ODD, *pq), combo(terms)) < mpf(10) ** -42
+        assert err(ev(Formula.O_SUM, *pq), combo(terms)) < mpf(10) ** -42
 
 
 def test_o_odd_equals_the_typed_rows_over_q():
     # the parity theorem reproduces each once-typed row and its reflection
     for (p, q), terms in O_TABLE_COMBOS.items():
         row = pi_zeta_expr(terms)
-        assert build(FormulaId(Formula.O_ODD, (p, q))) == row, (p, q)
+        assert build(FormulaId(Formula.O_SUM, (p, q))) == row, (p, q)
         reflected = t_single_expr(p) * t_single_expr(q) + t_single_expr(p + q) - row
-        assert build(FormulaId(Formula.O_ODD, (q, p))) == reflected, (q, p)
+        assert build(FormulaId(Formula.O_SUM, (q, p))) == reflected, (q, p)
 
 
 def test_o_table_reflected_entries():
     with mp.workdps(REF_DPS):
         for pq, ref in O_REFLECTED_REFERENCE.items():
-            assert err(ev(Formula.O_ODD, *pq), mpf(ref)) < mpf(10) ** -19
+            assert err(ev(Formula.O_SUM, *pq), mpf(ref)) < mpf(10) ** -19
 
 
 def test_o_table_reflected_is_reflection():
-    # O(p,q) + O(q,p) = O(p) O(q) + O(p+q), exactly over Q, up to weight 21
-    for w, pairs in ODD_WEIGHT_PAIRS.items():
-        for p, q in pairs:
-            lhs = build(FormulaId(Formula.O_ODD, (p, q))) + build(FormulaId(Formula.O_ODD, (q, p)))
-            assert lhs == t_single_expr(p) * t_single_expr(q) + t_single_expr(w), (p, q)
+    # X(p,q) + X(q,p) = c(p) c(q) + t(p+q), exactly over Q, up to weight 21,
+    # with c = t for O and beta for B
+    for fam, c in ((Formula.O_SUM, t_single_expr), (Formula.B_SUM, beta_expr)):
+        for w, pairs in ODD_WEIGHT_PAIRS.items():
+            for p, q in pairs:
+                lhs = build(FormulaId(fam, (p, q))) + build(FormulaId(fam, (q, p)))
+                assert lhs == c(p) * c(q) + t_single_expr(w), (fam, p, q)
 
 
 def test_o_table_reflection_consistency_43():
     # O(3,4) + O(4,3) = O(3) O(4) + O(7): the (4,3) entry carries the
     # pi^4/768 zeta(3) head coefficient
     ref = combo([("1/768", 4, 3), ("5/128", 2, 5), ("127/256", 0, 7)])
-    assert err(ev(Formula.O_ODD, 4, 3), ref) < mpf(10) ** -42
+    assert err(ev(Formula.O_SUM, 4, 3), ref) < mpf(10) ** -42
 
 
 @pytest.mark.parametrize("digits, pairs", [
     (60, [pq for w in range(5, 16, 2) for pq in ODD_WEIGHT_PAIRS[w]]),
-    (1000, [(2, 13), (7, 8), (8, 7), (13, 2)]),
+    (1000, [(2, 13), (7, 8), (8, 7), (13, 2), (3, 4), (4, 3)]),
 ], ids=["60", "1000"])
 def test_o_odd_agrees_with_the_series(digits, pairs):
-    # every odd-weight pair up to weight 15 at 60 digits; four at 1000
-    for p, q in pairs:
-        assert fid_for("oddsum", ("O", p, q)) == FormulaId(Formula.O_ODD, (p, q))
-        closed_value = ev(Formula.O_ODD, p, q, prec=digits)
-        assert closed_value.agrees_with(nested_value("oddsum", ("O", p, q), digits)), (p, q)
+    # both families, every odd-weight pair up to weight 15 at 60 digits; six at 1000
+    for fam, name in (("O", Formula.O_SUM), ("B", Formula.B_SUM)):
+        for p, q in pairs:
+            assert fid_for("oddsum", (fam, p, q)) == FormulaId(name, (p, q))
+            closed_value = ev(name, p, q, prec=digits)
+            assert closed_value.agrees_with(nested_value("oddsum", (fam, p, q), digits)), (fam, p, q)
 
 
 def test_o_table_domain():
-    # every p, q >= 2 of odd weight has a closed form, (7, 2) included
-    assert fid_for("oddsum", ("O", 7, 2)) == FormulaId(Formula.O_ODD, (7, 2))
-    assert fid_for("oddsum", ("O", 2, 4)) is None
-    for bad in ((2, 2), (3, 3), (2, 4), (1, 4), (4, 1), (3, 7)):
-        with pytest.raises(ValueError):
-            ev(Formula.O_ODD, *bad)
+    # every p, q >= 2 with p = q or of odd weight has a closed form, in both families
+    for fam, name in (("O", Formula.O_SUM), ("B", Formula.B_SUM)):
+        for pq in ((7, 2), (2, 2), (3, 4), (4, 3), (2, 13)):
+            assert fid_for("oddsum", (fam, *pq)) == FormulaId(name, pq)
+        for bad in ((2, 4), (1, 4), (4, 1), (3, 7), (1, 1)):
+            assert fid_for("oddsum", (fam, *bad)) is None
+            with pytest.raises(ValueError):
+                ev(name, *bad)
 
 
 def test_reflect_validation():
-    # O_ODD takes two parameters >= 2 of odd sum; B_REFLECT only (2, 3)
-    for name, bad in ((Formula.O_ODD, (1, 2)), (Formula.O_ODD, (2, 1)),
-                      (Formula.O_ODD, (4, 2)), (Formula.O_ODD, (2, 3, 4)),
-                      (Formula.O_ODD, (5,)), (Formula.O_ODD, ()),
-                      (Formula.B_REFLECT, (2, 1)), (Formula.B_REFLECT, (3, 2)),
-                      (Formula.B_REFLECT, ())):
-        with pytest.raises(ValueError):
-            FormulaId(name, bad)
+    # O_SUM and B_SUM take two parameters >= 2, equal or of odd sum
+    for name in (Formula.O_SUM, Formula.B_SUM):
+        for bad in ((1, 2), (2, 1), (4, 2), (2, 3, 4), (5,), (), (0, 0)):
+            with pytest.raises(ValueError):
+                FormulaId(name, bad)
 
 
 def test_b23_closed_value():
-    ref = combo([("31/64", 0, 5), ("-9/256", 2, 3), ("1/32", 3, -2)])
-    assert err(ev(Formula.B23), ref) < mpf(10) ** -42
+    # the once-typed row is the oracle, over Q and in value
+    assert build(FormulaId(Formula.B_SUM, (2, 3))) == exact(B23_TERMS)
+    assert err(ev(Formula.B_SUM, 2, 3), combo(B23_TERMS)) < mpf(10) ** -42
     with mp.workdps(REF_DPS):
-        assert err(ev(Formula.B23), mpf("0.97269557759092374248")) < mpf(10) ** -20
+        assert err(ev(Formula.B_SUM, 2, 3), mpf("0.97269557759092374248")) < mpf(10) ** -20
 
 
 def test_b_reflect_23():
     # B(3,2) = beta(2) beta(3) + O(5) - B(2,3)
+    reflected = beta_expr(2) * beta_expr(3) + t_single_expr(5) - exact(B23_TERMS)
+    assert build(FormulaId(Formula.B_SUM, (3, 2))) == reflected
     with mp.workdps(REF_DPS):
-        b23 = combo([("31/64", 0, 5), ("-9/256", 2, 3), ("1/32", 3, -2)])
-        ref = mp.catalan * (mp.pi ** 3 / 32) + (1 - mpf(2) ** -5) * mp.zeta(5) - b23
-    got = ev(Formula.B_REFLECT, 2, 3, prec=60)
+        ref = mp.catalan * (mp.pi ** 3 / 32) + (1 - mpf(2) ** -5) * mp.zeta(5) - combo(B23_TERMS)
+    got = ev(Formula.B_SUM, 3, 2, prec=60)
     assert err(got, ref) <= got.error_bound.magnitude
     assert got.error_bound.magnitude < mpf(10) ** -60
 
@@ -438,10 +454,11 @@ def test_zeta311_value():
 def test_formula_id_validation():
     FormulaId(Formula.I_CLOSED, (3,))
     FormulaId(Formula.Z322, (0,))
-    FormulaId(Formula.O_ODD, (3, 2))
-    FormulaId(Formula.O_ODD, (7, 2))
+    FormulaId(Formula.O_SUM, (3, 2))
+    FormulaId(Formula.O_SUM, (7, 2))
     FormulaId(Formula.HOFFMAN_T, (2,))
-    FormulaId(Formula.B23)
+    FormulaId(Formula.B_SUM, (2, 3))
+    FormulaId(Formula.B_SUM, (3, 3))
     with pytest.raises(ValueError):
         FormulaId(Formula.I_CLOSED, (0,))
     with pytest.raises(ValueError):
@@ -449,11 +466,11 @@ def test_formula_id_validation():
     with pytest.raises(ValueError):
         FormulaId(Formula.Z322, (-1,))
     with pytest.raises(ValueError):
-        FormulaId(Formula.O_DIAG, (1,))
+        FormulaId(Formula.O_SUM, (1, 1))
     with pytest.raises(ValueError):
-        FormulaId(Formula.O_ODD, (2, 4))
+        FormulaId(Formula.O_SUM, (2, 4))
     with pytest.raises(ValueError):
-        FormulaId(Formula.B_REFLECT, (3, 4))
+        FormulaId(Formula.B_SUM, (3, 5))
     with pytest.raises(ValueError):
         FormulaId(Formula.HOFFMAN_T, (4,))
     with pytest.raises(ValueError):

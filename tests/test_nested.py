@@ -85,8 +85,8 @@ MPMATH_REFS = [
 CLOSED_REFS = [
     ("zeta", (3, 2, 2), lambda d: evaluate(FormulaId(Formula.Z322, (2,)), d)),
     ("tvalue", (3, 2, 2), lambda d: evaluate(FormulaId(Formula.T322, (2,)), d)),
-    ("oddsum", ("O", 4, 3), lambda d: evaluate(FormulaId(Formula.O_ODD, (4, 3)), d)),
-    ("oddsum", ("B", 2, 3), lambda d: evaluate(FormulaId(Formula.B23), d)),
+    ("oddsum", ("O", 4, 3), lambda d: evaluate(FormulaId(Formula.O_SUM, (4, 3)), d)),
+    ("oddsum", ("B", 2, 3), lambda d: evaluate(FormulaId(Formula.B_SUM, (2, 3)), d)),
 ]
 
 

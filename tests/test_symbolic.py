@@ -74,8 +74,8 @@ def test_one_table_row_per_formula():
     assert set(_FORMS) == set(Formula)
     with pytest.raises(ValueError, match=r"Z322 takes one parameter N >= 0, got \(-1,\)"):
         FormulaId(Formula.Z322, [-1])
-    with pytest.raises(ValueError, match=r"OOdd takes two parameters p, q >= 2 with p \+ q odd, got \(2, 2\)"):
-        FormulaId(Formula.O_ODD, (2, 2))
+    with pytest.raises(ValueError, match=r"OSum takes two parameters p, q >= 2 with p = q or p \+ q odd, got \(2, 4\)"):
+        FormulaId(Formula.O_SUM, (2, 4))
 
 
 def test_even_zeta_rationals():
@@ -221,23 +221,32 @@ def test_build_arcsin_integrals():
     assert e4.coefficient_of((zeta_odd(5), 1)) == Fraction(93, 32)
 
 
+def beta_expr(m):
+    """beta(m) in the basis: a pi power for odd m, opaque for even."""
+    return SymbolicExpr.atom(PI, m, beta_odd_rational(m)) if m % 2 else SymbolicExpr.atom(beta_even(m))
+
+
 def test_build_diagonals():
-    assert build(FormulaId(Formula.O_DIAG, (2,))) == SymbolicExpr.atom(PI, 4, Fraction(5, 384))
-    assert build(FormulaId(Formula.B_DIAG, (3,))) == SymbolicExpr.atom(PI, 6, Fraction(31, 30720))
+    assert build(FormulaId(Formula.O_SUM, (2, 2))) == SymbolicExpr.atom(PI, 4, Fraction(5, 384))
+    assert build(FormulaId(Formula.B_SUM, (3, 3))) == SymbolicExpr.atom(PI, 6, Fraction(31, 30720))
     # even-beta diagonal keeps the opaque beta(2)^2 monomial
-    e = build(FormulaId(Formula.B_DIAG, (2,)))
+    e = build(FormulaId(Formula.B_SUM, (2, 2)))
     assert e.coefficient_of((beta_even(2), 2)) == Fraction(1, 2)
+    # X(q,q) = (t(2q) + c(q)^2)/2, c = t for O and beta for B
+    for q in range(2, 11):
+        for fam, c in ((Formula.O_SUM, t_single_expr(q)), (Formula.B_SUM, beta_expr(q))):
+            assert build(FormulaId(fam, (q, q))) == (t_single_expr(2 * q) + c * c).scale(Fraction(1, 2)), (fam, q)
 
 
 def test_build_table_and_reflection():
-    e = build(FormulaId(Formula.O_ODD, (4, 3)))
+    e = build(FormulaId(Formula.O_SUM, (4, 3)))
     assert e.coefficient_of((PI, 4), (zeta_odd(3), 1)) == Fraction(1, 768)
     assert e.coefficient_of((PI, 2), (zeta_odd(5), 1)) == Fraction(5, 128)
     assert e.coefficient_of((zeta_odd(7), 1)) == Fraction(127, 256)
 
 
 def test_build_b_reflect_catalan_cancels():
-    e = build(FormulaId(Formula.B_REFLECT, (2, 3)))
+    e = build(FormulaId(Formula.B_SUM, (3, 2)))
     assert canonical_text(e) == "9/256*pi^2*zeta3 + 31/64*zeta5"
     assert all(c.kind != "beta_even" for mono, _ in e.terms for c, _ in mono)
 
@@ -262,13 +271,14 @@ def test_build_homogeneity():
         (FormulaId(Formula.Z322, (4,)), 11),
         (FormulaId(Formula.I_CLOSED, (6,)), 7),
         (FormulaId(Formula.E211, (5,)), 6),
-        (FormulaId(Formula.O_DIAG, (4,)), 8),
-        (FormulaId(Formula.B_DIAG, (2,)), 4),
-        (FormulaId(Formula.O_ODD, (5, 6)), 11),
-        (FormulaId(Formula.O_ODD, (3, 2)), 5),
-        (FormulaId(Formula.O_ODD, (2, 13)), 15),
-        (FormulaId(Formula.B_REFLECT, (2, 3)), 5),
-        (FormulaId(Formula.B23, ()), 5),
+        (FormulaId(Formula.O_SUM, (4, 4)), 8),
+        (FormulaId(Formula.B_SUM, (2, 2)), 4),
+        (FormulaId(Formula.O_SUM, (5, 6)), 11),
+        (FormulaId(Formula.O_SUM, (3, 2)), 5),
+        (FormulaId(Formula.O_SUM, (2, 13)), 15),
+        (FormulaId(Formula.B_SUM, (3, 2)), 5),
+        (FormulaId(Formula.B_SUM, (2, 3)), 5),
+        (FormulaId(Formula.B_SUM, (8, 7)), 15),
         (FormulaId(Formula.T2S1_CONJECTURE, (2,)), 5),
         (FormulaId(Formula.HOFFMAN_T, (1,)), 3),
         (FormulaId(Formula.HOFFMAN_T, (2,)), 5),
@@ -336,12 +346,13 @@ ALL_FIDS = [
     FormulaId(Formula.Z322, (0,)),
     FormulaId(Formula.Z322, (2,)),
     FormulaId(Formula.E211, (4,)),
-    FormulaId(Formula.O_DIAG, (3,)),
-    FormulaId(Formula.B_DIAG, (2,)),
-    FormulaId(Formula.O_ODD, (2, 3)),
-    FormulaId(Formula.B_REFLECT, (2, 3)),
-    FormulaId(Formula.O_ODD, (5, 4)),
-    FormulaId(Formula.B23, ()),
+    FormulaId(Formula.O_SUM, (3, 3)),
+    FormulaId(Formula.B_SUM, (2, 2)),
+    FormulaId(Formula.O_SUM, (2, 3)),
+    FormulaId(Formula.B_SUM, (3, 2)),
+    FormulaId(Formula.O_SUM, (5, 4)),
+    FormulaId(Formula.B_SUM, (2, 3)),
+    FormulaId(Formula.B_SUM, (4, 3)),
     FormulaId(Formula.T2S1_CONJECTURE, (3,)),
     FormulaId(Formula.HOFFMAN_T, (3,)),
     FormulaId(Formula.ZETA311, ()),

@@ -42,7 +42,7 @@ from mpmath import mp
 
 from .hp import GUARD_DIGITS, EvalResult, coerce_prec
 from .quadrature import QuadratureNonConvergence
-from .routes import fid_for, routes
+from .routes import INTEGRAL_KINDS, fid_for, routes
 from .series import CB_KINDS
 from .symbolic import build, canonical_text, json_terms
 from .verify import SUITES, check_cutoff, run_suite
@@ -66,7 +66,6 @@ _QUANTITIES = (
 # report); no route reads it
 DEFAULT_CUTOFF = 10 ** 6
 _CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
-_INTEGRAL_KINDS = ("I", "J", "K", "logsine")
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
 
     sp = sub.add_parser("integral", help="integral family")
-    sp.add_argument("kind", choices=_INTEGRAL_KINDS)
+    sp.add_argument("kind", choices=INTEGRAL_KINDS)
     sp.add_argument("n", type=int)
     _common_flags(sp)
 

@@ -16,10 +16,11 @@ from it by the W-operator argument:
                - (-1)^N (1 - (1 - 2^(-2N-2)) (2N+2)) zeta(2N+3)]
 
 Each formula, the odd Euler sums O(p,q) and B(p,q) on the diagonal and of
-every odd weight (derived from one parity theorem per family) included,
-is written once, as an exact expression in symbolic.build(); evaluate()
-evaluates that expression through hp.combine(), the package's one
-bound-propagation rule, and every result is rigorous=True.
+every odd weight (derived from one parity theorem per family) and the
+conjectured t({2}^N,1) = I(2N)/(2N)! for every N included, is written
+once, as an exact expression in symbolic.build(); evaluate() evaluates that
+expression through hp.combine(), the package's one bound-propagation rule,
+and every result is rigorous=True.
 The closed and symbolic routes therefore print the same value and bound:
 their agreement is no independent check, the series and quadrature routes
 are.  The two nested-value theorems are also derived from the integral
@@ -39,20 +40,20 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .hp import EvalResult
-from .symbolic import Formula, FormulaId, build, eval_symbolic
+from .symbolic import FormulaId, build, eval_symbolic
 
 __all__ = ["evaluate"]
 
 
-# results kept: verify --suite all evaluates 22 distinct closed forms, and a
+# results kept: verify --suite all evaluates 19 distinct closed forms, and a
 # 119-request quad-session stream 42
 @lru_cache(maxsize=256, typed=True)
 def evaluate(fid: FormulaId, prec: int = 50) -> EvalResult:
-    """The closed form ``fid`` at ``prec`` digits; flagged conjectural for
-    the t({2}^N, 1) = I(2N)/(2N)! conjecture.
+    """The closed form ``fid`` at ``prec`` digits; flagged conjectural
+    where ``fid`` is (t({2}^N,1) = I(2N)/(2N)! for N > 3).
 
     Memoised per (fid, prec) like the quadrature kernels: the value does not
     depend on the caller's mpmath state, so a repeat returns the identical
     frozen result."""
     r = eval_symbolic(build(fid), prec)
-    return replace(r, conjectural=fid.name is Formula.T2S1_CONJECTURE)
+    return replace(r, conjectural=fid.conjectural)

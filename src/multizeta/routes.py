@@ -6,7 +6,9 @@ digits; ``fid_for(quantity, params)`` names the shape's exact closed form,
 if any.  Params are the CLI's (see ``cli.Request``).  The CLI serves these
 routes and the verification rows name them, so verify certifies what the
 CLI serves.  The quantity "valean" (a name of ``series.nested_value``) has
-a series route for verify only; the CLI does not accept it.
+a series route for verify only; the CLI does not accept it.  An unknown
+odd-sum family, integral kind or constant name raises ValueError where the
+shape is first read.
 
 Layers are called through their modules (``hp.scaled``, not ``scaled``);
 only classes, enums and constants are imported by name.  The benchmark's
@@ -24,10 +26,11 @@ from fractions import Fraction
 from . import closed, hp, quadrature, series
 from .symbolic import Formula, FormulaId
 
-__all__ = ["fid_for", "routes"]
+__all__ = ["INTEGRAL_KINDS", "fid_for", "routes"]
 
 # the families series.nested_value evaluates
 _NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum", "valean")
+INTEGRAL_KINDS = ("I", "J", "K", "logsine")
 
 
 def _head_tail_run(params, head, tail) -> int:
@@ -58,8 +61,6 @@ def fid_for(quantity: str, params):
         if (n := _head_tail_run(p, 3, 2)):
             return FormulaId(Formula.T322, (n,))
         if (n := _twos_then_one(p)):
-            if n <= 3:
-                return FormulaId(Formula.HOFFMAN_T, (n,))
             return FormulaId(Formula.T2S1_CONJECTURE, (n,))
     elif quantity == "mu":
         if p == (2,):
@@ -68,10 +69,14 @@ def fid_for(quantity: str, params):
             return FormulaId(Formula.E211, (n + 1,))
     elif quantity == "oddsum":
         fam, a, b = p
+        if fam not in ("O", "B"):
+            raise ValueError(f"odd-sum family must be 'O' or 'B', got {fam!r}")
         if min(a, b) >= 2 and (a == b or (a + b) % 2):
             return FormulaId(Formula.O_SUM if fam == "O" else Formula.B_SUM, (a, b))
     elif quantity == "integral":
         kind, n = p
+        if kind not in INTEGRAL_KINDS:
+            raise ValueError(f"integral kind must be one of {INTEGRAL_KINDS}, got {kind!r}")
         if kind == "I" and isinstance(n, int) and n >= 1:
             return FormulaId(Formula.I_CLOSED, (n,))
     return None
@@ -84,7 +89,7 @@ def routes(quantity: str, params, prec: int) -> dict:
 
     if quantity == "constants":
         name, arg = p
-        found["closed"] = {
+        constants = {
             "pi": lambda: hp.pi_const(prec),
             "log2": lambda: hp.log2_const(prec),
             "psi3_quarter": lambda: hp.psi3_quarter(prec),
@@ -92,7 +97,10 @@ def routes(quantity: str, params, prec: int) -> dict:
             "eta": lambda: hp.eta(arg, prec),
             "beta": lambda: hp.beta_fn(arg, prec),
             "t": lambda: hp.t_single(arg, prec),
-        }[name]
+        }
+        if name not in constants:
+            raise ValueError(f"constant must be one of {tuple(constants)}, got {name!r}")
+        found["closed"] = constants[name]
         return found
 
     fid = fid_for(quantity, p)
@@ -116,10 +124,10 @@ def routes(quantity: str, params, prec: int) -> dict:
         elif (n := _head_tail_run(p, 3, 2)):
             found["quadrature"] = lambda: quadrature.t_kernel_quad(n, prec)
         elif (m := _twos_then_one(p)):
-            # t({2}^m, 1) = I(2m)/(2m)!, proven for m <= 3
+            # t({2}^m, 1) = I(2m)/(2m)!, conjectural where the closed form is
             found["quadrature"] = lambda: replace(
                 hp.scaled(quadrature.I_quad(2 * m, prec), Fraction(1, math.factorial(2 * m))),
-                conjectural=m > 3,
+                conjectural=fid.conjectural,
             )
 
     elif quantity == "mu":

@@ -19,7 +19,9 @@ build() is the only definition of each closed form in the package, one row
 of _FORMS per Formula; closed.evaluate() evaluates what it returns.  No
 coefficient of an odd Euler sum O(p,q) or B(p,q) is typed: both families,
 the diagonal p = q and every odd weight p + q, are built by _build_odd from
-the reflection and one parity theorem.
+the reflection and one parity theorem.  Nor is any coefficient of
+t({2}^N,1): every N is built as I(2N)/(2N)!, the paper's conjecture, which
+Hoffman proved for N <= 3 (FormulaId.conjectural states that range).
 t(3,{2}^N) and zeta(3,{2}^N) are derived twice, from the eta/zeta summation
 form and from the arcsin-integral combination, and build() raises
 RuntimeError unless the two expressions are equal over Q -- a transcription
@@ -80,31 +82,7 @@ class Formula(Enum):
     O_SUM = "OSum"
     B_SUM = "BSum"
     T2S1_CONJECTURE = "T2s1Conjecture"
-    HOFFMAN_T = "HoffmanT"
     ZETA311 = "Zeta311"
-
-
-# Hoffman's proven t-value relations; keys are the number of leading 2s.
-# The t(2)t(3) coefficient in the depth-3 relation is 3/14: 1/14 fails the
-# I(4)/4! cross-check by 8e-5, 3/14 matches it to full precision.
-_HOFFMAN_TERMS: dict[int, tuple[tuple[Fraction, tuple[int, ...], int], ...]] = {
-    # (coefficient, t-value factors, power of log 2)
-    1: (
-        (Fraction(1, 1), (2,), 1),
-        (Fraction(-1, 2), (3,), 0),
-    ),
-    2: (
-        (Fraction(1, 8), (5,), 0),
-        (Fraction(-3, 14), (2, 3), 0),
-        (Fraction(1, 4), (4,), 1),
-    ),
-    3: (
-        (Fraction(-1, 32), (7,), 0),
-        (Fraction(-3, 56), (3, 4), 0),
-        (Fraction(15, 248), (2, 5), 0),
-        (Fraction(1, 48), (6,), 1),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -120,6 +98,13 @@ class FormulaId:
         params_ok, rule, _ = _FORMS[self.name]
         if not params_ok(self.params):
             raise ValueError(f"{self.name.value} takes {rule}, got {self.params}")
+
+    @property
+    def conjectural(self) -> bool:
+        """True for t({2}^N,1) = I(2N)/(2N)! past N = 3, the range Hoffman
+        proved ("An odd variant of multiple zeta values", Commun. Number
+        Theory Phys. 13 (2019))."""
+        return self.name is Formula.T2S1_CONJECTURE and self.params[0] > 3
 
 
 # kind -> (text, weight or None for the argument, argument test, its rule);
@@ -238,10 +223,6 @@ class SymbolicExpr:
     @classmethod
     def zero(cls) -> "SymbolicExpr":
         return cls(())
-
-    @classmethod
-    def rational(cls, c) -> "SymbolicExpr":
-        return cls._from_dict({(): Fraction(c)})
 
     @classmethod
     def atom(cls, const: BasisConstant, exp: int = 1, coeff=1) -> "SymbolicExpr":
@@ -471,18 +452,6 @@ def _build_odd(alternating: bool, p: int, q: int) -> SymbolicExpr:
     return acc
 
 
-def _build_hoffman(depth: int) -> SymbolicExpr:
-    acc = SymbolicExpr.zero()
-    for c, t_args, log_pow in _HOFFMAN_TERMS[depth]:
-        term = SymbolicExpr.rational(c)
-        for m in t_args:
-            term = term * t_single_expr(m)
-        if log_pow:
-            term = term * SymbolicExpr.atom(LOG2, log_pow)
-        acc = acc + term
-    return acc
-
-
 def _one(low: int, name: str = "N") -> tuple:
     """The parameter test and its rule for one parameter, at least low."""
     return (lambda params: len(params) == 1 and params[0] >= low), f"one parameter {name} >= {low}"
@@ -509,10 +478,6 @@ _FORMS = {
     Formula.B_SUM: (*_ODD_PAIR, partial(_build_odd, True)),
     Formula.T2S1_CONJECTURE: (
         *_one(1), lambda N: _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))
-    ),
-    Formula.HOFFMAN_T: (
-        lambda params: len(params) == 1 and 1 <= params[0] <= 3,
-        "one parameter in 1..3 (the number of leading 2s)", _build_hoffman,
     ),
     Formula.ZETA311: (
         lambda params: not params, "no parameters",

@@ -7,8 +7,6 @@ is one of
   * a route reference (quantity, params, method), resolved through
     ``routes.routes``, the table the CLI serves, so a row certifies the
     route the CLI runs for that request;
-  * a FormulaId, evaluated by ``closed.evaluate`` (the conjecture rows at
-    N <= 3, whose formula no CLI shape reaches);
   * an exact basis expression (``pi_zeta_expr``, or a built form plus one),
     for the rejected variants;
   * a combination ((coefficient, (side, ...)), ...), evaluated by
@@ -51,8 +49,9 @@ adjudication reproducible:
   * duality for the alternating family: the cross term is O(p+q); the
     single-value beta(p+q) variant misses by ~1e-3.
 
-The conjecture suite (t({2}^N,1) = I(2N)/(2N)!) is flagged per-row so
-callers can decide whether conjectural failures gate anything.
+The conjecture suite compares the closed route of t({2}^N,1), the
+conjectured I(2N)/(2N)!, with its nested odd series for N = 1..5; every row
+is flagged conjectural, so callers decide whether its failure gates anything.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from dataclasses import asdict, dataclass
 
 from mpmath import mp, mpf
 
-from . import closed
 from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
 from .routes import routes
 from .symbolic import Formula, FormulaId, SymbolicExpr, build, eval_symbolic, pi_zeta_expr
@@ -315,29 +313,18 @@ _PAPER_ROWS = (
      _series("mu", 2, 1), _ref("mu", 2, 1)),
 )
 
-# the conjecture t({2}^N,1) = I(2N)/(2N)!; below N = 4 no CLI shape reaches
-# its formula, so those rows name it
-_CONJECTURE_ROWS = (
-    *(
-        (f"c0{N}-t2s1-{N}",
-         f"conjectured t({{2}}^{N},1) = I({2 * N})/({2 * N})! vs the proven relation",
-         FormulaId(Formula.T2S1_CONJECTURE, (N,)), _ref("tvalue", *(2,) * N, 1))
-        for N in (1, 2, 3)
-    ),
-    *(
-        (f"c0{N}-t2s1-{N}", f"conjectured t({{2}}^{N},1) vs the nested odd series",
-         _ref("tvalue", *(2,) * N, 1), _series("tvalue", *(2,) * N, 1))
-        for N in (4, 5)
-    ),
+# the conjecture t({2}^N,1) = I(2N)/(2N)!
+_CONJECTURE_ROWS = tuple(
+    (f"c0{N}-t2s1-{N}", f"conjectured t({{2}}^{N},1) vs the nested odd series",
+     _ref("tvalue", *(2,) * N, 1), _series("tvalue", *(2,) * N, 1))
+    for N in range(1, 6)
 )
 
 
 def _evaluate(side, prec: int, seen: dict) -> EvalResult:
     """The result a row side stands for; ``seen`` keeps each one evaluated."""
     if side not in seen:
-        if isinstance(side, FormulaId):
-            seen[side] = closed.evaluate(side, prec)
-        elif isinstance(side, SymbolicExpr):
+        if isinstance(side, SymbolicExpr):
             seen[side] = eval_symbolic(side, prec)
         elif isinstance(side[0], str):  # (quantity, params, method)
             quantity, params, method = side

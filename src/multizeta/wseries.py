@@ -15,7 +15,8 @@ factorial cancellation (2k)!!/(2k+1)!! * (2k-1)!!/(2k)!! = 1/(2k+1) -- exact
 statements instead of floating-point approximations.  Applying W twice would
 need pi^2 and is refused rather than silently approximated.
 
-Coefficient families (all exact rationals, memoized):
+Coefficient families (all exact rationals, memoized, each row built from the
+one below it by the one nested-prefix recurrence of _row):
 
   G_N(k) = sum over k > n_1 > ... > n_N >= 0 of prod 1/(2 n_j + 1)^2,
            G_0 = 1; the odd-power arcsin expansion
@@ -155,52 +156,29 @@ class TruncatedSeries:
 # (family, N) -> list of Fractions indexed by k; grown on demand under LOCK
 _TABLES: dict[tuple[str, int], list[Fraction]] = {}
 
+# family -> (base N, base value from its first nonzero k on, that k, weight):
+# rows above the base are X_N(k) = X_N(k-1) + w_N(k-1) X_(N-1)(k-1), zero
+# below k = first + N - base, with w_N(n) = weight(N, n); A's is 1/n where
+# n = N (mod 2) and 0 elsewhere
+_FAMILIES = {
+    "G": (0, Fraction(1), 0, lambda N, n: Fraction(1, (2 * n + 1) ** 2)),
+    "H": (1, Fraction(1, 4), 1, lambda N, n: Fraction(1, (2 * n) ** 2)),
+    "arctanh_nested": (0, Fraction(1), 1, lambda N, n: Fraction(n % 2 == N % 2, n)),
+}
 
-def _g_row(N: int, upto: int) -> list[Fraction]:
-    """[G_N(0), ..., G_N(upto)], memoized and extended."""
+
+def _row(family: str, N: int, upto: int) -> list[Fraction]:
+    """[X_N(0), ..., X_N(upto)] of one coefficient family, memoized and extended."""
+    base, value, first, weight = _FAMILIES[family]
     with LOCK:
-        row = _TABLES.setdefault(("G", N), [])
-        if len(row) <= upto and N == 0:  # G_0 = 1
-            row.extend([Fraction(1)] * (upto + 1 - len(row)))
+        row = _TABLES.setdefault((family, N), [])
+        row.extend([Fraction(0)] * (min(first + N - base, upto + 1) - len(row)))
+        if N == base:
+            row.extend([value] * (upto + 1 - len(row)))
         elif len(row) <= upto:
-            prev = _g_row(N - 1, upto)
-            row.extend([Fraction(0)][len(row):])
+            prev = _row(family, N - 1, upto)
             for k in range(len(row), upto + 1):
-                # G_N(k) = G_N(k-1) + G_(N-1)(k-1)/(2(k-1)+1)^2
-                row.append(row[k - 1] + prev[k - 1] / (2 * k - 1) ** 2)
-        return row
-
-
-def _h_row(N: int, upto: int) -> list[Fraction]:
-    """[H_N(0), ..., H_N(upto)], memoized and extended; H_N(0) = 0."""
-    with LOCK:
-        row = _TABLES.setdefault(("H", N), [])
-        if len(row) <= upto and N == 1:  # H_1 = 1/4
-            row.extend([Fraction(0)][len(row):])
-            row.extend([Fraction(1, 4)] * (upto + 1 - len(row)))
-        elif len(row) <= upto:
-            prev = _h_row(N - 1, upto)
-            row.extend([Fraction(0), Fraction(0)][len(row):])
-            for k in range(len(row), upto + 1):
-                # H_N(k) = H_N(k-1) + H_(N-1)(k-1)/(2(k-1))^2
-                row.append(row[k - 1] + prev[k - 1] / (2 * k - 2) ** 2)
-        return row
-
-
-def _a_row(N: int, upto: int) -> list[Fraction]:
-    """[A_N(0), ..., A_N(upto)], memoized and extended; chains index from 1,
-    so A_N(0) = 0."""
-    with LOCK:
-        row = _TABLES.setdefault(("arctanh_nested", N), [])
-        if len(row) <= upto and N == 0:  # A_0 = 1
-            row.extend([Fraction(0)][len(row):])
-            row.extend([Fraction(1)] * (upto + 1 - len(row)))
-        elif len(row) <= upto:
-            prev = _a_row(N - 1, upto)
-            row.extend([Fraction(0), Fraction(0)][len(row):])
-            for n in range(len(row) - 1, upto):
-                # A_N(n+1) = A_N(n) + A_(N-1)(n)/n for n = N mod 2
-                row.append(row[n] + prev[n] / n if n % 2 == N % 2 else row[n])
+                row.append(row[k - 1] + weight(N, k - 1) * prev[k - 1])
         return row
 
 
@@ -208,21 +186,21 @@ def g_coeff(N: int, k: int) -> Fraction:
     """G_N(k) = sum over k > n_1 > ... > n_N >= 0 of prod 1/(2 n_j + 1)^2."""
     if N < 0 or k < 0:
         raise ValueError("N, k >= 0 required")
-    return _g_row(N, k)[k]
+    return _row("G", N, k)[k]
 
 
 def h_coeff(N: int, k: int) -> Fraction:
     """H_N(k): H_1 = 1/4 and H_(N+1)(k) = sum_(n<k) H_N(n)/(2n)^2."""
     if N < 1 or k < 1:
         raise ValueError("N, k >= 1 required")
-    return _h_row(N, k)[k]
+    return _row("H", N, k)[k]
 
 
 def arctanh_nested_coeff(N: int, m: int) -> Fraction:
     """A_N(m): nested parity-constrained harmonic chains below m."""
     if N < 0 or m < 1:
         raise ValueError("N >= 0 and m >= 1 required")
-    return _a_row(N, m)[m]
+    return _row("arctanh_nested", N, m)[m]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ integer accumulator and the shared fills; the kernels must lie within
 |total| 10^(1-wd) of them.
 
 ``O_TABLE_COMBOS`` keeps the five hand-typed rows O(p, p+1), p = 2..6, that
-the odd Euler sums were once read from, and ``B23_TERMS`` the one typed
-alternating row B(2,3); the derived closed forms must equal them over Q.
+the odd Euler sums were once read from, ``B23_TERMS`` the one typed
+alternating row B(2,3), and ``HOFFMAN_TERMS`` Hoffman's relations for
+t({2}^N,1), N <= 3; the derived closed forms must equal them over Q.
 
 ``kernel_words`` writes the log-polylog integrals behind ``kernel_pair`` as
 words of the iterated-integral engine of ``multizeta.series``, whose proved
@@ -76,6 +77,7 @@ from multizeta.quadrature import (
     scaled_quotient,
 )
 from multizeta.series import VALEAN_KINDS, _as_index
+from multizeta.symbolic import LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
 
 DEFAULT_CUTOFF = 10 ** 6
 _SCALE_EXTRA = 12  # scaled-integer guard digits below the reported precision
@@ -341,6 +343,34 @@ O_TABLE_COMBOS = {
 
 # B(2,3) as the same kind of terms, -2 standing for beta(2) (Catalan's constant)
 B23_TERMS = [("31/64", 0, 5), ("-9/256", 2, 3), ("1/32", 3, -2)]
+
+
+# ---------------------------------------------------------------------------
+# Hoffman's t-value relations
+# ---------------------------------------------------------------------------
+
+
+# t({2}^N, 1) as (coefficient, t-value factors, power of log 2) terms, N = 1..3,
+# as Hoffman proved them.  The t(2)t(3) coefficient of N = 2 is 3/14: 1/14
+# misses I(4)/4! by 8e-5.
+HOFFMAN_TERMS = {
+    1: [("1", (2,), 1), ("-1/2", (3,), 0)],
+    2: [("1/8", (5,), 0), ("-3/14", (2, 3), 0), ("1/4", (4,), 1)],
+    3: [("-1/32", (7,), 0), ("-3/56", (3, 4), 0), ("15/248", (2, 5), 0), ("1/48", (6,), 1)],
+}
+
+
+def hoffman_expr(N: int) -> SymbolicExpr:
+    """HOFFMAN_TERMS[N] as an exact basis expression."""
+    acc = SymbolicExpr.zero()
+    for c, t_args, log_pow in HOFFMAN_TERMS[N]:
+        term = pi_zeta_expr([(c, 0, 0)])
+        for m in t_args:
+            term = term * t_single_expr(m)
+        if log_pow:
+            term = term * SymbolicExpr.atom(LOG2, log_pow)
+        acc = acc + term
+    return acc
 
 
 def odd_O_series(

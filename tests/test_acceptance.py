@@ -40,8 +40,8 @@ from multizeta.quadrature import (
     t_kernel_quad,
 )
 from multizeta.series import _words_value, central_binomial_sum, nested_value
-from multizeta.symbolic import Formula, FormulaId, build, weight_check
-from oracles import _triple_nonstrict_sum, kernel_words
+from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic, weight_check
+from oracles import _triple_nonstrict_sum, hoffman_expr, kernel_words
 from multizeta.wseries import (
     TruncatedSeries,
     arcsin_power_series,
@@ -312,15 +312,16 @@ def test_criterion_09_ones_tail_conjecture():
     with mp.workdps(WD):
         for N in range(1, 4):
             conj = evaluate(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 60)
-            known = evaluate(FormulaId(Formula.HOFFMAN_T, (N,)), 60)
+            known = eval_symbolic(hoffman_expr(N), 60)
             assert gap(conj, known) < mpf(10) ** -40
-            assert conj.conjectural
+            assert not conj.conjectural
         # beyond the proven depths: the nested series route, within the
         # combined bounds
         for N in (4, 5):
             conj = evaluate(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 50)
             series = nested_value("tvalue", (2,) * N + (1,), 50)
             assert gap(conj, series) < bounds(conj, series)
+            assert conj.conjectural
     announce(9, "t({2}^N,1) = I(2N)/(2N)! at proven depths and numerically to depth 6")
 
 
@@ -406,7 +407,6 @@ def test_criterion_11_structural_properties():
         + [(FormulaId(Formula.E211, (N,)), N + 1) for N in range(1, 7)]
         + [(FormulaId(fam, (q, q)), 2 * q) for fam in odd_sums for q in range(2, 6)]
         + [(FormulaId(fam, (p, w - p)), w) for fam in odd_sums for w in range(5, 16, 2) for p in range(2, w - 1)]
-        + [(FormulaId(Formula.HOFFMAN_T, (d,)), 2 * d + 1) for d in (1, 2, 3)]
         + [(FormulaId(Formula.T2S1_CONJECTURE, (N,)), 2 * N + 1) for N in range(1, 6)]
         + [(FormulaId(Formula.ZETA311), 5)]
     )

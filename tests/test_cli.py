@@ -195,6 +195,18 @@ def test_conjectural_flag_in_json(capsys):
     assert json.loads(out)["conjectural"] is False
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_t2s1_is_conjectural_past_the_proven_range(capsys, N):
+    # every route of t({2}^N,1) is flagged past N = 3, the range Hoffman proved
+    code, out, _ = run_cli(capsys, "tvalue", *["2"] * N, "1", "--method", "all", "--json", "--prec", "20")
+    assert code == 0
+    entries = json.loads(out)["routes"]
+    assert [e["method"] for e in entries] == ["closed", "series", "quadrature", "symbolic"]
+    assert {e["method"]: e["conjectural"] for e in entries} == {
+        "closed": N > 3, "series": False, "quadrature": N > 3, "symbolic": N > 3,
+    }
+
+
 # ---------------------------------------------------------------------------
 # constants, integrals, coefficient tables, simple sums
 # ---------------------------------------------------------------------------
@@ -496,6 +508,17 @@ def test_reflected_closed_bound_is_honest(shape, prec):
     with mp.workdps(prec + 20):
         reference = _reflected_reference(*shape)
         assert abs(closed.value.magnitude - reference) <= closed.error_bound.magnitude
+
+
+@pytest.mark.parametrize("quantity, params, message", [
+    ("oddsum", ("X", 2, 3), "odd-sum family must be"),
+    ("integral", ("Z", 3), "integral kind must be"),
+    ("constants", ("foo", 0), "constant must be"),
+])
+def test_routes_reject_an_unknown_name(quantity, params, message):
+    # argparse's choices hide these from the CLI; library callers see them
+    with pytest.raises(ValueError, match=message):
+        routes.routes(quantity, params, 30)
 
 
 def _t(m):

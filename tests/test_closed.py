@@ -25,7 +25,7 @@ from multizeta.symbolic import (
     t_single_expr,
 )
 
-from oracles import B23_TERMS, O_TABLE_COMBOS
+from oracles import B23_TERMS, O_TABLE_COMBOS, hoffman_expr
 from test_symbolic import ALL_FIDS, beta_expr
 
 REF_DPS = 80
@@ -399,16 +399,14 @@ def test_hoffman_t21():
     # t(2,1) = t(2) log2 - t(3)/2
     with mp.workdps(REF_DPS):
         ref = (mp.pi ** 2 / 8) * mp.log(2) - (mpf(7) / 8) * mp.zeta(3) / 2
-        assert err(ev(Formula.HOFFMAN_T, 1), ref) < mpf(10) ** -42
+        assert err(ev(Formula.T2S1_CONJECTURE, 1), ref) < mpf(10) ** -42
 
 
 def test_hoffman_matches_arcsin_integrals():
-    # the proven relations equal I(2N)/(2N)! for N = 1..3; this pins the 3/14
-    # coefficient in the depth-3 relation (1/14 misses by ~8e-5)
+    # I(2N)/(2N)! is Hoffman's relation over Q for N = 1..3; this pins the
+    # 3/14 coefficient of the N = 2 relation (1/14 misses by ~8e-5)
     for N in (1, 2, 3):
-        h = ev(Formula.HOFFMAN_T, N, prec=60)
-        c = ev(Formula.T2S1_CONJECTURE, N, prec=60)
-        assert abs(h.value.magnitude - c.value.magnitude) < mpf(10) ** -55
+        assert build(FormulaId(Formula.T2S1_CONJECTURE, (N,))) == hoffman_expr(N), N
 
 
 def test_hoffman_t221_wrong_coefficient_is_far():
@@ -425,16 +423,18 @@ def test_hoffman_t221_wrong_coefficient_is_far():
 
 
 def test_t2s1_flags_and_values():
+    # conjectural past N = 3, the range Hoffman proved
     r = ev(Formula.T2S1_CONJECTURE, 4)
     assert r.conjectural
-    assert ev(Formula.HOFFMAN_T, 2).conjectural is False
+    for N in (1, 2, 3):
+        assert ev(Formula.T2S1_CONJECTURE, N).conjectural is False
     with mp.workdps(REF_DPS):
         assert err(r, mpf("0.000026270373106379367743")) < mpf(10) ** -20
 
 
 def test_hoffman_validation():
     with pytest.raises(ValueError):
-        FormulaId(Formula.HOFFMAN_T, (4,))
+        FormulaId(Formula.T2S1_CONJECTURE, (2, 1))
     with pytest.raises(ValueError):
         ev(Formula.T2S1_CONJECTURE, 0)
 
@@ -456,7 +456,7 @@ def test_formula_id_validation():
     FormulaId(Formula.Z322, (0,))
     FormulaId(Formula.O_SUM, (3, 2))
     FormulaId(Formula.O_SUM, (7, 2))
-    FormulaId(Formula.HOFFMAN_T, (2,))
+    FormulaId(Formula.T2S1_CONJECTURE, (9,))
     FormulaId(Formula.B_SUM, (2, 3))
     FormulaId(Formula.B_SUM, (3, 3))
     with pytest.raises(ValueError):
@@ -472,7 +472,7 @@ def test_formula_id_validation():
     with pytest.raises(ValueError):
         FormulaId(Formula.B_SUM, (3, 5))
     with pytest.raises(ValueError):
-        FormulaId(Formula.HOFFMAN_T, (4,))
+        FormulaId(Formula.T2S1_CONJECTURE, (0,))
     with pytest.raises(ValueError):
         FormulaId(Formula.ZETA311, (1,))
 
@@ -486,19 +486,18 @@ def test_formula_id_stores_params_as_a_tuple():
 
 
 def test_evaluate_dispatch_matches_direct():
-    # evaluate flags the t({2}^N,1) conjecture alone (same value and bound:
-    # test_symbolic)
+    # evaluate flags the t({2}^N,1) conjecture past N = 3 alone (same value
+    # and bound: test_symbolic)
     for fid in ALL_FIDS:
         got = evaluate(fid)
         assert got.rigorous
-        assert got.conjectural == (fid.name is Formula.T2S1_CONJECTURE), fid
+        assert got.conjectural == (fid.name is Formula.T2S1_CONJECTURE and fid.params[0] > 3), fid
 
 
 def test_hoffman_kind_order():
-    # the Hoffman id counts the leading 2s; past three the conjecture takes over
-    for n in (1, 2, 3):
-        assert fid_for("tvalue", (2,) * n + (1,)) == FormulaId(Formula.HOFFMAN_T, (n,))
-    assert fid_for("tvalue", (2,) * 4 + (1,)) == FormulaId(Formula.T2S1_CONJECTURE, (4,))
+    # one closed form for every t({2}^N,1), its id counting the leading 2s
+    for n in range(1, 6):
+        assert fid_for("tvalue", (2,) * n + (1,)) == FormulaId(Formula.T2S1_CONJECTURE, (n,))
 
 
 # ---------------------------------------------------------------------------

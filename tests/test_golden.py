@@ -5,12 +5,15 @@ sha256 of its stdout must match ``golden_cli.json``.  A refactor that keeps
 the CLI/JSON contract byte-identical passes unchanged; one that moves a digit,
 a bound or a symbolic term names the first request whose output differs.
 
+The JSON requests pin the payloads; a few text-mode requests pin the
+renderers, ``cli._render_text`` and ``VerifyReport.render_table``.
+
 Regenerate the digests from the current source with
 
     python3 tests/test_golden.py
 
-and review the diff of ``golden_cli.json``: a changed digest is a changed
-contract.
+which prints each request whose digest changed, was added or was removed;
+a changed digest is a changed contract.
 """
 
 import contextlib
@@ -46,6 +49,12 @@ REQUESTS = (
     *(("series-coeff", fam, str(N), str(k), "--json")
       for fam in ("G", "H", "arctanh") for N in range(5) for k in range(13)),
     ("verify", "--suite", "all", "--prec", "30", "--json"),
+    # text mode
+    ("tvalue", "2", "2", "1", "--method", "all", "--symbolic", "--prec", "30"),
+    ("tvalue", "2", "2", "2", "2", "1", "--prec", "30"),
+    ("integral", "I", "5", "--method", "quadrature", "--prec", "30"),
+    ("series-coeff", "H", "3", "6"),
+    ("verify", "--suite", "all", "--prec", "30"),
 )
 
 
@@ -69,5 +78,14 @@ def test_cli_output_matches_the_golden_digests():
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    lines = [f"{json.dumps(' '.join(a))}: {json.dumps(digest(a))}" for a in REQUESTS]
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {" ".join(a): digest(a) for a in REQUESTS}
+    lines = [f"{json.dumps(request)}: {json.dumps(d)}" for request, d in new.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    for request in sorted(old.keys() | new.keys()):
+        if request not in new:
+            print(f"removed: {request}")
+        elif request not in old:
+            print(f"added:   {request}")
+        elif old[request] != new[request]:
+            print(f"changed: {request}")

@@ -40,6 +40,8 @@ from multizeta.symbolic import (
     zeta_odd,
 )
 
+from oracles import hoffman_expr
+
 
 # ---------------------------------------------------------------------------
 # basis constants
@@ -280,9 +282,8 @@ def test_build_homogeneity():
         (FormulaId(Formula.B_SUM, (2, 3)), 5),
         (FormulaId(Formula.B_SUM, (8, 7)), 15),
         (FormulaId(Formula.T2S1_CONJECTURE, (2,)), 5),
-        (FormulaId(Formula.HOFFMAN_T, (1,)), 3),
-        (FormulaId(Formula.HOFFMAN_T, (2,)), 5),
-        (FormulaId(Formula.HOFFMAN_T, (3,)), 7),
+        (FormulaId(Formula.T2S1_CONJECTURE, (1,)), 3),
+        (FormulaId(Formula.T2S1_CONJECTURE, (3,)), 7),
         (FormulaId(Formula.ZETA311, ()), 5),
     ]
     for fid, w in cases:
@@ -354,7 +355,7 @@ ALL_FIDS = [
     FormulaId(Formula.B_SUM, (2, 3)),
     FormulaId(Formula.B_SUM, (4, 3)),
     FormulaId(Formula.T2S1_CONJECTURE, (3,)),
-    FormulaId(Formula.HOFFMAN_T, (3,)),
+    FormulaId(Formula.T2S1_CONJECTURE, (4,)),
     FormulaId(Formula.ZETA311, ()),
 ]
 
@@ -377,14 +378,14 @@ def test_eval_beta_even_atom():
 
 def test_eval_zero_and_rational():
     assert eval_symbolic(SymbolicExpr.zero(), 30).value.magnitude == 0
-    r = eval_symbolic(SymbolicExpr.rational(Fraction(22, 7)), 30)
+    r = eval_symbolic(pi_zeta_expr([("22/7", 0, 0)]), 30)
     with mp.workdps(40):
         assert abs(r.value.magnitude - mpf(22) / 7) < mpf(10) ** -35
 
 
 def test_lone_rational_is_charged_its_rounding():
     # 1/3 has no binary expansion: the bound must cover its rounding
-    r = eval_symbolic(SymbolicExpr.rational(Fraction(1, 3)), 20)
+    r = eval_symbolic(pi_zeta_expr([("1/3", 0, 0)]), 20)
     assert r.rigorous
     with mp.workdps(60):
         assert abs(r.value.magnitude - mpf(1) / 3) <= r.error_bound.magnitude
@@ -392,7 +393,7 @@ def test_lone_rational_is_charged_its_rounding():
 
 def test_canonical_text_corners():
     assert canonical_text(SymbolicExpr.zero()) == "0"
-    assert canonical_text(SymbolicExpr.rational(Fraction(-3, 4))) == "-3/4"
+    assert canonical_text(pi_zeta_expr([("-3/4", 0, 0)])) == "-3/4"
     assert canonical_text(SymbolicExpr.atom(zeta_odd(5))) == "zeta5"
     assert canonical_text(SymbolicExpr.atom(zeta_odd(5), coeff=-1)) == "-zeta5"
     e = SymbolicExpr.atom(PI, 2, Fraction(1, 6)) - SymbolicExpr.atom(LOG2, 2)
@@ -400,7 +401,7 @@ def test_canonical_text_corners():
 
 
 def test_canonical_order_determinism():
-    e = build(FormulaId(Formula.HOFFMAN_T, (3,)))
+    e = hoffman_expr(3)
     # descending pi power throughout
     pi_pows = []
     for mono, _ in e.terms:

@@ -42,7 +42,7 @@ from mpmath import mp
 
 from .hp import GUARD_DIGITS, EvalResult, coerce_prec
 from .quadrature import QuadratureNonConvergence
-from .routes import INTEGRAL_KINDS, fid_for, routes
+from .routes import CONSTANT_NAMES, INTEGRAL_KINDS, fid_for, routes
 from .series import CB_KINDS
 from .symbolic import build, canonical_text, json_terms
 from .verify import SUITES, check_cutoff, run_suite
@@ -65,7 +65,6 @@ _QUANTITIES = (
 # --cutoff is accepted and validated for compatibility (verify echoes it in its
 # report); no route reads it
 DEFAULT_CUTOFF = 10 ** 6
-_CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="single constants")
-    sp.add_argument("name", choices=_CONSTANT_NAMES)
+    sp.add_argument("name", choices=CONSTANT_NAMES)
     sp.add_argument("arg", type=int, nargs="?", default=None, help="argument m where applicable")
     _common_flags(sp)
 

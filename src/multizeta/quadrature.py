@@ -27,11 +27,11 @@ integral at that working precision.  The node functions are the stable ones
 above and kernel_pair's bracket Li_p(-x) - Li_p(x) (one column per p), above
 x = 1/2 one Horner sum of Legendre's chi in log x.  A fill computes each
 transcendental once per node pair, the node (x, xc) and its mirror (xc, x):
-one tan gives cot((pi/2) x) at both, one cos_sin the log-sine at both, and
-one arcsine per node both the arcsin and the arccos column.  Each node
-function stays a pure function of (x, xc) with the bits its fill stores:
-same nodes, same function, same precision, the same bits as evaluating at
-every node.
+one tan gives cot((pi/2) x) at both, one cos_sin the log-sine at both (and
+another the cos and sin columns), one arcsine per node both the arcsin and
+the arccos column.  Each node function stays a pure function of (x, xc)
+with the bits its fill stores: same nodes, same function, same precision,
+the same bits as evaluating at every node.
 Evaluators keep the (x, xc) contract: integrate01 records the node it is
 evaluating, and a column accessor serves the stored value only when called
 with that node's own x and xc objects at its precision, computing directly
@@ -485,6 +485,13 @@ def _log_sines(x: mpf, xc: mpf, k: tuple) -> tuple:
     return ((mp.log(c),), (mp.log(s),)) if xc < _HALF else ((mp.log(s),), (mp.log(c),))
 
 
+def _cos_sines(x: mpf, xc: mpf, k: tuple) -> tuple:
+    """(cos, sin) of (pi/2) x at (x, xc) and at (xc, x), from one cos_sin of
+    (pi/2) min(x, xc): cos((pi/2) x) = sin((pi/2) xc) where xc < 1/2."""
+    c, s = mp.cos_sin(k[0] * min(x, xc))
+    return ((s, c), (c, s)) if xc < _HALF else ((c, s), (s, c))
+
+
 _log_column = _Column(_log_stable)
 _asin_column = _Column(_asin_stable, lambda x, xc, k: (_arcsines(x, xc, k), _arcsines(xc, x, k)))
 acos_column = _Column(acos_stable, _asin_column.both)
@@ -492,6 +499,9 @@ _asin_column.group = acos_column.group = (_asin_column, acos_column)
 _atanh_column = _Column(_atanh_stable)
 _cot_column = _Column(lambda x, xc: _cots(x, xc, _constants())[0][0], _cots)
 _log_sin_column = _Column(lambda x, xc: _log_sines(x, xc, _constants())[0][0], _log_sines)
+cos_column = _Column(lambda x, xc: _cos_sines(x, xc, _constants())[0][0], _cos_sines)
+sin_column = _Column(lambda x, xc: _cos_sines(x, xc, _constants())[0][1], _cos_sines)
+cos_column.group = sin_column.group = (cos_column, sin_column)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@
 digits; ``fid_for(quantity, params)`` names the shape's exact closed form,
 if any.  Params are the CLI's (see ``cli.Request``).  The CLI serves these
 routes and the verification rows name them, so verify certifies what the
-CLI serves.  The quantity "valean" (a name of ``series.nested_value``) has
-a series route for verify only; the CLI does not accept it.  An unknown
-odd-sum family, integral kind or constant name raises ValueError where the
-shape is first read.
+CLI serves.  The quantities "valean" and "arcsin_kernel" (names of
+``series.nested_value``) have a series route for verify only; the CLI does
+not accept them.  ``series_values`` evaluates many series routes at once.
+An unknown odd-sum family, integral kind or constant name raises ValueError
+where the shape is first read.
 
 Layers are called through their modules (``hp.scaled``, not ``scaled``);
 only classes, enums and constants are imported by name.  The benchmark's
@@ -26,11 +27,12 @@ from fractions import Fraction
 from . import closed, hp, quadrature, series
 from .symbolic import Formula, FormulaId
 
-__all__ = ["INTEGRAL_KINDS", "fid_for", "routes"]
+__all__ = ["CONSTANT_NAMES", "INTEGRAL_KINDS", "fid_for", "routes", "series_values"]
 
 # the families series.nested_value evaluates
-_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum", "valean")
+_NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum", "valean", "arcsin_kernel")
 INTEGRAL_KINDS = ("I", "J", "K", "logsine")
+CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
 
 
 def _head_tail_run(params, head, tail) -> int:
@@ -89,18 +91,17 @@ def routes(quantity: str, params, prec: int) -> dict:
 
     if quantity == "constants":
         name, arg = p
-        constants = {
+        if name not in CONSTANT_NAMES:
+            raise ValueError(f"constant must be one of {CONSTANT_NAMES}, got {name!r}")
+        found["closed"] = {
             "pi": lambda: hp.pi_const(prec),
             "log2": lambda: hp.log2_const(prec),
-            "psi3_quarter": lambda: hp.psi3_quarter(prec),
             "zeta": lambda: hp.zeta_single(arg, prec),
             "eta": lambda: hp.eta(arg, prec),
             "beta": lambda: hp.beta_fn(arg, prec),
             "t": lambda: hp.t_single(arg, prec),
-        }
-        if name not in constants:
-            raise ValueError(f"constant must be one of {tuple(constants)}, got {name!r}")
-        found["closed"] = constants[name]
+            "psi3_quarter": lambda: hp.psi3_quarter(prec),
+        }[name]
         return found
 
     fid = fid_for(quantity, p)
@@ -178,3 +179,11 @@ def routes(quantity: str, params, prec: int) -> dict:
         found["series"] = lambda: series.central_binomial_sum(p[0], prec)
 
     return found
+
+
+def series_values(shapes, prec: int) -> list:
+    """routes(quantity, params, prec)["series"]() of each shape, bit for bit,
+    the nested families from one series.nested_values batch."""
+    nested = [shape for shape in shapes if shape[0] in _NESTED]
+    batch = dict(zip(nested, series.nested_values(nested, prec)))
+    return [batch[s] if s in batch else routes(*s, prec)["series"]() for s in shapes]

@@ -9,7 +9,12 @@ rational 1-forms, the path is split at 1/2 (Hölder convolution), and each
 piece is a power series whose coefficients stay in [-1, 1], so it converges
 like 2^-n: about 3.3 terms per digit, with a proved bound and
 ``rigorous=True``.  The details and the bound are in its docstring.  No
-cutoff applies to it.
+cutoff applies to it.  ``nested_values`` evaluates many shapes in one pass:
+a word's pieces are chains (its prefixes integrated from 1, its suffixes
+from 0) that words share, and one depth-first walk of the prefix trie and
+one of the reversed-suffix trie integrate each chain once (_chains).  A
+chain's integers depend only on the chain, the degree and the bit width, so
+a value is bit for bit the same alone or in any batch.
 
 Euler sums reduce to zeta words by the quasi-shuffle (stuffle) product of
 the truncated sums S_N(a_1..a_r) = sum_(N >= n_1 > ... > n_r >= 1) prod
@@ -22,7 +27,8 @@ omega = i dt/(1 - i t) = i kappa - sigma, kappa = dt/(1+t^2),
     sum_(m>k) i^m/(m^a k^b) = I(w0^(a-1) omega w0^(b-1) omega),
     sum_n (-1)^(n-1) H_2n^(b)/n^a = -2^a Re sum_m i^m H_m^(b)/m^a,
 
-so they are integer combinations of words in w0, kappa and sigma.
+so they are integer combinations of words in w0, kappa and sigma; so are
+the paper's arcsine integrals, by z = sin(theta), t = tan(theta/2).
 
 ``central_binomial_sum`` is the one other series: its terms shrink by a
 factor 3 or more, so it runs in scaled integers until they underflow.
@@ -30,8 +36,11 @@ factor 3 or more, so it runs in scaled integers until they underflow.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import floordiv
 
 from mpmath import mp, mpf
 
@@ -46,6 +55,7 @@ from .hp import (
 __all__ = [
     "MultiIndex",
     "nested_value",
+    "nested_values",
     "central_binomial_sum",
     "CB_KINDS",
     "VALEAN_KINDS",
@@ -116,10 +126,7 @@ _REFLECT = {
 
 # Letters with an exact two-term recurrence P_n = s P_(n-d) + c_(n-j) for the
 # coefficients of f(t) F(t): (s, d, j).
-_PLAIN = {
-    "w1": (1, 1, 0), "rho": (1, 2, 0), "tau": (1, 2, 1), "sigma": (-1, 2, 1),
-    "kappa": (-1, 2, 0),
-}
+_PLAIN = {"rho": (1, 2, 0), "tau": (1, 2, 1), "sigma": (-1, 2, 1), "kappa": (-1, 2, 0)}
 
 _ROUND_UNITS = 5  # rounding charged per integration, in units of 2^-b
 
@@ -141,8 +148,9 @@ def _integrate(letter: str, c: list) -> list:
     n_max = len(c) - 1
     g = [0] * (n_max + 1)
     if letter == "w0":
-        for n in range(1, n_max + 1):
-            g[n] = c[n] // n
+        g[1:] = map(floordiv, c[1:], range(1, n_max + 1))
+    elif letter == "w1":  # P_n = P_(n-1) + c_n: the running sums
+        g[1:] = map(floordiv, accumulate(c[:n_max]), range(1, n_max + 1))
     elif letter in _PLAIN:
         s, d, j = _PLAIN[letter]
         acc = [0, 0]
@@ -174,31 +182,24 @@ def _at_half(c: list) -> int:
     return v
 
 
-def _word_integral(word: tuple, n_terms: int, bits: int) -> int:
-    """2^bits I(0; f_1 ... f_W; 1), f_1 the letter next to 1, as a floor.
-
-    Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst, Lisonek,
-    "Special values of multiple polylogarithms", Trans. AMS 353 (2001)):
-
-        I(0; f_1..f_W; 1) = sum_k I(0; f~_k..f~_1; 1/2) I(0; f_(k+1)..f_W; 1/2).
-
-    The top pieces are built from f~_1 outward and the bottom ones from f_W
-    outward, each a power series in integers scaled by 2^bits, truncated at
-    degree ``n_terms``.  Needs f_1 regular at 1 and f_W regular at 0.
-    """
-    one = [1 << bits] + [0] * n_terms
-    top = [1 << bits]
-    c = one
-    for f in word:
-        c = _integrate(_REFLECT[f], c)
-        top.append(_at_half(c))
-    bottom = [1 << bits]
-    c = one
-    for f in reversed(word):
-        c = _integrate(f, c)
-        bottom.append(_at_half(c))
-    bottom.reverse()
-    return sum(t * b for t, b in zip(top, bottom)) >> bits
+def _chains(words, top: bool, n_terms: int, bits: int) -> dict:
+    """2^bits I(0; ...; 1/2) of every chain of the words, floored, keyed by
+    its letters in integration order: each prefix f_1..f_k (as f~_1..f~_k)
+    if ``top``, else each suffix reversed, f_W..f_k.  A depth-first walk of
+    their trie: in sorted order a chain shares its longest stem with the one
+    before it, whose coefficient arrays are kept one per depth."""
+    values = {(): 1 << bits}
+    stack = [[1 << bits] + [0] * n_terms]
+    path = ()
+    for chain in sorted({w if top else w[::-1] for w in words}):
+        k = next((i for i, (a, b) in enumerate(zip(path, chain)) if a != b),
+                 min(len(path), len(chain)))
+        del stack[k + 1:]
+        for i in range(k, len(chain)):
+            stack.append(_integrate(_REFLECT[chain[i]] if top else chain[i], stack[-1]))
+            values[chain[:i + 1]] = _at_half(stack[-1])
+        path = chain
+    return values
 
 
 def _entry_word(entries, letters) -> tuple:
@@ -271,6 +272,15 @@ def _family_words(quantity: str, params) -> list:
             (-c, _entry_word((a, b), ("sigma", "sigma"))),
             (c, _entry_word((a + b,), ("sigma",))),
         ]
+    if quantity == "arcsin_kernel":
+        kind, n = params
+        if kind not in ("I", "t") or not isinstance(n, int) or n < 1:
+            raise ValueError(f"arcsin kernel needs ('I' or 't', n >= 1), got {params!r}")
+        # z = sin(theta), t = tan(theta/2): theta^n = 2^n n! I(t; kappa^n), cot(theta)
+        # dtheta = w0 - 2 sigma, and for t(3,{2}^n) pi/2 - theta = 2 I(t; kappa; 1)
+        c, head, m = (2 ** n * math.factorial(n), (), n) if kind == "I" else (
+            2 ** (2 * n + 2), ("kappa",), 2 * n + 1)
+        return [(c, head + ("w0",) + ("kappa",) * m), (-2 * c, head + ("sigma",) + ("kappa",) * m)]
     index = _as_index(params)
     if not index.admissible():
         raise ValueError(
@@ -304,6 +314,11 @@ def nested_value(quantity: str, params, prec: int = 50) -> EvalResult:
                                 - I(w0^3 sigma sigma) + I(w0^4 sigma)]
     valean    "H2n2_over_n3"    sum (-1)^(n-1) H_2n^(2)/n^3 = 8 [I(w0^2 kappa w0
                                 kappa) - I(w0^2 sigma w0 sigma) + I(w0^4 sigma)]
+    arcsin_kernel ("I", n)      int_0^1 arcsin^n(z)/z dz = 2^n n! [I(w0 kappa^n)
+                                - 2 I(sigma kappa^n)]
+    arcsin_kernel ("t", n)      t(3,{2}^n) = int_0^1 arcsin^M(z) arccos(z)/(M! z) dz
+                                = 2^(M+1) [I(kappa w0 kappa^M) - 2 I(kappa sigma
+                                kappa^M)], M = 2n + 1
 
     Indices are outermost-first with s_1 >= 2; odd sums need p >= 1, q >= 2;
     Euler sums q >= 2 and every p_j >= 1.
@@ -327,28 +342,47 @@ def nested_value(quantity: str, params, prec: int = 50) -> EvalResult:
     1) / S; the value is converted to mpf exactly.  N is 3.322 (prec +
     GUARD_DIGITS + 5) + 10 and b exceeds N by the bit length of 5W + 2, so
     the bound sits near 10^-(prec + 16) times the coefficient sum, and the
-    work is 2W integrations of N terms per word.
+    work is one integration of N terms per distinct chain (_chains).
     """
+    return nested_values([(quantity, params)], prec)[0]
+
+
+def nested_values(shapes, prec: int = 50) -> list:
+    """[nested_value(quantity, params, prec) for (quantity, params) in shapes],
+    bit for bit, from one walk of the shapes' chains per bit width b."""
     coerce_prec(prec)
-    return _words_value(_family_words(quantity, params), prec)
+    return _words_values([_family_words(q, p) for q, p in shapes], prec)
 
 
-def _words_value(words: list, prec: int) -> EvalResult:
-    """sum c I(word) over [(integer c, word)], each word as _word_integral
-    takes it, with nested_value's proved bound."""
-    width = max(len(word) for _, word in words)
+def _words_values(families: list, prec: int) -> list:
+    """sum c I(0; f_1..f_W; 1) over each family [(integer c, word)], f_1
+    regular at 1 and f_W at 0, with nested_value's proved bound, by Hölder
+    convolution at 1/2 (Borwein, Bradley, Broadhurst, Lisonek, "Special
+    values of multiple polylogarithms", Trans. AMS 353 (2001)):
+
+        I(0; f_1..f_W; 1) = sum_k I(0; f~_k..f~_1; 1/2) I(0; f_(k+1)..f_W; 1/2).
+    """
     n_terms = (prec + GUARD_DIGITS + 5) * 3322 // 1000 + 11  # 3.322 > log2(10)
-    bits = n_terms + (5 * width + 2).bit_length()
-    total = 0
-    units = 0
-    for coeff, word in words:
-        total += coeff * _word_integral(word, n_terms, bits)
-        d = _ROUND_UNITS * len(word) + 2 + (1 << (bits - n_terms))
-        units += abs(coeff) * (3 * (len(word) + 1) * d + 1)
-    with LOCK, mp.workprec(max(total.bit_length(), units.bit_length(), 1)):
-        val = mp.ldexp(mpf(total), -bits)  # exact at this precision
-        bound = mp.ldexp(mpf(units), -bits)
-    return wrap_result(val, bound, prec, rigorous=True)
+    widths = [n_terms + (5 * max(len(w) for _, w in words) + 2).bit_length()
+              for words in families]
+    walks = {}  # bit width -> the top and the bottom chains of its words
+    for bits in set(widths):
+        words = {w for family, b in zip(families, widths) if b == bits for _, w in family}
+        walks[bits] = [_chains(words, top, n_terms, bits) for top in (True, False)]
+    results = []
+    for words, bits in zip(families, widths):
+        top, bottom = walks[bits]
+        total = units = 0
+        for coeff, word in words:
+            w, rev = len(word), word[::-1]
+            total += coeff * (sum(top[word[:k]] * bottom[rev[:w - k]] for k in range(w + 1)) >> bits)
+            d = _ROUND_UNITS * w + 2 + (1 << (bits - n_terms))
+            units += abs(coeff) * (3 * (w + 1) * d + 1)
+        with LOCK, mp.workprec(max(total.bit_length(), units.bit_length(), 1)):
+            val = mp.ldexp(mpf(total), -bits)  # exact at this precision
+            bound = mp.ldexp(mpf(units), -bits)
+        results.append(wrap_result(val, bound, prec, rigorous=True))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,14 @@ is one of
     for the rejected variants;
   * a combination ((coefficient, (side, ...)), ...), evaluated by
     ``hp.combine``.
-Each distinct side is evaluated once per run, and a lone route side is used
-as the route returns it.  The printed-decimal rows (01-05) and the Wallis
-row (30) are short code beside the table.
+Each distinct side is evaluated once per run, the series sides first (in
+combinations too) in one ``routes.series_values`` batch that shares their
+words' chains, and a lone route side is used as the route returns it.
+Rows 07-09 hold closed forms against the paper's arcsine integrals written
+as words, rows 24-25 against the series words that the log-polylog kernel
+pair's words reduce to over Q, so only row 30 integrates numerically.  The
+printed-decimal rows (01-05) and the Wallis row (30) are short code beside
+the table.
 
 Two row modes:
   match     pass  <=>  |left - right| <= tolerance   (the default)
@@ -61,7 +66,7 @@ from dataclasses import asdict, dataclass
 from mpmath import mp, mpf
 
 from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
-from .routes import routes
+from .routes import routes, series_values
 from .symbolic import Formula, FormulaId, SymbolicExpr, build, eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
 
@@ -248,13 +253,13 @@ _PAPER_ROWS = (
      _ref("tvalue", 3, 2, 2, 2),
      pi_zeta_expr([("1/122880", 6, 3), ("-5/8192", 4, 5), ("189/16384", 2, 7), ("511/8192", 0, 9)]),
      "0.1", "separate"),
-    # closed forms vs direct quadrature
-    ("07-kernel-t1", "t(3,{2}^1) closed form vs arcsin-kernel quadrature",
-     _ref("tvalue", 3, 2), _ref("tvalue", 3, 2, method="quadrature")),
-    ("08-kernel-t2", "t(3,{2}^2) closed form vs arcsin-kernel quadrature",
-     _ref("tvalue", 3, 2, 2), _ref("tvalue", 3, 2, 2, method="quadrature")),
-    ("09-arcsin-integral-5", "I(5) closed form vs direct quadrature",
-     _ref("integral", "I", 5), _ref("integral", "I", 5, method="quadrature")),
+    # closed forms vs the paper's arcsine integrals written as words
+    ("07-kernel-t1", "t(3,{2}^1) closed form vs its arcsin-kernel integral as words",
+     _ref("tvalue", 3, 2), _series("arcsin_kernel", "t", 1)),
+    ("08-kernel-t2", "t(3,{2}^2) closed form vs its arcsin-kernel integral as words",
+     _ref("tvalue", 3, 2, 2), _series("arcsin_kernel", "t", 2)),
+    ("09-arcsin-integral-5", "I(5) closed form vs its integral as words",
+     _ref("integral", "I", 5), _series("arcsin_kernel", "I", 5)),
     # reflection (duality) identities
     ("10-duality1-23", "O(2,3) + O(3,2) = O(2) O(3) + O(5) at the closed-form level",
      ((1, (_O23,)), (1, (_ref("oddsum", "O", 3, 2),))),
@@ -294,11 +299,11 @@ _PAPER_ROWS = (
     ("22-mzv-ones-3", "zeta(2,1,1) = zeta(4)", _series("zeta", 2, 1, 1), _const("zeta", 4)),
     ("23-bigT-ones-3", "T(2,1,1) = T(4) = 2 (1 - 2^-4) zeta(4)",
      _series("bigT", 2, 1, 1), _ref("bigT", 4)),
-    # log-polylog kernel orientation
-    ("24-kernel-O23", "odd-denominator log-polylog kernel pair reproduces O(2,3)",
-     _ref("oddsum", "O", 2, 3, method="quadrature"), _O23),
-    ("25-kernel-B23", "even-denominator log-polylog kernel pair reproduces B(2,3)",
-     _ref("oddsum", "B", 2, 3, method="quadrature"), _ref("oddsum", "B", 2, 3)),
+    # log-polylog kernel orientation: the pair's words reduce to the series words
+    ("24-kernel-O23", "odd-denominator log-polylog kernel pair, as words, reproduces O(2,3)",
+     _series("oddsum", "O", 2, 3), _O23),
+    ("25-kernel-B23", "even-denominator log-polylog kernel pair, as words, reproduces B(2,3)",
+     _series("oddsum", "B", 2, 3), _ref("oddsum", "B", 2, 3)),
     # alternating even-index harmonic sums vs psi3(1/4) forms
     ("26-valean-H2n", "sum (-1)^(n-1) H_{2n}/n^4 vs its psi3(1/4) closed form",
      ("valean", "H2n_over_n4", "series"),
@@ -335,6 +340,21 @@ def _evaluate(side, prec: int, seen: dict) -> EvalResult:
     return seen[side]
 
 
+def _series_refs(node):
+    """The series route references nested anywhere in rows or sides."""
+    if isinstance(node, tuple) and node[2:] == ("series",) and isinstance(node[0], str):
+        yield node
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _series_refs(item)
+
+
+def _series_batch(rows, prec: int) -> dict:
+    """Each series side the rows name -> its result, from one batch."""
+    refs = list(dict.fromkeys(_series_refs(rows)))
+    return dict(zip(refs, series_values([ref[:2] for ref in refs], prec)))
+
+
 def _checks(rows, prec: int, seen: dict, conjectural: bool = False) -> list:
     checks = []
     for cid, description, left, right, *rest in rows:
@@ -369,16 +389,17 @@ def run_suite(suite: str = "all", prec: int = 50, cutoff: int = 10 ** 6) -> Veri
 
     ``cutoff`` is accepted for compatibility, validated and echoed in the
     report; it has no effect, since every series row is evaluated by
-    ``nested_value`` or a geometric sum that needs no cutoff.
+    ``nested_values`` or a geometric sum that needs no cutoff.
     """
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
     check_cutoff(cutoff)
     coerce_prec(prec)
-    checks, seen = [], {}
-    if suite in ("paper", "all"):
+    paper, conjectures = suite != "conjectures", suite != "paper"
+    checks, seen = [], _series_batch(_PAPER_ROWS * paper + _CONJECTURE_ROWS * conjectures, prec)
+    if paper:
         checks.extend(_paper_checks(prec, seen))
-    if suite in ("conjectures", "all"):
+    if conjectures:
         checks.extend(_checks(_CONJECTURE_ROWS, prec, seen, conjectural=True))
     checks.sort(key=lambda c: c.check_id)
     return VerifyReport(suite=suite, precision=prec, cutoff=cutoff, checks=tuple(checks))

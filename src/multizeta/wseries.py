@@ -37,13 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from .hp import GUARD_DIGITS, LOCK, EvalResult, HPReal, coerce_prec, wrap_result
-from .quadrature import Integrand, QuadratureResult, acos_column, integrate01, scaled_quotient
+from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
+from .quadrature import cos_column, sin_column
 
 __all__ = [
     "SeriesCoeff",
@@ -269,24 +271,29 @@ def wallis_identity_check(
     """Both sides of  W(integral_0^alpha f(z)/z dz) = integral_0^1 f(alpha x) arccos(x)/x dx.
 
     Left: termwise integration, W, then series evaluation at alpha.  Right:
-    DE quadrature of the arccos kernel against the same truncated series.
-    The two routes share only the coefficients, so their agreement exercises
-    the operator identity itself (integration by parts against arccos).  The
-    arccos values come from the quadrature node column t_kernel_quad reads.
-    Requires f(0) = 0 so that f(z)/z is a power series.
+    DE quadrature after x = cos(theta), theta = (pi/2) s, of the integrand
+    alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on [0, 1],
+    with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a node and at
+    its mirror come from one cos_sin (the node columns cos_column and
+    sin_column).  The two routes share only the coefficients, so their
+    agreement exercises the operator identity itself (integration by parts
+    against arccos).  Requires f(0) = 0 so that f(z)/z is a power series.
 
     Both sides evaluate the same polynomial, so the left side is charged its
     Horner roundings only, (M + 2) 10^-(wd-1) sum |c_n| |alpha|^n for the
     polynomial's degree M, and not an estimate of the series tail; one
     Horner loop gives the value and that majorant.
 
-    The right side's polynomial, of M coefficients, runs Horner's rule in
-    integers scaled by 2^B, B the working bits wbits plus the bits of M plus
-    4: each coefficient is rounded to within one unit 2^-B once per call,
-    and each product by y = alpha x is exact on y's mantissa, then floored.
-    A step's error is multiplied by |y| < 1 in every later one, so the
-    polynomial is within 2M - 1 units, under 2^-wbits/8; its exact product
-    with alpha and arccos is floored once by quadrature.scaled_quotient.
+    The right side splits g(y) = E(y^2) + y O(y^2) and runs Horner's rule on
+    each part with a nonzero coefficient (arcsin^2's g is odd) in integers
+    scaled by 2^B, B = wbits + the bits of g's M coefficients + 4.  Each
+    coefficient is rounded to within one unit 2^-B once per call; y = alpha
+    cos is rounded once as an mpf and u = y^2 floored to B bits, a smaller
+    change; each product by u is floored, its error multiplied by u < 1 in
+    every later step.  So a part of K coefficients is within 2K - 1 units,
+    y O one floor more: g is within 2M units, under 2^-wbits/8, and its
+    exact product with s, sin and alpha (pi/2)^2 is floored once by
+    quadrature.scaled_quotient.
     """
     coerce_prec(prec)
     if not f.coeffs[0].is_zero():
@@ -309,25 +316,23 @@ def wallis_identity_check(
             majorant = majorant * av + abs(cv)
         rounding = majorant * (poly.truncation_order + 2) * mpf(10) ** (1 - wd)
         lhs = wrap_result(value, rounding, prec, rigorous=False)
-        # f(alpha x)/x = alpha * sum_(n>=1) c_n (alpha x)^(n-1): no division
-        shifted = f.coeffs[1:] or (SeriesCoeff(),)
+        shifted = f.coeffs[1:] or (SeriesCoeff(),)  # g's coefficients
         bits = dps_to_prec(wd) + len(shifted).bit_length() + 4
         # bits of the largest coefficient's magnitude: mpf's roundings of each
         # then cost under a hundredth of a unit before nint
         size = max(int(abs(c.rational) + 4 * abs(c.pi_part)) for c in shifted).bit_length()
         with mp.workprec(bits + size + 10):
-            ints = [int(mp.nint(mp.ldexp(c.to_mpf(), bits))) for c in reversed(shifted)]
-
-    _, ma, ea, _ = av._mpf_
+            ints = [int(mp.nint(mp.ldexp(c.to_mpf(), bits))) for c in shifted]
+        parts = [part[::-1] if any(part) else [] for part in (ints[0::2], ints[1::2])]
+        _, mk, ek, _ = (av * mp.pi ** 2 / 4)._mpf_
 
     def ev(x, xc):
-        sign, man, exp, _ = (av * x)._mpf_
-        m = -man if sign else man
-        acc = ints[0]
-        for c in ints[1:]:
-            acc = ((acc * m) >> -exp) + c
-        mc, ec = acos_column.pair(x, xc)
-        return scaled_quotient(ma * acc * mc, ea - bits + ec)
+        _, m, e, _ = (av * cos_column(x, xc))._mpf_
+        u = (m * m << bits) >> -2 * e  # y^2 2^B, floored
+        even, odd = (reduce(lambda acc, c: (acc * u >> bits) + c, part, 0) for part in parts)
+        ms, es = sin_column.pair(x, xc)
+        _, mx, ex, _ = x._mpf_
+        return scaled_quotient(mk * mx * ms * (even + (odd * m >> -e)), ek + ex + es - bits)
 
-    rhs = integrate01(Integrand(ev, name="arccos kernel"), prec)
+    rhs = integrate01(Integrand(ev, name="Wallis identity"), prec)
     return lhs, rhs

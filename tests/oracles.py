@@ -26,7 +26,10 @@ t({2}^N,1), N <= 3; the derived closed forms must equal them over Q.
 
 ``kernel_words`` writes the log-polylog integrals behind ``kernel_pair`` as
 words of the iterated-integral engine of ``multizeta.series``, whose proved
-bound then checks their closed forms.
+bound then checks their closed forms.  ``words_value_per_word`` is that
+engine as it was before its chains were shared: each word's top and bottom
+chains built from scratch by ``word_integral``; the shared-chain walk must
+equal it bit for bit.
 
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
@@ -76,7 +79,14 @@ from multizeta.quadrature import (
     integrate01,
     scaled_quotient,
 )
-from multizeta.series import VALEAN_KINDS, _as_index
+from multizeta.series import (
+    _REFLECT,
+    _ROUND_UNITS,
+    VALEAN_KINDS,
+    _as_index,
+    _at_half,
+    _integrate,
+)
 from multizeta.symbolic import LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
 
 DEFAULT_CUTOFF = 10 ** 6
@@ -699,3 +709,44 @@ def kernel_words(p: int, q: int, s: int, den: int) -> list:
         for a, m in middle
         for b, l in last
     ]
+
+
+# ---------------------------------------------------------------------------
+# The iterated-integral engine, one word at a time
+# ---------------------------------------------------------------------------
+
+
+def word_integral(word: tuple, n_terms: int, bits: int) -> int:
+    """2^bits I(0; f_1 ... f_W; 1), f_1 the letter next to 1, as a floor:
+    Hölder convolution at 1/2, the top pieces built from f~_1 outward and
+    the bottom ones from f_W outward, each from scratch."""
+    one = [1 << bits] + [0] * n_terms
+    top = [1 << bits]
+    c = one
+    for f in word:
+        c = _integrate(_REFLECT[f], c)
+        top.append(_at_half(c))
+    bottom = [1 << bits]
+    c = one
+    for f in reversed(word):
+        c = _integrate(f, c)
+        bottom.append(_at_half(c))
+    bottom.reverse()
+    return sum(t * b for t, b in zip(top, bottom)) >> bits
+
+
+def words_value_per_word(words: list, prec: int) -> EvalResult:
+    """sum c I(word) over [(integer c, word)] with nested_value's widths and
+    proved bound, every word by word_integral."""
+    width = max(len(word) for _, word in words)
+    n_terms = (prec + GUARD_DIGITS + 5) * 3322 // 1000 + 11
+    bits = n_terms + (5 * width + 2).bit_length()
+    total = units = 0
+    for coeff, word in words:
+        total += coeff * word_integral(word, n_terms, bits)
+        d = _ROUND_UNITS * len(word) + 2 + (1 << (bits - n_terms))
+        units += abs(coeff) * (3 * (len(word) + 1) * d + 1)
+    with LOCK, mp.workprec(max(total.bit_length(), units.bit_length(), 1)):
+        val = mp.ldexp(mpf(total), -bits)
+        bound = mp.ldexp(mpf(units), -bits)
+    return wrap_result(val, bound, prec, rigorous=True)

@@ -39,7 +39,7 @@ from multizeta.quadrature import (
     logsine_check,
     t_kernel_quad,
 )
-from multizeta.series import _words_value, central_binomial_sum, nested_value
+from multizeta.series import _words_values, central_binomial_sum, nested_value
 from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic, weight_check
 from oracles import _triple_nonstrict_sum, hoffman_expr, kernel_words
 from multizeta.wseries import (
@@ -243,7 +243,7 @@ def test_criterion_06_kernel_representations():
             assert abs(bv - bs.value.magnitude) < bb + bs.error_bound.magnitude
         # the eight integrals as iterated-integral words, within their proved bound
         for (j, sign_arg), terms in sorted(REMARK_INTEGRALS.items()):
-            r = _words_value(kernel_words(j, j + 1, sign_arg, -1), 50)
+            (r,) = _words_values([kernel_words(j, j + 1, sign_arg, -1)], 50)
             target = ref([(Fraction(c), a, z) for c, a, z in terms])
             assert gap(r, target) <= bounds(r)
     announce(6, "kernel quadrature reproduces odd sums; the eight log-polylog integrals hold")

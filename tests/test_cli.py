@@ -620,13 +620,13 @@ def test_unwritable_report_exits_2(capsys, tmp_path, where):
 def test_verify_blocking_failure_exits_1(capsys, monkeypatch):
     # a wrong input to row 27 (twice the H_{2n}^(2)/n^3 sum) must fail the
     # row, and the suite must say so and gate the exit status
-    nested_value = series.nested_value
+    nested_values = series.nested_values
 
-    def doubled_valean(quantity, params, prec):
-        r = nested_value(quantity, params, prec)
-        return scaled(r, 2) if params == "H2n2_over_n3" else r
+    def doubled_valean(shapes, prec):
+        return [scaled(r, 2) if shape == ("valean", "H2n2_over_n3") else r
+                for shape, r in zip(shapes, nested_values(shapes, prec))]
 
-    monkeypatch.setattr(series, "nested_value", doubled_valean)
+    monkeypatch.setattr(series, "nested_values", doubled_valean)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "paper", "--prec", "30", "--cutoff", "2000"
     )

@@ -9,6 +9,7 @@ arithmetic for the letter-by-letter integration.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from multizeta.series import (
     _family_words,
     _integrate,
     nested_value,
+    nested_values,
 )
 from multizeta.symbolic import Formula, FormulaId
 
@@ -33,12 +35,14 @@ from oracles import (
     _triple_nonstrict_sum,
     big_t_series,
     euler_H_series,
+    kernel_words,
     mtv_series,
     mu_series,
     mzv_series,
     odd_B_series,
     odd_O_series,
     valean_alt_sum,
+    words_value_per_word,
 )
 
 LETTERS = (
@@ -278,6 +282,7 @@ def test_integrate_matches_exact_map(letter):
         ("tvalue", (4, 1, 3)), ("mu", (2, 1, 1)), ("mu", (5, 3)),
         ("oddsum", ("O", 1, 4)), ("oddsum", ("B", 1, 2)), ("oddsum", ("B", 4, 3)),
         ("eulersum", (2, 1, 1, 2)), ("valean", "H2n_over_n4"), ("valean", "H2n2_over_n3"),
+        ("arcsin_kernel", ("I", 5)), ("arcsin_kernel", ("t", 2)),
     ],
 )
 def test_piece_coefficients_stay_at_most_one(quantity, params):
@@ -292,12 +297,75 @@ def test_piece_coefficients_stay_at_most_one(quantity, params):
                 assert max(abs(x) for x in c) <= (1 << bits) + _ROUND_UNITS * k
 
 
+# ---------------------------------------------------------------------------
+# shared chains: one trie walk per bit width, bit for bit the per-word engine
+# ---------------------------------------------------------------------------
+
+# a shape of every _family_words family; their widths span two bit widths b
+WALK_SHAPES = [
+    ("zeta", (3, 2, 2)), ("zeta", (2, 1, 1, 1)), ("tvalue", (2, 2, 2, 1)), ("tvalue", (4, 1, 3)),
+    ("mu", (5, 3)), ("bigT", (2, 1, 1)), ("oddsum", ("O", 1, 4)), ("oddsum", ("B", 4, 3)),
+    ("eulersum", (2, 1, 2, 3, 4)), ("valean", "H2n_over_n4"), ("valean", "H2n2_over_n3"),
+    ("arcsin_kernel", ("I", 5)), ("arcsin_kernel", ("t", 2)),
+]
+
+
+@pytest.mark.parametrize("prec", [16, 50, 200])
+def test_the_chain_walk_equals_the_per_word_engine(prec):
+    batch = nested_values(WALK_SHAPES, prec)
+    assert len({r.value.magnitude for r in batch}) == len(WALK_SHAPES)  # not vacuous
+    for (quantity, params), r in zip(WALK_SHAPES, batch):
+        want = words_value_per_word(_family_words(quantity, params), prec)
+        assert r.rigorous and want.rigorous
+        assert r.value.magnitude == want.value.magnitude, (quantity, params)
+        assert r.error_bound.magnitude == want.error_bound.magnitude, (quantity, params)
+
+
+# ---------------------------------------------------------------------------
+# the paper's integrals as words
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fam, den", [("O", -1), ("B", 1)])
+def test_the_kernel_pair_words_reduce_to_the_odd_sum_words(fam, den):
+    # kernel_pair(p, q, den) = (-1)^q/(2 (q-1)!) [L(p,q,-1,den) - L(p,q,+1,den)]:
+    # the w1 words cancel over Q, leaving O(p,q)'s or B(p,q)'s series words
+    for p in range(2, 7):
+        for q in range(2, 7):
+            k = Fraction((-1) ** q, 2 * math.factorial(q - 1))
+            got: dict = {}
+            for s in (-1, 1):
+                for c, word in kernel_words(p, q, s, den):
+                    got[word] = got.get(word, 0) - s * k * c
+            want: dict = {}
+            for c, word in _family_words("oddsum", (fam, p, q)):
+                want[word] = want.get(word, 0) + c
+            assert {w: c for w, c in got.items() if c} == want, (fam, p, q)
+
+
+@given(
+    shape=st.one_of(st.tuples(st.just("I"), st.integers(1, 12)),
+                    st.tuples(st.just("t"), st.integers(1, 4))),
+    prec=st.sampled_from([16, 30, 50, 200]),
+)
+@settings(max_examples=30, deadline=None)
+def test_the_arcsin_kernel_words_agree_with_the_closed_forms(shape, prec):
+    # I(n) = 2^n n! [I(w0 kappa^n) - 2 I(sigma kappa^n)] and, M = 2n + 1,
+    # t(3,{2}^n) = 2^(M+1) [I(kappa w0 kappa^M) - 2 I(kappa sigma kappa^M)]
+    kind, n = shape
+    words = nested_value("arcsin_kernel", shape, prec)
+    fid = FormulaId(Formula.I_CLOSED if kind == "I" else Formula.T322, (n,))
+    assert words.rigorous
+    assert words.agrees_with(evaluate(fid, prec)), (shape, prec)
+
+
 def test_validation():
     for quantity, params in [
         ("zeta", (1, 2)), ("tvalue", (1,)), ("mu", ()), ("zeta", (2, 0)),
         ("oddsum", ("O", 0, 3)), ("oddsum", ("B", 2, 1)), ("oddsum", ("X", 2, 3)),
         ("eulersum", (1, 2)), ("eulersum", (3,)), ("eulersum", (3, 0)), ("eulersum", ()),
         ("valean", "H2n_over_n5"), ("cbsum", ("inverse_square",)),
+        ("arcsin_kernel", ("I", 0)), ("arcsin_kernel", ("J", 2)), ("arcsin_kernel", ("t", 1.5)),
     ]:
         with pytest.raises(ValueError):
             nested_value(quantity, params, 30)

@@ -84,7 +84,8 @@ class Uncolumned:
 def direct(name, args, prec):
     if name == "wallis":
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wseries, "acos_column", Uncolumned(acos_stable))
+            for name in ("cos_column", "sin_column"):
+                patch.setattr(wseries, name, Uncolumned(getattr(quadrature, name).fn))
             return wallis_rhs(prec)
     return DIRECT_KERNELS[name](*args, prec)
 
@@ -137,7 +138,7 @@ def count_calls(monkeypatch, column):
 # pairs of families that read a common column, the column named last
 SHARED = [
     (("I_quad", (3,)), ("t_kernel_quad", (1,))),  # arcsin
-    (("t_kernel_quad", (1,)), ("wallis", ())),  # arccos
+    (("t_kernel_quad", (1,)), ("wallis", ())),  # none: arccos against cos and sin
     (("kernel_pair", (2, 2, -1)), ("kernel_pair", (3, 2, 1))),  # log
     (("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 3, 1))),  # Li_2 bracket
     (("k_arctanh", (2,)), ("I_quad", (2,))),  # atanh, arcsin
@@ -184,6 +185,8 @@ COLUMNS = {
     "atanh": quadrature._atanh_column,
     "cot": quadrature._cot_column,
     "log-sine": quadrature._log_sin_column,
+    "cos": quadrature.cos_column,
+    "sin": quadrature.sin_column,
     **{f"bracket-{p}": quadrature._bracket_column(p) for p in range(2, 6)},
 }
 
@@ -247,12 +250,15 @@ def test_the_log_and_bracket_columns_run_once_per_node(monkeypatch):
     assert set(nodes.values()) == {1}
 
 
-def test_the_wallis_check_reads_the_t_kernel_arccos(monkeypatch):
-    calls = count_calls(monkeypatch, acos_column)
-    quadrature.t_kernel_quad(1, 50)
+def test_the_wallis_check_fills_cos_and_sin_once_per_node_pair(monkeypatch):
+    # one cos_sin per node pair fills both columns; the arcsine group is
+    # not read
+    calls = count_calls(monkeypatch, quadrature.cos_column)
+    arcsines = count_calls(monkeypatch, acos_column)
     wallis_rhs(50)
     assert calls == node_keys(50)
     assert set(calls.values()) == {1}
+    assert not arcsines
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +556,8 @@ def wrapping(integrate):
 # a kernel, a second one reading the same column, and that column
 WRAPPED = [
     (("I_quad", (3,)), ("I_quad", (4,)), "_asin_column"),
-    (("t_kernel_quad", (1,)), ("wallis", ()), "acos_column"),
+    (("t_kernel_quad", (1,)), ("t_kernel_quad", (2,)), "acos_column"),
+    (("wallis", ()), ("wallis", ()), "cos_column"),
     (("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 2, 1)), "_log_column"),
 ]
 

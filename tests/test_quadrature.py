@@ -28,7 +28,7 @@ from multizeta.quadrature import (
     t_kernel_quad,
     _log_stable,
 )
-from multizeta.series import _words_value, nested_value
+from multizeta.series import _words_values, nested_value
 
 from oracles import kernel_words
 
@@ -234,7 +234,7 @@ def assert_words_within_bound(p, q, s, den, terms):
     """L(p,q,s,den) from its words lies within their proved bound of the
     closed form ``combo(terms)`` at every precision of WORD_PRECS."""
     for prec in WORD_PRECS:
-        r = _words_value(kernel_words(p, q, s, den), prec)
+        (r,) = _words_values([kernel_words(p, q, s, den)], prec)
         assert r.rigorous
         with workdps(prec + 40):
             err = abs(r.value.magnitude - combo(terms))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from multizeta import routes, series, verify
+from multizeta import quadrature, routes, series, verify, wseries
 from multizeta.cli import Request, run
 from multizeta.hp import HPReal
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
@@ -202,7 +202,7 @@ def test_the_cli_serves_every_route_verify_certifies():
         try:
             req = Request(quantity, params, method=method, prec=30)
         except ValueError:
-            assert quantity == "valean"  # a series route verify alone reaches
+            assert quantity in ("valean", "arcsin_kernel")  # series routes verify alone reaches
             continue
         payload = run(req)
         assert (payload["quantity"], payload["method"]) == (quantity, method)
@@ -211,18 +211,52 @@ def test_the_cli_serves_every_route_verify_certifies():
 
 
 def test_a_side_shared_by_rows_is_evaluated_once(monkeypatch):
-    # rows 11, 18 and 19 all use O(4,3)'s series route
+    # rows 11, 18 and 19 all use O(4,3)'s series route; every nested series
+    # side is evaluated in one batch
     calls = []
-    nested_value = series.nested_value
+    nested_values = series.nested_values
 
-    def counted(quantity, params, prec=50):
-        calls.append((quantity, params))
-        return nested_value(quantity, params, prec)
+    def counted(shapes, prec=50):
+        calls.append(list(shapes))
+        return nested_values(shapes, prec)
 
-    monkeypatch.setattr(series, "nested_value", counted)
+    monkeypatch.setattr(series, "nested_values", counted)
     run_suite("paper", 30)
-    assert calls.count(("oddsum", ("O", 4, 3))) == 1
-    assert len(calls) == len(set(calls)) > 10
+    (shapes,) = calls
+    assert shapes.count(("oddsum", ("O", 4, 3))) == 1
+    assert len(shapes) == len(set(shapes)) > 10
+
+
+@pytest.mark.parametrize("prec", [16, 30, 50, 200])
+def test_the_series_batch_equals_each_series_route(prec):
+    # verify evaluates every series side of its rows in one batch; each
+    # result is bit for bit the route's own
+    refs = {ref for ref in all_route_refs() if ref[2] == "series"}
+    batch = verify._series_batch(verify._PAPER_ROWS + verify._CONJECTURE_ROWS, prec)
+    assert set(batch) == refs and len(refs) > 15
+    for (quantity, params, method), got in batch.items():
+        want = routes.routes(quantity, params, prec)[method]()
+        assert got.rigorous and want.rigorous
+        assert got.value.magnitude == want.value.magnitude, (quantity, params)
+        assert got.error_bound.magnitude == want.error_bound.magnitude, (quantity, params)
+
+
+def test_the_suite_integrates_once(monkeypatch):
+    # every side but row 30's Wallis check is a closed form or a series:
+    # one quadrature, whatever the kernels' memos hold
+    calls = []
+    integrate01 = quadrature.integrate01
+
+    def counted(f, prec=50):
+        calls.append(f)
+        return integrate01(f, prec)
+
+    for name in quadrature.__all__:
+        getattr(getattr(quadrature, name), "cache_clear", lambda: None)()
+    for module in (quadrature, wseries):  # rebound everywhere, as the tracer does
+        monkeypatch.setattr(module, "integrate01", counted)
+    assert run_suite("all", 30).all_passed()
+    assert [f.name for f in calls] == ["Wallis identity"]
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,22 @@ def test_wallis_identity_interior_alpha():
         assert abs(lhs.value.magnitude - rhs.value.magnitude) < mpf(10) ** -40
 
 
+def test_wallis_identity_mixed_parity():
+    # f(z)/z has even and odd powers, so both Horner parts run; both sides
+    # match an mpmath quadrature of the arccos form
+    cs = [0, 1, Fraction(-3, 7), 2, Fraction(5, 3), 0, Fraction(-1, 9)]
+    f = TruncatedSeries.from_rationals(cs)
+    for alpha in (1, Fraction(2, 3)):
+        lhs, rhs = wallis_identity_check(f, alpha, 50)
+        assert lhs.agrees_with(rhs)
+        with workdps(75):
+            a = mpf(alpha.numerator) / alpha.denominator
+            ref = mp.quad(lambda x: sum(c * (a * x) ** n for n, c in enumerate(cs))
+                          * mp.acos(x) / x, [0, 1])
+            assert abs(lhs.value.magnitude - ref) < mpf(10) ** -45
+            assert abs(rhs.value.magnitude - ref) < mpf(10) ** -45
+
+
 def test_wallis_identity_validation():
     with pytest.raises(ValueError):
         wallis_identity_check(TruncatedSeries.from_rationals([1, 1]), 1, 50)

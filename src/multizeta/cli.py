@@ -40,7 +40,7 @@ from itertools import combinations
 
 from mpmath import mp
 
-from .hp import GUARD_DIGITS, EvalResult, coerce_prec
+from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec
 from .quadrature import QuadratureNonConvergence
 from .routes import CONSTANT_NAMES, INTEGRAL_KINDS, fid_for, routes
 from .series import CB_KINDS
@@ -80,7 +80,6 @@ class Request:
     params: tuple
     method: str = "all"
     prec: int = 50
-    cutoff: int = DEFAULT_CUTOFF
     output: str = "text"
     symbolic: bool = False
 
@@ -93,7 +92,6 @@ class Request:
             raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
         coerce_prec(self.prec)
         _check_printable(self.prec)
-        check_cutoff(self.cutoff)
 
 
 def _check_printable(prec: int) -> None:
@@ -121,7 +119,7 @@ def _check_printable(prec: int) -> None:
 def _result_payload(req: Request, method: str, r: EvalResult) -> dict:
     # five digits of the bound, from its 64-bit rounding: a re-evaluated
     # closed form carries a mantissa far wider than the int-to-str limit
-    with mp.workprec(64):
+    with LOCK, mp.workprec(64):
         err = mp.nstr(+r.error_bound.magnitude, 5)
     return {
         "quantity": req.quantity,
@@ -302,7 +300,6 @@ def _request_from_args(args) -> Request:
     common = dict(
         method=args.method,
         prec=args.prec,
-        cutoff=args.cutoff,
         output="json" if args.json else "text",
         symbolic=args.symbolic,
     )
@@ -373,6 +370,7 @@ def main(argv=None) -> int:
         if args.command == "series-coeff":
             return _run_series_coeff(args)
         req = _request_from_args(args)
+        check_cutoff(args.cutoff)
         payload = run(req)
     except QuadratureNonConvergence as exc:
         print(f"quadrature failed to converge: {exc}", file=sys.stderr)

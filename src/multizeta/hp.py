@@ -109,26 +109,10 @@ class HPReal:
     def __post_init__(self) -> None:
         coerce_prec(self.working_precision)
 
-    @staticmethod
-    def from_fraction(q: Fraction, prec: int) -> "HPReal":
-        coerce_prec(prec)
-        with LOCK, mp.workdps(prec + GUARD_DIGITS):
-            return HPReal(mpf(q.numerator) / q.denominator, prec)
-
-    def to_decimal(self, digits: int | None = None, fixed: bool = False) -> str:
-        """Decimal string with ``digits`` significant digits (default: full
-        working precision).  ``fixed`` forces positional notation (no
-        exponent), which is what the printed-value comparisons use.
-        Deterministic for a given magnitude."""
-        d = self.working_precision if digits is None else digits
-        if fixed:
-            return mp.nstr(
-                self.magnitude, d, strip_zeros=False, min_fixed=-mp.inf, max_fixed=mp.inf
-            )
-        return mp.nstr(self.magnitude, d, strip_zeros=False)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HPReal({self.to_decimal(min(self.working_precision, 20))}, prec={self.working_precision})"
+    def to_decimal(self, digits: int) -> str:
+        """Decimal string with ``digits`` significant digits, deterministic
+        for a given magnitude."""
+        return mp.nstr(self.magnitude, digits, strip_zeros=False)
 
 
 @dataclass(frozen=True)

@@ -661,18 +661,23 @@ def _bracket_column(p: int) -> _Column:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def I_quad(N: int, prec: int = 50) -> QuadratureResult:
-    """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
+def _column_power_integral(column: _Column, N: int, name: str, prec: int) -> QuadratureResult:
+    """integral_0^1 column(z)^N/z dz, for I_quad and k_arctanh."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N >= 1 required, got {N!r}")
 
     def ev(x, xc):
-        m, e = _asin_column.pair(x, xc)
+        m, e = column.pair(x, xc)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient(m ** N, N * e - ex, mx)
 
-    return integrate01(Integrand(ev, name=f"I({N})"), prec)
+    return integrate01(Integrand(ev, name=f"{name}({N})"), prec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def I_quad(N: int, prec: int = 50) -> QuadratureResult:
+    """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
+    return _column_power_integral(_asin_column, N, "I", prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -697,15 +702,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def k_arctanh(N: int, prec: int = 50) -> QuadratureResult:
     """K(N) = integral_0^1 atanh^N(z)/z dz (log^N blowup at z = 1)."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
-
-    def ev(x, xc):
-        m, e = _atanh_column.pair(x, xc)
-        _, mx, ex, _ = x._mpf_
-        return scaled_quotient(m ** N, N * e - ex, mx)
-
-    return integrate01(Integrand(ev, name=f"K({N})"), prec)
+    return _column_power_integral(_atanh_column, N, "K", prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)

@@ -108,6 +108,21 @@ def routes(quantity: str, params, prec: int) -> dict:
     if fid is not None:  # single-entry zeta keeps zeta_single below
         # one exact expression behind both: they agree by construction
         found["closed"] = found["symbolic"] = lambda: closed.evaluate(fid, prec)
+        n = fid.params[0] if fid.params else 0
+        if fid.name is Formula.T322:
+            found["quadrature"] = lambda: quadrature.t_kernel_quad(n, prec)
+        elif fid.name is Formula.T2S1_CONJECTURE:
+            # t({2}^n, 1) = I(2n)/(2n)!, conjectural where the closed form is
+            found["quadrature"] = lambda: replace(
+                hp.scaled(quadrature.I_quad(2 * n, prec), Fraction(1, math.factorial(2 * n))),
+                conjectural=fid.conjectural,
+            )
+        elif fid.name is Formula.E211:  # mu(2, {1}^(n-1)) = K(n)/n!
+            found["quadrature"] = lambda: hp.scaled(
+                quadrature.k_arctanh(n, prec), Fraction(1, math.factorial(n))
+            )
+        elif fid.name is Formula.I_CLOSED:
+            found["quadrature"] = lambda: quadrature.I_quad(n, prec)
 
     if quantity in _NESTED:
         found["series"] = lambda: series.nested_value(quantity, p, prec)
@@ -122,21 +137,6 @@ def routes(quantity: str, params, prec: int) -> dict:
     elif quantity == "tvalue":
         if len(p) == 1:
             found["closed"] = lambda: hp.t_single(p[0], prec)
-        elif (n := _head_tail_run(p, 3, 2)):
-            found["quadrature"] = lambda: quadrature.t_kernel_quad(n, prec)
-        elif (m := _twos_then_one(p)):
-            # t({2}^m, 1) = I(2m)/(2m)!, conjectural where the closed form is
-            found["quadrature"] = lambda: replace(
-                hp.scaled(quadrature.I_quad(2 * m, prec), Fraction(1, math.factorial(2 * m))),
-                conjectural=fid.conjectural,
-            )
-
-    elif quantity == "mu":
-        if p == (2,) or _head_tail_run(p, 2, 1):
-            N = len(p)
-            found["quadrature"] = lambda: hp.scaled(
-                quadrature.k_arctanh(N, prec), Fraction(1, math.factorial(N))
-            )
 
     elif quantity == "bigT":
         if len(p) == 1:
@@ -155,9 +155,7 @@ def routes(quantity: str, params, prec: int) -> dict:
         kind, n = p
         if n < 1:
             raise ValueError(f"integral {kind} needs n >= 1, got {n}")
-        if kind == "I":
-            found["quadrature"] = lambda: quadrature.I_quad(n, prec)
-        elif kind == "J":
+        if kind == "J":
             # J(n) = I(n)/pi^(n+1)
             found["closed"] = lambda: hp.scaled(
                 closed.evaluate(FormulaId(Formula.I_CLOSED, (n,)), prec),
@@ -171,7 +169,7 @@ def routes(quantity: str, params, prec: int) -> dict:
                 closed.evaluate(FormulaId(Formula.E211, (n,)), prec), math.factorial(n)
             )
             found["quadrature"] = lambda: quadrature.k_arctanh(n, prec)
-        else:  # logsine: -n int_0^(pi/2) z^(n-1) log sin z dz, equals I(n)
+        elif kind == "logsine":  # -n int_0^(pi/2) z^(n-1) log sin z dz, equals I(n)
             found["closed"] = lambda: closed.evaluate(FormulaId(Formula.I_CLOSED, (n,)), prec)
             found["quadrature"] = lambda: quadrature.logsine_check(n, prec)
 

@@ -9,12 +9,14 @@ rational 1-forms, the path is split at 1/2 (Hölder convolution), and each
 piece is a power series whose coefficients stay in [-1, 1], so it converges
 like 2^-n: about 3.3 terms per digit, with a proved bound and
 ``rigorous=True``.  The details and the bound are in its docstring.  No
-cutoff applies to it.  ``nested_values`` evaluates many shapes in one pass:
-a word's pieces are chains (its prefixes integrated from 1, its suffixes
-from 0) that words share, and one depth-first walk of the prefix trie and
-one of the reversed-suffix trie integrate each chain once (_chains).  A
-chain's integers depend only on the chain, the degree and the bit width, so
-a value is bit for bit the same alone or in any batch.
+cutoff applies to it.  An index is a plain tuple of exponents, outermost
+first, checked by one private rule (_entries).  ``nested_values`` evaluates
+many shapes in one pass: a word's pieces are chains (its prefixes
+integrated from 1, its suffixes from 0) that words share, and one
+depth-first walk of the prefix trie and one of the reversed-suffix trie
+integrate each chain once (_chains).  A chain's integers depend only on the
+chain, the degree and the bit width, so a value is bit for bit the same
+alone or in any batch.
 
 Euler sums reduce to zeta words by the quasi-shuffle (stuffle) product of
 the truncated sums S_N(a_1..a_r) = sum_(N >= n_1 > ... > n_r >= 1) prod
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import floordiv
 
@@ -53,7 +54,6 @@ from .hp import (
 )
 
 __all__ = [
-    "MultiIndex",
     "nested_value",
     "nested_values",
     "central_binomial_sum",
@@ -64,50 +64,6 @@ __all__ = [
 CB_KINDS = ("inverse_square", "alt_inverse_cube", "inverse_fourth")
 # kind -> (a, b): sum (-1)^(n-1) H_2n^(b) / n^a
 VALEAN_KINDS = {"H2n_over_n4": (4, 1), "H2n2_over_n3": (3, 2)}
-
-
-# ---------------------------------------------------------------------------
-# Domain types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """An exponent tuple (i_1, ..., i_k), written outermost-first.
-
-    For the strictly-decreasing families the first entry is the exponent of
-    the largest summation variable; for the parity-constrained family the
-    convention is the same (outermost exponent written first), which is the
-    reversed order relative to the innermost-first way those sums unfold.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("MultiIndex needs at least one entry")
-        if any((not isinstance(e, int)) or e < 1 for e in self.entries):
-            raise ValueError(f"all entries must be integers >= 1: {self.entries}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.entries)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.entries)
-
-    def admissible(self) -> bool:
-        """Convergence condition: the outermost exponent must be >= 2."""
-        return self.entries[0] >= 2
-
-
-def _as_index(idx) -> MultiIndex:
-    if isinstance(idx, MultiIndex):
-        return idx
-    if isinstance(idx, int):
-        return MultiIndex((idx,))
-    return MultiIndex(tuple(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +201,18 @@ def _euler_words(q, ps) -> list:
     return [(mult, _zeta_word(index)) for index, mult in indices.items()]
 
 
+def _entries(params) -> tuple:
+    """The index (s_1, ..., s_k), outermost first: a nonempty tuple or list
+    of ints >= 1 whose first entry is >= 2, else ValueError."""
+    if not isinstance(params, (tuple, list)) or not params or any(
+        not isinstance(e, int) or e < 1 for e in params
+    ):
+        raise ValueError(f"index must be a nonempty sequence of integers >= 1, got {params!r}")
+    if params[0] < 2:
+        raise ValueError(f"index {tuple(params)} diverges: outermost exponent must be >= 2")
+    return tuple(params)
+
+
 def _family_words(quantity: str, params) -> list:
     """The quantity as a signed sum of words: [(integer coefficient, word)]."""
     if quantity == "oddsum":
@@ -281,19 +249,14 @@ def _family_words(quantity: str, params) -> list:
         c, head, m = (2 ** n * math.factorial(n), (), n) if kind == "I" else (
             2 ** (2 * n + 2), ("kappa",), 2 * n + 1)
         return [(c, head + ("w0",) + ("kappa",) * m), (-2 * c, head + ("sigma",) + ("kappa",) * m)]
-    index = _as_index(params)
-    if not index.admissible():
-        raise ValueError(
-            f"index {index.entries} diverges: outermost exponent must be >= 2"
-        )
-    k = index.depth
+    entries = _entries(params)
     if quantity == "zeta":
-        return [(1, _zeta_word(index.entries))]
+        return [(1, _zeta_word(entries))]
     if quantity == "tvalue":
-        return [(1, _t_word(index.entries))]
+        return [(1, _t_word(entries))]
     if quantity in ("mu", "bigT"):
-        word = _entry_word(index.entries, ("rho",) * k)
-        return [(2 ** k if quantity == "bigT" else 1, word)]
+        word = _entry_word(entries, ("rho",) * len(entries))
+        return [(2 ** len(entries) if quantity == "bigT" else 1, word)]
     raise ValueError(f"no nested series for quantity {quantity!r}")
 
 
@@ -320,8 +283,10 @@ def nested_value(quantity: str, params, prec: int = 50) -> EvalResult:
                                 = 2^(M+1) [I(kappa w0 kappa^M) - 2 I(kappa sigma
                                 kappa^M)], M = 2n + 1
 
-    Indices are outermost-first with s_1 >= 2; odd sums need p >= 1, q >= 2;
-    Euler sums q >= 2 and every p_j >= 1.
+    An index is a tuple or list of ints >= 1, outermost first (for mu and
+    bigT too: s_1 belongs to the largest summation variable), with s_1 >= 2;
+    anything else, a bare int included, raises ValueError.  Odd sums need
+    p >= 1, q >= 2; Euler sums q >= 2 and every p_j >= 1.
 
     Proved bound (``rigorous=True``).  Every letter and reflection has
     Laurent coefficients r_m with |r_-1| + sum_(0<=m<=n) |r_m| <= n + 1 for

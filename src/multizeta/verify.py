@@ -9,6 +9,7 @@ is one of
     route the CLI runs for that request;
   * an exact basis expression (``pi_zeta_expr``, or a built form plus one),
     for the rejected variants;
+  * a decimal string, the value the paper prints, read at 40 digits;
   * a combination ((coefficient, (side, ...)), ...), evaluated by
     ``hp.combine``.
 Each distinct side is evaluated once per run, the series sides first (in
@@ -16,9 +17,9 @@ combinations too) in one ``routes.series_values`` batch that shares their
 words' chains, and a lone route side is used as the route returns it.
 Rows 07-09 hold closed forms against the paper's arcsine integrals written
 as words, rows 24-25 against the series words that the log-polylog kernel
-pair's words reduce to over Q, so only row 30 integrates numerically.  The
-printed-decimal rows (01-05) and the Wallis row (30) are short code beside
-the table.
+pair's words reduce to over Q, so only row 30 integrates numerically.
+Every row but the Wallis row (30), which is short code beside the table, is
+data in the table.
 
 Two row modes:
   match     pass  <=>  |left - right| <= tolerance   (the default)
@@ -29,12 +30,13 @@ The tolerance is one of
     and passes when ``EvalResult.agrees_with`` does, so its verdict depends
     on no working precision and holds at every precision the results are
     computed at;
-  * a decimal string, the fixed distance a rejected variant must keep;
+  * a decimal string, the fixed distance a rejected variant must keep, or
+    for the printed-decimal rows (01-05) one unit in the printed decimal's
+    last place;
   * (k, a, b): k times the summed bounds of sides a and b, which need not be
     the row's own (row 19 holds its variant 100 bounds of O(4,3)'s series
     and closed routes away).
-The printed-decimal rows match against one unit in the printed decimal's
-last place.  Row 30's two sides evaluate the same truncated polynomial, so
+Row 30's two sides evaluate the same truncated polynomial, so
 its left side is charged only its roundings.  Differences are exact; every
 number is reported to 20 significant digits.
 
@@ -65,7 +67,7 @@ from dataclasses import asdict, dataclass
 
 from mpmath import mp, mpf
 
-from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
+from .hp import LOCK, EvalResult, bound_sum, coerce_prec, combine, gap
 from .routes import routes, series_values
 from .symbolic import Formula, FormulaId, SymbolicExpr, build, eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
@@ -85,7 +87,7 @@ def check_cutoff(cutoff) -> None:
 
 
 def _fmt(x: mpf) -> str:
-    with mp.workdps(_FMT_DIGITS + 10):
+    with LOCK, mp.workdps(_FMT_DIGITS + 10):
         return mp.nstr(mpf(x), _FMT_DIGITS)
 
 
@@ -185,7 +187,7 @@ def _as_mpf(x) -> mpf:
         return x.value.magnitude
     if isinstance(x, mpf):
         return x
-    with mp.workdps(_FMT_DIGITS + 10):
+    with LOCK, mp.workdps(_FMT_DIGITS + 10):
         return mpf(x)
 
 
@@ -236,18 +238,19 @@ _ZETA311_SERIES = _series("zeta", 3, 1, 1)
 _PSI_MONOMIALS = ((_PI, _PI, _const("zeta", 3)), (_const("zeta", 5),), (_PI,) * 5,
                   (_PI, _const("psi3_quarter")))
 
-
-_PRINTED = (
-    # (id, description, route, printed decimal)
-    ("01-printed-z1", "zeta(3,2) closed form vs printed decimal", _ref("zeta", 3, 2), "0.22881039"),
-    ("02-printed-z2", "zeta(3,2,2) closed form vs printed decimal", _ref("zeta", 3, 2, 2), "0.02912562"),
-    ("03-printed-z3", "zeta(3,2,2,2) closed form vs printed decimal", _ref("zeta", 3, 2, 2, 2), "0.00252145"),
-    ("04-printed-t2", "t(3,2,2) closed form vs printed decimal", _ref("tvalue", 3, 2, 2), "0.002109185"),
-    ("05-printed-t3", "t(3,2,2,2) closed form vs printed decimal", _ref("tvalue", 3, 2, 2, 2), "0.00005499616"),
-)
-
 # (id, description, left, right[, tolerance[, mode]])
 _PAPER_ROWS = (
+    # the paper's printed decimals, to one unit in their last place
+    ("01-printed-z1", "zeta(3,2) closed form vs printed decimal",
+     _ref("zeta", 3, 2), "0.22881039", "1e-8"),
+    ("02-printed-z2", "zeta(3,2,2) closed form vs printed decimal",
+     _ref("zeta", 3, 2, 2), "0.02912562", "1e-8"),
+    ("03-printed-z3", "zeta(3,2,2,2) closed form vs printed decimal",
+     _ref("zeta", 3, 2, 2, 2), "0.00252145", "1e-8"),
+    ("04-printed-t2", "t(3,2,2) closed form vs printed decimal",
+     _ref("tvalue", 3, 2, 2), "0.002109185", "1e-9"),
+    ("05-printed-t3", "t(3,2,2,2) closed form vs printed decimal",
+     _ref("tvalue", 3, 2, 2, 2), "0.00005499616", "1e-11"),
     # adjudication: the trailing-zeta sign in t(3,{2}^3)
     ("06-t3-tail-sign", "rejected '+511/8192 zeta(9)' variant of t(3,2,2,2) stays far away",
      _ref("tvalue", 3, 2, 2, 2),
@@ -326,10 +329,13 @@ _CONJECTURE_ROWS = tuple(
 )
 
 
-def _evaluate(side, prec: int, seen: dict) -> EvalResult:
+def _evaluate(side, prec: int, seen: dict) -> EvalResult | mpf:
     """The result a row side stands for; ``seen`` keeps each one evaluated."""
     if side not in seen:
-        if isinstance(side, SymbolicExpr):
+        if isinstance(side, str):  # a printed decimal
+            with LOCK, mp.workdps(40):
+                seen[side] = mpf(side)
+        elif isinstance(side, SymbolicExpr):
             seen[side] = eval_symbolic(side, prec)
         elif isinstance(side[0], str):  # (quantity, params, method)
             quantity, params, method = side
@@ -369,14 +375,7 @@ def _checks(rows, prec: int, seen: dict, conjectural: bool = False) -> list:
 
 
 def _paper_checks(prec: int, seen: dict) -> list:
-    checks = []
-    for cid, desc, route, printed in _PRINTED:
-        digits = len(printed.split(".")[1])
-        with mp.workdps(40):
-            tol = mpf(10) ** -digits
-            printed_v = mpf(printed)
-        checks.append(_row(cid, desc, _evaluate(route, prec, seen), printed_v, tol))
-    checks.extend(_checks(_PAPER_ROWS, prec, seen))
+    checks = _checks(_PAPER_ROWS, prec, seen)
     lhs_w, rhs_w = wallis_identity_check(arcsin_power_series(2, 80), 1, prec)
     checks.append(
         _row("30-wallis-arcsin", "W-operator identity for arcsin^2/2! at alpha = 1", lhs_w, rhs_w)

@@ -43,7 +43,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .hp import GUARD_DIGITS, LOCK, EvalResult, HPReal, coerce_prec, wrap_result
+from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, wrap_result
 from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
 from .quadrature import cos_column, sin_column
 
@@ -277,7 +277,8 @@ def wallis_identity_check(
     its mirror come from one cos_sin (the node columns cos_column and
     sin_column).  The two routes share only the coefficients, so their
     agreement exercises the operator identity itself (integration by parts
-    against arccos).  Requires f(0) = 0 so that f(z)/z is a power series.
+    against arccos).  Requires f(0) = 0 so that f(z)/z is a power series,
+    and alpha in (0, 1], a Fraction or a real number.
 
     Both sides evaluate the same polynomial, so the left side is charged its
     Horner roundings only, (M + 2) 10^-(wd-1) sum |c_n| |alpha|^n for the
@@ -301,9 +302,7 @@ def wallis_identity_check(
     poly = w_apply(f.integrate_over_z())
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
-        if isinstance(alpha, HPReal):
-            av = alpha.magnitude
-        elif isinstance(alpha, Fraction):
+        if isinstance(alpha, Fraction):
             av = mpf(alpha.numerator) / alpha.denominator
         else:
             av = mpf(alpha)

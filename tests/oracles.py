@@ -83,8 +83,8 @@ from multizeta.series import (
     _REFLECT,
     _ROUND_UNITS,
     VALEAN_KINDS,
-    _as_index,
     _at_half,
+    _entries,
     _integrate,
 )
 from multizeta.symbolic import LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
@@ -202,21 +202,17 @@ def _strict_chain_dp(entries: tuple[int, ...], cutoff: int, scale: int, odd: boo
 
 
 def _strict_series(idx, cutoff: int, prec: int, odd: bool) -> EvalResult:
-    index = _as_index(idx)
-    if not index.admissible():
-        raise ValueError(
-            f"index {index.entries} diverges: outermost exponent must be >= 2"
-        )
+    entries = _entries(idx)
     coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
     scale = 10 ** (prec + _SCALE_EXTRA)
-    acc = _strict_chain_dp(index.entries, cutoff, scale, odd)
-    tail, rigorous = _chain_tail(index.entries, cutoff, wd)
+    acc = _strict_chain_dp(entries, cutoff, scale, odd)
+    tail, rigorous = _chain_tail(entries, cutoff, wd)
     with LOCK, mp.workdps(wd):
         val = mpf(acc) / scale
-        bound = tail + _slop((index.depth + 1) * cutoff, prec, wd)
+        bound = tail + _slop((len(entries) + 1) * cutoff, prec, wd)
     return wrap_result(val, bound, prec, rigorous)
 
 
@@ -252,21 +248,17 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
     right parity; adjacent levels have opposite parity, so g[j-1] is always
     the strictly-earlier state and the chain inequalities stay strict.
     """
-    index = _as_index(idx)
-    if not index.admissible():
-        raise ValueError(
-            f"index {index.entries} diverges: outermost exponent must be >= 2"
-        )
+    entries = _entries(idx)
     coerce_prec(prec)
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     wd = prec + GUARD_DIGITS
     scale = 10 ** (prec + _SCALE_EXTRA)
-    k = index.depth
+    k = len(entries)
     # level j (1 = innermost) carries exponent entries[k - j]
     lev_exp = [0] * (k + 1)
     for j in range(1, k + 1):
-        lev_exp[j] = index.entries[k - j]
+        lev_exp[j] = entries[k - j]
     g = [0] * (k + 1)
     g[0] = scale
     for n in range(1, cutoff + 1):
@@ -274,7 +266,7 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
         for j in range(start, k + 1, 2):
             e = lev_exp[j]
             g[j] += g[j - 1] // (n if e == 1 else n ** e)
-    tail, rigorous = _chain_tail(index.entries, cutoff, wd)
+    tail, rigorous = _chain_tail(entries, cutoff, wd)
     with LOCK, mp.workdps(wd):
         val = mpf(g[k]) / scale
         bound = tail + _slop((k + 1) * cutoff, prec, wd)
@@ -283,8 +275,7 @@ def mu_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
 
 def big_t_series(idx, cutoff: int = DEFAULT_CUTOFF, prec: int = 50) -> EvalResult:
     """2^depth times mu_series: the normalised variant of the parity sum."""
-    index = _as_index(idx)
-    return scaled(mu_series(index, cutoff, prec), 2 ** index.depth)
+    return scaled(mu_series(idx, cutoff, prec), 2 ** len(_entries(idx)))
 
 
 # ---------------------------------------------------------------------------

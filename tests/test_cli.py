@@ -421,7 +421,7 @@ def test_reused_parser_carries_no_value_over(capsys, monkeypatch):
     assert main(["zeta", "3", "2", "--json"]) == 0
     capsys.readouterr()
     assert seen == [
-        Request("zeta", (3, 2), "closed", 30, 500, "json", True),
+        Request("zeta", (3, 2), "closed", 30, "json", True),
         Request("zeta", (3, 2), output="json"),
     ]
     assert cli._build_parser() is cli._build_parser()
@@ -672,8 +672,6 @@ def test_request_validation():
         Request("nope", (3,))
     with pytest.raises(ValueError):
         Request("zeta", (3,), output="yaml")
-    with pytest.raises(ValueError):
-        Request("zeta", (3,), cutoff=5)
 
 
 def test_run_surfaces_route_validation():

@@ -12,8 +12,8 @@ Regenerate the digests from the current source with
 
     python3 tests/test_golden.py
 
-which prints each request whose digest changed, was added or was removed;
-a changed digest is a changed contract.
+which prints each request whose digest changed, was added or was removed,
+then one line counting them; a changed digest is a changed contract.
 """
 
 import contextlib
@@ -82,10 +82,16 @@ if __name__ == "__main__":
     new = {" ".join(a): digest(a) for a in REQUESTS}
     lines = [f"{json.dumps(request)}: {json.dumps(d)}" for request, d in new.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    counts = {"changed": 0, "added": 0, "removed": 0}
     for request in sorted(old.keys() | new.keys()):
         if request not in new:
-            print(f"removed: {request}")
+            kind = "removed"
         elif request not in old:
-            print(f"added:   {request}")
+            kind = "added"
         elif old[request] != new[request]:
-            print(f"changed: {request}")
+            kind = "changed"
+        else:
+            continue
+        counts[kind] += 1
+        print(f"{kind + ':':<9}{request}")
+    print(f"{len(new)} requests: " + ", ".join(f"{n} {kind}" for kind, n in counts.items()))

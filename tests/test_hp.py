@@ -272,7 +272,8 @@ def test_thread_safety_of_precision_state():
 
 
 def test_hpreal_decimal_output_pins_digits():
-    x = HPReal.from_fraction(Fraction(2, 3), 30)
+    with mp.workdps(40):
+        x = HPReal(mpf(2) / 3, 30)
     s = x.to_decimal(10)
     assert s.startswith("0.666666666")
 

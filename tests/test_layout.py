@@ -1,8 +1,9 @@
 """Module layout: no module of the package imports a private name from a
 sibling module, so every cross-module dependency goes through a public API;
-no module imports a name it never uses; and outside ``hp`` no code derives
+no module imports a name it never uses; outside ``hp`` no code derives
 an error bound from other bounds, so ``hp.combine`` stays the one rule that
-propagates them.
+propagates them; and every change of mpmath's process-global precision is
+made under ``hp.LOCK``.
 """
 
 import ast
@@ -110,6 +111,33 @@ def bound_readers(path: Path) -> set:
     return found
 
 
+def unlocked_precision_changes(path: Path) -> list:
+    """Each mp.workdps/mp.workprec not entered in a ``with`` after LOCK, or
+    inside a ``with`` that holds LOCK in the same function."""
+    found, locked_calls = [], set()
+
+    def is_change(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "workdps", "workprec")
+
+    def visit(node, locked):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            locked = False  # a body runs when called, not where it is defined
+        if isinstance(node, ast.With):
+            for item in node.items:
+                expr = item.context_expr
+                locked = locked or (isinstance(expr, ast.Name) and expr.id == "LOCK")
+                if is_change(expr) and locked:
+                    locked_calls.add(expr)
+        elif is_change(node) and node not in locked_calls:
+            found.append(f"{path.stem}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, locked)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    return found
+
+
 def test_no_private_imports_across_modules():
     assert private_imports() == []
 
@@ -128,6 +156,24 @@ def test_unused_import_scan_sees_imports(tmp_path):
         "from .hp import LOCK\n__all__ = ['LOCK']\nx = math.pi\n"
     )
     assert unused_imports(module) == ["m:3 imports Callable"]
+
+
+def test_every_precision_change_holds_the_lock():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert unlocked_precision_changes(path) == []
+
+
+def test_precision_scan_sees_changes(tmp_path):
+    # guard against a vacuous pass: a change outside LOCK, before it in the
+    # same with, or in a function defined under it is reported
+    module = tmp_path / "m.py"
+    module.write_text(
+        "with LOCK, mp.workdps(30):\n    with mp.workprec(64):\n        pass\n"
+        "with mp.workdps(30):\n    pass\n"
+        "with mp.workprec(64), LOCK:\n    pass\n"
+        "with LOCK:\n    def f():\n        with mp.workdps(30):\n            pass\n"
+    )
+    assert unlocked_precision_changes(module) == ["m:4", "m:6", "m:10"]
 
 
 def test_series_route_is_independent():

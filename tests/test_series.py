@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.hp import beta_fn, psi3_quarter, t_single, zeta_single
-from multizeta.series import MultiIndex, central_binomial_sum
+from multizeta.series import central_binomial_sum, nested_value
 
 from oracles import (
     HarmonicState,
@@ -40,6 +40,12 @@ def combined(a, b):
 def diff(a, b):
     with mp.workdps(80):
         return abs(a.value.magnitude - b.value.magnitude)
+
+
+def _fixed(r, digits):
+    """r's value to ``digits`` significant digits, positional (no exponent)."""
+    return mp.nstr(r.value.magnitude, digits, strip_zeros=False,
+                   min_fixed=-mp.inf, max_fixed=mp.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +90,18 @@ def test_harmonic_state_odd_prefix_approaches_t_value():
 
 
 # ---------------------------------------------------------------------------
-# MultiIndex
+# index validation
 # ---------------------------------------------------------------------------
 
 
-def test_multiindex_fields_and_admissibility():
-    ix = MultiIndex((3, 2, 2))
-    assert ix.depth == 3 and ix.weight == 7 and ix.admissible()
-    assert not MultiIndex((1, 2)).admissible()
-    with pytest.raises(ValueError):
-        MultiIndex(())
-    with pytest.raises(ValueError):
-        MultiIndex((2, 0))
+def test_nested_value_refuses_malformed_indices():
+    for params in [(), [], (2, 0), (3, 2.0), (3, "2"), 3, None, "32"]:
+        for quantity in ("zeta", "tvalue", "mu", "bigT"):
+            with pytest.raises(ValueError):
+                nested_value(quantity, params, 16)
+    with pytest.raises(ValueError, match="outermost exponent must be >= 2"):
+        nested_value("zeta", (1, 2), 16)
+    assert nested_value("zeta", [3, 2], 16) == nested_value("zeta", (3, 2), 16)
 
 
 def test_divergent_indices_refused():
@@ -121,7 +127,7 @@ def test_mzv_depth_one_matches_zeta():
 
 def test_mzv_32_printed_prefix():
     r = mzv_series((3, 2), 2 * 10 ** 5)
-    assert r.value.to_decimal(9, fixed=True).startswith("0.22881039")
+    assert _fixed(r, 9).startswith("0.22881039")
 
 
 def test_mzv_21_equals_zeta3():
@@ -168,9 +174,9 @@ def test_mtv_depth_one_is_pi2_over_8():
 
 def test_mtv_printed_prefixes():
     r322 = mtv_series((3, 2, 2), 2 * 10 ** 5)
-    assert r322.value.to_decimal(10, fixed=True).startswith("0.002109185")
+    assert _fixed(r322, 10).startswith("0.002109185")
     r3222 = mtv_series((3, 2, 2, 2), 2 * 10 ** 5)
-    assert r3222.value.to_decimal(10, fixed=True).startswith("0.00005499616")
+    assert _fixed(r3222, 10).startswith("0.00005499616")
 
 
 def test_mtv_small_truncation_exact():

@@ -7,6 +7,9 @@ and echoed, and has no effect.
 """
 
 import json
+import sys
+import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from mpmath import mp, mpf
 from multizeta import quadrature, routes, series, verify, wseries
 from multizeta.cli import Request, run
 from multizeta.hp import HPReal
+from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
 from oracles import _triple_nonstrict_sum
 
@@ -172,7 +176,7 @@ def _route_refs(side):
 
 
 def all_route_refs() -> set:
-    found = {route for _, _, route, _ in verify._PRINTED}
+    found = set()
     for rows in ROW_TABLES:
         for _, _, left, right, *rest in rows:
             sides = [left, right]
@@ -184,8 +188,7 @@ def all_route_refs() -> set:
 
 
 def test_row_ids_are_unique():
-    ids = [cid for cid, *_ in verify._PRINTED]
-    ids += [cid for rows in ROW_TABLES for cid, *_ in rows] + ["30-wallis-arcsin"]
+    ids = [cid for rows in ROW_TABLES for cid, *_ in rows] + ["30-wallis-arcsin"]
     assert len(ids) == len(set(ids)) == 35
 
 
@@ -287,3 +290,32 @@ def test_wallis_row_fails_a_perturbed_left_side(monkeypatch):
     monkeypatch.setattr(verify, "wallis_identity_check", perturbed)
     row = wallis_row(run_suite("paper", 50))
     assert not row.passed
+
+
+def test_formatting_in_another_thread_changes_no_result():
+    # mpmath's precision is process-global: verify's formatting sets it
+    # under hp.LOCK, so it cannot move while another thread evaluates
+    expr = build(FormulaId(Formula.T322, (3,)))
+    expected = eval_symbolic(expr, 50)
+    stop = threading.Event()
+
+    def format_until_stopped():
+        while not stop.is_set():
+            verify._fmt(mpf(1) / 3)
+
+    worker = threading.Thread(target=format_until_stopped)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs = differing = 0
+    try:
+        worker.start()
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            runs += 1
+            differing += eval_symbolic(expr, 50) != expected
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert runs > 0 and differing == 0, f"{differing} of {runs} results differ"

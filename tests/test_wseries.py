@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
-from multizeta.hp import HPReal
 from multizeta.wseries import (
     SeriesCoeff,
     TruncatedSeries,
@@ -320,9 +319,7 @@ def test_wallis_identity_arcsin_cube():
 
 
 def test_wallis_identity_interior_alpha():
-    lhs, rhs = wallis_identity_check(
-        arcsin_power_series(2, 80), HPReal.from_fraction(Fraction(1, 2), 50), 50
-    )
+    lhs, rhs = wallis_identity_check(arcsin_power_series(2, 80), Fraction(1, 2), 50)
     with workdps(75):
         assert abs(lhs.value.magnitude - rhs.value.magnitude) < mpf(10) ** -40
 

@@ -42,7 +42,7 @@ from mpmath import mp
 
 from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec
 from .quadrature import QuadratureNonConvergence
-from .routes import CONSTANT_NAMES, INTEGRAL_KINDS, fid_for, routes
+from .routes import ARGUMENT_CONSTANTS, CONSTANT_NAMES, INTEGRAL_KINDS, fid_for, routes
 from .series import CB_KINDS
 from .symbolic import build, canonical_text, json_terms
 from .verify import SUITES, check_cutoff, run_suite
@@ -304,7 +304,7 @@ def _request_from_args(args) -> Request:
         symbolic=args.symbolic,
     )
     if args.command == "constants":
-        if args.name in ("zeta", "eta", "beta", "t"):
+        if args.name in ARGUMENT_CONSTANTS:
             if args.arg is None:
                 raise ValueError(f"constants {args.name} requires an integer argument m")
             return Request("constants", (args.name, args.arg), **common)

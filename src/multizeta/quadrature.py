@@ -23,23 +23,24 @@ raised, never stored.
 Below the memo, the kernels share their transcendental factors.  Beside each
 cached node table (level, wd) sit columns: the values of one node function
 at every node of the table, filled on first use and read by every later
-integral at that working precision.  The node functions are the stable ones
-above and kernel_pair's bracket Li_p(-x) - Li_p(x) (one column per p), above
-x = 1/2 one Horner sum of Legendre's chi in log x.  A fill computes each
-transcendental once per node pair, the node (x, xc) and its mirror (xc, x):
-one tan gives cot((pi/2) x) at both, one cos_sin the log-sine at both (and
-another the cos and sin columns), one arcsine per node both the arcsin and
-the arccos column.  Each node function stays a pure function of (x, xc)
-with the bits its fill stores: same nodes, same function, same precision,
-the same bits as evaluating at every node.
+integral at that working precision.  A node function returns a tuple of
+values, one per slot of its column: the stable ones above (arcsin and
+arccos from one arcsine, cos and sin from one cos_sin) and kernel_pair's
+bracket Li_p(-x) - Li_p(x) (one column per p), above x = 1/2 one Horner sum
+of Legendre's chi in log x, read from the log column.  Three share one
+transcendental between a node (x, xc) and its mirror (xc, x), listed next
+(_mirrored): one tan gives cot((pi/2) x) at both, one cos_sin the log-sine
+at both, another cos and sin at both.  Each node function stays a pure
+function of (x, xc) with the bits its column stores: same nodes, same
+function, same precision, the same bits as evaluating at every node.
 Evaluators keep the (x, xc) contract: integrate01 records the node it is
-evaluating, and a column accessor serves the stored value only when called
-with that node's own x and xc objects at its precision, computing directly
-otherwise.  Tables are kept up to _NODE_BYTES estimated bytes, the least
-recently used working precision evicted first.
+evaluating, and a column serves its stored pairs only when called with that
+node's own x and xc objects at its precision, computing directly otherwise.
+Tables are kept up to _NODE_BYTES estimated bytes, the least recently used
+working precision evicted first.
 
 Each level is summed in integers.  A kernel forms its node value as one
-integer product of exact mantissas (column values, x, xc, a constant) over
+integer product of exact mantissas (column pairs, x, xc, a constant) over
 its integer denominator, floored once to B bits (scaled_quotient), and
 returns it as an exact pair (m, e), m 2^e; an opaque evaluator's mpf is
 taken as its exact pair.  integrate01 adds w times each value into one
@@ -133,18 +134,19 @@ class QuadratureNonConvergence(RuntimeError):
 # nodes
 # ---------------------------------------------------------------------------
 
-# estimated bytes of node tables and columns kept, 5-40% above tracemalloc's
-# count at 800-30 digits (a quad-session stream holds 0.75 MB, verify --suite
-# all at 50 digits 0.49 MB, an I/K sweep step at 800 digits 16 MB)
+# estimated bytes of node tables and columns kept, 3-21% above the bytes
+# tracemalloc sees freed when the tables are dropped, at 30-800 digits (a
+# quad-session stream holds 0.56 MB, verify --suite all at 50 digits 0.31 MB,
+# an I/K sweep step at 800 digits 16.4 MB)
 _NODE_BYTES = 32 << 20
 
 
 class _NodeTable:
     """The (x, xc, w) triples of one (level, wd) and the columns beside them.
 
-    A column holds one node function's value at every node, in node order,
-    as signed mantissas and an array('q') of binary exponents: far smaller
-    than a list of mpf objects, and rebuilt exactly by mp.make_mpf.
+    A column holds one node function's values at every node, in node order,
+    per slot as signed mantissas and an array('q') of binary exponents: far
+    smaller than a list of mpf objects, and read as exact pairs.
     """
 
     __slots__ = ("nodes", "prec", "columns")
@@ -159,9 +161,12 @@ _NODE_CACHE: OrderedDict[int, dict[int, _NodeTable]] = OrderedDict()
 
 
 def _held_bytes() -> int:
-    """Estimated bytes of the tables held: per node 380 plus half its three
-    mantissas (a mirror shares them), per column entry 90 plus its mantissa."""
-    return sum(len(t.nodes) * (380 + 3 * t.prec // 16 + len(t.columns) * (90 + t.prec // 8))
+    """Estimated bytes of the tables held at p bits: per node 360 plus p/5
+    for the mantissas of x, xc and w (a mirror shares them), per column
+    entry (one slot at one node) 50 plus 2p/15, a p-bit int taking 4 bytes
+    per 30 bits."""
+    return sum(len(t.nodes) * (360 + t.prec // 5
+                               + sum(map(len, t.columns.values())) * (50 + 2 * t.prec // 15))
                for tables in _NODE_CACHE.values() for t in tables.values())
 
 
@@ -225,89 +230,73 @@ _AT: tuple | None = None
 
 
 class _Column:
-    """``(x, xc) -> fn(x, xc)`` read from the column of the node being evaluated.
+    """``(x, xc, slot) -> fn(x, xc)[slot]`` as its exact pair (m, e), m 2^e,
+    read from the column of the node being evaluated.
 
-    Inside integrate01, called with that node's own x and xc objects at its
-    working precision, the value comes from the node table's column for fn,
-    filled at every node of the table on first use.  Any other call (outside
-    integrate01, another x, another precision) computes fn directly and
-    stores nothing.  Columns are aligned to node position, never keyed by
-    x's value: at the deepest nodes x rounds to 1 while xc still differs.
-    A stored zero is served as zero; a stored inf or nan (mantissa 0,
-    exponent not 0) is computed again, to the same bits.
-
-    A column given ``both`` is filled together with the other columns of
-    its ``group`` (itself alone unless set), a node pair at a time:
-    both(x, xc, _constants()) returns the group's values at (x, xc) and at
-    its mirror (xc, x), each transcendental computed once, and fn(x, xc) is
-    the column's entry of the first, to the same bits.
+    fn returns a tuple of finite values, one per slot of the column (arcsin
+    and arccos, cos and sin, else one).  Inside integrate01, called with that
+    node's own x and xc objects at its working precision, the pair comes from
+    the node table's column for fn, filled at every node of the table on
+    first use.  Any other call (outside integrate01, another x, another
+    precision) computes fn directly and stores nothing.  Columns are aligned
+    to node position, never keyed by x's value: at the deepest nodes x
+    rounds to 1 while xc still differs.
     """
 
-    __slots__ = ("fn", "both", "group")
+    __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[mpf, mpf], mpf], both: Callable | None = None):
+    def __init__(self, fn: Callable[[mpf, mpf], tuple]):
         self.fn = fn
-        self.both = both
-        self.group = (self,)
 
-    def _stored(self, x: mpf, xc: mpf) -> tuple[int, int] | None:
-        """The stored (mantissa, exponent), or None where there is none."""
+    def __call__(self, x: mpf, xc: mpf, slot: int = 0) -> tuple[int, int]:
         at = _AT
         if at is None or at[2] is not x or at[3] is not xc or at[0].prec != mp.prec:
-            return None
-        table, i = at[0], at[1]
-        column = table.columns.get(self) or self._fill(table)
-        m, e = column[0][i], column[1][i]
-        return (m, e) if m or not e else None
-
-    def __call__(self, x: mpf, xc: mpf) -> mpf:
-        stored = self._stored(x, xc)
-        return self.fn(x, xc) if stored is None else mp.make_mpf(from_man_exp(*stored))
-
-    def pair(self, x: mpf, xc: mpf) -> tuple[int, int]:
-        """fn(x, xc) as its exact pair (m, e), m 2^e; it must be finite."""
-        stored = self._stored(x, xc)
-        return _pair(self.fn(x, xc)) if stored is None else stored
+            return _pair(self.fn(x, xc)[slot])
+        i = at[1]
+        mans, exps = (at[0].columns.get(self) or self._fill(at[0]))[slot]
+        return mans[i], exps[i]
 
     def _fill(self, table: _NodeTable) -> tuple:
-        """The group's columns over table, stored only once complete.  Each
-        node is recorded while fn runs there, so fn may read other columns.
-        both runs once per node pair: _nodes lists each node just before its
-        mirror, after level 0's lone x = xc = 1/2."""
+        """fn's column over table, stored only once complete: per slot a
+        tuple of mantissas (unlike a list, it drops out of the cyclic
+        collector) and an array('q') of exponents.  Each node is recorded
+        while fn runs there, so fn may read other columns."""
         global _AT
-        outer, nodes = _AT, table.nodes
-        cols = [([], array("q")) for _ in self.group]
-
-        def store(values):
-            for (mans, exps), v in zip(cols, values):
-                sign, man, exp, _ = v._mpf_
-                mans.append(-man if sign else man)
-                exps.append(exp)
-
+        outer, slots = _AT, None
         try:
-            if self.both is None:
-                for i, (x, xc, _) in enumerate(nodes):
-                    _AT = (table, i, x, xc)
-                    store((self.fn(x, xc),))
-            else:
-                k, lone = _constants(), len(nodes) % 2
-                if lone:
-                    store(self.both(*nodes[0][:2], k)[0])
-                for x, xc, _ in nodes[lone::2]:
-                    for values in self.both(x, xc, k):
-                        store(values)
+            for i, (x, xc, _) in enumerate(table.nodes):
+                _AT = (table, i, x, xc)
+                values = self.fn(x, xc)
+                slots = slots or [([], array("q")) for _ in values]
+                for (mans, exps), v in zip(slots, values):
+                    m, e = _pair(v)
+                    mans.append(m)
+                    exps.append(e)
         finally:
             _AT = outer
-        for column, (mans, exps) in zip(self.group, cols):
-            # a tuple of ints, unlike a list, drops out of the cyclic collector
-            table.columns[column] = (tuple(mans), exps)
+        slots = table.columns[self] = tuple((tuple(mans), exps) for mans, exps in slots)
         _evict()
-        return table.columns[self]
+        return slots
 
 
-def _constants() -> tuple[mpf, mpf]:
-    """pi/2 and 9/10 at the working precision."""
-    return mp.pi / 2, mpf(9) / 10
+def _mirrored(both: Callable) -> Callable[[mpf, mpf], tuple]:
+    """The node function of both(x, xc) -> (values at (x, xc), values at the
+    mirror (xc, x)), each transcendental computed once per node pair: the
+    mirror's values are kept until the next computation and served to a
+    call at (xc, x), the same objects at the same precision.  _nodes lists
+    each node just before its mirror, after level 0's lone x = xc = 1/2."""
+    kept = (None, None, 0, ())
+
+    def fn(x: mpf, xc: mpf) -> tuple:
+        nonlocal kept
+        k = kept
+        if k[0] is x and k[1] is xc and k[2] == mp.prec:
+            return k[3]
+        values, mirror = both(x, xc)
+        kept = (xc, x, mp.prec, mirror)
+        return values
+
+    return fn
 
 
 def _pair(v) -> tuple[int, int]:
@@ -434,74 +423,71 @@ _SMALL = mpf(2) ** (-10)
 _HALF = mpf(1) / 2  # compared exactly at any precision
 
 
-def _log_stable(x: mpf, xc: mpf) -> mpf:
-    """log(x) where x = 1 - xc with xc exact; log1p(-xc) when xc is tiny.
+@cache
+def _constants(prec: int) -> tuple[mpf, mpf]:
+    """pi/2 and 9/10 at prec bits, as the node functions compare and add them."""
+    with LOCK, mp.workprec(prec):
+        return mp.pi / 2, mpf(9) / 10
+
+
+def _log_stable(x: mpf, xc: mpf) -> tuple[mpf]:
+    """(log x,), x = 1 - xc with xc exact: log1p(-xc) when xc is tiny.
 
     Either way the result is within an ulp or so of the log of the exact
     node, relative: mpmath's log1p adds 1 - xc at twice the precision.
     """
-    if xc < _SMALL:
-        return mp.log1p(-xc)
-    return mp.log(x)
+    return (mp.log1p(-xc) if xc < _SMALL else mp.log(x),)
 
 
-def _arcsines(x: mpf, xc: mpf, k: tuple) -> tuple[mpf, mpf]:
+def _arcsines(x: mpf, xc: mpf) -> tuple[mpf, mpf]:
     """(arcsin x, arccos x) from one arcsine: a = asin x and pi/2 - a for
     x <= 9/10; above, arccos x = c = 2 asin(sqrt(xc/2)), an exact identity
     stable at x = 1, and arcsin x = pi/2 - c."""
-    if x > k[1]:
+    half_pi, nine_tenths = _constants(mp.prec)
+    if x > nine_tenths:
         c = 2 * mp.asin(mp.sqrt(xc / 2))
-        return k[0] - c, c
+        return half_pi - c, c
     a = mp.asin(x)
-    return a, k[0] - a
+    return a, half_pi - a
 
 
-def _asin_stable(x: mpf, xc: mpf) -> mpf:
-    return _arcsines(x, xc, _constants())[0]
-
-
-def acos_stable(x: mpf, xc: mpf) -> mpf:
-    return _arcsines(x, xc, _constants())[1]
-
-
-def _atanh_stable(x: mpf, xc: mpf) -> mpf:
-    """atanh(x) = (log(1+x) - log(1-x))/2 with 1+x = 2-xc, 1-x = xc exact."""
+def _atanh_stable(x: mpf, xc: mpf) -> tuple[mpf]:
+    """(atanh x,) = ((log(1+x) - log(1-x))/2,) with 1+x = 2-xc, 1-x = xc exact."""
     if xc < _SMALL:
-        return (mp.log(2 - xc) - mp.log(xc)) / 2
-    return mp.atanh(x)
+        return ((mp.log(2 - xc) - mp.log(xc)) / 2,)
+    return (mp.atanh(x),)
 
 
-def _cots(x: mpf, xc: mpf, k: tuple) -> tuple:
+@_mirrored
+def _cots(x: mpf, xc: mpf) -> tuple:
     """cot((pi/2) x) at (x, xc) and at (xc, x), from one tan: tan((pi/2) xc)
     where xc < 1/2 (cot passes 0 at x = 1), else 1/tan((pi/2) x)."""
-    t = mp.tan(k[0] * min(x, xc))
+    t = mp.tan(_constants(mp.prec)[0] * min(x, xc))
     return ((t,), (1 / t,)) if xc < _HALF else ((1 / t,), (t,))
 
 
-def _log_sines(x: mpf, xc: mpf, k: tuple) -> tuple:
+@_mirrored
+def _log_sines(x: mpf, xc: mpf) -> tuple:
     """log(sin((pi/2) x)) at (x, xc) and at (xc, x), from one cos_sin of
     (pi/2) min(x, xc): log(cos((pi/2) xc)) where xc < 1/2, else log(sin)."""
-    c, s = mp.cos_sin(k[0] * min(x, xc))
+    c, s = mp.cos_sin(_constants(mp.prec)[0] * min(x, xc))
     return ((mp.log(c),), (mp.log(s),)) if xc < _HALF else ((mp.log(s),), (mp.log(c),))
 
 
-def _cos_sines(x: mpf, xc: mpf, k: tuple) -> tuple:
+@_mirrored
+def _cos_sines(x: mpf, xc: mpf) -> tuple:
     """(cos, sin) of (pi/2) x at (x, xc) and at (xc, x), from one cos_sin of
     (pi/2) min(x, xc): cos((pi/2) x) = sin((pi/2) xc) where xc < 1/2."""
-    c, s = mp.cos_sin(k[0] * min(x, xc))
+    c, s = mp.cos_sin(_constants(mp.prec)[0] * min(x, xc))
     return ((s, c), (c, s)) if xc < _HALF else ((c, s), (s, c))
 
 
 _log_column = _Column(_log_stable)
-_asin_column = _Column(_asin_stable, lambda x, xc, k: (_arcsines(x, xc, k), _arcsines(xc, x, k)))
-acos_column = _Column(acos_stable, _asin_column.both)
-_asin_column.group = acos_column.group = (_asin_column, acos_column)
+_arcsine_column = _Column(_arcsines)
 _atanh_column = _Column(_atanh_stable)
-_cot_column = _Column(lambda x, xc: _cots(x, xc, _constants())[0][0], _cots)
-_log_sin_column = _Column(lambda x, xc: _log_sines(x, xc, _constants())[0][0], _log_sines)
-cos_column = _Column(lambda x, xc: _cos_sines(x, xc, _constants())[0][0], _cos_sines)
-sin_column = _Column(lambda x, xc: _cos_sines(x, xc, _constants())[0][1], _cos_sines)
-cos_column.group = sin_column.group = (cos_column, sin_column)
+_cot_column = _Column(_cots)
+_log_sin_column = _Column(_log_sines)
+cos_sin_column = _Column(_cos_sines)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +516,9 @@ def _powers(p: int, n: int) -> list:
     return kp
 
 
-def _series_scaled(p: int, m: int, s: int, bits: int) -> tuple[int, int, int]:
-    """(S, n, T): S = sum_(i<n) y^i/(2i + 1)^p for y = m 2^-s, |y| <= 1/2,
-    as an integer scaled by 2^bits; T is its last term.
+def _series_scaled(p: int, m: int, s: int, bits: int) -> tuple[int, int]:
+    """(S, n): S = sum_(i<n) y^i/(2i + 1)^p for y = m 2^-s, |y| <= 1/2,
+    as an integer scaled by 2^bits.
 
     The power y^i is a scaled integer floored once per step, so its error e_i
     obeys |e_i| <= |y| |e_(i-1)| + 1 < 2 units; each term is floored once
@@ -550,7 +536,7 @@ def _series_scaled(p: int, m: int, s: int, bits: int) -> tuple[int, int, int]:
         term = power // kp[k]
         total += term
         if -stop < term < stop:
-            return total, k // 2 + 1, term
+            return total, k // 2 + 1
         power = (power * m) >> s
         k += 2
 
@@ -607,8 +593,8 @@ def _chi_horner(p: int, L: mpf, wd: int) -> tuple[int, int]:
     return acc, J
 
 
-def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
-    """Li_p(-x) - Li_p(x) at the working digits wd = mp.dps, as kernel_pair
+def _bracket(p: int, x: mpf, xc: mpf) -> tuple[mpf]:
+    """(Li_p(-x) - Li_p(x),) at the working digits wd = mp.dps, as kernel_pair
     integrates it, in integers scaled by 2^B; u = 2^-B, eps = 2^-prec.
 
     x <= 1/2: -2 x S, S = sum_(j>=0) y^j/(2j+1)^p, y = x^2 <= 1/4, by
@@ -646,8 +632,9 @@ def _bracket(p: int, x: mpf, xc: mpf) -> mpf:
     if x <= _HALF:
         m, e = _pair(x)
         odd = _series_scaled(p, m * m, -2 * e, bits)[0]
-        return -mp.ldexp(mpf(m * odd), 1 + e - bits)
-    return mp.ldexp(mpf(-_chi_horner(p, _log_column(x, xc), wd)[0]), 1 - bits)
+        return (-mp.ldexp(mpf(m * odd), 1 + e - bits),)
+    L = mpf(_log_column(x, xc))
+    return (mp.ldexp(mpf(-_chi_horner(p, L, wd)[0]), 1 - bits),)
 
 
 @cache
@@ -661,13 +648,19 @@ def _bracket_column(p: int) -> _Column:
 # ---------------------------------------------------------------------------
 
 
+def _require(value, name: str, least: int = 1, why: str = "") -> None:
+    """Refuse a kernel parameter that is not an int >= least."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} >= {least} required, got {value!r}{why}")
+
+
 def _column_power_integral(column: _Column, N: int, name: str, prec: int) -> QuadratureResult:
-    """integral_0^1 column(z)^N/z dz, for I_quad and k_arctanh."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
+    """integral_0^1 f(z)^N/z dz, f the column's first slot, for I_quad and
+    k_arctanh."""
+    _require(N, "N")
 
     def ev(x, xc):
-        m, e = column.pair(x, xc)
+        m, e = column(x, xc)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient(m ** N, N * e - ex, mx)
 
@@ -677,7 +670,7 @@ def _column_power_integral(column: _Column, N: int, name: str, prec: int) -> Qua
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def I_quad(N: int, prec: int = 50) -> QuadratureResult:
     """integral_0^1 arcsin^N(z)/z dz by DE quadrature."""
-    return _column_power_integral(_asin_column, N, "I", prec)
+    return _column_power_integral(_arcsine_column, N, "I", prec)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -688,11 +681,10 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     tan((pi/2) xc) near x = 1 (where cot passes through zero) and the z^n
     factor tames the 1/z pole of cot at the origin, leaving z^(n-1)/pi there.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n >= 1 required, got {n!r}")
+    _require(n, "n")
 
     def ev(x, xc):  # (x/2)^n cot / 2
-        m, e = _cot_column.pair(x, xc)
+        m, e = _cot_column(x, xc)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient(mx ** n * m, n * (ex - 1) + e - 1)
 
@@ -712,15 +704,14 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     The arccos factor vanishes like sqrt(2(1-z)) at z = 1, an algebraic
     endpoint; above 9/10 it is evaluated through the half-angle identity
     and the arcsin is pi/2 minus it, below the reverse (_arcsines).  Both
-    come from the node columns I_quad and the Wallis check share.
+    come from the arcsine column I_quad reads too.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
+    _require(N, "N")
     M = 2 * N + 1
 
     def ev(x, xc):
-        m, e = _asin_column.pair(x, xc)
-        mc, ec = acos_column.pair(x, xc)
+        m, e = _arcsine_column(x, xc)
+        mc, ec = _arcsine_column(x, xc, 1)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient(m ** M * mc, M * e + ec - ex, mx)
 
@@ -729,11 +720,8 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
 
 
 def _check_kernel_args(p, q, sign_den) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"p >= 2 required, got {p!r}")
-    if not isinstance(q, int) or q < 2:
-        why = ": the 1/(1-x^2) endpoint is non-integrable" if sign_den == -1 else ""
-        raise ValueError(f"q >= 2 required, got {q!r}{why}")
+    _require(p, "p", 2)
+    _require(q, "q", 2, ": the 1/(1-x^2) endpoint is non-integrable" if sign_den == -1 else "")
     if sign_den not in (1, -1):
         raise ValueError("sign_den must be +1 or -1")
 
@@ -763,8 +751,8 @@ def kernel_pair(p: int, q: int, sign_den: int, prec: int = 50) -> QuadratureResu
     bracket = _bracket_column(p)
 
     def ev(x, xc):
-        ml, el = _log_column.pair(x, xc)
-        mb, eb = bracket.pair(x, xc)
+        ml, el = _log_column(x, xc)
+        mb, eb = bracket(x, xc)
         d, ed = _denominator(x, xc, sign_den)
         return scaled_quotient(ml ** (q - 1) * mb, (q - 1) * el + eb - ed, d)
 
@@ -781,14 +769,13 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     Mapped to (0,1) by z = (pi/2) x; near x = 1 the integrand uses
     log(sin((pi/2)(1-xc))) = log(cos((pi/2) xc)).
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n >= 1 required, got {n!r}")
+    _require(n, "n")
     coerce_prec(prec)
     with LOCK, mp.workdps(prec + GUARD_DIGITS):
         mp_, ep = _pair(mp.pi)
 
     def ev(x, xc):  # ((pi/2) x)^(n-1) log sin
-        m, e = _log_sin_column.pair(x, xc)
+        m, e = _log_sin_column(x, xc)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient((mp_ * mx) ** (n - 1) * m, (n - 1) * (ep - 1 + ex) + e)
 

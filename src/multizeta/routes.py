@@ -8,8 +8,9 @@ routes and the verification rows name them, so verify certifies what the
 CLI serves.  The quantities "valean" and "arcsin_kernel" (names of
 ``series.nested_value``) have a series route for verify only; the CLI does
 not accept them.  ``series_values`` evaluates many series routes at once.
-An unknown odd-sum family, integral kind or constant name raises ValueError
-where the shape is first read.
+An unknown odd-sum family, integral kind or constant name, and an argument
+to a constant that takes none, raise ValueError where the shape is first
+read.
 
 Layers are called through their modules (``hp.scaled``, not ``scaled``);
 only classes, enums and constants are imported by name.  The benchmark's
@@ -27,12 +28,15 @@ from fractions import Fraction
 from . import closed, hp, quadrature, series
 from .symbolic import Formula, FormulaId
 
-__all__ = ["CONSTANT_NAMES", "INTEGRAL_KINDS", "fid_for", "routes", "series_values"]
+__all__ = ["ARGUMENT_CONSTANTS", "CONSTANT_NAMES", "INTEGRAL_KINDS", "fid_for", "routes",
+           "series_values"]
 
 # the families series.nested_value evaluates
 _NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum", "valean", "arcsin_kernel")
 INTEGRAL_KINDS = ("I", "J", "K", "logsine")
 CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
+# the constants that take an integer argument m; the others take 0
+ARGUMENT_CONSTANTS = ("zeta", "eta", "beta", "t")
 
 
 def _head_tail_run(params, head, tail) -> int:
@@ -93,6 +97,8 @@ def routes(quantity: str, params, prec: int) -> dict:
         name, arg = p
         if name not in CONSTANT_NAMES:
             raise ValueError(f"constant must be one of {CONSTANT_NAMES}, got {name!r}")
+        if name not in ARGUMENT_CONSTANTS and arg != 0:
+            raise ValueError(f"constants {name} takes no argument")
         found["closed"] = {
             "pi": lambda: hp.pi_const(prec),
             "log2": lambda: hp.log2_const(prec),

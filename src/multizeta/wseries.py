@@ -30,7 +30,9 @@ one below it by the one nested-prefix recurrence of _row):
            arctanh^N(z)/N! = sum_(m = N mod 2) A_(N-1)(m)/m z^m.
 
 wallis_identity_check evaluates both sides of the W-operator identity for a
-truncated series, by Horner's rule and by DE quadrature (verify row 30).
+truncated series, by Horner's rule and by DE quadrature (verify row 30); the
+quadrature side reads cos and sin at each node from one node column of
+quadrature, filled by one cos_sin per node pair.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from mpmath.libmp import dps_to_prec
 
 from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, wrap_result
 from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
-from .quadrature import cos_column, sin_column
+from .quadrature import cos_sin_column
 
 __all__ = [
     "SeriesCoeff",
@@ -274,8 +276,8 @@ def wallis_identity_check(
     DE quadrature after x = cos(theta), theta = (pi/2) s, of the integrand
     alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on [0, 1],
     with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a node and at
-    its mirror come from one cos_sin (the node columns cos_column and
-    sin_column).  The two routes share only the coefficients, so their
+    its mirror come from one cos_sin (the two-valued node column
+    cos_sin_column).  The two routes share only the coefficients, so their
     agreement exercises the operator identity itself (integration by parts
     against arccos).  Requires f(0) = 0 so that f(z)/z is a power series,
     and alpha in (0, 1], a Fraction or a real number.
@@ -326,10 +328,10 @@ def wallis_identity_check(
         _, mk, ek, _ = (av * mp.pi ** 2 / 4)._mpf_
 
     def ev(x, xc):
-        _, m, e, _ = (av * cos_column(x, xc))._mpf_
+        _, m, e, _ = (av * mpf(cos_sin_column(x, xc)))._mpf_
         u = (m * m << bits) >> -2 * e  # y^2 2^B, floored
         even, odd = (reduce(lambda acc, c: (acc * u >> bits) + c, part, 0) for part in parts)
-        ms, es = sin_column.pair(x, xc)
+        ms, es = cos_sin_column(x, xc, 1)
         _, mx, ex, _ = x._mpf_
         return scaled_quotient(mk * mx * ms * (even + (odd * m >> -e)), ek + ex + es - bits)
 

@@ -67,7 +67,7 @@ from multizeta.hp import (
     wrap_result,
 )
 from multizeta.quadrature import (
-    _asin_stable,
+    _arcsines,
     _atanh_stable,
     _bracket_column,
     _cot_column,
@@ -75,7 +75,6 @@ from multizeta.quadrature import (
     _denominator,
     _log_stable,
     _pair,
-    acos_stable,
     integrate01,
     scaled_quotient,
 )
@@ -572,9 +571,15 @@ def _mpf_denominator(x, xc, sign_den):
 # rule, from its factor functions computed at the node.
 
 
+def node_copy(x):
+    """x's value as another object: a node function given it computes, and
+    reads neither a column nor the values a mirrored node function kept."""
+    return mp.make_mpf(x._mpf_)
+
+
 def _i_direct(N: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_asin_stable(x, xc))
+        m, e = _pair(_arcsines(x, xc)[0])
         mx, ex = _pair(x)
         return scaled_quotient(m ** N, N * e - ex, mx)
 
@@ -583,7 +588,7 @@ def _i_direct(N: int, prec: int):
 
 def _j_direct(n: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_cot_column.fn(x, xc))
+        m, e = _pair(_cot_column.fn(node_copy(x), xc)[0])
         mx, ex = _pair(x)
         return scaled_quotient(mx ** n * m, n * (ex - 1) + e - 1)
 
@@ -592,7 +597,7 @@ def _j_direct(n: int, prec: int):
 
 def _k_direct(N: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_atanh_stable(x, xc))
+        m, e = _pair(_atanh_stable(x, xc)[0])
         mx, ex = _pair(x)
         return scaled_quotient(m ** N, N * e - ex, mx)
 
@@ -603,7 +608,7 @@ def _t_direct(N: int, prec: int):
     M = 2 * N + 1
 
     def ev(x, xc):
-        acos = acos_stable(x, xc)
+        acos = _arcsines(x, xc)[1]
         m, e = _pair(mp.pi / 2 - acos if x > mpf(9) / 10 else mp.asin(x))
         mc, ec = _pair(acos)
         mx, ex = _pair(x)
@@ -614,10 +619,8 @@ def _t_direct(N: int, prec: int):
 
 def _pair_direct(p: int, q: int, sign_den: int, prec: int):
     def ev(x, xc):
-        ml, el = _pair(_log_stable(x, xc))
-        # a copy of x: the bracket's log factor then is computed, not read
-        # from the log column of the node being evaluated
-        mb, eb = _pair(_bracket_column(p).fn(mp.make_mpf(x._mpf_), xc))
+        ml, el = _pair(_log_stable(x, xc)[0])
+        mb, eb = _pair(_bracket_column(p).fn(node_copy(x), xc)[0])
         d, ed = _denominator(x, xc, sign_den)
         return scaled_quotient(ml ** (q - 1) * mb, (q - 1) * el + eb - ed, d)
 
@@ -627,7 +630,7 @@ def _pair_direct(p: int, q: int, sign_den: int, prec: int):
 
 def _logsine_direct(n: int, prec: int):
     def ev(x, xc):
-        m, e = _pair(_log_sin_column.fn(x, xc))
+        m, e = _pair(_log_sin_column.fn(node_copy(x), xc)[0])
         mp_, ep = _pair(mp.pi)
         mx, ex = _pair(x)
         return scaled_quotient((mp_ * mx) ** (n - 1) * m, (n - 1) * (ep - 1 + ex) + e)
@@ -653,17 +656,17 @@ DIRECT_KERNELS = {
 
 def _pair_mpf(p: int, q: int, sign_den: int, prec: int):
     def ev(x, xc):
-        return _log_stable(x, xc) ** (q - 1) * _bracket(p, x, xc) / _mpf_denominator(x, xc, sign_den)
+        return _log_stable(x, xc)[0] ** (q - 1) * _bracket(p, x, xc) / _mpf_denominator(x, xc, sign_den)
 
     return scaled(integrate01(ev, prec), Fraction((-1) ** q, 2 * math.factorial(q - 1)))
 
 
 MPF_KERNELS = {
-    "I_quad": lambda N, prec: integrate01(lambda x, xc: _asin_stable(x, xc) ** N / x, prec),
+    "I_quad": lambda N, prec: integrate01(lambda x, xc: _arcsines(x, xc)[0] ** N / x, prec),
     "j_cot": lambda n, prec: integrate01(lambda x, xc: (x / 2) ** n * _cot(x, xc) / 2, prec),
-    "k_arctanh": lambda N, prec: integrate01(lambda x, xc: _atanh_stable(x, xc) ** N / x, prec),
+    "k_arctanh": lambda N, prec: integrate01(lambda x, xc: _atanh_stable(x, xc)[0] ** N / x, prec),
     "t_kernel_quad": lambda N, prec: scaled(
-        integrate01(lambda x, xc: _asin_stable(x, xc) ** (2 * N + 1) * acos_stable(x, xc) / x, prec),
+        integrate01(lambda x, xc: _arcsines(x, xc)[0] ** (2 * N + 1) * _arcsines(x, xc)[1] / x, prec),
         Fraction(1, math.factorial(2 * N + 1)),
     ),
     "kernel_pair": _pair_mpf,

@@ -521,6 +521,16 @@ def test_routes_reject_an_unknown_name(quantity, params, message):
         routes.routes(quantity, params, 30)
 
 
+@pytest.mark.parametrize("name", ("pi", "log2", "psi3_quarter"))
+def test_routes_refuse_an_argument_to_a_constant_that_takes_none(name):
+    # the CLI refuses it before routes; a library caller must not get the
+    # constant for an argument it ignored
+    assert name not in routes.ARGUMENT_CONSTANTS
+    with pytest.raises(ValueError, match=f"constants {name} takes no argument"):
+        routes.routes("constants", (name, 7), 30)
+    assert set(routes.routes("constants", (name, 0), 30)) == {"closed"}
+
+
 def _t(m):
     return (1 - mpf(2) ** -m) * mp.zeta(m)
 

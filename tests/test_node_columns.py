@@ -6,6 +6,10 @@ The integer level sums hold the rounding ``quadrature._level_sum`` and
 """
 
 import dataclasses
+import importlib
+import pkgutil
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -16,20 +20,22 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
+import multizeta
 from multizeta import quadrature, wseries
 from multizeta.hp import GUARD_DIGITS
 from multizeta.quadrature import (
     Integrand,
     QuadratureNonConvergence,
-    acos_column,
-    acos_stable,
+    _arcsine_column,
+    _arcsines,
+    _pair,
     integrate01,
     scaled_quotient,
 )
 from multizeta.verify import run_suite
 from multizeta.wseries import arcsin_power_series, wallis_identity_check
 
-from oracles import DIRECT_KERNELS, MPF_KERNELS
+from oracles import DIRECT_KERNELS, MPF_KERNELS, node_copy
 
 KERNELS = (
     quadrature.I_quad,
@@ -67,25 +73,18 @@ def evaluate(name, args, prec):
     return getattr(quadrature, name)(*args, prec)
 
 
-class Uncolumned:
-    """A node function read without a column: computed at every call."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, x, xc):
-        return self.fn(x, xc)
-
-    def pair(self, x, xc):
-        return quadrature._pair(self.fn(x, xc))
+def computed(column, x, xc):
+    """The column's pairs at (x, xc), computed afresh."""
+    return [_pair(v) for v in column.fn(node_copy(x), xc)]
 
 
 @cache
 def direct(name, args, prec):
     if name == "wallis":
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("cos_column", "sin_column"):
-                patch.setattr(wseries, name, Uncolumned(getattr(quadrature, name).fn))
+            column = quadrature.cos_sin_column
+            patch.setattr(wseries, "cos_sin_column",
+                          lambda x, xc, slot=0: computed(column, x, xc)[slot])
             return wallis_rhs(prec)
     return DIRECT_KERNELS[name](*args, prec)
 
@@ -105,29 +104,15 @@ def node_keys(prec):
 
 
 def count_calls(monkeypatch, column):
-    """Counter over the nodes where the column's values were computed.  A
-    fill by ``both`` runs once per node pair and counts for the node and,
-    but at level 0's lone node x = xc, for its mirror (xc, x)."""
+    """Counter over the nodes where the column's node function ran."""
     calls = Counter()
-    if column.both is None:
-        fn = column.fn
+    fn = column.fn
 
-        def counted(x, xc):
-            calls[id(x), id(xc)] += 1
-            return fn(x, xc)
-
-        monkeypatch.setattr(column, "fn", counted)
-        return calls
-    both = column.both
-
-    def counted_pair(x, xc, k):
+    def counted(x, xc):
         calls[id(x), id(xc)] += 1
-        if x != xc:
-            calls[id(xc), id(x)] += 1
-        return both(x, xc, k)
+        return fn(x, xc)
 
-    for member in column.group:
-        monkeypatch.setattr(member, "both", counted_pair)
+    monkeypatch.setattr(column, "fn", counted)
     return calls
 
 
@@ -178,17 +163,38 @@ def test_direct_oracles_cover_every_kernel():
 # each fill stores its node function, at every node
 # ---------------------------------------------------------------------------
 
+# every value a column holds: its column and slot
 COLUMNS = {
-    "log": quadrature._log_column,
-    "arcsin": quadrature._asin_column,
-    "arccos": acos_column,
-    "atanh": quadrature._atanh_column,
-    "cot": quadrature._cot_column,
-    "log-sine": quadrature._log_sin_column,
-    "cos": quadrature.cos_column,
-    "sin": quadrature.sin_column,
-    **{f"bracket-{p}": quadrature._bracket_column(p) for p in range(2, 6)},
+    "log": (quadrature._log_column, 0),
+    "arcsin": (_arcsine_column, 0),
+    "arccos": (_arcsine_column, 1),
+    "atanh": (quadrature._atanh_column, 0),
+    "cot": (quadrature._cot_column, 0),
+    "log-sine": (quadrature._log_sin_column, 0),
+    "cos": (quadrature.cos_sin_column, 0),
+    "sin": (quadrature.cos_sin_column, 1),
+    **{f"bracket-{p}": (quadrature._bracket_column(p), 0) for p in range(2, 6)},
 }
+
+
+def test_the_columns_listed_are_every_column():
+    columns = {column for column, _ in COLUMNS.values()}
+    in_module = {v for v in vars(quadrature).values() if isinstance(v, quadrature._Column)}
+    brackets = {quadrature._bracket_column(p) for p in range(2, 6)}
+    assert columns == in_module | brackets
+    for column in columns:
+        slots = {slot for c, slot in COLUMNS.values() if c is column}
+        with mp.workdps(30):
+            assert slots == set(range(len(column.fn(mpf(1) / 3, mpf(2) / 3))))
+
+
+def test_no_column_is_exported():
+    # bench/tracer.py wraps each callable of a layer's __all__ and reads its
+    # __name__, which a column instance lacks
+    names = [info.name for info in pkgutil.iter_modules(multizeta.__path__)]
+    for layer in [multizeta] + [importlib.import_module(f"multizeta.{n}") for n in names]:
+        for name in layer.__all__:
+            assert not isinstance(getattr(layer, name), quadrature._Column), (layer, name)
 
 
 def edge_table(wd):
@@ -209,20 +215,19 @@ def edge_table(wd):
 @pytest.mark.parametrize("prec", (16, 30, 50, 200))
 @pytest.mark.parametrize("name", COLUMNS)
 def test_a_fill_stores_its_node_function_at_every_node(name, prec):
-    # a fill through any column of a shared group fills the whole group:
-    # arcsin first stores arccos too, and arccos first arcsin
-    column = COLUMNS[name]
+    # a mirrored node function's values at the mirror, kept from the
+    # computation at the node before, equal its values computed there
+    column, slot = COLUMNS[name]
     wd = prec + GUARD_DIGITS
     tables = [quadrature._cached_nodes(level, wd) for level in range(4)] + [edge_table(wd)]
     with mp.workdps(wd):
         for table in tables:
             assert column not in table.columns
             column._fill(table)
-            for member in column.group:
-                mans, exps = table.columns[member]
-                assert len(mans) == len(exps) == len(table.nodes)
-                for (x, xc, _), m, e in zip(table.nodes, mans, exps):
-                    assert (m, e) == quadrature._pair(member.fn(x, xc))
+            mans, exps = table.columns[column][slot]
+            assert len(mans) == len(exps) == len(table.nodes)
+            for (x, xc, _), m, e in zip(table.nodes, mans, exps):
+                assert (m, e) == computed(column, x, xc)[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +236,10 @@ def test_a_fill_stores_its_node_function_at_every_node(name, prec):
 
 
 def test_the_arcsin_column_runs_once_per_node(monkeypatch):
-    calls = count_calls(monkeypatch, quadrature._asin_column)
+    calls = count_calls(monkeypatch, _arcsine_column)
     for N in range(2, 7):
         quadrature.I_quad(N, 50)
+    quadrature.t_kernel_quad(1, 50)
     assert calls == node_keys(50)
     assert set(calls.values()) == {1}
 
@@ -251,14 +257,98 @@ def test_the_log_and_bracket_columns_run_once_per_node(monkeypatch):
 
 
 def test_the_wallis_check_fills_cos_and_sin_once_per_node_pair(monkeypatch):
-    # one cos_sin per node pair fills both columns; the arcsine group is
-    # not read
-    calls = count_calls(monkeypatch, quadrature.cos_column)
-    arcsines = count_calls(monkeypatch, acos_column)
+    # its node function runs once per node, one cos_sin per node pair
+    # (test_a_fill_costs_its_transcendentals_once); the arcsines are not read
+    calls = count_calls(monkeypatch, quadrature.cos_sin_column)
+    arcsines = count_calls(monkeypatch, _arcsine_column)
     wallis_rhs(50)
     assert calls == node_keys(50)
     assert set(calls.values()) == {1}
     assert not arcsines
+
+
+def count_transcendentals(monkeypatch, names):
+    """Counter of the calls to these mpmath functions, not counting those
+    one of them makes (log1p calls log)."""
+    calls, depth = Counter(), [0]
+    for name in names:
+        real = getattr(mp, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += not depth[0]
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(mp, name, counted)
+    return calls
+
+
+def per_node(table):
+    return len(table.nodes)
+
+
+def per_pair(table):
+    """The node pairs, and level 0's lone node x = xc = 1/2."""
+    return (len(table.nodes) + 1) // 2
+
+
+def above_half(table):
+    return sum(x > 0.5 for x, _, _ in table.nodes)
+
+
+# the mpmath functions each column's fill calls, and how many times over a
+# table: one arcsine per node for arcsin and arccos, one tan per node pair,
+# one cos_sin per node pair for log-sine and for cos and sin, atanh or (where
+# xc < 2^-10) two logs per node, and for a bracket the log column's one log
+# per node and, above 1/2, chi's log(-log x)
+TRANSCENDENTALS = {
+    "log": (("log", "log1p"), per_node),
+    "arcsin": (("asin", "acos"), per_node),
+    "atanh": (("atanh", "log"), lambda t: per_node(t) + sum(xc < 2 ** -10 for _, xc, _ in t.nodes)),
+    "cot": (("tan", "cot"), per_pair),
+    "log-sine": (("cos_sin", "cos", "sin"), per_pair),
+    "cos": (("cos_sin", "cos", "sin"), per_pair),
+    **{f"bracket-{p}": (("log", "log1p"), lambda t: per_node(t) + above_half(t)) for p in range(2, 6)},
+}
+
+
+def test_every_column_has_its_transcendental_count():
+    assert {COLUMNS[name][0] for name in TRANSCENDENTALS} == {c for c, _ in COLUMNS.values()}
+
+
+def warm_chi_coeffs(wd):
+    """The brackets' coefficients, computed once per process, computed now."""
+    for p in range(2, 6):
+        quadrature._chi_coeffs(p, wd)
+
+
+@pytest.mark.parametrize("prec", (30, 50))
+@pytest.mark.parametrize("name", TRANSCENDENTALS)
+def test_a_fill_costs_its_transcendentals_once(monkeypatch, name, prec):
+    column, _ = COLUMNS[name]
+    names, count = TRANSCENDENTALS[name]
+    wd = prec + GUARD_DIGITS
+    tables = [quadrature._cached_nodes(level, wd) for level in range(4)] + [edge_table(wd)]
+    warm_chi_coeffs(wd)
+    calls = count_transcendentals(monkeypatch, names)
+    with mp.workdps(wd):
+        for table in tables:
+            column._fill(table)
+    assert sum(calls.values()) == sum(map(count, tables))
+
+
+def test_every_bracket_reads_the_one_log_per_node(monkeypatch):
+    wd = 30 + GUARD_DIGITS
+    table = quadrature._cached_nodes(2, wd)
+    warm_chi_coeffs(wd)
+    calls = count_transcendentals(monkeypatch, ("log", "log1p"))
+    with mp.workdps(wd):
+        for p in range(2, 6):
+            quadrature._bracket_column(p)._fill(table)
+    assert sum(calls.values()) == per_node(table) + 4 * above_half(table)
 
 
 # ---------------------------------------------------------------------------
@@ -275,42 +365,51 @@ def columns_held():
     ]
 
 
+def arcsines(x, xc):
+    return [_pair(v) for v in _arcsines(x, xc)]
+
+
+def read(column, x, xc):
+    """Every slot of the column at (x, xc), read through its accessor."""
+    return [column(x, xc, slot) for slot in range(len(column.fn(x, xc)))]
+
+
 def test_a_read_outside_integrate01_computes_directly():
-    quadrature.k_arctanh(2, 30)  # its table, without the arcsin/arccos columns
+    quadrature.k_arctanh(2, 30)  # its table, without the arcsine column
     wd = 30 + GUARD_DIGITS
     table = quadrature._NODE_CACHE[wd][0]
     held = dict(table.columns)
     x, xc, _ = table.nodes[3]
     with mp.workdps(wd):
-        assert acos_column(x, xc) == acos_stable(x, xc)
+        assert read(_arcsine_column, x, xc) == arcsines(x, xc)
     assert table.columns == held
-    assert acos_column not in columns_held()
+    assert _arcsine_column not in columns_held()
 
 
 def test_a_read_at_another_x_or_precision_computes_directly():
     seen = []
 
     def ev(x, xc):
-        copy = mp.make_mpf(x._mpf_)  # the node's value, another object
-        seen.append(acos_column(copy, xc) == acos_stable(copy, xc))
+        other = node_copy(x)  # the node's value, another object
+        seen.append(read(_arcsine_column, other, xc) == arcsines(other, xc))
         with mp.workdps(mp.dps + 7):
-            seen.append(acos_column(x, xc) == acos_stable(x, xc))
+            seen.append(read(_arcsine_column, x, xc) == arcsines(x, xc))
         return x
 
     integrate01(ev, 20)
     assert seen and all(seen)
-    assert acos_column not in columns_held()
+    assert _arcsine_column not in columns_held()
 
 
 def test_no_record_or_partial_column_survives_a_failure(monkeypatch):
     monkeypatch.setattr(quadrature, "LEVEL_CAP", 1)
     with pytest.raises(QuadratureNonConvergence):
-        integrate01(lambda x, xc: acos_column(x, xc) / x ** 2, 30)
+        integrate01(lambda x, xc: mpf(_arcsine_column(x, xc, 1)) / x ** 2, 30)
     assert quadrature._AT is None
     table = quadrature._NODE_CACHE[30 + GUARD_DIGITS][1]
     x, xc, _ = table.nodes[-1]  # the last node evaluated
     with mp.workdps(30 + GUARD_DIGITS):
-        assert acos_column(x, xc) == acos_stable(x, xc)
+        assert read(_arcsine_column, x, xc) == arcsines(x, xc)
 
     # a column whose function fails part-way through its table is not kept
     n = [0]
@@ -319,35 +418,95 @@ def test_no_record_or_partial_column_survives_a_failure(monkeypatch):
         n[0] += 1
         if n[0] == 5:
             raise ArithmeticError("fifth node")
-        return acos_stable(x, xc)
+        return _arcsines(x, xc)
 
     column = quadrature._Column(failing)
     with pytest.raises(ArithmeticError):
-        integrate01(lambda x, xc: column(x, xc), 30)
+        integrate01(lambda x, xc: column(x, xc, 1), 30)
     assert quadrature._AT is None
     assert column not in columns_held()
     monkeypatch.undo()
-    column.fn = acos_stable
-    assert_same(integrate01(lambda x, xc: column(x, xc), 30), integrate01(acos_stable, 30))
+    column.fn = _arcsines
+    assert_same(integrate01(lambda x, xc: column(x, xc, 1), 30),
+                integrate01(lambda x, xc: _arcsines(x, xc)[1], 30))
 
 
-def test_a_column_rebuilds_zeros_and_infinities_exactly():
-    values = (mp.zero, mp.inf, -mp.inf, mp.mpf(-3) / 7)
+def test_a_column_serves_zeros_exactly():
+    values = (mp.zero, mpf(-3) / 7, mpf(5))
 
     def pick(x, xc):
-        return values[int(x * 1000) % len(values)]
+        return values[int(x * 1000) % len(values)], mp.zero
 
     column = quadrature._Column(pick)
     seen = []
 
     def ev(x, xc):
-        got, want = column(x, xc), pick(x, xc)
-        seen.append(got._mpf_ == want._mpf_)
+        seen.append(read(column, x, xc) == [_pair(v) for v in pick(x, xc)])
         return x
 
     integrate01(ev, 20)
     assert seen and all(seen)
     assert column in columns_held()
+
+
+@pytest.mark.parametrize("bad", (mp.inf, -mp.inf, mp.nan))
+def test_a_non_finite_node_value_raises_and_stores_no_column(bad):
+    # columns hold exact finite pairs: no value stands for inf or nan
+    column = quadrature._Column(lambda x, xc: (x, bad if x > 0.9 else xc))
+    with pytest.raises(ValueError, match="finite"):
+        integrate01(lambda x, xc: column(x, xc), 20)
+    assert quadrature._AT is None
+    assert column not in columns_held()
+
+
+MIRRORED = ("cot", "log-sine", "cos")
+
+
+@pytest.mark.parametrize("name", MIRRORED)
+def test_a_kept_mirror_value_is_served_only_at_its_objects_and_precision(name):
+    column, _ = COLUMNS[name]
+    wd = 30 + GUARD_DIGITS
+    x, xc, _ = quadrature._cached_nodes(1, wd).nodes[2]
+    with mp.workdps(wd):
+        column.fn(x, xc)  # keeps the values at (xc, x)
+        assert column.fn(node_copy(xc), x) == column.fn(node_copy(xc), node_copy(x))
+        column.fn(x, xc)
+        with mp.workdps(wd + 7):
+            assert [_pair(v) for v in column.fn(xc, x)] == computed(column, xc, x)
+        column.fn(x, xc)
+        assert [_pair(v) for v in column.fn(xc, x)] == computed(column, xc, x)
+
+
+def test_mirrored_values_hold_for_interleaved_callers():
+    # a mirrored node function keeps its last mirror's values in one shared
+    # slot; four threads walking the same nodes in node order overwrite it
+    # under one another, and each call must still get its own node's values
+    wd = 30 + GUARD_DIGITS
+    table = quadrature._cached_nodes(2, wd)
+    columns = (quadrature._cot_column, quadrature._log_sin_column, quadrature.cos_sin_column)
+    failures = []
+
+    def walk():
+        for _ in range(3):
+            for column in columns:
+                for (x, xc, _), want in zip(table.nodes, wanted[column]):
+                    if [_pair(v) for v in column.fn(x, xc)] != want:
+                        failures.append((column, x))
+
+    interval = sys.getswitchinterval()
+    with mp.workdps(wd):
+        wanted = {c: [computed(c, x, xc) for x, xc, _ in table.nodes] for c in columns}
+        threads = [threading.Thread(target=walk) for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +525,7 @@ def sweep(precs):
 
 def test_a_precision_sweep_stays_within_the_byte_budget(monkeypatch):
     # the sweep over 100, ..., 800 digits is slow; its first four steps hold
-    # an estimated 9.2 MB, so a budget a sixth as large (5.3 MB) evicts
+    # an estimated 8.5 MB, so a budget a sixth as large (5.3 MB) evicts
     monkeypatch.setattr(quadrature, "_NODE_BYTES", quadrature._NODE_BYTES // 6)
     for prec in sweep(range(100, 500, 100)):
         assert quadrature._held_bytes() <= quadrature._NODE_BYTES
@@ -555,9 +714,8 @@ def wrapping(integrate):
 
 # a kernel, a second one reading the same column, and that column
 WRAPPED = [
-    (("I_quad", (3,)), ("I_quad", (4,)), "_asin_column"),
-    (("t_kernel_quad", (1,)), ("t_kernel_quad", (2,)), "acos_column"),
-    (("wallis", ()), ("wallis", ()), "cos_column"),
+    (("I_quad", (3,)), ("t_kernel_quad", (1,)), "_arcsine_column"),
+    (("wallis", ()), ("wallis", ()), "cos_sin_column"),
     (("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 2, 1)), "_log_column"),
 ]
 

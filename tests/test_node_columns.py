@@ -712,17 +712,25 @@ def wrapping(integrate):
     return wrapper
 
 
-# a kernel, a second one reading the same column, and that column
+# a kernel, a second one reading the same column, and that column; the
+# _asin_column and acos_column cases read the arcsine column's arcsin slot
+# (I_quad) and its arccos slot (t_kernel_quad), the _arcsine_column case both
 WRAPPED = [
-    (("I_quad", (3,)), ("t_kernel_quad", (1,)), "_arcsine_column"),
-    (("wallis", ()), ("wallis", ()), "cos_sin_column"),
-    (("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 2, 1)), "_log_column"),
+    pytest.param(("I_quad", (3,)), ("I_quad", (4,)), "_arcsine_column", id="_asin_column"),
+    pytest.param(("t_kernel_quad", (1,)), ("t_kernel_quad", (2,)), "_arcsine_column",
+                 id="acos_column"),
+    pytest.param(("I_quad", (3,)), ("t_kernel_quad", (1,)), "_arcsine_column",
+                 id="_arcsine_column"),
+    pytest.param(("wallis", ()), ("wallis", ()), "cos_sin_column", id="cos_sin_column"),
+    pytest.param(("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 2, 1)), "_log_column",
+                 id="_log_column"),
 ]
 
 
-@pytest.mark.parametrize("first, second, column", WRAPPED, ids=[c for *_, c in WRAPPED])
+@pytest.mark.parametrize("first, second, column", WRAPPED)
 def test_a_wrapped_evaluator_gives_the_same_result(monkeypatch, first, second, column):
     plain = evaluate(*first, 30)
+    want = direct(*first, 30)  # before the count: an oracle may call the node function
     cold()
     wrapped_integrate = wrapping(quadrature.integrate01)
     for module in (quadrature, wseries):  # rebound everywhere, as the tracer does
@@ -730,7 +738,7 @@ def test_a_wrapped_evaluator_gives_the_same_result(monkeypatch, first, second, c
     calls = count_calls(monkeypatch, getattr(quadrature, column))
     wrapped = evaluate(*first, 30)
     assert_same(wrapped, plain)
-    assert_same(wrapped, direct(*first, 30))
+    assert_same(wrapped, want)
     evaluate(*second, 30)  # read through the wrapper, the column still serves
     assert calls == node_keys(30)
     assert set(calls.values()) == {1}

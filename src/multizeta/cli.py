@@ -1,18 +1,11 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the evaluation families:
-
-  constants     single constants (pi, log2, zeta m, eta m, beta m, t m, psi3_quarter)
-  zeta          nested zeta values zeta(i1,...,ik), outermost exponent first
-  tvalue        nested odd-denominator values t(i1,...,ik)
-  mu            nested parity-constrained values mu(i1,...,ik)
-  bigT          2^depth-scaled parity values T(i1,...,ik)
-  oddsum        odd Euler sums O(p,q) / alternating B(p,q)
-  eulersum      classical Euler sums  sum prod_j H_n^(p_j) / n^q
-  integral      the integral family (I, J, K, logsine)
-  series-coeff  exact coefficient-table entries (G, H, arctanh families)
-  cbsum         central-binomial (Lehmer) sums
-  verify        run the cross-verification suites
+Each evaluating subcommand serves one evaluation family (single constants,
+zeta, tvalue, mu, bigT, oddsum, eulersum, integral, cbsum); one table,
+``_COMMANDS``, declares its positional arguments, and a request's params are
+their values in table order.  ``series-coeff`` prints exact coefficient-table
+entries and ``verify`` runs the cross-verification suites.  ``multizeta
+--help`` lists every subcommand.
 
 Every evaluating subcommand takes --method {closed,series,quadrature,
 symbolic,all}: 'all' runs every route available for the requested shape and
@@ -51,45 +44,50 @@ from .wseries import arctanh_nested_coeff, g_coeff, h_coeff
 __all__ = ["Request", "run", "main"]
 
 _METHODS = ("closed", "series", "quadrature", "symbolic", "all")
-_QUANTITIES = (
-    "constants",
-    "zeta",
-    "tvalue",
-    "mu",
-    "bigT",
-    "oddsum",
-    "eulersum",
-    "integral",
-    "cbsum",
-)
-# --cutoff is accepted and validated for compatibility (verify echoes it in its
-# report); no route reads it
-DEFAULT_CUTOFF = 10 ** 6
+_INT, _INTS = {"type": int}, {"type": int, "nargs": "+"}
+_EXPONENTS = ("exponents", _INTS)
+# evaluating subcommand -> (help, positional arguments as (name, argparse options))
+_COMMANDS = {
+    "constants": ("single constants", (
+        ("name", {"choices": CONSTANT_NAMES}),
+        ("arg", {"type": int, "nargs": "?", "help": "argument m where applicable"}),
+    )),
+    "zeta": ("nested zeta value, exponents outermost-first", (_EXPONENTS,)),
+    "tvalue": ("nested odd-denominator t value", (_EXPONENTS,)),
+    "mu": ("nested parity-constrained mu value", (_EXPONENTS,)),
+    "bigT": ("2^depth-scaled parity value", (_EXPONENTS,)),
+    "oddsum": ("odd Euler sums O(p,q) and alternating B(p,q)",
+               (("family", {"choices": ("O", "B")}), ("p", _INT), ("q", _INT))),
+    "eulersum": ("sum prod_j H_n^(p_j) / n^q  (arguments: q p1 [p2 ...])",
+                 (("q", _INT), ("ps", _INTS))),
+    "integral": ("integral family", (("kind", {"choices": INTEGRAL_KINDS}), ("n", _INT))),
+    "cbsum": ("central-binomial (Lehmer) sums", (("kind", {"choices": CB_KINDS}),)),
+}
+_COEFFS = {"G": g_coeff, "H": h_coeff, "arctanh": arctanh_nested_coeff}
 
 
 @dataclass(frozen=True)
 class Request:
     """One evaluation request: a quantity family plus its parameters.
 
-    ``params`` holds the subcommand's positional arguments verbatim
-    (integers for exponent tuples; a leading name string for constants,
-    oddsum, integral, and cbsum).
+    ``params`` holds the subcommand's positional arguments in ``_COMMANDS``
+    order, lists flattened (integers for exponent tuples; a leading name
+    string for constants, oddsum, integral, and cbsum), stored as a tuple.
     """
 
     quantity: str
     params: tuple
     method: str = "all"
     prec: int = 50
-    output: str = "text"
     symbolic: bool = False
 
     def __post_init__(self):
-        if self.quantity not in _QUANTITIES:
+        # a list would evaluate but leave the request unhashable and unequal to its tuple form
+        object.__setattr__(self, "params", tuple(self.params))
+        if self.quantity not in _COMMANDS:
             raise ValueError(f"unknown quantity {self.quantity!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.output not in ("text", "json"):
-            raise ValueError(f"output must be 'text' or 'json', got {self.output!r}")
         coerce_prec(self.prec)
         _check_printable(self.prec)
 
@@ -151,7 +149,7 @@ def run(req: Request) -> dict:
             )
         payload = _result_payload(req, req.method, found[req.method]())
     else:
-        order = [m for m in ("closed", "series", "quadrature", "symbolic") if m in found]
+        order = [m for m in _METHODS if m in found]
         # closed and symbolic share one thunk: each distinct thunk runs once
         values = {thunk: thunk() for thunk in dict.fromkeys(found[m] for m in order)}
         results = [(m, values[found[m]]) for m in order]
@@ -203,22 +201,27 @@ def _render_text(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _common_flags(sp):
+def _shared_flags(sp, evaluating: bool):
+    """--prec, --cutoff and --json; an evaluating subcommand also takes --method
+    and --symbolic (declared in this order, the order its usage line shows)."""
     sp.add_argument("--prec", type=int, default=50, help="decimal digits (default 50)")
+    # validated and echoed in verify's report; no route reads it
     sp.add_argument(
         "--cutoff",
         type=int,
-        default=DEFAULT_CUTOFF,
+        default=10 ** 6,
         help="accepted for compatibility; no effect (every series route reaches the"
         " full precision without a cutoff)",
     )
-    sp.add_argument(
-        "--method", choices=_METHODS, default="all", help="evaluation route (default all)"
-    )
+    if evaluating:
+        sp.add_argument(
+            "--method", choices=_METHODS, default="all", help="evaluation route (default all)"
+        )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
-    sp.add_argument(
-        "--symbolic", action="store_true", help="attach the exact basis expression"
-    )
+    if evaluating:
+        sp.add_argument(
+            "--symbolic", action="store_true", help="attach the exact basis expression"
+        )
 
 
 @lru_cache(maxsize=1)
@@ -233,60 +236,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("constants", help="single constants")
-    sp.add_argument("name", choices=CONSTANT_NAMES)
-    sp.add_argument("arg", type=int, nargs="?", default=None, help="argument m where applicable")
-    _common_flags(sp)
-
-    for cmd, hlp in (
-        ("zeta", "nested zeta value, exponents outermost-first"),
-        ("tvalue", "nested odd-denominator t value"),
-        ("mu", "nested parity-constrained mu value"),
-        ("bigT", "2^depth-scaled parity value"),
-    ):
+    for cmd, (hlp, positionals) in _COMMANDS.items():
         sp = sub.add_parser(cmd, help=hlp)
-        sp.add_argument("exponents", type=int, nargs="+")
-        _common_flags(sp)
-
-    sp = sub.add_parser("oddsum", help="odd Euler sums O(p,q) and alternating B(p,q)")
-    sp.add_argument("family", choices=("O", "B"))
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    _common_flags(sp)
-
-    sp = sub.add_parser(
-        "eulersum", help="sum prod_j H_n^(p_j) / n^q  (arguments: q p1 [p2 ...])"
-    )
-    sp.add_argument("q", type=int)
-    sp.add_argument("ps", type=int, nargs="+")
-    _common_flags(sp)
-
-    sp = sub.add_parser("integral", help="integral family")
-    sp.add_argument("kind", choices=INTEGRAL_KINDS)
-    sp.add_argument("n", type=int)
-    _common_flags(sp)
+        for name, options in positionals:
+            sp.add_argument(name, **options)
+        _shared_flags(sp, evaluating=True)
 
     sp = sub.add_parser("series-coeff", help="exact coefficient-table entries")
-    sp.add_argument("family", choices=("G", "H", "arctanh"))
+    sp.add_argument("family", choices=_COEFFS)
     sp.add_argument("N", type=int)
     sp.add_argument("k", type=int)
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("cbsum", help="central-binomial (Lehmer) sums")
-    sp.add_argument("kind", choices=CB_KINDS)
-    _common_flags(sp)
-
     sp = sub.add_parser("verify", help="run the cross-verification suites")
     sp.add_argument("--suite", choices=SUITES, default="all")
-    sp.add_argument("--prec", type=int, default=50)
-    sp.add_argument(
-        "--cutoff",
-        type=int,
-        default=DEFAULT_CUTOFF,
-        help="accepted for compatibility; no effect",
-    )
-    sp.add_argument("--json", action="store_true", help="print the report as JSON")
+    _shared_flags(sp, evaluating=False)
     sp.add_argument("--report", metavar="PATH", help="also write the JSON report to PATH")
     sp.add_argument(
         "--strict-conjectures",
@@ -297,36 +261,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _request_from_args(args) -> Request:
-    common = dict(
-        method=args.method,
-        prec=args.prec,
-        output="json" if args.json else "text",
-        symbolic=args.symbolic,
-    )
+    params = []
+    for name, _ in _COMMANDS[args.command][1]:
+        value = getattr(args, name)
+        params.extend(value if isinstance(value, list) else [value])
     if args.command == "constants":
-        if args.name in ARGUMENT_CONSTANTS:
-            if args.arg is None:
-                raise ValueError(f"constants {args.name} requires an integer argument m")
-            return Request("constants", (args.name, args.arg), **common)
-        if args.arg is not None:
-            raise ValueError(f"constants {args.name} takes no argument")
-        return Request("constants", (args.name, 0), **common)
-    if args.command in ("zeta", "tvalue", "mu", "bigT"):
-        return Request(args.command, tuple(args.exponents), **common)
-    if args.command == "oddsum":
-        return Request("oddsum", (args.family, args.p, args.q), **common)
-    if args.command == "eulersum":
-        return Request("eulersum", (args.q, *args.ps), **common)
-    if args.command == "integral":
-        return Request("integral", (args.kind, args.n), **common)
-    if args.command == "cbsum":
-        return Request("cbsum", (args.kind,), **common)
-    raise ValueError(f"unhandled command {args.command!r}")  # pragma: no cover
+        name, arg = params
+        if name in ARGUMENT_CONSTANTS and arg is None:
+            raise ValueError(f"constants {name} requires an integer argument m")
+        if name not in ARGUMENT_CONSTANTS and arg is not None:
+            raise ValueError(f"constants {name} takes no argument")
+        params[1] = arg or 0
+    return Request(args.command, params, args.method, args.prec, args.symbolic)
 
 
 def _run_series_coeff(args) -> int:
-    fn = {"G": g_coeff, "H": h_coeff, "arctanh": arctanh_nested_coeff}[args.family]
-    value = fn(args.N, args.k)
+    value = _COEFFS[args.family](args.N, args.k)
     if args.json:
         print(
             json.dumps(
@@ -378,7 +328,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
-    if req.output == "json":
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(_render_text(payload))

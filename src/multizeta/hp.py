@@ -427,10 +427,15 @@ def pi_const(prec: int = 50) -> EvalResult:
     for pi and log 2, wd from 26 to 1010); the radius |pi| 10^-wd holds with
     a tenfold margin.
     """
+    return _rounded_const(lambda: mp.pi, prec)
+
+
+def _rounded_const(value, prec: int) -> EvalResult:
+    """value() rounded at wd = prec + GUARD_DIGITS digits, radius |v| 10^-wd."""
     coerce_prec(prec)
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
-        val = +mp.pi
+        val = +value()
         bound = abs(val) * mpf(10) ** (-wd)
     return wrap_result(val, bound, prec, rigorous=True)
 
@@ -454,9 +459,4 @@ def pi_power(k: int, prec: int = 50) -> EvalResult:
 @lru_cache(maxsize=None)
 def log2_const(prec: int = 50) -> EvalResult:
     """log 2 at the requested precision, radius |log 2| 10^-wd (see pi_const)."""
-    coerce_prec(prec)
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        val = mp.log(2)
-        bound = abs(val) * mpf(10) ** (-wd)
-    return wrap_result(val, bound, prec, rigorous=True)
+    return _rounded_const(lambda: mp.log(2), prec)

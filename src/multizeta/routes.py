@@ -39,6 +39,11 @@ CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
 ARGUMENT_CONSTANTS = ("zeta", "eta", "beta", "t")
 
 
+def _shape(params):
+    """A list of params as the tuple it holds; verify's valean params stay a string."""
+    return tuple(params) if isinstance(params, list) else params
+
+
 def _head_tail_run(params, head, tail) -> int:
     """Length of the tail run when params == (head, tail, ..., tail), else 0."""
     if len(params) >= 2 and params[0] == head and all(p == tail for p in params[1:]):
@@ -55,7 +60,7 @@ def _twos_then_one(params) -> int:
 
 def fid_for(quantity: str, params):
     """FormulaId for the shape, when a symbolic build exists."""
-    p = params
+    p = _shape(params)
     if quantity == "zeta":
         if p == (3,):
             return FormulaId(Formula.Z322, (0,))
@@ -90,7 +95,7 @@ def fid_for(quantity: str, params):
 
 def routes(quantity: str, params, prec: int) -> dict:
     """Available evaluation routes for the shape, method name -> thunk."""
-    p = params
+    p = _shape(params)
     found: dict = {}
 
     if quantity == "constants":

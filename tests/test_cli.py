@@ -264,7 +264,7 @@ def test_a_bound_wider_than_the_print_limit_prints():
         bound = mpf(1) / 3 * mpf(10) ** -(top + 11)
     with mp.workdps(top + GUARD_DIGITS):
         r = wrap_result(mpf(1) / 7, bound, top, rigorous=True)
-    req = Request("integral", ("I", 40), method="closed", prec=top, output="json")
+    req = Request("integral", ("I", 40), method="closed", prec=top)
     payload = cli._result_payload(req, "closed", r)
     assert payload["error_bound"] == f"3.3333e-{top + 12}"
     assert payload["value"].startswith("0.142857142857")
@@ -421,10 +421,73 @@ def test_reused_parser_carries_no_value_over(capsys, monkeypatch):
     assert main(["zeta", "3", "2", "--json"]) == 0
     capsys.readouterr()
     assert seen == [
-        Request("zeta", (3, 2), "closed", 30, "json", True),
-        Request("zeta", (3, 2), output="json"),
+        Request("zeta", (3, 2), "closed", 30, True),
+        Request("zeta", (3, 2)),
     ]
     assert cli._build_parser() is cli._build_parser()
+
+
+# one argv per evaluating subcommand and the request main builds from it:
+# params are the positionals in table order, nargs="+" lists flattened
+REQUEST_CASES = [
+    (["constants", "pi"], Request("constants", ("pi", 0))),
+    (["constants", "zeta", "3", "--prec", "30"], Request("constants", ("zeta", 3), prec=30)),
+    (["zeta", "3", "2", "2", "--method", "closed"], Request("zeta", (3, 2, 2), "closed")),
+    (["tvalue", "3", "2", "--symbolic"], Request("tvalue", (3, 2), symbolic=True)),
+    (["mu", "2", "1", "--cutoff", "500"], Request("mu", (2, 1))),
+    (["bigT", "2", "1", "1", "--method", "series"], Request("bigT", (2, 1, 1), "series")),
+    (["oddsum", "B", "3", "3"], Request("oddsum", ("B", 3, 3))),
+    (["eulersum", "3", "1", "2"], Request("eulersum", (3, 1, 2))),
+    (["integral", "logsine", "4", "--method", "quadrature", "--prec", "40"],
+     Request("integral", ("logsine", 4), "quadrature", 40)),
+    (["cbsum", "inverse_fourth"], Request("cbsum", ("inverse_fourth",))),
+]
+
+
+@pytest.mark.parametrize("argv, expected", REQUEST_CASES,
+                         ids=[" ".join(argv) for argv, _ in REQUEST_CASES])
+def test_each_subcommand_builds_its_request(capsys, monkeypatch, argv, expected):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda req: seen.append(req) or {"agreement": True})
+    assert main([*argv, "--json"]) == 0  # the stub payload has no text rendering
+    capsys.readouterr()
+    assert seen == [expected]
+
+
+def test_the_request_cases_cover_every_evaluating_subcommand():
+    assert {argv[0] for argv, _ in REQUEST_CASES} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("cmd", [*cli._COMMANDS, "series-coeff", "verify"])
+def test_every_subcommand_prints_its_help(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: multizeta {cmd} ")
+
+
+@pytest.mark.parametrize("quantity, params", [
+    ("constants", ("zeta", 3)),
+    ("zeta", (3, 1, 1)),
+    ("tvalue", (3, 2)),
+    ("mu", (2,)),
+    ("bigT", (2, 1)),
+    ("oddsum", ("O", 2, 3)),
+    ("eulersum", (3, 1)),
+    ("integral", ("K", 2)),
+    ("cbsum", ("inverse_square",)),
+])
+def test_a_list_of_params_is_the_tuple_it_holds(quantity, params):
+    listed = routes.routes(quantity, list(params), 30)
+    held = routes.routes(quantity, params, 30)
+    assert list(listed) == list(held)
+    for method in held:
+        assert listed[method]() == held[method](), method
+    assert routes.fid_for(quantity, list(params)) == routes.fid_for(quantity, params)
+    req = Request(quantity, list(params), prec=30)
+    assert req == Request(quantity, params, prec=30) and req.params == params
+    assert hash(req) == hash(Request(quantity, params, prec=30))
+    assert run(req) == run(Request(quantity, params, prec=30))
 
 
 def test_nonconvergence_exits_3(capsys, monkeypatch):
@@ -680,8 +743,6 @@ def test_request_validation():
         Request("zeta", (3,), method="bogus")
     with pytest.raises(ValueError):
         Request("nope", (3,))
-    with pytest.raises(ValueError):
-        Request("zeta", (3,), output="yaml")
 
 
 def test_run_surfaces_route_validation():

@@ -19,10 +19,10 @@ they charge the roundings of the values they form.  Two results agree when
 :meth:`EvalResult.agrees_with` says so: |v1 - v2| <= e1 + e2 with both sides
 exact (:func:`gap`, :func:`bound_sum`), so no working precision enters the
 verdict.  :func:`digits_short` says how far a result's bound falls short of
-the digits asked for.  These helpers stay out of ``__all__``, like
-:func:`coerce_prec`: the benchmark's tracer wraps every function listed
-there and hashes its arguments, and theirs are lists, results and mpf
-values.
+the digits asked for.  These helpers stay out of ``__all__``, like the
+parameter checks :func:`coerce_prec` and :func:`require`: the benchmark's
+tracer wraps every function listed there and hashes its arguments, and
+theirs are lists, results and mpf values.
 
 Base constants provided:
 
@@ -89,6 +89,12 @@ def coerce_prec(prec: int) -> int:
     if not isinstance(prec, int) or prec < MIN_PRECISION:
         raise ValueError(f"precision must be an int >= {MIN_PRECISION}, got {prec!r}")
     return prec
+
+
+def require(value, name: str, least: int = 1, why: str = "") -> None:
+    """Refuse a parameter that is not an int >= least."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} >= {least} required, got {value!r}{why}")
 
 
 @dataclass(frozen=True)
@@ -369,8 +375,7 @@ def zeta_single(s: int, prec: int = 50) -> EvalResult:
     """Riemann zeta(s) for integer s >= 2, rigorous: the CVZ kernel's
     eta(s) times 1/(1 - 2^(1-s)), a ratio of at most 2."""
     coerce_prec(prec)
-    if not isinstance(s, int) or s < 2:
-        raise ValueError(f"zeta_single requires integer s >= 2, got {s!r}")
+    require(s, "zeta_single's s", 2)
     return _cvz(lambda k: (k + 1) ** s, Fraction(2 ** (s - 1), 2 ** (s - 1) - 1), prec)
 
 
@@ -379,8 +384,7 @@ def eta(m: int, prec: int = 50) -> EvalResult:
     """Dirichlet eta(m) = sum (-1)^(n-1) n^(-m); eta(1) = log 2, and for
     m >= 2 the CVZ kernel directly."""
     coerce_prec(prec)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"eta requires integer m >= 1, got {m!r}")
+    require(m, "eta's m")
     if m == 1:
         return log2_const(prec)
     return _cvz(lambda k: (k + 1) ** m, Fraction(1), prec)
@@ -392,8 +396,7 @@ def beta_fn(m: int, prec: int = 50) -> EvalResult:
     kernel: (2k+1)^(-m) = int_0^1 y^k dmu(y) with mu >= 0 (put y = x^2 in
     int_0^1 x^(2k) (-log x)^(m-1)/(m-1)! dx)."""
     coerce_prec(prec)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"beta_fn requires integer m >= 1, got {m!r}")
+    require(m, "beta_fn's m")
     return _cvz(lambda k: (2 * k + 1) ** m, Fraction(1), prec)
 
 
@@ -401,8 +404,7 @@ def beta_fn(m: int, prec: int = 50) -> EvalResult:
 def t_single(i: int, prec: int = 50) -> EvalResult:
     """Odd-denominator zeta value t(i) = sum (2n-1)^(-i) = (1 - 2^(-i)) zeta(i)."""
     coerce_prec(prec)
-    if not isinstance(i, int) or i < 2:
-        raise ValueError(f"t_single requires integer i >= 2, got {i!r}")
+    require(i, "t_single's i", 2)
     return scaled(zeta_single(i, prec), 1 - Fraction(1, 2 ** i))
 
 

@@ -71,6 +71,7 @@ from .hp import (
     bernoulli_fraction,
     coerce_prec,
     pi_const,
+    require,
     scaled,
     zeta_single,
 )
@@ -648,16 +649,10 @@ def _bracket_column(p: int) -> _Column:
 # ---------------------------------------------------------------------------
 
 
-def _require(value, name: str, least: int = 1, why: str = "") -> None:
-    """Refuse a kernel parameter that is not an int >= least."""
-    if not isinstance(value, int) or value < least:
-        raise ValueError(f"{name} >= {least} required, got {value!r}{why}")
-
-
 def _column_power_integral(column: _Column, N: int, name: str, prec: int) -> QuadratureResult:
     """integral_0^1 f(z)^N/z dz, f the column's first slot, for I_quad and
     k_arctanh."""
-    _require(N, "N")
+    require(N, "N")
 
     def ev(x, xc):
         m, e = column(x, xc)
@@ -681,7 +676,7 @@ def j_cot(n: int, prec: int = 50) -> QuadratureResult:
     tan((pi/2) xc) near x = 1 (where cot passes through zero) and the z^n
     factor tames the 1/z pole of cot at the origin, leaving z^(n-1)/pi there.
     """
-    _require(n, "n")
+    require(n, "n")
 
     def ev(x, xc):  # (x/2)^n cot / 2
         m, e = _cot_column(x, xc)
@@ -706,7 +701,7 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
     and the arcsin is pi/2 minus it, below the reverse (_arcsines).  Both
     come from the arcsine column I_quad reads too.
     """
-    _require(N, "N")
+    require(N, "N")
     M = 2 * N + 1
 
     def ev(x, xc):
@@ -720,8 +715,8 @@ def t_kernel_quad(N: int, prec: int = 50) -> QuadratureResult:
 
 
 def _check_kernel_args(p, q, sign_den) -> None:
-    _require(p, "p", 2)
-    _require(q, "q", 2, ": the 1/(1-x^2) endpoint is non-integrable" if sign_den == -1 else "")
+    require(p, "p", 2)
+    require(q, "q", 2, ": the 1/(1-x^2) endpoint is non-integrable" if sign_den == -1 else "")
     if sign_den not in (1, -1):
         raise ValueError("sign_den must be +1 or -1")
 
@@ -769,7 +764,7 @@ def logsine_check(n: int, prec: int = 50) -> QuadratureResult:
     Mapped to (0,1) by z = (pi/2) x; near x = 1 the integrand uses
     log(sin((pi/2)(1-xc))) = log(cos((pi/2) xc)).
     """
-    _require(n, "n")
+    require(n, "n")
     coerce_prec(prec)
     with LOCK, mp.workdps(prec + GUARD_DIGITS):
         mp_, ep = _pair(mp.pi)

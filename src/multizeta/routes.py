@@ -25,7 +25,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
-from . import closed, hp, quadrature, series
+from . import closed, hp, quadrature, series, symbolic
 from .symbolic import Formula, FormulaId
 
 __all__ = ["ARGUMENT_CONSTANTS", "CONSTANT_NAMES", "INTEGRAL_KINDS", "fid_for", "routes",
@@ -34,7 +34,18 @@ __all__ = ["ARGUMENT_CONSTANTS", "CONSTANT_NAMES", "INTEGRAL_KINDS", "fid_for", 
 # the families series.nested_value evaluates
 _NESTED = ("zeta", "tvalue", "mu", "bigT", "oddsum", "eulersum", "valean", "arcsin_kernel")
 INTEGRAL_KINDS = ("I", "J", "K", "logsine")
-CONSTANT_NAMES = ("pi", "log2", "zeta", "eta", "beta", "t", "psi3_quarter")
+# name -> its closed route at (m, prec); each looks its hp function up when
+# it runs, so that a wrapper rebound in hp sees the call
+_CONSTANTS = {
+    "pi": lambda m, prec: hp.pi_const(prec),
+    "log2": lambda m, prec: hp.log2_const(prec),
+    "zeta": lambda m, prec: hp.zeta_single(m, prec),
+    "eta": lambda m, prec: hp.eta(m, prec),
+    "beta": lambda m, prec: hp.beta_fn(m, prec),
+    "t": lambda m, prec: hp.t_single(m, prec),
+    "psi3_quarter": lambda m, prec: hp.psi3_quarter(prec),
+}
+CONSTANT_NAMES = tuple(_CONSTANTS)
 # the constants that take an integer argument m; the others take 0
 ARGUMENT_CONSTANTS = ("zeta", "eta", "beta", "t")
 
@@ -44,52 +55,43 @@ def _shape(params):
     return tuple(params) if isinstance(params, list) else params
 
 
-def _head_tail_run(params, head, tail) -> int:
-    """Length of the tail run when params == (head, tail, ..., tail), else 0."""
-    if len(params) >= 2 and params[0] == head and all(p == tail for p in params[1:]):
-        return len(params) - 1
-    return 0
-
-
-def _twos_then_one(params) -> int:
-    """N when params == ({2}^N, 1), else 0."""
-    if len(params) >= 2 and params[-1] == 1 and all(p == 2 for p in params[:-1]):
-        return len(params) - 1
-    return 0
+def _head_tail(params, head, tail) -> bool:
+    """params == (head, tail, ..., tail), the tail run possibly empty."""
+    return params[:1] == (head,) and all(p == tail for p in params[1:])
 
 
 def fid_for(quantity: str, params):
-    """FormulaId for the shape, when a symbolic build exists."""
+    """FormulaId for the shape, when a symbolic build exists: the shape names
+    a candidate closed form, and symbolic.takes says whether that form's
+    parameter rule accepts its params."""
     p = _shape(params)
+    candidate = None
     if quantity == "zeta":
-        if p == (3,):
-            return FormulaId(Formula.Z322, (0,))
-        if (n := _head_tail_run(p, 3, 2)):
-            return FormulaId(Formula.Z322, (n,))
-        if p == (3, 1, 1):
-            return FormulaId(Formula.ZETA311)
+        if _head_tail(p, 3, 2):  # zeta(3) is Z322's N = 0
+            candidate = Formula.Z322, (len(p) - 1,)
+        elif p == (3, 1, 1):
+            candidate = Formula.ZETA311, ()
     elif quantity == "tvalue":
-        if (n := _head_tail_run(p, 3, 2)):
-            return FormulaId(Formula.T322, (n,))
-        if (n := _twos_then_one(p)):
-            return FormulaId(Formula.T2S1_CONJECTURE, (n,))
+        if _head_tail(p, 3, 2):
+            candidate = Formula.T322, (len(p) - 1,)
+        elif p[-1:] == (1,) and all(e == 2 for e in p[:-1]):
+            candidate = Formula.T2S1_CONJECTURE, (len(p) - 1,)
     elif quantity == "mu":
-        if p == (2,):
-            return FormulaId(Formula.E211, (1,))
-        if (n := _head_tail_run(p, 2, 1)):
-            return FormulaId(Formula.E211, (n + 1,))
+        if _head_tail(p, 2, 1):
+            candidate = Formula.E211, (len(p),)
     elif quantity == "oddsum":
         fam, a, b = p
         if fam not in ("O", "B"):
             raise ValueError(f"odd-sum family must be 'O' or 'B', got {fam!r}")
-        if min(a, b) >= 2 and (a == b or (a + b) % 2):
-            return FormulaId(Formula.O_SUM if fam == "O" else Formula.B_SUM, (a, b))
+        candidate = (Formula.O_SUM if fam == "O" else Formula.B_SUM), (a, b)
     elif quantity == "integral":
         kind, n = p
         if kind not in INTEGRAL_KINDS:
             raise ValueError(f"integral kind must be one of {INTEGRAL_KINDS}, got {kind!r}")
-        if kind == "I" and isinstance(n, int) and n >= 1:
-            return FormulaId(Formula.I_CLOSED, (n,))
+        if kind == "I":
+            candidate = Formula.I_CLOSED, (n,)
+    if candidate is not None and symbolic.takes(*candidate):
+        return FormulaId(*candidate)
     return None
 
 
@@ -104,15 +106,7 @@ def routes(quantity: str, params, prec: int) -> dict:
             raise ValueError(f"constant must be one of {CONSTANT_NAMES}, got {name!r}")
         if name not in ARGUMENT_CONSTANTS and arg != 0:
             raise ValueError(f"constants {name} takes no argument")
-        found["closed"] = {
-            "pi": lambda: hp.pi_const(prec),
-            "log2": lambda: hp.log2_const(prec),
-            "zeta": lambda: hp.zeta_single(arg, prec),
-            "eta": lambda: hp.eta(arg, prec),
-            "beta": lambda: hp.beta_fn(arg, prec),
-            "t": lambda: hp.t_single(arg, prec),
-            "psi3_quarter": lambda: hp.psi3_quarter(prec),
-        }[name]
+        found["closed"] = lambda: _CONSTANTS[name](arg, prec)
         return found
 
     fid = fid_for(quantity, p)
@@ -141,7 +135,7 @@ def routes(quantity: str, params, prec: int) -> dict:
     if quantity == "zeta":
         if len(p) == 1:
             found["closed"] = lambda: hp.zeta_single(p[0], prec)
-        elif _head_tail_run(p, 2, 1):
+        elif _head_tail(p, 2, 1):
             # telescoping:  zeta(2, {1}^(k-1)) = zeta(k+1)
             found["closed"] = lambda: hp.zeta_single(len(p) + 1, prec)
 
@@ -152,20 +146,20 @@ def routes(quantity: str, params, prec: int) -> dict:
     elif quantity == "bigT":
         if len(p) == 1:
             found["closed"] = lambda: hp.scaled(hp.t_single(p[0], prec), 2)
-        elif _head_tail_run(p, 2, 1):
+        elif _head_tail(p, 2, 1):
             # T(2, {1}^(k-1)) = T(k+1) = 2 t(k+1)
             found["closed"] = lambda: hp.scaled(hp.t_single(len(p) + 1, prec), 2)
 
     elif quantity == "oddsum":
         fam, a, b = p
         sign = -1 if fam == "O" else +1
-        if a >= 2 and b >= 2:
+        if all(isinstance(e, int) and e >= 2 for e in (a, b)):
             found["quadrature"] = lambda: quadrature.kernel_pair(a, b, sign, prec)
 
     elif quantity == "integral":
         kind, n = p
-        if n < 1:
-            raise ValueError(f"integral {kind} needs n >= 1, got {n}")
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"integral {kind} needs n >= 1, got {n!r}")
         if kind == "J":
             # J(n) = I(n)/pi^(n+1)
             found["closed"] = lambda: hp.scaled(

@@ -50,6 +50,7 @@ from .hp import (
     LOCK,
     EvalResult,
     coerce_prec,
+    require,
     wrap_result,
 )
 
@@ -187,8 +188,7 @@ def _stuffle(words: Counter, a: int) -> Counter:
 
 def _euler_words(q, ps) -> list:
     """sum_n prod_j H_n^(p_j)/n^q as zeta words with positive coefficients."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"outer exponent q >= 2 required, got {q!r} (sum diverges)")
+    require(q, "outer exponent q", 2, " (sum diverges)")
     if not ps or any(not isinstance(p, int) or p < 1 for p in ps):
         raise ValueError("ps must be a nonempty sequence of integers >= 1")
     harmonic = Counter({(): 1})
@@ -219,10 +219,8 @@ def _family_words(quantity: str, params) -> list:
         fam, p, q = params
         if fam not in ("O", "B"):
             raise ValueError(f"odd-sum family must be 'O' or 'B', got {fam!r}")
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"p must be an integer >= 1, got {p!r}")
-        if not isinstance(q, int) or q < 2:
-            raise ValueError(f"q >= 2 required, got {q!r}")
+        require(p, "p")
+        require(q, "q", 2)
         if fam == "O":  # the inner sum is non-strict: O(p,q) = t(q,p) + t(p+q)
             return [(1, _t_word((q, p))), (1, _t_word((p + q,)))]
         # chi4(m) chi4(j) = (-1)^((m-j)/2) for odd m, j; sigma carries that sign

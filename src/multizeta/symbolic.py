@@ -95,9 +95,8 @@ class FormulaId:
     def __post_init__(self):
         # a list would validate but leave the id unhashable and unequal to its tuple form
         object.__setattr__(self, "params", tuple(self.params))
-        params_ok, rule, _ = _FORMS[self.name]
-        if not params_ok(self.params):
-            raise ValueError(f"{self.name.value} takes {rule}, got {self.params}")
+        if not takes(self.name, self.params):
+            raise ValueError(f"{self.name.value} takes {_FORMS[self.name][1]}, got {self.params}")
 
     @property
     def conjectural(self) -> bool:
@@ -452,15 +451,19 @@ def _build_odd(alternating: bool, p: int, q: int) -> SymbolicExpr:
     return acc
 
 
+def _ints(params, count: int, low: int) -> bool:
+    """params holds count ints, each at least low."""
+    return len(params) == count and all(isinstance(p, int) and p >= low for p in params)
+
+
 def _one(low: int, name: str = "N") -> tuple:
     """The parameter test and its rule for one parameter, at least low."""
-    return (lambda params: len(params) == 1 and params[0] >= low), f"one parameter {name} >= {low}"
+    return (lambda params: _ints(params, 1, low)), f"one parameter {name} >= {low}"
 
 
 # the parameter test and its rule for both odd-sum families
 _ODD_PAIR = (
-    lambda params: len(params) == 2 and min(params) >= 2
-    and (params[0] == params[1] or sum(params) % 2 == 1),
+    lambda params: _ints(params, 2, 2) and (params[0] == params[1] or sum(params) % 2 == 1),
     "two parameters p, q >= 2 with p = q or p + q odd",
 )
 
@@ -484,6 +487,11 @@ _FORMS = {
         lambda: _zeta_expr(5).scale(2) - _zeta_expr(2) * _zeta_expr(3),
     ),
 }
+
+
+def takes(name: Formula, params: tuple) -> bool:
+    """Whether the closed form ``name`` takes ``params``: its _FORMS rule."""
+    return _FORMS[name][0](params)
 
 
 def build(fid: FormulaId) -> SymbolicExpr:

@@ -7,13 +7,13 @@ series coefficientwise: z^n picks up the Wallis factor
         = (n-1)!!/n!!            for odd n,
         = (pi/2) (n-1)!!/n!!     for even n,
 
-with the conventions (-1)!! = 0!! = 1.  Because even factors carry a bare pi,
-every coefficient in this module lives in the ring Q + Q*pi, stored as an
-exact pair of Fractions.  That choice makes the structural facts -- W's
-linearity, the recurrence defining each coefficient family, the double-
-factorial cancellation (2k)!!/(2k+1)!! * (2k-1)!!/(2k)!! = 1/(2k+1) -- exact
-statements instead of floating-point approximations.  Applying W twice would
-need pi^2 and is refused rather than silently approximated.
+with the conventions (-1)!! = 0!! = 1.  A truncated series is the tuple of
+its exact coefficients: Fractions for the series themselves, and for W's
+image, where even factors carry a bare pi, SeriesCoeff pairs in Q + Q*pi.
+That choice makes the structural facts -- W's linearity, the recurrence
+defining each coefficient family, the double-factorial cancellation
+(2k)!!/(2k+1)!! * (2k-1)!!/(2k)!! = 1/(2k+1) -- exact statements instead of
+floating-point approximations.
 
 Coefficient families (all exact rationals, memoized, each row built from the
 one below it by the one nested-prefix recurrence of _row):
@@ -40,18 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, wrap_result
+from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, require, wrap_result
 from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
 from .quadrature import cos_sin_column
 
 __all__ = [
     "SeriesCoeff",
-    "TruncatedSeries",
     "g_coeff",
     "h_coeff",
     "arctanh_nested_coeff",
@@ -72,19 +70,10 @@ DEFAULT_ORDER = 80
 
 @dataclass(frozen=True)
 class SeriesCoeff:
-    """One coefficient: rational + pi_part * pi, both exact Fractions."""
+    """One coefficient of W's image: rational + pi_part * pi, both exact Fractions."""
 
     rational: Fraction = Fraction(0)
     pi_part: Fraction = Fraction(0)
-
-    def __add__(self, other: "SeriesCoeff") -> "SeriesCoeff":
-        return SeriesCoeff(self.rational + other.rational, self.pi_part + other.pi_part)
-
-    def scale(self, c: Fraction) -> "SeriesCoeff":
-        return SeriesCoeff(self.rational * c, self.pi_part * c)
-
-    def is_zero(self) -> bool:
-        return self.rational == 0 and self.pi_part == 0
 
     def to_mpf(self) -> mpf:
         """Materialize at the ambient working precision."""
@@ -113,44 +102,6 @@ def wallis_fraction(n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"n >= 0 required, got {n!r}")
     return Fraction(double_factorial(n - 1), double_factorial(n))
-
-
-# ---------------------------------------------------------------------------
-# truncated series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial c_0 + c_1 z + ... + c_M z^M standing in for a power series;
-    its coefficients are exact SeriesCoeff pairs."""
-
-    coeffs: tuple[SeriesCoeff, ...]
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_rationals(cls, values: Sequence[Fraction | int]) -> "TruncatedSeries":
-        return cls(tuple(SeriesCoeff(Fraction(v)) for v in values))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("truncation orders differ")
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = Fraction(c)
-        return TruncatedSeries(tuple(a.scale(c) for a in self.coeffs))
-
-    def integrate_over_z(self) -> "TruncatedSeries":
-        """Termwise integral_0^z f(t)/t dt: c_n -> c_n/n.  Needs c_0 = 0."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("integrate_over_z requires a vanishing constant term")
-        out = [SeriesCoeff()]
-        out.extend(c.scale(Fraction(1, n)) for n, c in enumerate(self.coeffs) if n > 0)
-        return TruncatedSeries(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +163,31 @@ def arctanh_nested_coeff(N: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def arcsin_power_series(N: int, M: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Series of arcsin^N(z)/N! through z^M.
+def arcsin_power_series(N: int, M: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
+    """Coefficients c_0, ..., c_M of arcsin^N(z)/N! through z^M.
 
     Odd N = 2v+1:  coefficient of z^(2k+1) is G_v(k) (2k-1)!!/((2k)!! (2k+1)).
     Even N = 2v:   coefficient of z^(2k)   is H_v(k) (2k)!!/((2k-1)!! k^2).
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N >= 1 required, got {N!r}")
+    require(N, "N")
     if M < N:
         raise ValueError("truncation order below the leading exponent")
-    cs = [SeriesCoeff() for _ in range(M + 1)]
+    cs = [Fraction(0)] * (M + 1)
     if N % 2:
         v = (N - 1) // 2
         for k in range(0, (M - 1) // 2 + 1):
             g = g_coeff(v, k)
             if g:
                 c = g * Fraction(double_factorial(2 * k - 1), double_factorial(2 * k))
-                cs[2 * k + 1] = SeriesCoeff(c / (2 * k + 1))
+                cs[2 * k + 1] = c / (2 * k + 1)
     else:
         v = N // 2
         for k in range(1, M // 2 + 1):
             h = h_coeff(v, k)
             if h:
                 c = h * Fraction(double_factorial(2 * k), double_factorial(2 * k - 1))
-                cs[2 * k] = SeriesCoeff(c / k ** 2)
-    return TruncatedSeries(tuple(cs))
+                cs[2 * k] = c / k ** 2
+    return tuple(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,34 +195,24 @@ def arcsin_power_series(N: int, M: int = DEFAULT_ORDER) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def w_apply(f: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise Wallis map: c_n -> c_n * W_n.
+def w_apply(coeffs) -> tuple[SeriesCoeff, ...]:
+    """Coefficientwise Wallis map of rational coefficients: c_n -> c_n * W_n.
 
     Odd n scales by the rational (n-1)!!/n!!.  Even n additionally multiplies
-    by pi/2, moving the rational slot into the pi slot; an even coefficient
-    that already carries pi would need pi^2 and is refused.
+    by pi/2, so its image lies in the pi slot.
     """
-    out = []
-    for n, c in enumerate(f.coeffs):
-        w = wallis_fraction(n)
-        if n % 2:
-            out.append(c.scale(w))
-        else:
-            if c.pi_part:
-                raise ValueError(
-                    f"coefficient of z^{n} already has a pi part; applying W "
-                    "again would leave the Q + Q*pi coefficient ring"
-                )
-            out.append(SeriesCoeff(Fraction(0), c.rational * w / 2))
-    return TruncatedSeries(tuple(out))
+    return tuple(
+        SeriesCoeff(c * wallis_fraction(n)) if n % 2
+        else SeriesCoeff(Fraction(0), c * wallis_fraction(n) / 2)
+        for n, c in enumerate(coeffs)
+    )
 
 
-def wallis_identity_check(
-    f: TruncatedSeries, alpha, prec: int = 50
-) -> tuple[EvalResult, QuadratureResult]:
+def wallis_identity_check(f, alpha, prec: int = 50) -> tuple[EvalResult, QuadratureResult]:
     """Both sides of  W(integral_0^alpha f(z)/z dz) = integral_0^1 f(alpha x) arccos(x)/x dx.
 
-    Left: termwise integration, W, then series evaluation at alpha.  Right:
+    f is the tuple of f's rational coefficients c_0, ..., c_M.  Left: termwise
+    integration c_n -> c_n/n, W, then series evaluation at alpha.  Right:
     DE quadrature after x = cos(theta), theta = (pi/2) s, of the integrand
     alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on [0, 1],
     with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a node and at
@@ -299,9 +239,9 @@ def wallis_identity_check(
     quadrature.scaled_quotient.
     """
     coerce_prec(prec)
-    if not f.coeffs[0].is_zero():
+    if f[0]:
         raise ValueError("identity requires f(0) = 0")
-    poly = w_apply(f.integrate_over_z())
+    poly = w_apply((Fraction(0), *(Fraction(c, n) for n, c in enumerate(f) if n)))
     wd = prec + GUARD_DIGITS
     with LOCK, mp.workdps(wd):
         if isinstance(alpha, Fraction):
@@ -311,19 +251,20 @@ def wallis_identity_check(
         if not 0 < av <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         value = majorant = mpf(0)
-        for c in reversed(poly.coeffs):
+        for c in reversed(poly):
             cv = c.to_mpf()
             value = value * av + cv
             majorant = majorant * av + abs(cv)
-        rounding = majorant * (poly.truncation_order + 2) * mpf(10) ** (1 - wd)
+        rounding = majorant * (len(poly) + 1) * mpf(10) ** (1 - wd)
         lhs = wrap_result(value, rounding, prec, rigorous=False)
-        shifted = f.coeffs[1:] or (SeriesCoeff(),)  # g's coefficients
+        shifted = f[1:] or (0,)  # g's coefficients
         bits = dps_to_prec(wd) + len(shifted).bit_length() + 4
         # bits of the largest coefficient's magnitude: mpf's roundings of each
         # then cost under a hundredth of a unit before nint
-        size = max(int(abs(c.rational) + 4 * abs(c.pi_part)) for c in shifted).bit_length()
+        size = max(int(abs(c)) for c in shifted).bit_length()
         with mp.workprec(bits + size + 10):
-            ints = [int(mp.nint(mp.ldexp(c.to_mpf(), bits))) for c in shifted]
+            ints = [int(mp.nint(mp.ldexp(mpf(c.numerator) / c.denominator, bits)))
+                    for c in shifted]
         parts = [part[::-1] if any(part) else [] for part in (ints[0::2], ints[1::2])]
         _, mk, ek, _ = (av * mp.pi ** 2 / 4)._mpf_
 

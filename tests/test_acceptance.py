@@ -42,7 +42,6 @@ from multizeta.series import _words_values, central_binomial_sum, nested_value
 from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic, weight_check
 from oracles import _triple_nonstrict_sum, hoffman_expr, kernel_words
 from multizeta.wseries import (
-    TruncatedSeries,
     arcsin_power_series,
     arctanh_nested_coeff,
     g_coeff,
@@ -377,7 +376,7 @@ def test_criterion_11_structural_properties():
     # (a) the averaging-operator identity on three different integrands
     with mp.workdps(WD):
         for f, alpha in (
-            (TruncatedSeries.from_rationals([0, 1]), 1),
+            ((Fraction(0), Fraction(1)), 1),
             (arcsin_power_series(2, 80), 1),
             (arcsin_power_series(3, 60), Fraction(1, 2)),
         ):

@@ -19,6 +19,7 @@ from multizeta import cli, closed, quadrature, routes, series
 from multizeta.cli import Request, main, run
 from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
+from multizeta.symbolic import Formula, FormulaId
 
 from oracles import B23_TERMS, O_TABLE_COMBOS
 
@@ -582,6 +583,21 @@ def test_routes_reject_an_unknown_name(quantity, params, message):
     # argparse's choices hide these from the CLI; library callers see them
     with pytest.raises(ValueError, match=message):
         routes.routes(quantity, params, 30)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run(Request("integral", ("I", "4"))),
+    lambda: run(Request("oddsum", "O23")),
+    lambda: routes.fid_for("oddsum", ("O", "2", "3")),
+    lambda: FormulaId(Formula.I_CLOSED, ("4",)),
+], ids=["integral", "oddsum", "fid_for", "FormulaId"])
+def test_a_string_parameter_is_a_value_error(call):
+    # argparse always passes ints; a library caller passing a string where an
+    # integer belongs gets a ValueError (main's exit 2), or no closed form
+    try:
+        assert call() is None
+    except ValueError:
+        pass
 
 
 @pytest.mark.parametrize("name", ("pi", "log2", "psi3_quarter"))

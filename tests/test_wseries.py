@@ -18,7 +18,6 @@ from mpmath import mp, mpf, workdps
 
 from multizeta.wseries import (
     SeriesCoeff,
-    TruncatedSeries,
     arcsin_power_series,
     arctanh_nested_coeff,
     double_factorial,
@@ -173,7 +172,7 @@ def arctanh_coeffs(N, M):
 
 
 def arcsin_coeffs(N, M):
-    return {n: c.rational for n, c in enumerate(arcsin_power_series(N, M).coeffs)}
+    return dict(enumerate(arcsin_power_series(N, M)))
 
 
 def exact_sum(coeffs, z):
@@ -184,16 +183,16 @@ def exact_sum(coeffs, z):
 
 def test_arcsin_series_classical():
     s = arcsin_power_series(1, 9)
-    rats = [c.rational for c in s.coeffs]
-    assert rats[:8] == [0, 1, 0, Fraction(1, 6), 0, Fraction(3, 40), 0, Fraction(15, 336)]
-    assert s.truncation_order == 9
+    assert s[:8] == (0, 1, 0, Fraction(1, 6), 0, Fraction(3, 40), 0, Fraction(15, 336))
+    assert len(s) == 10
+    assert all(type(c) is Fraction for c in s)
 
 
 def test_leading_terms_are_z_N_over_N_factorial():
     for N in range(1, 7):
         s = arcsin_power_series(N, 12)
-        assert s.coeffs[N].rational == Fraction(1, math.factorial(N))
-        assert all(c.is_zero() for c in s.coeffs[:N])
+        assert s[N] == Fraction(1, math.factorial(N))
+        assert not any(s[:N])
         assert arctanh_coeffs(N, 12)[N] == Fraction(1, math.factorial(N))
         assert all(arctanh_nested_coeff(N - 1, m) == 0 for m in range(1, N))
 
@@ -222,19 +221,13 @@ def test_arcsin_cube_at_half():
         assert err < mpf(10) ** -24
 
 
-def test_integrate_over_z():
-    s = TruncatedSeries.from_rationals([0, 2, 0, 5])
-    g = s.integrate_over_z()
-    assert [c.rational for c in g.coeffs] == [0, 2, 0, Fraction(5, 3)]
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_rationals([1, 1]).integrate_over_z()
-
-
 def test_series_construction_validation():
     with pytest.raises(ValueError):
         arcsin_power_series(0, 10)
     with pytest.raises(ValueError):
         arcsin_power_series(5, 3)
+    with pytest.raises(ValueError):
+        arcsin_power_series("2", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +237,9 @@ def test_series_construction_validation():
 
 def test_w_apply_trivial_examples():
     # f = 1 -> pi/2;  f = z -> z;  f = z^2 -> (pi/4) z^2
-    w_one = w_apply(TruncatedSeries.from_rationals([1]))
-    assert w_one.coeffs[0] == SeriesCoeff(Fraction(0), Fraction(1, 2))
-    w_z = w_apply(TruncatedSeries.from_rationals([0, 1]))
-    assert w_z.coeffs[1] == SeriesCoeff(Fraction(1))
-    w_z2 = w_apply(TruncatedSeries.from_rationals([0, 0, 1]))
-    assert w_z2.coeffs[2] == SeriesCoeff(Fraction(0), Fraction(1, 4))
-
-
-def test_w_apply_refuses_pi_squared():
-    once = w_apply(TruncatedSeries.from_rationals([0, 0, 3]))
-    with pytest.raises(ValueError):
-        w_apply(once)
+    assert w_apply([Fraction(1)]) == (SeriesCoeff(Fraction(0), Fraction(1, 2)),)
+    assert w_apply([Fraction(0), Fraction(1)])[1] == SeriesCoeff(Fraction(1))
+    assert w_apply([Fraction(0)] * 2 + [Fraction(1)])[2] == SeriesCoeff(Fraction(0), Fraction(1, 4))
 
 
 small_fractions = st.fractions(
@@ -271,10 +255,11 @@ small_fractions = st.fractions(
 )
 @settings(max_examples=60, deadline=None)
 def test_w_linearity_exact(f_coeffs, g_coeffs, a, b):
-    f = TruncatedSeries.from_rationals(f_coeffs)
-    g = TruncatedSeries.from_rationals(g_coeffs)
-    lhs = w_apply(f.scale(a) + g.scale(b))
-    rhs = w_apply(f).scale(a) + w_apply(g).scale(b)
+    lhs = w_apply([a * f + b * g for f, g in zip(f_coeffs, g_coeffs)])
+    rhs = tuple(
+        SeriesCoeff(a * u.rational + b * v.rational, a * u.pi_part + b * v.pi_part)
+        for u, v in zip(w_apply(f_coeffs), w_apply(g_coeffs))
+    )
     assert lhs == rhs
 
 
@@ -283,12 +268,12 @@ def test_w_linearity_exact(f_coeffs, g_coeffs, a, b):
 def test_odd_coefficient_roundtrip(cs):
     # a_(2k+1) = ((2k-1)!!/(2k)!!) C_k  ==>  W-image coefficient C_k/(2k+1)
     M = 2 * len(cs)
-    coeffs = [SeriesCoeff() for _ in range(M + 1)]
+    coeffs = [Fraction(0)] * (M + 1)
     for k, c in enumerate(cs):
-        coeffs[2 * k + 1] = SeriesCoeff(wallis_fraction(2 * k) * c)
-    out = w_apply(TruncatedSeries(tuple(coeffs)))
+        coeffs[2 * k + 1] = wallis_fraction(2 * k) * c
+    out = w_apply(coeffs)
     for k, c in enumerate(cs):
-        assert out.coeffs[2 * k + 1] == SeriesCoeff(c / Fraction(2 * k + 1))
+        assert out[2 * k + 1] == SeriesCoeff(c / Fraction(2 * k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +283,7 @@ def test_odd_coefficient_roundtrip(cs):
 
 def test_wallis_identity_linear():
     # f = z, alpha = 1: both sides are integral_0^1 arccos(x) dx = 1
-    lhs, rhs = wallis_identity_check(TruncatedSeries.from_rationals([0, 1]), 1, 50)
+    lhs, rhs = wallis_identity_check((Fraction(0), Fraction(1)), 1, 50)
     with workdps(75):
         assert abs(lhs.value.magnitude - 1) < mpf(10) ** -45
         assert abs(rhs.value.magnitude - 1) < mpf(10) ** -45
@@ -306,7 +291,7 @@ def test_wallis_identity_linear():
 
 def test_wallis_identity_quadratic():
     # f = z^2, alpha = 1: both sides are 2 integral_0^1 x arccos(x) dx / 2 = pi/8
-    lhs, rhs = wallis_identity_check(TruncatedSeries.from_rationals([0, 0, 1]), 1, 50)
+    lhs, rhs = wallis_identity_check((Fraction(0), Fraction(0), Fraction(1)), 1, 50)
     with workdps(75):
         assert abs(lhs.value.magnitude - mp.pi / 8) < mpf(10) ** -45
         assert abs(rhs.value.magnitude - mp.pi / 8) < mpf(10) ** -45
@@ -324,11 +309,43 @@ def test_wallis_identity_interior_alpha():
         assert abs(lhs.value.magnitude - rhs.value.magnitude) < mpf(10) ** -40
 
 
+def exact_left_side(f, alpha):
+    """(q, r): the left side sum_n W_n (c_n/n) alpha^n is q + r pi exactly,
+    with W_2k = (pi/2) C(2k, k)/4^k and W_(2k+1) = 4^k/((2k+1) C(2k, k))."""
+    q = r = Fraction(0)
+    for n, c in enumerate(f):
+        if n == 0:
+            continue
+        k = n // 2
+        term = c / n * alpha ** n
+        if n % 2:
+            q += term * Fraction(4 ** k, (2 * k + 1) * math.comb(2 * k, k))
+        else:
+            r += term * Fraction(math.comb(2 * k, k), 2 * 4 ** k)
+    return q, r
+
+
+@pytest.mark.parametrize("N, M, alpha, pi_only", [
+    (2, 80, Fraction(1), True),  # arcsin^2 is even: the value is pi times a rational
+    (3, 60, Fraction(1, 2), False),  # arcsin^3 is odd: the value is rational
+])
+@pytest.mark.parametrize("prec", [50, 200])
+def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec):
+    # row 30's left side against its exact value, within the bound it reports
+    f = arcsin_power_series(N, M)
+    q, r = exact_left_side(f, alpha)
+    assert (q == 0) == pi_only and (r == 0) != pi_only
+    lhs, _ = wallis_identity_check(f, alpha, prec)
+    with workdps(prec + 40):
+        exact = mpf(q.numerator) / q.denominator + mpf(r.numerator) / r.denominator * mp.pi
+        assert abs(lhs.value.magnitude - exact) <= lhs.error_bound.magnitude
+
+
 def test_wallis_identity_mixed_parity():
     # f(z)/z has even and odd powers, so both Horner parts run; both sides
     # match an mpmath quadrature of the arccos form
     cs = [0, 1, Fraction(-3, 7), 2, Fraction(5, 3), 0, Fraction(-1, 9)]
-    f = TruncatedSeries.from_rationals(cs)
+    f = tuple(map(Fraction, cs))
     for alpha in (1, Fraction(2, 3)):
         lhs, rhs = wallis_identity_check(f, alpha, 50)
         assert lhs.agrees_with(rhs)
@@ -342,8 +359,8 @@ def test_wallis_identity_mixed_parity():
 
 def test_wallis_identity_validation():
     with pytest.raises(ValueError):
-        wallis_identity_check(TruncatedSeries.from_rationals([1, 1]), 1, 50)
+        wallis_identity_check((Fraction(1), Fraction(1)), 1, 50)
     with pytest.raises(ValueError):
-        wallis_identity_check(TruncatedSeries.from_rationals([0, 1]), 2, 50)
+        wallis_identity_check((Fraction(0), Fraction(1)), 2, 50)
     with pytest.raises(ValueError):
-        wallis_identity_check(TruncatedSeries.from_rationals([0, 1]), 0, 50)
+        wallis_identity_check((Fraction(0), Fraction(1)), 0, 50)

@@ -273,8 +273,7 @@ def bernoulli_fraction(n: int) -> Fraction:
     non-positive integers in the polylogarithm's expansion about 1 (indices
     up to about the working digits, only in the quadrature routes).
     """
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    require(n, "the Bernoulli index", 0)
     with LOCK:
         while len(_BERNOULLI) <= n:
             _BERNOULLI.append(Fraction(*bernfrac(len(_BERNOULLI))))
@@ -288,8 +287,7 @@ def euler_number(n: int) -> int:
     Dirichlet beta at odd argument into an exact rational multiple of a power
     of pi: beta(2k+1) = (-1)^k E_{2k} pi^(2k+1) / (4^(k+1) (2k)!).
     """
-    if n < 0:
-        raise ValueError("Euler index must be >= 0")
+    require(n, "the Euler index", 0)
     if n % 2 == 1:
         return 0
     m = n // 2

@@ -50,6 +50,7 @@ from .hp import (
     euler_number,
     log2_const,
     pi_const,
+    require,
     zeta_single,
 )
 
@@ -286,7 +287,8 @@ def weight_check(expr: SymbolicExpr, expected: int) -> bool:
 
 def zeta_even_rational(m: int) -> Fraction:
     """zeta(2k) / pi^(2k) as an exact rational."""
-    if m < 2 or m % 2:
+    require(m, "m", 2)
+    if m % 2:
         raise ValueError(f"even m >= 2 required, got {m}")
     k = m // 2
     return Fraction((-1) ** (k + 1)) * bernoulli_fraction(2 * k) * Fraction(2 ** (2 * k), 2 * math.factorial(2 * k))
@@ -294,7 +296,8 @@ def zeta_even_rational(m: int) -> Fraction:
 
 def beta_odd_rational(m: int) -> Fraction:
     """beta(2k+1) / pi^(2k+1) as an exact rational."""
-    if m < 1 or m % 2 == 0:
+    require(m, "m")
+    if m % 2 == 0:
         raise ValueError(f"odd m >= 1 required, got {m}")
     k = (m - 1) // 2
     return Fraction((-1) ** k) * euler_number(2 * k) / Fraction(4 ** (k + 1) * math.factorial(2 * k))
@@ -323,8 +326,7 @@ def _beta_expr(m: int) -> SymbolicExpr:
 
 def t_single_expr(m: int) -> SymbolicExpr:
     """t(m) = (1 - 2^(-m)) zeta(m) in the basis (m >= 2)."""
-    if m < 2:
-        raise ValueError(f"m >= 2 required, got {m}")
+    require(m, "m", 2)
     return _zeta_expr(m).scale(1 - Fraction(1, 2 ** m))
 
 

@@ -36,9 +36,10 @@ The tolerance is one of
   * (k, a, b): k times the summed bounds of sides a and b, which need not be
     the row's own (row 19 holds its variant 100 bounds of O(4,3)'s series
     and closed routes away).
-Row 30's two sides evaluate the same truncated polynomial, so
-its left side is charged only its roundings.  Differences are exact; every
-number is reported to 20 significant digits.
+Row 30's two sides evaluate the same truncated polynomial: its left side
+exactly in Q + Q*pi, evaluated by ``hp.combine`` with a proved bound, its
+right side by quadrature.  Differences are exact; every number is reported
+to 20 significant digits.
 
 Separation rows pin the *rejected* variants of formulas that circulate with
 transcription slips.  A verification that only confirmed the good variant

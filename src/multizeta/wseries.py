@@ -30,9 +30,9 @@ one below it by the one nested-prefix recurrence of _row):
            arctanh^N(z)/N! = sum_(m = N mod 2) A_(N-1)(m)/m z^m.
 
 wallis_identity_check evaluates both sides of the W-operator identity for a
-truncated series, by Horner's rule and by DE quadrature (verify row 30); the
-quadrature side reads cos and sin at each node from one node column of
-quadrature, filled by one cos_sin per node pair.
+truncated series (verify row 30): the left side summed exactly in Q + Q*pi
+and evaluated by hp.combine, so rigorous; the right side by DE quadrature,
+reading cos and sin at each node from one node column of quadrature.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from fractions import Fraction
 from functools import reduce
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, to_rational
 
-from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, require, wrap_result
+from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, combine, pi_const, require
 from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
 from .quadrature import cos_sin_column
 
@@ -75,18 +75,10 @@ class SeriesCoeff:
     rational: Fraction = Fraction(0)
     pi_part: Fraction = Fraction(0)
 
-    def to_mpf(self) -> mpf:
-        """Materialize at the ambient working precision."""
-        v = mpf(self.rational.numerator) / self.rational.denominator
-        if self.pi_part:
-            v += mpf(self.pi_part.numerator) / self.pi_part.denominator * mp.pi
-        return v
-
 
 def double_factorial(n: int) -> int:
     """n!! with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError(f"double factorial undefined for {n}")
+    require(n, "n", -1)
     out = 1
     while n > 1:
         out *= n
@@ -99,8 +91,7 @@ def wallis_fraction(n: int) -> Fraction:
 
     W_n itself is this fraction for odd n and (pi/2) times it for even n.
     """
-    if n < 0:
-        raise ValueError(f"n >= 0 required, got {n!r}")
+    require(n, "n", 0)
     return Fraction(double_factorial(n - 1), double_factorial(n))
 
 
@@ -139,22 +130,22 @@ def _row(family: str, N: int, upto: int) -> list[Fraction]:
 
 def g_coeff(N: int, k: int) -> Fraction:
     """G_N(k) = sum over k > n_1 > ... > n_N >= 0 of prod 1/(2 n_j + 1)^2."""
-    if N < 0 or k < 0:
-        raise ValueError("N, k >= 0 required")
+    require(N, "N", 0)
+    require(k, "k", 0)
     return _row("G", N, k)[k]
 
 
 def h_coeff(N: int, k: int) -> Fraction:
     """H_N(k): H_1 = 1/4 and H_(N+1)(k) = sum_(n<k) H_N(n)/(2n)^2."""
-    if N < 1 or k < 1:
-        raise ValueError("N, k >= 1 required")
+    require(N, "N")
+    require(k, "k")
     return _row("H", N, k)[k]
 
 
 def arctanh_nested_coeff(N: int, m: int) -> Fraction:
     """A_N(m): nested parity-constrained harmonic chains below m."""
-    if N < 0 or m < 1:
-        raise ValueError("N >= 0 and m >= 1 required")
+    require(N, "N", 0)
+    require(m, "m")
     return _row("arctanh_nested", N, m)[m]
 
 
@@ -170,8 +161,7 @@ def arcsin_power_series(N: int, M: int = DEFAULT_ORDER) -> tuple[Fraction, ...]:
     Even N = 2v:   coefficient of z^(2k)   is H_v(k) (2k)!!/((2k-1)!! k^2).
     """
     require(N, "N")
-    if M < N:
-        raise ValueError("truncation order below the leading exponent")
+    require(M, "M", N)
     cs = [Fraction(0)] * (M + 1)
     if N % 2:
         v = (N - 1) // 2
@@ -211,26 +201,28 @@ def w_apply(coeffs) -> tuple[SeriesCoeff, ...]:
 def wallis_identity_check(f, alpha, prec: int = 50) -> tuple[EvalResult, QuadratureResult]:
     """Both sides of  W(integral_0^alpha f(z)/z dz) = integral_0^1 f(alpha x) arccos(x)/x dx.
 
-    f is the tuple of f's rational coefficients c_0, ..., c_M.  Left: termwise
-    integration c_n -> c_n/n, W, then series evaluation at alpha.  Right:
-    DE quadrature after x = cos(theta), theta = (pi/2) s, of the integrand
-    alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on [0, 1],
-    with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a node and at
-    its mirror come from one cos_sin (the two-valued node column
+    f is the tuple of f's rational coefficients c_0, ..., c_M, with f(0) = 0
+    so that f(z)/z is a power series.  alpha lies in (0, 1] and is read
+    exactly: an mpf by its mantissa and exponent, an int, Fraction, float
+    or string (decimal or fraction) by Fraction.
+
+    Left: termwise integration c_n -> c_n/n, W, and the sum at alpha, exact
+    in Q + Q*pi: q + r pi with q, r the sums of w_apply's rational and pi
+    slots times alpha^n.  hp.combine evaluates it, so the left side is
+    rigorous, charged only the roundings of q, r, pi and their sum.
+
+    Right: DE quadrature after x = cos(theta), theta = (pi/2) s, of the
+    integrand alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on
+    [0, 1], with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a
+    node and at its mirror come from one cos_sin (the two-valued node column
     cos_sin_column).  The two routes share only the coefficients, so their
     agreement exercises the operator identity itself (integration by parts
-    against arccos).  Requires f(0) = 0 so that f(z)/z is a power series,
-    and alpha in (0, 1], a Fraction or a real number.
-
-    Both sides evaluate the same polynomial, so the left side is charged its
-    Horner roundings only, (M + 2) 10^-(wd-1) sum |c_n| |alpha|^n for the
-    polynomial's degree M, and not an estimate of the series tail; one
-    Horner loop gives the value and that majorant.
+    against arccos).
 
     The right side splits g(y) = E(y^2) + y O(y^2) and runs Horner's rule on
     each part with a nonzero coefficient (arcsin^2's g is odd) in integers
     scaled by 2^B, B = wbits + the bits of g's M coefficients + 4.  Each
-    coefficient is rounded to within one unit 2^-B once per call; y = alpha
+    coefficient is rounded to the nearest unit 2^-B, exactly; y = alpha
     cos is rounded once as an mpf and u = y^2 floored to B bits, a smaller
     change; each product by u is floored, its error multiplied by u < 1 in
     every later step.  So a part of K coefficients is within 2K - 1 units,
@@ -239,33 +231,24 @@ def wallis_identity_check(f, alpha, prec: int = 50) -> tuple[EvalResult, Quadrat
     quadrature.scaled_quotient.
     """
     coerce_prec(prec)
-    if f[0]:
-        raise ValueError("identity requires f(0) = 0")
+    if not f or f[0]:
+        raise ValueError("identity requires coefficients c_0, ... with f(0) = 0")
+    try:
+        a = Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf) else Fraction(alpha)
+    except OverflowError as e:  # an infinite float
+        raise ValueError("alpha must lie in (0, 1]") from e
+    if not 0 < a <= 1:
+        raise ValueError("alpha must lie in (0, 1]")
     poly = w_apply((Fraction(0), *(Fraction(c, n) for n, c in enumerate(f) if n)))
-    wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        if isinstance(alpha, Fraction):
-            av = mpf(alpha.numerator) / alpha.denominator
-        else:
-            av = mpf(alpha)
-        if not 0 < av <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        value = majorant = mpf(0)
-        for c in reversed(poly):
-            cv = c.to_mpf()
-            value = value * av + cv
-            majorant = majorant * av + abs(cv)
-        rounding = majorant * (len(poly) + 1) * mpf(10) ** (1 - wd)
-        lhs = wrap_result(value, rounding, prec, rigorous=False)
-        shifted = f[1:] or (0,)  # g's coefficients
-        bits = dps_to_prec(wd) + len(shifted).bit_length() + 4
-        # bits of the largest coefficient's magnitude: mpf's roundings of each
-        # then cost under a hundredth of a unit before nint
-        size = max(int(abs(c)) for c in shifted).bit_length()
-        with mp.workprec(bits + size + 10):
-            ints = [int(mp.nint(mp.ldexp(mpf(c.numerator) / c.denominator, bits)))
-                    for c in shifted]
-        parts = [part[::-1] if any(part) else [] for part in (ints[0::2], ints[1::2])]
+    q = sum(c.rational * a ** n for n, c in enumerate(poly))
+    r = sum(c.pi_part * a ** n for n, c in enumerate(poly))
+    lhs = combine([(x, fs) for x, fs in ((q, []), (r, [pi_const(prec)])) if x], prec)
+    shifted = f[1:]  # g's coefficients
+    bits = dps_to_prec(prec + GUARD_DIGITS) + len(shifted).bit_length() + 4
+    ints = [round(Fraction(c) * (1 << bits)) for c in shifted]
+    parts = [part[::-1] if any(part) else [] for part in (ints[0::2], ints[1::2])]
+    with LOCK, mp.workdps(prec + GUARD_DIGITS):
+        av = mpf(a.numerator) / a.denominator
         _, mk, ek, _ = (av * mp.pi ** 2 / 4)._mpf_
 
     def ev(x, xc):

@@ -2,8 +2,9 @@
 sibling module, so every cross-module dependency goes through a public API;
 no module imports a name it never uses; outside ``hp`` no code derives
 an error bound from other bounds, so ``hp.combine`` stays the one rule that
-propagates them; and every change of mpmath's process-global precision is
-made under ``hp.LOCK``.
+propagates them, and outside ``hp``, ``series`` and ``quadrature`` no code
+builds a result from a value and a bound; and every change of mpmath's
+process-global precision is made under ``hp.LOCK``.
 """
 
 import ast
@@ -37,6 +38,13 @@ LAYERS_CALLED_THROUGH_MODULE = {"hp", "series", "quadrature", "symbolic", "close
 BOUND_READERS = {
     ("cli", "_result_payload"),  # the JSON payload's error_bound string
 }
+
+# The only modules that build a result from a value and a bound: hp (its
+# constants and combine), series (its proved engines) and quadrature (its
+# level rule).  Every other module takes its results from them, or derives
+# one through hp.combine or hp.scaled.
+RESULT_BUILDERS = {"hp", "series", "quadrature"}
+RESULT_CONSTRUCTORS = {"wrap_result", "EvalResult", "QuadratureResult", "HPReal"}
 
 
 def sibling_imports(path: Path):
@@ -108,6 +116,18 @@ def bound_readers(path: Path) -> set:
             visit(child, owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def result_constructions(path: Path) -> list:
+    """Each call of a result constructor, by name or as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RESULT_CONSTRUCTORS:
+                found.append(f"{path.stem}:{node.lineno} calls {name}")
     return found
 
 
@@ -265,6 +285,22 @@ def test_only_hp_derives_error_bounds():
 def test_bound_scan_sees_reads():
     # guard against a vacuous pass: hp reads bounds in combine
     assert ("hp", "combine") in bound_readers(PACKAGE / "hp.py")
+
+
+def test_only_hp_series_and_quadrature_build_results():
+    found = [call for path in sorted(PACKAGE.glob("*.py")) if path.stem not in RESULT_BUILDERS
+             for call in result_constructions(path)]
+    assert found == []
+
+
+def test_result_scan_sees_constructions(tmp_path):
+    # guard against a vacuous pass: every module allowed to build results
+    # does, and a call by name or through a module is reported
+    assert all(result_constructions(PACKAGE / f"{stem}.py") for stem in RESULT_BUILDERS)
+    module = tmp_path / "m.py"
+    module.write_text("r = hp.wrap_result(v, b, 30, True)\nclass R(EvalResult):\n    pass\n"
+                      "h = HPReal(v, 30)\n")
+    assert result_constructions(module) == ["m:1 calls wrap_result", "m:4 calls HPReal"]
 
 
 def test_scan_sees_the_package():

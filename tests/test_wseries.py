@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workdps
 
+from multizeta import hp, symbolic, wseries
 from multizeta.wseries import (
     SeriesCoeff,
     arcsin_power_series,
@@ -328,17 +329,32 @@ def exact_left_side(f, alpha):
 @pytest.mark.parametrize("N, M, alpha, pi_only", [
     (2, 80, Fraction(1), True),  # arcsin^2 is even: the value is pi times a rational
     (3, 60, Fraction(1, 2), False),  # arcsin^3 is odd: the value is rational
+    (2, 80, Fraction(1, 2), True),
 ])
-@pytest.mark.parametrize("prec", [50, 200])
-def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec):
-    # row 30's left side against its exact value, within the bound it reports
+@pytest.mark.parametrize("prec", [16, 30, 50, 200, 1000])
+def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec, monkeypatch):
+    # row 30's left side against its exact value, within the rigorous bound
+    # it reports; the quadrature side, seconds at 1000 digits, is skipped
+    monkeypatch.setattr(wseries, "integrate01", lambda integrand, prec: None)
     f = arcsin_power_series(N, M)
     q, r = exact_left_side(f, alpha)
     assert (q == 0) == pi_only and (r == 0) != pi_only
     lhs, _ = wallis_identity_check(f, alpha, prec)
+    assert lhs.rigorous
     with workdps(prec + 40):
         exact = mpf(q.numerator) / q.denominator + mpf(r.numerator) / r.denominator * mp.pi
         assert abs(lhs.value.magnitude - exact) <= lhs.error_bound.magnitude
+
+
+def test_wallis_alpha_is_read_exactly():
+    # a float, an mpf and a Fraction of the same value give the same sides,
+    # bit for bit
+    f = arcsin_power_series(2, 80)
+    sides = [wallis_identity_check(f, alpha, 30) for alpha in (0.5, mpf("0.5"), Fraction(1, 2))]
+    raw = [[(s.value.magnitude._mpf_, s.error_bound.magnitude._mpf_) for s in pair]
+           for pair in sides]
+    assert raw[0] == raw[1] == raw[2]
+    assert sides[0] == sides[1] == sides[2]
 
 
 def test_wallis_identity_mixed_parity():
@@ -361,6 +377,31 @@ def test_wallis_identity_validation():
     with pytest.raises(ValueError):
         wallis_identity_check((Fraction(1), Fraction(1)), 1, 50)
     with pytest.raises(ValueError):
+        wallis_identity_check((Fraction(0), Fraction(1)), float("inf"), 50)
+    with pytest.raises(ValueError):
         wallis_identity_check((Fraction(0), Fraction(1)), 2, 50)
     with pytest.raises(ValueError):
         wallis_identity_check((Fraction(0), Fraction(1)), 0, 50)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (arcsin_power_series, (2, "80")),
+    (arcsin_power_series, (2, 80.0)),
+    (g_coeff, ("1", 2)),
+    (g_coeff, (1.5, 2)),
+    (h_coeff, (1, "2")),
+    (arctanh_nested_coeff, (1, "3")),
+    (double_factorial, ("5",)),
+    (wallis_fraction, ("4",)),
+    (wallis_fraction, (2.0,)),
+    (hp.bernoulli_fraction, ("4",)),
+    (hp.euler_number, ("4",)),
+    (symbolic.zeta_even_rational, ("4",)),
+    (symbolic.beta_odd_rational, ("3",)),
+    (symbolic.t_single_expr, ("3",)),
+    (wallis_identity_check, ((), 1, 30)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_a_parameter_of_the_wrong_type_is_a_value_error(fn, args):
+    # a string or float where an integer belongs, or no coefficients at all
+    with pytest.raises(ValueError):
+        fn(*args)

@@ -24,13 +24,12 @@ Below the memo, the kernels share their transcendental factors.  Beside each
 cached node table (level, wd) sit columns: the values of one node function
 at every node of the table, filled on first use and read by every later
 integral at that working precision.  A node function returns a tuple of
-values, one per slot of its column: the stable ones above (arcsin and
-arccos from one arcsine, cos and sin from one cos_sin) and kernel_pair's
-bracket Li_p(-x) - Li_p(x) (one column per p), above x = 1/2 one Horner sum
-of Legendre's chi in log x, read from the log column.  Three share one
-transcendental between a node (x, xc) and its mirror (xc, x), listed next
-(_mirrored): one tan gives cot((pi/2) x) at both, one cos_sin the log-sine
-at both, another cos and sin at both.  Each node function stays a pure
+values, one per slot of its column: the stable ones above (arcsin and arccos
+from one arcsine) and kernel_pair's bracket Li_p(-x) - Li_p(x) (one column
+per p), above x = 1/2 one Horner sum of Legendre's chi in log x, read from
+the log column.  Two share one transcendental between a node (x, xc) and its
+mirror (xc, x), listed next (_mirrored): one tan gives cot((pi/2) x) at
+both, one cos_sin the log-sine at both.  Each node function stays a pure
 function of (x, xc) with the bits its column stores: same nodes, same
 function, same precision, the same bits as evaluating at every node.
 Evaluators keep the (x, xc) contract: integrate01 records the node it is
@@ -77,8 +76,6 @@ from .hp import (
 )
 
 __all__ = [
-    "Integrand",
-    "QuadratureResult",
     "QuadratureNonConvergence",
     "integrate01",
     "I_quad",
@@ -137,8 +134,7 @@ class QuadratureNonConvergence(RuntimeError):
 
 # estimated bytes of node tables and columns kept, 3-21% above the bytes
 # tracemalloc sees freed when the tables are dropped, at 30-800 digits (a
-# quad-session stream holds 0.56 MB, verify --suite all at 50 digits 0.31 MB,
-# an I/K sweep step at 800 digits 16.4 MB)
+# quad-session stream holds 0.56 MB, an I/K sweep step at 800 digits 16.4 MB)
 _NODE_BYTES = 32 << 20
 
 
@@ -235,13 +231,13 @@ class _Column:
     read from the column of the node being evaluated.
 
     fn returns a tuple of finite values, one per slot of the column (arcsin
-    and arccos, cos and sin, else one).  Inside integrate01, called with that
-    node's own x and xc objects at its working precision, the pair comes from
-    the node table's column for fn, filled at every node of the table on
-    first use.  Any other call (outside integrate01, another x, another
-    precision) computes fn directly and stores nothing.  Columns are aligned
-    to node position, never keyed by x's value: at the deepest nodes x
-    rounds to 1 while xc still differs.
+    and arccos, else one).  Inside integrate01, called with that node's own
+    x and xc objects at its working precision, the pair comes from the node
+    table's column for fn, filled at every node of the table on first use.
+    Any other call (outside integrate01, another x, another precision)
+    computes fn directly and stores nothing.  Columns are aligned to node
+    position, never keyed by x's value: at the deepest nodes x rounds to 1
+    while xc still differs.
     """
 
     __slots__ = ("fn",)
@@ -475,20 +471,11 @@ def _log_sines(x: mpf, xc: mpf) -> tuple:
     return ((mp.log(c),), (mp.log(s),)) if xc < _HALF else ((mp.log(s),), (mp.log(c),))
 
 
-@_mirrored
-def _cos_sines(x: mpf, xc: mpf) -> tuple:
-    """(cos, sin) of (pi/2) x at (x, xc) and at (xc, x), from one cos_sin of
-    (pi/2) min(x, xc): cos((pi/2) x) = sin((pi/2) xc) where xc < 1/2."""
-    c, s = mp.cos_sin(_constants(mp.prec)[0] * min(x, xc))
-    return ((s, c), (c, s)) if xc < _HALF else ((c, s), (s, c))
-
-
 _log_column = _Column(_log_stable)
 _arcsine_column = _Column(_arcsines)
 _atanh_column = _Column(_atanh_stable)
 _cot_column = _Column(_cots)
 _log_sin_column = _Column(_log_sines)
-cos_sin_column = _Column(_cos_sines)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ combinations too) in one ``routes.series_values`` batch that shares their
 words' chains, and a lone route side is used as the route returns it.
 Rows 07-09 hold closed forms against the paper's arcsine integrals written
 as words, rows 24-25 against the series words that the log-polylog kernel
-pair's words reduce to over Q, so only row 30 integrates numerically.
-Every row but the Wallis row (30), which is short code beside the table, is
-data in the table.
+pair's words reduce to over Q, so no row integrates numerically: the
+quadrature routes are checked by ``--method all`` and the tests.  Every row
+but the Wallis row (30), which is short code beside the table, is data.
 
 Two row modes:
   match     pass  <=>  |left - right| <= tolerance   (the default)
@@ -36,10 +36,9 @@ The tolerance is one of
   * (k, a, b): k times the summed bounds of sides a and b, which need not be
     the row's own (row 19 holds its variant 100 bounds of O(4,3)'s series
     and closed routes away).
-Row 30's two sides evaluate the same truncated polynomial: its left side
-exactly in Q + Q*pi, evaluated by ``hp.combine`` with a proved bound, its
-right side by quadrature.  Differences are exact; every number is reported
-to 20 significant digits.
+Row 30's two sides, the Wallis factors and the arccos moments of one
+truncated polynomial, are exact in Q + Q*pi and evaluated by ``hp.combine``.
+Differences are exact; every number is reported to 20 significant digits.
 
 Separation rows pin the *rejected* variants of formulas that circulate with
 transcription slips.  A verification that only confirmed the good variant

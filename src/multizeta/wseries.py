@@ -30,23 +30,23 @@ one below it by the one nested-prefix recurrence of _row):
            arctanh^N(z)/N! = sum_(m = N mod 2) A_(N-1)(m)/m z^m.
 
 wallis_identity_check evaluates both sides of the W-operator identity for a
-truncated series (verify row 30): the left side summed exactly in Q + Q*pi
-and evaluated by hp.combine, so rigorous; the right side by DE quadrature,
-reading cos and sin at each node from one node column of quadrature.
+truncated series (verify row 30) exactly in Q + Q*pi, evaluated by
+hp.combine: the left side by the Wallis factors, the right side by arccos
+moments integrated over the sine series of their integrand.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, to_rational
+from mpmath.libmp import to_rational
 
-from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec, combine, pi_const, require
-from .quadrature import Integrand, QuadratureResult, integrate01, scaled_quotient
-from .quadrature import cos_sin_column
+from .hp import LOCK, EvalResult, coerce_prec, combine, pi_const, require
 
 __all__ = [
     "SeriesCoeff",
@@ -198,66 +198,65 @@ def w_apply(coeffs) -> tuple[SeriesCoeff, ...]:
     )
 
 
-def wallis_identity_check(f, alpha, prec: int = 50) -> tuple[EvalResult, QuadratureResult]:
+@cache
+def _arccos_moment(n: int) -> SeriesCoeff:
+    """J_n = integral_0^1 x^(n-1) arccos(x) dx in Q + Q*pi, from the sine series
+    of its integrand.  With x = cos t and m = n - 1, J_n = integral_0^(pi/2)
+    t cos^m t sin t dt, and cos^m t sin t = 2^-(m+1) sum_j C(m, j) [sin((m-2j+1) t)
+    - sin((m-2j-1) t)].  F(k) = integral_0^(pi/2) t sin(kt) dt = sin(k pi/2)/k^2
+    - (pi/2) cos(k pi/2)/k is odd in k, so J_n = 2^-m sum_(i < n/2) (C(m, i) -
+    C(m, i-1)) F(n - 2i): rational for odd n, F(k) = (-1)^(k//2)/k^2, and pi
+    times a rational for even n, F(k) = -(pi/2) (-1)^(k//2)/k; summed in
+    integers over L^2 or L, L = lcm(1, ..., n)."""
+    m, odd = n - 1, n % 2
+    L = math.lcm(*range(1, n + 1))
+    total = sum((-1) ** (k // 2) * (math.comb(m, i) - (math.comb(m, i - 1) if i else 0))
+                * (L // k) ** (1 + odd) for i, k in enumerate(range(n, 0, -2)))
+    if odd:
+        return SeriesCoeff(Fraction(total, L * L << m))
+    return SeriesCoeff(Fraction(0), Fraction(-total, L << n))
+
+
+def _exact(x, what: str) -> Fraction:
+    """x read exactly: an mpf by its mantissa and exponent, anything else by Fraction."""
+    if isinstance(x, mpf):
+        if mp.isfinite(x):
+            return Fraction(*to_rational(x._mpf_))
+    else:
+        with suppress(TypeError, ValueError, OverflowError):  # None, an object, inf, nan
+            return Fraction(x)
+    raise ValueError(f"{what} must be a finite real number, got {x!r}")
+
+
+def _sum_at(terms, prec: int) -> EvalResult:
+    """sum of x (rational + pi_part pi) over pairs (x, SeriesCoeff) as q + r pi, by hp.combine."""
+    q = r = Fraction(0)
+    for x, c in terms:
+        q, r = q + x * c.rational, r + x * c.pi_part
+    return combine([(v, fs) for v, fs in ((q, []), (r, [pi_const(prec)])) if v], prec)
+
+
+def wallis_identity_check(f, alpha, prec: int = 50) -> tuple[EvalResult, EvalResult]:
     """Both sides of  W(integral_0^alpha f(z)/z dz) = integral_0^1 f(alpha x) arccos(x)/x dx.
 
-    f is the tuple of f's rational coefficients c_0, ..., c_M, with f(0) = 0
-    so that f(z)/z is a power series.  alpha lies in (0, 1] and is read
-    exactly: an mpf by its mantissa and exponent, an int, Fraction, float
-    or string (decimal or fraction) by Fraction.
-
-    Left: termwise integration c_n -> c_n/n, W, and the sum at alpha, exact
-    in Q + Q*pi: q + r pi with q, r the sums of w_apply's rational and pi
-    slots times alpha^n.  hp.combine evaluates it, so the left side is
-    rigorous, charged only the roundings of q, r, pi and their sum.
-
-    Right: DE quadrature after x = cos(theta), theta = (pi/2) s, of the
-    integrand alpha (pi/2)^2 s sin(pi s/2) g(alpha cos(pi s/2)), analytic on
-    [0, 1], with g(y) = f(y)/y = sum_(n>=1) c_n y^(n-1); cos and sin at a
-    node and at its mirror come from one cos_sin (the two-valued node column
-    cos_sin_column).  The two routes share only the coefficients, so their
-    agreement exercises the operator identity itself (integration by parts
-    against arccos).
-
-    The right side splits g(y) = E(y^2) + y O(y^2) and runs Horner's rule on
-    each part with a nonzero coefficient (arcsin^2's g is odd) in integers
-    scaled by 2^B, B = wbits + the bits of g's M coefficients + 4.  Each
-    coefficient is rounded to the nearest unit 2^-B, exactly; y = alpha
-    cos is rounded once as an mpf and u = y^2 floored to B bits, a smaller
-    change; each product by u is floored, its error multiplied by u < 1 in
-    every later step.  So a part of K coefficients is within 2K - 1 units,
-    y O one floor more: g is within 2M units, under 2^-wbits/8, and its
-    exact product with s, sin and alpha (pi/2)^2 is floored once by
-    quadrature.scaled_quotient.
+    f holds the coefficients c_0, ..., c_M of f, with f(0) = 0 so that f(z)/z
+    is a power series; alpha lies in (0, 1].  alpha and each c_n are read
+    once, exactly: an mpf by its mantissa and exponent, an int, Fraction,
+    float or string by Fraction; None, other objects, inf and nan raise
+    ValueError.  Each side is exact in Q + Q*pi and evaluated by hp.combine,
+    so rigorous.  Left: c_n -> c_n/n, then W (w_apply), at alpha.  Right:
+    sum_n c_n alpha^n J_n over the arccos moments (_arccos_moment).  The two
+    share only the c_n and alpha, so their agreement checks the operator
+    identity itself (integration by parts against arccos), exactly.
     """
     coerce_prec(prec)
-    if not f or f[0]:
+    cs = [_exact(c, "a coefficient") for c in f]
+    if not cs or cs[0]:
         raise ValueError("identity requires coefficients c_0, ... with f(0) = 0")
-    try:
-        a = Fraction(*to_rational(alpha._mpf_)) if isinstance(alpha, mpf) else Fraction(alpha)
-    except OverflowError as e:  # an infinite float
-        raise ValueError("alpha must lie in (0, 1]") from e
+    a = _exact(alpha, "alpha")
     if not 0 < a <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    poly = w_apply((Fraction(0), *(Fraction(c, n) for n, c in enumerate(f) if n)))
-    q = sum(c.rational * a ** n for n, c in enumerate(poly))
-    r = sum(c.pi_part * a ** n for n, c in enumerate(poly))
-    lhs = combine([(x, fs) for x, fs in ((q, []), (r, [pi_const(prec)])) if x], prec)
-    shifted = f[1:]  # g's coefficients
-    bits = dps_to_prec(prec + GUARD_DIGITS) + len(shifted).bit_length() + 4
-    ints = [round(Fraction(c) * (1 << bits)) for c in shifted]
-    parts = [part[::-1] if any(part) else [] for part in (ints[0::2], ints[1::2])]
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        av = mpf(a.numerator) / a.denominator
-        _, mk, ek, _ = (av * mp.pi ** 2 / 4)._mpf_
-
-    def ev(x, xc):
-        _, m, e, _ = (av * mpf(cos_sin_column(x, xc)))._mpf_
-        u = (m * m << bits) >> -2 * e  # y^2 2^B, floored
-        even, odd = (reduce(lambda acc, c: (acc * u >> bits) + c, part, 0) for part in parts)
-        ms, es = cos_sin_column(x, xc, 1)
-        _, mx, ex, _ = x._mpf_
-        return scaled_quotient(mk * mx * ms * (even + (odd * m >> -e)), ek + ex + es - bits)
-
-    rhs = integrate01(Integrand(ev, name="Wallis identity"), prec)
+    powers = [a ** n for n in range(len(cs))]
+    lhs = _sum_at(zip(powers, w_apply([c / n if n else c for n, c in enumerate(cs)])), prec)
+    rhs = _sum_at(((c * p, _arccos_moment(n)) for n, (c, p) in enumerate(zip(cs, powers)) if n), prec)
     return lhs, rhs

@@ -243,10 +243,20 @@ def quadrature_readers() -> dict:
 
 def test_every_quadrature_export_has_a_reader():
     # a public kernel that no route, check or CLI path reaches is dead code
-    # to be deleted, not kept for the tests alone
+    # to be deleted, not kept for the tests alone.  The one exception is
+    # integrate01, which no other module calls: bench/tracer.py wraps every
+    # function of __all__ and records levels_used and the integrand spans
+    # through it, and the benchmark's session tests pin quad_levels
     readers = quadrature_readers()
     assert readers.get("kernel_pair") == {"routes"}  # guard against a vacuous pass
-    assert [name for name in quadrature.__all__ if name not in readers] == []
+    assert [name for name in quadrature.__all__ if name not in readers] == ["integrate01"]
+
+
+def test_wseries_is_built_on_hp_alone():
+    # row 30 checks the W operator in exact arithmetic: wseries reads no
+    # quadrature, series or closed form
+    imported = {module for module, _ in sibling_imports(PACKAGE / "wseries.py")}
+    assert imported == {"hp"}
 
 
 def test_routes_call_layers_through_their_modules():

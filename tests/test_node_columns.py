@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 import multizeta
-from multizeta import quadrature, wseries
+from multizeta import quadrature
 from multizeta.hp import GUARD_DIGITS
 from multizeta.quadrature import (
     Integrand,
@@ -33,7 +33,6 @@ from multizeta.quadrature import (
     scaled_quotient,
 )
 from multizeta.verify import run_suite
-from multizeta.wseries import arcsin_power_series, wallis_identity_check
 
 from oracles import DIRECT_KERNELS, MPF_KERNELS, node_copy
 
@@ -45,8 +44,6 @@ KERNELS = (
     quadrature.kernel_pair,
     quadrature.logsine_check,
 )
-
-WALLIS_F = arcsin_power_series(2, 80)  # verify row 30's series
 
 
 def cold():
@@ -63,13 +60,7 @@ def cold_around():
     cold()
 
 
-def wallis_rhs(prec):
-    return wallis_identity_check(WALLIS_F, 1, prec)[1]
-
-
 def evaluate(name, args, prec):
-    if name == "wallis":
-        return wallis_rhs(prec)
     return getattr(quadrature, name)(*args, prec)
 
 
@@ -80,12 +71,6 @@ def computed(column, x, xc):
 
 @cache
 def direct(name, args, prec):
-    if name == "wallis":
-        with pytest.MonkeyPatch.context() as patch:
-            column = quadrature.cos_sin_column
-            patch.setattr(wseries, "cos_sin_column",
-                          lambda x, xc, slot=0: computed(column, x, xc)[slot])
-            return wallis_rhs(prec)
     return DIRECT_KERNELS[name](*args, prec)
 
 
@@ -123,7 +108,6 @@ def count_calls(monkeypatch, column):
 # pairs of families that read a common column, the column named last
 SHARED = [
     (("I_quad", (3,)), ("t_kernel_quad", (1,))),  # arcsin
-    (("t_kernel_quad", (1,)), ("wallis", ())),  # none: arccos against cos and sin
     (("kernel_pair", (2, 2, -1)), ("kernel_pair", (3, 2, 1))),  # log
     (("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 3, 1))),  # Li_2 bracket
     (("k_arctanh", (2,)), ("I_quad", (2,))),  # atanh, arcsin
@@ -156,7 +140,7 @@ def test_kernels_equal_their_node_by_node_evaluation(pair, prec):
 def test_direct_oracles_cover_every_kernel():
     assert set(DIRECT_KERNELS) == {fn.__name__ for fn in KERNELS}
     covered = {name for pair in SHARED for name, _ in pair}
-    assert covered == set(DIRECT_KERNELS) | {"wallis"}
+    assert covered == set(DIRECT_KERNELS)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +155,6 @@ COLUMNS = {
     "atanh": (quadrature._atanh_column, 0),
     "cot": (quadrature._cot_column, 0),
     "log-sine": (quadrature._log_sin_column, 0),
-    "cos": (quadrature.cos_sin_column, 0),
-    "sin": (quadrature.cos_sin_column, 1),
     **{f"bracket-{p}": (quadrature._bracket_column(p), 0) for p in range(2, 6)},
 }
 
@@ -256,17 +238,6 @@ def test_the_log_and_bracket_columns_run_once_per_node(monkeypatch):
     assert set(nodes.values()) == {1}
 
 
-def test_the_wallis_check_fills_cos_and_sin_once_per_node_pair(monkeypatch):
-    # its node function runs once per node, one cos_sin per node pair
-    # (test_a_fill_costs_its_transcendentals_once); the arcsines are not read
-    calls = count_calls(monkeypatch, quadrature.cos_sin_column)
-    arcsines = count_calls(monkeypatch, _arcsine_column)
-    wallis_rhs(50)
-    assert calls == node_keys(50)
-    assert set(calls.values()) == {1}
-    assert not arcsines
-
-
 def count_transcendentals(monkeypatch, names):
     """Counter of the calls to these mpmath functions, not counting those
     one of them makes (log1p calls log)."""
@@ -301,16 +272,15 @@ def above_half(table):
 
 # the mpmath functions each column's fill calls, and how many times over a
 # table: one arcsine per node for arcsin and arccos, one tan per node pair,
-# one cos_sin per node pair for log-sine and for cos and sin, atanh or (where
-# xc < 2^-10) two logs per node, and for a bracket the log column's one log
-# per node and, above 1/2, chi's log(-log x)
+# one cos_sin per node pair for log-sine, atanh or (where xc < 2^-10) two
+# logs per node, and for a bracket the log column's one log per node and,
+# above 1/2, chi's log(-log x)
 TRANSCENDENTALS = {
     "log": (("log", "log1p"), per_node),
     "arcsin": (("asin", "acos"), per_node),
     "atanh": (("atanh", "log"), lambda t: per_node(t) + sum(xc < 2 ** -10 for _, xc, _ in t.nodes)),
     "cot": (("tan", "cot"), per_pair),
     "log-sine": (("cos_sin", "cos", "sin"), per_pair),
-    "cos": (("cos_sin", "cos", "sin"), per_pair),
     **{f"bracket-{p}": (("log", "log1p"), lambda t: per_node(t) + above_half(t)) for p in range(2, 6)},
 }
 
@@ -459,7 +429,7 @@ def test_a_non_finite_node_value_raises_and_stores_no_column(bad):
     assert column not in columns_held()
 
 
-MIRRORED = ("cot", "log-sine", "cos")
+MIRRORED = ("cot", "log-sine")
 
 
 @pytest.mark.parametrize("name", MIRRORED)
@@ -483,7 +453,7 @@ def test_mirrored_values_hold_for_interleaved_callers():
     # under one another, and each call must still get its own node's values
     wd = 30 + GUARD_DIGITS
     table = quadrature._cached_nodes(2, wd)
-    columns = (quadrature._cot_column, quadrature._log_sin_column, quadrature.cos_sin_column)
+    columns = (quadrature._cot_column, quadrature._log_sin_column)
     failures = []
 
     def walk():
@@ -613,12 +583,8 @@ def integrand_of(name, args, prec, monkeypatch):
         raise Captured(f)
 
     monkeypatch.setattr(quadrature, "integrate01", capture)
-    monkeypatch.setattr(wseries, "integrate01", capture)
     try:
-        if name == "wallis":
-            wallis_rhs(prec)
-        else:
-            getattr(quadrature, name).__wrapped__(*args, prec)  # past the memo
+        getattr(quadrature, name).__wrapped__(*args, prec)  # past the memo
     except Captured as got:
         return got.args[0]
     finally:
@@ -640,7 +606,6 @@ KERNEL_ARGS = st.one_of(
         st.tuples(st.integers(2, 4), st.integers(2, 4), st.sampled_from((1, -1))),
     ),
     st.tuples(st.just("logsine_check"), st.tuples(st.integers(1, 6))),
-    st.tuples(st.just("wallis"), st.just(())),
 )
 
 
@@ -721,7 +686,6 @@ WRAPPED = [
                  id="acos_column"),
     pytest.param(("I_quad", (3,)), ("t_kernel_quad", (1,)), "_arcsine_column",
                  id="_arcsine_column"),
-    pytest.param(("wallis", ()), ("wallis", ()), "cos_sin_column", id="cos_sin_column"),
     pytest.param(("kernel_pair", (2, 3, -1)), ("kernel_pair", (2, 2, 1)), "_log_column",
                  id="_log_column"),
 ]
@@ -732,9 +696,7 @@ def test_a_wrapped_evaluator_gives_the_same_result(monkeypatch, first, second, c
     plain = evaluate(*first, 30)
     want = direct(*first, 30)  # before the count: an oracle may call the node function
     cold()
-    wrapped_integrate = wrapping(quadrature.integrate01)
-    for module in (quadrature, wseries):  # rebound everywhere, as the tracer does
-        monkeypatch.setattr(module, "integrate01", wrapped_integrate)
+    monkeypatch.setattr(quadrature, "integrate01", wrapping(quadrature.integrate01))
     calls = count_calls(monkeypatch, getattr(quadrature, column))
     wrapped = evaluate(*first, 30)
     assert_same(wrapped, plain)

@@ -244,9 +244,9 @@ def test_the_series_batch_equals_each_series_route(prec):
         assert got.error_bound.magnitude == want.error_bound.magnitude, (quantity, params)
 
 
-def test_the_suite_integrates_once(monkeypatch):
-    # every side but row 30's Wallis check is a closed form or a series:
-    # one quadrature, whatever the kernels' memos hold
+def test_the_suite_integrates_nothing(monkeypatch):
+    # every side is a closed form, a series or row 30's exact sums: no
+    # quadrature, whatever the kernels' memos hold
     calls = []
     integrate01 = quadrature.integrate01
 
@@ -256,10 +256,16 @@ def test_the_suite_integrates_once(monkeypatch):
 
     for name in quadrature.__all__:
         getattr(getattr(quadrature, name), "cache_clear", lambda: None)()
-    for module in (quadrature, wseries):  # rebound everywhere, as the tracer does
+    holders = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("multizeta")
+               and getattr(module, "integrate01", None) is integrate01]
+    assert quadrature in holders
+    for module in holders:  # rebound everywhere, as the tracer does
         monkeypatch.setattr(module, "integrate01", counted)
     assert run_suite("all", 30).all_passed()
-    assert [f.name for f in calls] == ["Wallis identity"]
+    assert calls == []
+    quadrature.I_quad(3, 30)  # guard against a vacuous pass: a kernel is counted
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +296,19 @@ def test_wallis_row_fails_a_perturbed_left_side(monkeypatch):
     monkeypatch.setattr(verify, "wallis_identity_check", perturbed)
     row = wallis_row(run_suite("paper", 50))
     assert not row.passed
+
+
+def test_wallis_row_fails_a_wrong_wallis_factor(monkeypatch):
+    # the right side uses no Wallis factor: one wrong W_n moves the left side
+    # alone, so row 30 fails and no other row does
+    wallis_fraction = wseries.wallis_fraction
+
+    def wrong_at_10(n):
+        return wallis_fraction(n) * (1 + Fraction(1, 10 ** 12) * (n == 10))
+
+    monkeypatch.setattr(wseries, "wallis_fraction", wrong_at_10)
+    report = run_suite("all", 50)
+    assert [c.check_id for c in report.checks if not c.passed] == ["30-wallis-arcsin"]
 
 
 def test_formatting_in_another_thread_changes_no_result():

@@ -326,16 +326,19 @@ def exact_left_side(f, alpha):
     return q, r
 
 
-@pytest.mark.parametrize("N, M, alpha, pi_only", [
+WALLIS_CASES = [
     (2, 80, Fraction(1), True),  # arcsin^2 is even: the value is pi times a rational
     (3, 60, Fraction(1, 2), False),  # arcsin^3 is odd: the value is rational
     (2, 80, Fraction(1, 2), True),
-])
+    (1, 9, Fraction(1), False),
+]
+
+
+@pytest.mark.parametrize("N, M, alpha, pi_only", WALLIS_CASES)
 @pytest.mark.parametrize("prec", [16, 30, 50, 200, 1000])
-def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec, monkeypatch):
+def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec):
     # row 30's left side against its exact value, within the rigorous bound
-    # it reports; the quadrature side, seconds at 1000 digits, is skipped
-    monkeypatch.setattr(wseries, "integrate01", lambda integrand, prec: None)
+    # it reports
     f = arcsin_power_series(N, M)
     q, r = exact_left_side(f, alpha)
     assert (q == 0) == pi_only and (r == 0) != pi_only
@@ -344,6 +347,36 @@ def test_wallis_left_side_is_exact(N, M, alpha, pi_only, prec, monkeypatch):
     with workdps(prec + 40):
         exact = mpf(q.numerator) / q.denominator + mpf(r.numerator) / r.denominator * mp.pi
         assert abs(lhs.value.magnitude - exact) <= lhs.error_bound.magnitude
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_an_arccos_moment_matches_quadrature(n):
+    # J_n = integral_0^1 x^(n-1) arccos(x) dx, from the sine series of its
+    # integrand, against mpmath's own quadrature of the arccos form
+    J = wseries._arccos_moment(n)
+    assert (J.rational == 0) == (n % 2 == 0) and (J.pi_part == 0) == (n % 2 == 1)
+    with workdps(60):
+        exact = mpf(J.rational.numerator) / J.rational.denominator \
+            + mpf(J.pi_part.numerator) / J.pi_part.denominator * mp.pi
+        ref = mp.quad(lambda x: x ** (n - 1) * mp.acos(x), [0, 1])
+        assert abs(exact - ref) <= mpf(10) ** -50
+
+
+@pytest.mark.parametrize("N, M, alpha, pi_only", WALLIS_CASES)
+@pytest.mark.parametrize("prec", [16, 30, 50, 200, 1000])
+def test_wallis_right_side_is_exact(N, M, alpha, pi_only, prec):
+    # the right side sum_n c_n alpha^n J_n, from the arccos moments alone, is
+    # the left side's q + r pi exactly; both sides are rigorous, and being
+    # one exact number they evaluate to the same bits
+    f = arcsin_power_series(N, M)
+    terms = [(c * alpha ** n, wseries._arccos_moment(n)) for n, c in enumerate(f) if n]
+    q = sum(x * J.rational for x, J in terms)
+    r = sum(x * J.pi_part for x, J in terms)
+    assert (q, r) == exact_left_side(f, alpha)
+    lhs, rhs = wallis_identity_check(f, alpha, prec)
+    assert lhs.rigorous and rhs.rigorous
+    assert rhs.value.magnitude._mpf_ == lhs.value.magnitude._mpf_
+    assert rhs.error_bound.magnitude._mpf_ == lhs.error_bound.magnitude._mpf_
 
 
 def test_wallis_alpha_is_read_exactly():
@@ -358,8 +391,8 @@ def test_wallis_alpha_is_read_exactly():
 
 
 def test_wallis_identity_mixed_parity():
-    # f(z)/z has even and odd powers, so both Horner parts run; both sides
-    # match an mpmath quadrature of the arccos form
+    # f has even and odd powers, so both sides have a rational and a pi
+    # part; both match an mpmath quadrature of the arccos form
     cs = [0, 1, Fraction(-3, 7), 2, Fraction(5, 3), 0, Fraction(-1, 9)]
     f = tuple(map(Fraction, cs))
     for alpha in (1, Fraction(2, 3)):
@@ -371,6 +404,32 @@ def test_wallis_identity_mixed_parity():
                           * mp.acos(x) / x, [0, 1])
             assert abs(lhs.value.magnitude - ref) < mpf(10) ** -45
             assert abs(rhs.value.magnitude - ref) < mpf(10) ** -45
+
+
+@pytest.mark.parametrize("coeffs, same_as", [
+    ((0, 0.5), (0, Fraction(1, 2))),
+    ((0, "1/2"), (0, Fraction(1, 2))),
+    ((0, mpf("0.5")), (0, Fraction(1, 2))),
+    (("0", 1), (0, 1)),
+    ((0, None), None),
+    ((None, 1), None),
+    ((0, object()), None),
+    ((0, float("inf")), None),
+    ((0, float("nan")), None),
+    ((0, mp.inf), None),
+], ids=["float", "string", "mpf", "string zero", "None", "None at zero", "object", "inf",
+        "nan", "mpf inf"])
+def test_wallis_coefficients_are_read_exactly(coeffs, same_as):
+    # every coefficient is read by alpha's rule, once, for both sides; what
+    # that rule cannot read exactly is a ValueError, and f(0) = 0 is a number
+    if same_as is None:
+        with pytest.raises(ValueError):
+            wallis_identity_check(coeffs, 1, 30)
+        return
+    got, want = wallis_identity_check(coeffs, 1, 30), wallis_identity_check(same_as, 1, 30)
+    for g, w in zip(got, want):
+        assert g.value.magnitude._mpf_ == w.value.magnitude._mpf_
+        assert g.error_bound.magnitude._mpf_ == w.error_bound.magnitude._mpf_
 
 
 def test_wallis_identity_validation():

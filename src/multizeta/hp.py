@@ -15,14 +15,16 @@ bit-for-bit regardless of caller state or threading.
 Results are combined with one another only through :func:`combine` (a rational
 combination of products of results) and its one-term form :func:`scaled`:
 they are the only code that derives an error bound from other bounds, and
-they charge the roundings of the values they form.  Two results agree when
-:meth:`EvalResult.agrees_with` says so: |v1 - v2| <= e1 + e2 with both sides
-exact (:func:`gap`, :func:`bound_sum`), so no working precision enters the
-verdict.  :func:`digits_short` says how far a result's bound falls short of
-the digits asked for.  These helpers stay out of ``__all__``, like the
-parameter checks :func:`coerce_prec` and :func:`require`: the benchmark's
-tracer wraps every function listed there and hashes its arguments, and
-theirs are lists, results and mpf values.
+they charge the roundings of the values they form.  combine computes on the
+raw ``_mpf_`` tuples through ``mpmath.libmp`` at an explicit binary
+precision, so it neither reads nor sets mpmath's precision and holds no
+lock.  Two results agree when :meth:`EvalResult.agrees_with` says so:
+|v1 - v2| <= e1 + e2 with both sides exact (:func:`gap`, :func:`bound_sum`),
+so no working precision enters the verdict.  :func:`digits_short` says how
+far a result's bound falls short of the digits asked for.  These helpers
+stay out of ``__all__``, like the parameter checks :func:`coerce_prec` and
+:func:`require`: the benchmark's tracer wraps every function listed there
+and hashes its arguments, and theirs are lists, results and mpf values.
 
 Base constants provided:
 
@@ -56,7 +58,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import bernfrac, mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_abs
+from mpmath.libmp import (dps_to_prec, fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_shift, round_nearest)
 
 __all__ = [
     "MIN_PRECISION",
@@ -198,31 +201,43 @@ def combine(terms, prec: int) -> EvalResult:
     computed here is itself rounded.  A coefficient 0 or +-2^k scales
     exactly and is charged nothing.  The result is rigorous when every
     factor is.
+
+    It runs on the raw values through mpmath.libmp, each operation at wd's
+    binary precision rounded to nearest, as the mpf operators did under
+    mp.workdps(wd): the same bits whatever the caller's mp.dps, and no lock.
     """
     coerce_prec(prec)
     wd = prec + GUARD_DIGITS
-    with LOCK, mp.workdps(wd):
-        slop = mpf(10) ** (1 - wd)
-        total = bound = scale = mpf(0)
-        for coeff, factors in terms:
-            v, b = mpf(1), mpf(0)
-            for f in factors:
-                x, r = f.value.magnitude, f.error_bound.magnitude
-                b = abs(v) * r + abs(x) * b + r * b
-                v *= x
-            if len(factors) > 1:
-                b += abs(v) * slop
-            coeff = Fraction(coeff)
-            cf = mpf(coeff.numerator) / coeff.denominator
-            t = cf * v
-            total += t
-            bound += abs(cf) * b
-            if len(terms) == 1 and len(factors) <= 1 and not _scales_exactly(coeff):
-                bound += mp.ldexp(abs(t), 1 - mp.prec)
-            scale = max(scale, abs(t))
-        bound += max(len(terms) - 1, 0) * scale * slop
-        rigorous = all(f.rigorous for _, factors in terms for f in factors)
-        return wrap_result(total, bound, prec, rigorous=rigorous)
+    p, rnd, slop = dps_to_prec(wd), round_nearest, _slop(wd)
+    total = bound = scale = fzero
+    for coeff, factors in terms:
+        v, b = fone, fzero
+        for f in factors:
+            x, r = f.value.magnitude._mpf_, f.error_bound.magnitude._mpf_
+            b = mpf_add(mpf_add(mpf_mul(mpf_abs(v, p, rnd), r, p, rnd),
+                                mpf_mul(mpf_abs(x, p, rnd), b, p, rnd), p, rnd),
+                        mpf_mul(r, b, p, rnd), p, rnd)
+            v = mpf_mul(v, x, p, rnd)
+        if len(factors) > 1:
+            b = mpf_add(b, mpf_mul(mpf_abs(v, p, rnd), slop, p, rnd), p, rnd)
+        coeff = Fraction(coeff)
+        cf = mpf_div(from_int(coeff.numerator, p, rnd), from_int(coeff.denominator), p, rnd)
+        t = mpf_mul(cf, v, p, rnd)
+        total, size = mpf_add(total, t, p, rnd), mpf_abs(t, p, rnd)
+        bound = mpf_add(bound, mpf_mul(mpf_abs(cf, p, rnd), b, p, rnd), p, rnd)
+        if len(terms) == 1 and len(factors) <= 1 and not _scales_exactly(coeff):
+            bound = mpf_add(bound, mpf_shift(size, 1 - p), p, rnd)
+        scale = size if mpf_gt(size, scale) else scale
+    spread = mpf_mul(mpf_mul_int(scale, max(len(terms) - 1, 0), p, rnd), slop, p, rnd)
+    bound = mpf_add(bound, spread, p, rnd)
+    rigorous = all(f.rigorous for _, factors in terms for f in factors)
+    return wrap_result(mp.make_mpf(total), mp.make_mpf(bound), prec, rigorous=rigorous)
+
+
+@lru_cache(maxsize=64)
+def _slop(wd: int) -> tuple:
+    """10^(1-wd) as a raw value, rounded as mpf(10) ** (1 - wd) at wd digits."""
+    return mpf_pow_int(from_int(10), 1 - wd, dps_to_prec(wd), round_nearest)
 
 
 def _scales_exactly(c: Fraction) -> bool:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import accumulate
-from operator import floordiv
+from operator import add, floordiv, sub
 
 from mpmath import mp, mpf
 
@@ -108,26 +108,28 @@ def _integrate(letter: str, c: list) -> list:
         g[1:] = map(floordiv, c[1:], range(1, n_max + 1))
     elif letter == "w1":  # P_n = P_(n-1) + c_n: the running sums
         g[1:] = map(floordiv, accumulate(c[:n_max]), range(1, n_max + 1))
-    elif letter in _PLAIN:
+    elif letter in _PLAIN:  # P_n = s P_(n-d) + c_(n-j): running sums of each residue mod d
         s, d, j = _PLAIN[letter]
-        acc = [0, 0]
-        for n in range(n_max):
-            acc[n % d] = s * acc[n % d] + (c[n - j] if n >= j else 0)
-            g[n + 1] = acc[n % d] // (n + 1)
+        shifted, sums = ([0] * j + c)[:n_max], [0] * n_max
+        for r in range(d):
+            sums[r::d] = accumulate(shifted[r::d], add if s == 1 else (lambda a, x: x - a))
+        g[1:] = map(floordiv, sums, range(1, n_max + 1))
     elif letter in ("rho~", "tau~"):
         # coefficient n of f F is c_(n+1)/2 +- Q_n, Q_n = sum_(m<=n) 2^-(m+2) c_(n-m)
-        sign = 1 if letter == "rho~" else -1
-        q = 0
-        for n in range(n_max):
-            q = (c[n] + 2 * q) // 4
-            g[n + 1] = (c[n + 1] + sign * 2 * q) // (2 * (n + 1))
+        sign = 2 if letter == "rho~" else -2
+        q, sums = 0, []
+        for x, y in zip(c, c[1:]):
+            q = (x + 2 * q) >> 2
+            sums.append(y + sign * q)
+        g[1:] = map(floordiv, sums, range(2, 2 * n_max + 1, 2))
     elif letter in ("sigma~", "kappa~"):
         # (2 - 2u + u^2) P = (1 - u) F for sigma~, = F for kappa~
-        lag = 1 if letter == "sigma~" else 0
+        head, sums = c[:n_max], []
         p1 = p2 = 0
-        for n in range(n_max):
-            p1, p2 = (c[n] - lag * (c[n - 1] if n else 0) + 2 * p1 - p2) // 2, p1
-            g[n + 1] = p1 // (n + 1)
+        for x in map(sub, head, [0] + head[:-1]) if letter == "sigma~" else head:
+            p1, p2 = (x + 2 * p1 - p2) >> 1, p1
+            sums.append(p1)
+        g[1:] = map(floordiv, sums, range(1, n_max + 1))
     return g
 
 

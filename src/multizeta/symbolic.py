@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .hp import (
     EvalResult,
@@ -335,6 +335,9 @@ def t_single_expr(m: int) -> SymbolicExpr:
 # ---------------------------------------------------------------------------
 
 
+# expressions kept, like closed.evaluate's results: verify --suite all builds
+# 9 distinct I(N) and 19 distinct forms
+@lru_cache(maxsize=256)
 def _build_i(N: int) -> SymbolicExpr:
     acc = SymbolicExpr.zero()
     M = N // 2
@@ -496,8 +499,11 @@ def takes(name: Formula, params: tuple) -> bool:
     return _FORMS[name][0](params)
 
 
+@lru_cache(maxsize=256)
 def build(fid: FormulaId) -> SymbolicExpr:
-    """Exact basis expression for any FormulaId."""
+    """Exact basis expression for any FormulaId, memoised per fid like
+    _build_i: an expression is immutable, so the closed and symbolic routes,
+    ``--symbolic`` and verify share one build of each form."""
     return _FORMS[fid.name][2](*fid.params)
 
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest, to_str
 
 from .hp import LOCK, EvalResult, bound_sum, coerce_prec, combine, gap
 from .routes import routes, series_values
@@ -87,8 +88,8 @@ def check_cutoff(cutoff) -> None:
 
 
 def _fmt(x: mpf) -> str:
-    with LOCK, mp.workdps(_FMT_DIGITS + 10):
-        return mp.nstr(mpf(x), _FMT_DIGITS)
+    """x rounded to 30 digits, as mpf(x) at mp.dps = 30 would be, then to 20 digits."""
+    return to_str(mpf_pos(x._mpf_, dps_to_prec(_FMT_DIGITS + 10), round_nearest), _FMT_DIGITS)
 
 
 @dataclass(frozen=True)

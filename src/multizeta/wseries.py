@@ -207,11 +207,14 @@ def _arccos_moment(n: int) -> SeriesCoeff:
     - (pi/2) cos(k pi/2)/k is odd in k, so J_n = 2^-m sum_(i < n/2) (C(m, i) -
     C(m, i-1)) F(n - 2i): rational for odd n, F(k) = (-1)^(k//2)/k^2, and pi
     times a rational for even n, F(k) = -(pi/2) (-1)^(k//2)/k; summed in
-    integers over L^2 or L, L = lcm(1, ..., n)."""
+    integers over L^2 or L, L = lcm(1, ..., n), walking C(m, i) by C(m, i+1) =
+    C(m, i) (m - i)/(i + 1)."""
     m, odd = n - 1, n % 2
     L = math.lcm(*range(1, n + 1))
-    total = sum((-1) ** (k // 2) * (math.comb(m, i) - (math.comb(m, i - 1) if i else 0))
-                * (L // k) ** (1 + odd) for i, k in enumerate(range(n, 0, -2)))
+    total, below, binom = 0, 0, 1  # C(m, i-1), C(m, i)
+    for i, k in enumerate(range(n, 0, -2)):
+        total += (-1) ** (k // 2) * (binom - below) * (L // k) ** (1 + odd)
+        below, binom = binom, binom * (m - i) // (i + 1)
     if odd:
         return SeriesCoeff(Fraction(total, L * L << m))
     return SeriesCoeff(Fraction(0), Fraction(-total, L << n))
@@ -228,11 +231,21 @@ def _exact(x, what: str) -> Fraction:
     raise ValueError(f"{what} must be a finite real number, got {x!r}")
 
 
+def _fraction_sum(pairs) -> Fraction:
+    """sum n/d over integer pairs (n, d), over their least common denominator."""
+    den = math.lcm(*(d for _, d in pairs))
+    return Fraction(sum(n * (den // d) for n, d in pairs), den)
+
+
 def _sum_at(terms, prec: int) -> EvalResult:
-    """sum of x (rational + pi_part pi) over pairs (x, SeriesCoeff) as q + r pi, by hp.combine."""
-    q = r = Fraction(0)
+    """sum of x (rational + pi_part pi) over pairs (x, SeriesCoeff) as q + r pi, by
+    hp.combine; q and r are each summed in integers over one common denominator."""
+    parts = ([], [])
     for x, c in terms:
-        q, r = q + x * c.rational, r + x * c.pi_part
+        for part, y in zip(parts, (c.rational, c.pi_part)):
+            if y:
+                part.append((x.numerator * y.numerator, x.denominator * y.denominator))
+    q, r = map(_fraction_sum, parts)
     return combine([(v, fs) for v, fs in ((q, []), (r, [pi_const(prec)])) if v], prec)
 
 

@@ -31,6 +31,14 @@ engine as it was before its chains were shared: each word's top and bottom
 chains built from scratch by ``word_integral``; the shared-chain walk must
 equal it bit for bit.
 
+``combine_mpf``, ``integrate_loops``, ``arccos_moment_comb``,
+``sum_at_fractions`` and ``fmt_nstr`` are ``hp.combine``,
+``series._integrate``, ``wseries._arccos_moment``, ``wseries._sum_at`` and
+``verify._fmt`` as they were before they ran on raw mpmath values and in
+integers: mpf operators under ``mp.workdps``, one floor division per
+coefficient, two ``math.comb`` calls per term, a ``Fraction`` per addition
+and ``mp.nstr``.  The package's versions must equal them bit for bit.
+
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
 full inner prefix sums:
@@ -53,6 +61,8 @@ sums (their chains are a subset of the unconstrained ones).
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import accumulate
+from operator import floordiv
 
 from mpmath import mp, mpf
 
@@ -60,6 +70,7 @@ from multizeta.hp import (
     GUARD_DIGITS,
     LOCK,
     EvalResult,
+    _scales_exactly,
     coerce_prec,
     pi_const,
     scaled,
@@ -79,6 +90,7 @@ from multizeta.quadrature import (
     scaled_quotient,
 )
 from multizeta.series import (
+    _PLAIN,
     _REFLECT,
     _ROUND_UNITS,
     VALEAN_KINDS,
@@ -87,6 +99,7 @@ from multizeta.series import (
     _integrate,
 )
 from multizeta.symbolic import LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
+from multizeta.wseries import SeriesCoeff
 
 DEFAULT_CUTOFF = 10 ** 6
 _SCALE_EXTRA = 12  # scaled-integer guard digits below the reported precision
@@ -744,3 +757,89 @@ def words_value_per_word(words: list, prec: int) -> EvalResult:
         val = mp.ldexp(mpf(total), -bits)
         bound = mp.ldexp(mpf(units), -bits)
     return wrap_result(val, bound, prec, rigorous=True)
+
+
+# ---------------------------------------------------------------------------
+# The loops before they ran on raw values and integers
+# ---------------------------------------------------------------------------
+
+
+def combine_mpf(terms, prec: int) -> EvalResult:
+    """hp.combine in mpf operators at mp.workdps(prec + GUARD_DIGITS)."""
+    wd = prec + GUARD_DIGITS
+    with LOCK, mp.workdps(wd):
+        slop = mpf(10) ** (1 - wd)
+        total = bound = scale = mpf(0)
+        for coeff, factors in terms:
+            v, b = mpf(1), mpf(0)
+            for f in factors:
+                x, r = f.value.magnitude, f.error_bound.magnitude
+                b = abs(v) * r + abs(x) * b + r * b
+                v *= x
+            if len(factors) > 1:
+                b += abs(v) * slop
+            coeff = Fraction(coeff)
+            cf = mpf(coeff.numerator) / coeff.denominator
+            t = cf * v
+            total += t
+            bound += abs(cf) * b
+            if len(terms) == 1 and len(factors) <= 1 and not _scales_exactly(coeff):
+                bound += mp.ldexp(abs(t), 1 - mp.prec)
+            scale = max(scale, abs(t))
+        bound += max(len(terms) - 1, 0) * scale * slop
+        rigorous = all(f.rigorous for _, factors in terms for f in factors)
+        return wrap_result(total, bound, prec, rigorous=rigorous)
+
+
+def integrate_loops(letter: str, c: list) -> list:
+    """series._integrate with one floor division per coefficient in its loops."""
+    n_max = len(c) - 1
+    g = [0] * (n_max + 1)
+    if letter == "w0":
+        g[1:] = map(floordiv, c[1:], range(1, n_max + 1))
+    elif letter == "w1":
+        g[1:] = map(floordiv, accumulate(c[:n_max]), range(1, n_max + 1))
+    elif letter in _PLAIN:
+        s, d, j = _PLAIN[letter]
+        acc = [0, 0]
+        for n in range(n_max):
+            acc[n % d] = s * acc[n % d] + (c[n - j] if n >= j else 0)
+            g[n + 1] = acc[n % d] // (n + 1)
+    elif letter in ("rho~", "tau~"):
+        sign = 1 if letter == "rho~" else -1
+        q = 0
+        for n in range(n_max):
+            q = (c[n] + 2 * q) // 4
+            g[n + 1] = (c[n + 1] + sign * 2 * q) // (2 * (n + 1))
+    elif letter in ("sigma~", "kappa~"):
+        lag = 1 if letter == "sigma~" else 0
+        p1 = p2 = 0
+        for n in range(n_max):
+            p1, p2 = (c[n] - lag * (c[n - 1] if n else 0) + 2 * p1 - p2) // 2, p1
+            g[n + 1] = p1 // (n + 1)
+    return g
+
+
+def arccos_moment_comb(n: int) -> SeriesCoeff:
+    """wseries._arccos_moment with two math.comb calls per term."""
+    m, odd = n - 1, n % 2
+    L = math.lcm(*range(1, n + 1))
+    total = sum((-1) ** (k // 2) * (math.comb(m, i) - (math.comb(m, i - 1) if i else 0))
+                * (L // k) ** (1 + odd) for i, k in enumerate(range(n, 0, -2)))
+    if odd:
+        return SeriesCoeff(Fraction(total, L * L << m))
+    return SeriesCoeff(Fraction(0), Fraction(-total, L << n))
+
+
+def sum_at_fractions(terms) -> tuple:
+    """(q, r) of wseries._sum_at, added one Fraction at a time."""
+    q = r = Fraction(0)
+    for x, c in terms:
+        q, r = q + x * c.rational, r + x * c.pi_part
+    return q, r
+
+
+def fmt_nstr(x) -> str:
+    """verify._fmt through mp.nstr at 30 working digits."""
+    with LOCK, mp.workdps(30):
+        return mp.nstr(mpf(x), 20)

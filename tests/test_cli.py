@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from multizeta import cli, closed, quadrature, routes, series
+from multizeta import cli, closed, quadrature, routes, series, symbolic
 from multizeta.cli import Request, main, run
 from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
@@ -158,6 +158,26 @@ def test_json_symbolic_attachment(capsys):
     terms = payload["symbolic"]["terms"]
     assert terms[0]["coefficient"] == "1/2"
     assert {"constant": "pi", "arg": 0, "power": 2} in terms[0]["factors"]
+
+
+def test_the_printed_expression_is_the_one_evaluated(capsys, monkeypatch):
+    # --symbolic prints the expression closed.evaluate built: T322(2) is
+    # built once per process, not once per reader
+    built = []
+    takes, rule, builder = symbolic._FORMS[Formula.T322]
+    monkeypatch.setitem(symbolic._FORMS, Formula.T322,
+                        (takes, rule, lambda *params: built.append(params) or builder(*params)))
+    memos = (closed.evaluate, symbolic.build, symbolic._build_i)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "tvalue", "3", "2", "2", "--method", "symbolic",
+                               "--symbolic", "--json")
+    finally:
+        for memo in memos:  # drop what the recorder built
+            memo.cache_clear()
+    assert code == 0 and built == [(2,)]
+    assert json.loads(out)["symbolic"]["text"].endswith("+ 381/2048*zeta7")
 
 
 def test_symbolic_at_1000_digits_within_bound(capsys):

@@ -9,6 +9,7 @@ would corrupt the comparison.
 
 import math
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from multizeta.hp import (
     zeta_single,
 )
 from multizeta.series import nested_value
+from oracles import combine_mpf
 
 
 def ref_err(result, ref_builder, ref_dps=90):
@@ -555,3 +557,73 @@ def test_combine_within_bound(terms, prec):
                 term *= ref()
             want += term
         assert abs(r.value.magnitude - want) <= r.error_bound.magnitude
+
+
+# ---------------------------------------------------------------------------
+# combine on raw values: bit for bit its mpf-operator loop
+# ---------------------------------------------------------------------------
+
+
+def _raw_factor(spec) -> EvalResult:
+    """A factor at its own precision, which need not be combine's: an hp
+    constant or a tight rational, rigorous or not."""
+    what, own_prec, rigorous = spec
+    r = _tight(what, own_prec) if isinstance(what, Fraction) else HP_CONSTANTS[what][0](own_prec)
+    return r if rigorous else replace(r, rigorous=False)
+
+
+RAW_FACTORS = st.tuples(
+    st.one_of(st.sampled_from(COMBINE_CONSTANTS),
+              st.fractions(min_value=-10, max_value=10, max_denominator=10 ** 6)),
+    st.integers(min_value=16, max_value=300),
+    st.booleans(),
+)
+RAW_COEFFS = st.one_of(
+    st.just(0),
+    st.tuples(st.sampled_from((1, -1)), st.integers(min_value=-70, max_value=70)).map(
+        lambda sk: sk[0] * Fraction(2) ** sk[1]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    # a numerator wider than the working bits is rounded before the division
+    st.builds(Fraction, st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+              st.integers(min_value=1, max_value=10 ** 60)),
+)
+
+
+@given(
+    terms=st.lists(st.tuples(RAW_COEFFS, st.lists(RAW_FACTORS, max_size=8)), max_size=8),
+    prec=st.integers(min_value=16, max_value=300),
+)
+@example(terms=[], prec=16)  # the empty sum
+@example(terms=[(Fraction(1, 3), [("pi", 50, True)])], prec=50)  # a lone factor: 2u
+@example(terms=[(Fraction(-5, 7), [("zeta(11)", 300, True)])], prec=16)
+@example(terms=[(Fraction(1, 3), [])], prec=20)
+@example(terms=[(4, [("log2", 30, False)]), (0, [("pi", 30, True)])], prec=30)
+@settings(max_examples=80, deadline=None)
+def test_combine_is_its_mpf_loop_bit_for_bit(terms, prec):
+    """combine on raw values runs the operations of its mpf-operator form,
+    rounded alike: the same value, bound and flag, to the last bit."""
+    built = [(coeff, [_raw_factor(f) for f in factors]) for coeff, factors in terms]
+    got, want = combine(built, prec), combine_mpf(built, prec)
+    assert got.value.magnitude._mpf_ == want.value.magnitude._mpf_
+    assert got.error_bound.magnitude._mpf_ == want.error_bound.magnitude._mpf_
+    assert got.rigorous == want.rigorous
+    assert got.value.working_precision == want.value.working_precision == prec
+
+
+@pytest.mark.parametrize("terms", [
+    [(Fraction(1, 3), ["pi", "zeta(3)"]), (Fraction(-2, 7), ["log2"])],
+    [(Fraction(1, 3), ["psi3(1/4)"])],
+])
+def test_combine_reads_no_global_precision(terms):
+    # the caller's mp.dps enters neither the value nor the bound
+    built = [(c, [HP_CONSTANTS[f][0](40) for f in fs]) for c, fs in terms]
+    raw = []
+    for dps in (5, 500):
+        with mp.workdps(dps):
+            r = combine(built, 40)
+        raw.append((r.value.magnitude._mpf_, r.error_bound.magnitude._mpf_))
+        assert mp.dps == 15
+    assert raw[0] == raw[1]
+    want = combine_mpf(built, 40)
+    assert raw[0] == (want.value.magnitude._mpf_, want.error_bound.magnitude._mpf_)

@@ -41,6 +41,7 @@ from oracles import (
     mzv_series,
     odd_B_series,
     odd_O_series,
+    integrate_loops,
     valean_alt_sum,
     words_value_per_word,
 )
@@ -273,6 +274,33 @@ def test_integrate_matches_exact_map(letter):
         got = _integrate(letter, c)
         want = _exact_integrate(letter, c)
         assert max(abs(g - w) for g, w in zip(got, want)) < _ROUND_UNITS, letter
+
+
+POLES = ("w0", "rho~", "tau~")  # letters with a 1/t pole: c_0 = 0
+
+
+@given(
+    letter=st.sampled_from(LETTERS),
+    c=st.lists(st.integers(min_value=-(1 << 400), max_value=1 << 400), min_size=1, max_size=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_integrate_is_its_loops_bit_for_bit(letter, c):
+    """The kernels collect their sums and divide in one map, as the loops
+    that divided one coefficient at a time did: the same floors."""
+    if letter in POLES:
+        c = [0, *c[1:]]
+    assert _integrate(letter, list(c)) == integrate_loops(letter, list(c))
+
+
+@pytest.mark.parametrize("letter", LETTERS)
+def test_integrate_is_its_loops_at_every_short_length(letter):
+    rng = random.Random(11)
+    for length in (*range(1, 9), 299, 300):
+        for _ in range(10):
+            c = [rng.randint(-(1 << 300), 1 << 300) for _ in range(length)]
+            if letter in POLES:
+                c[0] = 0
+            assert _integrate(letter, list(c)) == integrate_loops(letter, list(c)), length
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from multizeta import symbolic
 from multizeta.closed import evaluate
 from multizeta.hp import beta_fn
 from multizeta.symbolic import (
@@ -70,6 +71,22 @@ def test_basis_validation():
         BasisConstant("psi3_quarter")  # 8 pi^4 + 768 beta(4): not independent
     with pytest.raises(ValueError, match="zeta_odd takes odd arg >= 3, got 4"):
         zeta_odd(4)
+
+
+def test_the_build_memos_are_bounded_and_shared():
+    # each memo holds a bounded number of expressions, and a repeat returns
+    # the expression built before: T322, Z322, T2S1 and I_CLOSED share I(N)
+    for memo in (symbolic.build, symbolic._build_i):
+        assert memo.cache_info().maxsize == 256
+    fid = FormulaId(Formula.T322, (2,))
+    assert build(fid) is build(FormulaId(Formula.T322, [2]))
+    assert build(FormulaId(Formula.I_CLOSED, (6,))) is symbolic._build_i(6)
+    symbolic._build_i.cache_clear()
+    build.cache_clear()
+    for name in (Formula.T322, Formula.Z322, Formula.T2S1_CONJECTURE):
+        build(FormulaId(name, (2,)))
+    # I(5), I(6) for T322(2); I(6), I(7) for Z322(2); I(4) for t({2}^2,1)
+    assert symbolic._build_i.cache_info().misses == 4
 
 
 def test_one_table_row_per_formula():

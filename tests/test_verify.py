@@ -10,18 +10,22 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
-from multizeta import quadrature, routes, series, verify, wseries
+from multizeta import closed, hp, quadrature, routes, series, symbolic, verify, wseries
 from multizeta.cli import Request, run
 from multizeta.hp import HPReal
 from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
-from oracles import _triple_nonstrict_sum
+from oracles import _triple_nonstrict_sum, fmt_nstr
 
 CUTOFF = 3000
 
@@ -312,8 +316,9 @@ def test_wallis_row_fails_a_wrong_wallis_factor(monkeypatch):
 
 
 def test_formatting_in_another_thread_changes_no_result():
-    # mpmath's precision is process-global: verify's formatting sets it
-    # under hp.LOCK, so it cannot move while another thread evaluates
+    # mpmath's precision is process-global: verify's formatting rounds at
+    # an explicit precision and never sets it, so it cannot move while
+    # another thread evaluates
     expr = build(FormulaId(Formula.T322, (3,)))
     expected = eval_symbolic(expr, 50)
     stop = threading.Event()
@@ -338,3 +343,61 @@ def test_formatting_in_another_thread_changes_no_result():
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert runs > 0 and differing == 0, f"{differing} of {runs} results differ"
+
+
+# every memo between a cold request and the work it does
+MEMOS = (hp.zeta_single, hp.eta, hp.beta_fn, hp.t_single, hp.psi3_quarter, hp.pi_const,
+         hp.pi_power, hp.log2_const, closed.evaluate, symbolic.build, symbolic._build_i)
+
+
+def test_the_suite_does_its_work_once(monkeypatch):
+    # a cold run_suite("all", 50) integrates 190 chains, runs the CVZ kernel
+    # 11 times and builds each closed form and each I(N) once: counts, so
+    # that extra work shows whatever the box's speed
+    counts, built = Counter(), Counter()
+    for module, name in ((series, "_integrate"), (hp, "_cvz")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    for name, (takes, rule, builder) in list(symbolic._FORMS.items()):
+        def recorded(*params, name=name, builder=builder):
+            built[name, params] += 1
+            return builder(*params)
+        monkeypatch.setitem(symbolic._FORMS, name, (takes, rule, recorded))
+    for memo in MEMOS:
+        memo.cache_clear()
+    try:
+        assert run_suite("all", 50).all_passed()
+        i_info = symbolic._build_i.cache_info()
+    finally:
+        for memo in MEMOS:  # drop what the recorders built
+            memo.cache_clear()
+    assert counts == {"_integrate": 190, "_cvz": 11}
+    assert len(built) == 19 and set(built.values()) == {1}
+    assert i_info.misses == i_info.currsize == 9  # 9 distinct I(N), each built once
+
+
+MPFS = st.builds(  # exact: up to 300 bits, more than the 103 that _fmt rounds to
+    lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+    st.integers(min_value=-(1 << 300), max_value=1 << 300),
+    st.integers(min_value=-1200, max_value=200),
+)
+
+
+NEAR_TIES = st.builds(  # within a few units of the 31st digit of a 20-digit tie
+    lambda digits, tail, e: mp.make_mpf(mpf(f"{digits}{tail}e{e}", prec=400)._mpf_),
+    st.integers(min_value=10 ** 19, max_value=10 ** 20 - 1),
+    st.sampled_from(["5", "49999999999", "500000000001", "4999999999999999", "50000000000000001"]),
+    st.integers(min_value=-60, max_value=60),
+)
+
+
+@given(x=st.one_of(MPFS, NEAR_TIES, NEAR_TIES.map(lambda x: -x)))
+@example(x=mpf(0))
+@example(x=mpf(1) / 3)
+@example(x=mpf("-9.99999999999999999995"))
+@example(x=mpf("1e-400"))
+@settings(max_examples=200, deadline=None)
+def test_a_number_is_formatted_as_mp_nstr_formatted_it(x):
+    assert verify._fmt(x) == fmt_nstr(x)

@@ -28,6 +28,7 @@ from multizeta.wseries import (
     wallis_fraction,
     wallis_identity_check,
 )
+from oracles import arccos_moment_comb, combine_mpf, sum_at_fractions
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +378,58 @@ def test_wallis_right_side_is_exact(N, M, alpha, pi_only, prec):
     assert lhs.rigorous and rhs.rigorous
     assert rhs.value.magnitude._mpf_ == lhs.value.magnitude._mpf_
     assert rhs.error_bound.magnitude._mpf_ == lhs.error_bound.magnitude._mpf_
+
+
+def test_the_arccos_moments_walk_the_binomials_exactly():
+    # C(m, i) by its recurrence gives the moments that two math.comb calls
+    # per term gave
+    for n in range(1, 301):
+        assert wseries._arccos_moment(n) == arccos_moment_comb(n), n
+
+
+def _sides_by_oracles(f, alpha, prec):
+    """Row 30's two sides as they were computed before the sums ran in
+    integers: a Fraction per addition, math.comb moments, mpf combine."""
+    powers = [alpha ** n for n in range(len(f))]
+    left = zip(powers, w_apply([c / n if n else c for n, c in enumerate(f)]))
+    right = ((c * p, arccos_moment_comb(n)) for n, (c, p) in enumerate(zip(f, powers)) if n)
+    sides = []
+    for terms in (left, right):
+        q, r = sum_at_fractions(terms)
+        sides.append(combine_mpf([(v, fs) for v, fs in ((q, []), (r, [hp.pi_const(prec)])) if v],
+                                 prec))
+    return sides
+
+
+@pytest.mark.parametrize("N, M, alpha", [
+    (2, 80, Fraction(1)), (2, 80, Fraction(1, 2)), (3, 60, Fraction(1, 2)),
+    (1, 9, Fraction(1)), (4, 40, Fraction(2, 3)), (5, 101, Fraction(1)),
+])
+@pytest.mark.parametrize("prec", [16, 30, 50, 200, 1000])
+def test_wallis_sides_are_their_oracles_bit_for_bit(N, M, alpha, prec):
+    f = arcsin_power_series(N, M)
+    for got, want in zip(wallis_identity_check(f, alpha, prec), _sides_by_oracles(f, alpha, prec)):
+        assert got.value.magnitude._mpf_ == want.value.magnitude._mpf_
+        assert got.error_bound.magnitude._mpf_ == want.error_bound.magnitude._mpf_
+        assert got.rigorous and want.rigorous
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 6)
+
+
+@given(
+    terms=st.lists(st.tuples(RATIONALS, RATIONALS, RATIONALS), max_size=40),
+    prec=st.integers(min_value=16, max_value=200),
+)
+@settings(max_examples=60, deadline=None)
+def test_sums_over_one_denominator_are_the_fraction_sums(terms, prec):
+    # zero parts, zero sums and denominators sharing factors included
+    pairs = [(x, SeriesCoeff(a, b)) for x, a, b in terms]
+    q, r = sum_at_fractions(pairs)
+    got = wseries._sum_at(pairs, prec)
+    want = combine_mpf([(v, fs) for v, fs in ((q, []), (r, [hp.pi_const(prec)])) if v], prec)
+    assert (got.value.magnitude._mpf_, got.error_bound.magnitude._mpf_) == (
+        want.value.magnitude._mpf_, want.error_bound.magnitude._mpf_)
 
 
 def test_wallis_alpha_is_read_exactly():

@@ -9,11 +9,15 @@ over the rationals.  Even zeta values are eliminated on sight through
 zeta(2k) = (-1)^(k+1) B_(2k) (2 pi)^(2k) / (2 (2k)!), eta values through
 eta(m) = (1 - 2^(1-m)) zeta(m) with eta(1) = log 2, and beta at odd argument
 through beta(2k+1) = (-1)^k E_(2k) pi^(2k+1) / (4^(k+1) (2k)!).  What
-remains is a normalized list of monomials with Fraction coefficients, which
+remains is a SymbolicExpr, monomials with Fraction coefficients, which
 makes structural facts checkable exactly: weight homogeneity, the (-1)^N
 sign pattern of the zeta(2N+3) coefficient, and the exact cancellation of
 log 2 when the arcsin-integral combinations assemble t(3,{2}^N) and
-zeta(3,{2}^N).
+zeta(3,{2}^N).  Each kind of basis constant is one _KINDS row: its text,
+weight, argument rule and hp evaluator; the order of the rows, then the
+argument, orders the factors.  A SymbolicExpr's constructor sorts its terms
+into that canonical order once, and every sum (+, -, scale, *,
+divide_by_pi, atom, total) is one merge of (monomial, coefficient) pairs.
 
 build() is the only definition of each closed form in the package, one row
 of _FORMS per Formula; closed.evaluate() evaluates what it returns.  No
@@ -36,7 +40,7 @@ short of the digits asked for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -107,39 +111,44 @@ class FormulaId:
         return self.name is Formula.T2S1_CONJECTURE and self.params[0] > 3
 
 
-# kind -> (text, weight or None for the argument, argument test, its rule);
-# the order of the rows is the canonical order of the factors
+# kind -> (text, weight or None for the argument, argument test, its rule,
+# its hp value at (arg, prec)), rows in the canonical order of the factors;
+# a value looks its hp function up when it runs, so rebound wrappers see it
 _KINDS = {
-    "pi": ("pi", 1, lambda m: m == 0, "no argument"),
-    "log2": ("log2", 1, lambda m: m == 0, "no argument"),
-    "zeta_odd": ("zeta", None, lambda m: m >= 3 and m % 2 == 1, "odd arg >= 3"),
-    "beta_even": ("beta", None, lambda m: m >= 2 and m % 2 == 0, "even arg >= 2"),
+    "pi": ("pi", 1, lambda m: m == 0, "no argument", lambda m, prec: pi_const(prec)),
+    "log2": ("log2", 1, lambda m: m == 0, "no argument", lambda m, prec: log2_const(prec)),
+    "zeta_odd": ("zeta", None, lambda m: m >= 3 and m % 2 == 1, "odd arg >= 3",
+                 lambda m, prec: zeta_single(m, prec)),
+    "beta_even": ("beta", None, lambda m: m >= 2 and m % 2 == 0, "even arg >= 2",
+                  lambda m, prec: beta_fn(m, prec)),
 }
-_KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
 
 
 @dataclass(frozen=True, order=True)
 class BasisConstant:
     """A generator of the constant ring; arg is 0 except for the zeta/beta
-    families, where it is the (parity-checked) argument."""
+    families, where it is the (parity-checked) argument.  Constants order by
+    their _KINDS row, then their arg: the canonical order of the factors."""
 
+    row: int = field(init=False, repr=False)
     kind: str
     arg: int = 0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
-        _, _, arg_ok, rule = _KINDS[self.kind]
-        if not arg_ok(self.arg):
-            raise ValueError(f"{self.kind} takes {rule}, got {self.arg}")
+        _, _, arg_ok, rule, _ = _KINDS[self.kind]
+        if not (isinstance(self.arg, int) and arg_ok(self.arg)):
+            raise ValueError(f"{self.kind} takes {rule}, got {self.arg!r}")
+        object.__setattr__(self, "row", list(_KINDS).index(self.kind))
 
     @property
     def weight(self) -> int:
         weight = _KINDS[self.kind][1]
         return self.arg if weight is None else weight
 
-    def _sort_key(self):
-        return (_KIND_ORDER[self.kind], self.arg)
+    def value(self, prec: int) -> EvalResult:
+        return _KINDS[self.kind][4](self.arg, prec)
 
     def _text(self) -> str:
         text = _KINDS[self.kind][0]
@@ -158,108 +167,88 @@ def beta_even(m: int) -> BasisConstant:
     return BasisConstant("beta_even", m)
 
 
-# a monomial is a sorted tuple of (BasisConstant, positive exponent)
-Monomial = tuple
-
-
-def _mono_sorted(pairs) -> Monomial:
+def _mono_sorted(pairs) -> tuple:
+    """The monomial prod c^e over (c, e) pairs: a tuple of (BasisConstant,
+    positive exponent) in BasisConstant order."""
     merged: dict[BasisConstant, int] = {}
     for c, e in pairs:
-        if e:
-            merged[c] = merged.get(c, 0) + e
-    for c, e in merged.items():
-        if e < 0:
-            raise ValueError(f"negative exponent on {c!r}")
-    return tuple(sorted(((c, e) for c, e in merged.items() if e), key=lambda p: p[0]._sort_key()))
+        require(e, f"the exponent of {c._text()}", 0)
+        merged[c] = merged.get(c, 0) + e
+    return tuple(sorted((c, e) for c, e in merged.items() if e))
 
 
-def _mono_weight(mono: Monomial) -> int:
-    return sum(c.weight * e for c, e in mono)
+def _mono_pi_exp(mono: tuple) -> int:
+    # pi is the first row of _KINDS, so it leads any monomial it divides
+    return mono[0][1] if mono and mono[0][0] == PI else 0
 
 
-def _mono_pi_exp(mono: Monomial) -> int:
-    for c, e in mono:
-        if c.kind == "pi":
-            return e
-    return 0
-
-
-def _term_sort_key(item):
-    mono, _ = item
-    rest = tuple((c._sort_key(), e) for c, e in mono if c.kind != "pi")
-    return (-_mono_pi_exp(mono), rest)
+def _term_key(term) -> tuple:
+    """A term's canonical place: descending pi power, then the other factors."""
+    mono = term[0]
+    e = _mono_pi_exp(mono)
+    return (-e, mono[1:] if e else mono)
 
 
 @dataclass(frozen=True)
 class SymbolicExpr:
     """Normalized rational combination of basis monomials.
 
-    terms is canonically ordered (descending pi power, then the remaining
-    factors), holds no zero coefficients and no duplicate monomials, so
-    structural equality is just dataclass equality.
+    The constructor puts terms in canonical order (_term_key) with one sort
+    and refuses zero coefficients and duplicate monomials, so structural
+    equality is just dataclass equality.
     """
 
     terms: tuple = ()
 
     def __post_init__(self):
-        seen = set()
-        for mono, coeff in self.terms:
-            if coeff == 0:
-                raise ValueError("zero coefficient survived normalization")
-            if mono in seen:
-                raise ValueError("duplicate monomial survived normalization")
-            seen.add(mono)
-        if list(self.terms) != sorted(self.terms, key=_term_sort_key):
-            raise ValueError("terms not in canonical order")
+        terms = tuple(sorted(self.terms, key=_term_key))
+        if any(not coeff for _, coeff in terms):
+            raise ValueError("zero coefficient survived normalization")
+        if any(a[0] == b[0] for a, b in zip(terms, terms[1:])):
+            raise ValueError("duplicate monomial survived normalization")
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def _from_dict(d: dict) -> "SymbolicExpr":
-        items = [(m, c) for m, c in d.items() if c != 0]
-        items.sort(key=_term_sort_key)
-        return SymbolicExpr(tuple(items))
 
     @classmethod
     def zero(cls) -> "SymbolicExpr":
         return cls(())
 
-    @classmethod
-    def atom(cls, const: BasisConstant, exp: int = 1, coeff=1) -> "SymbolicExpr":
-        return cls._from_dict({_mono_sorted([(const, exp)]): Fraction(coeff)})
+    @staticmethod
+    def atom(const: BasisConstant, exp: int = 1, coeff=1) -> "SymbolicExpr":
+        return _sum_terms([(_mono_sorted([(const, exp)]), Fraction(coeff))])
+
+    @staticmethod
+    def total(exprs) -> "SymbolicExpr":
+        """The sum of many expressions, in one merge."""
+        return _sum_terms(term for expr in exprs for term in expr.terms)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        d = {m: c for m, c in self.terms}
-        for m, c in other.terms:
-            d[m] = d.get(m, Fraction(0)) + c
-        return SymbolicExpr._from_dict(d)
+        return _sum_terms(self.terms + other.terms)
 
     def __sub__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        return self + other.scale(-1)
+        return _sum_terms(self.terms + tuple((m, -c) for m, c in other.terms))
 
     def scale(self, c) -> "SymbolicExpr":
         c = Fraction(c)
-        return SymbolicExpr._from_dict({m: k * c for m, k in self.terms})
+        return _sum_terms((m, k * c) for m, k in self.terms)
 
     def __mul__(self, other: "SymbolicExpr") -> "SymbolicExpr":
-        d: dict = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_sorted(list(m1) + list(m2))
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
-        return SymbolicExpr._from_dict(d)
+        return _sum_terms(
+            (_mono_sorted(m1 + m2), c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms
+        )
 
     def divide_by_pi(self) -> "SymbolicExpr":
         """Divide every monomial by pi; raises if any term lacks a pi factor."""
-        d: dict = {}
+        pairs = []
         for mono, c in self.terms:
-            if _mono_pi_exp(mono) < 1:
+            e = _mono_pi_exp(mono)
+            if e < 1:
                 raise ValueError(f"term {c} * {mono} has no pi factor to cancel")
-            pairs = [(cc, e - 1 if cc.kind == "pi" else e) for cc, e in mono]
-            d[_mono_sorted(pairs)] = c
-        return SymbolicExpr._from_dict(d)
+            pairs.append((mono[1:] if e == 1 else ((PI, e - 1),) + mono[1:], c))
+        return _sum_terms(pairs)
 
     # -- inspection --------------------------------------------------------
 
@@ -267,17 +256,23 @@ class SymbolicExpr:
         """Coefficient of the monomial prod const^exp (pairs of (const, exp))."""
         return dict(self.terms).get(_mono_sorted(pairs), Fraction(0))
 
-    def weights(self) -> set:
-        return {_mono_weight(m) for m, _ in self.terms}
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
 
+def _sum_terms(pairs) -> SymbolicExpr:
+    """The one merge: sum the coefficients of equal monomials over (monomial,
+    coefficient) pairs, drop the zeros, and construct."""
+    merged: dict = {}
+    for mono, c in pairs:
+        merged[mono] = merged[mono] + c if mono in merged else c
+    return SymbolicExpr(tuple((m, c) for m, c in merged.items() if c))
+
+
 def weight_check(expr: SymbolicExpr, expected: int) -> bool:
     """True iff every monomial of expr has total weight == expected."""
-    return expr.weights() <= {expected}
+    return all(sum(c.weight * e for c, e in mono) == expected for mono, _ in expr.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +334,24 @@ def t_single_expr(m: int) -> SymbolicExpr:
 # 9 distinct I(N) and 19 distinct forms
 @lru_cache(maxsize=256)
 def _build_i(N: int) -> SymbolicExpr:
-    acc = SymbolicExpr.zero()
-    M = N // 2
+    parts = []
     for j in range((N + 1) // 2):
         c = Fraction((-1) ** j * math.factorial(N), 2 ** N * math.factorial(N - 2 * j))
-        acc = acc + (SymbolicExpr.atom(PI, N - 2 * j) * _eta_expr(2 * j + 1)).scale(c)
+        parts.append(SymbolicExpr.atom(PI, N - 2 * j, c) * _eta_expr(2 * j + 1))
     if N % 2 == 0:
+        M = N // 2
         c = Fraction((-1) ** M * math.factorial(N) * (2 ** (2 * M + 1) - 1), 2 ** N * 2 ** (2 * M))
-        acc = acc + _zeta_expr(N + 1).scale(c)
-    return acc
+        parts.append(_zeta_expr(N + 1).scale(c))
+    return SymbolicExpr.total(parts)
 
 
 def _eta_sum(N: int, top: int) -> SymbolicExpr:
     # sum_(j=1..N) (-1)^(j+1) (2j) pi^(2N+2-2j) eta(2j+1)/(top-2j)!
-    acc = SymbolicExpr.zero()
+    parts = []
     for j in range(1, N + 1):
         c = Fraction((-1) ** (j + 1) * 2 * j, math.factorial(top - 2 * j))
-        acc = acc + (SymbolicExpr.atom(PI, 2 * N + 2 - 2 * j) * _eta_expr(2 * j + 1)).scale(c)
-    return acc
+        parts.append(SymbolicExpr.atom(PI, 2 * N + 2 - 2 * j, c) * _eta_expr(2 * j + 1))
+    return SymbolicExpr.total(parts)
 
 
 def _t322_summation(N: int) -> SymbolicExpr:
@@ -387,14 +382,6 @@ def _z322_integral(N: int) -> SymbolicExpr:
     ).scale(Fraction(2 ** (2 * N + 4), math.factorial(2 * N + 2)))
 
 
-def _build_t322(N: int) -> SymbolicExpr:
-    return _assert_same_form(f"t(3,{{2}}^{N})", _t322_summation(N), _t322_integral(N))
-
-
-def _build_z322(N: int) -> SymbolicExpr:
-    return _assert_same_form(f"zeta(3,{{2}}^{N})", _z322_summation(N), _z322_integral(N))
-
-
 def _assert_same_form(what: str, summation: SymbolicExpr, integral: SymbolicExpr) -> SymbolicExpr:
     """The transcription guard: two derivations of one constant must agree over Q."""
     if summation != integral:
@@ -407,11 +394,11 @@ def _assert_same_form(what: str, summation: SymbolicExpr, integral: SymbolicExpr
 
 def pi_zeta_expr(terms) -> SymbolicExpr:
     """sum of c * pi^a * zeta(m) over (c, a, m) triples; m = 0 stands for 1."""
-    acc = SymbolicExpr.zero()
+    parts = []
     for c, a, m in terms:
-        term = SymbolicExpr.atom(PI, a, Fraction(c))
-        acc = acc + (term * _zeta_expr(m) if m else term)
-    return acc
+        term = SymbolicExpr.atom(PI, a, c)
+        parts.append(term * _zeta_expr(m) if m else term)
+    return SymbolicExpr.total(parts)
 
 
 def _build_odd(alternating: bool, p: int, q: int) -> SymbolicExpr:
@@ -444,16 +431,16 @@ def _build_odd(alternating: bool, p: int, q: int) -> SymbolicExpr:
     # looked up when called, so a wrapper rebound in this module sees them
     single, tail, s = (_beta_expr, _eta_expr, q) if alternating else (t_single_expr, _zeta_expr, p)
     if p == q:
-        return (t_single_expr(2 * q) + single(q) * single(q)).scale(Fraction(1, 2))
+        return SymbolicExpr.total([t_single_expr(2 * q), single(q) * single(q)]).scale(Fraction(1, 2))
     w = p + q
-    acc = t_single_expr(w).scale(Fraction(1, 2))
+    parts = [t_single_expr(w).scale(Fraction(1, 2))]
     if s % 2:
-        acc = acc + single(p) * single(q)
+        parts.append(single(p) * single(q))
     for k in range(1, (w - 1) // 2):
         n = w - 2 * k
         c = Fraction((-1) ** s * (math.comb(n - 1, p - 1) + math.comb(n - 1, q - 1)), 2 ** n)
-        acc = acc + (t_single_expr(2 * k) * tail(n)).scale(c)
-    return acc
+        parts.append((t_single_expr(2 * k) * tail(n)).scale(c))
+    return SymbolicExpr.total(parts)
 
 
 def _ints(params, count: int, low: int) -> bool:
@@ -479,14 +466,14 @@ _ODD_PAIR = (
 # in this module's namespace sees every call.
 _FORMS = {
     Formula.I_CLOSED: (*_one(1), _build_i),
-    Formula.T322: (*_one(1), _build_t322),
-    Formula.Z322: (*_one(0), _build_z322),
+    Formula.T322: (*_one(1), lambda N: _assert_same_form(
+        f"t(3,{{2}}^{N})", _t322_summation(N), _t322_integral(N))),
+    Formula.Z322: (*_one(0), lambda N: _assert_same_form(
+        f"zeta(3,{{2}}^{N})", _z322_summation(N), _z322_integral(N))),
     Formula.E211: (*_one(1), lambda N: _zeta_expr(N + 1).scale(Fraction(2 ** (N + 1) - 1, 4 ** N))),
     Formula.O_SUM: (*_ODD_PAIR, partial(_build_odd, False)),
     Formula.B_SUM: (*_ODD_PAIR, partial(_build_odd, True)),
-    Formula.T2S1_CONJECTURE: (
-        *_one(1), lambda N: _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))
-    ),
+    Formula.T2S1_CONJECTURE: (*_one(1), lambda N: _build_i(2 * N).scale(Fraction(1, math.factorial(2 * N)))),
     Formula.ZETA311: (
         lambda params: not params, "no parameters",
         lambda: _zeta_expr(5).scale(2) - _zeta_expr(2) * _zeta_expr(3),
@@ -512,20 +499,9 @@ def build(fid: FormulaId) -> SymbolicExpr:
 # ---------------------------------------------------------------------------
 
 
-def _const_value(c: BasisConstant, prec: int) -> EvalResult:
-    if c.arg:
-        return zeta_single(c.arg, prec) if c.kind == "zeta_odd" else beta_fn(c.arg, prec)
-    return pi_const(prec) if c.kind == "pi" else log2_const(prec)
-
-
 def _combine_at(expr: SymbolicExpr, prec: int) -> EvalResult:
-    return combine(
-        [
-            (coeff, [_const_value(c, prec) for c, e in mono for _ in range(e)])
-            for mono, coeff in expr.terms
-        ],
-        prec,
-    )
+    terms = [(coeff, [c.value(prec) for c, e in mono for _ in range(e)]) for mono, coeff in expr.terms]
+    return combine(terms, prec)
 
 
 def eval_symbolic(expr: SymbolicExpr, prec: int = 50) -> EvalResult:
@@ -552,14 +528,9 @@ def canonical_text(expr: SymbolicExpr) -> str:
     for i, (mono, coeff) in enumerate(expr.terms):
         factors = [f"{c._text()}^{e}" if e > 1 else c._text() for c, e in mono]
         mag = abs(coeff)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_coeff_text(mag)] + factors)
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        body = "*".join(factors if factors and mag == 1 else [_coeff_text(mag)] + factors)
+        sign = ("" if coeff > 0 else "-") if i == 0 else ("+ " if coeff > 0 else "- ")
+        parts.append(sign + body)
     return " ".join(parts)
 
 

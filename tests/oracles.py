@@ -98,7 +98,7 @@ from multizeta.series import (
     _entries,
     _integrate,
 )
-from multizeta.symbolic import LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
+from multizeta.symbolic import _KINDS, LOG2, SymbolicExpr, pi_zeta_expr, t_single_expr
 from multizeta.wseries import SeriesCoeff
 
 DEFAULT_CUTOFF = 10 ** 6
@@ -384,6 +384,65 @@ def hoffman_expr(N: int) -> SymbolicExpr:
             term = term * SymbolicExpr.atom(LOG2, log_pow)
         acc = acc + term
     return acc
+
+
+# The ring operations as first written, on terms tuples: each builds a dict of
+# monomials and sorts it by a key computed from the kinds' names.  The ring's
+# operations must give these tuples, order included.
+
+
+def _ring_factor_key(c) -> tuple:
+    return (list(_KINDS).index(c.kind), c.arg)
+
+
+def ring_monomial(pairs) -> tuple:
+    """prod c^e over (c, e) pairs, sorted by kind row and argument."""
+    merged = {}
+    for c, e in pairs:
+        if e:
+            merged[c] = merged.get(c, 0) + e
+    return tuple(sorted(((c, e) for c, e in merged.items() if e), key=lambda p: _ring_factor_key(p[0])))
+
+
+def _ring_term_key(item) -> tuple:
+    mono, _ = item
+    pi_exp = next((e for c, e in mono if c.kind == "pi"), 0)
+    return (-pi_exp, tuple((_ring_factor_key(c), e) for c, e in mono if c.kind != "pi"))
+
+
+def ring_from_dict(d: dict) -> tuple:
+    """The terms of a monomial -> coefficient dict: zeros dropped, sorted."""
+    return tuple(sorted(((m, c) for m, c in d.items() if c != 0), key=_ring_term_key))
+
+
+def ring_add(a: tuple, b: tuple) -> tuple:
+    d = dict(a)
+    for m, c in b:
+        d[m] = d.get(m, Fraction(0)) + c
+    return ring_from_dict(d)
+
+
+def ring_scale(a: tuple, c) -> tuple:
+    c = Fraction(c)
+    return ring_from_dict({m: k * c for m, k in a})
+
+
+def ring_mul(a: tuple, b: tuple) -> tuple:
+    d = {}
+    for m1, c1 in a:
+        for m2, c2 in b:
+            m = ring_monomial(list(m1) + list(m2))
+            d[m] = d.get(m, Fraction(0)) + c1 * c2
+    return ring_from_dict(d)
+
+
+def ring_divide_by_pi(a: tuple) -> tuple:
+    d = {}
+    for mono, c in a:
+        if all(cc.kind != "pi" for cc, _ in mono):
+            raise ValueError(f"term {c} * {mono} has no pi factor to cancel")
+        d[ring_monomial([(cc, e - 1 if cc.kind == "pi" else e) for cc, e in mono])] = c
+    return ring_from_dict(d)
 
 
 def odd_O_series(

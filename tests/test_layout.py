@@ -3,8 +3,9 @@ sibling module, so every cross-module dependency goes through a public API;
 no module imports a name it never uses; outside ``hp`` no code derives
 an error bound from other bounds, so ``hp.combine`` stays the one rule that
 propagates them, and outside ``hp``, ``series`` and ``quadrature`` no code
-builds a result from a value and a bound; and every change of mpmath's
-process-global precision is made under ``hp.LOCK``.
+builds a result from a value and a bound; every change of mpmath's
+process-global precision is made under ``hp.LOCK``; and no code tests a basis
+constant's kind against a name, so a kind is one ``symbolic._KINDS`` row.
 """
 
 import ast
@@ -128,6 +129,20 @@ def result_constructions(path: Path) -> list:
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in RESULT_CONSTRUCTORS:
                 found.append(f"{path.stem}:{node.lineno} calls {name}")
+    return found
+
+
+def kind_name_comparisons(path: Path) -> list:
+    """Each comparison of a ``.kind`` attribute with a string literal, alone
+    or inside a tuple, list or set."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands) and any(
+                isinstance(n, ast.Constant) and isinstance(n.value, str) for o in operands for n in ast.walk(o)
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
     return found
 
 
@@ -311,6 +326,22 @@ def test_result_scan_sees_constructions(tmp_path):
     module.write_text("r = hp.wrap_result(v, b, 30, True)\nclass R(EvalResult):\n    pass\n"
                       "h = HPReal(v, 30)\n")
     assert result_constructions(module) == ["m:1 calls wrap_result", "m:4 calls HPReal"]
+
+
+def test_no_code_tests_a_kind_by_name():
+    # what a kind means (text, weight, argument rule, hp value, place in the
+    # canonical order) is its _KINDS row; a kind named in code elsewhere is a
+    # second table that a new row would have to find
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in kind_name_comparisons(path)]
+    assert found == []
+
+
+def test_kind_scan_sees_comparisons(tmp_path):
+    # guard against a vacuous pass
+    module = tmp_path / "m.py"
+    module.write_text('a = c.kind == "pi"\nb = "log2" != c.kind\nd = c.kind in ("pi", "log2")\n'
+                      'e = kind == "I"\nf = c.kind == PI.kind\n')
+    assert kind_name_comparisons(module) == ["m:1", "m:2", "m:3"]
 
 
 def test_scan_sees_the_package():

@@ -5,7 +5,10 @@ structural equalities; the numeric cross-checks at the end tie the symbolic
 expressions back to the closed-form evaluations within rigorous bounds.
 """
 
+import hashlib
+import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,8 @@ from multizeta.symbolic import (
     FormulaId,
     _FORMS,
     _assert_same_form,
+    _build_odd,
+    _eta_sum,
     _t322_integral,
     _t322_summation,
     _z322_integral,
@@ -41,7 +46,15 @@ from multizeta.symbolic import (
     zeta_odd,
 )
 
-from oracles import hoffman_expr
+from oracles import (
+    hoffman_expr,
+    ring_add,
+    ring_divide_by_pi,
+    ring_from_dict,
+    ring_monomial,
+    ring_mul,
+    ring_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +146,93 @@ def test_normalized_construction_rejects_garbage():
         SymbolicExpr(((mono, Fraction(0)),))
     with pytest.raises(ValueError):
         SymbolicExpr(((mono, Fraction(1)), (mono, Fraction(2))))
+
+
+@pytest.mark.parametrize("make, arg", [
+    (zeta_odd, 5.0), (zeta_odd, "5"), (zeta_odd, None), (beta_even, 4.0), (beta_even, "4"),
+    (partial(BasisConstant, "pi"), 0.0), (partial(BasisConstant, "log2"), None),
+], ids=["zeta-5.0", "zeta-str", "zeta-None", "beta-4.0", "beta-str", "pi-0.0", "log2-None"])
+def test_a_constant_refuses_an_argument_that_is_not_an_int(make, arg):
+    # zeta_odd(5.0) once compared equal to zeta_odd(5) but printed zeta5.0
+    with pytest.raises(ValueError, match=f"takes .*, got {arg!r}"):
+        make(arg)
+
+
+@pytest.mark.parametrize("exp", [2.5, 2.0, "2", None], ids=repr)
+def test_a_monomial_refuses_an_exponent_that_is_not_an_int(exp):
+    with pytest.raises(ValueError, match=f"the exponent of pi >= 0 required, got {exp!r}"):
+        SymbolicExpr.atom(PI, exp)
+    with pytest.raises(ValueError, match="the exponent of zeta3 >= 0 required"):
+        SymbolicExpr.atom(zeta_odd(3), exp)
+    with pytest.raises(ValueError, match="the exponent of pi >= 0 required"):
+        pi_zeta_expr([("1/2", exp, 3)])
+
+
+def test_pi_zeta_expr_refuses_a_zeta_argument_that_is_not_an_int():
+    with pytest.raises(ValueError, match="zeta_odd takes odd arg >= 3, got 3.0"):
+        pi_zeta_expr([("1/2", 2, 3.0)])
+    with pytest.raises(ValueError, match="m >= 2 required, got 2.0"):
+        pi_zeta_expr([("1/2", 2, 2.0)])
+
+
+def test_a_negative_exponent_is_refused():
+    with pytest.raises(ValueError, match="the exponent of log2 >= 0 required, got -1"):
+        SymbolicExpr.atom(LOG2, -1)
+
+
+def test_basis_constants_order_by_kind_row_then_argument():
+    ordered = [PI, LOG2, zeta_odd(3), zeta_odd(5), zeta_odd(11), beta_even(2), beta_even(4)]
+    assert sorted(reversed(ordered)) == ordered
+    assert list(symbolic._KINDS) == [c.kind for c in (PI, LOG2, zeta_odd(3), beta_even(2))]
+
+
+FACTORS = st.sampled_from([PI, LOG2, zeta_odd(3), zeta_odd(5), zeta_odd(7), beta_even(2), beta_even(4)])
+MONOMIALS = st.lists(st.tuples(FACTORS, st.integers(0, 3)), max_size=3).map(ring_monomial)
+COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+EXPRS = st.dictionaries(MONOMIALS, COEFFS, max_size=7).map(lambda d: SymbolicExpr(ring_from_dict(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=EXPRS, b=EXPRS, c=EXPRS, q=COEFFS, cancel=st.sampled_from([None, "all", "part"]))
+def test_the_ring_operations_are_their_oracles(a, b, c, q, cancel):
+    # the one-merge operations give the terms the dict-and-sort ones gave,
+    # order included, also where a sum cancels wholly or in part
+    if cancel:
+        b = SymbolicExpr(ring_add(ring_scale(a.terms, -1), b.terms if cancel == "part" else ()))
+    assert (a + b).terms == ring_add(a.terms, b.terms)
+    assert (a - b).terms == ring_add(a.terms, ring_scale(b.terms, -1))
+    assert a.scale(q).terms == ring_scale(a.terms, q)
+    assert (a * b).terms == ring_mul(a.terms, b.terms)
+    assert SymbolicExpr.total([a, b, c]).terms == ring_add(ring_add(a.terms, b.terms), c.terms)
+    assert SymbolicExpr.total(e for e in (a, b)).terms == ring_add(a.terms, b.terms)
+    pa = SymbolicExpr.atom(PI, 1, q) * a
+    assert pa.divide_by_pi().terms == ring_divide_by_pi(pa.terms)
+    if any(all(f != PI for f, _ in mono) for mono, _ in a.terms):
+        with pytest.raises(ValueError, match="no pi factor"):
+            a.divide_by_pi()
+    else:
+        assert a.divide_by_pi().terms == ring_divide_by_pi(a.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FACTORS, st.integers(0, 3))), COEFFS)
+def test_an_atom_is_its_oracle(pairs, q):
+    const, exp = pairs[0] if pairs else (PI, 0)
+    assert SymbolicExpr.atom(const, exp, q).terms == ring_from_dict({ring_monomial([(const, exp)]): q})
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXPRS.flatmap(lambda e: st.tuples(st.just(e), st.permutations(e.terms))))
+def test_any_order_of_valid_terms_builds_the_same_expression(case):
+    expr, terms = case
+    assert SymbolicExpr(tuple(terms)).terms == expr.terms
+    assert SymbolicExpr(list(terms)) == expr
+
+
+def test_the_constructor_puts_a_large_form_in_canonical_order():
+    e = build(FormulaId(Formula.T322, (8,)))
+    assert SymbolicExpr(e.terms[::-1]) == e
+    assert e.terms == ring_from_dict(dict(e.terms))
 
 
 def test_add_cancels_exactly():
@@ -442,3 +542,122 @@ def test_json_terms_round_trip_structure():
             "factors": [{"constant": "zeta_odd", "arg": 5, "power": 1}],
         },
     ]
+
+
+# sha256 of canonical_text and of json.dumps(json_terms) for forms far past
+# the golden corpus, as the ring built them when each construction sorted its
+# terms twice
+LARGE_FORMS = [
+    (Formula.I_CLOSED, (400,), "7985c93eef22e661e39e33887569b7de16199f95326c93b49efbd21c55d3ccf4",
+     "595d4e407bf39c2f99a223d831b905687f188087cdb76e17ec882663cbda80b1"),
+    (Formula.T322, (60,), "2f03257a6bd415645d5fb08503bed32ec8fa83822565ed0c12ac9b4213ce8cbd",
+     "2030bfeae53ba977099d8ff6dcd3c8253ee2a9a3038568e4ddb94d359635d71d"),
+    (Formula.Z322, (60,), "020e764d2da362993489417be745976a7aa29cdd2a0e29401bc5633dc2518dcc",
+     "9ad009bc0cfcd1c87701b5c214c7a09ebcbd2a0fcca37646116ba8489b04186a"),
+    (Formula.O_SUM, (40, 41), "7f6bac662919efad28af56640c65d1b062b2650aea71d32bf7aa226ba4677053",
+     "a65903e0a7df5e05a6d9d85b3d249cb35f9f703c2e83f37dba26d79a18882483"),
+    (Formula.B_SUM, (40, 41), "4d5ef199629617e8c3b041a837fa44ebc659e5aa0a30d6c5460a8af6eda3a37a",
+     "e992d60645694ee5366229db57cab9d314c8c71840cd87af34a45db525243d46"),
+]
+
+
+@pytest.mark.parametrize("name, params, text_sha, json_sha", LARGE_FORMS,
+                         ids=[f"{n.value}-" + "-".join(map(str, p)) for n, p, _, _ in LARGE_FORMS])
+def test_a_large_form_is_byte_identical(name, params, text_sha, json_sha):
+    e = build(FormulaId(name, params))
+    assert hashlib.sha256(canonical_text(e).encode()).hexdigest() == text_sha
+    assert hashlib.sha256(json.dumps(json_terms(e)).encode()).hexdigest() == json_sha
+
+
+# ---------------------------------------------------------------------------
+# the ring's work: one key per term, one merge per sum
+# ---------------------------------------------------------------------------
+
+# the 19 forms a cold verify --suite all builds
+VERIFY_FORMS = [
+    FormulaId(Formula[name], params)
+    for name, params in [
+        ("Z322", (1,)), ("Z322", (2,)), ("Z322", (3,)), ("T322", (1,)), ("T322", (2,)),
+        ("T322", (3,)), ("I_CLOSED", (5,)), ("O_SUM", (2, 3)), ("O_SUM", (3, 2)),
+        ("O_SUM", (4, 3)), ("B_SUM", (3, 3)), ("B_SUM", (2, 3)), ("E211", (2,)),
+        ("ZETA311", ()), *((("T2S1_CONJECTURE", (N,)) for N in range(1, 6))),
+    ]
+]
+
+
+def count_the_ring(monkeypatch) -> dict:
+    """Count term keys, constructions, merges, totals and additions; each
+    construction must key each term it holds once, each total merge once."""
+    counts = dict.fromkeys(("keys", "constructions", "merges", "totals", "adds"), 0)
+    term_key, post_init, sum_terms = symbolic._term_key, SymbolicExpr.__post_init__, symbolic._sum_terms
+    total, add = SymbolicExpr.total, SymbolicExpr.__add__
+
+    def counted_key(term):
+        counts["keys"] += 1
+        return term_key(term)
+
+    def counted_post_init(self):
+        before = counts["keys"]
+        post_init(self)
+        assert counts["keys"] - before == len(self.terms)
+        counts["constructions"] += 1
+
+    def counted_sum(pairs):
+        counts["merges"] += 1
+        return sum_terms(pairs)
+
+    def counted_total(exprs):
+        parts = list(exprs)  # the parts' own merges happen before the sum's
+        before = counts["merges"]
+        out = total(parts)
+        assert counts["merges"] - before == 1
+        counts["totals"] += 1
+        return out
+
+    def counted_add(self, other):
+        counts["adds"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(symbolic, "_term_key", counted_key)
+    monkeypatch.setattr(symbolic, "_sum_terms", counted_sum)
+    monkeypatch.setattr(SymbolicExpr, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SymbolicExpr, "total", staticmethod(counted_total))
+    monkeypatch.setattr(SymbolicExpr, "__add__", counted_add)
+    return counts
+
+
+def test_verify_forms_key_each_term_once_per_construction(monkeypatch):
+    assert len(set(VERIFY_FORMS)) == 19
+    counts = count_the_ring(monkeypatch)
+    memos = (build, symbolic._build_i)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        for fid in VERIFY_FORMS:
+            build(fid)
+    finally:
+        for memo in memos:  # drop what was built under the counters
+            memo.cache_clear()
+    # guard against a vacuous pass: the builds ran from cold, through total
+    assert counts["constructions"] > 250 and counts["totals"] > 10
+
+
+BUILDERS = [
+    (symbolic._build_i.__wrapped__, (9,)),
+    (symbolic._build_i.__wrapped__, (10,)),
+    (_eta_sum, (3, 8)),
+    (pi_zeta_expr, (T3_TERMS,)),
+    (partial(_build_odd, False), (2, 5)),
+    (partial(_build_odd, True), (4, 7)),
+    (partial(_build_odd, False), (3, 3)),
+    (partial(_build_odd, True), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("builder, args", BUILDERS, ids=["I9", "I10", "eta_sum", "pi_zeta_expr", "O25", "B47",
+                                                         "O33", "B22"])
+def test_a_builder_adds_its_parts_in_one_merge(monkeypatch, builder, args):
+    counts = count_the_ring(monkeypatch)
+    expr = builder(*args)
+    assert counts["totals"] == 1 and counts["adds"] == 0
+    assert not expr.is_zero

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from mpmath import mp
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
-from .hp import GUARD_DIGITS, LOCK, EvalResult, coerce_prec
+from .hp import GUARD_DIGITS, EvalResult, coerce_prec
 from .quadrature import QuadratureNonConvergence
 from .routes import ARGUMENT_CONSTANTS, CONSTANT_NAMES, INTEGRAL_KINDS, fid_for, routes
 from .series import CB_KINDS
@@ -117,8 +117,7 @@ def _check_printable(prec: int) -> None:
 def _result_payload(req: Request, method: str, r: EvalResult) -> dict:
     # five digits of the bound, from its 64-bit rounding: a re-evaluated
     # closed form carries a mantissa far wider than the int-to-str limit
-    with LOCK, mp.workprec(64):
-        err = mp.nstr(+r.error_bound.magnitude, 5)
+    err = to_str(mpf_pos(r.error_bound.magnitude._mpf_, 64, round_nearest), 5)
     return {
         "quantity": req.quantity,
         "params": list(req.params),
@@ -134,12 +133,10 @@ def _result_payload(req: Request, method: str, r: EvalResult) -> dict:
 def run(req: Request) -> dict:
     """Evaluate a request; returns the JSON-ready payload.
 
-    Raises ValueError for shapes with no applicable route; lets
+    Raises ValueError for a method the shape has no route for; lets
     QuadratureNonConvergence propagate for the caller's exit mapping.
     """
     found = routes(req.quantity, req.params, req.prec)
-    if not found:
-        raise ValueError(f"no evaluation route for {req.quantity} {req.params}")
 
     if req.method != "all":
         if req.method not in found:

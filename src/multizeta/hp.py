@@ -10,7 +10,9 @@ produced under one precision and *combined* with another at ambient
 precision silently rounds to whatever ``mp.dps`` happens to be.  Every
 public entry point here pins its own working precision (requested digits
 plus a guard) under a re-entrant lock, so results are deterministic
-bit-for-bit regardless of caller state or threading.
+bit-for-bit regardless of caller state or threading.  Only this module and
+``quadrature`` set mpmath's precision at all; every other module parses,
+prints and converts on raw values through ``mpmath.libmp``.
 
 Results are combined with one another only through :func:`combine` (a rational
 combination of products of results) and its one-term form :func:`scaled`:
@@ -21,8 +23,9 @@ precision, so it neither reads nor sets mpmath's precision and holds no
 lock.  Two results agree when :meth:`EvalResult.agrees_with` says so:
 |v1 - v2| <= e1 + e2 with both sides exact (:func:`gap`, :func:`bound_sum`),
 so no working precision enters the verdict.  :func:`digits_short` says how
-far a result's bound falls short of the digits asked for.  These helpers
-stay out of ``__all__``, like the parameter checks :func:`coerce_prec` and
+far a result's bound falls short of the digits asked for, and :func:`refine`
+re-evaluates a result until none is missing.  These helpers stay out of
+``__all__``, like the parameter checks :func:`coerce_prec` and
 :func:`require`: the benchmark's tracer wraps every function listed there
 and hashes its arguments, and theirs are lists, results and mpf values.
 
@@ -259,15 +262,44 @@ def scaled(r: EvalResult, c, *factors: EvalResult) -> EvalResult:
 
 def digits_short(r: EvalResult, prec: int) -> int:
     """How many decimal digits r falls short of prec: the least k >= 0 with
-    bound <= 10^(k-prec) |value|.  0 also when the bound reaches |value|:
-    no digit holds, and more working digits need not make one.  Whether r
-    is short is decided exactly; only the count is taken at 15 digits."""
+    bound <= 10^(k-prec) |value|.
+
+    When the bound reaches |value| no digit holds, and the bound measures
+    the cancellation instead: about 10^-wd of the largest term, at r's wd
+    working digits.  The count is then log10(bound) + prec + 2, which clears
+    a value of order 1 in one re-evaluation, and at least r's working
+    digits, so a value far below 1 is found by doubling them.  Whether r is
+    short is decided exactly; only the count is taken at 15 digits."""
     v = mp.make_mpf(mpf_abs(r.value.magnitude._mpf_))
     b = r.error_bound.magnitude
-    if b >= v or mp.fmul(b, 10 ** prec, exact=True) <= v:
+    if mp.fmul(b, 10 ** prec, exact=True) <= v:
         return 0
     with LOCK, mp.workdps(15):
+        if b >= v:
+            return max(int(mp.ceil(mp.log10(b))) + prec + 2, r.value.working_precision)
         return max(1, int(mp.ceil(prec - mp.log10(v / b))))
+
+
+def refine(evaluate, prec: int) -> EvalResult:
+    """evaluate(wd), a result computed at wd working digits, re-evaluated
+    until it holds prec digits.
+
+    Cancellation between terms costs log10(max|term| / |value|) digits
+    whatever the working digits, so a result short of prec digits is
+    evaluated again with the digits it lacks (digits_short) added, and one
+    to spare, until none is missing.  A re-evaluation whose bound does not
+    shrink tenfold gained no digit, and raises ValueError.  So the loop ends
+    for every nonzero value; over the package's independent basis constants
+    only the empty expression is 0, and it holds every digit at once.
+    """
+    r = evaluate(prec)
+    while short := digits_short(r, prec):
+        wd = r.value.working_precision + short + 1
+        again = evaluate(wd)
+        if mp.fmul(again.error_bound.magnitude, 10, exact=True) > r.error_bound.magnitude:
+            raise ValueError(f"a re-evaluation at {wd} working digits gained no digit")
+        r = again
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ from collections import Counter
 from itertools import accumulate
 from operator import add, floordiv, sub
 
-from mpmath import mp, mpf
+from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_div, round_nearest
 
 from .hp import (
     GUARD_DIGITS,
-    LOCK,
     EvalResult,
     coerce_prec,
     require,
@@ -343,9 +343,7 @@ def _words_values(families: list, prec: int) -> list:
             total += coeff * (sum(top[word[:k]] * bottom[rev[:w - k]] for k in range(w + 1)) >> bits)
             d = _ROUND_UNITS * w + 2 + (1 << (bits - n_terms))
             units += abs(coeff) * (3 * (w + 1) * d + 1)
-        with LOCK, mp.workprec(max(total.bit_length(), units.bit_length(), 1)):
-            val = mp.ldexp(mpf(total), -bits)  # exact at this precision
-            bound = mp.ldexp(mpf(units), -bits)
+        val, bound = (mp.make_mpf(from_man_exp(n, -bits)) for n in (total, units))  # exact
         results.append(wrap_result(val, bound, prec, rigorous=True))
     return results
 
@@ -383,7 +381,9 @@ def central_binomial_sum(kind: str, prec: int = 50) -> EvalResult:
         acc += -term if (alt and n % 2 == 0) else term
         c = c * (n + 1) // (2 * (2 * n + 1))
         n += 1
-    with LOCK, mp.workdps(prec + GUARD_DIGITS):
-        val = mpf(acc) / scale
-        bound = mpf(100 + 2 * n) / scale
+    # value and bound each rounded, then divided by scale, to nearest at
+    # prec + GUARD_DIGITS digits, as mpf(k) / scale would be at those digits
+    p, rnd = dps_to_prec(prec + GUARD_DIGITS), round_nearest
+    val, bound = (mp.make_mpf(mpf_div(from_int(k, p, rnd), from_int(scale), p, rnd))
+                  for k in (acc, 100 + 2 * n))
     return wrap_result(val, bound, prec, rigorous=True)

@@ -33,8 +33,8 @@ slip in either formula cannot reach a printed digit.
 
 eval_symbolic() evaluates an expression by feeding the basis constants of
 its monomials to hp.combine(), the package's one bound-propagation rule,
-and evaluates it once more with more digits when cancellation leaves it
-short of the digits asked for.
+and evaluates it again with more digits (hp.refine) until cancellation no
+longer leaves it short of the digits asked for.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .hp import (
     bernoulli_fraction,
     beta_fn,
     combine,
-    digits_short,
     euler_number,
     log2_const,
     pi_const,
+    refine,
     require,
     zeta_single,
 )
@@ -505,15 +505,10 @@ def _combine_at(expr: SymbolicExpr, prec: int) -> EvalResult:
 
 
 def eval_symbolic(expr: SymbolicExpr, prec: int = 50) -> EvalResult:
-    """Evaluate a basis expression over the hp constants through combine().
-
-    Cancellation between terms costs log10(max|term| / |value|) digits,
-    whatever the working precision, so a result short of prec digits is
-    evaluated once more with that many digits added, and one to spare.
-    """
-    r = _combine_at(expr, prec)
-    short = digits_short(r, prec)
-    return _combine_at(expr, prec + short + 1) if short else r
+    """Evaluate a basis expression over the hp constants through combine(),
+    re-evaluated by hp.refine at more working digits until it holds prec
+    digits, however deep its terms cancel."""
+    return refine(partial(_combine_at, expr), prec)
 
 
 def _coeff_text(c: Fraction) -> str:

@@ -66,9 +66,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest, to_str
+from mpmath.libmp import dps_to_prec, from_str, mpf_pos, round_nearest, to_str
 
-from .hp import LOCK, EvalResult, bound_sum, coerce_prec, combine, gap
+from .hp import EvalResult, bound_sum, coerce_prec, combine, gap
 from .routes import routes, series_values
 from .symbolic import Formula, FormulaId, SymbolicExpr, build, eval_symbolic, pi_zeta_expr
 from .wseries import arcsin_power_series, wallis_identity_check
@@ -88,7 +88,8 @@ def check_cutoff(cutoff) -> None:
 
 
 def _fmt(x: mpf) -> str:
-    """x rounded to 30 digits, as mpf(x) at mp.dps = 30 would be, then to 20 digits."""
+    """x rounded to nearest at 30 digits, as mpf(x) would be at 30 working
+    digits, then printed to 20 digits."""
     return to_str(mpf_pos(x._mpf_, dps_to_prec(_FMT_DIGITS + 10), round_nearest), _FMT_DIGITS)
 
 
@@ -188,8 +189,8 @@ def _as_mpf(x) -> mpf:
         return x.value.magnitude
     if isinstance(x, mpf):
         return x
-    with LOCK, mp.workdps(_FMT_DIGITS + 10):
-        return mpf(x)
+    # a decimal string, rounded to nearest as mpf(x) would be at 30 working digits
+    return mp.make_mpf(from_str(x, dps_to_prec(_FMT_DIGITS + 10), round_nearest))
 
 
 def _row(check_id: str, description: str, left, right, tolerance=None,
@@ -333,9 +334,8 @@ _CONJECTURE_ROWS = tuple(
 def _evaluate(side, prec: int, seen: dict) -> EvalResult | mpf:
     """The result a row side stands for; ``seen`` keeps each one evaluated."""
     if side not in seen:
-        if isinstance(side, str):  # a printed decimal
-            with LOCK, mp.workdps(40):
-                seen[side] = mpf(side)
+        if isinstance(side, str):  # a printed decimal, rounded to nearest at 40 digits
+            seen[side] = mp.make_mpf(from_str(side, dps_to_prec(40), round_nearest))
         elif isinstance(side, SymbolicExpr):
             seen[side] = eval_symbolic(side, prec)
         elif isinstance(side[0], str):  # (quantity, params, method)

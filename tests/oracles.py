@@ -37,7 +37,11 @@ equal it bit for bit.
 ``verify._fmt`` as they were before they ran on raw mpmath values and in
 integers: mpf operators under ``mp.workdps``, one floor division per
 coefficient, two ``math.comb`` calls per term, a ``Fraction`` per addition
-and ``mp.nstr``.  The package's versions must equal them bit for bit.
+and ``mp.nstr``.  So are ``bound_nstr``, ``decimal_mpf`` and
+``central_binomial_sum_mpf``: the CLI's printed bound, verify's reading of a
+decimal string and ``series.central_binomial_sum``, each under
+``mp.workprec`` or ``mp.workdps``.  The package's versions must equal them
+bit for bit.
 
 Tail bounds.  For a strictly-decreasing nested sum with outer exponent e and
 inner exponents e_2..e_k, the tail past n > C is majorised by the product of
@@ -902,3 +906,33 @@ def fmt_nstr(x) -> str:
     """verify._fmt through mp.nstr at 30 working digits."""
     with LOCK, mp.workdps(30):
         return mp.nstr(mpf(x), 20)
+
+
+def bound_nstr(b) -> str:
+    """cli._result_payload's error bound through mp.nstr at 64 working bits."""
+    with LOCK, mp.workprec(64):
+        return mp.nstr(+b, 5)
+
+
+def decimal_mpf(text: str, digits: int) -> mpf:
+    """A decimal string as mpf(text) at ``digits`` working digits: verify
+    read its tolerances at 30 and the paper's printed decimals at 40."""
+    with LOCK, mp.workdps(digits):
+        return mpf(text)
+
+
+def central_binomial_sum_mpf(kind: str, prec: int) -> EvalResult:
+    """series.central_binomial_sum, its sum divided in mpf operators under
+    mp.workdps(prec + GUARD_DIGITS)."""
+    e = {"inverse_square": 2, "alt_inverse_cube": 3, "inverse_fourth": 4}[kind]
+    scale = 10 ** (prec + 12)
+    c, acc, n = scale // 2, 0, 1
+    while c > 0:
+        term = c // n ** e
+        acc += -term if (kind == "alt_inverse_cube" and n % 2 == 0) else term
+        c = c * (n + 1) // (2 * (2 * n + 1))
+        n += 1
+    with LOCK, mp.workdps(prec + GUARD_DIGITS):
+        val = mpf(acc) / scale
+        bound = mpf(100 + 2 * n) / scale
+    return wrap_result(val, bound, prec, rigorous=True)

@@ -13,7 +13,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from multizeta import cli, closed, quadrature, routes, series, symbolic
 from multizeta.cli import Request, main, run
@@ -21,7 +24,7 @@ from multizeta.hp import GUARD_DIGITS, scaled, wrap_result
 from multizeta.quadrature import QuadratureNonConvergence
 from multizeta.symbolic import Formula, FormulaId
 
-from oracles import B23_TERMS, O_TABLE_COMBOS
+from oracles import B23_TERMS, O_TABLE_COMBOS, bound_nstr
 
 SCHEMA_KEYS = [
     "quantity",
@@ -784,3 +787,26 @@ def test_request_validation():
 def test_run_surfaces_route_validation():
     with pytest.raises(ValueError):
         run(Request("oddsum", ("O", 0, 3), method="all"))
+
+
+WIDE_BOUNDS = st.builds(  # mantissas up to 10^4 bits, as a re-evaluated closed form carries
+    lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+    st.integers(min_value=0, max_value=1 << 10000),
+    st.integers(min_value=-12000, max_value=200),
+)
+NEAR_TIES = st.builds(  # within about 2^-64 of a tie at the 6th digit
+    lambda digits, tail, e: mp.make_mpf(mpf(f"{digits}5{tail}e{e}", prec=400)._mpf_),
+    st.integers(min_value=10 ** 4, max_value=10 ** 5 - 1),
+    st.sampled_from(["0" * 18 + "1", "0" * 19 + "1", "0" * 20 + "1", "4" + "9" * 18,
+                     "4" + "9" * 19, "4" + "9" * 20]),
+    st.integers(min_value=-60, max_value=20),
+)
+
+
+@given(bound=st.one_of(WIDE_BOUNDS, NEAR_TIES))
+@example(bound=mpf(0))
+@settings(max_examples=300, deadline=None)
+def test_the_printed_bound_is_mp_nstr_at_64_bits(bound):
+    r = wrap_result(mpf(1), bound, 16, rigorous=True)
+    payload = cli._result_payload(Request("constants", ("pi", 0), prec=16), "closed", r)
+    assert payload["error_bound"] == bound_nstr(bound)

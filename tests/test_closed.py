@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from multizeta import symbolic
 from multizeta.closed import evaluate
 from multizeta.hp import GUARD_DIGITS, log2_const, pi_const
 from multizeta.quadrature import I_quad
@@ -21,6 +22,7 @@ from multizeta.symbolic import (
     FormulaId,
     SymbolicExpr,
     build,
+    eval_symbolic,
     pi_zeta_expr,
     t_single_expr,
 )
@@ -144,13 +146,29 @@ def test_i_closed_agrees_with_itself_at_twice_the_digits(prec):
         ), N
 
 
-def test_closed_form_with_no_digit_keeps_its_wide_bound():
-    # I(200) at 16 digits cancels past every working digit: more digits are
-    # not spent on it, and its bound stays wider than its value, and honest
-    r = ev(Formula.I_CLOSED, 200, prec=16)
-    assert r.value.working_precision == 16
-    assert r.error_bound.magnitude >= abs(r.value.magnitude)
+@pytest.mark.parametrize("prec", [16, 50])
+def test_closed_forms_that_cancel_completely_deliver_their_digits(prec):
+    # I(N) for N >= 40 cancels past every working digit at these digits: at
+    # 16, I(200)'s first bound is 2.5e292 on a value of 1.0e35.  Each is
+    # evaluated again until it holds prec digits, and agrees with itself at
+    # 30 digits more and with the quadrature route
+    for N in (40, 80, 120, 200):
+        r = ev(Formula.I_CLOSED, N, prec=prec)
+        with mp.workdps(prec + 20):
+            assert r.error_bound.magnitude <= abs(r.value.magnitude) * mpf(10) ** -prec, N
+        assert r.agrees_with(ev(Formula.I_CLOSED, N, prec=prec + 30)), N
     assert r.agrees_with(I_quad(200, 16))
+
+
+def test_a_total_cancellation_takes_one_more_evaluation(monkeypatch):
+    # the first bound measures the cancellation: I(200) at 16 digits holds
+    # them after one re-evaluation
+    calls = []
+    combine_at = symbolic._combine_at
+    monkeypatch.setattr(symbolic, "_combine_at",
+                        lambda expr, prec: calls.append(prec) or combine_at(expr, prec))
+    eval_symbolic(build(FormulaId(Formula.I_CLOSED, (200,))), 16)
+    assert len(calls) == 2 and calls[0] == 16
 
 
 def test_i_closed_validation():

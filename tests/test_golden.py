@@ -55,6 +55,9 @@ REQUESTS = (
     ("integral", "I", "5", "--method", "quadrature", "--prec", "30"),
     ("series-coeff", "H", "3", "6"),
     ("verify", "--suite", "all", "--prec", "30"),
+    # closed forms that cancel past every working digit, re-evaluated
+    *((*("integral", kind, "40", "--prec", "16"), *mode)
+      for kind in ("I", "J", "logsine") for mode in ((), ("--json",))),
 )
 
 

@@ -33,6 +33,7 @@ from multizeta.hp import (
     pi_const,
     pi_power,
     psi3_quarter,
+    refine,
     scaled,
     t_single,
     wrap_result,
@@ -291,13 +292,37 @@ def _record(value, bound, prec=20):
 
 
 def test_digits_short_counts_the_missing_digits():
-    # 0 when the bound holds 30 digits, and 0 when it holds none
+    # 0 when the bound holds 30 digits; when it holds none, log10(bound) +
+    # prec + 2, and at least the working digits the result was computed at
     with mp.workdps(40):
         cases = [(mpf(10) ** -31, 0), (2 * mpf(10) ** -26, 5), (mpf(10) ** -12 / 3, 18),
-                 (mpf(0.5), 30), (mpf(1), 0), (mpf(7), 0)]
+                 (mpf(0.5), 30), (mpf(1), 32), (mpf(7), 33)]
     for bound, short in cases:
         assert digits_short(_record(mpf(-1), bound, 30), 30) == short, bound
     assert digits_short(_record(mpf(0), mpf(0)), 20) == 0
+    assert digits_short(_record(mpf(0), mpf(10) ** -40, 24), 20) == 24
+    assert digits_short(_record(mpf(10) ** 9, mpf(10) ** 12, 24), 20) == 34
+
+
+def test_refine_re_evaluates_until_no_digit_is_missing():
+    # a value of 10^-30 whose bound is 10^(10 - wd) at wd working digits:
+    # no digit holds at 20, so the working digits double; 19 digits are
+    # missing at 41, and none at 61
+    calls = []
+
+    def evaluate(wd):
+        calls.append(wd)
+        with mp.workdps(wd + 10):
+            return _record(mpf(10) ** -30, mpf(10) ** (10 - wd), wd)
+
+    r = refine(evaluate, 20)
+    assert calls == [20, 41, 61]
+    assert digits_short(r, 20) == 0
+
+
+def test_refine_refuses_a_re_evaluation_that_gains_no_digit():
+    with pytest.raises(ValueError, match="gained no digit"):
+        refine(lambda wd: _record(mpf(1), mpf(3), wd), 20)
 
 
 @pytest.mark.parametrize("dps", [15, 500])

@@ -3,9 +3,10 @@ sibling module, so every cross-module dependency goes through a public API;
 no module imports a name it never uses; outside ``hp`` no code derives
 an error bound from other bounds, so ``hp.combine`` stays the one rule that
 propagates them, and outside ``hp``, ``series`` and ``quadrature`` no code
-builds a result from a value and a bound; every change of mpmath's
-process-global precision is made under ``hp.LOCK``; and no code tests a basis
-constant's kind against a name, so a kind is one ``symbolic._KINDS`` row.
+builds a result from a value and a bound; only ``hp`` and ``quadrature``
+read or set mpmath's process-global precision, and every change of it is
+made under ``hp.LOCK``; and no code tests a basis constant's kind against a
+name, so a kind is one ``symbolic._KINDS`` row.
 """
 
 import ast
@@ -46,6 +47,12 @@ BOUND_READERS = {
 # one through hp.combine or hp.scaled.
 RESULT_BUILDERS = {"hp", "series", "quadrature"}
 RESULT_CONSTRUCTORS = {"wrap_result", "EvalResult", "QuadratureResult", "HPReal"}
+
+# The only modules that read or set mpmath's precision: hp (its constants
+# and digits_short) and quadrature (its node functions and integration).
+# Every other module parses, prints and converts on raw values through
+# mpmath.libmp, at a precision it passes explicitly.
+PRECISION_USERS = {"hp", "quadrature"}
 
 
 def sibling_imports(path: Path):
@@ -173,6 +180,15 @@ def unlocked_precision_changes(path: Path) -> list:
     return found
 
 
+def precision_uses(path: Path) -> list:
+    """Each ``mp.workdps``, ``mp.workprec``, ``mp.dps`` or ``mp.prec``, read,
+    called or assigned."""
+    lines = {node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "mp" and node.attr in ("workdps", "workprec", "dps", "prec")}
+    return [f"{path.stem}:{line}" for line in sorted(lines)]
+
+
 def test_no_private_imports_across_modules():
     assert private_imports() == []
 
@@ -209,6 +225,22 @@ def test_precision_scan_sees_changes(tmp_path):
         "with LOCK:\n    def f():\n        with mp.workdps(30):\n            pass\n"
     )
     assert unlocked_precision_changes(module) == ["m:4", "m:6", "m:10"]
+
+
+def test_only_hp_and_quadrature_use_the_precision():
+    users = {path.stem for path in PACKAGE.glob("*.py") if precision_uses(path)}
+    assert users == PRECISION_USERS  # both found, too: no vacuous pass
+
+
+def test_precision_use_scan_sees_uses(tmp_path):
+    # guard against a vacuous pass: a change, a read or an assignment of the
+    # precision is reported, another object's prec is not
+    module = tmp_path / "m.py"
+    module.write_text(
+        "with LOCK, mp.workdps(30):\n    pass\nx = mp.prec\nmp.dps = 20\n"
+        "with mp.workprec(64):\n    pass\ny = r.prec + ctx.dps\n"
+    )
+    assert precision_uses(module) == ["m:1", "m:3", "m:4", "m:5"]
 
 
 def test_series_route_is_independent():

@@ -26,6 +26,7 @@ from multizeta.series import (
     _ROUND_UNITS,
     _family_words,
     _integrate,
+    _words_values,
     nested_value,
     nested_values,
 )
@@ -349,6 +350,20 @@ def test_the_chain_walk_equals_the_per_word_engine(prec):
         assert r.error_bound.magnitude == want.error_bound.magnitude, (quantity, params)
 
 
+@given(coeffs=st.lists(st.integers(min_value=-(1 << 10000), max_value=1 << 10000),
+                       min_size=2, max_size=2),
+       prec=st.sampled_from([16, 50]))
+@settings(max_examples=20, deadline=None)
+def test_a_sum_of_any_width_converts_exactly(coeffs, prec):
+    # coefficients of up to 10^4 bits widen the summed integers past any
+    # working precision: each converts as mp.ldexp did at its own bit length
+    words = [(c, word) for c, ((_, word),) in
+             zip(coeffs, (_family_words("zeta", (3, 2)), _family_words("tvalue", (4,))))]
+    r, want = _words_values([words], prec)[0], words_value_per_word(words, prec)
+    assert r.value.magnitude._mpf_ == want.value.magnitude._mpf_
+    assert r.error_bound.magnitude._mpf_ == want.error_bound.magnitude._mpf_
+
+
 # ---------------------------------------------------------------------------
 # the paper's integrals as words
 # ---------------------------------------------------------------------------
@@ -394,6 +409,7 @@ def test_validation():
         ("eulersum", (1, 2)), ("eulersum", (3,)), ("eulersum", (3, 0)), ("eulersum", ()),
         ("valean", "H2n_over_n5"), ("cbsum", ("inverse_square",)),
         ("arcsin_kernel", ("I", 0)), ("arcsin_kernel", ("J", 2)), ("arcsin_kernel", ("t", 1.5)),
+        ("integral", (3, 2)),  # a valid index under a quantity with no nested series
     ]:
         with pytest.raises(ValueError):
             nested_value(quantity, params, 30)

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from multizeta.hp import beta_fn, psi3_quarter, t_single, zeta_single
-from multizeta.series import central_binomial_sum, nested_value
+from multizeta.series import CB_KINDS, central_binomial_sum, nested_value
 
 from oracles import (
     HarmonicState,
+    central_binomial_sum_mpf,
     big_t_series,
     euler_H_series,
     harmonic,
@@ -413,6 +414,14 @@ def test_central_binomial_bound_holds_across_precisions(prec):
 def test_central_binomial_bad_kind():
     with pytest.raises(ValueError):
         central_binomial_sum("nope")
+
+
+@given(kind=st.sampled_from(CB_KINDS), prec=st.integers(min_value=16, max_value=300))
+@settings(max_examples=40, deadline=None)
+def test_central_binomial_sum_divides_as_the_mpf_operators_did(kind, prec):
+    r, want = central_binomial_sum(kind, prec), central_binomial_sum_mpf(kind, prec)
+    assert r.value.magnitude._mpf_ == want.value.magnitude._mpf_
+    assert r.error_bound.magnitude._mpf_ == want.error_bound.magnitude._mpf_
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from multizeta.cli import Request, run
 from multizeta.hp import HPReal
 from multizeta.symbolic import Formula, FormulaId, build, eval_symbolic
 from multizeta.verify import SUITES, Check, VerifyReport, run_suite
-from oracles import _triple_nonstrict_sum, fmt_nstr
+from oracles import _triple_nonstrict_sum, decimal_mpf, fmt_nstr
 
 CUTOFF = 3000
 
@@ -133,6 +133,11 @@ def test_failed_counts_reflect_modes():
     rep2 = VerifyReport("paper", 30, 1000, rows[1:])
     assert rep2.all_passed()
     assert not rep2.all_passed(strict_conjectures=True)
+    # the table's last line counts each kind of failure
+    assert rep.render_table().splitlines()[-2] == (
+        " 1/3 passed, 1 conjectural failure(s) (non-blocking), 1 BLOCKING failure(s)")
+    assert rep2.render_table().splitlines()[-2] == (
+        " 1/2 passed, 1 conjectural failure(s) (non-blocking)")
 
 
 def test_triple_sum_against_brute_force():
@@ -401,3 +406,24 @@ NEAR_TIES = st.builds(  # within a few units of the 31st digit of a 20-digit tie
 @settings(max_examples=200, deadline=None)
 def test_a_number_is_formatted_as_mp_nstr_formatted_it(x):
     assert verify._fmt(x) == fmt_nstr(x)
+
+
+DECIMALS = st.builds(  # signed, up to 60 digits each side of the point, |exponent| past 400
+    lambda sign, whole, fraction, e: f"{sign}{whole}.{fraction}e{e}",
+    st.sampled_from(["", "-", "+"]),
+    st.integers(min_value=0, max_value=10 ** 60),
+    st.text(alphabet="0123456789", max_size=60),
+    st.integers(min_value=-450, max_value=450),
+)
+
+
+@given(text=DECIMALS)
+@example(text="0.22881039")
+@example(text="0.00005499616")
+@example(text="1e-8")
+@example(text="0.1")
+@settings(max_examples=200, deadline=None)
+def test_a_decimal_string_is_read_as_mpf_read_it(text):
+    # a tolerance at 30 digits, a printed decimal side at 40
+    assert verify._as_mpf(text)._mpf_ == decimal_mpf(text, 30)._mpf_
+    assert verify._evaluate(text, 16, {})._mpf_ == decimal_mpf(text, 40)._mpf_
